@@ -65,6 +65,9 @@ class BipartiteIncidence:
         Row pointer for per-dense-attribute vertex lists.
     attr_vertices : int64
         Vertices holding each dense attribute, sorted within each attribute.
+
+    graphops caches its traversal core on the instance (built on first use),
+    so the arrays above must not change once a traversal has run.
     """
 
     def __init__(self, n, m, set_indptr, set_attrs, attr_ids, set_attrs_dense,
@@ -77,6 +80,7 @@ class BipartiteIncidence:
         self.set_attrs_dense = set_attrs_dense
         self.attr_indptr = attr_indptr
         self.attr_vertices = attr_vertices
+        self._traversal_core = None
 
     # -- construction ------------------------------------------------------
 

@@ -1,9 +1,27 @@
 """Connectivity and shortest paths on the intersection graph.
 
-All traversals run directly on the bipartite incidence, alternating
-vertex-side and attribute-side frontiers; an intersection-graph hop is two
-bipartite hops.  This keeps hub cliques implicit: a popular attribute is
-expanded once instead of contributing quadratically many edges.
+Every traversal runs on the *shared-attribute core* of the incidence: the
+bipartite vertex-attribute structure restricted to attributes held by at
+least two vertices.  An attribute with a single holder creates no edge, so
+leaving it out keeps every component and every distance.  Under the default
+m-rule at n = 1e5 the core keeps about 12% of the incidence entries (474k of
+4.04M) and 6% of the occupied attributes (232k of 3.80M).  Core attributes
+keep the dense attribute order, so a one-sided search makes the same
+smallest-id parent choices, and traces the same paths, as it would on the
+full incidence.
+
+Searches alternate vertex-side and attribute-side frontiers; an
+intersection-graph hop is two bipartite hops.  This keeps hub cliques
+implicit: a popular attribute is expanded once instead of contributing
+quadratically many edges.  Pair distances use balanced bidirectional BFS:
+each step advances, by one full hop, the side whose frontier holds fewer
+incidence entries, so a pair query scans a small fraction of the core.
+
+The core is built on first use and cached on the incidence, together with
+a visited mask over vertices and a seen mask over core attributes for each
+of the two sides of a search.  A query allocates in proportion to what it
+scans, and on the way out clears only the mask entries it set.  At n = 1e5
+the cache holds about 11 MB.
 """
 
 from __future__ import annotations
@@ -53,19 +71,137 @@ class ComponentLabeling:
         return np.flatnonzero(self.labels == self.giant)
 
 
+def _core(inc: BipartiteIncidence) -> "_TraversalCore":
+    """The incidence's cached traversal core, built on first use."""
+    if inc._traversal_core is None:
+        inc._traversal_core = _TraversalCore(inc)
+    return inc._traversal_core
+
+
+class _TraversalCore:
+    """CSR of the shared-attribute core plus the masks of two search sides.
+
+    set_indptr/set_attrs list each vertex's core attributes, numbered
+    0..num_attrs-1 in the incidence's dense order; attr_indptr/attr_vertices
+    list each core attribute's holders.  visited[side] (length n) and
+    seen[side] (length num_attrs) are all False between queries.
+    """
+
+    def __init__(self, inc: BipartiteIncidence):
+        holders = np.diff(inc.attr_indptr)
+        shared = holders >= 2
+        core_id = np.cumsum(shared) - 1
+        keep = shared[inc.set_attrs_dense]
+        kept_before = np.zeros(keep.shape[0] + 1, dtype=np.int64)
+        np.cumsum(keep, out=kept_before[1:])
+        self.n = inc.n
+        self.num_attrs = int(np.count_nonzero(shared))
+        self.set_indptr = kept_before[inc.set_indptr]
+        self.set_attrs = core_id[inc.set_attrs_dense[keep]]
+        self.attr_indptr = np.zeros(self.num_attrs + 1, dtype=np.int64)
+        np.cumsum(holders[shared], out=self.attr_indptr[1:])
+        self.attr_vertices = inc.attr_vertices[np.repeat(shared, holders)]
+        self.visited = (np.zeros(self.n, dtype=bool), np.zeros(self.n, dtype=bool))
+        self.seen = (np.zeros(self.num_attrs, dtype=bool),
+                     np.zeros(self.num_attrs, dtype=bool))
+
+    def entries(self, verts: np.ndarray) -> int:
+        """Core incidence entries held by the given vertices."""
+        return int((self.set_indptr[verts + 1] - self.set_indptr[verts]).sum())
+
+
+def _first_by(keys: np.ndarray, vals: np.ndarray):
+    """Sorted distinct keys, each paired with its smallest val."""
+    if keys.size == 0:
+        return keys, vals
+    order = np.lexsort((vals, keys))
+    keys, vals = keys[order], vals[order]
+    keep = np.ones(keys.shape[0], dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    return keys[keep], vals[keep]
+
+
+_EMPTY = np.empty(0, dtype=np.int64)
+
+
+class _Search:
+    """One side of a level-synchronous BFS on the core, using that side's masks.
+
+    levels[k] = (verts, via, attrs, owners): the vertices first reached at
+    hop k, sorted, each with the core attribute it came through; and the
+    attributes first seen in that step, sorted, each with the frontier
+    vertex it came from.  Every choice takes the smallest id, so routes
+    traced back through these arrays are deterministic.  reset() must run
+    before the masks serve another search.
+    """
+
+    def __init__(self, core: _TraversalCore, side: int, source: int):
+        self.core = core
+        self.visited = core.visited[side]
+        self.seen = core.seen[side]
+        src = np.array([source], dtype=np.int64)
+        self.visited[src] = True
+        self.levels = [(src, _EMPTY, _EMPTY, _EMPTY)]
+
+    @property
+    def depth(self) -> int:
+        return len(self.levels) - 1
+
+    @property
+    def frontier(self) -> np.ndarray:
+        return self.levels[-1][0]
+
+    def expand(self) -> np.ndarray:
+        """Advance one intersection hop; returns the new (possibly empty) level."""
+        core, frontier = self.core, self.frontier
+        attrs, lens = concat_ranges(core.set_indptr, core.set_attrs, frontier)
+        owners = np.repeat(frontier, lens)
+        fresh = ~self.seen[attrs]
+        attrs, owners = _first_by(attrs[fresh], owners[fresh])
+        verts, lens = concat_ranges(core.attr_indptr, core.attr_vertices, attrs)
+        via = np.repeat(attrs, lens)
+        fresh = ~self.visited[verts]
+        verts, via = _first_by(verts[fresh], via[fresh])
+        self.seen[attrs] = True
+        self.visited[verts] = True
+        self.levels.append((verts, via, attrs, owners))
+        return verts
+
+    def route_to(self, x: int, hop: int) -> list:
+        """Vertices of the recorded route from the source to x, reached at hop."""
+        path = [int(x)]
+        for verts, via, attrs, owners in self.levels[hop:0:-1]:
+            attr = via[np.searchsorted(verts, path[-1])]
+            path.append(int(owners[np.searchsorted(attrs, attr)]))
+        path.reverse()
+        return path
+
+    def reset(self) -> None:
+        """Clear every mask entry this search set."""
+        for verts, _, attrs, _ in self.levels:
+            self.visited[verts] = False
+            self.seen[attrs] = False
+
+
+def _check_vertex(inc: BipartiteIncidence, x: int) -> None:
+    if not (0 <= x < inc.n):
+        raise ValueError(f"vertex {x} out of range")
+
+
 def components(inc: BipartiteIncidence) -> ComponentLabeling:
     """Label connected components of the intersection graph.
 
-    Runs union-style labeling on the bipartite star graph (n vertex nodes +
-    one node per occupied attribute), which has the same vertex partition as
-    the intersection graph but only total_incidence edges.
+    Runs scipy's labeling on the bipartite star graph of the core (n vertex
+    nodes + one node per shared attribute), which has the same vertex
+    partition as the intersection graph but only one edge per core entry.
     """
-    n = inc.n
-    a = inc.num_occupied
-    rows = np.repeat(np.arange(n, dtype=np.int64), inc.sizes())
-    cols = n + inc.set_attrs_dense
-    graph = sp.coo_matrix(
-        (np.ones(rows.shape[0], dtype=np.int8), (rows, cols)),
+    core = _core(inc)
+    n, a = core.n, core.num_attrs
+    # attribute rows stay empty; connected_components reads edges both ways
+    indptr = np.concatenate((core.set_indptr,
+                             np.full(a, core.set_indptr[-1], dtype=np.int64)))
+    graph = sp.csr_matrix(
+        (np.ones(core.set_attrs.shape[0], dtype=np.int8), n + core.set_attrs, indptr),
         shape=(n + a, n + a),
     )
     _, raw = _cc(graph, directed=False)
@@ -88,116 +224,89 @@ class DistanceResult:
     path: Optional[list]
 
 
-def _bfs(inc: BipartiteIncidence, sources: np.ndarray, targets=None):
-    """Level-synchronous BFS from a set of sources.
-
-    Returns (dist, vparent, aparent): dist[v] in intersection hops with
-    UNREACHED for unvisited; vparent[v] the dense attribute through which v
-    was first reached; aparent[d] the vertex through which dense attribute d
-    was first reached.  Parents take the smallest qualifying id at each
-    dedup, so reconstructed paths are deterministic.  With targets given,
-    the search stops once the level containing the nearest target completes.
-    """
-    n = inc.n
-    dist = np.full(n, UNREACHED, dtype=np.int64)
-    vparent = np.full(n, UNREACHED, dtype=np.int64)
-    aparent = np.full(inc.num_occupied, UNREACHED, dtype=np.int64)
-    attr_seen = np.zeros(inc.num_occupied, dtype=bool)
-
-    target_mask = None
-    if targets is not None:
-        target_mask = np.zeros(n, dtype=bool)
-        target_mask[np.asarray(targets, dtype=np.int64)] = True
-
-    frontier = np.unique(np.asarray(sources, dtype=np.int64))
-    dist[frontier] = 0
-    if target_mask is not None and np.any(target_mask[frontier]):
-        return dist, vparent, aparent
-    level = 0
-    while frontier.size:
-        # vertex frontier -> attributes not yet expanded
-        attrs, lens = concat_ranges(inc.set_indptr, inc.set_attrs_dense, frontier)
-        owners = np.repeat(frontier, lens)
-        fresh = ~attr_seen[attrs]
-        attrs, owners = attrs[fresh], owners[fresh]
-        if attrs.size:
-            order = np.lexsort((owners, attrs))
-            attrs, owners = attrs[order], owners[order]
-            keep = np.ones(attrs.shape[0], dtype=bool)
-            keep[1:] = attrs[1:] != attrs[:-1]
-            attrs, owners = attrs[keep], owners[keep]
-            attr_seen[attrs] = True
-            aparent[attrs] = owners
-
-        # fresh attributes -> vertices not yet visited
-        verts, lens = concat_ranges(inc.attr_indptr, inc.attr_vertices, attrs)
-        via = np.repeat(attrs, lens)
-        fresh = dist[verts] == UNREACHED
-        verts, via = verts[fresh], via[fresh]
-        if verts.size == 0:
-            break
-        order = np.lexsort((via, verts))
-        verts, via = verts[order], via[order]
-        keep = np.ones(verts.shape[0], dtype=bool)
-        keep[1:] = verts[1:] != verts[:-1]
-        verts, via = verts[keep], via[keep]
-        level += 1
-        dist[verts] = level
-        vparent[verts] = via
-        frontier = verts
-        if target_mask is not None and np.any(target_mask[verts]):
-            break
-    return dist, vparent, aparent
-
-
-def _walk_back(dist, vparent, aparent, v: int) -> list:
-    path = [int(v)]
-    while dist[path[-1]] > 0:
-        via = vparent[path[-1]]
-        path.append(int(aparent[via]))
-    path.reverse()
-    return path
-
-
 def bfs_distance(inc: BipartiteIncidence, u: int, v: int) -> DistanceResult:
-    """Shortest path between two vertices; hops=None when disconnected."""
-    for x in (u, v):
-        if not (0 <= x < inc.n):
-            raise ValueError(f"vertex {x} out of range")
+    """Shortest path between two vertices; hops=None when disconnected.
+
+    Balanced bidirectional BFS: each step expands, by one full hop, the side
+    whose frontier holds fewer core entries (u's side on ties), and the
+    search ends with the first level that meets the other side.  The path
+    runs through the smallest-id meeting vertex.
+    """
+    _check_vertex(inc, u)
+    _check_vertex(inc, v)
     if u == v:
         return DistanceResult(hops=0, path=[int(u)])
-    dist, vparent, aparent = _bfs(inc, np.array([u]), targets=np.array([v]))
-    if dist[v] == UNREACHED:
-        return DistanceResult(hops=None, path=None)
-    return DistanceResult(hops=int(dist[v]),
-                          path=_walk_back(dist, vparent, aparent, v))
+    core = _core(inc)
+    fwd, bwd = _Search(core, 0, u), _Search(core, 1, v)
+    try:
+        while True:
+            if core.entries(fwd.frontier) <= core.entries(bwd.frontier):
+                grow, other = fwd, bwd
+            else:
+                grow, other = bwd, fwd
+            verts = grow.expand()
+            if verts.size == 0:
+                return DistanceResult(hops=None, path=None)
+            meet = verts[other.visited[verts]]
+            if meet.size:
+                # The two balls were disjoint before this step, so
+                # d(u, v) >= fwd.depth + bwd.depth, and any meeting vertex
+                # closes a walk of at most that length: it lies on the other
+                # side's last level and d(u, v) is exactly the sum.
+                x = int(meet[0])
+                head = fwd.route_to(x, fwd.depth)
+                tail = bwd.route_to(x, bwd.depth)
+                return DistanceResult(hops=fwd.depth + bwd.depth,
+                                      path=head + tail[-2::-1])
+    finally:
+        fwd.reset()
+        bwd.reset()
 
 
 def distances_from(inc: BipartiteIncidence, u: int) -> np.ndarray:
     """Hop counts from u to every vertex; UNREACHED (-1) where no path."""
-    if not (0 <= u < inc.n):
-        raise ValueError(f"vertex {u} out of range")
-    dist, _, _ = _bfs(inc, np.array([u]))
-    return dist
+    _check_vertex(inc, u)
+    search = _Search(_core(inc), 0, u)
+    try:
+        while search.expand().size:
+            pass
+        dist = np.full(inc.n, UNREACHED, dtype=np.int64)
+        for hop, (verts, _, _, _) in enumerate(search.levels):
+            dist[verts] = hop
+        return dist
+    finally:
+        search.reset()
 
 
 def nearest_of(inc: BipartiteIncidence, source: int, targets: np.ndarray) -> DistanceResult:
     """Shortest path from source to the nearest member of targets.
 
-    Ties go to the smallest-id target at the minimal distance.
+    Ties go to the smallest-id target at the minimal distance, so the search
+    is one-sided and finishes the level where it first meets a target; the
+    second side's visited mask marks the targets meanwhile.
     """
     targets = np.asarray(targets, dtype=np.int64)
     if targets.size == 0:
         raise ValueError("targets must be nonempty")
-    dist, vparent, aparent = _bfs(inc, np.array([source]), targets=targets)
-    reached = targets[dist[targets] != UNREACHED]
-    if reached.size == 0:
+    _check_vertex(inc, source)
+    if targets.min() < 0 or targets.max() >= inc.n:
+        raise ValueError("targets out of range")
+    core = _core(inc)
+    is_target = core.visited[1]
+    search = _Search(core, 0, source)
+    try:
+        is_target[targets] = True
+        verts = search.frontier
+        while verts.size:
+            hits = verts[is_target[verts]]
+            if hits.size:
+                return DistanceResult(hops=search.depth,
+                                      path=search.route_to(hits[0], search.depth))
+            verts = search.expand()
         return DistanceResult(hops=None, path=None)
-    best = reached[np.argmin(dist[reached])]
-    hits = reached[dist[reached] == dist[best]]
-    best = int(hits.min())
-    return DistanceResult(hops=int(dist[best]),
-                          path=_walk_back(dist, vparent, aparent, best))
+    finally:
+        is_target[targets] = False
+        search.reset()
 
 
 def maximal_vertex(weights: VertexWeights) -> int:

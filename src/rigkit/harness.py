@@ -527,13 +527,12 @@ def _experiment_cell_inner(cfg: ExperimentConfig, n: int, trial: int) -> dict:
            "climb_ok": 0, "certificates": 0, "cert_sound": True,
            "max_climb_hops": 0}
     try:
-        dec.escape_targets()
+        _, degenerate = dec.escape_targets()
     except LadderError as exc:
         cell["degenerate"] = True
         cell["error"] = str(exc)
         cell["hub"] = hub
         return cell
-    _, degenerate = dec.escape_targets()
     cell["degenerate"] = bool(degenerate)
 
     hub_dist = distances_from(inc, u_max)

@@ -118,17 +118,29 @@ def _read_binary(path):
         raise GraphFormatError(f"{path}: unsupported version {version}")
     if (len(raw) - _HEADER.size) % 8:
         raise GraphFormatError(f"{path}: body is not a whole number of words")
+    header = _checked_header(path, n=n, m=m, alpha=alpha, c0=c0, seed=seed,
+                             version=version)
     body = np.frombuffer(raw, dtype="<u8", offset=_HEADER.size)
+    words = body.shape[0]
+    # every vertex needs at least its size word; checked before allocating
+    if n > words:
+        raise GraphFormatError(
+            f"{path}: header claims {n} vertices but the body holds {words} words")
 
     sizes = np.empty(n, dtype=np.int64)
     pos = 0
     for v in range(n):
-        if pos >= body.shape[0]:
+        if pos >= words:
             raise GraphFormatError(f"{path}: truncated at vertex {v}")
-        sizes[v] = int(body[pos])
-        pos += 1 + sizes[v]
-    if pos != body.shape[0]:
-        raise GraphFormatError(f"{path}: {body.shape[0] - pos} trailing words")
+        size = int(body[pos])
+        if size > words - pos - 1:
+            raise GraphFormatError(
+                f"{path}: vertex {v} claims {size} attributes but only "
+                f"{words - pos - 1} words are left")
+        sizes[v] = size
+        pos += 1 + size
+    if pos != words:
+        raise GraphFormatError(f"{path}: {words - pos} trailing words")
 
     slots = np.zeros(n, dtype=np.int64)
     np.cumsum(sizes[:-1], out=slots[1:])
@@ -140,8 +152,18 @@ def _read_binary(path):
         inc = BipartiteIncidence.from_flat(n, m, sizes, flat, presorted=False)
     except ValueError as exc:
         raise GraphFormatError(f"{path}: {exc}") from exc
-    return inc, GraphHeader(n=n, m=m, alpha=alpha, c0=c0, seed=seed,
-                            version=version)
+    return inc, header
+
+
+def _checked_header(path, **fields) -> GraphHeader:
+    """The stored header fields, which must form valid model parameters
+    (n >= 1, m >= 1, alpha in (0, 1), c0 > 0)."""
+    header = GraphHeader(**fields)
+    try:
+        header.params()
+    except ValueError as exc:
+        raise GraphFormatError(f"{path}: bad header ({exc})") from exc
+    return header
 
 
 def _write_json(path, inc, alpha, c0, seed):
@@ -173,15 +195,18 @@ def _read_json(path):
     try:
         n, m = int(doc["n"]), int(doc["m"])
         sets = doc["sets"]
-        header = GraphHeader(n=n, m=m, alpha=float(doc["alpha"]),
-                             c0=float(doc["c0"]), seed=int(doc["seed"]))
-    except (KeyError, TypeError) as exc:
-        raise GraphFormatError(f"{path}: missing field ({exc})") from exc
+        fields = dict(n=n, m=m, alpha=float(doc["alpha"]),
+                      c0=float(doc["c0"]), seed=int(doc["seed"]))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise GraphFormatError(f"{path}: missing or malformed field ({exc})") from exc
+    header = _checked_header(path, **fields)
+    if not isinstance(sets, list):
+        raise GraphFormatError(f"{path}: sets must be a list")
     if len(sets) != n:
         raise GraphFormatError(f"{path}: expected {n} sets, found {len(sets)}")
     try:
         inc = BipartiteIncidence.from_sets(n, m, sets)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise GraphFormatError(f"{path}: bad set data ({exc})") from exc
     return inc, header
 

@@ -1,9 +1,12 @@
 import json
 import os
+import struct
 
 import pytest
 
 from rigkit import cli, report_schema
+from rigkit.graphgen import BipartiteIncidence
+from rigkit.storage import GraphFormatError, read_graph, write_graph
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -81,6 +84,33 @@ def test_corrupt_graph_file(tmp_path, capsys):
     path = write_config(tmp_path)
     rc = cli.main(["distances", "--config", path, "--graph", str(bad)])
     assert rc == 2
+
+
+def crafted_graph(tmp_path, offset, fmt, value):
+    """A valid little graph file with one header or body field overwritten."""
+    inc = BipartiteIncidence.from_sets(3, 50, [[1, 7], [7], []])
+    path = tmp_path / "crafted.rig"
+    write_graph(path, inc, 0.5, 1.0, seed=0)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into(fmt, blob, offset, value)
+    path.write_bytes(bytes(blob))
+    return str(path)
+
+
+# header: magic 0, version 4, n 8, m 16, alpha 24, c0 32, seed 40; body 48
+@pytest.mark.parametrize("offset,fmt,value,message", [
+    (48, "<Q", 2**63 + 5, "claims 9223372036854775813 attributes"),
+    (8, "<Q", 2**40, "header claims 1099511627776 vertices"),
+    (24, "<d", 1.5, "alpha must lie in (0, 1)"),
+], ids=["size_word_2p63_plus_5", "header_n_2p40", "alpha_1.5"])
+def test_hostile_graph_file(tmp_path, capsys, offset, fmt, value, message):
+    bad = crafted_graph(tmp_path, offset, fmt, value)
+    path = write_config(tmp_path)
+    rc = cli.main(["analyze", "--config", path, "--graph", bad])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    with pytest.raises(GraphFormatError):
+        read_graph(bad)
 
 
 # --- happy paths -------------------------------------------------------------

@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigkit.graphgen import BipartiteIncidence, generate
 from rigkit.model import ModelParams, trial_rng
@@ -128,3 +130,24 @@ def test_empty_sets_round_trip(tmp_path):
     inc2, header, w2 = read_graph(tmp_path / "tiny.rig")
     assert inc2 == inc
     assert w2.sizes.tolist() == [0, 1, 0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(edits=st.lists(st.tuples(st.integers(1, 14), st.integers(0, 2**64 - 1)),
+                      max_size=3),
+       cut=st.integers(0, 120))
+def test_damaged_binary_fails_only_as_format_error(tmp_path_factory, edits, cut):
+    """Overwrite whole 8-byte words (n, m, alpha, c0, seed, body) and cut the
+    file short: reading either succeeds or raises GraphFormatError."""
+    inc = BipartiteIncidence.from_sets(4, 50, [[1, 7], [7, 9], [], [9]])
+    path = tmp_path_factory.mktemp("fuzz") / "g.rig"
+    write_graph(path, inc, 0.5, 1.0, seed=0)
+    blob = bytearray(path.read_bytes())
+    assert len(blob) == 120  # 48-byte header, 4 size words, 5 attribute ids
+    for word, value in edits:
+        blob[8 * word:8 * word + 8] = value.to_bytes(8, "little")
+    path.write_bytes(bytes(blob[:cut]))
+    try:
+        read_graph(path)
+    except GraphFormatError:
+        pass
