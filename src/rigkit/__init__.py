@@ -11,7 +11,7 @@ numerically.
 import importlib.resources
 import json
 
-from .graphgen import BipartiteIncidence, adjacent, generate, neighbors, sample_subset
+from .graphgen import BipartiteIncidence, adjacent, generate, neighbors
 from .graphops import (
     ComponentLabeling,
     DistanceResult,
@@ -110,7 +110,6 @@ __all__ = [
     "no_overlap_probability",
     "read_graph",
     "realized_weights",
-    "sample_subset",
     "sample_tilde_weights",
     "thresholds",
     "trial_rng",

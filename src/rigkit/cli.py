@@ -10,7 +10,6 @@ failure, 3 verify-lemmas found a violated bound.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -103,10 +102,6 @@ def _config_from(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
-def _print_path(path: str) -> None:
-    print(path)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -124,43 +119,26 @@ def main(argv=None) -> int:
 
         if args.command == "analyze":
             frag = harness.run_analyze(cfg, graph_path=args.graph)
-            path = harness.write_fragment(cfg, "analyze", frag)
-            _print_path(path)
+            print(harness.write_fragment(cfg, "analyze", frag))
             return EXIT_OK
 
         if args.command == "distances":
             frag = harness.run_distances(cfg, trial=args.trial,
                                          graph_path=args.graph)
-            path = harness.write_fragment(cfg, f"distances_n{frag['n']}_t{args.trial}",
-                                          frag, harness.distances_rows)
-            _print_path(path)
+            print(harness.write_fragment(cfg, f"distances_n{frag['n']}_t{args.trial}",
+                                         frag, harness.distances_rows))
             return EXIT_OK
 
         if args.command == "hubpath":
             frag = harness.run_hubpath(cfg, trial=args.trial,
                                        graph_path=args.graph)
-            path = harness.write_fragment(cfg, f"hubpath_n{frag['n']}_t{args.trial}",
-                                          frag, harness.hubpath_rows)
-            _print_path(path)
+            print(harness.write_fragment(cfg, f"hubpath_n{frag['n']}_t{args.trial}",
+                                         frag, harness.hubpath_rows))
             return EXIT_OK
 
         if args.command == "verify-lemmas":
             reports = harness.run_verify(cfg)
-            os.makedirs(cfg.out_dir, exist_ok=True)
-            if cfg.format == "csv":
-                path = os.path.join(cfg.out_dir, "verify_bounds.csv")
-                harness.write_bound_reports(path, reports)
-            else:
-                path = os.path.join(cfg.out_dir, "verify_bounds.json")
-                counts: dict = {}
-                for rep in reports:
-                    counts[rep.status] = counts.get(rep.status, 0) + 1
-                harness.write_json_report(path, {
-                    "kind": "verify",
-                    "counts": counts,
-                    "reports": [rep.to_dict() for rep in reports],
-                })
-            _print_path(path)
+            print(harness.write_verify_report(cfg, reports))
             failed = [rep for rep in reports if rep.status == "fail"]
             for rep in failed:
                 print(f"FAIL {rep.bound_id} at {rep.params}: "
@@ -169,26 +147,13 @@ def main(argv=None) -> int:
 
         if args.command == "experiment":
             report = harness.run_experiment(cfg)
-            path = os.path.join(cfg.out_dir, "experiment_report.json")
-            harness.write_json_report(path, report)
-            _print_path(path)
-            if cfg.format == "csv":
-                agg = os.path.join(cfg.out_dir, "experiment_aggregates.csv")
-                rows = []
-                keys = ["n", "m", "l2n", "trials_ok", "trials_failed",
-                        "rho_hat_min", "rho_hat_mean", "u_max_in_giant_freq",
-                        "v0_in_giant_freq", "v0_threshold_freq",
-                        "pair_pass_rate", "hub_pass_rate",
-                        "escape_success_rate", "climb_success_rate"]
-                for row in report["aggregates"]["per_n"]:
-                    rows.append([row[k] for k in keys])
-                harness._write_rows_csv(agg, keys, rows)
-                _print_path(agg)
+            for path in harness.write_experiment_report(cfg, report):
+                print(path)
             return EXIT_OK
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, RuntimeError, OSError, ArithmeticError, MemoryError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     raise AssertionError(f"unhandled command {args.command}")

@@ -17,7 +17,6 @@ from .model import ModelParams, VertexWeights, sample_tilde_weights
 
 __all__ = [
     "BipartiteIncidence",
-    "sample_subset",
     "sample_incidence",
     "generate",
     "adjacent",
@@ -26,7 +25,7 @@ __all__ = [
 ]
 
 # Largest n*m for which vertex*m + attr packs into int64 with headroom.
-_PACK_LIMIT = 2**62
+PACK_LIMIT = 2**62
 
 
 def concat_ranges(indptr: np.ndarray, data: np.ndarray, items: np.ndarray):
@@ -180,48 +179,29 @@ class BipartiteIncidence:
                 f"incidence={self.total_incidence}, occupied={self.num_occupied})")
 
 
-def sample_subset(m: int, z: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform z-subset of {0, ..., m-1}, returned sorted.
-
-    Sparse regime (z <= m/2): the set of the first z distinct values of an
-    iid uniform stream, which is exactly uniform over z-subsets and needs
-    O(z) draws in expectation.  Dense regime: a permutation prefix.
-    """
-    if z < 0 or z > m:
-        raise ValueError(f"subset size {z} outside [0, {m}]")
-    if z == 0:
-        return np.empty(0, dtype=np.int64)
-    if z > m // 2:
-        return np.sort(rng.permutation(m)[:z].astype(np.int64))
-    got = np.unique(rng.integers(0, m, size=z, dtype=np.int64))
-    while got.shape[0] < z:
-        extra = rng.integers(0, m, size=z - got.shape[0], dtype=np.int64)
-        got = np.union1d(got, extra)
-    return got
-
-
 def sample_incidence(m: int, sizes: np.ndarray, rng: np.random.Generator) -> "BipartiteIncidence":
     """Sample every vertex's uniform subset at once, sizes[v] attributes each.
 
     All subsets are drawn in one batch: each raw draw is packed as
     vertex*m + attr, deduplicated with a single np.unique, and vertices left
     short of their quota are topped up in later rounds.  Per vertex this
-    realizes the same first-z-distinct stream as sample_subset, so the
-    subsets are exactly uniform and mutually independent.
+    keeps the first z distinct values of an iid uniform stream, so the
+    subsets are exactly uniform and mutually independent.  Pools with
+    n*m >= 2**62, where the packed keys would overflow int64, raise
+    ValueError before anything is drawn.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     n = sizes.shape[0]
     if np.any(sizes < 0) or np.any(sizes > m):
         raise ValueError("set sizes must lie in [0, m]")
+    if n * int(m) >= PACK_LIMIT:
+        raise ValueError(f"n * m = {n * int(m)} must stay below 2**62 so that "
+                         f"vertex * m + attribute fits in int64")
     total = int(sizes.sum())
     if total == 0:
         return BipartiteIncidence.from_flat(n, m, sizes,
                                             np.empty(0, dtype=np.int64),
                                             presorted=True)
-    if n * m >= _PACK_LIMIT:
-        # Packed keys would overflow int64; fall back to per-vertex sampling.
-        flat = np.concatenate([sample_subset(m, int(z), rng) for z in sizes])
-        return BipartiteIncidence.from_flat(n, m, sizes, flat, presorted=True)
 
     vert_of = np.repeat(np.arange(n, dtype=np.int64), sizes)
     keys = vert_of * m + rng.integers(0, m, size=total, dtype=np.int64)

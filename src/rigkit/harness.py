@@ -2,9 +2,10 @@
 
 Every quantity in a report is a pure function of the ExperimentConfig.  The
 stream for trial t at size n is SeedSequence(seed, spawn_key=(n, t)), so
-cells are independent and replayable in isolation; within a cell the rng is
-consumed in a fixed order (weights, subsets, then sampling).  Reports are
-written with sorted keys and no timestamps, which makes reruns byte-identical.
+cells are independent and replayable in isolation.  Each (n, trial) is one
+Trial, whose stream is consumed in a fixed order: weights, subsets, then the
+sampled pairs, then the sampled hub vertices.  Reports are written with
+sorted keys and no timestamps, which makes reruns byte-identical.
 """
 
 from __future__ import annotations
@@ -13,14 +14,16 @@ import csv
 import json
 import math
 import os
+import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
 from . import storage
-from .graphgen import generate
+from .graphgen import PACK_LIMIT, generate
 from .graphops import UNREACHED, bfs_distance, components, distances_from, maximal_vertex
 from .hubnav import LadderError, decompose, loglog_certificate, thresholds
 from .model import ModelParams, default_attribute_count, iterated_log, trial_rng
@@ -35,6 +38,7 @@ from .verify import (
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
+    "Trial",
     "run_generate",
     "run_analyze",
     "run_distances",
@@ -42,12 +46,48 @@ __all__ = [
     "run_verify",
     "run_experiment",
     "write_json_report",
+    "write_rows_csv",
     "write_bound_reports",
+    "write_verify_report",
+    "write_experiment_report",
 ]
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
+
+
+# Least value of the integer fields and list entries that must be positive;
+# other integers must be >= 0.  Integers must fit in int64, the seed in uint64.
+_LEAST = {"n_values": 2, "verify_m_values": 1, "overlap_point": 1, "m": 1,
+          "pairs_per_trial": 1, "hub_samples_per_trial": 1, "trials": 1,
+          "threads": 1, "coverage_m": 1, "coverage_set_count": 1,
+          "coverage_trials": 1, "coverage_n": 2, "overlap_trials": 1,
+          "mass_n": 2, "mass_trials": 2}
+
+
+def _check_type(name: str, kind: str, value) -> None:
+    """Raise ConfigError unless value fits the field's annotated type kind:
+    an integer in range, a finite number, a list of integers, or a string."""
+    if value is None and "Optional" in kind:
+        return
+    least, most = _LEAST.get(name, 0), 2**64 - 1 if name == "seed" else 2**63 - 1
+
+    def integer(v) -> bool:  # bool is an int subclass; JSON true is not 1
+        return isinstance(v, int) and not isinstance(v, bool) and least <= v <= most
+
+    if "int" in kind:
+        ok, want = integer(value), f"an integer in [{least}, {most}]"
+    elif "float" in kind:
+        ok, want = (isinstance(value, (int, float)) and not isinstance(value, bool)
+                    and abs(value) <= sys.float_info.max), "a finite number"
+    elif "list" in kind:
+        ok = isinstance(value, list) and all(map(integer, value))
+        want = f"a list of integers in [{least}, {most}]"
+    else:
+        ok, want = isinstance(value, str), "a string"
+    if not ok:
+        raise ConfigError(f"{name} must be {want}, got {value!r}")
 
 
 @dataclass
@@ -86,39 +126,36 @@ class ExperimentConfig:
     window_min: float = 0.9
 
     def __post_init__(self) -> None:
+        # integral floats such as 1e5 are accepted in n_values only
+        if isinstance(self.n_values, list):
+            self.n_values = [int(n) if isinstance(n, float) and n.is_integer() else n
+                             for n in self.n_values]
+        for f in fields(self):
+            _check_type(f.name, str(f.type), getattr(self, f.name))
         if not self.n_values:
             raise ConfigError("n_values must be a nonempty list")
-        for n in self.n_values:
-            if int(n) != n or n < 2:
-                raise ConfigError(f"every n must be an integer >= 2, got {n}")
-        self.n_values = [int(n) for n in self.n_values]
+        if len(self.overlap_point) != 4:
+            raise ConfigError("overlap_point must be [a, b, d, m]")
         if not (0.0 < self.alpha < 1.0):
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.c0 <= 0:
             raise ConfigError("c0 must be positive")
         if self.epsilon <= 0:
             raise ConfigError("epsilon must be positive")
-        if self.pairs_per_trial < 1:
-            raise ConfigError("pairs_per_trial must be >= 1")
-        if self.hub_samples_per_trial is not None and self.hub_samples_per_trial < 1:
-            raise ConfigError("hub_samples_per_trial must be >= 1 when set")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if self.seed < 0 or self.seed > 2**64 - 1:
-            raise ConfigError("seed must fit in an unsigned 64-bit integer")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
+        if self.hub_floor is not None and self.hub_floor <= 1:
+            raise ConfigError(f"hub_floor must exceed 1, got {self.hub_floor}")
+        if not (0.0 < self.coverage_gamma1 < self.coverage_gamma2 < 1.0):
+            raise ConfigError("coverage gammas need 0 < gamma1 < gamma2 < 1")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"format must be json or csv, got {self.format!r}")
         if self.graph_format not in ("binary", "json"):
             raise ConfigError("graph_format must be binary or json")
-        if self.m is not None:
-            if self.m < max(self.n_values):
-                raise ConfigError("explicit m must be >= every n in the ladder")
-        else:
-            for n in self.n_values:
-                if default_attribute_count(n) < n:
-                    raise ConfigError(f"m-rule yields m < n at n = {n}")
+        if self.m is not None and self.m < max(self.n_values):
+            raise ConfigError("explicit m must be >= every n in the ladder")
+        for n in self.n_values:
+            if n * self.m_for(n) >= PACK_LIMIT:
+                raise ConfigError(f"n * m must stay below 2**62, got n = {n}, "
+                                  f"m = {self.m_for(n)}")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -159,61 +196,115 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# report writing
+# one trial: the instance and its two sampling loops
 
 
-def write_json_report(path, doc) -> None:
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+def _sample_pairs(pool: np.ndarray, count: int, rng: np.random.Generator):
+    """count pairs drawn uniformly from pool, distinct within each pair."""
+    pairs = np.empty((count, 2), dtype=np.int64)
+    for i in range(count):
+        pairs[i] = rng.choice(pool, size=2, replace=False)
+    return pairs
 
 
-def _flatten_params(params: dict) -> str:
-    return ";".join(f"{k}={params[k]}" for k in sorted(params))
+class Trial:
+    """One (n, trial) instance with its components, ladder and stream.
 
-
-def write_bound_reports(path, reports) -> None:
-    """BoundReport sequence as CSV: bound_id, params, lhs, rhs, slack, status."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["bound_id", "params", "lhs", "rhs", "slack", "status"])
-        for rep in reports:
-            writer.writerow([rep.bound_id, _flatten_params(rep.params),
-                             repr(rep.lhs), repr(rep.rhs), repr(rep.slack),
-                             rep.status])
-
-
-def _write_rows_csv(path, header, rows) -> None:
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(["" if v is None else v for v in row])
-
-
-# ---------------------------------------------------------------------------
-# graph materialization
-
-
-def _materialize(cfg: ExperimentConfig, n: int, trial: int, graph_path=None):
-    """Return (inc, weights, params, seed_used, sampling_rng).
-
-    Fresh graphs consume the trial stream for weights and subsets and hand
-    the same stream over for sampling; loaded graphs get a fresh sampling
-    stream from the same splitting rule.
+    A fresh instance consumes the trial stream for weights and subsets and
+    keeps drawing from it; a graph file gets a fresh stream from the same
+    splitting rule.  Callers draw pairs before hub vertices.
     """
-    if graph_path is not None:
-        inc, header, weights = storage.read_graph(graph_path)
-        params = header.params()
-        rng = trial_rng(cfg.seed, params.n, trial)
-        return inc, weights, params, header.seed, rng
-    params = cfg.params_for(n)
-    rng = trial_rng(cfg.seed, n, trial)
-    inc, weights = generate(params, rng)
-    return inc, weights, params, cfg.seed, rng
+
+    def __init__(self, cfg: ExperimentConfig, n: int, trial: int, graph_path=None):
+        if graph_path is not None:
+            self.inc, header, self.weights = storage.read_graph(graph_path)
+            self.params = header.params()
+            self.seed = header.seed
+            self.rng = trial_rng(cfg.seed, self.params.n, trial)
+        else:
+            self.params = cfg.params_for(n)
+            self.seed = cfg.seed
+            self.rng = trial_rng(cfg.seed, n, trial)
+            self.inc, self.weights = generate(self.params, self.rng)
+        p = self.params
+        self.comp = components(self.inc)
+        self.dec = decompose(self.weights, thresholds(p.n, p.alpha, p.c0, cfg.hub_floor))
+        self.u_max = maximal_vertex(self.weights)
+        self.giant_size = int(self.comp.sizes[self.comp.giant])
+        labels, giant = self.comp.labels, self.comp.giant
+        self.u_max_in_giant = bool(labels[self.u_max] == giant)
+        self.fixed_in_giant = bool(p.n > 1 and labels[0] == giant and labels[1] == giant)
+
+    def header(self, kind: str) -> dict:
+        """The instance fields that open every single-trial report."""
+        p = self.params
+        return {"kind": kind, "n": p.n, "m": p.m, "alpha": p.alpha, "c0": p.c0,
+                "seed": self.seed}
+
+    def pairs(self, count: int):
+        """Hops of count uniform giant pairs, then of the fixed pair (0, 1).
+
+        Returns (sampled, fixed): sampled lists (u, v, hops) and is empty when
+        the giant has fewer than two vertices; fixed is measured last, and only
+        when both 0 and 1 lie in the giant (else it is None).
+        """
+        sampled = []
+        giant = self.comp.giant_vertices()
+        if giant.shape[0] >= 2:
+            for u, v in _sample_pairs(giant, count, self.rng):
+                u, v = int(u), int(v)
+                sampled.append((u, v, bfs_distance(self.inc, u, v).hops))
+        fixed = bfs_distance(self.inc, 0, 1).hops if self.fixed_in_giant else None
+        return sampled, fixed
+
+    def hub_samples(self, count: int):
+        """Exact hub distance and certificate of count uniform vertices.
+
+        Returns (degenerate, error, samples), samples listing (v, exact, cert)
+        with exact None off u_max's component.  When the ladder has no escape
+        targets nothing is drawn: error holds the LadderError text.
+        """
+        try:
+            _, degenerate = self.dec.escape_targets()
+        except LadderError as exc:
+            return True, str(exc), []
+        hub_dist = distances_from(self.inc, self.u_max)
+        n = self.params.n
+        samples = []
+        for v in self.rng.choice(n, size=count, replace=count > n):
+            v = int(v)
+            exact = int(hub_dist[v]) if hub_dist[v] != UNREACHED else None
+            cert = loglog_certificate(self.inc, self.dec, v, self.u_max, self.u_max)
+            samples.append((v, exact, cert))
+        return bool(degenerate), None, samples
+
+
+def _pass_rate(hops, bound: float) -> Optional[float]:
+    """Share of the finite hop counts within bound; None when none is finite."""
+    finite = [h for h in hops if h is not None]
+    return sum(h <= bound for h in finite) / len(finite) if finite else None
+
+
+def _hub_counts(samples, bound: float) -> dict:
+    """Counters over (v, exact, cert) hub samples; they add up across trials."""
+    climbs = [c.climb_a.total_hops for _, _, c in samples if c.climb_a is not None]
+    certified = [(exact, c.certificate_hops) for _, exact, c in samples
+                 if c.certificate_hops is not None]
+    finite = [exact for _, exact, _ in samples if exact is not None]
+    return {
+        "samples": len(samples),
+        "finite": len(finite),
+        "passed": sum(h <= bound for h in finite),
+        "escape_ok": sum(c.escape_a is not None for _, _, c in samples),
+        "climb_ok": len(climbs),
+        "certificates": len(certified),
+        "cert_sound": all(e is not None and h >= e for e, h in certified),
+        "max_climb_hops": max(climbs, default=0),
+    }
+
+
+def _ratio(counts: dict, part: str, whole: str) -> Optional[float]:
+    return counts[part] / counts[whole] if counts[whole] else None
 
 
 # ---------------------------------------------------------------------------
@@ -258,38 +349,19 @@ def run_generate(cfg: ExperimentConfig) -> list:
 
 def run_analyze(cfg: ExperimentConfig, graph_path=None) -> dict:
     """Structure summary of one instance: components, degrees, ladder."""
-    n = cfg.n_values[0]
-    inc, weights, params, seed, _ = _materialize(cfg, n, 0, graph_path)
-    comp = components(inc)
-    th = thresholds(params.n, params.alpha, params.c0, cfg.hub_floor)
-    dec = decompose(weights, th)
-    tail = degree_tail_report(inc)
-    u_max = maximal_vertex(weights)
+    t = Trial(cfg, cfg.n_values[0], 0, graph_path)
     return {
-        "kind": "analyze",
-        "n": params.n,
-        "m": params.m,
-        "alpha": params.alpha,
-        "c0": params.c0,
-        "seed": seed,
-        "components": int(comp.count),
-        "giant_size": int(comp.sizes[comp.giant]),
-        "giant_fraction": comp.giant_fraction(),
-        "u_max": int(u_max),
-        "u_max_size": int(weights.sizes[u_max]),
-        "k_star": dec.k_star,
-        "hub_core_size": int(dec.hub_core.shape[0]),
-        "layer_sizes": [int(layer.shape[0]) for layer in dec.layers],
-        "degree_tail": tail.to_dict(),
+        **t.header("analyze"),
+        "components": int(t.comp.count),
+        "giant_size": t.giant_size,
+        "giant_fraction": t.comp.giant_fraction(),
+        "u_max": t.u_max,
+        "u_max_size": int(t.weights.sizes[t.u_max]),
+        "k_star": t.dec.k_star,
+        "hub_core_size": int(t.dec.hub_core.shape[0]),
+        "layer_sizes": [int(layer.shape[0]) for layer in t.dec.layers],
+        "degree_tail": degree_tail_report(t.inc).to_dict(),
     }
-
-
-def _sample_pairs(pool: np.ndarray, count: int, rng: np.random.Generator):
-    """count pairs drawn uniformly from pool, distinct within each pair."""
-    pairs = np.empty((count, 2), dtype=np.int64)
-    for i in range(count):
-        pairs[i] = rng.choice(pool, size=2, replace=False)
-    return pairs
 
 
 def run_distances(cfg: ExperimentConfig, n: Optional[int] = None,
@@ -299,52 +371,24 @@ def run_distances(cfg: ExperimentConfig, n: Optional[int] = None,
     Samples pairs_per_trial uniform giant pairs plus the fixed labeled pair
     (0, 1) conditioned on both endpoints lying in the giant.
     """
-    n = n if n is not None else cfg.n_values[0]
-    inc, weights, params, seed, rng = _materialize(cfg, n, trial, graph_path)
-    comp = components(inc)
-    bound = cfg.pair_bound(params.n)
-    frag = {
-        "kind": "distances",
-        "n": params.n,
-        "m": params.m,
-        "alpha": params.alpha,
-        "c0": params.c0,
-        "seed": seed,
+    t = Trial(cfg, n if n is not None else cfg.n_values[0], trial, graph_path)
+    bound = cfg.pair_bound(t.params.n)
+    empty = t.giant_size < 2
+    sampled, fixed = ([], None) if empty else t.pairs(cfg.pairs_per_trial)
+    return {
+        **t.header("distances"),
         "trial": trial,
         "epsilon": cfg.epsilon,
         "bound": bound,
-        "giant_size": int(comp.sizes[comp.giant]),
-        "giant_fraction": comp.giant_fraction(),
-        "empty": False,
-        "pairs": [],
-        "pass_rate": None,
-        "fixed_pair": None,
+        "giant_size": t.giant_size,
+        "giant_fraction": t.comp.giant_fraction(),
+        "empty": empty,
+        "pairs": [{"u": u, "v": v, "hops": h} for u, v, h in sampled],
+        "pass_rate": _pass_rate([h for _, _, h in sampled], bound),
+        "fixed_pair": None if empty else {
+            "u": 0, "v": 1, "both_in_giant": t.fixed_in_giant, "hops": fixed,
+            "pass": None if fixed is None else bool(fixed <= bound)},
     }
-    giant = comp.giant_vertices()
-    if giant.shape[0] < 2:
-        frag["empty"] = True
-        return frag
-    pairs = _sample_pairs(giant, cfg.pairs_per_trial, rng)
-    hops = []
-    for u, v in pairs:
-        res = bfs_distance(inc, int(u), int(v))
-        hops.append(res.hops)
-        frag["pairs"].append({"u": int(u), "v": int(v), "hops": res.hops})
-    finite = [h for h in hops if h is not None]
-    if finite:
-        frag["pass_rate"] = sum(h <= bound for h in finite) / len(finite)
-
-    both = bool(params.n > 1 and comp.labels[0] == comp.giant
-                and comp.labels[1] == comp.giant)
-    fixed = {"u": 0, "v": 1, "both_in_giant": both, "hops": None,
-             "pass": None}
-    if both:
-        res = bfs_distance(inc, 0, 1)
-        fixed["hops"] = res.hops
-        if res.hops is not None:
-            fixed["pass"] = bool(res.hops <= bound)
-    frag["fixed_pair"] = fixed
-    return frag
 
 
 def run_hubpath(cfg: ExperimentConfig, n: Optional[int] = None,
@@ -354,79 +398,36 @@ def run_hubpath(cfg: ExperimentConfig, n: Optional[int] = None,
     Samples vertices uniformly; for those with a finite distance to the
     maximal vertex, records the exact distance and a full certificate.
     """
-    n = n if n is not None else cfg.n_values[0]
-    inc, weights, params, seed, rng = _materialize(cfg, n, trial, graph_path)
-    bound = cfg.hub_bound(params.n)
-    th = thresholds(params.n, params.alpha, params.c0, cfg.hub_floor)
-    dec = decompose(weights, th)
-    u_max = maximal_vertex(weights)
-    comp = components(inc)
-    frag = {
-        "kind": "hubpath",
-        "n": params.n,
-        "m": params.m,
-        "alpha": params.alpha,
-        "c0": params.c0,
-        "seed": seed,
+    t = Trial(cfg, n if n is not None else cfg.n_values[0], trial, graph_path)
+    bound = cfg.hub_bound(t.params.n)
+    degenerate, error, samples = t.hub_samples(cfg.hub_samples())
+    hub = _hub_counts(samples, bound)
+    return {
+        **t.header("hubpath"),
         "trial": trial,
         "epsilon": cfg.epsilon,
         "bound": bound,
-        "k_star": dec.k_star,
-        "t0": dec.th.t0,
-        "hub_core_size": int(dec.hub_core.shape[0]),
-        "top_layer_size": int(dec.top_layer().shape[0]),
-        "u_max": int(u_max),
-        "u_max_in_giant": bool(comp.labels[u_max] == comp.giant),
-        "degenerate": False,
-        "error": None,
-        "samples": [],
-        "pass_rate": None,
-        "escape_success_rate": None,
-        "climb_success_rate": None,
-    }
-    try:
-        _, degenerate = dec.escape_targets()
-        frag["degenerate"] = bool(degenerate)
-    except LadderError as exc:
-        frag["degenerate"] = True
-        frag["error"] = str(exc)
-        return frag
-
-    hub_dist = distances_from(inc, u_max)
-    count = cfg.hub_samples()
-    sampled = rng.choice(params.n, size=count, replace=count > params.n)
-    finite_hits = 0
-    passed = 0
-    escapes = 0
-    climbs = 0
-    for v in sampled:
-        v = int(v)
-        exact = int(hub_dist[v]) if hub_dist[v] != UNREACHED else None
-        cert = loglog_certificate(inc, dec, v, u_max, u_max)
-        entry = {
+        "k_star": t.dec.k_star,
+        "t0": t.dec.th.t0,
+        "hub_core_size": int(t.dec.hub_core.shape[0]),
+        "top_layer_size": int(t.dec.top_layer().shape[0]),
+        "u_max": t.u_max,
+        "u_max_in_giant": t.u_max_in_giant,
+        "degenerate": degenerate,
+        "error": error,
+        "samples": [{
             "v": v,
             "exact": exact,
             "certificate": cert.certificate_hops,
             "escape_hops": None if cert.escape_a is None else cert.escape_a.total_hops,
             "climb_hops": None if cert.climb_a is None else cert.climb_a.total_hops,
             "failed_stage": cert.failed_stage,
-            "pass": None,
-        }
-        if cert.escape_a is not None:
-            escapes += 1
-            if cert.climb_a is not None:
-                climbs += 1
-        if exact is not None:
-            finite_hits += 1
-            entry["pass"] = bool(exact <= bound)
-            passed += entry["pass"]
-        frag["samples"].append(entry)
-    if finite_hits:
-        frag["pass_rate"] = passed / finite_hits
-    frag["escape_success_rate"] = escapes / count
-    if escapes:
-        frag["climb_success_rate"] = climbs / escapes
-    return frag
+            "pass": None if exact is None else bool(exact <= bound),
+        } for v, exact, cert in samples],
+        "pass_rate": _ratio(hub, "passed", "finite"),
+        "escape_success_rate": _ratio(hub, "escape_ok", "samples"),
+        "climb_success_rate": _ratio(hub, "climb_ok", "escape_ok"),
+    }
 
 
 def run_verify(cfg: ExperimentConfig) -> list:
@@ -472,91 +473,32 @@ def _experiment_cell(args) -> dict:
 
 
 def _experiment_cell_inner(cfg: ExperimentConfig, n: int, trial: int) -> dict:
-    params = cfg.params_for(n)
-    rng = trial_rng(cfg.seed, n, trial)
-    inc, weights = generate(params, rng)
-    comp = components(inc)
-    th = thresholds(params.n, params.alpha, params.c0, cfg.hub_floor)
-    dec = decompose(weights, th)
-    u_max = maximal_vertex(weights)
-    l2n = iterated_log(n)
-
-    v0 = dec.hub_core
-    v0_in_giant = bool(np.all(comp.labels[v0] == comp.giant)) if v0.size else True
-    v0_threshold = 2.0 * params.law().tail_constant * l2n ** (
-        params.alpha * (1.0 + params.alpha))
-
-    cell = {
+    t = Trial(cfg, n, trial)
+    sampled, fixed = t.pairs(cfg.pairs_per_trial)
+    degenerate, error, samples = t.hub_samples(cfg.hub_samples())
+    hops = [h for _, _, h in sampled]
+    v0 = t.dec.hub_core
+    v0_threshold = 2.0 * t.params.law().tail_constant * iterated_log(n) ** (
+        t.params.alpha * (1.0 + t.params.alpha))
+    return {
         "n": n,
         "trial": trial,
-        "error": None,
-        "m": params.m,
-        "giant_fraction": comp.giant_fraction(),
-        "giant_size": int(comp.sizes[comp.giant]),
-        "u_max": int(u_max),
-        "u_max_in_giant": bool(comp.labels[u_max] == comp.giant),
+        "error": error,
+        "m": t.params.m,
+        "giant_fraction": t.comp.giant_fraction(),
+        "giant_size": t.giant_size,
+        "u_max": t.u_max,
+        "u_max_in_giant": t.u_max_in_giant,
         "v0_size": int(v0.shape[0]),
-        "v0_in_giant": v0_in_giant,
+        "v0_in_giant": bool(np.all(t.comp.labels[v0] == t.comp.giant)) if v0.size else True,
         "v0_above_threshold": bool(v0.shape[0] >= v0_threshold),
-        "k_star": dec.k_star,
-        "degenerate": False,
-        "pair_hops": [],
-        "pair_pass_rate": None,
-        "fixed_pair": None,
-        "hub": None,
+        "k_star": t.dec.k_star,
+        "degenerate": degenerate,
+        "pair_hops": hops,
+        "pair_pass_rate": _pass_rate(hops, cfg.pair_bound(n)),
+        "fixed_pair": {"both_in_giant": t.fixed_in_giant, "hops": fixed},
+        "hub": _hub_counts(samples, cfg.hub_bound(n)),
     }
-
-    pair_bound = cfg.pair_bound(n)
-    giant = comp.giant_vertices()
-    if giant.shape[0] >= 2:
-        pairs = _sample_pairs(giant, cfg.pairs_per_trial, rng)
-        hops = [bfs_distance(inc, int(u), int(v)).hops for u, v in pairs]
-        finite = [h for h in hops if h is not None]
-        cell["pair_hops"] = hops
-        if finite:
-            cell["pair_pass_rate"] = sum(h <= pair_bound for h in finite) / len(finite)
-    both = bool(comp.labels[0] == comp.giant and n > 1
-                and comp.labels[1] == comp.giant)
-    fixed = {"both_in_giant": both, "hops": None}
-    if both:
-        fixed["hops"] = bfs_distance(inc, 0, 1).hops
-    cell["fixed_pair"] = fixed
-
-    hub_bound = cfg.hub_bound(n)
-    hub = {"samples": 0, "finite": 0, "passed": 0, "escape_ok": 0,
-           "climb_ok": 0, "certificates": 0, "cert_sound": True,
-           "max_climb_hops": 0}
-    try:
-        _, degenerate = dec.escape_targets()
-    except LadderError as exc:
-        cell["degenerate"] = True
-        cell["error"] = str(exc)
-        cell["hub"] = hub
-        return cell
-    cell["degenerate"] = bool(degenerate)
-
-    hub_dist = distances_from(inc, u_max)
-    count = cfg.hub_samples()
-    sampled = rng.choice(n, size=count, replace=count > n)
-    for v in sampled:
-        v = int(v)
-        hub["samples"] += 1
-        cert = loglog_certificate(inc, dec, v, u_max, u_max)
-        if cert.escape_a is not None:
-            hub["escape_ok"] += 1
-            if cert.climb_a is not None:
-                hub["climb_ok"] += 1
-                hub["max_climb_hops"] = max(hub["max_climb_hops"],
-                                            cert.climb_a.total_hops)
-        if cert.certificate_hops is not None:
-            hub["certificates"] += 1
-            if cert.exact_hops is None or cert.certificate_hops < cert.exact_hops:
-                hub["cert_sound"] = False
-        if hub_dist[v] != UNREACHED:
-            hub["finite"] += 1
-            hub["passed"] += bool(hub_dist[v] <= hub_bound)
-    cell["hub"] = hub
-    return cell
 
 
 def _quantiles(values) -> Optional[dict]:
@@ -588,13 +530,14 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         failed = [c for c in cells if c["n"] == n and c.get("error") is not None]
         fractions = [c["giant_fraction"] for c in group]
         pooled_hops = [h for c in group for h in c["pair_hops"] if h is not None]
-        hub_finite = sum(c["hub"]["finite"] for c in group)
-        hub_passed = sum(c["hub"]["passed"] for c in group)
-        hub_samples = sum(c["hub"]["samples"] for c in group)
-        hub_escapes = sum(c["hub"]["escape_ok"] for c in group)
-        hub_climbs = sum(c["hub"]["climb_ok"] for c in group)
+        hub = {k: sum(c["hub"][k] for c in group)
+               for k in ("samples", "finite", "passed", "escape_ok", "climb_ok")}
         l2n = iterated_log(n)
         stats = _quantiles(pooled_hops)
+
+        def freq(key):
+            return float(np.mean([c[key] for c in group])) if group else None
+
         per_n.append({
             "n": n,
             "m": cfg.m_for(n),
@@ -603,22 +546,17 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             "trials_failed": len(failed),
             "rho_hat_min": min(fractions) if fractions else None,
             "rho_hat_mean": (float(np.mean(fractions)) if fractions else None),
-            "u_max_in_giant_freq": (float(np.mean([c["u_max_in_giant"] for c in group]))
-                                    if group else None),
-            "v0_in_giant_freq": (float(np.mean([c["v0_in_giant"] for c in group]))
-                                 if group else None),
-            "v0_threshold_freq": (float(np.mean([c["v0_above_threshold"] for c in group]))
-                                  if group else None),
+            "u_max_in_giant_freq": freq("u_max_in_giant"),
+            "v0_in_giant_freq": freq("v0_in_giant"),
+            "v0_threshold_freq": freq("v0_above_threshold"),
             "pair_bound": cfg.pair_bound(n),
             "hub_bound": cfg.hub_bound(n),
             "pair_distance": stats,
             "mean_over_l2n": (stats["mean"] / l2n if stats else None),
-            "pair_pass_rate": (sum(h <= cfg.pair_bound(n) for h in pooled_hops)
-                               / len(pooled_hops) if pooled_hops else None),
-            "hub_pass_rate": hub_passed / hub_finite if hub_finite else None,
-            "escape_success_rate": (hub_escapes / hub_samples
-                                    if hub_samples else None),
-            "climb_success_rate": hub_climbs / hub_escapes if hub_escapes else None,
+            "pair_pass_rate": _pass_rate(pooled_hops, cfg.pair_bound(n)),
+            "hub_pass_rate": _ratio(hub, "passed", "finite"),
+            "escape_success_rate": _ratio(hub, "escape_ok", "samples"),
+            "climb_success_rate": _ratio(hub, "climb_ok", "escape_ok"),
         })
     return {
         "kind": "experiment",
@@ -629,7 +567,36 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# fragment -> CSV projections (used when cfg.format == "csv")
+# report files
+
+
+def write_json_report(path, doc) -> None:
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def write_rows_csv(path, header, rows) -> None:
+    """A header line, then one line per row; None becomes an empty cell."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(["" if v is None else v for v in row])
+
+
+def write_fragment(cfg: ExperimentConfig, name: str, frag: dict,
+                   rows_fn=None) -> str:
+    """Write a fragment in the configured format, returning the path."""
+    if cfg.format == "json" or rows_fn is None:
+        path = os.path.join(cfg.out_dir, f"{name}.json")
+        write_json_report(path, frag)
+    else:
+        path = os.path.join(cfg.out_dir, f"{name}.csv")
+        write_rows_csv(path, *rows_fn(frag))
+    return path
 
 
 def distances_rows(frag: dict):
@@ -659,14 +626,44 @@ def hubpath_rows(frag: dict):
     return header, rows
 
 
-def write_fragment(cfg: ExperimentConfig, name: str, frag: dict,
-                   rows_fn=None) -> str:
-    """Write a fragment in the configured format, returning the path."""
-    if cfg.format == "json" or rows_fn is None:
-        path = os.path.join(cfg.out_dir, f"{name}.json")
-        write_json_report(path, frag)
+def _flatten_params(params: dict) -> str:
+    return ";".join(f"{k}={params[k]}" for k in sorted(params))
+
+
+def write_bound_reports(path, reports) -> None:
+    """BoundReport sequence as CSV: bound_id, params, lhs, rhs, slack, status."""
+    write_rows_csv(path, ["bound_id", "params", "lhs", "rhs", "slack", "status"],
+                   ([rep.bound_id, _flatten_params(rep.params), repr(rep.lhs),
+                     repr(rep.rhs), repr(rep.slack), rep.status] for rep in reports))
+
+
+def write_verify_report(cfg: ExperimentConfig, reports) -> str:
+    """verify_bounds.json with status counts, or verify_bounds.csv; returns the path."""
+    path = os.path.join(cfg.out_dir, f"verify_bounds.{cfg.format}")
+    if cfg.format == "csv":
+        write_bound_reports(path, reports)
     else:
-        path = os.path.join(cfg.out_dir, f"{name}.csv")
-        header, rows = rows_fn(frag)
-        _write_rows_csv(path, header, rows)
+        write_json_report(path, {
+            "kind": "verify", "counts": dict(Counter(rep.status for rep in reports)),
+            "reports": [rep.to_dict() for rep in reports]})
     return path
+
+
+_AGGREGATE_COLUMNS = ["n", "m", "l2n", "trials_ok", "trials_failed",
+                      "rho_hat_min", "rho_hat_mean", "u_max_in_giant_freq",
+                      "v0_in_giant_freq", "v0_threshold_freq",
+                      "pair_pass_rate", "hub_pass_rate",
+                      "escape_success_rate", "climb_success_rate"]
+
+
+def write_experiment_report(cfg: ExperimentConfig, report: dict) -> list:
+    """experiment_report.json, plus experiment_aggregates.csv in csv format;
+    returns the paths written."""
+    paths = [os.path.join(cfg.out_dir, "experiment_report.json")]
+    write_json_report(paths[0], report)
+    if cfg.format == "csv":
+        paths.append(os.path.join(cfg.out_dir, "experiment_aggregates.csv"))
+        write_rows_csv(paths[1], _AGGREGATE_COLUMNS,
+                       ([row[k] for k in _AGGREGATE_COLUMNS]
+                        for row in report["aggregates"]["per_n"]))
+    return paths

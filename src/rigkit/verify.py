@@ -77,41 +77,55 @@ class HypergeomParams:
         return self.j * self.k / self.m if self.m else 0.0
 
 
-def _log_comb(n: int, k: int) -> float:
-    return float(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
+class _Table:
+    """pmf of H over its support in one vectorized log-factorial pass, with
+    prefix sums for both tails; build once per (j, k, m)."""
+
+    def __init__(self, p: HypergeomParams):
+        self.lo, self.hi = p.support.start, p.support.stop - 1
+        r = np.arange(self.lo, self.hi + 1)
+        logs = (gammaln(p.k + 1) - gammaln(r + 1) - gammaln(p.k - r + 1)
+                + gammaln(p.m - p.k + 1) - gammaln(p.j - r + 1)
+                - gammaln(p.m - p.k - p.j + r + 1)
+                - gammaln(p.m + 1) + gammaln(p.j + 1) + gammaln(p.m - p.j + 1))
+        self.pmf = np.exp(logs)
+        self.prefix = np.concatenate(([0.0], np.cumsum(self.pmf)))
+
+    def at_least(self, x: float) -> float:
+        """P(H >= x) for a real x; 1 below the support, 0 above it."""
+        start = max(self.lo, math.ceil(x))
+        if start <= self.lo:
+            return 1.0
+        if start > self.hi:
+            return 0.0
+        return min(1.0, float(self.prefix[-1] - self.prefix[start - self.lo]))
+
+    def at_most(self, x: float) -> float:
+        """P(H <= x) for a real x; 0 below the support, 1 above it."""
+        stop = min(self.hi, math.floor(x))
+        if stop >= self.hi:
+            return 1.0
+        if stop < self.lo:
+            return 0.0
+        return min(1.0, float(self.prefix[stop - self.lo + 1]))
 
 
 def hypergeom_pmf(p: HypergeomParams, r: int) -> float:
     """P(H = r), exact up to log-factorial rounding (rel err <= 1e-10)."""
     if r not in p.support:
         return 0.0
-    if p.m == 0:
-        return 1.0 if r == 0 else 0.0
-    return math.exp(
-        _log_comb(p.k, r) + _log_comb(p.m - p.k, p.j - r) - _log_comb(p.m, p.j)
-    )
+    table = _Table(p)
+    return float(table.pmf[r - table.lo])
 
 
 def hypergeom_sf(p: HypergeomParams, t: float) -> float:
     """P(H >= t) for a real threshold t; 1 below the support, 0 above it."""
-    lo, hi = p.support.start, p.support.stop - 1
-    start = max(lo, math.ceil(t))
-    if start <= lo:
-        return 1.0
-    if start > hi:
-        return 0.0
-    return min(1.0, sum(hypergeom_pmf(p, r) for r in range(start, hi + 1)))
+    return _Table(p).at_least(t)
 
 
 def hypergeom_cdf(p: HypergeomParams, t: float) -> float:
     """P(H <= t) for a real threshold t."""
-    lo, hi = p.support.start, p.support.stop - 1
-    stop = min(hi, math.floor(t))
-    if stop >= hi:
-        return 1.0
-    if stop < lo:
-        return 0.0
-    return min(1.0, sum(hypergeom_pmf(p, r) for r in range(lo, stop + 1)))
+    return _Table(p).at_most(t)
 
 
 def no_overlap_probability(j: int, k: int, m: int) -> float:
@@ -203,16 +217,6 @@ def default_intersection_grid():
             for j in range(31) for k in range(31)]
 
 
-def _pmf_table(p: HypergeomParams) -> np.ndarray:
-    """pmf over the whole support in one vectorized log-factorial pass."""
-    r = np.arange(p.support.start, p.support.stop)
-    logs = (gammaln(p.k + 1) - gammaln(r + 1) - gammaln(p.k - r + 1)
-            + gammaln(p.m - p.k + 1) - gammaln(p.j - r + 1)
-            - gammaln(p.m - p.k - p.j + r + 1)
-            - gammaln(p.m + 1) + gammaln(p.j + 1) + gammaln(p.m - p.j + 1))
-    return np.exp(logs)
-
-
 def check_intersection_bounds(grid=None, deviations: Optional[Sequence[int]] = None):
     """Exact checks of the overlap inequalities at every grid point.
 
@@ -231,26 +235,7 @@ def check_intersection_bounds(grid=None, deviations: Optional[Sequence[int]] = N
         base = {"j": j, "k": k, "m": m}
         lam = p.mean
         p0 = no_overlap_probability(j, k, m)
-        table = _pmf_table(p)
-        prefix = np.concatenate(([0.0], np.cumsum(table)))
-        lo = p.support.start
-
-        def tail_at_least(x: float) -> float:
-            # P(H >= x) from the table; H is integer-valued
-            start = max(lo, math.ceil(x))
-            if start <= lo:
-                return 1.0
-            if start >= p.support.stop:
-                return 0.0
-            return min(1.0, float(prefix[-1] - prefix[start - lo]))
-
-        def tail_at_most(x: float) -> float:
-            stop = min(p.support.stop - 1, math.floor(x))
-            if stop >= p.support.stop - 1:
-                return 1.0
-            if stop < lo:
-                return 0.0
-            return min(1.0, float(prefix[stop - lo + 1]))
+        table = _Table(p)
 
         if j + k < m:
             lower = 1.0 - lam / (1.0 - (j + k) / m)
@@ -280,10 +265,10 @@ def check_intersection_bounds(grid=None, deviations: Optional[Sequence[int]] = N
             if t > min(j, k):
                 continue
             pt = {**base, "t": t}
-            upper_tail = tail_at_least(lam + t)
+            upper_tail = table.at_least(lam + t)
             rhs_up = 1.0 if t == 0 else math.exp(-t * t / (2.0 * (lam + t / 3.0)))
             reports.append(_exact_report("overlap_tail_upper", pt, upper_tail, rhs_up))
-            lower_tail = tail_at_most(lam - t)
+            lower_tail = table.at_most(lam - t)
             if t == 0:
                 rhs_lo = 1.0
             elif lam == 0.0:

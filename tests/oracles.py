@@ -12,6 +12,26 @@ import numpy as np
 from scipy.sparse.csgraph import floyd_warshall
 
 
+def sample_subset(m: int, z: int, rng: np.random.Generator) -> np.ndarray:
+    """Reference sampler: a uniform z-subset of {0, ..., m-1}, sorted.
+
+    Sparse regime (z <= m/2): the first z distinct values of an iid uniform
+    stream, which is exactly uniform over z-subsets.  Dense regime: a
+    permutation prefix.
+    """
+    if z < 0 or z > m:
+        raise ValueError(f"subset size {z} outside [0, {m}]")
+    if z == 0:
+        return np.empty(0, dtype=np.int64)
+    if z > m // 2:
+        return np.sort(rng.permutation(m)[:z].astype(np.int64))
+    got = np.unique(rng.integers(0, m, size=z, dtype=np.int64))
+    while got.shape[0] < z:
+        extra = rng.integers(0, m, size=z - got.shape[0], dtype=np.int64)
+        got = np.union1d(got, extra)
+    return got
+
+
 def hyper_pmf_exact(j: int, k: int, m: int, r: int) -> Fraction:
     """P(|j-subset cap k-subset| = r) as an exact rational."""
     if r < 0 or r > min(j, k) or j - r > m - k:

@@ -1,11 +1,15 @@
+import dataclasses
 import json
 import os
 import struct
 
 import pytest
+from hypothesis import HealthCheck, assume, event, given, settings
+from hypothesis import strategies as st
 
 from rigkit import cli, report_schema
 from rigkit.graphgen import BipartiteIncidence
+from rigkit.harness import ExperimentConfig
 from rigkit.storage import GraphFormatError, read_graph, write_graph
 
 jsonschema = pytest.importorskip("jsonschema")
@@ -20,13 +24,13 @@ def write_config(tmp_path, **kw):
     return str(path)
 
 
-def verify_config(tmp_path, window_min):
+def verify_config(tmp_path, window_min, **kw):
     # tiny grids so the whole suite runs in about a second
     return write_config(
         tmp_path, verify_m_values=[60], verify_jk_max=6,
         coverage_m=13000, coverage_trials=50, coverage_n=1000,
         overlap_point=[40, 16, 100, 10000], overlap_trials=3000,
-        mass_n=2000, mass_trials=10, window_min=window_min)
+        mass_n=2000, mass_trials=10, window_min=window_min, **kw)
 
 
 # --- config handling ---------------------------------------------------------
@@ -65,6 +69,71 @@ def test_flags_override_config(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines == [os.path.join(out, "graph_n100_t0.rig")]
     assert os.path.exists(lines[0])
+
+
+HOSTILE_CONFIGS = {
+    "seed_1.5": {"seed": 1.5},
+    "pairs_2.5": {"pairs_per_trial": 2.5},
+    "m_float": {"m": 1e7},
+    "epsilon_nan": {"epsilon": float("nan")},
+    "seed_true": {"seed": True},
+    "trials_true": {"trials": True},
+    "hub_floor_1": {"hub_floor": 1.0},
+}
+
+
+@pytest.mark.parametrize("command", ["distances", "hubpath", "analyze", "experiment"])
+@pytest.mark.parametrize("fields", list(HOSTILE_CONFIGS.values()),
+                         ids=list(HOSTILE_CONFIGS))
+def test_hostile_config(tmp_path, capsys, command, fields):
+    path = write_config(tmp_path, **fields)
+    assert cli.main([command, "--config", path]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not os.path.exists(tmp_path / "out")
+
+
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3),
+    st.integers(2**63, 2**70), st.integers(-2**70, -2**63),
+    st.floats(), st.text(max_size=3))
+HOSTILE = st.one_of(SCALARS, st.lists(SCALARS, max_size=3),
+                    st.dictionaries(st.text(max_size=2), SCALARS, max_size=2))
+# threads is left out: a valid draw would start up to a dozen worker processes
+FIELDS = sorted(set(ExperimentConfig.__dataclass_fields__) - {"threads"})
+
+
+def field_change(name):
+    """(name, value): a hostile value, or a plausible one of the field's type
+    (tiny and huge floats included) so that many draws reach a real run."""
+    default = ExperimentConfig.__dataclass_fields__[name].default
+    if isinstance(default, float):
+        plausible = st.floats(0.0, 2.0) | st.floats(1e-300, 1e308)
+    elif isinstance(default, str):
+        plausible = st.nothing()
+    elif default is dataclasses.MISSING:  # the list fields
+        plausible = st.lists(st.integers(0, 12), min_size=1, max_size=4)
+    else:
+        plausible = st.integers(0, 12)
+    return st.tuples(st.just(name), plausible | HOSTILE)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["generate", "analyze", "distances", "hubpath",
+                                "verify-lemmas", "experiment"]),
+       changes=st.lists(st.sampled_from(FIELDS).flatmap(field_change),
+                        min_size=1, max_size=2).map(dict))
+def test_random_config_keeps_exit_codes(tmp_path, command, changes):
+    # a relative out_dir would write into the working directory
+    assume(not isinstance(changes.get("out_dir"), str))
+    small = dict(n_values=[40], pairs_per_trial=3, verify_m_values=[20],
+                 verify_jk_max=3, coverage_trials=5, overlap_trials=200,
+                 mass_n=200, mass_trials=3)
+    path = write_config(tmp_path, **{**small, **changes})
+    rc = cli.main([command, "--config", path])
+    event(f"{command} exit {rc}")
+    # verify-lemmas exits 3 when a bound report is red, e.g. a window_min of 2
+    assert rc in ((0, 1, 2, 3) if command == "verify-lemmas" else (0, 1, 2))
 
 
 # --- runtime failures --------------------------------------------------------
@@ -190,6 +259,15 @@ def test_verify_lemmas_flags_violation(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 3
     assert "FAIL max_weight_window" in captured.err
+
+
+@pytest.mark.parametrize("c0", [1e308, 1e-300])
+def test_verify_lemmas_extreme_c0(tmp_path, capsys, c0):
+    # c0^(1+alpha) overflows, or underflows to 0 and is divided by: a runtime
+    # failure of the tail-mass suite, not a traceback
+    path = verify_config(tmp_path, window_min=0.0, c0=c0)
+    assert cli.main(["verify-lemmas", "--config", path]) == 2
+    assert "runtime failure" in capsys.readouterr().err
 
 
 def test_verify_lemmas_csv(tmp_path, capsys):

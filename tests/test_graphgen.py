@@ -10,11 +10,10 @@ from rigkit.graphgen import (
     generate,
     neighbors,
     sample_incidence,
-    sample_subset,
 )
 from rigkit.model import ModelParams, trial_rng
 
-from oracles import adjacency_matrix, explicit_sets
+from oracles import adjacency_matrix, explicit_sets, sample_subset
 
 
 def test_concat_ranges_basic():
@@ -98,6 +97,32 @@ def test_sample_incidence_marginal_rate():
     p = z / m
     sigma = (n * p * (1 - p)) ** 0.5
     assert np.all(np.abs(hits - n * p) <= 4 * sigma)
+
+
+def test_sample_incidence_one_vertex_matches_reference():
+    # one sparse vertex consumes the stream exactly as the reference does
+    for m, z in ((50, 1), (50, 20), (1000, 500), (7, 3)):
+        got = sample_incidence(m, np.array([z]), trial_rng(11, m, z)).set_of(0)
+        assert got.tolist() == sample_subset(m, z, trial_rng(11, m, z)).tolist()
+
+
+def test_sample_incidence_rejects_packing_overflow():
+    # n * m >= 2**62 would overflow the packed keys; the guard fires before
+    # the 2**22 draws below are allocated or the stream is touched
+    import tracemalloc
+
+    rng = trial_rng(0, 0, 0)
+    state = rng.bit_generator.state
+    sizes = np.full(4, 2**20, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="2\\*\\*62"):
+            sample_incidence(2**61, sizes, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert rng.bit_generator.state == state
 
 
 def test_from_flat_validation():

@@ -41,10 +41,39 @@ def test_config_validation_catalogue(tmp_path):
         dict(n_values=[100], graph_format="hdf5"),
         dict(n_values=[100], m=50),
         dict(n_values=[100], hub_samples_per_trial=0),
+        # wrong types, non-finite numbers, out-of-range integers
+        dict(n_values=[100], seed=1.5),
+        dict(n_values=[100], seed=True),
+        dict(n_values=[100], seed=2**64),
+        dict(n_values=[100], trials=True),
+        dict(n_values=[100], pairs_per_trial=2.5),
+        dict(n_values=[100], pairs_per_trial="4"),
+        dict(n_values=[100], m=1e7),
+        dict(n_values=[100], m=2**63),
+        dict(n_values=[100], epsilon=math.nan),
+        dict(n_values=[100], c0=math.inf),
+        dict(n_values=[100], alpha="0.5"),
+        dict(n_values=[100], hub_floor=1.0),
+        dict(n_values=[100], hub_floor=math.nan),
+        dict(n_values=[True]),
+        dict(n_values=[math.inf]),
+        dict(n_values="100"),
+        dict(n_values=[2**40]),           # n * m beyond the sampler's int64 keys
+        dict(n_values=[100], out_dir=5),
+        dict(n_values=[100], overlap_point=[40, 16, 100]),
+        dict(n_values=[100], verify_m_values=[100.5]),
+        dict(n_values=[100], coverage_gamma1=0.5),
+        dict(n_values=[100], mass_trials=1),
     ]
     for kw in bad:
         with pytest.raises(ConfigError):
             ExperimentConfig(**kw)
+
+
+def test_config_normalises_integral_n():
+    cfg = ExperimentConfig(n_values=[1e3, 300.0, 50])
+    assert cfg.n_values == [1000, 300, 50]
+    assert all(type(n) is int for n in cfg.n_values)
 
 
 def test_config_defaults_and_derived():
@@ -178,6 +207,20 @@ def test_run_distances_seeded_golden(tmp_path):
 # --- hubpath -----------------------------------------------------------------
 
 
+def test_run_hubpath_seeded_golden(tmp_path):
+    # frozen reference: cfg(n=300, seed=5, trial 0) with 6 hub samples
+    cfg = cfg_with(tmp_path, n_values=[300], pairs_per_trial=6)
+    frag = harness.run_hubpath(cfg)
+    assert frag["u_max"] == 223
+    assert [(s["v"], s["exact"], s["certificate"], s["failed_stage"])
+            for s in frag["samples"]] == [
+        (51, 3, 3, None), (139, 2, 2, None), (157, 2, 2, None),
+        (138, 3, 3, None), (265, 3, 3, None), (273, 1, 1, None)]
+    assert frag["pass_rate"] == 1.0
+    assert frag["escape_success_rate"] == 1.0
+    assert frag["climb_success_rate"] == 1.0
+
+
 def test_run_hubpath_small_n(tmp_path):
     cfg = cfg_with(tmp_path, n_values=[300], pairs_per_trial=6)
     frag = harness.run_hubpath(cfg)
@@ -301,6 +344,23 @@ def test_run_experiment_threads_match(tmp_path):
     cfg2 = cfg_with(tmp_path, n_values=[200], trials=2, pairs_per_trial=3,
                     threads=2)
     assert harness.run_experiment(cfg1)["cells"] == harness.run_experiment(cfg2)["cells"]
+
+
+def test_experiment_cell_seeded_golden(tmp_path):
+    # frozen reference: n=300, seed=5, trial 1 draws pairs, then hub vertices
+    cfg = cfg_with(tmp_path, n_values=[300], trials=2, pairs_per_trial=5)
+    cell = harness._experiment_cell_inner(cfg, 300, 1)
+    assert cell["error"] is None and cell["degenerate"] is True
+    assert cell["pair_hops"] == [3, 4, 3, 1, 5]
+    assert cell["fixed_pair"] == {"both_in_giant": True, "hops": 3}
+    assert cell["hub"] == {"samples": 5, "finite": 5, "passed": 5,
+                           "escape_ok": 5, "climb_ok": 5, "certificates": 5,
+                           "cert_sound": True, "max_climb_hops": 1}
+    # trial 0 of the same config is the instance pinned by the distances golden
+    cell = harness._experiment_cell_inner(cfg, 300, 0)
+    assert cell["pair_hops"] == [2, 3, 5, 4, 4]
+    assert cell["fixed_pair"]["hops"] == 5
+    assert cell["hub"]["max_climb_hops"] == 0
 
 
 def test_run_experiment_records_cell_failure(tmp_path, monkeypatch):

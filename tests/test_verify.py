@@ -72,6 +72,17 @@ def test_sf_cdf_edges_and_complement():
     assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
+def test_sf_cdf_match_exact_rational_sums():
+    for j, k, m in ((6, 8, 30), (9, 9, 10), (30, 30, 100), (0, 5, 12)):
+        p = HypergeomParams(j, k, m)
+        exact = [hyper_pmf_exact(j, k, m, r) for r in range(min(j, k) + 1)]
+        for t in (-1, 0, 0.5, 1, 2.3, 4, 7, 9, 31):
+            upper = sum(exact[max(0, math.ceil(t)):], Fraction(0))
+            lower = sum(exact[:max(0, math.floor(t) + 1)], Fraction(0))
+            assert hypergeom_sf(p, t) == pytest.approx(float(upper), abs=1e-12)
+            assert hypergeom_cdf(p, t) == pytest.approx(float(lower), abs=1e-12)
+
+
 def test_no_overlap_probability_values():
     assert no_overlap_probability(1, 1, 10) == pytest.approx(0.9, rel=1e-12)
     assert no_overlap_probability(6, 5, 10) == 0.0  # j + k > m
