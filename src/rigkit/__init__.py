@@ -11,7 +11,7 @@ numerically.
 import importlib.resources
 import json
 
-from .graphgen import BipartiteIncidence, adjacent, generate, neighbors
+from .graphgen import BipartiteIncidence, adjacent, generate
 from .graphops import (
     ComponentLabeling,
     DistanceResult,
@@ -20,6 +20,7 @@ from .graphops import (
     degrees,
     distances_from,
     maximal_vertex,
+    neighbors,
     unique_edges,
 )
 from .harness import ConfigError, ExperimentConfig

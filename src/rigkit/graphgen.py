@@ -1,12 +1,14 @@
 """Sampling and storage layout for the bipartite vertex-attribute incidence.
 
-A graph instance is kept as two aligned CSR structures: attribute lists per
-vertex, and vertex lists per *occupied* attribute.  The attribute pool can be
-enormous (the default m-rule gives m ~ n ln^2 n ln ln n), so nothing here ever
-allocates an array of length m; attributes are densified to the set that
-actually occurs.  The vertex-vertex edge list is likewise never materialized:
-heavy vertices share attributes with thousands of others and the induced
-cliques would blow up memory, so traversals run on the bipartite structure.
+A graph instance is stored once, as a vertex-major CSR: each vertex's
+attribute ids, strictly increasing, back to back in vertex order.  Graph
+files hold the same layout.  The attribute pool can be enormous (the default
+m-rule gives m ~ n ln^2 n ln ln n), so nothing here ever allocates an array
+of length m.  The attribute side is not stored: graphops builds it, for the
+attributes held by two or more vertices only, as its cached traversal core.
+The vertex-vertex edge list is likewise never materialized: heavy vertices
+share attributes with thousands of others and the induced cliques would blow
+up memory, so traversals run on the bipartite structure.
 """
 
 from __future__ import annotations
@@ -20,11 +22,11 @@ __all__ = [
     "sample_incidence",
     "generate",
     "adjacent",
-    "neighbors",
     "concat_ranges",
 ]
 
-# Largest n*m for which vertex*m + attr packs into int64 with headroom.
+# Largest n*m for which the packed keys vertex*m + attr (sampler) and
+# attr*n + vertex (traversal core) fit in int64 with headroom.
 PACK_LIMIT = 2**62
 
 
@@ -46,54 +48,45 @@ def concat_ranges(indptr: np.ndarray, data: np.ndarray, items: np.ndarray):
 
 
 class BipartiteIncidence:
-    """CSR incidence between n vertices and the occupied attributes.
+    """Vertex-major CSR incidence: each vertex's attribute ids, sorted.
 
     Attributes
     ----------
     n, m : int
-        Vertex count and attribute pool size.
+        Vertex count and attribute pool size; n * m < PACK_LIMIT.
     set_indptr : (n+1,) int64
         Row pointer for per-vertex attribute lists.
     set_attrs : int64
-        Original attribute ids, sorted within each vertex.
-    attr_ids : (A,) int64
-        Sorted original ids of the A occupied attributes.
-    set_attrs_dense : int64
-        set_attrs relabeled into 0..A-1 (positions in attr_ids).
-    attr_indptr : (A+1,) int64
-        Row pointer for per-dense-attribute vertex lists.
-    attr_vertices : int64
-        Vertices holding each dense attribute, sorted within each attribute.
+        Original attribute ids, strictly increasing within each vertex.
 
-    graphops caches its traversal core on the instance (built on first use),
-    so the arrays above must not change once a traversal has run.
+    graphops builds the attribute side it traverses (the shared-attribute
+    core) on first use and caches it in _traversal_core, so the arrays
+    above must not change once a traversal has run.
     """
 
-    def __init__(self, n, m, set_indptr, set_attrs, attr_ids, set_attrs_dense,
-                 attr_indptr, attr_vertices):
+    def __init__(self, n, m, set_indptr, set_attrs):
         self.n = int(n)
         self.m = int(m)
         self.set_indptr = set_indptr
         self.set_attrs = set_attrs
-        self.attr_ids = attr_ids
-        self.set_attrs_dense = set_attrs_dense
-        self.attr_indptr = attr_indptr
-        self.attr_vertices = attr_vertices
         self._traversal_core = None
 
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_flat(cls, n: int, m: int, sizes: np.ndarray, flat: np.ndarray,
-                  presorted: bool = False) -> "BipartiteIncidence":
+    def from_flat(cls, n: int, m: int, sizes: np.ndarray,
+                  flat: np.ndarray) -> "BipartiteIncidence":
         """Build from concatenated per-vertex attribute lists.
 
         flat holds the lists back to back in vertex order; sizes gives each
-        length.  With presorted=True the lists must already be sorted (the
-        samplers guarantee this) and the per-vertex sort is skipped.
+        length.  Each list must be strictly increasing, which rules out
+        repeats too; nothing is sorted here.
         """
         n = int(n)
         m = int(m)
+        if n * m >= PACK_LIMIT:
+            raise ValueError(f"n * m = {n * m} must stay below 2**62 so that "
+                             f"packed vertex-attribute keys fit in int64")
         sizes = np.asarray(sizes, dtype=np.int64)
         flat = np.asarray(flat, dtype=np.int64)
         if sizes.shape != (n,):
@@ -107,41 +100,34 @@ class BipartiteIncidence:
 
         set_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(sizes, out=set_indptr[1:])
-        vert_of = np.repeat(np.arange(n, dtype=np.int64), sizes)
-        if not presorted:
-            order = np.lexsort((flat, vert_of))
-            flat = flat[order]
-        if flat.size:
-            dup = (vert_of[1:] == vert_of[:-1]) & (flat[1:] == flat[:-1])
-            if np.any(dup):
-                raise ValueError("a vertex lists the same attribute twice")
-
-        attr_ids, set_attrs_dense = np.unique(flat, return_inverse=True)
-        set_attrs_dense = set_attrs_dense.astype(np.int64, copy=False)
-        counts = np.bincount(set_attrs_dense, minlength=attr_ids.shape[0])
-        attr_indptr = np.zeros(attr_ids.shape[0] + 1, dtype=np.int64)
-        np.cumsum(counts, out=attr_indptr[1:])
-        inv_order = np.lexsort((vert_of, set_attrs_dense))
-        attr_vertices = vert_of[inv_order]
-        return cls(n, m, set_indptr, flat, attr_ids, set_attrs_dense,
-                   attr_indptr, attr_vertices)
+        # rises[i] compares flat[i + 1] with flat[i]; a new list may start low
+        rises = flat[1:] > flat[:-1]
+        starts = set_indptr[1:-1]
+        rises[starts[(starts > 0) & (starts < flat.shape[0])] - 1] = True
+        if not rises.all():
+            i = int(np.argmin(rises)) + 1
+            v = int(np.searchsorted(set_indptr, i, side="right")) - 1
+            raise ValueError(f"vertex {v} lists attribute {flat[i]} after "
+                             f"{flat[i - 1]}; each list must be strictly increasing")
+        return cls(n, m, set_indptr, flat)
 
     @classmethod
     def from_sets(cls, n: int, m: int, sets) -> "BipartiteIncidence":
-        """Build from an iterable of n attribute-id collections."""
-        sets = [np.asarray(s, dtype=np.int64) for s in sets]
+        """Build from an iterable of n attribute-id collections, in any order."""
+        sets = [np.sort(np.asarray(s, dtype=np.int64)) for s in sets]
         if len(sets) != n:
             raise ValueError(f"expected {n} sets, got {len(sets)}")
         sizes = np.array([s.shape[0] for s in sets], dtype=np.int64)
         flat = np.concatenate(sets) if sets else np.empty(0, dtype=np.int64)
-        return cls.from_flat(n, m, sizes, flat, presorted=False)
+        return cls.from_flat(n, m, sizes, flat)
 
     # -- accessors ---------------------------------------------------------
 
     @property
     def num_occupied(self) -> int:
         """Number of attributes held by at least one vertex."""
-        return self.attr_ids.shape[0]
+        attrs = np.sort(self.set_attrs)
+        return int(np.count_nonzero(attrs[1:] != attrs[:-1])) + int(attrs.size > 0)
 
     @property
     def total_incidence(self) -> int:
@@ -156,13 +142,6 @@ class BipartiteIncidence:
 
     def sizes(self) -> np.ndarray:
         return np.diff(self.set_indptr)
-
-    def vertices_with_attr(self, attr: int) -> np.ndarray:
-        """Sorted vertices holding original attribute id attr (may be empty)."""
-        pos = np.searchsorted(self.attr_ids, attr)
-        if pos == self.attr_ids.shape[0] or self.attr_ids[pos] != attr:
-            return np.empty(0, dtype=np.int64)
-        return self.attr_vertices[self.attr_indptr[pos]:self.attr_indptr[pos + 1]]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BipartiteIncidence):
@@ -199,9 +178,7 @@ def sample_incidence(m: int, sizes: np.ndarray, rng: np.random.Generator) -> "Bi
                          f"vertex * m + attribute fits in int64")
     total = int(sizes.sum())
     if total == 0:
-        return BipartiteIncidence.from_flat(n, m, sizes,
-                                            np.empty(0, dtype=np.int64),
-                                            presorted=True)
+        return BipartiteIncidence.from_flat(n, m, sizes, np.empty(0, dtype=np.int64))
 
     vert_of = np.repeat(np.arange(n, dtype=np.int64), sizes)
     keys = vert_of * m + rng.integers(0, m, size=total, dtype=np.int64)
@@ -216,7 +193,7 @@ def sample_incidence(m: int, sizes: np.ndarray, rng: np.random.Generator) -> "Bi
         deficit = sizes - np.bincount(keys // m, minlength=n)
 
     # keys are sorted, so attrs come out sorted within each vertex.
-    return BipartiteIncidence.from_flat(n, m, sizes, keys % m, presorted=True)
+    return BipartiteIncidence.from_flat(n, m, sizes, keys % m)
 
 
 def generate(params: ModelParams, rng: np.random.Generator):
@@ -245,10 +222,3 @@ def adjacent(inc: BipartiteIncidence, u: int, v: int) -> bool:
     pos[pos == b.shape[0]] = b.shape[0] - 1
     return bool(np.any(b[pos] == a))
 
-
-def neighbors(inc: BipartiteIncidence, u: int) -> np.ndarray:
-    """Sorted neighbours of u: every other vertex sharing an attribute."""
-    dense = inc.set_attrs_dense[inc.set_indptr[u]:inc.set_indptr[u + 1]]
-    verts, _ = concat_ranges(inc.attr_indptr, inc.attr_vertices, dense)
-    verts = np.unique(verts)
-    return verts[verts != u]

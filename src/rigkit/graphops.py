@@ -3,12 +3,14 @@
 Every traversal runs on the *shared-attribute core* of the incidence: the
 bipartite vertex-attribute structure restricted to attributes held by at
 least two vertices.  An attribute with a single holder creates no edge, so
-leaving it out keeps every component and every distance.  Under the default
-m-rule at n = 1e5 the core keeps about 12% of the incidence entries (474k of
-4.04M) and 6% of the occupied attributes (232k of 3.80M).  Core attributes
-keep the dense attribute order, so a one-sided search makes the same
-smallest-id parent choices, and traces the same paths, as it would on the
-full incidence.
+leaving it out keeps every component, distance, neighbour list and degree.
+Under the default m-rule at n = 1e5 the core keeps about 12% of the
+incidence entries (474k of 4.04M) and 6% of the occupied attributes (232k of
+3.80M).  It is the only attribute-side view of an instance: it is built from
+the incidence's sorted vertex lists with one packed sort, attribute * n +
+vertex, and core attributes are numbered in increasing order of original id.
+A one-sided search thus makes the same smallest-id parent choices, and
+traces the same paths, as it would on the full incidence.
 
 Searches alternate vertex-side and attribute-side frontiers; an
 intersection-graph hop is two bipartite hops.  This keeps hub cliques
@@ -43,6 +45,7 @@ __all__ = [
     "bfs_distance",
     "distances_from",
     "maximal_vertex",
+    "neighbors",
     "unique_edges",
     "degrees",
 ]
@@ -82,26 +85,35 @@ class _TraversalCore:
     """CSR of the shared-attribute core plus the masks of two search sides.
 
     set_indptr/set_attrs list each vertex's core attributes, numbered
-    0..num_attrs-1 in the incidence's dense order; attr_indptr/attr_vertices
-    list each core attribute's holders.  visited[side] (length n) and
-    seen[side] (length num_attrs) are all False between queries.
+    0..num_attrs-1 in increasing order of original id; attr_indptr/
+    attr_vertices list each core attribute's holders, sorted.  visited[side]
+    (length n) and seen[side] (length num_attrs) are all False between
+    queries.
     """
 
     def __init__(self, inc: BipartiteIncidence):
-        holders = np.diff(inc.attr_indptr)
-        shared = holders >= 2
-        core_id = np.cumsum(shared) - 1
-        keep = shared[inc.set_attrs_dense]
-        kept_before = np.zeros(keep.shape[0] + 1, dtype=np.int64)
-        np.cumsum(keep, out=kept_before[1:])
-        self.n = inc.n
-        self.num_attrs = int(np.count_nonzero(shared))
-        self.set_indptr = kept_before[inc.set_indptr]
-        self.set_attrs = core_id[inc.set_attrs_dense[keep]]
-        self.attr_indptr = np.zeros(self.num_attrs + 1, dtype=np.int64)
-        np.cumsum(holders[shared], out=self.attr_indptr[1:])
-        self.attr_vertices = inc.attr_vertices[np.repeat(shared, holders)]
-        self.visited = (np.zeros(self.n, dtype=bool), np.zeros(self.n, dtype=bool))
+        n = inc.n
+        # one packed sort, attribute-major: n * m < PACK_LIMIT keeps it in int64
+        keys = inc.set_attrs * n
+        keys += np.repeat(np.arange(n, dtype=np.int64), inc.sizes())
+        keys.sort()
+        attrs = keys // n
+        starts = np.ones(keys.shape[0], dtype=bool)
+        starts[1:] = attrs[1:] != attrs[:-1]
+        ends = np.ones(keys.shape[0], dtype=bool)
+        ends[:-1] = starts[1:]
+        shared = ~(starts & ends)  # the entry's attribute has >= 2 holders
+        starts = starts[shared]
+        self.n = n
+        self.num_attrs = int(np.count_nonzero(starts))
+        self.attr_indptr = np.append(np.flatnonzero(starts), starts.shape[0])
+        self.attr_vertices = keys[shared] % n
+        # a stable sort by holder keeps each vertex's core ids increasing
+        order = np.argsort(self.attr_vertices, kind="stable")
+        self.set_attrs = (np.cumsum(starts) - 1)[order]
+        self.set_indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.attr_vertices, minlength=n), out=self.set_indptr[1:])
+        self.visited = (np.zeros(n, dtype=bool), np.zeros(n, dtype=bool))
         self.seen = (np.zeros(self.num_attrs, dtype=bool),
                      np.zeros(self.num_attrs, dtype=bool))
 
@@ -314,21 +326,30 @@ def maximal_vertex(weights: VertexWeights) -> int:
     return int(np.argmax(weights.sizes))
 
 
+def neighbors(inc: BipartiteIncidence, u: int) -> np.ndarray:
+    """Sorted neighbours of u: every other vertex sharing an attribute."""
+    _check_vertex(inc, u)
+    core = _core(inc)
+    attrs = core.set_attrs[core.set_indptr[u]:core.set_indptr[u + 1]]
+    verts, _ = concat_ranges(core.attr_indptr, core.attr_vertices, attrs)
+    verts = np.unique(verts)
+    return verts[verts != u]
+
+
 def unique_edges(inc: BipartiteIncidence) -> np.ndarray:
     """All intersection-graph edges as an (E, 2) array with u < v.
 
-    Expands each multi-vertex attribute into its vertex pairs and dedups.
-    Intended for the sparse-overlap regime (m well above n); an attribute
-    shared by k vertices contributes k(k-1)/2 raw pairs.
+    Expands each core attribute into its vertex pairs and dedups.  Intended
+    for the sparse-overlap regime (m well above n); an attribute shared by
+    k vertices contributes k(k-1)/2 raw pairs.
     """
-    counts = np.diff(inc.attr_indptr)
+    core = _core(inc)
+    counts = np.diff(core.attr_indptr)
     n = inc.n
     keys = []
     for k in np.unique(counts):
-        if k < 2:
-            continue
         which = np.flatnonzero(counts == k)
-        block, _ = concat_ranges(inc.attr_indptr, inc.attr_vertices, which)
+        block, _ = concat_ranges(core.attr_indptr, core.attr_vertices, which)
         block = block.reshape(-1, int(k))
         iu, ju = np.triu_indices(int(k), 1)
         # vertex lists are sorted, so block[:, iu] < block[:, ju] holds

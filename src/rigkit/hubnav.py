@@ -26,8 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .graphgen import BipartiteIncidence, neighbors
-from .graphops import nearest_of
+from .graphgen import BipartiteIncidence
+from .graphops import nearest_of, neighbors
 from .model import VertexWeights, iterated_log
 
 __all__ = [

@@ -66,6 +66,14 @@ class TailLaw:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not (self.c0 > 0.0):
             raise ValueError(f"c0 must be positive, got {self.c0}")
+        try:
+            tail = self.c0 ** (1.0 + self.alpha)
+        except OverflowError:
+            tail = math.inf
+        if not (0.0 < tail < math.inf):
+            raise ValueError(f"the tail constant c0^(1+alpha) = {tail} for c0 = "
+                             f"{self.c0}, alpha = {self.alpha} is not a positive "
+                             f"finite float")
 
     @property
     def tail_constant(self) -> float:

@@ -1,23 +1,32 @@
 """Graph persistence.
 
-Binary format (extension-agnostic, magic-sniffed):
+Binary format v2 (extension-agnostic, magic-sniffed), the incidence's own
+vertex-major layout:
 
     header, 48 bytes, little-endian:
         magic   4s   b"RIGB"
-        version u32  currently 1
+        version u32  2
         n       u64
         m       u64
         alpha   f64
         c0      f64
         seed    u64  master seed of the run that wrote the file
-    body: for each vertex in id order, one u64 set size followed by that many
-        u64 attribute ids, all little-endian.
+    body, all u64 little-endian:
+        n set sizes, one per vertex in id order;
+        then every vertex's attribute ids back to back, strictly increasing
+        within each vertex.
 
-A JSON mirror ({"format": "rig-json", ...}) covers small graphs where a
-readable artifact matters more than compactness.  Neither format stores the
-latent weight draws; a loaded graph carries realized normalized weights
-size * sqrt(n/m) instead, so layer decompositions of a reloaded graph can
-differ marginally from those of the in-memory instance that wrote it.
+The reader checks the header and the size words against the file length
+before it allocates anything, reads both blocks as array views without a
+per-vertex loop, and leaves the order check to BipartiteIncidence.from_flat;
+every failure is a GraphFormatError, version 1 included.
+
+A JSON mirror ({"format": "rig-json", "version": 1, ...}) covers small
+graphs where a readable artifact matters more than compactness.  Neither
+format stores the latent weight draws; a loaded graph carries realized
+normalized weights size * sqrt(n/m) instead, so layer decompositions of a
+reloaded graph can differ marginally from those of the in-memory instance
+that wrote it.
 """
 
 from __future__ import annotations
@@ -41,7 +50,8 @@ __all__ = [
 ]
 
 MAGIC = b"RIGB"
-VERSION = 1
+VERSION = 2
+JSON_VERSION = 1
 _HEADER = struct.Struct("<4sIQQddQ")
 
 
@@ -56,7 +66,7 @@ class GraphHeader:
     alpha: float
     c0: float
     seed: int
-    version: int = VERSION
+    version: int
 
     def params(self) -> ModelParams:
         return ModelParams(n=self.n, m=self.m, alpha=self.alpha, c0=self.c0)
@@ -92,18 +102,11 @@ def read_graph(path):
 
 
 def _write_binary(path, inc, alpha, c0, seed):
-    sizes = inc.sizes()
-    n = inc.n
-    body = np.empty(n + inc.total_incidence, dtype="<u8")
-    slots = inc.set_indptr[:-1] + np.arange(n, dtype=np.int64)
-    body[slots] = sizes.astype("<u8")
-    mask = np.ones(body.shape[0], dtype=bool)
-    mask[slots] = False
-    body[mask] = inc.set_attrs.astype("<u8")
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, n, inc.m, float(alpha),
+        fh.write(_HEADER.pack(MAGIC, VERSION, inc.n, inc.m, float(alpha),
                               float(c0), int(seed)))
-        fh.write(body.tobytes())
+        fh.write(inc.sizes().astype("<u8").tobytes())
+        fh.write(inc.set_attrs.astype("<u8").tobytes())
 
 
 def _read_binary(path):
@@ -122,34 +125,26 @@ def _read_binary(path):
                              version=version)
     body = np.frombuffer(raw, dtype="<u8", offset=_HEADER.size)
     words = body.shape[0]
-    # every vertex needs at least its size word; checked before allocating
+    # every vertex needs its size word; checked before allocating
     if n > words:
         raise GraphFormatError(
             f"{path}: header claims {n} vertices but the body holds {words} words")
 
-    sizes = np.empty(n, dtype=np.int64)
-    pos = 0
-    for v in range(n):
-        if pos >= words:
-            raise GraphFormatError(f"{path}: truncated at vertex {v}")
-        size = int(body[pos])
-        if size > words - pos - 1:
-            raise GraphFormatError(
-                f"{path}: vertex {v} claims {size} attributes but only "
-                f"{words - pos - 1} words are left")
-        sizes[v] = size
-        pos += 1 + size
-    if pos != words:
-        raise GraphFormatError(f"{path}: {words - pos} trailing words")
-
-    slots = np.zeros(n, dtype=np.int64)
-    np.cumsum(sizes[:-1], out=slots[1:])
-    slots += np.arange(n, dtype=np.int64)
-    mask = np.ones(body.shape[0], dtype=bool)
-    mask[slots] = False
-    flat = body[mask].astype(np.int64)
+    sizes, ids = body[:n], body[n:]
+    # Clipping each size at len(ids) + 1 keeps the running totals exact up
+    # to the first vertex whose list would run past the end of the body.
+    ends = np.cumsum(np.minimum(sizes, ids.shape[0] + 1).astype(np.int64))
+    over = np.flatnonzero(ends > ids.shape[0])
+    if over.size:
+        v = int(over[0])
+        left = ids.shape[0] - (int(ends[v - 1]) if v else 0)
+        raise GraphFormatError(
+            f"{path}: vertex {v} claims {int(sizes[v])} attributes but only "
+            f"{left} words are left")
+    if ends[-1] != ids.shape[0]:
+        raise GraphFormatError(f"{path}: {ids.shape[0] - int(ends[-1])} trailing words")
     try:
-        inc = BipartiteIncidence.from_flat(n, m, sizes, flat, presorted=False)
+        inc = BipartiteIncidence.from_flat(n, m, sizes, ids)
     except ValueError as exc:
         raise GraphFormatError(f"{path}: {exc}") from exc
     return inc, header
@@ -169,7 +164,7 @@ def _checked_header(path, **fields) -> GraphHeader:
 def _write_json(path, inc, alpha, c0, seed):
     doc = {
         "format": "rig-json",
-        "version": VERSION,
+        "version": JSON_VERSION,
         "n": inc.n,
         "m": inc.m,
         "alpha": float(alpha),
@@ -190,13 +185,14 @@ def _read_json(path):
             raise GraphFormatError(f"{path}: invalid JSON ({exc})") from exc
     if doc.get("format") != "rig-json":
         raise GraphFormatError(f"{path}: not a rig-json document")
-    if doc.get("version") != VERSION:
+    if doc.get("version") != JSON_VERSION:
         raise GraphFormatError(f"{path}: unsupported version {doc.get('version')}")
     try:
         n, m = int(doc["n"]), int(doc["m"])
         sets = doc["sets"]
         fields = dict(n=n, m=m, alpha=float(doc["alpha"]),
-                      c0=float(doc["c0"]), seed=int(doc["seed"]))
+                      c0=float(doc["c0"]), seed=int(doc["seed"]),
+                      version=JSON_VERSION)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GraphFormatError(f"{path}: missing or malformed field ({exc})") from exc
     header = _checked_header(path, **fields)

@@ -18,9 +18,9 @@ import numpy as np
 import pytest
 
 from rigkit import harness
-from rigkit.graphgen import adjacent, generate, neighbors
+from rigkit.graphgen import adjacent, generate
 from rigkit.graphops import (UNREACHED, bfs_distance, components,
-                             distances_from, maximal_vertex)
+                             distances_from, maximal_vertex, neighbors)
 from rigkit.harness import ExperimentConfig
 from rigkit.hubnav import decompose, loglog_certificate, threshold_rung, thresholds
 from rigkit.model import (ModelParams, default_attribute_count, iterated_log,

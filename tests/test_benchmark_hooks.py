@@ -1,0 +1,36 @@
+"""The names the benchmark in perfbench/ wraps must exist in the package.
+
+perfbench/spans.py replaces each (module, attribute) of its BINDINGS with a
+timing wrapper, and perfbench/checks.py wraps three functions to record the
+inputs of its output checks.  A rename in the package would otherwise only
+show up as a broken benchmark run.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_span_binding_resolves_to_a_callable():
+    bindings = load_spans().BINDINGS
+    assert bindings
+    for module_name, attr, _, _ in bindings:
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+def test_output_check_hooks_exist():
+    from rigkit import harness, storage
+
+    for module, attr in ((harness, "generate"), (harness, "bfs_distance"),
+                         (storage, "read_graph")):
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"

@@ -166,12 +166,21 @@ def crafted_graph(tmp_path, offset, fmt, value):
     return str(path)
 
 
-# header: magic 0, version 4, n 8, m 16, alpha 24, c0 32, seed 40; body 48
+# header: magic 0, version 4, n 8, m 16, alpha 24, c0 32, seed 40; then the
+# size words 2, 1, 0 at 48, 56, 64 and the ids 1, 7, 7 at 72, 80, 88
 @pytest.mark.parametrize("offset,fmt,value,message", [
     (48, "<Q", 2**63 + 5, "claims 9223372036854775813 attributes"),
     (8, "<Q", 2**40, "header claims 1099511627776 vertices"),
     (24, "<d", 1.5, "alpha must lie in (0, 1)"),
-], ids=["size_word_2p63_plus_5", "header_n_2p40", "alpha_1.5"])
+    (72, "<Q", 9, "vertex 0 lists attribute 7 after 9"),
+    (72, "<Q", 7, "vertex 0 lists attribute 7 after 7"),
+    (4, "<I", 1, "unsupported version 1"),
+    (16, "<Q", 2**61, "must stay below 2**62"),
+    (56, "<Q", 2, "vertex 1 claims 2 attributes but only 1 words are left"),
+    (56, "<Q", 0, "1 trailing words"),
+], ids=["size_word_2p63_plus_5", "header_n_2p40", "alpha_1.5", "ids_unsorted",
+        "id_repeated", "version_1", "n_times_m_2p62", "sizes_sum_over",
+        "sizes_sum_under"])
 def test_hostile_graph_file(tmp_path, capsys, offset, fmt, value, message):
     bad = crafted_graph(tmp_path, offset, fmt, value)
     path = write_config(tmp_path)
@@ -263,11 +272,13 @@ def test_verify_lemmas_flags_violation(tmp_path, capsys):
 
 @pytest.mark.parametrize("c0", [1e308, 1e-300])
 def test_verify_lemmas_extreme_c0(tmp_path, capsys, c0):
-    # c0^(1+alpha) overflows, or underflows to 0 and is divided by: a runtime
-    # failure of the tail-mass suite, not a traceback
+    # c0^(1+alpha) overflows, or underflows to 0: the tail law rejects it
+    # with a runtime failure that names c0, not a traceback
     path = verify_config(tmp_path, window_min=0.0, c0=c0)
     assert cli.main(["verify-lemmas", "--config", path]) == 2
-    assert "runtime failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "runtime failure" in err
+    assert f"c0 = {c0}" in err and "c0^(1+alpha)" in err
 
 
 def test_verify_lemmas_csv(tmp_path, capsys):

@@ -110,11 +110,12 @@ def test_inconsistent_sets_rejected(tmp_path, instance):
     path = tmp_path / "g.json"
     write_graph(path, inc, params.alpha, params.c0, seed=1, fmt="json")
     doc = json.loads(path.read_text())
-    doc["sets"][0] = [0, 0]  # duplicate attribute
-    bad = tmp_path / "dup.json"
-    bad.write_text(json.dumps(doc))
-    with pytest.raises(GraphFormatError):
-        read_graph(bad)
+    bad = tmp_path / "bad.json"
+    for entry in ([0, 0], 5):  # a duplicate attribute; a number, not a list
+        doc["sets"][0] = entry
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(GraphFormatError):
+            read_graph(bad)
 
 
 def test_unknown_format_argument(tmp_path, instance):

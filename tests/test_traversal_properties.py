@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigkit.graphgen import BipartiteIncidence, adjacent
-from rigkit.graphops import (UNREACHED, bfs_distance, components,
-                             distances_from, nearest_of)
+from rigkit.graphops import (UNREACHED, bfs_distance, components, degrees,
+                             distances_from, nearest_of, neighbors, unique_edges)
 
 from oracles import (adjacency_matrix, all_pairs_hops, component_labels_bfs,
                      pair_hops_python)
@@ -96,6 +96,27 @@ def test_nearest_of_takes_smallest_target_at_min_distance(inc, data):
         assert res.path[-1] == min(t for t in reach if dist[t] == best)
         assert_walk(inc, res.path, source, res.path[-1], res.hops)
     assert masks_clear(inc)
+
+
+@PROPS
+@given(incidences())
+def test_neighbors_edges_degrees_match_adjacency(inc):
+    adj = adjacency_matrix(inc)
+    for u in range(inc.n):
+        assert neighbors(inc, u).tolist() == np.flatnonzero(adj[u]).tolist()
+    edges = unique_edges(inc)
+    assert edges.tolist() == np.argwhere(np.triu(adj)).tolist()
+    assert degrees(inc).tolist() == adj.sum(axis=1).tolist()
+    assert masks_clear(inc)
+
+
+@PROPS
+@given(incidences())
+def test_num_occupied_counts_distinct_attributes(inc):
+    held = set()
+    for v in range(inc.n):
+        held.update(inc.set_of(v).tolist())
+    assert inc.num_occupied == len(held)
 
 
 def ask(inc, query):
