@@ -526,8 +526,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     per_n = []
     for n in cfg.n_values:
-        group = [c for c in cells if c["n"] == n and c.get("error") is None]
-        failed = [c for c in cells if c["n"] == n and c.get("error") is not None]
+        # a cell whose run raised holds only n, trial and error; a cell whose
+        # ladder top is empty ran and keeps its LadderError text as its error
+        group = [c for c in cells if c["n"] == n and "pair_hops" in c]
+        failed = [c for c in cells if c["n"] == n and "pair_hops" not in c]
         fractions = [c["giant_fraction"] for c in group]
         pooled_hops = [h for c in group for h in c["pair_hops"] if h is not None]
         hub = {k: sum(c["hub"][k] for c in group)
@@ -562,8 +564,21 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         "kind": "experiment",
         "config": cfg.to_dict(),
         "cells": cells,
-        "aggregates": {"per_n": per_n},
+        "aggregates": {"per_n": per_n, "loglog_slope": _loglog_slope(per_n, cfg.alpha)},
     }
+
+
+def _loglog_slope(per_n, alpha: float) -> dict:
+    """Least-squares slope of the per-n mean pair hops against l2n, over the
+    rows with pair distances, beside its asymptotic value 2/ln(1/alpha)."""
+    rows = [row for row in per_n if row["pair_distance"] is not None]
+    x = np.array([row["l2n"] for row in rows])
+    y = np.array([row["pair_distance"]["mean"] for row in rows])
+    slope = None
+    if np.unique(x).shape[0] >= 2:  # rows at one n alone give no slope
+        dx = x - x.mean()
+        slope = float(np.sum(dx * y) / np.sum(dx * dx))
+    return {"slope": slope, "asymptotic": 2.0 / math.log(1.0 / alpha), "rows": len(rows)}
 
 
 # ---------------------------------------------------------------------------

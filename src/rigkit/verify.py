@@ -311,7 +311,7 @@ def check_union_coverage(m: int, gamma1: float, gamma2: float,
     hits = 0
     for _ in range(trials):
         inc = sample_incidence(m, sizes, rng)
-        if np.unique(inc.set_attrs).shape[0] >= need:
+        if inc.num_occupied >= need:
             hits += 1
     bound = 1.0 - r * float(n) ** -3
     lo, hi = wilson_interval(hits, trials)

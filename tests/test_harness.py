@@ -380,6 +380,35 @@ def test_run_experiment_records_cell_failure(tmp_path, monkeypatch):
     assert row["trials_ok"] == 1 and row["trials_failed"] == 1
 
 
+def test_run_experiment_keeps_ladder_error_cells(tmp_path):
+    # trials 2 and 3 have an empty ladder top: they ran, so they count
+    cfg = cfg_with(tmp_path, n_values=[2000], trials=4, pairs_per_trial=10,
+                   hub_floor=20.0, seed=1)
+    report = harness.run_experiment(cfg)
+    assert [c["degenerate"] for c in report["cells"]] == [False, False, True, True]
+    assert all(c["error"] for c in report["cells"][2:])
+    row = report["aggregates"]["per_n"][0]
+    assert row["trials_ok"] == 4 and row["trials_failed"] == 0
+    assert row["pair_distance"]["mean"] == pytest.approx(3.725)
+    jsonschema.validate(report, report_schema())
+
+
+def test_loglog_slope_matches_polyfit(tmp_path):
+    cfg = cfg_with(tmp_path, n_values=[200, 300], trials=2, pairs_per_trial=4)
+    agg = harness.run_experiment(cfg)["aggregates"]
+    rows = agg["per_n"]
+    want = np.polyfit([r["l2n"] for r in rows],
+                      [r["pair_distance"]["mean"] for r in rows], 1)[0]
+    assert agg["loglog_slope"]["slope"] == pytest.approx(want, rel=1e-9)
+    assert agg["loglog_slope"]["rows"] == 2
+    assert agg["loglog_slope"]["asymptotic"] == pytest.approx(2 / math.log(1 / 0.8))
+
+
+def test_loglog_slope_none_on_one_n(tmp_path):
+    agg = harness.run_experiment(cfg_with(tmp_path))["aggregates"]
+    assert agg["loglog_slope"]["slope"] is None and agg["loglog_slope"]["rows"] == 1
+
+
 def test_experiment_conditioning_never_counts_infinite(tmp_path):
     cfg = cfg_with(tmp_path, n_values=[200], trials=3, pairs_per_trial=6)
     report = harness.run_experiment(cfg)
