@@ -158,16 +158,33 @@ class BipartiteIncidence:
                 f"incidence={self.total_incidence}, occupied={self.num_occupied})")
 
 
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a 1-d array, as np.unique returns them.
+
+    Sorts keys in place, so callers pass an array they own and no longer
+    need, then keeps each entry that differs from its predecessor.  For
+    large integer arrays this is far cheaper than numpy's hash-based
+    np.unique.
+    """
+    keys.sort()
+    keep = np.empty(keys.shape[0], dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
 def sample_incidence(m: int, sizes: np.ndarray, rng: np.random.Generator) -> "BipartiteIncidence":
     """Sample every vertex's uniform subset at once, sizes[v] attributes each.
 
     All subsets are drawn in one batch: each raw draw is packed as
-    vertex*m + attr, deduplicated with a single np.unique, and vertices left
-    short of their quota are topped up in later rounds.  Per vertex this
-    keeps the first z distinct values of an iid uniform stream, so the
-    subsets are exactly uniform and mutually independent.  Pools with
-    n*m >= 2**62, where the packed keys would overflow int64, raise
-    ValueError before anything is drawn.
+    vertex*m + attr, and one in-place sort with a neighbour-inequality mask
+    (_sorted_unique) dedups the batch.  Vertices left short of their quota
+    by repeated draws are topped up in later rounds, each merging its extra
+    keys into the kept ones with the same sort.  Per vertex this keeps the
+    first z distinct values of an iid uniform stream, so the subsets are
+    exactly uniform and mutually independent.  Pools with n*m >= 2**62,
+    where the packed keys would overflow int64, raise ValueError before
+    anything is drawn.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     n = sizes.shape[0]
@@ -182,14 +199,14 @@ def sample_incidence(m: int, sizes: np.ndarray, rng: np.random.Generator) -> "Bi
 
     vert_of = np.repeat(np.arange(n, dtype=np.int64), sizes)
     keys = vert_of * m + rng.integers(0, m, size=total, dtype=np.int64)
-    keys = np.unique(keys)
+    keys = _sorted_unique(keys)
     deficit = sizes - np.bincount(keys // m, minlength=n)
     while np.any(deficit > 0):
         need = np.flatnonzero(deficit)
         extra_vert = np.repeat(need, deficit[need])
         extra = extra_vert * m + rng.integers(0, m, size=extra_vert.shape[0],
                                               dtype=np.int64)
-        keys = np.union1d(keys, extra)
+        keys = _sorted_unique(np.concatenate((keys, extra)))
         deficit = sizes - np.bincount(keys // m, minlength=n)
 
     # keys are sorted, so attrs come out sorted within each vertex.

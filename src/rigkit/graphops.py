@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components as _cc
 
-from .graphgen import BipartiteIncidence, concat_ranges
+from .graphgen import BipartiteIncidence, _sorted_unique, concat_ranges
 from .model import VertexWeights
 
 __all__ = [
@@ -332,7 +332,7 @@ def neighbors(inc: BipartiteIncidence, u: int) -> np.ndarray:
     core = _core(inc)
     attrs = core.set_attrs[core.set_indptr[u]:core.set_indptr[u + 1]]
     verts, _ = concat_ranges(core.attr_indptr, core.attr_vertices, attrs)
-    verts = np.unique(verts)
+    verts = _sorted_unique(verts)
     return verts[verts != u]
 
 
@@ -356,7 +356,7 @@ def unique_edges(inc: BipartiteIncidence) -> np.ndarray:
         keys.append((block[:, iu] * n + block[:, ju]).ravel())
     if not keys:
         return np.empty((0, 2), dtype=np.int64)
-    pairs = np.unique(np.concatenate(keys))
+    pairs = _sorted_unique(np.concatenate(keys))
     return np.column_stack((pairs // n, pairs % n))
 
 

@@ -300,6 +300,8 @@ def _hub_counts(samples, bound: float) -> dict:
         "certificates": len(certified),
         "cert_sound": all(e is not None and h >= e for e, h in certified),
         "max_climb_hops": max(climbs, default=0),
+        "finite_escape_ok": sum(c.escape_a is not None for _, exact, c in samples
+                                if exact is not None),
     }
 
 
@@ -533,7 +535,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         fractions = [c["giant_fraction"] for c in group]
         pooled_hops = [h for c in group for h in c["pair_hops"] if h is not None]
         hub = {k: sum(c["hub"][k] for c in group)
-               for k in ("samples", "finite", "passed", "escape_ok", "climb_ok")}
+               for k in ("samples", "finite", "passed", "escape_ok", "climb_ok",
+                         "finite_escape_ok")}
         l2n = iterated_log(n)
         stats = _quantiles(pooled_hops)
 
@@ -559,6 +562,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             "hub_pass_rate": _ratio(hub, "passed", "finite"),
             "escape_success_rate": _ratio(hub, "escape_ok", "samples"),
             "climb_success_rate": _ratio(hub, "climb_ok", "escape_ok"),
+            "hub_samples": hub["samples"],
+            "hub_finite": hub["finite"],
+            "giant_escape_success_rate": _ratio(hub, "finite_escape_ok", "finite"),
         })
     return {
         "kind": "experiment",
@@ -668,7 +674,8 @@ _AGGREGATE_COLUMNS = ["n", "m", "l2n", "trials_ok", "trials_failed",
                       "rho_hat_min", "rho_hat_mean", "u_max_in_giant_freq",
                       "v0_in_giant_freq", "v0_threshold_freq",
                       "pair_pass_rate", "hub_pass_rate",
-                      "escape_success_rate", "climb_success_rate"]
+                      "escape_success_rate", "climb_success_rate",
+                      "hub_samples", "hub_finite", "giant_escape_success_rate"]
 
 
 def write_experiment_report(cfg: ExperimentConfig, report: dict) -> list:

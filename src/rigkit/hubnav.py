@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graphgen import BipartiteIncidence
+from .graphgen import BipartiteIncidence, _sorted_unique
 from .graphops import nearest_of, neighbors
 from .model import VertexWeights, iterated_log
 
@@ -247,7 +247,7 @@ def hub_climb(inc: BipartiteIncidence, dec: LayerDecomposition, start: int,
         else:
             qual = nbrs[dec.tilde_z[nbrs] >= dec.th.t[target_level - 1]]
             if apex_adjacent:
-                qual = np.unique(np.append(qual, u_max))
+                qual = _sorted_unique(np.append(qual, u_max))
             if qual.size == 0:
                 return None
             nxt = int(qual[np.argmax(dec.tilde_z[qual])])

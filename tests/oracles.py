@@ -32,6 +32,33 @@ def sample_subset(m: int, z: int, rng: np.random.Generator) -> np.ndarray:
     return got
 
 
+def sample_incidence_reference(m: int, sizes, rng: np.random.Generator):
+    """Reference batch sampler: (set_indptr, set_attrs) of every vertex's
+    uniform subset, drawing from rng exactly as rigkit's sampler does.
+
+    One batch of iid draws packed as vertex*m + attr and deduplicated with
+    np.unique; vertices left short are topped up in later rounds merged in
+    with np.union1d.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    n = sizes.shape[0]
+    indptr = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+    if int(sizes.sum()) == 0:
+        return indptr, np.empty(0, dtype=np.int64)
+    vert_of = np.repeat(np.arange(n, dtype=np.int64), sizes)
+    keys = np.unique(vert_of * m + rng.integers(0, m, size=vert_of.shape[0],
+                                                dtype=np.int64))
+    deficit = sizes - np.bincount(keys // m, minlength=n)
+    while np.any(deficit > 0):
+        need = np.flatnonzero(deficit)
+        extra_vert = np.repeat(need, deficit[need])
+        extra = extra_vert * m + rng.integers(0, m, size=extra_vert.shape[0],
+                                              dtype=np.int64)
+        keys = np.union1d(keys, extra)
+        deficit = sizes - np.bincount(keys // m, minlength=n)
+    return indptr, keys % m
+
+
 def hyper_pmf_exact(j: int, k: int, m: int, r: int) -> Fraction:
     """P(|j-subset cap k-subset| = r) as an exact rational."""
     if r < 0 or r > min(j, k) or j - r > m - k:

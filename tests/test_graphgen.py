@@ -1,19 +1,27 @@
+import hashlib
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigkit.graphgen import (
+    PACK_LIMIT,
     BipartiteIncidence,
+    _sorted_unique,
     adjacent,
     concat_ranges,
     generate,
     sample_incidence,
 )
 from rigkit.graphops import neighbors
-from rigkit.model import ModelParams, trial_rng
+from rigkit.model import ModelParams, default_attribute_count, trial_rng
 
-from oracles import adjacency_matrix, explicit_sets, sample_subset
+from oracles import (adjacency_matrix, explicit_sets, sample_incidence_reference,
+                     sample_subset)
+
+PROPS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
 def test_concat_ranges_basic():
@@ -123,6 +131,66 @@ def test_sample_incidence_rejects_packing_overflow():
         tracemalloc.stop()
     assert peak < 2**20
     assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("values", [
+    [],
+    [5],
+    [3, 3, 3, 3],
+    [0, 1, 2, 7],
+    [9, 7, 7, 4, 1, 0],
+    [PACK_LIMIT - 1, 0, PACK_LIMIT - 1, PACK_LIMIT - 2, 2**63 - 1, -2**63],
+], ids=["empty", "single", "all-equal", "already-unique", "reverse-sorted",
+        "extremes"])
+def test_sorted_unique_cases(values):
+    keys = np.array(values, dtype=np.int64)
+    want = np.unique(keys)
+    got = _sorted_unique(keys)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+@PROPS
+@given(st.lists(st.integers(0, 12) | st.integers(PACK_LIMIT - 12, PACK_LIMIT - 1)
+                | st.integers(-2**63, 2**63 - 1), max_size=60))
+def test_sorted_unique_matches_np_unique(values):
+    keys = np.array(values, dtype=np.int64)
+    want = np.unique(keys)
+    assert _sorted_unique(keys).tolist() == want.tolist()
+
+
+@st.composite
+def size_plans(draw):
+    m = draw(st.integers(1, 40))
+    sizes = draw(st.lists(st.integers(0, m), max_size=25))
+    return m, np.array(sizes, dtype=np.int64)
+
+
+@PROPS
+@given(size_plans(), st.integers(0, 2**32 - 1))
+def test_sample_incidence_matches_reference(plan, seed):
+    # tiny pools with sizes up to m need several top-up rounds
+    m, sizes = plan
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    inc = sample_incidence(m, sizes, rng)
+    indptr, attrs = sample_incidence_reference(m, sizes, ref_rng)
+    assert np.array_equal(inc.set_indptr, indptr)
+    assert np.array_equal(inc.set_attrs, attrs)
+    assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
+
+
+def test_sample_incidence_golden_1e5():
+    # sha256 of set_indptr || set_attrs, and the next draw: fixed seeds must
+    # keep reproducing the same graphs and streams bit for bit
+    n = 100_000
+    params = ModelParams(n=n, m=default_attribute_count(n), alpha=0.8, c0=1.0)
+    for seed, digest, after in ((1, "f1b3605c9b5a3211", 2142831427617085177),
+                                (7, "8c09a87da5765c9c", 592074099967024443)):
+        rng = trial_rng(seed, n, 0)
+        inc, _ = generate(params, rng)
+        h = hashlib.sha256(inc.set_indptr.tobytes())
+        h.update(inc.set_attrs.tobytes())
+        assert h.hexdigest()[:16] == digest
+        assert int(rng.integers(0, 2**62)) == after
 
 
 def test_from_flat_validation():

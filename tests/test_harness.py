@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -355,7 +356,8 @@ def test_experiment_cell_seeded_golden(tmp_path):
     assert cell["fixed_pair"] == {"both_in_giant": True, "hops": 3}
     assert cell["hub"] == {"samples": 5, "finite": 5, "passed": 5,
                            "escape_ok": 5, "climb_ok": 5, "certificates": 5,
-                           "cert_sound": True, "max_climb_hops": 1}
+                           "cert_sound": True, "max_climb_hops": 1,
+                           "finite_escape_ok": 5}
     # trial 0 of the same config is the instance pinned by the distances golden
     cell = harness._experiment_cell_inner(cfg, 300, 0)
     assert cell["pair_hops"] == [2, 3, 5, 4, 4]
@@ -391,6 +393,41 @@ def test_run_experiment_keeps_ladder_error_cells(tmp_path):
     assert row["trials_ok"] == 4 and row["trials_failed"] == 0
     assert row["pair_distance"]["mean"] == pytest.approx(3.725)
     jsonschema.validate(report, report_schema())
+
+
+def test_run_experiment_rows_show_hub_denominators(tmp_path):
+    # n = 1000 has no escape targets and draws no hub samples; at n = 2000
+    # one of six samples lies off u_max's component and fails to escape
+    cfg = cfg_with(tmp_path, n_values=[1000, 2000], pairs_per_trial=6,
+                   hub_floor=20.0, seed=13, format="csv")
+    report = harness.run_experiment(cfg)
+    empty, full = report["aggregates"]["per_n"]
+    assert report["cells"][0]["error"] and report["cells"][0]["degenerate"]
+    assert (empty["hub_samples"], empty["hub_finite"]) == (0, 0)
+    assert empty["escape_success_rate"] is None
+    assert empty["giant_escape_success_rate"] is None
+    assert (full["hub_samples"], full["hub_finite"]) == (6, 5)
+    assert full["escape_success_rate"] == pytest.approx(5 / 6)
+    assert full["giant_escape_success_rate"] == 1.0
+    jsonschema.validate(report, report_schema())
+    csv_path = harness.write_experiment_report(cfg, report)[1]
+    header, first, second = open(csv_path).read().splitlines()
+    assert header.endswith(",hub_samples,hub_finite,giant_escape_success_rate")
+    assert first.endswith(",0,0,") and second.endswith(",6,5,1.0")
+
+
+def test_hub_counts_escapes_among_finite_only():
+    # a vertex off u_max's component may still escape to a top-layer vertex
+    # of its own component; the giant escape count leaves it out
+    def cert(escaped):
+        return SimpleNamespace(escape_a=object() if escaped else None,
+                               climb_a=None, certificate_hops=None)
+
+    samples = [(0, 2, cert(True)), (1, 3, cert(False)), (2, None, cert(True)),
+               (3, None, cert(False))]
+    hub = harness._hub_counts(samples, bound=10.0)
+    assert (hub["samples"], hub["finite"]) == (4, 2)
+    assert (hub["escape_ok"], hub["finite_escape_ok"]) == (2, 1)
 
 
 def test_loglog_slope_matches_polyfit(tmp_path):
