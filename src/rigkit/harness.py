@@ -6,6 +6,10 @@ cells are independent and replayable in isolation.  Each (n, trial) is one
 Trial, whose stream is consumed in a fixed order: weights, subsets, then the
 sampled pairs, then the sampled hub vertices.  Reports are written with
 sorted keys and no timestamps, which makes reruns byte-identical.
+verify_bounds.json is rendered directly from the bound reports, one report
+at a time, in the layout of json.dump(sort_keys=True, indent=2), with NaN
+in lhs, rhs and slack written as null; every other JSON report goes through
+json.dump.
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ from .verify import (
     check_tail_mass,
     check_union_coverage,
     degree_tail_report,
+    json_object,
+    mass_regime_error,
 )
 
 __all__ = [
@@ -138,6 +144,9 @@ class ExperimentConfig:
             raise ConfigError("overlap_point must be [a, b, d, m]")
         if not (0.0 < self.alpha < 1.0):
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
+        regime = mass_regime_error(self.mass_n, self.alpha)
+        if regime is not None:
+            raise ConfigError(f"mass_n: {regime}")
         if self.c0 <= 0:
             raise ConfigError("c0 must be positive")
         if self.epsilon <= 0:
@@ -659,14 +668,26 @@ def write_bound_reports(path, reports) -> None:
 
 
 def write_verify_report(cfg: ExperimentConfig, reports) -> str:
-    """verify_bounds.json with status counts, or verify_bounds.csv; returns the path."""
+    """verify_bounds.json with status counts, or verify_bounds.csv; returns the path.
+
+    The JSON is streamed one report block at a time, in the bytes that
+    json.dump(doc, fh, sort_keys=True, indent=2) writes for
+    {"counts", "kind", "reports"}, plus a final line break.
+    """
     path = os.path.join(cfg.out_dir, f"verify_bounds.{cfg.format}")
     if cfg.format == "csv":
         write_bound_reports(path, reports)
-    else:
-        write_json_report(path, {
-            "kind": "verify", "counts": dict(Counter(rep.status for rep in reports)),
-            "reports": [rep.to_dict() for rep in reports]})
+        return path
+    counts = Counter(rep.status for rep in reports)
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write(f'{{\n  "counts": {json_object(counts, 1)},\n  "kind": "verify",\n'
+                 f'  "reports": [')
+        sep = "\n"
+        for rep in reports:
+            fh.write(sep + rep.json_block())
+            sep = ",\n"
+        fh.write("\n  ]\n}\n" if reports else "]\n}\n")
     return path
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 import numpy as np
@@ -46,6 +47,7 @@ __all__ = [
     "check_tail_mass",
     "degree_tail_report",
     "default_intersection_grid",
+    "mass_regime_error",
 ]
 
 # 99% two-sided normal quantile, fixed for every Wilson interval here.
@@ -151,6 +153,51 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z):
     return max(0.0, center - half), min(1.0, center + half)
 
 
+# json's spellings of the floats that float.__repr__ writes as nan and inf;
+# a report's own numbers write NaN, "not evaluated", as null
+_JSON_FLOAT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_JSON_NUMBER = {**_JSON_FLOAT, "nan": "null"}
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+
+
+def json_scalar(value) -> str:
+    """value as json.dumps writes it with ensure_ascii on.
+
+    Raises TypeError where json would (a numpy int64 or bool_, say), and for
+    lists and dicts, which no report holds.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _JSON_FLOAT.get(text, text)
+    raise TypeError(f"{type(value).__name__} value {value!r} is not a JSON scalar")
+
+
+def _json_number(x: float) -> str:
+    text = float.__repr__(x)
+    return _JSON_NUMBER.get(text, text)
+
+
+def json_object(doc: dict, depth: int) -> str:
+    """A dict of scalars at nesting depth `depth` as json.dump(sort_keys=True,
+    indent=2) writes it, from its opening brace to its closing one."""
+    if not doc:
+        return "{}"
+    pad = "  " * depth
+    items = ",\n".join([f"{pad}  {encode_basestring_ascii(key)}: {json_scalar(doc[key])}"
+                        for key in sorted(doc)])
+    return f"{{\n{items}\n{pad}}}"
+
+
 @dataclass
 class BoundReport:
     """One checked inequality instance, always oriented as lhs <= rhs.
@@ -174,28 +221,34 @@ class BoundReport:
 
     def __post_init__(self) -> None:
         # numpy scalars sneak in from vectorized arithmetic; pin plain types
-        # so json and csv writers see only stdlib values
+        # so json and csv writers see only stdlib values.  The params dict is
+        # copied because the suites hand one dict to several reports.
         self.lhs = float(self.lhs)
         self.rhs = float(self.rhs)
         self.slack = float(self.slack)
         if self.satisfied is not None:
             self.satisfied = bool(self.satisfied)
-        self.params = {k: (v.item() if isinstance(v, np.generic) else v)
-                       for k, v in self.params.items()}
+        params = dict(self.params)
+        if not _PLAIN.issuperset(map(type, params.values())):
+            for key, value in params.items():
+                if isinstance(value, np.generic):
+                    params[key] = value.item()
+        self.params = params
 
-    def to_dict(self) -> dict:
-        def num(x: float):
-            return None if math.isnan(x) else x
-        return {
-            "bound_id": self.bound_id,
-            "params": dict(self.params),
-            "lhs": num(self.lhs),
-            "rhs": num(self.rhs),
-            "satisfied": self.satisfied,
-            "slack": num(self.slack),
-            "status": self.status,
-            "note": self.note,
-        }
+    def json_block(self) -> str:
+        """This report as json.dump(sort_keys=True, indent=2) writes it as an
+        entry of the verify report's "reports" list (depth 2), without the
+        line break before it.  NaN in lhs, rhs and slack is written null."""
+        return (f'    {{\n'
+                f'      "bound_id": {encode_basestring_ascii(self.bound_id)},\n'
+                f'      "lhs": {_json_number(self.lhs)},\n'
+                f'      "note": {encode_basestring_ascii(self.note)},\n'
+                f'      "params": {json_object(self.params, 3)},\n'
+                f'      "rhs": {_json_number(self.rhs)},\n'
+                f'      "satisfied": {json_scalar(self.satisfied)},\n'
+                f'      "slack": {_json_number(self.slack)},\n'
+                f'      "status": {encode_basestring_ascii(self.status)}\n'
+                f'    }}')
 
 
 def _exact_report(bound_id: str, params: dict, lhs: float, rhs: float,
@@ -402,6 +455,22 @@ def default_mass_grid(n: int, alpha: float, c0: float, points: int = 10) -> np.n
     return c0 * ratio**expo
 
 
+def mass_regime_error(n: int, alpha: float) -> Optional[str]:
+    """Why the tail-mass checks cannot run at n, or None when they can.
+
+    The t-grid reaches up to n^(1/(1+alpha)), so the truncation point
+    T* = n^(1/(1+alpha)) * ln ln(2+n) must lie above it: ln ln(2+n) > 1,
+    which holds from n = 14 on (0.9962 at n = 13, 1.0198 at n = 14).
+    """
+    pole = float(n) ** (1.0 / (1.0 + alpha))
+    t_upper = pole * iterated_log(n)
+    if t_upper > pole:
+        return None
+    return (f"the tail mass needs n >= 14 so that T* = n^(1/(1+alpha))*ln ln(2+n) "
+            f"exceeds n^(1/(1+alpha)); at n = {n}, T* = {t_upper:.6g} <= "
+            f"n^(1/(1+alpha)) = {pole:.6g}")
+
+
 def check_tail_mass(n: int, alpha: float, c0: float,
                     rng: np.random.Generator,
                     t_grid: Optional[np.ndarray] = None,
@@ -422,7 +491,11 @@ def check_tail_mass(n: int, alpha: float, c0: float,
     Plus one max_weight_window report: the frequency of
     n^(1/(1+a))/omega < max tilde_z <= n^(1/(1+a))*omega over the trials,
     with omega = ln(ln(2+n)), required to reach window_min.
+    An n below 14, where T* <= n^(1/(1+alpha)), raises ValueError.
     """
+    regime = mass_regime_error(n, alpha)
+    if regime is not None:
+        raise ValueError(regime)
     law = TailLaw(alpha, c0)
     if tau is None:
         tau = 1.0 + alpha / 2.0

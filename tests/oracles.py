@@ -5,6 +5,9 @@ adjacency matrices, textbook traversals.  None of it shares code paths with
 the package.
 """
 
+import json
+import math
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -151,3 +154,20 @@ def pair_hops_python(adj: np.ndarray, s: int) -> np.ndarray:
                     new.append(int(v))
         frontier = new
     return dist
+
+
+def verify_report_reference(reports) -> str:
+    """Reference text of verify_bounds.json: the reports as dicts (NaN in
+    lhs, rhs and slack becomes None), their status counts, then json.dumps
+    with sorted keys and indent 2, plus a final line break."""
+    def num(x):
+        return None if math.isnan(x) else x
+
+    doc = {"kind": "verify",
+           "counts": dict(Counter(rep.status for rep in reports)),
+           "reports": [{"bound_id": rep.bound_id, "params": dict(rep.params),
+                        "lhs": num(rep.lhs), "rhs": num(rep.rhs),
+                        "satisfied": rep.satisfied, "slack": num(rep.slack),
+                        "status": rep.status, "note": rep.note}
+                       for rep in reports]}
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"

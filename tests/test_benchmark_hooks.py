@@ -3,14 +3,16 @@
 perfbench/spans.py replaces each (module, attribute) of its BINDINGS with a
 timing wrapper, and perfbench/checks.py wraps three functions to record the
 inputs of its output checks.  A rename in the package would otherwise only
-show up as a broken benchmark run.
+show up as a broken benchmark run; so would a config rule that the bounds
+workload's config no longer meets.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def load_spans():
@@ -34,3 +36,10 @@ def test_output_check_hooks_exist():
     for module, attr in ((harness, "generate"), (harness, "bfs_distance"),
                          (storage, "read_graph")):
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def test_bounds_workload_config_is_valid():
+    from rigkit.harness import ExperimentConfig
+
+    cfg = ExperimentConfig.from_json(PERFBENCH / "bounds_config.json")
+    assert cfg.overlap_trials == 20000

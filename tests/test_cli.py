@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import struct
@@ -260,6 +261,24 @@ def test_verify_lemmas_all_clear(tmp_path, capsys):
     assert set(rep["counts"]) <= {"pass", "vacuous", "skipped", "boundary",
                                   "inconclusive"}
     jsonschema.validate(rep, report_schema())
+
+
+def test_verify_lemmas_report_golden(tmp_path, capsys):
+    # the sha256 prefix of verify_bounds.json as json.dump wrote it
+    path = verify_config(tmp_path, window_min=0.0)
+    assert cli.main(["verify-lemmas", "--config", path]) == 0
+    with open(capsys.readouterr().out.strip(), "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest()[:16] == "b4cd1ef8bb7fbb47"
+
+
+@pytest.mark.parametrize("mass_n", [10, 13])
+def test_verify_lemmas_rejects_mass_n_below_14(tmp_path, capsys, mass_n):
+    path = write_config(tmp_path, mass_n=mass_n)
+    assert cli.main(["verify-lemmas", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: mass_n:")
+    assert "T* = " in err and "n^(1/(1+alpha)) = " in err
+    assert "FAIL" not in err
 
 
 def test_verify_lemmas_flags_violation(tmp_path, capsys):

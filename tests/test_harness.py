@@ -294,6 +294,13 @@ def test_run_verify_statuses(tmp_path):
     assert "max_weight_window" in by_id
 
 
+def test_config_rejects_mass_n_below_14(tmp_path):
+    for mass_n in (2, 13):
+        with pytest.raises(ConfigError, match=r"mass_n: .*T\* = .*n\^\(1/\(1\+alpha\)\) = "):
+            small_verify_cfg(tmp_path, mass_n=mass_n)
+    assert small_verify_cfg(tmp_path, mass_n=14).mass_n == 14
+
+
 def test_run_verify_coverage_consistency_check(tmp_path):
     cfg = small_verify_cfg(tmp_path, coverage_m=200)
     with pytest.raises(ConfigError):

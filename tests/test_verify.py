@@ -7,6 +7,7 @@ import pytest
 from rigkit.graphgen import BipartiteIncidence, generate
 from rigkit.model import ModelParams, TailLaw, iterated_log, trial_rng
 from rigkit.verify import (
+    BoundReport,
     HypergeomParams,
     check_conditional_overlap,
     check_intersection_bounds,
@@ -168,6 +169,27 @@ def test_tail_deviation_zero_is_vacuous_equality():
             assert r.status == "pass"
 
 
+def test_reports_own_their_params():
+    # one grid point hands the same dict to several reports
+    reps = check_intersection_bounds([(3, 4, 20)])
+    assert len({id(r.params) for r in reps}) == len(reps)
+    reps[0].params["j"] = 99
+    assert all(r.params["j"] == 3 for r in reps[1:])
+
+
+def test_report_pins_numpy_scalars_to_plain_types():
+    params = {"j": np.int64(3), "s": np.float64(0.5), "ok": np.bool_(True),
+              "name": "x", "none": None}
+    rep = BoundReport("b", params, np.float64(0.25), np.int64(1), np.bool_(False),
+                      np.float32(0.5), "fail")
+    assert {k: type(v) for k, v in rep.params.items()} == {
+        "j": int, "s": float, "ok": bool, "name": str, "none": type(None)}
+    assert rep.params == {"j": 3, "s": 0.5, "ok": True, "name": "x", "none": None}
+    assert type(params["j"]) is np.int64  # the caller's dict is left alone
+    assert [type(x) for x in (rep.lhs, rep.rhs, rep.slack)] == [float] * 3
+    assert rep.satisfied is False
+
+
 def test_full_default_grid_clean():
     reps = check_intersection_bounds(default_intersection_grid())
     assert all(r.status in ("pass", "skipped") for r in reps)
@@ -322,6 +344,19 @@ def test_mass_window_report_present():
     assert 0.0 <= rep.rhs <= 1.0
     assert rep.lhs == 0.9
     assert (rep.status == "pass") == (rep.rhs >= 0.9)
+
+
+@pytest.mark.parametrize("n", [2, 10, 13])
+def test_mass_below_14_raises(n):
+    # ln ln(2+n) <= 1 puts T* at or below n^(1/(1+alpha)), inside the t-grid
+    with pytest.raises(ValueError, match=r"n >= 14.*T\* = .* <= n\^\(1/\(1\+alpha\)\)"):
+        check_tail_mass(n=n, alpha=0.8, c0=1.0, rng=trial_rng(12, 0, 0), trials=5)
+
+
+def test_mass_from_14_runs():
+    assert iterated_log(13) < 1.0 < iterated_log(14)
+    reps = check_tail_mass(n=14, alpha=0.8, c0=1.0, rng=trial_rng(12, 0, 0), trials=5)
+    assert len(reps) == 41
 
 
 def test_mass_tau_validation():
