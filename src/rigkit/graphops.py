@@ -7,10 +7,11 @@ leaving it out keeps every component, distance, neighbour list and degree.
 Under the default m-rule at n = 1e5 the core keeps about 12% of the
 incidence entries (474k of 4.04M) and 6% of the occupied attributes (232k of
 3.80M).  It is the only attribute-side view of an instance: it is built from
-the incidence's sorted vertex lists with one packed sort, attribute * n +
-vertex, and core attributes are numbered in increasing order of original id.
-A one-sided search thus makes the same smallest-id parent choices, and
-traces the same paths, as it would on the full incidence.
+the incidence's sorted vertex lists with two packed sorts, attribute * n +
+vertex for the attribute side and vertex * num_attrs + core id for the
+vertex side, and core attributes are numbered in increasing order of
+original id.  A one-sided search thus makes the same smallest-id parent
+choices, and traces the same paths, as it would on the full incidence.
 
 Searches alternate vertex-side and attribute-side frontiers; an
 intersection-graph hop is two bipartite hops.  This keeps hub cliques
@@ -89,11 +90,15 @@ class _TraversalCore:
     attr_vertices list each core attribute's holders, sorted.  visited[side]
     (length n) and seen[side] (length num_attrs) are all False between
     queries.
+
+    Both sides come from packed int64 sorts: attribute * n + vertex, then
+    vertex * num_attrs + core id.  Attribute ids are below m and
+    num_attrs <= m, so every key stays below n * m < PACK_LIMIT.
     """
 
     def __init__(self, inc: BipartiteIncidence):
         n = inc.n
-        # one packed sort, attribute-major: n * m < PACK_LIMIT keeps it in int64
+        # attribute-major: each attribute's holders come out sorted
         keys = inc.set_attrs * n
         keys += np.repeat(np.arange(n, dtype=np.int64), inc.sizes())
         keys.sort()
@@ -108,9 +113,11 @@ class _TraversalCore:
         self.num_attrs = int(np.count_nonzero(starts))
         self.attr_indptr = np.append(np.flatnonzero(starts), starts.shape[0])
         self.attr_vertices = keys[shared] % n
-        # a stable sort by holder keeps each vertex's core ids increasing
-        order = np.argsort(self.attr_vertices, kind="stable")
-        self.set_attrs = (np.cumsum(starts) - 1)[order]
+        # vertex-major: each vertex's core ids come out increasing
+        keys = self.attr_vertices * self.num_attrs
+        keys += np.cumsum(starts) - 1
+        keys.sort()
+        self.set_attrs = keys % self.num_attrs
         self.set_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.attr_vertices, minlength=n), out=self.set_indptr[1:])
         self.visited = (np.zeros(n, dtype=bool), np.zeros(n, dtype=bool))
@@ -122,15 +129,25 @@ class _TraversalCore:
         return int((self.set_indptr[verts + 1] - self.set_indptr[verts]).sum())
 
 
-def _first_by(keys: np.ndarray, vals: np.ndarray):
-    """Sorted distinct keys, each paired with its smallest val."""
+def _first_by(keys: np.ndarray, vals: np.ndarray, base: int):
+    """Sorted distinct keys, each paired with its smallest val.
+
+    Every val lies in [0, base), so one in-place sort of key * base + val
+    orders by key, then by val, and the first entry of each key's run holds
+    its smallest val.  The callers pair core attributes with owners
+    (base n) and vertices with core attributes (base num_attrs), so a packed
+    key stays below n * num_attrs <= n * m < PACK_LIMIT.
+    """
     if keys.size == 0:
         return keys, vals
-    order = np.lexsort((vals, keys))
-    keys, vals = keys[order], vals[order]
-    keep = np.ones(keys.shape[0], dtype=bool)
-    keep[1:] = keys[1:] != keys[:-1]
-    return keys[keep], vals[keep]
+    packed = keys * base
+    packed += vals
+    packed.sort()
+    keys = packed // base
+    keep = np.empty(keys.shape[0], dtype=bool)
+    keep[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep], packed[keep] % base
 
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -169,11 +186,11 @@ class _Search:
         attrs, lens = concat_ranges(core.set_indptr, core.set_attrs, frontier)
         owners = np.repeat(frontier, lens)
         fresh = ~self.seen[attrs]
-        attrs, owners = _first_by(attrs[fresh], owners[fresh])
+        attrs, owners = _first_by(attrs[fresh], owners[fresh], core.n)
         verts, lens = concat_ranges(core.attr_indptr, core.attr_vertices, attrs)
         via = np.repeat(attrs, lens)
         fresh = ~self.visited[verts]
-        verts, via = _first_by(verts[fresh], via[fresh])
+        verts, via = _first_by(verts[fresh], via[fresh], core.num_attrs)
         self.seen[attrs] = True
         self.visited[verts] = True
         self.levels.append((verts, via, attrs, owners))

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import storage
 from .graphgen import PACK_LIMIT, generate
-from .graphops import UNREACHED, bfs_distance, components, distances_from, maximal_vertex
+from .graphops import bfs_distance, components, distances_from, maximal_vertex
 from .hubnav import LadderError, decompose, loglog_certificate, thresholds
 from .model import ModelParams, default_attribute_count, iterated_log, trial_rng
 from .verify import (
@@ -270,8 +270,10 @@ class Trial:
         """Exact hub distance and certificate of count uniform vertices.
 
         Returns (degenerate, error, samples), samples listing (v, exact, cert)
-        with exact None off u_max's component.  When the ladder has no escape
-        targets nothing is drawn: error holds the LadderError text.
+        with exact None off u_max's component.  One BFS out of u_max gives
+        every exact distance, and each certificate takes its own from it.
+        When the ladder has no escape targets nothing is drawn: error holds
+        the LadderError text.
         """
         try:
             _, degenerate = self.dec.escape_targets()
@@ -282,9 +284,9 @@ class Trial:
         samples = []
         for v in self.rng.choice(n, size=count, replace=count > n):
             v = int(v)
-            exact = int(hub_dist[v]) if hub_dist[v] != UNREACHED else None
-            cert = loglog_certificate(self.inc, self.dec, v, self.u_max, self.u_max)
-            samples.append((v, exact, cert))
+            cert = loglog_certificate(self.inc, self.dec, v, self.u_max, self.u_max,
+                                      exact_hops=int(hub_dist[v]))
+            samples.append((v, cert.exact_hops, cert))
         return bool(degenerate), None, samples
 
 

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .graphgen import BipartiteIncidence, _sorted_unique
-from .graphops import nearest_of, neighbors
+from .graphops import UNREACHED, nearest_of, neighbors
 from .model import VertexWeights, iterated_log
 
 __all__ = [
@@ -266,7 +266,7 @@ class CertificateRecord:
     """Distance certificate between v1 and v2 through the apex.
 
     certificate_hops = escape_a + climb_a + climb_b + escape_b when all four
-    stages succeed, else None; exact_hops comes from a BFS and is None only
+    stages succeed, else None; exact_hops is the exact distance, None only
     when v1 and v2 are disconnected.  A finished certificate is a real walk,
     so certificate_hops >= exact_hops always.
     """
@@ -310,16 +310,22 @@ class CertificateRecord:
 
 
 def loglog_certificate(inc: BipartiteIncidence, dec: LayerDecomposition,
-                       v1: int, v2: int, u_max: int) -> CertificateRecord:
+                       v1: int, v2: int, u_max: int, *,
+                       exact_hops: Optional[int] = None) -> CertificateRecord:
     """Assemble the two-sided certificate: escape + climb from both ends.
 
-    The exact BFS distance is always computed alongside, so every record
-    carries both numbers (or records which stage broke).
+    Every record carries the exact v1-v2 distance beside the certificate
+    (or records which stage broke).  A caller that already knows it, such
+    as an entry of distances_from(inc, v2), passes it as exact_hops, with
+    UNREACHED for no path; otherwise a BFS computes it.
     """
-    from .graphops import bfs_distance
-
     _, degenerate = dec.escape_targets()
-    exact = bfs_distance(inc, v1, v2).hops
+    if exact_hops is None:
+        from .graphops import bfs_distance
+
+        exact = bfs_distance(inc, v1, v2).hops
+    else:
+        exact = None if exact_hops == UNREACHED else int(exact_hops)
 
     stages = {"escape_a": None, "climb_a": None, "escape_b": None, "climb_b": None}
     failed = None

@@ -111,6 +111,73 @@ def adjacency_matrix(inc) -> np.ndarray:
     return adj
 
 
+def first_by_reference(keys, vals):
+    """Sorted distinct keys and the smallest val seen with each, via a dict."""
+    best = {}
+    for k, v in zip(keys, vals):
+        best[k] = min(v, best.get(k, v))
+    ordered = sorted(best)
+    return ordered, [best[k] for k in ordered]
+
+
+def traversal_core_reference(inc) -> dict:
+    """The shared-attribute core's arrays, from explicit sets and dicts.
+
+    Attributes with at least two holders get core ids in increasing order of
+    original id; every list is sorted.
+    """
+    sets = explicit_sets(inc)
+    holders = {}
+    for v, s in enumerate(sets):
+        for a in s:
+            holders.setdefault(a, []).append(v)
+    shared = sorted(a for a, hs in holders.items() if len(hs) >= 2)
+    core_id = {a: i for i, a in enumerate(shared)}
+    attr_indptr, attr_vertices = [0], []
+    for a in shared:
+        attr_vertices.extend(sorted(holders[a]))
+        attr_indptr.append(len(attr_vertices))
+    set_indptr, set_attrs = [0], []
+    for s in sets:
+        set_attrs.extend(sorted(core_id[a] for a in s if a in core_id))
+        set_indptr.append(len(set_attrs))
+    return {"num_attrs": len(shared), "attr_indptr": attr_indptr,
+            "attr_vertices": attr_vertices, "set_indptr": set_indptr,
+            "set_attrs": set_attrs}
+
+
+def nearest_route_reference(inc, source: int, targets):
+    """Route of a one-sided BFS from source to the nearest target, or None.
+
+    Ties go to the smallest-id target at the minimal distance.  A vertex
+    first reached at hop k+1 comes through the smallest-id attribute it
+    shares with hop k, from the smallest-id hop-k holder of that attribute.
+    """
+    sets = explicit_sets(inc)
+    targets = set(int(t) for t in targets)
+    parent = {source: None}
+    frontier = [source]
+    while frontier:
+        hits = [v for v in frontier if v in targets]
+        if hits:
+            path = [min(hits)]
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]])
+            return path[::-1]
+        owner = {}
+        for u in sorted(frontier):
+            for a in sets[u]:
+                owner.setdefault(a, u)
+        reached = {}
+        for a in sorted(owner):
+            for w in range(inc.n):
+                if a in sets[w] and w not in parent and w not in reached:
+                    reached[w] = owner[a]
+        parent.update(reached)
+        frontier = sorted(reached)
+    return None
+
+
 def component_labels_bfs(adj: np.ndarray) -> np.ndarray:
     """First-seen canonical component labels via plain queue BFS."""
     n = adj.shape[0]

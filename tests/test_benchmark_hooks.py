@@ -43,3 +43,24 @@ def test_bounds_workload_config_is_valid():
 
     cfg = ExperimentConfig.from_json(PERFBENCH / "bounds_config.json")
     assert cfg.overlap_trials == 20000
+
+
+def test_hub_samples_call_loglog_certificate_once_per_sample(tmp_path, monkeypatch):
+    # the benchmark's certificate spans wrap harness.loglog_certificate, so
+    # every hub sample must go through that name exactly once
+    from rigkit import harness
+    from rigkit.harness import ExperimentConfig, Trial
+
+    calls = []
+    real = harness.loglog_certificate
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "loglog_certificate", counting)
+    cfg = ExperimentConfig(n_values=[300], trials=1, pairs_per_trial=5, seed=5,
+                           out_dir=str(tmp_path))
+    _, error, samples = Trial(cfg, 300, 0).hub_samples(7)
+    assert error is None
+    assert calls == [v for v, _, _ in samples] and len(calls) == 7

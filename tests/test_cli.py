@@ -271,6 +271,22 @@ def test_verify_lemmas_report_golden(tmp_path, capsys):
         assert hashlib.sha256(fh.read()).hexdigest()[:16] == "b4cd1ef8bb7fbb47"
 
 
+@pytest.mark.parametrize("command, seed, pairs, digest", [
+    ("hubpath", 1, 12, "7468d7ea50ffe663"),
+    ("experiment", 13, 6, "17ee1e4e5e0d5b33"),
+])
+def test_hub_reports_golden(tmp_path, monkeypatch, capsys, command, seed, pairs, digest):
+    # sha256 prefixes of reports with a one-rung ladder, whose hub samples
+    # include vertices off u_max's component; the experiment report carries
+    # its config, so out_dir is relative
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, n_values=[2000], seed=seed, pairs_per_trial=pairs,
+                        hub_floor=20.0, out_dir="out")
+    assert cli.main([command, "--config", path]) == 0
+    with open(capsys.readouterr().out.strip(), "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest()[:16] == digest
+
+
 @pytest.mark.parametrize("mass_n", [10, 13])
 def test_verify_lemmas_rejects_mass_n_below_14(tmp_path, capsys, mass_n):
     path = write_config(tmp_path, mass_n=mass_n)

@@ -263,6 +263,48 @@ def test_run_hubpath_u_max_sample(tmp_path):
     assert frag["pass_rate"] == 1.0
 
 
+def test_hub_samples_reuse_the_hub_bfs(tmp_path, monkeypatch):
+    # each record equals the certificate that runs its own BFS, and
+    # hub_samples itself runs none: the exact distances come from hub_dist
+    from rigkit import graphops
+    from rigkit.hubnav import loglog_certificate
+
+    calls = []
+    real = graphops.bfs_distance
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(graphops, "bfs_distance", counting)
+    trials = [
+        # degenerate ladder (k* = 0), escapes into the hub core
+        harness.Trial(cfg_with(tmp_path, n_values=[300]), 300, 0),
+        # one rung; two of the samples lie off u_max's component
+        harness.Trial(cfg_with(tmp_path, n_values=[2000], hub_floor=20.0, seed=1),
+                      2000, 0),
+        # complete graph: u_max itself is drawn
+        harness.Trial(cfg_with(tmp_path, n_values=[8]), 8, 0,
+                      graph_path=complete_overlap_graph(tmp_path, hub_size=6)),
+    ]
+    seen = set()
+    for t, count in zip(trials, (12, 40, 20)):
+        degenerate, error, samples = t.hub_samples(count)
+        assert error is None and len(samples) == count
+        assert calls == []
+        for v, exact, cert in samples:
+            ref = loglog_certificate(t.inc, t.dec, v, t.u_max, t.u_max)
+            assert cert.to_dict() == ref.to_dict()
+            assert exact == ref.exact_hops
+            seen.add(("degenerate", degenerate))
+            seen.add(("off-component", exact is None))
+            seen.add(("u_max", v == t.u_max))
+        assert len(calls) == count
+        calls.clear()
+    assert seen == {(kind, flag) for kind in ("degenerate", "off-component", "u_max")
+                    for flag in (False, True)}
+
+
 # --- verify ------------------------------------------------------------------
 
 

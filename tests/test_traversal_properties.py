@@ -7,15 +7,17 @@ several components.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rigkit.graphgen import BipartiteIncidence, adjacent
-from rigkit.graphops import (UNREACHED, bfs_distance, components, degrees,
-                             distances_from, nearest_of, neighbors, unique_edges)
+from rigkit.graphgen import PACK_LIMIT, BipartiteIncidence, adjacent
+from rigkit.graphops import (UNREACHED, _first_by, _TraversalCore, bfs_distance,
+                             components, degrees, distances_from, nearest_of,
+                             neighbors, unique_edges)
 
 from oracles import (adjacency_matrix, all_pairs_hops, component_labels_bfs,
-                     pair_hops_python)
+                     first_by_reference, nearest_route_reference,
+                     pair_hops_python, traversal_core_reference)
 
 PROPS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -96,6 +98,57 @@ def test_nearest_of_takes_smallest_target_at_min_distance(inc, data):
         assert res.path[-1] == min(t for t in reach if dist[t] == best)
         assert_walk(inc, res.path, source, res.path[-1], res.hops)
     assert masks_clear(inc)
+
+
+@PROPS
+@given(incidences(), st.data())
+def test_nearest_of_route_matches_python_bfs(inc, data):
+    # the documented tie-breaks, hop for hop: smallest-id attribute, then
+    # smallest-id owner; every single target, so that routes reach ties
+    drawn = data.draw(st.lists(st.integers(0, inc.n - 1), min_size=1, max_size=5))
+    for source in range(inc.n):
+        for targets in [[t] for t in range(inc.n)] + [drawn]:
+            res = nearest_of(inc, source, np.array(targets))
+            assert res.path == nearest_route_reference(inc, source, targets)
+    assert masks_clear(inc)
+
+
+@PROPS
+@given(incidences())
+def test_traversal_core_matches_reference(inc):
+    core = _TraversalCore(inc)
+    want = traversal_core_reference(inc)
+    assert core.num_attrs == want["num_attrs"]
+    for name in ("attr_indptr", "attr_vertices", "set_indptr", "set_attrs"):
+        got = getattr(core, name)
+        assert got.dtype == np.int64, name
+        assert got.tolist() == want[name], name
+
+
+@st.composite
+def keyed_vals(draw):
+    """(keys, vals, base) as _first_by takes them: vals in [0, base) and
+    key * base below PACK_LIMIT, with small and near-limit magnitudes."""
+    base = draw(st.one_of(st.integers(1, 6), st.integers(1, 2**31)))
+    key_max = 12 if base <= 6 else (PACK_LIMIT - 1) // base
+    size = draw(st.integers(0, 40))
+    keys = draw(st.lists(st.integers(0, key_max), min_size=size, max_size=size))
+    vals = draw(st.lists(st.integers(0, base - 1), min_size=size, max_size=size))
+    return keys, vals, base
+
+
+@PROPS
+@example(([], [], 5))
+@example(([3] * 6, [4, 0, 2, 4, 1, 0], 5))
+@example(([2, 0, 2, 0, 1], [1, 1, 1, 1, 0], 2))
+@example(([7, 7, 1, 1], [4, 4, 4, 4], 5))
+@example(([2**31 - 1] * 3, [2**31 - 1, 2**31 - 2, 2**31 - 1], 2**31))
+@given(keyed_vals())
+def test_first_by_matches_dict_reference(case):
+    keys, vals, base = case
+    got_keys, got_vals = _first_by(np.array(keys, dtype=np.int64),
+                                   np.array(vals, dtype=np.int64), base)
+    assert (got_keys.tolist(), got_vals.tolist()) == first_by_reference(keys, vals)
 
 
 @PROPS
