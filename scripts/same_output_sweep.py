@@ -1,0 +1,105 @@
+"""Same-output sweep: run a fixed set of rigkit commands and keep every output.
+
+Usage, from the root of a rigkit source tree:
+
+    python3 scripts/same_output_sweep.py ROOT [--src DIR]
+
+Runs 121 CLI commands, one fresh interpreter each, with the rigkit package
+in DIR (default: this tree's src/):
+
+* distances, hubpath, analyze and a two-trial experiment, in JSON and in
+  CSV, at n in {300, 2000, 20000} x seeds {1, 5, 9};
+* generate at the same n and seeds, as a binary and as a JSON graph file,
+  then distances, hubpath and analyze on the binary graph;
+* a three-n experiment ladder, and verify-lemmas with
+  perfbench/bounds_config.json, each in JSON and in CSV.
+
+Every command runs inside ROOT with relative paths, so no output names ROOT.
+ROOT/log.txt gets each command's arguments, exit code, standard output and
+standard error.  To compare two source trees, sweep each into its own root
+and compare the roots:
+
+    python3 scripts/same_output_sweep.py /tmp/sweep-a --src /path/to/a/src
+    python3 scripts/same_output_sweep.py /tmp/sweep-b --src /path/to/b/src
+    diff -r /tmp/sweep-a /tmp/sweep-b
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+TREE = os.path.dirname(HERE)
+NS = (300, 2000, 20000)
+SEEDS = (1, 5, 9)
+FORMATS = ("json", "csv")
+SINGLE = ("distances", "hubpath", "analyze")
+
+
+def commands(bounds_config: str) -> list:
+    """(output directory, CLI arguments) of every command, in run order."""
+    cmds = []
+    for n in NS:
+        for seed in SEEDS:
+            cell = f"n{n}-s{seed}"
+            common = ["-n", str(n), "--seed", str(seed)]
+            for fmt in FORMATS:
+                for sub in SINGLE:
+                    cmds.append((f"{sub}/{cell}-{fmt}", [sub, *common, "--format", fmt]))
+                cmds.append((f"experiment/{cell}-{fmt}",
+                             ["experiment", *common, "--trials", "2", "--format", fmt]))
+            for graph_format in ("binary", "json"):
+                cmds.append((f"generate/{cell}-{graph_format}",
+                             ["generate", *common, "--trials", "1",
+                              "--graph-format", graph_format]))
+            graph = f"generate/{cell}-binary/graph_n{n}_t0.rig"
+            for sub in SINGLE:
+                cmds.append((f"{sub}-graph/{cell}",
+                             [sub, "--graph", graph, "--seed", str(seed)]))
+    ladder = [arg for n in NS for arg in ("-n", str(n))]
+    for fmt in FORMATS:
+        cmds.append((f"ladder/{fmt}",
+                     ["experiment", *ladder, "--seed", "1", "--trials", "2",
+                      "--format", fmt]))
+    for fmt in FORMATS:
+        cmds.append((f"verify/{fmt}",
+                     ["verify-lemmas", "--config", bounds_config, "--seed", "1",
+                      "--format", fmt]))
+    return cmds
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("root", help="directory for every output (created)")
+    parser.add_argument("--src", default=os.path.join(TREE, "src"),
+                        help="directory holding the rigkit package")
+    args = parser.parse_args(argv)
+    src = os.path.abspath(args.src)
+    if not os.path.isdir(os.path.join(src, "rigkit")):
+        parser.error(f"no rigkit package under {src}")
+    os.makedirs(args.root, exist_ok=True)
+    env = dict(os.environ, PYTHONPATH=src)
+    # the config is copied in, so that its path inside ROOT is relative too
+    with open(os.path.join(TREE, "perfbench", "bounds_config.json")) as fh:
+        config = fh.read()
+    with open(os.path.join(args.root, "bounds_config.json"), "w") as fh:
+        fh.write(config)
+    cmds = commands("bounds_config.json")
+    with open(os.path.join(args.root, "log.txt"), "w") as log:
+        for i, (out, cli_args) in enumerate(cmds, start=1):
+            argv_ = [*cli_args, "--out", out]
+            proc = subprocess.run([sys.executable, "-m", "rigkit.cli", *argv_],
+                                  cwd=args.root, env=env, capture_output=True,
+                                  text=True)
+            log.write(f"$ rigkit {' '.join(argv_)}\nexit {proc.returncode}\n"
+                      f"{proc.stdout}{proc.stderr}\n")
+            print(f"[{i}/{len(cmds)}] exit {proc.returncode}: rigkit {' '.join(argv_)}",
+                  flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -39,11 +39,11 @@ def concat_ranges(indptr: np.ndarray, data: np.ndarray, items: np.ndarray):
     items = np.asarray(items, dtype=np.int64)
     starts = indptr[items]
     lens = indptr[items + 1] - starts
-    total = int(lens.sum())
-    if total == 0:
+    ends = np.cumsum(lens)
+    if ends.size == 0 or ends[-1] == 0:
         return np.empty(0, dtype=data.dtype), lens
-    offsets = np.concatenate(([0], np.cumsum(lens)[:-1]))
-    idx = np.arange(total, dtype=np.int64) + np.repeat(starts - offsets, lens)
+    idx = np.arange(ends[-1], dtype=np.int64)
+    idx += np.repeat(starts + lens - ends, lens)  # item i's offset: start - first slot
     return data[idx], lens
 
 

@@ -20,11 +20,25 @@ quadratically many edges.  Pair distances use balanced bidirectional BFS:
 each step advances, by one full hop, the side whose frontier holds fewer
 incidence entries, so a pair query scans a small fraction of the core.
 
+Searches to a vertex set run against a *target ball*: a multi-source BFS
+from the set, grown one level at a time and only as far as queries need it.
+It records the hop count of every vertex it reaches and of every core
+attribute (the count of the attribute's nearest holder).  It makes no via
+or owner choice, so it needs no sort: each level is scattered into the
+count arrays and read back with np.flatnonzero.  The ball of the last set
+asked about stays cached, so the searches of one trial that share their
+targets share its levels, and distances_from(u) is the completed ball of
+{u}: the hub distances leave behind the ball that the escapes to {u_max}
+then use.
+
 The core is built on first use and cached on the incidence, together with
 a visited mask over vertices and a seen mask over core attributes for each
-of the two sides of a search.  A query allocates in proportion to what it
-scans, and on the way out clears only the mask entries it set.  At n = 1e5
-the cache holds about 11 MB.
+of the two sides of a search, and the target ball's arrays: n + num_attrs
+int64 counts and an n-byte membership mask.  A query allocates in
+proportion to what it scans, and on the way out clears only the mask
+entries it set; a ball for a new target set clears the ball's arrays when
+it first grows.  At n = 1e5 the
+cache holds about 14.5 MB, 2.8 MB of it the ball.
 """
 
 from __future__ import annotations
@@ -86,10 +100,13 @@ class _TraversalCore:
     """CSR of the shared-attribute core plus the masks of two search sides.
 
     set_indptr/set_attrs list each vertex's core attributes, numbered
-    0..num_attrs-1 in increasing order of original id; attr_indptr/
+    0..num_attrs-1 in increasing order of original id, and set_sizes counts
+    them, so that balancing a search costs one gather; attr_indptr/
     attr_vertices list each core attribute's holders, sorted.  visited[side]
     (length n) and seen[side] (length num_attrs) are all False between
-    queries.
+    queries.  ball is the target ball of the last source set that
+    nearest_of or distances_from asked about (it has no sources before the
+    first).
 
     Both sides come from packed int64 sorts: attribute * n + vertex, then
     vertex * num_attrs + core id.  Attribute ids are below m and
@@ -118,15 +135,23 @@ class _TraversalCore:
         keys += np.cumsum(starts) - 1
         keys.sort()
         self.set_attrs = keys % self.num_attrs
+        self.set_sizes = np.bincount(self.attr_vertices, minlength=n)
         self.set_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.attr_vertices, minlength=n), out=self.set_indptr[1:])
+        np.cumsum(self.set_sizes, out=self.set_indptr[1:])
         self.visited = (np.zeros(n, dtype=bool), np.zeros(n, dtype=bool))
         self.seen = (np.zeros(self.num_attrs, dtype=bool),
                      np.zeros(self.num_attrs, dtype=bool))
+        self.ball = _TargetBall(self)
+
+    def ball_around(self, sources: np.ndarray) -> "_TargetBall":
+        """The cached target ball of sources, restarted for a new set."""
+        if not np.array_equal(self.ball.sources, sources):
+            self.ball.restart(sources)
+        return self.ball
 
     def entries(self, verts: np.ndarray) -> int:
         """Core incidence entries held by the given vertices."""
-        return int((self.set_indptr[verts + 1] - self.set_indptr[verts]).sum())
+        return int(self.set_sizes[verts].sum())
 
 
 def _first_by(keys: np.ndarray, vals: np.ndarray, base: int):
@@ -198,18 +223,104 @@ class _Search:
 
     def route_to(self, x: int, hop: int) -> list:
         """Vertices of the recorded route from the source to x, reached at hop."""
-        path = [int(x)]
-        for verts, via, attrs, owners in self.levels[hop:0:-1]:
-            attr = via[np.searchsorted(verts, path[-1])]
-            path.append(int(owners[np.searchsorted(attrs, attr)]))
-        path.reverse()
-        return path
+        return _trace_back(self.levels[1:hop + 1], x)[::-1]
 
     def reset(self) -> None:
         """Clear every mask entry this search set."""
         for verts, _, attrs, _ in self.levels:
             self.visited[verts] = False
             self.seen[attrs] = False
+
+
+def _trace_back(levels: list, x: int) -> list:
+    """x, then its owner on each level before, back through (verts, via,
+    attrs, owners) levels laid out as _Search records them."""
+    path = [int(x)]
+    for verts, via, attrs, owners in reversed(levels):
+        attr = via[np.searchsorted(verts, path[-1])]
+        path.append(int(owners[np.searchsorted(attrs, attr)]))
+    return path
+
+
+class _TargetBall:
+    """Multi-source BFS from a vertex set on the core, grown one level at a time.
+
+    inside marks the vertices within depth hops of a source: a search checks
+    its levels against it, because a byte mask costs a fraction of the cache
+    misses of an int64 array.  dist[x] is x's hop count to the nearest source
+    when x is inside; adist[a] is the hop count of a core attribute's
+    nearest holder when that is below depth.  From depth 1 on, both hold
+    UNREACHED everywhere else.  At depth 0 nothing else of them is read, so
+    a restart leaves them stale and the first grow clears them: a restart
+    costs little next to the searches it serves.  frontier lists the
+    vertices at hop depth, sorted; it is empty once the ball holds the
+    sources' whole components.
+
+    No search needs a via or owner choice here, so a level is found without
+    sorting: it is scattered into dist or adist and read back with
+    np.flatnonzero.  The arrays are allocated once per core and reused by
+    every restart.
+    """
+
+    def __init__(self, core: _TraversalCore):
+        self.core = core
+        self.sources = _EMPTY
+        self.dist = np.empty(core.n, dtype=np.int64)
+        self.adist = np.empty(core.num_attrs, dtype=np.int64)
+        self.inside = np.empty(core.n, dtype=bool)
+
+    def restart(self, sources: np.ndarray) -> None:
+        """Forget the ball and start one from sources (nonempty)."""
+        self.sources = sources.copy()
+        self.inside.fill(False)
+        self.inside[sources] = True
+        self.dist[sources] = 0
+        self.depth = 0
+        self._set_frontier(_sorted_unique(self.sources.copy()))
+
+    def _set_frontier(self, verts: np.ndarray) -> None:
+        self.frontier = verts
+        self.entries = self.core.entries(verts)
+
+    def grow(self) -> None:
+        """Add the vertices at hop depth + 1, and the attributes at hop depth."""
+        core, hop = self.core, self.depth
+        if hop == 0:
+            self.dist.fill(UNREACHED)
+            self.dist[self.frontier] = 0
+            self.adist.fill(UNREACHED)
+        attrs, _ = concat_ranges(core.set_indptr, core.set_attrs, self.frontier)
+        self.adist[attrs[self.adist[attrs] == UNREACHED]] = hop
+        attrs = np.flatnonzero(self.adist == hop)
+        verts, _ = concat_ranges(core.attr_indptr, core.attr_vertices, attrs)
+        verts = verts[~self.inside[verts]]
+        self.dist[verts] = hop + 1
+        self.inside[verts] = True
+        self.depth = hop + 1
+        self._set_frontier(np.flatnonzero(self.dist == hop + 1))
+
+    def descend(self, verts: np.ndarray, togo: int) -> list:
+        """The levels of every shortest route from verts down to the sources.
+
+        verts must be sorted and all lie togo <= depth hops from the sources.
+        Step k keeps the attributes at hop togo - k held by the level before
+        and the vertices at hop togo - k that hold them; the levels come out
+        as _Search records them, with the same smallest-id via and owner
+        choices, because every holder a kept attribute has on the level
+        before was kept there.
+        """
+        core, levels = self.core, []
+        for hop in range(togo - 1, -1, -1):
+            attrs, lens = concat_ranges(core.set_indptr, core.set_attrs, verts)
+            owners = np.repeat(verts, lens)
+            keep = self.adist[attrs] == hop
+            attrs, owners = _first_by(attrs[keep], owners[keep], core.n)
+            nxt, lens = concat_ranges(core.attr_indptr, core.attr_vertices, attrs)
+            via = np.repeat(attrs, lens)
+            keep = self.dist[nxt] == hop
+            verts, via = _first_by(nxt[keep], via[keep], core.num_attrs)
+            levels.append((verts, via, attrs, owners))
+        return levels
 
 
 def _check_vertex(inc: BipartiteIncidence, x: int) -> None:
@@ -293,26 +404,33 @@ def bfs_distance(inc: BipartiteIncidence, u: int, v: int) -> DistanceResult:
 
 
 def distances_from(inc: BipartiteIncidence, u: int) -> np.ndarray:
-    """Hop counts from u to every vertex; UNREACHED (-1) where no path."""
+    """Hop counts from u to every vertex; UNREACHED (-1) where no path.
+
+    Grows the cached target ball of {u} to completion and returns a copy of
+    its distances, so a later nearest_of(inc, v, [u]) starts from a full ball.
+    """
     _check_vertex(inc, u)
-    search = _Search(_core(inc), 0, u)
-    try:
-        while search.expand().size:
-            pass
-        dist = np.full(inc.n, UNREACHED, dtype=np.int64)
-        for hop, (verts, _, _, _) in enumerate(search.levels):
-            dist[verts] = hop
-        return dist
-    finally:
-        search.reset()
+    ball = _core(inc).ball_around(np.array([u], dtype=np.int64))
+    while ball.frontier.size:
+        ball.grow()
+    return ball.dist.copy()
 
 
 def nearest_of(inc: BipartiteIncidence, source: int, targets: np.ndarray) -> DistanceResult:
     """Shortest path from source to the nearest member of targets.
 
-    Ties go to the smallest-id target at the minimal distance, so the search
-    is one-sided and finishes the level where it first meets a target; the
-    second side's visited mask marks the targets meanwhile.
+    The path is the route a one-sided BFS from source would trace: ties go
+    to the smallest-id target at the minimal distance, then to the
+    smallest-id attribute and owner at each hop back.  It is found by
+    balancing, as in bfs_distance, a search from source against the cached
+    target ball of targets, which grows lazily and is kept for the next call
+    with the same targets: each step advances the side whose frontier holds
+    fewer core entries (the ball on ties).  The first forward level f that
+    meets a ball of depth b fixes the distance at L = f + b (L is the ball's
+    count when source lies in the ball), and the route goes on from level f
+    with _TargetBall.descend, which needs no masks.  The search from source
+    uses the first side's masks only: the targets are marked by the ball's
+    own membership mask, not by core.visited[1].
     """
     targets = np.asarray(targets, dtype=np.int64)
     if targets.size == 0:
@@ -321,20 +439,36 @@ def nearest_of(inc: BipartiteIncidence, source: int, targets: np.ndarray) -> Dis
     if targets.min() < 0 or targets.max() >= inc.n:
         raise ValueError("targets out of range")
     core = _core(inc)
-    is_target = core.visited[1]
+    ball = core.ball_around(targets)
     search = _Search(core, 0, source)
     try:
-        is_target[targets] = True
         verts = search.frontier
-        while verts.size:
-            hits = verts[is_target[verts]]
+        while True:
+            hits = verts[ball.inside[verts]]
             if hits.size:
-                return DistanceResult(hops=search.depth,
-                                      path=search.route_to(hits[0], search.depth))
-            verts = search.expand()
+                # The forward levels before this one missed the ball, so all
+                # hits lie equally far from the targets: at the ball's depth,
+                # or anywhere inside it when the hit is the source itself.
+                down = ball.descend(hits, int(ball.dist[hits[0]]))
+                target = down[-1][0][0] if down else hits[0]
+                back = _trace_back(down, target)
+                path = search.route_to(back[-1], search.depth) + back[-2::-1]
+                return DistanceResult(hops=len(path) - 1, path=path)
+            if ball.frontier.size == 0:
+                break
+            if ball.entries <= core.entries(search.frontier):
+                # Only the last forward level can meet the new ball level:
+                # a vertex of an earlier level at hop depth + 1 from the
+                # targets would have a neighbour at hop depth, and that
+                # neighbour lies in the forward levels already checked.
+                ball.grow()
+                verts = search.frontier
+            else:
+                verts = search.expand()
+                if verts.size == 0:
+                    break
         return DistanceResult(hops=None, path=None)
     finally:
-        is_target[targets] = False
         search.reset()
 
 

@@ -178,6 +178,37 @@ def nearest_route_reference(inc, source: int, targets):
     return None
 
 
+def target_ball_reference(inc, sources):
+    """Hop counts from a vertex set, by a multi-source queue BFS over sets.
+
+    Returns (dist, adist): dist[v] is v's hop count to the nearest source
+    (-1 when unreachable); adist lists, for each core attribute in increasing
+    order of original id, the smallest hop count among its holders (-1 when
+    no holder is reached).
+    """
+    sets = explicit_sets(inc)
+    dist = [-1] * inc.n
+    queue = []
+    for s in sources:
+        if dist[s] == -1:
+            dist[s] = 0
+            queue.append(s)
+    for u in queue:  # the list grows while it is read: a FIFO queue
+        for w in range(inc.n):
+            if dist[w] == -1 and sets[u] & sets[w]:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    holders = {}
+    for v, s in enumerate(sets):
+        for a in s:
+            holders.setdefault(a, []).append(v)
+    adist = []
+    for a in sorted(a for a, hs in holders.items() if len(hs) >= 2):
+        reached = [dist[v] for v in holders[a] if dist[v] != -1]
+        adist.append(min(reached) if reached else -1)
+    return dist, adist
+
+
 def component_labels_bfs(adj: np.ndarray) -> np.ndarray:
     """First-seen canonical component labels via plain queue BFS."""
     n = adj.shape[0]

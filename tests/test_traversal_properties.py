@@ -17,7 +17,8 @@ from rigkit.graphops import (UNREACHED, _first_by, _TraversalCore, bfs_distance,
 
 from oracles import (adjacency_matrix, all_pairs_hops, component_labels_bfs,
                      first_by_reference, nearest_route_reference,
-                     pair_hops_python, traversal_core_reference)
+                     pair_hops_python, target_ball_reference,
+                     traversal_core_reference)
 
 PROPS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -110,6 +111,131 @@ def test_nearest_of_route_matches_python_bfs(inc, data):
         for targets in [[t] for t in range(inc.n)] + [drawn]:
             res = nearest_of(inc, source, np.array(targets))
             assert res.path == nearest_route_reference(inc, source, targets)
+    assert masks_clear(inc)
+
+
+@st.composite
+def ball_sources(draw):
+    """An incidence and a nonempty source list, unsorted and with repeats."""
+    inc = draw(incidences())
+    return inc, draw(st.lists(st.integers(0, inc.n - 1), min_size=1, max_size=6))
+
+
+def complete_ball(inc, sources):
+    ball = _TraversalCore(inc).ball_around(np.array(sources, dtype=np.int64))
+    while ball.frontier.size:
+        ball.grow()
+    return ball
+
+
+@PROPS
+@example((BipartiteIncidence.from_sets(4, 3, [[0], [0, 1], [1, 2], [2]]), [3, 0, 3]))
+@given(ball_sources())
+def test_target_ball_matches_reference(case):
+    # level by level: a partly grown ball holds exactly the reference's
+    # counts up to its depth (attributes: below it); before it first grows,
+    # only its members' counts are read.  It starts where a complete ball
+    # of other sources left its arrays.
+    inc, sources = case
+    dist, adist = target_ball_reference(inc, sources)
+    ball = complete_ball(inc, [inc.n - 1 - s for s in sources])
+    ball.restart(np.array(sources, dtype=np.int64))
+    assert ball.sources.tolist() == sources
+    while True:
+        depth = ball.depth
+        within = [d if d <= depth else UNREACHED for d in dist]
+        assert ball.inside.tolist() == [d != UNREACHED for d in within]
+        assert np.where(ball.inside, ball.dist, UNREACHED).tolist() == within
+        if depth:
+            assert ball.dist.tolist() == within
+            assert ball.adist.tolist() == [d if d < depth else UNREACHED for d in adist]
+        assert ball.frontier.tolist() == [v for v, d in enumerate(dist) if d == depth]
+        if ball.frontier.size == 0:
+            break
+        ball.grow()
+
+
+@PROPS
+@given(ball_sources())
+def test_descend_keeps_only_shortest_route_levels(case):
+    # step k from v keeps the vertices k hops from v and D(v) - k from the
+    # sources, and the attributes at hop D(v) - k held by the step before:
+    # nothing off a shortest route, with the smallest-id via and owner
+    inc, sources = case
+    dist, adist = target_ball_reference(inc, sources)
+    ref = traversal_core_reference(inc)
+    held = [ref["set_attrs"][ref["set_indptr"][v]:ref["set_indptr"][v + 1]]
+            for v in range(inc.n)]
+    adj = adjacency_matrix(inc)
+    ball = complete_ball(inc, sources)
+    for v in range(inc.n):
+        if dist[v] == UNREACHED:
+            continue
+        hops = pair_hops_python(adj, v)
+        prev = [v]
+        for k, (verts, via, attrs, owners) in enumerate(
+                ball.descend(np.array([v], dtype=np.int64), dist[v]), start=1):
+            togo = dist[v] - k
+            want = sorted({a for x in prev for a in held[x] if adist[a] == togo})
+            assert attrs.tolist() == want
+            assert owners.tolist() == [min(x for x in prev if a in held[x]) for a in want]
+            want = [y for y in range(inc.n) if hops[y] == k and dist[y] == togo]
+            assert verts.tolist() == want
+            assert via.tolist() == [min(a for a in attrs.tolist() if a in held[y])
+                                    for y in want]
+            prev = want
+        assert all(dist[x] == 0 for x in prev)
+
+
+@PROPS
+@given(incidences(), st.data())
+def test_warm_ball_routes_match_python_bfs(inc, data):
+    # target set by target set, one partly grown ball serves every source in
+    # three orders; a second set of the same size and distances_from calls,
+    # whose results the caller overwrites, restart or complete it in between
+    n = inc.n
+    vertex = st.integers(0, n - 1)
+    first = data.draw(st.lists(vertex, min_size=1, max_size=4))
+    second = data.draw(st.lists(vertex, min_size=len(first), max_size=len(first)))
+    hub = data.draw(vertex)
+    orders = [range(n), range(n - 1, -1, -1), data.draw(st.permutations(range(n)))]
+    hub_hops = pair_hops_python(adjacency_matrix(inc), hub).tolist()
+    routes = {}
+    for targets in (first, second, [hub], first):
+        for order in orders:
+            for v in order:
+                key = (v, tuple(targets))
+                if key not in routes:
+                    routes[key] = nearest_route_reference(inc, v, targets)
+                assert nearest_of(inc, v, np.array(targets)).path == routes[key]
+        got = distances_from(inc, hub)
+        assert got.tolist() == hub_hops
+        got[:] = 0
+    assert masks_clear(inc)
+
+
+def test_warm_ball_edge_cases():
+    # a path 0-1-2-3-4 whose end 0 holds three attributes, and an edge 5-6
+    inc = BipartiteIncidence.from_sets(7, 12, [[0, 8, 9, 10], [0, 1, 8, 9, 10],
+                                               [1, 2], [2, 3], [3], [11], [11]])
+    targets = np.array([0])
+    # the forward side (one entry a level) runs dry while the ball, four
+    # entries wide, has not grown at all
+    assert nearest_of(inc, 5, targets).path is None
+    ball = inc._traversal_core.ball
+    assert ball.depth == 0 and ball.frontier.tolist() == [0]
+    assert nearest_of(inc, 4, targets).path == [4, 3, 2, 1, 0]
+    grown = ball.depth
+    assert grown >= 1
+    for v in range(grown + 1):  # inside the grown ball: no growth needed
+        assert nearest_of(inc, v, targets).path == list(range(v, -1, -1))
+        assert inc._traversal_core.ball is ball and ball.depth == grown
+    # a caller's copy from distances_from is its own
+    got = distances_from(inc, 0)
+    got[:] = 0
+    assert distances_from(inc, 0).tolist() == [0, 1, 2, 3, 4, UNREACHED, UNREACHED]
+    assert nearest_of(inc, 4, targets).path == [4, 3, 2, 1, 0]
+    assert nearest_of(inc, 6, targets).path is None
     assert masks_clear(inc)
 
 
