@@ -13,10 +13,17 @@ vertex side, and core attributes are numbered in increasing order of
 original id.  A one-sided search thus makes the same smallest-id parent
 choices, and traces the same paths, as it would on the full incidence.
 
+Component labels come from min-label hook and compress on the core's
+attribute side, with numpy scatters and no second graph: the final label of
+a vertex is its component's smallest id, so the canonical numbering is a
+cumulative sum.  Outside the package, this module imports only numpy.
+
 Searches alternate vertex-side and attribute-side frontiers; an
 intersection-graph hop is two bipartite hops.  This keeps hub cliques
 implicit: a popular attribute is expanded once instead of contributing
-quadratically many edges.  Pair distances use balanced bidirectional BFS:
+quadratically many edges.  One function takes that hop for a search and for
+a descent through the target ball, so both pick the same smallest-id
+attribute and owner.  Pair distances use balanced bidirectional BFS:
 each step advances, by one full hop, the side whose frontier holds fewer
 incidence entries, so a pair query scans a small fraction of the core.
 
@@ -47,8 +54,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components as _cc
 
 from .graphgen import BipartiteIncidence, _sorted_unique, concat_ranges
 from .model import VertexWeights
@@ -175,6 +180,28 @@ def _first_by(keys: np.ndarray, vals: np.ndarray, base: int):
     return keys[keep], packed[keep] % base
 
 
+def _hop(core: _TraversalCore, verts: np.ndarray, attr_mark: np.ndarray,
+         attr_want: int, vert_mark: np.ndarray, vert_want: int) -> tuple:
+    """One intersection hop out of the sorted vertices verts, as a level.
+
+    Returns (nxt, via, attrs, owners) laid out as _Search records a level:
+    attrs are the core attributes a held by verts with attr_mark[a] ==
+    attr_want, sorted, each with its smallest-id holder in verts; nxt are
+    the holders x of attrs with vert_mark[x] == vert_want, sorted, each with
+    the smallest-id attribute of attrs it holds.  A search and a descent
+    share this step, so both make the same via and owner choices.
+    """
+    attrs, lens = concat_ranges(core.set_indptr, core.set_attrs, verts)
+    owners = np.repeat(verts, lens)
+    keep = attr_mark[attrs] == attr_want
+    attrs, owners = _first_by(attrs[keep], owners[keep], core.n)
+    nxt, lens = concat_ranges(core.attr_indptr, core.attr_vertices, attrs)
+    via = np.repeat(attrs, lens)
+    keep = vert_mark[nxt] == vert_want
+    nxt, via = _first_by(nxt[keep], via[keep], core.num_attrs)
+    return nxt, via, attrs, owners
+
+
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
@@ -207,18 +234,11 @@ class _Search:
 
     def expand(self) -> np.ndarray:
         """Advance one intersection hop; returns the new (possibly empty) level."""
-        core, frontier = self.core, self.frontier
-        attrs, lens = concat_ranges(core.set_indptr, core.set_attrs, frontier)
-        owners = np.repeat(frontier, lens)
-        fresh = ~self.seen[attrs]
-        attrs, owners = _first_by(attrs[fresh], owners[fresh], core.n)
-        verts, lens = concat_ranges(core.attr_indptr, core.attr_vertices, attrs)
-        via = np.repeat(attrs, lens)
-        fresh = ~self.visited[verts]
-        verts, via = _first_by(verts[fresh], via[fresh], core.num_attrs)
+        level = _hop(self.core, self.frontier, self.seen, False, self.visited, False)
+        verts, _, attrs, _ = level
         self.seen[attrs] = True
         self.visited[verts] = True
-        self.levels.append((verts, via, attrs, owners))
+        self.levels.append(level)
         return verts
 
     def route_to(self, x: int, hop: int) -> list:
@@ -304,22 +324,15 @@ class _TargetBall:
 
         verts must be sorted and all lie togo <= depth hops from the sources.
         Step k keeps the attributes at hop togo - k held by the level before
-        and the vertices at hop togo - k that hold them; the levels come out
-        as _Search records them, with the same smallest-id via and owner
-        choices, because every holder a kept attribute has on the level
-        before was kept there.
+        and the vertices at hop togo - k that hold them.  Each step is the
+        _hop of a search, so the levels come out as _Search records them,
+        with the same smallest-id via and owner choices: every holder a kept
+        attribute has on the level before was kept there.
         """
-        core, levels = self.core, []
+        levels = []
         for hop in range(togo - 1, -1, -1):
-            attrs, lens = concat_ranges(core.set_indptr, core.set_attrs, verts)
-            owners = np.repeat(verts, lens)
-            keep = self.adist[attrs] == hop
-            attrs, owners = _first_by(attrs[keep], owners[keep], core.n)
-            nxt, lens = concat_ranges(core.attr_indptr, core.attr_vertices, attrs)
-            via = np.repeat(attrs, lens)
-            keep = self.dist[nxt] == hop
-            verts, via = _first_by(nxt[keep], via[keep], core.num_attrs)
-            levels.append((verts, via, attrs, owners))
+            levels.append(_hop(self.core, verts, self.adist, hop, self.dist, hop))
+            verts = levels[-1][0]
         return levels
 
 
@@ -331,25 +344,42 @@ def _check_vertex(inc: BipartiteIncidence, x: int) -> None:
 def components(inc: BipartiteIncidence) -> ComponentLabeling:
     """Label connected components of the intersection graph.
 
-    Runs scipy's labeling on the bipartite star graph of the core (n vertex
-    nodes + one node per shared attribute), which has the same vertex
-    partition as the intersection graph but only one edge per core entry.
+    Min-label hook and compress (Shiloach-Vishkin) on the core's
+    attribute side.  label starts as the identity and stays a forest of
+    pointers to smaller ids whose roots point to themselves.  Each round
+    scatters, with np.minimum.at over the core entries, every holder's label
+    onto its attribute and every attribute's smallest label back onto its
+    holders, which gives the smallest label each vertex sees.  When no
+    vertex sees a label below its own, every edge joins equal labels and the
+    loop stops.  Otherwise each root is hooked to the smallest label that a
+    vertex labelled with it sees below it, and pointer jumping (label =
+    label[label] until it stops changing) compresses the forest so that
+    every label is a root again.  Labels only decrease, and a round that
+    hooks leaves fewer roots, so the loop ends after at most n rounds.
+
+    A label is always a vertex of its own component and never exceeds the
+    vertex's id, so the final label is the component's smallest vertex id,
+    which is also its first vertex.  The canonical rank of a component is
+    then the count of roots up to its own, minus one: a cumulative sum, with
+    no sort.
     """
     core = _core(inc)
-    n, a = core.n, core.num_attrs
-    # attribute rows stay empty; connected_components reads edges both ways
-    indptr = np.concatenate((core.set_indptr,
-                             np.full(a, core.set_indptr[-1], dtype=np.int64)))
-    graph = sp.csr_matrix(
-        (np.ones(core.set_attrs.shape[0], dtype=np.int8), n + core.set_attrs, indptr),
-        shape=(n + a, n + a),
-    )
-    _, raw = _cc(graph, directed=False)
-    raw = raw[:n]
-    uniq, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
-    rank = np.empty(uniq.shape[0], dtype=np.int64)
-    rank[np.argsort(first, kind="stable")] = np.arange(uniq.shape[0])
-    labels = rank[inverse]
+    ids = np.arange(core.n, dtype=np.int64)
+    label = ids.copy()
+    attr_of = np.repeat(np.arange(core.num_attrs), np.diff(core.attr_indptr))
+    while True:
+        amin = np.full(core.num_attrs, core.n, dtype=np.int64)
+        np.minimum.at(amin, attr_of, label[core.attr_vertices])
+        sees = label.copy()
+        np.minimum.at(sees, core.attr_vertices, amin[attr_of])
+        lower = sees < label
+        if not lower.any():
+            break
+        np.minimum.at(label, label[lower], sees[lower])
+        jumped = label[label]
+        while not np.array_equal(jumped, label):
+            label, jumped = jumped, jumped[jumped]
+    labels = (np.cumsum(label == ids) - 1)[label]
     sizes = np.bincount(labels)
     giant = int(np.argmax(sizes))  # first max, i.e. smallest label
     return ComponentLabeling(labels=labels, sizes=sizes, giant=giant)

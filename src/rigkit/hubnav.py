@@ -207,8 +207,6 @@ def escape_bfs(inc: BipartiteIncidence, dec: LayerDecomposition, v: int) -> Opti
     there is no target set at all.
     """
     targets, _ = dec.escape_targets()
-    if not (0 <= v < inc.n):
-        raise ValueError(f"vertex {v} out of range")
     res = nearest_of(inc, v, targets)
     if res.hops is None:
         return None
@@ -256,8 +254,6 @@ def hub_climb(inc: BipartiteIncidence, dec: LayerDecomposition, start: int,
 
     layer_index = [dec.layer_index_of(v) for v in path[:-1]]
     layer_index.append(k_star)  # the apex caps the ladder by convention
-    if len(path) == 1:
-        layer_index = [k_star]
     return HubPath(vertices=path, layer_index=layer_index)
 
 

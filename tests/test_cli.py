@@ -3,6 +3,8 @@ import hashlib
 import json
 import os
 import struct
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, assume, event, given, settings
@@ -32,6 +34,22 @@ def verify_config(tmp_path, window_min, **kw):
         coverage_m=13000, coverage_trials=50, coverage_n=1000,
         overlap_point=[40, 16, 100, 10000], overlap_trials=3000,
         mass_n=2000, mass_trials=10, window_min=window_min, **kw)
+
+
+# --- imports -----------------------------------------------------------------
+
+
+def test_cli_import_leaves_out_scipy_sparse():
+    # every graph query runs on numpy alone; scipy.sparse would add about
+    # 0.1 s to each start of the CLI
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, rigkit.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # --- config handling ---------------------------------------------------------

@@ -67,6 +67,76 @@ def test_components_match_bfs_oracle(small_instances):
         assert np.array_equal(got.sizes, np.bincount(expect))
 
 
+def walk_graph(n, walks):
+    """n vertices; consecutive vertices of each walk share an attribute of
+    their own."""
+    sets = [[] for _ in range(n)]
+    attr = 0
+    for walk in walks:
+        for x, y in zip(walk, walk[1:]):
+            sets[x].append(attr)
+            sets[y].append(attr)
+            attr += 1
+    return BipartiteIncidence.from_sets(n, attr, sets)
+
+
+def alternating_walk(ids):
+    """A path of odd length with ids[0] in the middle and ids[1], ids[2],
+    ... placed alternately at its two ends, moving inward."""
+    ids = list(ids)
+    walk = [None] * len(ids)
+    walk[len(ids) // 2] = ids[0]
+    lo, hi, ends = 0, len(ids) - 1, []
+    while lo < hi:
+        ends += [lo, hi]
+        lo, hi = lo + 1, hi - 1
+    for pos, v in zip(ends, ids[1:]):
+        walk[pos] = v
+    return walk
+
+
+def halving_walk(k):
+    """Ids along a path on which each hook round only halves the roots: the
+    even positions carry the halving walk of their own count, the odd
+    positions the larger ids."""
+    if k == 1:
+        return [0]
+    inner = halving_walk((k + 1) // 2)
+    big = iter(range((k + 1) // 2, k))
+    return [inner[i // 2] if i % 2 == 0 else next(big) for i in range(k)]
+
+
+def joined_walks(k):
+    """Two alternating paths of k vertices, on the even and on the odd ids,
+    sharing the first path's last vertex; the second path's own last id
+    stays isolated."""
+    a = alternating_walk(range(0, 2 * k, 2))
+    b = alternating_walk(range(1, 2 * k, 2))
+    b[-1] = a[-1]
+    return [a, b]
+
+
+LONG_DIAMETER = {
+    # the smallest id's label must cross 150 hops to either end
+    "alternating-path": walk_graph(301, [alternating_walk(range(301))]),
+    "joined-paths": walk_graph(602, joined_walks(301)),
+    # about log2(301) hook rounds
+    "halving-path": walk_graph(301, [halving_walk(301)]),
+    # every attribute has one holder, so the core has none
+    "no-core": BipartiteIncidence.from_sets(5, 8, [[0, 1], [], [2], [5, 7], [3]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_DIAMETER))
+def test_components_large_diameter_match_bfs_oracle(name):
+    inc = LONG_DIAMETER[name]
+    expect = component_labels_bfs(adjacency_matrix(inc))
+    got = components(inc)
+    assert np.array_equal(got.labels, expect)
+    assert np.array_equal(got.sizes, np.bincount(expect))
+    assert got.giant == int(np.argmax(np.bincount(expect)))
+
+
 def test_distances_match_floyd_warshall(small_instances):
     for params, inc, w in small_instances:
         adj = adjacency_matrix(inc)

@@ -219,6 +219,19 @@ def test_escape_bfs_modes():
     assert esc2.layer_index == [-1, 0]
 
 
+def test_escape_bfs_vertex_range():
+    inc, dec = climb_toy()
+    for v in (inc.n, -1):
+        with pytest.raises(ValueError, match=f"vertex {v} out of range"):
+            escape_bfs(inc, dec, v)
+    # no target set outranks a bad vertex
+    empty = decompose(toy_weights([1.0] * inc.n),
+                      LayerThresholds(n=100, alpha=0.5, c0=1.0, floor=10.0,
+                                      l2n=iterated_log(100), t0=50.0, t=()))
+    with pytest.raises(LadderError):
+        escape_bfs(inc, empty, inc.n)
+
+
 def test_escape_bfs_distance_is_minimal(small_instances):
     params, inc, w = small_instances[0]
     # custom low floor so the ladder is nonempty at n = 60
