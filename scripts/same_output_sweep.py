@@ -4,13 +4,16 @@ Usage, from the root of a rigkit source tree:
 
     python3 scripts/same_output_sweep.py ROOT [--src DIR]
 
-Runs 121 CLI commands, one fresh interpreter each, with the rigkit package
+Runs 127 CLI commands, one fresh interpreter each, with the rigkit package
 in DIR (default: this tree's src/):
 
 * distances, hubpath, analyze and a two-trial experiment, in JSON and in
   CSV, at n in {300, 2000, 20000} x seeds {1, 5, 9};
 * generate at the same n and seeds, as a binary and as a JSON graph file,
   then distances, hubpath and analyze on the binary graph;
+* hubpath at n = 100000 with 400 samples, seeds {51, 53, 56}, where the
+  ladder has a rung (k* = 1), so the climbs walk a real ladder; at the
+  smaller n every certificate is degenerate (k* = 0);
 * a three-n experiment ladder, and verify-lemmas with
   perfbench/bounds_config.json, each in JSON and in CSV.
 
@@ -37,6 +40,7 @@ NS = (300, 2000, 20000)
 SEEDS = (1, 5, 9)
 FORMATS = ("json", "csv")
 SINGLE = ("distances", "hubpath", "analyze")
+LADDER_SEEDS = (51, 53, 56)
 
 
 def commands(bounds_config: str) -> list:
@@ -59,6 +63,11 @@ def commands(bounds_config: str) -> list:
             for sub in SINGLE:
                 cmds.append((f"{sub}-graph/{cell}",
                              [sub, "--graph", graph, "--seed", str(seed)]))
+    for seed in LADDER_SEEDS:
+        for fmt in FORMATS:
+            cmds.append((f"hubpath/n100000-s{seed}-{fmt}",
+                         ["hubpath", "-n", "100000", "--seed", str(seed),
+                          "--pairs", "400", "--format", fmt]))
     ladder = [arg for n in NS for arg in ("-n", str(n))]
     for fmt in FORMATS:
         cmds.append((f"ladder/{fmt}",

@@ -43,9 +43,8 @@ a visited mask over vertices and a seen mask over core attributes for each
 of the two sides of a search, and the target ball's arrays: n + num_attrs
 int64 counts and an n-byte membership mask.  A query allocates in
 proportion to what it scans, and on the way out clears only the mask
-entries it set; a ball for a new target set clears the ball's arrays when
-it first grows.  At n = 1e5 the
-cache holds about 14.5 MB, 2.8 MB of it the ball.
+entries it set; a ball for a new target set clears the ball's arrays.  At
+n = 1e5 the cache holds about 14.5 MB, 2.8 MB of it the ball.
 """
 
 from __future__ import annotations
@@ -269,12 +268,9 @@ class _TargetBall:
     its levels against it, because a byte mask costs a fraction of the cache
     misses of an int64 array.  dist[x] is x's hop count to the nearest source
     when x is inside; adist[a] is the hop count of a core attribute's
-    nearest holder when that is below depth.  From depth 1 on, both hold
-    UNREACHED everywhere else.  At depth 0 nothing else of them is read, so
-    a restart leaves them stale and the first grow clears them: a restart
-    costs little next to the searches it serves.  frontier lists the
-    vertices at hop depth, sorted; it is empty once the ball holds the
-    sources' whole components.
+    nearest holder when that is below depth.  Both hold UNREACHED everywhere
+    else.  frontier lists the vertices at hop depth, sorted; it is empty
+    once the ball holds the sources' whole components.
 
     No search needs a via or owner choice here, so a level is found without
     sorting: it is scattered into dist or adist and read back with
@@ -294,7 +290,9 @@ class _TargetBall:
         self.sources = sources.copy()
         self.inside.fill(False)
         self.inside[sources] = True
+        self.dist.fill(UNREACHED)
         self.dist[sources] = 0
+        self.adist.fill(UNREACHED)
         self.depth = 0
         self._set_frontier(_sorted_unique(self.sources.copy()))
 
@@ -305,10 +303,6 @@ class _TargetBall:
     def grow(self) -> None:
         """Add the vertices at hop depth + 1, and the attributes at hop depth."""
         core, hop = self.core, self.depth
-        if hop == 0:
-            self.dist.fill(UNREACHED)
-            self.dist[self.frontier] = 0
-            self.adist.fill(UNREACHED)
         attrs, _ = concat_ranges(core.set_indptr, core.set_attrs, self.frontier)
         self.adist[attrs[self.adist[attrs] == UNREACHED]] = hop
         attrs = np.flatnonzero(self.adist == hop)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import storage
 from .graphgen import PACK_LIMIT, generate
-from .graphops import bfs_distance, components, distances_from, maximal_vertex
+from .graphops import UNREACHED, bfs_distance, components, distances_from
 from .hubnav import LadderError, decompose, loglog_certificate, thresholds
 from .model import ModelParams, default_attribute_count, iterated_log, trial_rng
 from .verify import (
@@ -238,10 +238,9 @@ class Trial:
         p = self.params
         self.comp = components(self.inc)
         self.dec = decompose(self.weights, thresholds(p.n, p.alpha, p.c0, cfg.hub_floor))
-        self.u_max = maximal_vertex(self.weights)
         self.giant_size = int(self.comp.sizes[self.comp.giant])
         labels, giant = self.comp.labels, self.comp.giant
-        self.u_max_in_giant = bool(labels[self.u_max] == giant)
+        self.u_max_in_giant = bool(labels[self.dec.u_max] == giant)
         self.fixed_in_giant = bool(p.n > 1 and labels[0] == giant and labels[1] == giant)
 
     def header(self, kind: str) -> dict:
@@ -271,22 +270,21 @@ class Trial:
 
         Returns (degenerate, error, samples), samples listing (v, exact, cert)
         with exact None off u_max's component.  One BFS out of u_max gives
-        every exact distance, and each certificate takes its own from it.
-        When the ladder has no escape targets nothing is drawn: error holds
-        the LadderError text.
+        every exact distance.  When the ladder has no escape targets nothing
+        is drawn: error holds the LadderError text.
         """
         try:
             _, degenerate = self.dec.escape_targets()
         except LadderError as exc:
             return True, str(exc), []
-        hub_dist = distances_from(self.inc, self.u_max)
+        u_max = self.dec.u_max
+        hub_dist = distances_from(self.inc, u_max)
         n = self.params.n
         samples = []
         for v in self.rng.choice(n, size=count, replace=count > n):
             v = int(v)
-            cert = loglog_certificate(self.inc, self.dec, v, self.u_max, self.u_max,
-                                      exact_hops=int(hub_dist[v]))
-            samples.append((v, cert.exact_hops, cert))
+            exact = None if hub_dist[v] == UNREACHED else int(hub_dist[v])
+            samples.append((v, exact, loglog_certificate(self.inc, self.dec, v, u_max)))
         return bool(degenerate), None, samples
 
 
@@ -368,8 +366,8 @@ def run_analyze(cfg: ExperimentConfig, graph_path=None) -> dict:
         "components": int(t.comp.count),
         "giant_size": t.giant_size,
         "giant_fraction": t.comp.giant_fraction(),
-        "u_max": t.u_max,
-        "u_max_size": int(t.weights.sizes[t.u_max]),
+        "u_max": t.dec.u_max,
+        "u_max_size": int(t.weights.sizes[t.dec.u_max]),
         "k_star": t.dec.k_star,
         "hub_core_size": int(t.dec.hub_core.shape[0]),
         "layer_sizes": [int(layer.shape[0]) for layer in t.dec.layers],
@@ -424,7 +422,7 @@ def run_hubpath(cfg: ExperimentConfig, n: Optional[int] = None,
         "t0": t.dec.th.t0,
         "hub_core_size": int(t.dec.hub_core.shape[0]),
         "top_layer_size": int(t.dec.top_layer().shape[0]),
-        "u_max": t.u_max,
+        "u_max": t.dec.u_max,
         "u_max_in_giant": t.u_max_in_giant,
         "degenerate": degenerate,
         "error": error,
@@ -500,7 +498,7 @@ def _experiment_cell_inner(cfg: ExperimentConfig, n: int, trial: int) -> dict:
         "m": t.params.m,
         "giant_fraction": t.comp.giant_fraction(),
         "giant_size": t.giant_size,
-        "u_max": t.u_max,
+        "u_max": t.dec.u_max,
         "u_max_in_giant": t.u_max_in_giant,
         "v0_size": int(v0.shape[0]),
         "v0_in_giant": bool(np.all(t.comp.labels[v0] == t.comp.giant)) if v0.size else True,

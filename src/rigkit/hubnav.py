@@ -13,9 +13,11 @@ ln(ln(n)).  Above the ladder sits the hub core
 
 Navigation: a short BFS escapes from an arbitrary vertex to the widest layer
 U_{k_star}, then a greedy climb walks rung by rung up the ladder, one hop per
-rung, to the globally heaviest vertex.  Concatenating two such routes at the
-apex certifies a v1-v2 distance of order ln(ln(n)); the certificate is a real
-walk, so it can never undercut the exact distance.
+rung, to the apex u_max, the vertex with the largest set, which the
+decomposition records.  Concatenating two such halves at the apex certifies
+a v1-v2 distance of order ln(ln(n)).  A certificate holds only its four
+stages: it is a real walk, so it can never undercut the exact distance,
+and a caller that wants that distance measures it on its own.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .graphgen import BipartiteIncidence, _sorted_unique
-from .graphops import UNREACHED, nearest_of, neighbors
+from .graphops import maximal_vertex, nearest_of, neighbors
 from .model import VertexWeights, iterated_log
 
 __all__ = [
@@ -120,12 +122,15 @@ class LayerDecomposition:
 
     layers[k-1] holds the sorted vertices of U_k; the layers are nested
     upward (U_1 is the thinnest).  hub_core is V0 (strict inequality).
-    masses[k-1] is the total attribute count over U_k.
+    masses[k-1] is the total attribute count over U_k.  u_max is the apex
+    every climb ends at: the vertex with the largest set (smallest id on
+    ties).
     """
 
     th: LayerThresholds
     tilde_z: np.ndarray
     sizes: np.ndarray
+    u_max: int
     layers: list = field(default_factory=list)
     hub_core: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     masses: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
@@ -169,14 +174,15 @@ class LayerDecomposition:
 
 
 def decompose(weights: VertexWeights, th: LayerThresholds) -> LayerDecomposition:
-    """Slice a weight sample into ladder layers and the hub core."""
+    """Slice a weight sample into ladder layers, the hub core and the apex."""
     tz = weights.tilde_z
     layers = [np.flatnonzero(tz >= tk) for tk in th.t]
     hub_core = np.flatnonzero(tz > th.t0)
     masses = np.array([int(weights.sizes[layer].sum()) for layer in layers],
                       dtype=np.int64)
     return LayerDecomposition(th=th, tilde_z=tz, sizes=weights.sizes,
-                              layers=layers, hub_core=hub_core, masses=masses)
+                              u_max=maximal_vertex(weights), layers=layers,
+                              hub_core=hub_core, masses=masses)
 
 
 @dataclass(frozen=True)
@@ -214,57 +220,54 @@ def escape_bfs(inc: BipartiteIncidence, dec: LayerDecomposition, v: int) -> Opti
                    layer_index=[dec.layer_index_of(u) for u in res.path])
 
 
-def hub_climb(inc: BipartiteIncidence, dec: LayerDecomposition, start: int,
-              u_max: int) -> Optional[HubPath]:
-    """Greedy rung-by-rung climb from the widest layer to the apex u_max.
+def hub_climb(inc: BipartiteIncidence, dec: LayerDecomposition,
+              start: int) -> Optional[HubPath]:
+    """Greedy rung-by-rung climb from the widest layer to the apex dec.u_max.
 
     From a vertex at level k the next hop must land in U_{k-1}, with
     U_0 = {u_max} by convention; among qualifying neighbours the climb takes
     the largest tilde_z (smallest index on ties), and u_max qualifies
-    whenever adjacent.  Each hop clears at least one rung, so a successful
+    whenever adjacent.  At level 1 the rung floor is infinite, so u_max is
+    the only candidate.  Each hop clears at least one rung, so a successful
     climb takes at most k_star hops (one in degenerate mode).  A dead end
     returns None: failure is a data outcome, not an exception.
     """
-    k_star = dec.k_star
-    if not (0 <= start < inc.n) or not (0 <= u_max < inc.n):
+    k_star, u_max = dec.k_star, dec.u_max
+    if not (0 <= start < inc.n):
         raise ValueError("vertex out of range")
     if k_star >= 1 and dec.tilde_z[start] < dec.th.t[k_star - 1]:
         raise ValueError("climb must start inside the widest layer")
 
     path = [int(start)]
-    current = int(start)
-    while current != u_max:
-        target_level = dec.level_of(current) - 1
-        nbrs = neighbors(inc, current)
+    while path[-1] != u_max:
+        target_level = dec.level_of(path[-1]) - 1
+        floor = dec.th.t[target_level - 1] if target_level else math.inf
+        nbrs = neighbors(inc, path[-1])
+        qual = nbrs[dec.tilde_z[nbrs] >= floor]
         pos = np.searchsorted(nbrs, u_max)
-        apex_adjacent = pos < nbrs.shape[0] and nbrs[pos] == u_max
-        if target_level == 0:
-            if not apex_adjacent:
-                return None
-            nxt = u_max
-        else:
-            qual = nbrs[dec.tilde_z[nbrs] >= dec.th.t[target_level - 1]]
-            if apex_adjacent:
-                qual = _sorted_unique(np.append(qual, u_max))
-            if qual.size == 0:
-                return None
-            nxt = int(qual[np.argmax(dec.tilde_z[qual])])
-        path.append(int(nxt))
-        current = int(nxt)
+        if pos < nbrs.shape[0] and nbrs[pos] == u_max:
+            qual = _sorted_unique(np.append(qual, u_max))
+        if qual.size == 0:
+            return None
+        path.append(int(qual[np.argmax(dec.tilde_z[qual])]))
 
     layer_index = [dec.layer_index_of(v) for v in path[:-1]]
     layer_index.append(k_star)  # the apex caps the ladder by convention
     return HubPath(vertices=path, layer_index=layer_index)
 
 
-@dataclass
+STAGES = ("escape_a", "climb_a", "escape_b", "climb_b")
+
+
+@dataclass(frozen=True)
 class CertificateRecord:
     """Distance certificate between v1 and v2 through the apex.
 
-    certificate_hops = escape_a + climb_a + climb_b + escape_b when all four
-    stages succeed, else None; exact_hops is the exact distance, None only
-    when v1 and v2 are disconnected.  A finished certificate is a real walk,
-    so certificate_hops >= exact_hops always.
+    Each end's half is an escape into the widest layer followed by a climb
+    to the apex; a stage is None when it failed or was never reached.
+    certificate_hops adds up the four stages when all succeed, else None;
+    failed_stage is the first missing one in the order of STAGES.  A finished
+    certificate is a real walk, so it never undercuts the exact distance.
     """
 
     v1: int
@@ -273,14 +276,20 @@ class CertificateRecord:
     climb_a: Optional[HubPath]
     escape_b: Optional[HubPath]
     climb_b: Optional[HubPath]
-    certificate_hops: Optional[int]
-    exact_hops: Optional[int]
-    failed_stage: Optional[str]
-    degenerate_ladder: bool
+
+    @property
+    def failed_stage(self) -> Optional[str]:
+        return next((s for s in STAGES if getattr(self, s) is None), None)
+
+    @property
+    def certificate_hops(self) -> Optional[int]:
+        if self.failed_stage is not None:
+            return None
+        return sum(getattr(self, s).total_hops for s in STAGES)
 
     def walk(self) -> Optional[list]:
         """The full v1 -> apex -> v2 vertex walk, or None if incomplete."""
-        if self.certificate_hops is None:
+        if self.failed_stage is not None:
             return None
         up = self.escape_a.vertices + self.climb_a.vertices[1:]
         down = self.climb_b.vertices[:-1][::-1] + self.escape_b.vertices[::-1][1:]
@@ -288,62 +297,25 @@ class CertificateRecord:
         return up + down
 
     def to_dict(self) -> dict:
-        def hp(p):
-            return None if p is None else p.to_dict()
-        return {
-            "v1": int(self.v1),
-            "v2": int(self.v2),
-            "escape_a": hp(self.escape_a),
-            "climb_a": hp(self.climb_a),
-            "escape_b": hp(self.escape_b),
-            "climb_b": hp(self.climb_b),
-            "certificate_hops": None if self.certificate_hops is None
-            else int(self.certificate_hops),
-            "exact_hops": None if self.exact_hops is None else int(self.exact_hops),
-            "failed_stage": self.failed_stage,
-            "degenerate_ladder": bool(self.degenerate_ladder),
-        }
+        out = {"v1": int(self.v1), "v2": int(self.v2),
+               "certificate_hops": self.certificate_hops,
+               "failed_stage": self.failed_stage}
+        for s in STAGES:
+            stage = getattr(self, s)
+            out[s] = None if stage is None else stage.to_dict()
+        return out
+
+
+def _half(inc: BipartiteIncidence, dec: LayerDecomposition, v: int) -> tuple:
+    """(escape, climb) from v to the apex; climb is None when escape is."""
+    esc = escape_bfs(inc, dec, v)
+    return esc, None if esc is None else hub_climb(inc, dec, esc.vertices[-1])
 
 
 def loglog_certificate(inc: BipartiteIncidence, dec: LayerDecomposition,
-                       v1: int, v2: int, u_max: int, *,
-                       exact_hops: Optional[int] = None) -> CertificateRecord:
-    """Assemble the two-sided certificate: escape + climb from both ends.
-
-    Every record carries the exact v1-v2 distance beside the certificate
-    (or records which stage broke).  A caller that already knows it, such
-    as an entry of distances_from(inc, v2), passes it as exact_hops, with
-    UNREACHED for no path; otherwise a BFS computes it.
-    """
-    _, degenerate = dec.escape_targets()
-    if exact_hops is None:
-        from .graphops import bfs_distance
-
-        exact = bfs_distance(inc, v1, v2).hops
-    else:
-        exact = None if exact_hops == UNREACHED else int(exact_hops)
-
-    stages = {"escape_a": None, "climb_a": None, "escape_b": None, "climb_b": None}
-    failed = None
-    for side, v in (("a", v1), ("b", v2)):
-        esc = escape_bfs(inc, dec, v)
-        stages[f"escape_{side}"] = esc
-        if esc is None:
-            failed = failed or f"escape_{side}"
-            continue
-        climb = hub_climb(inc, dec, esc.vertices[-1], u_max)
-        stages[f"climb_{side}"] = climb
-        if climb is None:
-            failed = failed or f"climb_{side}"
-
-    cert = None
-    if failed is None:
-        cert = (stages["escape_a"].total_hops + stages["climb_a"].total_hops
-                + stages["climb_b"].total_hops + stages["escape_b"].total_hops)
-    return CertificateRecord(
-        v1=int(v1), v2=int(v2),
-        escape_a=stages["escape_a"], climb_a=stages["climb_a"],
-        escape_b=stages["escape_b"], climb_b=stages["climb_b"],
-        certificate_hops=cert, exact_hops=exact,
-        failed_stage=failed, degenerate_ladder=degenerate,
-    )
+                       v1: int, v2: int) -> CertificateRecord:
+    """The two-sided certificate: one escape-and-climb half from each end."""
+    escape_a, climb_a = _half(inc, dec, v1)
+    escape_b, climb_b = _half(inc, dec, v2)
+    return CertificateRecord(v1=int(v1), v2=int(v2), escape_a=escape_a,
+                             climb_a=climb_a, escape_b=escape_b, climb_b=climb_b)

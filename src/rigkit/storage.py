@@ -22,7 +22,10 @@ per-vertex loop, and leaves the order check to BipartiteIncidence.from_flat;
 every failure is a GraphFormatError, version 1 included.
 
 A JSON mirror ({"format": "rig-json", "version": 1, ...}) covers small
-graphs where a readable artifact matters more than compactness.  Neither
+graphs where a readable artifact matters more than compactness.  Its reader
+takes n, m, seed and the set entries only as JSON integers, never as
+booleans, floats or strings, with the seed in [0, 2**64) as in the binary
+header, and alpha and c0 only as numbers.  Neither
 format stores the latent weight draws; a loaded graph carries realized
 normalized weights size * sqrt(n/m) instead, so layer decompositions of a
 reloaded graph can differ marginally from those of the in-memory instance
@@ -32,6 +35,7 @@ that wrote it.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import struct
 from dataclasses import dataclass
@@ -177,6 +181,14 @@ def _write_json(path, inc, alpha, c0, seed):
         fh.write("\n")
 
 
+# (key, accepted types, description) of the scalar fields.  The checks use
+# type(), not isinstance(): JSON true and false load as bool, a subclass of
+# int, and a float or a string must not pass for an integer either.
+_JSON_FIELDS = (("n", (int,), "an integer"), ("m", (int,), "an integer"),
+                ("seed", (int,), "an integer"), ("alpha", (int, float), "a number"),
+                ("c0", (int, float), "a number"))
+
+
 def _read_json(path):
     with open(path) as fh:
         try:
@@ -187,19 +199,27 @@ def _read_json(path):
         raise GraphFormatError(f"{path}: not a rig-json document")
     if doc.get("version") != JSON_VERSION:
         raise GraphFormatError(f"{path}: unsupported version {doc.get('version')}")
-    try:
-        n, m = int(doc["n"]), int(doc["m"])
-        sets = doc["sets"]
-        fields = dict(n=n, m=m, alpha=float(doc["alpha"]),
-                      c0=float(doc["c0"]), seed=int(doc["seed"]),
-                      version=JSON_VERSION)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise GraphFormatError(f"{path}: missing or malformed field ({exc})") from exc
-    header = _checked_header(path, **fields)
-    if not isinstance(sets, list):
-        raise GraphFormatError(f"{path}: sets must be a list")
+    fields = {}
+    for key, kinds, what in _JSON_FIELDS:
+        if key not in doc:
+            raise GraphFormatError(f"{path}: missing field {key!r}")
+        if type(doc[key]) not in kinds:
+            raise GraphFormatError(f"{path}: field {key!r} must be {what}, "
+                                   f"got {doc[key]!r}")
+        fields[key] = float(doc[key]) if float in kinds else doc[key]
+    if not 0 <= fields["seed"] < 2**64:
+        raise GraphFormatError(f"{path}: field 'seed' must lie in [0, 2**64), "
+                               f"got {fields['seed']}")
+    header = _checked_header(path, version=JSON_VERSION, **fields)
+    n, m, sets = header.n, header.m, doc.get("sets")
+    if type(sets) is not list or any(type(s) is not list for s in sets):
+        raise GraphFormatError(f"{path}: field 'sets' must be a list of lists")
     if len(sets) != n:
         raise GraphFormatError(f"{path}: expected {n} sets, found {len(sets)}")
+    kinds = set(map(type, itertools.chain.from_iterable(sets)))
+    if kinds - {int}:
+        raise GraphFormatError(f"{path}: field 'sets' must hold integers only, "
+                               f"found {sorted(k.__name__ for k in kinds - {int})}")
     try:
         inc = BipartiteIncidence.from_sets(n, m, sets)
     except (ValueError, TypeError, OverflowError) as exc:

@@ -110,7 +110,7 @@ def hub_battery():
     for v in sample:
         v = int(v)
         exact = int(hub_dist[v]) if hub_dist[v] != UNREACHED else None
-        certs.append((v, exact, loglog_certificate(inc, dec, v, um, um)))
+        certs.append((v, exact, loglog_certificate(inc, dec, v, um)))
     return {"n": n, "inc": inc, "k_star": th.k_star,
             "pair_hops": pair_hops, "certs": certs}
 

@@ -210,6 +210,49 @@ def test_hostile_graph_file(tmp_path, capsys, offset, fmt, value, message):
         read_graph(bad)
 
 
+def crafted_json_graph(tmp_path, key, value):
+    """The little graph of crafted_graph as rig-json, one field replaced."""
+    inc = BipartiteIncidence.from_sets(3, 50, [[1, 7], [7], []])
+    path = tmp_path / "crafted.json"
+    write_graph(path, inc, 0.5, 1.0, seed=0, fmt="json")
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+# each value once loaded as a different but valid graph or header
+@pytest.mark.parametrize("key,value,message", [
+    ("sets", [[1, 7], [0.9, 7], []], "field 'sets' must hold integers only, found ['float']"),
+    ("sets", [[True, 7], [7], []], "field 'sets' must hold integers only, found ['bool']"),
+    ("n", 3.7, "field 'n' must be an integer, got 3.7"),
+    ("n", "3", "field 'n' must be an integer, got '3'"),
+    ("m", True, "field 'm' must be an integer, got True"),
+    ("alpha", "0.5", "field 'alpha' must be a number, got '0.5'"),
+    ("c0", True, "field 'c0' must be a number, got True"),
+    ("seed", 2**70, "field 'seed' must lie in [0, 2**64), got 1180591620717411303424"),
+    ("seed", -1, "field 'seed' must lie in [0, 2**64), got -1"),
+    ("seed", 1.0, "field 'seed' must be an integer, got 1.0"),
+], ids=["attr_0.9", "attr_true", "n_3.7", "n_string", "m_true", "alpha_string",
+        "c0_true", "seed_2p70", "seed_negative", "seed_float"])
+def test_hostile_json_graph_file(tmp_path, capsys, key, value, message):
+    bad = crafted_json_graph(tmp_path, key, value)
+    path = write_config(tmp_path)
+    rc = cli.main(["hubpath", "--config", path, "--graph", bad])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    with pytest.raises(GraphFormatError, match=key):
+        read_graph(bad)
+
+
+def test_json_graph_bounds_and_number_kinds(tmp_path):
+    # the largest u64 seed fits the binary header; an integer c0 is a number
+    inc, header, _ = read_graph(crafted_json_graph(tmp_path, "seed", 2**64 - 1))
+    assert header.seed == 2**64 - 1
+    _, header, _ = read_graph(crafted_json_graph(tmp_path, "c0", 1))
+    assert header.c0 == 1.0 and isinstance(header.c0, float)
+
+
 # --- happy paths -------------------------------------------------------------
 
 

@@ -264,8 +264,9 @@ def test_run_hubpath_u_max_sample(tmp_path):
 
 
 def test_hub_samples_reuse_the_hub_bfs(tmp_path, monkeypatch):
-    # each record equals the certificate that runs its own BFS, and
-    # hub_samples itself runs none: the exact distances come from hub_dist
+    # each record equals a fresh certificate, and each exact distance the
+    # pair BFS to u_max; hub_samples itself runs no pair BFS: the exact
+    # distances come from hub_dist
     from rigkit import graphops
     from rigkit.hubnav import loglog_certificate
 
@@ -277,6 +278,7 @@ def test_hub_samples_reuse_the_hub_bfs(tmp_path, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(graphops, "bfs_distance", counting)
+    monkeypatch.setattr(harness, "bfs_distance", counting)
     trials = [
         # degenerate ladder (k* = 0), escapes into the hub core
         harness.Trial(cfg_with(tmp_path, n_values=[300]), 300, 0),
@@ -293,12 +295,11 @@ def test_hub_samples_reuse_the_hub_bfs(tmp_path, monkeypatch):
         assert error is None and len(samples) == count
         assert calls == []
         for v, exact, cert in samples:
-            ref = loglog_certificate(t.inc, t.dec, v, t.u_max, t.u_max)
-            assert cert.to_dict() == ref.to_dict()
-            assert exact == ref.exact_hops
+            assert cert == loglog_certificate(t.inc, t.dec, v, t.dec.u_max)
+            assert exact == graphops.bfs_distance(t.inc, v, t.dec.u_max).hops
             seen.add(("degenerate", degenerate))
             seen.add(("off-component", exact is None))
-            seen.add(("u_max", v == t.u_max))
+            seen.add(("u_max", v == t.dec.u_max))
         assert len(calls) == count
         calls.clear()
     assert seen == {(kind, flag) for kind in ("degenerate", "off-component", "u_max")

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from rigkit.graphgen import BipartiteIncidence, generate
+from oracles import adjacency_matrix, pair_hops_python
+from rigkit.graphgen import BipartiteIncidence, adjacent, generate
 from rigkit.graphops import bfs_distance, maximal_vertex
 from rigkit.hubnav import (
+    STAGES,
     LadderError,
     LayerThresholds,
     decompose,
@@ -149,7 +151,7 @@ def climb_toy():
 
 def test_hub_climb_full_ladder_walk():
     inc, dec = climb_toy()
-    path = hub_climb(inc, dec, 3, 0)
+    path = hub_climb(inc, dec, 3)
     assert path.vertices == [3, 2, 0]
     assert path.layer_index == [0, 1, 2]
     assert path.total_hops == 2 <= dec.k_star
@@ -157,8 +159,8 @@ def test_hub_climb_full_ladder_walk():
 
 def test_hub_climb_short_cases():
     inc, dec = climb_toy()
-    assert hub_climb(inc, dec, 2, 0).vertices == [2, 0]
-    at_apex = hub_climb(inc, dec, 0, 0)
+    assert hub_climb(inc, dec, 2).vertices == [2, 0]
+    at_apex = hub_climb(inc, dec, 0)
     assert at_apex.vertices == [0]
     assert at_apex.layer_index == [dec.k_star]
     assert at_apex.total_hops == 0
@@ -167,7 +169,7 @@ def test_hub_climb_short_cases():
 def test_hub_climb_start_outside_top_layer():
     inc, dec = climb_toy()
     with pytest.raises(ValueError):
-        hub_climb(inc, dec, 1, 0)  # tz 1 < t_k* = 10
+        hub_climb(inc, dec, 1)  # tz 1 < t_k* = 10
 
 
 def test_hub_climb_dead_end_returns_none():
@@ -176,7 +178,7 @@ def test_hub_climb_dead_end_returns_none():
     inc = BipartiteIncidence.from_sets(4, 4, [[1], [3], [0, 1], [0]])
     w = toy_weights([100.0, 1.0, 15.0, 12.0])
     dec = decompose(w, toy_ladder())
-    assert hub_climb(inc, dec, 3, 0) is None
+    assert hub_climb(inc, dec, 3) is None
 
 
 def test_hub_climb_tie_break_smallest_index():
@@ -185,7 +187,7 @@ def test_hub_climb_tie_break_smallest_index():
     inc = BipartiteIncidence.from_sets(4, 4, [[1], [0, 1, 3], [0, 1], [0]])
     w = toy_weights([100.0, 25.0, 25.0, 12.0])
     dec = decompose(w, toy_ladder())
-    path = hub_climb(inc, dec, 3, 0)
+    path = hub_climb(inc, dec, 3)
     assert path.vertices == [3, 1, 0]
     assert path.layer_index == [0, 1, 2]
     assert path.total_hops == 2
@@ -198,7 +200,7 @@ def test_hub_climb_apex_shortcut():
     inc = BipartiteIncidence.from_sets(3, 3, [[0], [2], [0, 2]])
     w = toy_weights([100.0, 1.0, 12.0])
     dec = decompose(w, toy_ladder())
-    path = hub_climb(inc, dec, 2, 0)
+    path = hub_climb(inc, dec, 2)
     assert path.vertices == [2, 0]
     assert path.total_hops == 1
 
@@ -252,10 +254,11 @@ def test_escape_bfs_distance_is_minimal(small_instances):
 
 def test_certificate_on_toy():
     inc, dec = climb_toy()
-    cert = loglog_certificate(inc, dec, 3, 2, 0)
-    assert cert.exact_hops == 1
+    cert = loglog_certificate(inc, dec, 3, 2)
+    exact = pair_hops_python(adjacency_matrix(inc), 3)[2]
+    assert exact == 1
     assert cert.certificate_hops == 3  # 0 + 2 up, 1 + 0 down
-    assert cert.certificate_hops >= cert.exact_hops
+    assert cert.certificate_hops >= exact
     assert cert.failed_stage is None
     walk = cert.walk()
     assert walk[0] == 3 and walk[-1] == 2
@@ -265,29 +268,62 @@ def test_certificate_on_toy():
 
 def test_certificate_records_failure_stage():
     inc, dec = climb_toy()
-    cert = loglog_certificate(inc, dec, 1, 3, 0)  # vertex 1 cannot escape
+    cert = loglog_certificate(inc, dec, 1, 3)  # vertex 1 cannot escape
     assert cert.certificate_hops is None
     assert cert.failed_stage == "escape_a"
-    assert cert.exact_hops is None  # 1 is disconnected from 3
+    assert cert.climb_a is None  # a failed escape leaves no climb
+    assert pair_hops_python(adjacency_matrix(inc), 1)[3] == -1  # disconnected
     assert cert.walk() is None
+    # the other end fails first when v1 can finish its half
+    cert = loglog_certificate(inc, dec, 3, 1)
+    assert cert.escape_a is not None and cert.climb_a is not None
+    assert (cert.escape_b, cert.climb_b) == (None, None)
+    assert cert.failed_stage == "escape_b"
+    assert cert.certificate_hops is None
 
 
 def test_certificate_sound_on_random_instances(small_instances):
+    # exact hops from a plain BFS on the dense adjacency matrix
+    finished = 0
     for params, inc, w in small_instances:
         th = thresholds(params.n, params.alpha, params.c0, floor=2.0)
         dec = decompose(w, th)
-        u_max = maximal_vertex(w)
+        assert dec.k_star >= 1  # the floor of 2 gives a real ladder at n = 60
+        adj = adjacency_matrix(inc)
         rng = trial_rng(17, 0, 0)
         for _ in range(10):
-            v1, v2 = rng.choice(params.n, size=2, replace=False)
-            cert = loglog_certificate(inc, dec, int(v1), int(v2), u_max)
+            v1, v2 = (int(v) for v in rng.choice(params.n, size=2, replace=False))
+            cert = loglog_certificate(inc, dec, v1, v2)
+            stages = [getattr(cert, s) for s in STAGES]
+            missing = [s for s, stage in zip(STAGES, stages) if stage is None]
+            assert cert.failed_stage == (missing[0] if missing else None)
+            for climb in (cert.climb_a, cert.climb_b):
+                if climb is not None:
+                    assert climb.total_hops <= dec.k_star
+                    assert climb.vertices[-1] == dec.u_max
             if cert.certificate_hops is None:
-                assert cert.failed_stage is not None
+                assert cert.walk() is None
                 continue
-            assert cert.exact_hops is not None
-            assert cert.certificate_hops >= cert.exact_hops
+            finished += 1
+            exact = pair_hops_python(adj, v1)[v2]
+            assert exact != -1
+            assert cert.certificate_hops == sum(s.total_hops for s in stages)
+            assert cert.certificate_hops >= exact
             walk = cert.walk()
             assert walk[0] == v1 and walk[-1] == v2
+            assert len(walk) == cert.certificate_hops + 1
+            for a, b in zip(walk, walk[1:]):
+                assert a != b and adjacent(inc, int(a), int(b))
+    assert finished > 0
+
+
+def test_decompose_apex_tie_goes_to_smallest_id():
+    # vertices 1 and 3 tie on the largest set size; vertex 0 has the
+    # largest tilde_z but a smaller set
+    w = VertexWeights(tilde_z=np.array([90.0, 30.0, 5.0, 30.0]),
+                      sizes=np.array([40, 60, 10, 60], dtype=np.int64))
+    dec = decompose(w, toy_ladder())
+    assert dec.u_max == maximal_vertex(w) == 1
 
 
 def test_degenerate_mode_climb():
@@ -302,5 +338,5 @@ def test_degenerate_mode_climb():
     assert degenerate and targets.tolist() == [0, 1]
     esc = escape_bfs(inc, dec, 2)
     assert esc.vertices == [2, 1]
-    path = hub_climb(inc, dec, 1, 0)
+    path = hub_climb(inc, dec, 1)
     assert path.vertices == [1, 0]
