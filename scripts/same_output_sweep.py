@@ -4,13 +4,14 @@ Usage, from the root of a rigkit source tree:
 
     python3 scripts/same_output_sweep.py ROOT [--src DIR]
 
-Runs 127 CLI commands, one fresh interpreter each, with the rigkit package
+Runs 154 CLI commands, one fresh interpreter each, with the rigkit package
 in DIR (default: this tree's src/):
 
 * distances, hubpath, analyze and a two-trial experiment, in JSON and in
   CSV, at n in {300, 2000, 20000} x seeds {1, 5, 9};
 * generate at the same n and seeds, as a binary and as a JSON graph file,
-  then distances, hubpath and analyze on the binary graph;
+  then distances, hubpath and analyze on each graph file; the reports of
+  the two files of one cell are the same bytes;
 * hubpath at n = 100000 with 400 samples, seeds {51, 53, 56}, where the
   ladder has a rung (k* = 1), so the climbs walk a real ladder; at the
   smaller n every certificate is degenerate (k* = 0);
@@ -59,10 +60,11 @@ def commands(bounds_config: str) -> list:
                 cmds.append((f"generate/{cell}-{graph_format}",
                              ["generate", *common, "--trials", "1",
                               "--graph-format", graph_format]))
-            graph = f"generate/{cell}-binary/graph_n{n}_t0.rig"
-            for sub in SINGLE:
-                cmds.append((f"{sub}-graph/{cell}",
-                             [sub, "--graph", graph, "--seed", str(seed)]))
+            for graph, kind in ((f"generate/{cell}-binary/graph_n{n}_t0.rig", "graph"),
+                                (f"generate/{cell}-json/graph_n{n}_t0.json", "jsongraph")):
+                for sub in SINGLE:
+                    cmds.append((f"{sub}-{kind}/{cell}",
+                                 [sub, "--graph", graph, "--seed", str(seed)]))
     for seed in LADDER_SEEDS:
         for fmt in FORMATS:
             cmds.append((f"hubpath/n100000-s{seed}-{fmt}",

@@ -15,6 +15,7 @@ from .graphgen import BipartiteIncidence, adjacent, generate
 from .graphops import (
     ComponentLabeling,
     DistanceResult,
+    TraversalCore,
     bfs_distance,
     components,
     degrees,
@@ -86,6 +87,7 @@ __all__ = [
     "LayerThresholds",
     "ModelParams",
     "TailLaw",
+    "TraversalCore",
     "VertexWeights",
     "adjacent",
     "bfs_distance",

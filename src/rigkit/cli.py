@@ -76,6 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(args: argparse.Namespace) -> ExperimentConfig:
+    if getattr(args, "trial", 0) < 0:
+        raise ConfigError(f"--trial must be a nonnegative integer, got {args.trial}")
     if args.config:
         cfg = ExperimentConfig.from_json(args.config)
     else:

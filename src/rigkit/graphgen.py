@@ -4,8 +4,9 @@ A graph instance is stored once, as a vertex-major CSR: each vertex's
 attribute ids, strictly increasing, back to back in vertex order.  Graph
 files hold the same layout.  The attribute pool can be enormous (the default
 m-rule gives m ~ n ln^2 n ln ln n), so nothing here ever allocates an array
-of length m.  The attribute side is not stored: graphops builds it, for the
-attributes held by two or more vertices only, as its cached traversal core.
+of length m.  The attribute side is not stored: graphops.TraversalCore
+builds it from an incidence, for the attributes held by two or more
+vertices only.
 The vertex-vertex edge list is likewise never materialized: heavy vertices
 share attributes with thousands of others and the induced cliques would blow
 up memory, so traversals run on the bipartite structure.
@@ -58,10 +59,6 @@ class BipartiteIncidence:
         Row pointer for per-vertex attribute lists.
     set_attrs : int64
         Original attribute ids, strictly increasing within each vertex.
-
-    graphops builds the attribute side it traverses (the shared-attribute
-    core) on first use and caches it in _traversal_core, so the arrays
-    above must not change once a traversal has run.
     """
 
     def __init__(self, n, m, set_indptr, set_attrs):
@@ -69,7 +66,6 @@ class BipartiteIncidence:
         self.m = int(m)
         self.set_indptr = set_indptr
         self.set_attrs = set_attrs
-        self._traversal_core = None
 
     # -- construction ------------------------------------------------------
 

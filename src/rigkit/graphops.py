@@ -33,18 +33,19 @@ It records the hop count of every vertex it reaches and of every core
 attribute (the count of the attribute's nearest holder).  It makes no via
 or owner choice, so it needs no sort: each level is scattered into the
 count arrays and read back with np.flatnonzero.  The ball of the last set
-asked about stays cached, so the searches of one trial that share their
-targets share its levels, and distances_from(u) is the completed ball of
-{u}: the hub distances leave behind the ball that the escapes to {u_max}
-then use.
+asked about stays in the core, so the searches of one trial that share
+their targets share its levels, and distances_from(u) is the completed
+ball of {u}: the hub distances leave behind the ball that the escapes to
+{u_max} then use.
 
-The core is built on first use and cached on the incidence, together with
-a visited mask over vertices and a seen mask over core attributes for each
+A TraversalCore is built once from an incidence, keeps no reference to it,
+and is passed to every function here.  Besides the two CSR sides it owns a
+visited mask over vertices and a seen mask over core attributes for each
 of the two sides of a search, and the target ball's arrays: n + num_attrs
 int64 counts and an n-byte membership mask.  A query allocates in
 proportion to what it scans, and on the way out clears only the mask
 entries it set; a ball for a new target set clears the ball's arrays.  At
-n = 1e5 the cache holds about 14.5 MB, 2.8 MB of it the ball.
+n = 1e5 a core holds about 14.5 MB, 2.8 MB of it the ball.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from .model import VertexWeights
 __all__ = [
     "ComponentLabeling",
     "DistanceResult",
+    "TraversalCore",
     "components",
     "bfs_distance",
     "distances_from",
@@ -93,14 +95,7 @@ class ComponentLabeling:
         return np.flatnonzero(self.labels == self.giant)
 
 
-def _core(inc: BipartiteIncidence) -> "_TraversalCore":
-    """The incidence's cached traversal core, built on first use."""
-    if inc._traversal_core is None:
-        inc._traversal_core = _TraversalCore(inc)
-    return inc._traversal_core
-
-
-class _TraversalCore:
+class TraversalCore:
     """CSR of the shared-attribute core plus the masks of two search sides.
 
     set_indptr/set_attrs list each vertex's core attributes, numbered
@@ -110,7 +105,7 @@ class _TraversalCore:
     (length n) and seen[side] (length num_attrs) are all False between
     queries.  ball is the target ball of the last source set that
     nearest_of or distances_from asked about (it has no sources before the
-    first).
+    first).  The incidence is read once, here, and not kept.
 
     Both sides come from packed int64 sorts: attribute * n + vertex, then
     vertex * num_attrs + core id.  Attribute ids are below m and
@@ -179,7 +174,7 @@ def _first_by(keys: np.ndarray, vals: np.ndarray, base: int):
     return keys[keep], packed[keep] % base
 
 
-def _hop(core: _TraversalCore, verts: np.ndarray, attr_mark: np.ndarray,
+def _hop(core: TraversalCore, verts: np.ndarray, attr_mark: np.ndarray,
          attr_want: int, vert_mark: np.ndarray, vert_want: int) -> tuple:
     """One intersection hop out of the sorted vertices verts, as a level.
 
@@ -215,7 +210,7 @@ class _Search:
     before the masks serve another search.
     """
 
-    def __init__(self, core: _TraversalCore, side: int, source: int):
+    def __init__(self, core: TraversalCore, side: int, source: int):
         self.core = core
         self.visited = core.visited[side]
         self.seen = core.seen[side]
@@ -278,7 +273,7 @@ class _TargetBall:
     every restart.
     """
 
-    def __init__(self, core: _TraversalCore):
+    def __init__(self, core: TraversalCore):
         self.core = core
         self.sources = _EMPTY
         self.dist = np.empty(core.n, dtype=np.int64)
@@ -330,12 +325,12 @@ class _TargetBall:
         return levels
 
 
-def _check_vertex(inc: BipartiteIncidence, x: int) -> None:
-    if not (0 <= x < inc.n):
+def _check_vertex(core: TraversalCore, x: int) -> None:
+    if not (0 <= x < core.n):
         raise ValueError(f"vertex {x} out of range")
 
 
-def components(inc: BipartiteIncidence) -> ComponentLabeling:
+def components(core: TraversalCore) -> ComponentLabeling:
     """Label connected components of the intersection graph.
 
     Min-label hook and compress (Shiloach-Vishkin) on the core's
@@ -357,7 +352,6 @@ def components(inc: BipartiteIncidence) -> ComponentLabeling:
     then the count of roots up to its own, minus one: a cumulative sum, with
     no sort.
     """
-    core = _core(inc)
     ids = np.arange(core.n, dtype=np.int64)
     label = ids.copy()
     attr_of = np.repeat(np.arange(core.num_attrs), np.diff(core.attr_indptr))
@@ -388,7 +382,7 @@ class DistanceResult:
     path: Optional[list]
 
 
-def bfs_distance(inc: BipartiteIncidence, u: int, v: int) -> DistanceResult:
+def bfs_distance(core: TraversalCore, u: int, v: int) -> DistanceResult:
     """Shortest path between two vertices; hops=None when disconnected.
 
     Balanced bidirectional BFS: each step expands, by one full hop, the side
@@ -396,11 +390,10 @@ def bfs_distance(inc: BipartiteIncidence, u: int, v: int) -> DistanceResult:
     search ends with the first level that meets the other side.  The path
     runs through the smallest-id meeting vertex.
     """
-    _check_vertex(inc, u)
-    _check_vertex(inc, v)
+    _check_vertex(core, u)
+    _check_vertex(core, v)
     if u == v:
         return DistanceResult(hops=0, path=[int(u)])
-    core = _core(inc)
     fwd, bwd = _Search(core, 0, u), _Search(core, 1, v)
     try:
         while True:
@@ -427,20 +420,20 @@ def bfs_distance(inc: BipartiteIncidence, u: int, v: int) -> DistanceResult:
         bwd.reset()
 
 
-def distances_from(inc: BipartiteIncidence, u: int) -> np.ndarray:
+def distances_from(core: TraversalCore, u: int) -> np.ndarray:
     """Hop counts from u to every vertex; UNREACHED (-1) where no path.
 
     Grows the cached target ball of {u} to completion and returns a copy of
-    its distances, so a later nearest_of(inc, v, [u]) starts from a full ball.
+    its distances, so a later nearest_of(core, v, [u]) starts from a full ball.
     """
-    _check_vertex(inc, u)
-    ball = _core(inc).ball_around(np.array([u], dtype=np.int64))
+    _check_vertex(core, u)
+    ball = core.ball_around(np.array([u], dtype=np.int64))
     while ball.frontier.size:
         ball.grow()
     return ball.dist.copy()
 
 
-def nearest_of(inc: BipartiteIncidence, source: int, targets: np.ndarray) -> DistanceResult:
+def nearest_of(core: TraversalCore, source: int, targets: np.ndarray) -> DistanceResult:
     """Shortest path from source to the nearest member of targets.
 
     The path is the route a one-sided BFS from source would trace: ties go
@@ -459,10 +452,9 @@ def nearest_of(inc: BipartiteIncidence, source: int, targets: np.ndarray) -> Dis
     targets = np.asarray(targets, dtype=np.int64)
     if targets.size == 0:
         raise ValueError("targets must be nonempty")
-    _check_vertex(inc, source)
-    if targets.min() < 0 or targets.max() >= inc.n:
+    _check_vertex(core, source)
+    if targets.min() < 0 or targets.max() >= core.n:
         raise ValueError("targets out of range")
-    core = _core(inc)
     ball = core.ball_around(targets)
     search = _Search(core, 0, source)
     try:
@@ -501,26 +493,24 @@ def maximal_vertex(weights: VertexWeights) -> int:
     return int(np.argmax(weights.sizes))
 
 
-def neighbors(inc: BipartiteIncidence, u: int) -> np.ndarray:
+def neighbors(core: TraversalCore, u: int) -> np.ndarray:
     """Sorted neighbours of u: every other vertex sharing an attribute."""
-    _check_vertex(inc, u)
-    core = _core(inc)
+    _check_vertex(core, u)
     attrs = core.set_attrs[core.set_indptr[u]:core.set_indptr[u + 1]]
     verts, _ = concat_ranges(core.attr_indptr, core.attr_vertices, attrs)
     verts = _sorted_unique(verts)
     return verts[verts != u]
 
 
-def unique_edges(inc: BipartiteIncidence) -> np.ndarray:
+def unique_edges(core: TraversalCore) -> np.ndarray:
     """All intersection-graph edges as an (E, 2) array with u < v.
 
     Expands each core attribute into its vertex pairs and dedups.  Intended
     for the sparse-overlap regime (m well above n); an attribute shared by
     k vertices contributes k(k-1)/2 raw pairs.
     """
-    core = _core(inc)
     counts = np.diff(core.attr_indptr)
-    n = inc.n
+    n = core.n
     keys = []
     for k in np.unique(counts):
         which = np.flatnonzero(counts == k)
@@ -535,9 +525,9 @@ def unique_edges(inc: BipartiteIncidence) -> np.ndarray:
     return np.column_stack((pairs // n, pairs % n))
 
 
-def degrees(inc: BipartiteIncidence) -> np.ndarray:
+def degrees(core: TraversalCore) -> np.ndarray:
     """Intersection-graph degree of every vertex."""
-    edges = unique_edges(inc)
-    deg = np.bincount(edges[:, 0], minlength=inc.n)
-    deg += np.bincount(edges[:, 1], minlength=inc.n)
+    edges = unique_edges(core)
+    deg = np.bincount(edges[:, 0], minlength=core.n)
+    deg += np.bincount(edges[:, 1], minlength=core.n)
     return deg

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import storage
 from .graphgen import PACK_LIMIT, generate
-from .graphops import UNREACHED, bfs_distance, components, distances_from
+from .graphops import UNREACHED, TraversalCore, bfs_distance, components, distances_from
 from .hubnav import LadderError, decompose, loglog_certificate, thresholds
 from .model import ModelParams, default_attribute_count, iterated_log, trial_rng
 from .verify import (
@@ -168,10 +168,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
+        # ValueError covers invalid JSON, invalid UTF-8 and integer literals
+        # past Python's digit limit; RecursionError, deeply nested arrays
         try:
             with open(path) as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"{path}: cannot read config ({exc})") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
@@ -217,16 +219,17 @@ def _sample_pairs(pool: np.ndarray, count: int, rng: np.random.Generator):
 
 
 class Trial:
-    """One (n, trial) instance with its components, ladder and stream.
+    """One (n, trial) instance: its traversal core, components, ladder and stream.
 
     A fresh instance consumes the trial stream for weights and subsets and
     keeps drawing from it; a graph file gets a fresh stream from the same
-    splitting rule.  Callers draw pairs before hub vertices.
+    splitting rule.  The core is built once from the incidence, which is
+    not kept.  Callers draw pairs before hub vertices.
     """
 
     def __init__(self, cfg: ExperimentConfig, n: int, trial: int, graph_path=None):
         if graph_path is not None:
-            self.inc, header, self.weights = storage.read_graph(graph_path)
+            inc, header, self.weights = storage.read_graph(graph_path)
             self.params = header.params()
             self.seed = header.seed
             self.rng = trial_rng(cfg.seed, self.params.n, trial)
@@ -234,9 +237,10 @@ class Trial:
             self.params = cfg.params_for(n)
             self.seed = cfg.seed
             self.rng = trial_rng(cfg.seed, n, trial)
-            self.inc, self.weights = generate(self.params, self.rng)
+            inc, self.weights = generate(self.params, self.rng)
+        self.core = TraversalCore(inc)
         p = self.params
-        self.comp = components(self.inc)
+        self.comp = components(self.core)
         self.dec = decompose(self.weights, thresholds(p.n, p.alpha, p.c0, cfg.hub_floor))
         self.giant_size = int(self.comp.sizes[self.comp.giant])
         labels, giant = self.comp.labels, self.comp.giant
@@ -261,8 +265,8 @@ class Trial:
         if giant.shape[0] >= 2:
             for u, v in _sample_pairs(giant, count, self.rng):
                 u, v = int(u), int(v)
-                sampled.append((u, v, bfs_distance(self.inc, u, v).hops))
-        fixed = bfs_distance(self.inc, 0, 1).hops if self.fixed_in_giant else None
+                sampled.append((u, v, bfs_distance(self.core, u, v).hops))
+        fixed = bfs_distance(self.core, 0, 1).hops if self.fixed_in_giant else None
         return sampled, fixed
 
     def hub_samples(self, count: int):
@@ -278,13 +282,13 @@ class Trial:
         except LadderError as exc:
             return True, str(exc), []
         u_max = self.dec.u_max
-        hub_dist = distances_from(self.inc, u_max)
+        hub_dist = distances_from(self.core, u_max)
         n = self.params.n
         samples = []
         for v in self.rng.choice(n, size=count, replace=count > n):
             v = int(v)
             exact = None if hub_dist[v] == UNREACHED else int(hub_dist[v])
-            samples.append((v, exact, loglog_certificate(self.inc, self.dec, v, u_max)))
+            samples.append((v, exact, loglog_certificate(self.core, self.dec, v, u_max)))
         return bool(degenerate), None, samples
 
 
@@ -371,7 +375,7 @@ def run_analyze(cfg: ExperimentConfig, graph_path=None) -> dict:
         "k_star": t.dec.k_star,
         "hub_core_size": int(t.dec.hub_core.shape[0]),
         "layer_sizes": [int(layer.shape[0]) for layer in t.dec.layers],
-        "degree_tail": degree_tail_report(t.inc).to_dict(),
+        "degree_tail": degree_tail_report(t.core).to_dict(),
     }
 
 
@@ -385,7 +389,7 @@ def run_distances(cfg: ExperimentConfig, n: Optional[int] = None,
     t = Trial(cfg, n if n is not None else cfg.n_values[0], trial, graph_path)
     bound = cfg.pair_bound(t.params.n)
     empty = t.giant_size < 2
-    sampled, fixed = ([], None) if empty else t.pairs(cfg.pairs_per_trial)
+    sampled, fixed = t.pairs(cfg.pairs_per_trial)
     return {
         **t.header("distances"),
         "trial": trial,

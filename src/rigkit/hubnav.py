@@ -28,8 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from .graphgen import BipartiteIncidence, _sorted_unique
-from .graphops import maximal_vertex, nearest_of, neighbors
+from .graphgen import _sorted_unique
+from .graphops import TraversalCore, maximal_vertex, nearest_of, neighbors
 from .model import VertexWeights, iterated_log
 
 __all__ = [
@@ -206,21 +206,21 @@ class HubPath:
                 "total_hops": self.total_hops}
 
 
-def escape_bfs(inc: BipartiteIncidence, dec: LayerDecomposition, v: int) -> Optional[HubPath]:
+def escape_bfs(core: TraversalCore, dec: LayerDecomposition, v: int) -> Optional[HubPath]:
     """Shortest route from v into the widest layer (or V0 in degenerate mode).
 
     Returns None when v has no path to any target; raises LadderError when
     there is no target set at all.
     """
     targets, _ = dec.escape_targets()
-    res = nearest_of(inc, v, targets)
+    res = nearest_of(core, v, targets)
     if res.hops is None:
         return None
     return HubPath(vertices=res.path,
                    layer_index=[dec.layer_index_of(u) for u in res.path])
 
 
-def hub_climb(inc: BipartiteIncidence, dec: LayerDecomposition,
+def hub_climb(core: TraversalCore, dec: LayerDecomposition,
               start: int) -> Optional[HubPath]:
     """Greedy rung-by-rung climb from the widest layer to the apex dec.u_max.
 
@@ -233,7 +233,7 @@ def hub_climb(inc: BipartiteIncidence, dec: LayerDecomposition,
     returns None: failure is a data outcome, not an exception.
     """
     k_star, u_max = dec.k_star, dec.u_max
-    if not (0 <= start < inc.n):
+    if not (0 <= start < core.n):
         raise ValueError("vertex out of range")
     if k_star >= 1 and dec.tilde_z[start] < dec.th.t[k_star - 1]:
         raise ValueError("climb must start inside the widest layer")
@@ -242,7 +242,7 @@ def hub_climb(inc: BipartiteIncidence, dec: LayerDecomposition,
     while path[-1] != u_max:
         target_level = dec.level_of(path[-1]) - 1
         floor = dec.th.t[target_level - 1] if target_level else math.inf
-        nbrs = neighbors(inc, path[-1])
+        nbrs = neighbors(core, path[-1])
         qual = nbrs[dec.tilde_z[nbrs] >= floor]
         pos = np.searchsorted(nbrs, u_max)
         if pos < nbrs.shape[0] and nbrs[pos] == u_max:
@@ -306,16 +306,16 @@ class CertificateRecord:
         return out
 
 
-def _half(inc: BipartiteIncidence, dec: LayerDecomposition, v: int) -> tuple:
+def _half(core: TraversalCore, dec: LayerDecomposition, v: int) -> tuple:
     """(escape, climb) from v to the apex; climb is None when escape is."""
-    esc = escape_bfs(inc, dec, v)
-    return esc, None if esc is None else hub_climb(inc, dec, esc.vertices[-1])
+    esc = escape_bfs(core, dec, v)
+    return esc, None if esc is None else hub_climb(core, dec, esc.vertices[-1])
 
 
-def loglog_certificate(inc: BipartiteIncidence, dec: LayerDecomposition,
+def loglog_certificate(core: TraversalCore, dec: LayerDecomposition,
                        v1: int, v2: int) -> CertificateRecord:
     """The two-sided certificate: one escape-and-climb half from each end."""
-    escape_a, climb_a = _half(inc, dec, v1)
-    escape_b, climb_b = _half(inc, dec, v2)
+    escape_a, climb_a = _half(core, dec, v1)
+    escape_b, climb_b = _half(core, dec, v2)
     return CertificateRecord(v1=int(v1), v2=int(v2), escape_a=escape_a,
                              climb_a=climb_a, escape_b=escape_b, climb_b=climb_b)

@@ -190,10 +190,12 @@ _JSON_FIELDS = (("n", (int,), "an integer"), ("m", (int,), "an integer"),
 
 
 def _read_json(path):
+    # ValueError covers invalid JSON, invalid UTF-8 and integer literals past
+    # Python's digit limit; RecursionError, deeply nested arrays
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise GraphFormatError(f"{path}: invalid JSON ({exc})") from exc
     if doc.get("format") != "rig-json":
         raise GraphFormatError(f"{path}: not a rig-json document")

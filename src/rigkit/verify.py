@@ -28,8 +28,8 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import gammaln
 
-from .graphgen import BipartiteIncidence, sample_incidence
-from .graphops import degrees
+from .graphgen import sample_incidence
+from .graphops import TraversalCore, degrees
 from .model import TailLaw, iterated_log
 
 __all__ = [
@@ -609,11 +609,11 @@ class DegreeTailReport:
         }
 
 
-def degree_tail_report(inc: BipartiteIncidence, min_support: int = 50,
+def degree_tail_report(core: TraversalCore, min_support: int = 50,
                        points_per_decade: int = 8) -> DegreeTailReport:
     """Degree survival table and fitted tail exponent (target -(1+alpha))."""
-    deg = degrees(inc)
-    n = inc.n
+    deg = degrees(core)
+    n = core.n
     dmax = int(deg.max()) if deg.size else 0
     if dmax < 1:
         grid = np.array([1], dtype=np.int64)

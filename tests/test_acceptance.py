@@ -19,7 +19,7 @@ import pytest
 
 from rigkit import harness
 from rigkit.graphgen import adjacent, generate
-from rigkit.graphops import (UNREACHED, bfs_distance, components,
+from rigkit.graphops import (UNREACHED, TraversalCore, bfs_distance, components,
                              distances_from, maximal_vertex, neighbors)
 from rigkit.harness import ExperimentConfig
 from rigkit.hubnav import decompose, loglog_certificate, threshold_rung, thresholds
@@ -69,7 +69,7 @@ def battery40():
         for trial in range(20):
             rng = trial_rng(SEED, n, trial)
             inc, w = generate(params, rng)
-            comp = components(inc)
+            comp = components(TraversalCore(inc))
             dec = decompose(w, th)
             um = maximal_vertex(w)
             v0 = dec.hub_core
@@ -92,7 +92,8 @@ def hub_battery():
     n = 100_000
     params = ModelParams(n=n, m=default_attribute_count(n), alpha=ALPHA, c0=C0)
     inc, w = generate(params, trial_rng(SEED, n, 0))
-    comp = components(inc)
+    core = TraversalCore(inc)
+    comp = components(core)
     th = thresholds(n, ALPHA, C0)
     dec = decompose(w, th)
     um = maximal_vertex(w)
@@ -102,15 +103,15 @@ def hub_battery():
     pair_hops = []
     for _ in range(200):
         u, v = pair_rng.choice(giant, size=2, replace=False)
-        pair_hops.append(bfs_distance(inc, int(u), int(v)).hops)
+        pair_hops.append(bfs_distance(core, int(u), int(v)).hops)
 
-    hub_dist = distances_from(inc, um)
+    hub_dist = distances_from(core, um)
     sample = pair_rng.choice(n, size=200, replace=False)
     certs = []
     for v in sample:
         v = int(v)
         exact = int(hub_dist[v]) if hub_dist[v] != UNREACHED else None
-        certs.append((v, exact, loglog_certificate(inc, dec, v, um)))
+        certs.append((v, exact, loglog_certificate(core, dec, v, um)))
     return {"n": n, "inc": inc, "k_star": th.k_star,
             "pair_hops": pair_hops, "certs": certs}
 
@@ -123,15 +124,16 @@ def median_ladder():
         params = ModelParams(n=n, m=default_attribute_count(n),
                              alpha=ALPHA, c0=C0)
         inc, _ = generate(params, trial_rng(SEED, n, 0))
-        comp = components(inc)
+        core = TraversalCore(inc)
+        comp = components(core)
         giant = comp.giant_vertices()
         prng = trial_rng(SEED, n, 10**6)
         hops = []
         for _ in range(200):
             u, v = prng.choice(giant, size=2, replace=False)
-            hops.append(bfs_distance(inc, int(u), int(v)).hops)
+            hops.append(bfs_distance(core, int(u), int(v)).hops)
         med[n] = float(np.median([h for h in hops if h is not None]))
-        del inc, comp
+        del inc, core, comp
     return med
 
 
@@ -193,20 +195,21 @@ def test_criterion_03_small_instance_oracles():
         rng = trial_rng(SEED, 200, trial)
         inc, _ = generate(params, rng)
         adj = adjacency_matrix(inc)
+        core = TraversalCore(inc)
 
-        comp = components(inc)
+        comp = components(core)
         comp_bad += not np.array_equal(comp.labels, component_labels_bfs(adj))
 
         hops = all_pairs_hops(adj)
         for _ in range(2):
             u, v = (int(x) for x in rng.choice(200, size=2, replace=False))
-            got = bfs_distance(inc, u, v).hops
+            got = bfs_distance(core, u, v).hops
             want = None if np.isinf(hops[u, v]) else int(hops[u, v])
             pair_bad += got != want
             pairs_checked += 1
 
         for v in range(200):
-            if not np.array_equal(np.sort(neighbors(inc, v)),
+            if not np.array_equal(np.sort(neighbors(core, v)),
                                   np.flatnonzero(adj[v])):
                 nbr_bad += 1
     ok = comp_bad == pair_bad == nbr_bad == 0

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from rigkit import cli, report_schema
 from rigkit.graphgen import BipartiteIncidence
-from rigkit.harness import ExperimentConfig
+from rigkit.harness import ConfigError, ExperimentConfig
 from rigkit.storage import GraphFormatError, read_graph, write_graph
 
 jsonschema = pytest.importorskip("jsonschema")
@@ -60,6 +60,36 @@ def test_invalid_json_config(tmp_path, capsys):
     path.write_text("{nope")
     assert cli.main(["analyze", "--config", str(path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+# files that json.load rejects with something other than JSONDecodeError: an
+# integer past Python's 4300-digit limit (ValueError), nesting past the
+# recursion limit (RecursionError) and a byte that is not UTF-8
+# (UnicodeDecodeError); each starts with "{", as a rig-json graph does
+MALFORMED_JSON = {
+    "int_5000_digits": b'{"seed": ' + b"9" * 5000 + b"}",
+    "nested_200000": b'{"seed": ' + b"[" * 200_000,
+    "invalid_utf8": b'{"seed": "\xff"}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_JSON))
+def test_malformed_json_config(tmp_path, capsys, name):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(MALFORMED_JSON[name])
+    assert cli.main(["analyze", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: cannot read config (")
+    with pytest.raises(ConfigError, match="cannot read config"):
+        ExperimentConfig.from_json(path)
+
+
+@pytest.mark.parametrize("command", ["distances", "hubpath"])
+def test_negative_trial_is_a_config_error(tmp_path, capsys, command):
+    rc = cli.main([command, "-n", "50", "--trial", "-1", "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: --trial must be a nonnegative integer, got -1\n")
+    assert not any(tmp_path.iterdir())
 
 
 def test_config_fails_validation(tmp_path, capsys):
@@ -242,6 +272,17 @@ def test_hostile_json_graph_file(tmp_path, capsys, key, value, message):
     assert rc == 2
     assert message in capsys.readouterr().err
     with pytest.raises(GraphFormatError, match=key):
+        read_graph(bad)
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_JSON))
+def test_malformed_json_graph_file(tmp_path, capsys, name):
+    bad = tmp_path / "crafted.json"
+    bad.write_bytes(MALFORMED_JSON[name])
+    path = write_config(tmp_path)
+    assert cli.main(["hubpath", "--config", path, "--graph", str(bad)]) == 2
+    assert f"{bad}: invalid JSON (" in capsys.readouterr().err
+    with pytest.raises(GraphFormatError, match="invalid JSON"):
         read_graph(bad)
 
 

@@ -15,7 +15,7 @@ from rigkit.graphgen import (
     generate,
     sample_incidence,
 )
-from rigkit.graphops import neighbors
+from rigkit.graphops import TraversalCore, neighbors
 from rigkit.model import ModelParams, default_attribute_count, trial_rng
 
 from oracles import (adjacency_matrix, explicit_sets, sample_incidence_reference,
@@ -236,8 +236,9 @@ def test_adjacent_and_neighbors_against_brute_force(medium_instance):
     for _ in range(400):
         u, v = rng.choice(params.n, size=2, replace=False)
         assert adjacent(inc, int(u), int(v)) == bool(adj[u, v])
+    core = TraversalCore(inc)
     for u in range(0, params.n, 10):
-        assert neighbors(inc, u).tolist() == np.flatnonzero(adj[u]).tolist()
+        assert neighbors(core, u).tolist() == np.flatnonzero(adj[u]).tolist()
 
 
 def test_adjacent_requires_distinct():
@@ -248,7 +249,7 @@ def test_adjacent_requires_distinct():
 
 def test_empty_set_is_isolated():
     inc = BipartiteIncidence.from_sets(3, 9, [[], [1, 2], [2]])
-    assert neighbors(inc, 0).shape == (0,)
+    assert neighbors(TraversalCore(inc), 0).shape == (0,)
     assert not adjacent(inc, 0, 1)
     assert adjacent(inc, 1, 2)
 

@@ -4,6 +4,7 @@ import pytest
 from rigkit.graphgen import BipartiteIncidence, adjacent, generate
 from rigkit.graphops import (
     UNREACHED,
+    TraversalCore,
     bfs_distance,
     components,
     degrees,
@@ -29,32 +30,32 @@ def path_graph(k: int) -> BipartiteIncidence:
 
 
 def test_path_graph_distances():
-    inc = path_graph(5)
-    res = bfs_distance(inc, 0, 4)
+    core = TraversalCore(path_graph(5))
+    res = bfs_distance(core, 0, 4)
     assert res.hops == 4
     assert res.path == [0, 1, 2, 3, 4]
-    assert bfs_distance(inc, 2, 2).hops == 0
-    d = distances_from(inc, 0)
+    assert bfs_distance(core, 2, 2).hops == 0
+    d = distances_from(core, 0)
     assert d.tolist() == [0, 1, 2, 3, 4]
 
 
 def test_disconnected_components():
-    inc = BipartiteIncidence.from_sets(5, 10, [[0], [0], [5], [5], []])
-    comp = components(inc)
+    core = TraversalCore(BipartiteIncidence.from_sets(5, 10, [[0], [0], [5], [5], []]))
+    comp = components(core)
     assert comp.count == 3
     assert comp.labels.tolist() == [0, 0, 1, 1, 2]
     assert comp.sizes.tolist() == [2, 2, 1]
     # tie between the two 2-vertex components: smallest label wins
     assert comp.giant == 0
     assert comp.giant_fraction() == pytest.approx(0.4)
-    assert bfs_distance(inc, 0, 2).hops is None
-    assert bfs_distance(inc, 0, 2).path is None
+    assert bfs_distance(core, 0, 2).hops is None
+    assert bfs_distance(core, 0, 2).path is None
 
 
 def test_components_canonical_order():
     # vertex 0 must always carry label 0, first unseen vertex the next label
     inc = BipartiteIncidence.from_sets(6, 20, [[3], [7], [3], [9], [7], [9]])
-    comp = components(inc)
+    comp = components(TraversalCore(inc))
     assert comp.labels.tolist() == [0, 1, 0, 2, 1, 2]
 
 
@@ -62,7 +63,7 @@ def test_components_match_bfs_oracle(small_instances):
     for params, inc, w in small_instances:
         adj = adjacency_matrix(inc)
         expect = component_labels_bfs(adj)
-        got = components(inc)
+        got = components(TraversalCore(inc))
         assert np.array_equal(got.labels, expect)
         assert np.array_equal(got.sizes, np.bincount(expect))
 
@@ -131,7 +132,7 @@ LONG_DIAMETER = {
 def test_components_large_diameter_match_bfs_oracle(name):
     inc = LONG_DIAMETER[name]
     expect = component_labels_bfs(adjacency_matrix(inc))
-    got = components(inc)
+    got = components(TraversalCore(inc))
     assert np.array_equal(got.labels, expect)
     assert np.array_equal(got.sizes, np.bincount(expect))
     assert got.giant == int(np.argmax(np.bincount(expect)))
@@ -141,10 +142,11 @@ def test_distances_match_floyd_warshall(small_instances):
     for params, inc, w in small_instances:
         adj = adjacency_matrix(inc)
         fw = all_pairs_hops(adj)
+        core = TraversalCore(inc)
         rng = trial_rng(31, 0, 0)
         for _ in range(40):
             u, v = rng.choice(params.n, size=2, replace=False)
-            res = bfs_distance(inc, int(u), int(v))
+            res = bfs_distance(core, int(u), int(v))
             expect = fw[u, v]
             if np.isinf(expect):
                 assert res.hops is None
@@ -155,16 +157,18 @@ def test_distances_match_floyd_warshall(small_instances):
 def test_distances_from_matches_single_source(small_instances):
     params, inc, w = small_instances[0]
     adj = adjacency_matrix(inc)
+    core = TraversalCore(inc)
     for s in (0, 13, 59):
-        assert np.array_equal(distances_from(inc, s), pair_hops_python(adj, s))
+        assert np.array_equal(distances_from(core, s), pair_hops_python(adj, s))
 
 
 def test_shortest_path_is_a_real_walk(small_instances):
     for params, inc, w in small_instances:
+        core = TraversalCore(inc)
         rng = trial_rng(47, 0, 0)
         for _ in range(20):
             u, v = rng.choice(params.n, size=2, replace=False)
-            res = bfs_distance(inc, int(u), int(v))
+            res = bfs_distance(core, int(u), int(v))
             if res.hops is None:
                 continue
             assert len(res.path) == res.hops + 1
@@ -176,26 +180,27 @@ def test_shortest_path_is_a_real_walk(small_instances):
 
 def test_finite_distance_iff_same_component(small_instances):
     params, inc, w = small_instances[1]
-    comp = components(inc)
-    d = distances_from(inc, 0)
+    core = TraversalCore(inc)
+    comp = components(core)
+    d = distances_from(core, 0)
     same = comp.labels == comp.labels[0]
     assert np.array_equal(d != UNREACHED, same)
 
 
 def test_nearest_of_min_distance_and_tie_break():
-    inc = path_graph(7)
+    core = TraversalCore(path_graph(7))
     # targets at distance 2 (vertex 1) and 2 (vertex 5) from 3: tie -> id 1
-    res = nearest_of(inc, 3, np.array([5, 1]))
+    res = nearest_of(core, 3, np.array([5, 1]))
     assert res.hops == 2
     assert res.path[-1] == 1
     # target unreachable
-    inc2 = BipartiteIncidence.from_sets(3, 6, [[0], [0], [4]])
-    assert nearest_of(inc2, 0, np.array([2])).hops is None
+    core2 = TraversalCore(BipartiteIncidence.from_sets(3, 6, [[0], [0], [4]]))
+    assert nearest_of(core2, 0, np.array([2])).hops is None
     # source already a target
-    res = nearest_of(inc, 4, np.array([4, 0]))
+    res = nearest_of(core, 4, np.array([4, 0]))
     assert res.hops == 0 and res.path == [4]
     with pytest.raises(ValueError):
-        nearest_of(inc, 0, np.array([], dtype=np.int64))
+        nearest_of(core, 0, np.array([], dtype=np.int64))
 
 
 def test_maximal_vertex_first_max():
@@ -208,21 +213,22 @@ def test_unique_edges_and_degrees(small_instances):
     for params, inc, w in small_instances:
         adj = adjacency_matrix(inc)
         expect = np.argwhere(np.triu(adj, 1))
-        got = unique_edges(inc)
+        core = TraversalCore(inc)
+        got = unique_edges(core)
         assert np.array_equal(got, expect)
-        assert np.array_equal(degrees(inc), adj.sum(axis=1))
+        assert np.array_equal(degrees(core), adj.sum(axis=1))
 
 
 def test_bfs_vertex_range_checks():
-    inc = path_graph(3)
+    core = TraversalCore(path_graph(3))
     with pytest.raises(ValueError):
-        bfs_distance(inc, 0, 3)
+        bfs_distance(core, 0, 3)
     with pytest.raises(ValueError):
-        distances_from(inc, -1)
+        distances_from(core, -1)
 
 
 def test_multi_vertex_attribute_is_a_clique():
-    inc = BipartiteIncidence.from_sets(4, 5, [[2], [2], [2], [4]])
-    e = unique_edges(inc)
+    core = TraversalCore(BipartiteIncidence.from_sets(4, 5, [[2], [2], [2], [4]]))
+    e = unique_edges(core)
     assert e.tolist() == [[0, 1], [0, 2], [1, 2]]
-    assert bfs_distance(inc, 0, 2).hops == 1
+    assert bfs_distance(core, 0, 2).hops == 1

@@ -8,6 +8,7 @@ import pytest
 
 from rigkit import harness, report_schema
 from rigkit.graphgen import BipartiteIncidence
+from rigkit.graphops import TraversalCore
 from rigkit.harness import ConfigError, ExperimentConfig
 from rigkit.model import default_attribute_count, iterated_log
 from rigkit.storage import file_checksum, write_graph
@@ -145,6 +146,31 @@ def test_run_generate_json_format(tmp_path):
     cfg = cfg_with(tmp_path, n_values=[50], graph_format="json")
     metas = harness.run_generate(cfg)
     assert metas[0]["path"].endswith(".json")
+
+
+def test_trial_keeps_one_core_from_either_graph_file(tmp_path):
+    # a generated instance and its binary and rig-json files give cores with
+    # equal arrays, and the two files the same pairs and hub samples; no
+    # Trial keeps the incidence that its core was built from
+    trials = [harness.Trial(cfg_with(tmp_path, n_values=[2000], hub_floor=20.0), 2000, 0)]
+    for fmt in ("binary", "json"):
+        cfg = cfg_with(tmp_path / fmt, n_values=[2000], hub_floor=20.0, graph_format=fmt)
+        path = os.path.join(cfg.out_dir, harness.run_generate(cfg)[0]["path"])
+        trials.append(harness.Trial(cfg, 2000, 0, graph_path=path))
+    for t in trials:
+        assert not hasattr(t, "inc")
+        assert not any(isinstance(value, BipartiteIncidence) for value in vars(t).values())
+        assert isinstance(t.core, TraversalCore)
+        assert t.core.num_attrs == trials[0].core.num_attrs
+        for name in ("attr_indptr", "attr_vertices", "set_indptr", "set_attrs", "set_sizes"):
+            assert np.array_equal(getattr(t.core, name), getattr(trials[0].core, name)), name
+        assert np.array_equal(t.comp.labels, trials[0].comp.labels)
+    binary, text = trials[1:]
+    sampled, fixed = binary.pairs(30)
+    assert len(sampled) == 30 and (sampled, fixed) == text.pairs(30)
+    degenerate, error, samples = binary.hub_samples(30)
+    assert error is None and len(samples) == 30
+    assert (degenerate, error, samples) == text.hub_samples(30)
 
 
 # --- distances ---------------------------------------------------------------
@@ -295,8 +321,8 @@ def test_hub_samples_reuse_the_hub_bfs(tmp_path, monkeypatch):
         assert error is None and len(samples) == count
         assert calls == []
         for v, exact, cert in samples:
-            assert cert == loglog_certificate(t.inc, t.dec, v, t.dec.u_max)
-            assert exact == graphops.bfs_distance(t.inc, v, t.dec.u_max).hops
+            assert cert == loglog_certificate(t.core, t.dec, v, t.dec.u_max)
+            assert exact == graphops.bfs_distance(t.core, v, t.dec.u_max).hops
             seen.add(("degenerate", degenerate))
             seen.add(("off-component", exact is None))
             seen.add(("u_max", v == t.dec.u_max))

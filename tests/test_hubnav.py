@@ -5,7 +5,7 @@ import pytest
 
 from oracles import adjacency_matrix, pair_hops_python
 from rigkit.graphgen import BipartiteIncidence, adjacent, generate
-from rigkit.graphops import bfs_distance, maximal_vertex
+from rigkit.graphops import TraversalCore, bfs_distance, maximal_vertex
 from rigkit.hubnav import (
     STAGES,
     LadderError,
@@ -142,52 +142,53 @@ def test_escape_targets_error_when_nothing_qualifies():
 def climb_toy():
     """4 vertices: apex 0 (tz 100), rung-1 vertex 2 (tz 25), top-layer
     vertex 3 (tz 12), background vertex 1.  Edges: 3-2 (attr 0), 2-0 (attr 1).
+    Returns the incidence, its traversal core and the decomposition.
     """
     inc = BipartiteIncidence.from_sets(4, 4, [[1], [3], [0, 1], [0]])
     w = toy_weights([100.0, 1.0, 25.0, 12.0])
     dec = decompose(w, toy_ladder())
-    return inc, dec
+    return inc, TraversalCore(inc), dec
 
 
 def test_hub_climb_full_ladder_walk():
-    inc, dec = climb_toy()
-    path = hub_climb(inc, dec, 3)
+    _, core, dec = climb_toy()
+    path = hub_climb(core, dec, 3)
     assert path.vertices == [3, 2, 0]
     assert path.layer_index == [0, 1, 2]
     assert path.total_hops == 2 <= dec.k_star
 
 
 def test_hub_climb_short_cases():
-    inc, dec = climb_toy()
-    assert hub_climb(inc, dec, 2).vertices == [2, 0]
-    at_apex = hub_climb(inc, dec, 0)
+    _, core, dec = climb_toy()
+    assert hub_climb(core, dec, 2).vertices == [2, 0]
+    at_apex = hub_climb(core, dec, 0)
     assert at_apex.vertices == [0]
     assert at_apex.layer_index == [dec.k_star]
     assert at_apex.total_hops == 0
 
 
 def test_hub_climb_start_outside_top_layer():
-    inc, dec = climb_toy()
+    _, core, dec = climb_toy()
     with pytest.raises(ValueError):
-        hub_climb(inc, dec, 1)  # tz 1 < t_k* = 10
+        hub_climb(core, dec, 1)  # tz 1 < t_k* = 10
 
 
 def test_hub_climb_dead_end_returns_none():
     # same shape, but vertex 2 now sits below rung 1, and 3 has no other
     # neighbor at level 1 and no edge to the apex
-    inc = BipartiteIncidence.from_sets(4, 4, [[1], [3], [0, 1], [0]])
+    core = TraversalCore(BipartiteIncidence.from_sets(4, 4, [[1], [3], [0, 1], [0]]))
     w = toy_weights([100.0, 1.0, 15.0, 12.0])
     dec = decompose(w, toy_ladder())
-    assert hub_climb(inc, dec, 3) is None
+    assert hub_climb(core, dec, 3) is None
 
 
 def test_hub_climb_tie_break_smallest_index():
     # vertices 1 and 2 tie at tz 25; both are adjacent to 3 and to the apex,
     # so either choice would complete the climb: ties must go to index 1
-    inc = BipartiteIncidence.from_sets(4, 4, [[1], [0, 1, 3], [0, 1], [0]])
+    core = TraversalCore(BipartiteIncidence.from_sets(4, 4, [[1], [0, 1, 3], [0, 1], [0]]))
     w = toy_weights([100.0, 25.0, 25.0, 12.0])
     dec = decompose(w, toy_ladder())
-    path = hub_climb(inc, dec, 3)
+    path = hub_climb(core, dec, 3)
     assert path.vertices == [3, 1, 0]
     assert path.layer_index == [0, 1, 2]
     assert path.total_hops == 2
@@ -197,41 +198,41 @@ def test_hub_climb_tie_break_smallest_index():
 def test_hub_climb_apex_shortcut():
     # the apex qualifies as a next hop whenever adjacent, even from the top
     # layer, so a 1-hop finish beats walking the rungs
-    inc = BipartiteIncidence.from_sets(3, 3, [[0], [2], [0, 2]])
+    core = TraversalCore(BipartiteIncidence.from_sets(3, 3, [[0], [2], [0, 2]]))
     w = toy_weights([100.0, 1.0, 12.0])
     dec = decompose(w, toy_ladder())
-    path = hub_climb(inc, dec, 2)
+    path = hub_climb(core, dec, 2)
     assert path.vertices == [2, 0]
     assert path.total_hops == 1
 
 
 def test_escape_bfs_modes():
-    inc, dec = climb_toy()
+    _, core, dec = climb_toy()
     # vertex 3 is already in the top layer: zero hops
-    esc = escape_bfs(inc, dec, 3)
+    esc = escape_bfs(core, dec, 3)
     assert esc.vertices == [3] and esc.total_hops == 0
     # vertex 1 is isolated from the ladder: no route
-    assert escape_bfs(inc, dec, 1) is None
+    assert escape_bfs(core, dec, 1) is None
     # off-ladder vertex adjacent to the ladder: one hop
     inc2 = BipartiteIncidence.from_sets(3, 3, [[0, 1], [1], [2]])
     w2 = toy_weights([12.0, 1.0, 1.0])
     dec2 = decompose(w2, toy_ladder())
-    esc2 = escape_bfs(inc2, dec2, 1)
+    esc2 = escape_bfs(TraversalCore(inc2), dec2, 1)
     assert esc2.vertices == [1, 0]
     assert esc2.layer_index == [-1, 0]
 
 
 def test_escape_bfs_vertex_range():
-    inc, dec = climb_toy()
-    for v in (inc.n, -1):
+    _, core, dec = climb_toy()
+    for v in (core.n, -1):
         with pytest.raises(ValueError, match=f"vertex {v} out of range"):
-            escape_bfs(inc, dec, v)
+            escape_bfs(core, dec, v)
     # no target set outranks a bad vertex
-    empty = decompose(toy_weights([1.0] * inc.n),
+    empty = decompose(toy_weights([1.0] * core.n),
                       LayerThresholds(n=100, alpha=0.5, c0=1.0, floor=10.0,
                                       l2n=iterated_log(100), t0=50.0, t=()))
     with pytest.raises(LadderError):
-        escape_bfs(inc, empty, inc.n)
+        escape_bfs(core, empty, core.n)
 
 
 def test_escape_bfs_distance_is_minimal(small_instances):
@@ -240,10 +241,11 @@ def test_escape_bfs_distance_is_minimal(small_instances):
     th = thresholds(params.n, params.alpha, params.c0, floor=2.0)
     dec = decompose(w, th)
     targets, _ = dec.escape_targets()
+    core = TraversalCore(inc)
     rng = trial_rng(13, 0, 0)
     for v in rng.choice(params.n, size=15, replace=False):
-        esc = escape_bfs(inc, dec, int(v))
-        per_target = [bfs_distance(inc, int(v), int(t)).hops for t in targets]
+        esc = escape_bfs(core, dec, int(v))
+        per_target = [bfs_distance(core, int(v), int(t)).hops for t in targets]
         finite = [h for h in per_target if h is not None]
         if esc is None:
             assert not finite
@@ -253,8 +255,8 @@ def test_escape_bfs_distance_is_minimal(small_instances):
 
 
 def test_certificate_on_toy():
-    inc, dec = climb_toy()
-    cert = loglog_certificate(inc, dec, 3, 2)
+    inc, core, dec = climb_toy()
+    cert = loglog_certificate(core, dec, 3, 2)
     exact = pair_hops_python(adjacency_matrix(inc), 3)[2]
     assert exact == 1
     assert cert.certificate_hops == 3  # 0 + 2 up, 1 + 0 down
@@ -267,15 +269,15 @@ def test_certificate_on_toy():
 
 
 def test_certificate_records_failure_stage():
-    inc, dec = climb_toy()
-    cert = loglog_certificate(inc, dec, 1, 3)  # vertex 1 cannot escape
+    inc, core, dec = climb_toy()
+    cert = loglog_certificate(core, dec, 1, 3)  # vertex 1 cannot escape
     assert cert.certificate_hops is None
     assert cert.failed_stage == "escape_a"
     assert cert.climb_a is None  # a failed escape leaves no climb
     assert pair_hops_python(adjacency_matrix(inc), 1)[3] == -1  # disconnected
     assert cert.walk() is None
     # the other end fails first when v1 can finish its half
-    cert = loglog_certificate(inc, dec, 3, 1)
+    cert = loglog_certificate(core, dec, 3, 1)
     assert cert.escape_a is not None and cert.climb_a is not None
     assert (cert.escape_b, cert.climb_b) == (None, None)
     assert cert.failed_stage == "escape_b"
@@ -290,10 +292,11 @@ def test_certificate_sound_on_random_instances(small_instances):
         dec = decompose(w, th)
         assert dec.k_star >= 1  # the floor of 2 gives a real ladder at n = 60
         adj = adjacency_matrix(inc)
+        core = TraversalCore(inc)
         rng = trial_rng(17, 0, 0)
         for _ in range(10):
             v1, v2 = (int(v) for v in rng.choice(params.n, size=2, replace=False))
-            cert = loglog_certificate(inc, dec, v1, v2)
+            cert = loglog_certificate(core, dec, v1, v2)
             stages = [getattr(cert, s) for s in STAGES]
             missing = [s for s, stage in zip(STAGES, stages) if stage is None]
             assert cert.failed_stage == (missing[0] if missing else None)
@@ -331,12 +334,12 @@ def test_degenerate_mode_climb():
     # adjacency test against the apex
     th = LayerThresholds(n=100, alpha=0.5, c0=1.0, floor=10.0,
                          l2n=iterated_log(100), t0=5.0, t=())
-    inc = BipartiteIncidence.from_sets(3, 3, [[0], [0, 1], [1]])
+    core = TraversalCore(BipartiteIncidence.from_sets(3, 3, [[0], [0, 1], [1]]))
     w = toy_weights([10.0, 7.0, 1.0])
     dec = decompose(w, th)
     targets, degenerate = dec.escape_targets()
     assert degenerate and targets.tolist() == [0, 1]
-    esc = escape_bfs(inc, dec, 2)
+    esc = escape_bfs(core, dec, 2)
     assert esc.vertices == [2, 1]
-    path = hub_climb(inc, dec, 1)
+    path = hub_climb(core, dec, 1)
     assert path.vertices == [1, 0]

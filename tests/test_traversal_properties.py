@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rigkit.graphgen import PACK_LIMIT, BipartiteIncidence, adjacent
-from rigkit.graphops import (UNREACHED, _first_by, _TraversalCore, bfs_distance,
+from rigkit.graphops import (UNREACHED, TraversalCore, _first_by, bfs_distance,
                              components, degrees, distances_from, nearest_of,
                              neighbors, unique_edges)
 
@@ -32,12 +32,6 @@ def incidences(draw):
     return BipartiteIncidence.from_sets(n, m, [sorted(s) for s in sets])
 
 
-def copy_of(inc):
-    """The same graph as a fresh object, so with a fresh traversal cache."""
-    return BipartiteIncidence.from_sets(inc.n, inc.m,
-                                        [inc.set_of(v) for v in range(inc.n)])
-
-
 def assert_walk(inc, path, start, end, hops):
     assert len(path) == hops + 1
     assert path[0] == start and path[-1] == end
@@ -45,40 +39,41 @@ def assert_walk(inc, path, start, end, hops):
         assert adjacent(inc, a, b)
 
 
-def masks_clear(inc):
-    core = inc._traversal_core
-    return core is None or not any(mask.any() for mask in core.visited + core.seen)
+def masks_clear(core):
+    return not any(mask.any() for mask in core.visited + core.seen)
 
 
 @PROPS
 @given(incidences())
 def test_pair_hops_match_floyd_warshall(inc):
     fw = all_pairs_hops(adjacency_matrix(inc))
+    core = TraversalCore(inc)
     for u in range(inc.n):
         for v in range(inc.n):
-            res = bfs_distance(inc, u, v)
+            res = bfs_distance(core, u, v)
             if np.isinf(fw[u, v]):
                 assert res.hops is None and res.path is None
             else:
                 assert res.hops == int(fw[u, v])
                 assert_walk(inc, res.path, u, v, res.hops)
-    assert masks_clear(inc)
+    assert masks_clear(core)
 
 
 @PROPS
 @given(incidences())
 def test_distances_from_match_python_bfs(inc):
     adj = adjacency_matrix(inc)
+    core = TraversalCore(inc)
     for s in range(inc.n):
-        assert np.array_equal(distances_from(inc, s), pair_hops_python(adj, s))
-    assert masks_clear(inc)
+        assert np.array_equal(distances_from(core, s), pair_hops_python(adj, s))
+    assert masks_clear(core)
 
 
 @PROPS
 @given(incidences())
 def test_component_labels_match_queue_bfs(inc):
     expect = component_labels_bfs(adjacency_matrix(inc))
-    comp = components(inc)
+    comp = components(TraversalCore(inc))
     assert np.array_equal(comp.labels, expect)
     assert np.array_equal(comp.sizes, np.bincount(expect))
 
@@ -90,7 +85,8 @@ def test_nearest_of_takes_smallest_target_at_min_distance(inc, data):
     targets = data.draw(st.lists(st.integers(0, inc.n - 1), min_size=1, max_size=5))
     dist = pair_hops_python(adjacency_matrix(inc), source)
     reach = [t for t in targets if dist[t] != UNREACHED]
-    res = nearest_of(inc, source, np.array(targets))
+    core = TraversalCore(inc)
+    res = nearest_of(core, source, np.array(targets))
     if not reach:
         assert res.hops is None and res.path is None
     else:
@@ -98,7 +94,7 @@ def test_nearest_of_takes_smallest_target_at_min_distance(inc, data):
         assert res.hops == best
         assert res.path[-1] == min(t for t in reach if dist[t] == best)
         assert_walk(inc, res.path, source, res.path[-1], res.hops)
-    assert masks_clear(inc)
+    assert masks_clear(core)
 
 
 @PROPS
@@ -107,11 +103,12 @@ def test_nearest_of_route_matches_python_bfs(inc, data):
     # the documented tie-breaks, hop for hop: smallest-id attribute, then
     # smallest-id owner; every single target, so that routes reach ties
     drawn = data.draw(st.lists(st.integers(0, inc.n - 1), min_size=1, max_size=5))
+    core = TraversalCore(inc)
     for source in range(inc.n):
         for targets in [[t] for t in range(inc.n)] + [drawn]:
-            res = nearest_of(inc, source, np.array(targets))
+            res = nearest_of(core, source, np.array(targets))
             assert res.path == nearest_route_reference(inc, source, targets)
-    assert masks_clear(inc)
+    assert masks_clear(core)
 
 
 @st.composite
@@ -122,7 +119,7 @@ def ball_sources(draw):
 
 
 def complete_ball(inc, sources):
-    ball = _TraversalCore(inc).ball_around(np.array(sources, dtype=np.int64))
+    ball = TraversalCore(inc).ball_around(np.array(sources, dtype=np.int64))
     while ball.frontier.size:
         ball.grow()
     return ball
@@ -200,6 +197,7 @@ def test_warm_ball_routes_match_python_bfs(inc, data):
     hub = data.draw(vertex)
     orders = [range(n), range(n - 1, -1, -1), data.draw(st.permutations(range(n)))]
     hub_hops = pair_hops_python(adjacency_matrix(inc), hub).tolist()
+    core = TraversalCore(inc)
     routes = {}
     for targets in (first, second, [hub], first):
         for order in orders:
@@ -207,42 +205,42 @@ def test_warm_ball_routes_match_python_bfs(inc, data):
                 key = (v, tuple(targets))
                 if key not in routes:
                     routes[key] = nearest_route_reference(inc, v, targets)
-                assert nearest_of(inc, v, np.array(targets)).path == routes[key]
-        got = distances_from(inc, hub)
+                assert nearest_of(core, v, np.array(targets)).path == routes[key]
+        got = distances_from(core, hub)
         assert got.tolist() == hub_hops
         got[:] = 0
-    assert masks_clear(inc)
+    assert masks_clear(core)
 
 
 def test_warm_ball_edge_cases():
     # a path 0-1-2-3-4 whose end 0 holds three attributes, and an edge 5-6
-    inc = BipartiteIncidence.from_sets(7, 12, [[0, 8, 9, 10], [0, 1, 8, 9, 10],
-                                               [1, 2], [2, 3], [3], [11], [11]])
+    core = TraversalCore(BipartiteIncidence.from_sets(
+        7, 12, [[0, 8, 9, 10], [0, 1, 8, 9, 10], [1, 2], [2, 3], [3], [11], [11]]))
     targets = np.array([0])
     # the forward side (one entry a level) runs dry while the ball, four
     # entries wide, has not grown at all
-    assert nearest_of(inc, 5, targets).path is None
-    ball = inc._traversal_core.ball
+    assert nearest_of(core, 5, targets).path is None
+    ball = core.ball
     assert ball.depth == 0 and ball.frontier.tolist() == [0]
-    assert nearest_of(inc, 4, targets).path == [4, 3, 2, 1, 0]
+    assert nearest_of(core, 4, targets).path == [4, 3, 2, 1, 0]
     grown = ball.depth
     assert grown >= 1
     for v in range(grown + 1):  # inside the grown ball: no growth needed
-        assert nearest_of(inc, v, targets).path == list(range(v, -1, -1))
-        assert inc._traversal_core.ball is ball and ball.depth == grown
+        assert nearest_of(core, v, targets).path == list(range(v, -1, -1))
+        assert core.ball is ball and ball.depth == grown
     # a caller's copy from distances_from is its own
-    got = distances_from(inc, 0)
+    got = distances_from(core, 0)
     got[:] = 0
-    assert distances_from(inc, 0).tolist() == [0, 1, 2, 3, 4, UNREACHED, UNREACHED]
-    assert nearest_of(inc, 4, targets).path == [4, 3, 2, 1, 0]
-    assert nearest_of(inc, 6, targets).path is None
-    assert masks_clear(inc)
+    assert distances_from(core, 0).tolist() == [0, 1, 2, 3, 4, UNREACHED, UNREACHED]
+    assert nearest_of(core, 4, targets).path == [4, 3, 2, 1, 0]
+    assert nearest_of(core, 6, targets).path is None
+    assert masks_clear(core)
 
 
 @PROPS
 @given(incidences())
 def test_traversal_core_matches_reference(inc):
-    core = _TraversalCore(inc)
+    core = TraversalCore(inc)
     want = traversal_core_reference(inc)
     assert core.num_attrs == want["num_attrs"]
     for name in ("attr_indptr", "attr_vertices", "set_indptr", "set_attrs"):
@@ -281,12 +279,13 @@ def test_first_by_matches_dict_reference(case):
 @given(incidences())
 def test_neighbors_edges_degrees_match_adjacency(inc):
     adj = adjacency_matrix(inc)
+    core = TraversalCore(inc)
     for u in range(inc.n):
-        assert neighbors(inc, u).tolist() == np.flatnonzero(adj[u]).tolist()
-    edges = unique_edges(inc)
+        assert neighbors(core, u).tolist() == np.flatnonzero(adj[u]).tolist()
+    edges = unique_edges(core)
     assert edges.tolist() == np.argwhere(np.triu(adj)).tolist()
-    assert degrees(inc).tolist() == adj.sum(axis=1).tolist()
-    assert masks_clear(inc)
+    assert degrees(core).tolist() == adj.sum(axis=1).tolist()
+    assert masks_clear(core)
 
 
 @PROPS
@@ -298,15 +297,15 @@ def test_num_occupied_counts_distinct_attributes(inc):
     assert inc.num_occupied == len(held)
 
 
-def ask(inc, query):
+def ask(core, query):
     kind, a, b = query
     if kind == "pair":
-        res = bfs_distance(inc, a, b)
+        res = bfs_distance(core, a, b)
         return res.hops, res.path
     if kind == "near":
-        res = nearest_of(inc, a, np.array(b))
+        res = nearest_of(core, a, np.array(b))
         return res.hops, res.path
-    return distances_from(inc, a).tolist()
+    return distances_from(core, a).tolist()
 
 
 @st.composite
@@ -332,14 +331,15 @@ def query_plans(draw):
 @given(query_plans())
 def test_interleaved_queries_leave_no_trace(plan):
     graphs, queries = plan
+    cores = [TraversalCore(inc) for inc in graphs]
     for which, query in queries:
-        inc = graphs[which]
+        core = cores[which]
         try:
-            got = ask(inc, query)
+            got = ask(core, query)
         except ValueError:
-            # a rejected query must be rejected on a fresh cache too
+            # a rejected query must be rejected on a fresh core too
             with pytest.raises(ValueError):
-                ask(copy_of(inc), query)
+                ask(TraversalCore(graphs[which]), query)
         else:
-            assert got == ask(copy_of(inc), query)
-        assert masks_clear(inc)
+            assert got == ask(TraversalCore(graphs[which]), query)
+        assert masks_clear(core)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rigkit.graphgen import BipartiteIncidence, generate
+from rigkit.graphops import TraversalCore
 from rigkit.model import ModelParams, TailLaw, iterated_log, trial_rng
 from rigkit.verify import (
     BoundReport,
@@ -380,14 +381,14 @@ def test_sandwich_constant_untruncated_identity():
 
 def test_degree_tail_empty_graph():
     inc = BipartiteIncidence.from_sets(4, 10, [[], [], [], []])
-    rep = degree_tail_report(inc)
+    rep = degree_tail_report(TraversalCore(inc))
     assert rep.slope is None
     assert rep.survival.tolist() == [0.0]
 
 
 def test_degree_tail_survival_is_valid(medium_instance):
     params, inc, w = medium_instance
-    rep = degree_tail_report(inc)
+    rep = degree_tail_report(TraversalCore(inc))
     assert np.all(rep.survival >= 0) and np.all(rep.survival <= 1)
     assert np.all(np.diff(rep.survival) <= 1e-12)  # nonincreasing
     d = rep.to_dict()
