@@ -4,7 +4,7 @@ Usage, from the root of a rigkit source tree:
 
     python3 scripts/same_output_sweep.py ROOT [--src DIR]
 
-Runs 154 CLI commands, one fresh interpreter each, with the rigkit package
+Runs 160 CLI commands, one fresh interpreter each, with the rigkit package
 in DIR (default: this tree's src/):
 
 * distances, hubpath, analyze and a two-trial experiment, in JSON and in
@@ -15,6 +15,9 @@ in DIR (default: this tree's src/):
 * hubpath at n = 100000 with 400 samples, seeds {51, 53, 56}, where the
   ladder has a rung (k* = 1), so the climbs walk a real ladder; at the
   smaller n every certificate is degenerate (k* = 0);
+* hubpath at n = 300000, alpha = 0.9, with 200 samples, seeds {1, 5, 6},
+  in JSON and in CSV, where the ladder has three rungs (k* = 3): climbs
+  of two hops and climbs that dead-end below the apex;
 * a three-n experiment ladder, and verify-lemmas with
   perfbench/bounds_config.json, each in JSON and in CSV.
 
@@ -42,6 +45,7 @@ SEEDS = (1, 5, 9)
 FORMATS = ("json", "csv")
 SINGLE = ("distances", "hubpath", "analyze")
 LADDER_SEEDS = (51, 53, 56)
+RUNGS_SEEDS = (1, 5, 6)
 
 
 def commands(bounds_config: str) -> list:
@@ -70,6 +74,11 @@ def commands(bounds_config: str) -> list:
             cmds.append((f"hubpath/n100000-s{seed}-{fmt}",
                          ["hubpath", "-n", "100000", "--seed", str(seed),
                           "--pairs", "400", "--format", fmt]))
+    for seed in RUNGS_SEEDS:
+        for fmt in FORMATS:
+            cmds.append((f"hubpath/n300000-a0.9-s{seed}-{fmt}",
+                         ["hubpath", "-n", "300000", "--alpha", "0.9", "--seed",
+                          str(seed), "--pairs", "200", "--format", fmt]))
     ladder = [arg for n in NS for arg in ("-n", str(n))]
     for fmt in FORMATS:
         cmds.append((f"ladder/{fmt}",

@@ -27,7 +27,6 @@ from .graphops import (
 from .harness import ConfigError, ExperimentConfig
 from .hubnav import (
     CertificateRecord,
-    HubPath,
     LadderError,
     LayerDecomposition,
     LayerThresholds,
@@ -81,7 +80,6 @@ __all__ = [
     "ExperimentConfig",
     "GraphFormatError",
     "GraphHeader",
-    "HubPath",
     "LadderError",
     "LayerDecomposition",
     "LayerThresholds",

@@ -10,6 +10,7 @@ failure, 3 verify-lemmas found a violated bound.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -23,10 +24,11 @@ EXIT_CHECK = 3
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
+    # every dest that names an ExperimentConfig field overrides that field
     sub.add_argument("--config", metavar="PATH",
                      help="JSON config file (keys = ExperimentConfig fields)")
     sub.add_argument("--seed", type=int, help="master seed")
-    sub.add_argument("--out", metavar="DIR", help="output directory")
+    sub.add_argument("--out", dest="out_dir", metavar="DIR", help="output directory")
     sub.add_argument("--threads", type=int, help="worker processes")
     sub.add_argument("--format", choices=("json", "csv"),
                      help="report file format")
@@ -82,26 +84,9 @@ def _config_from(args: argparse.Namespace) -> ExperimentConfig:
         cfg = ExperimentConfig.from_json(args.config)
     else:
         cfg = ExperimentConfig(n_values=[1000])
-    overrides = {
-        "n_values": args.n_values,
-        "alpha": args.alpha,
-        "c0": args.c0,
-        "m": args.m,
-        "trials": args.trials,
-        "epsilon": args.epsilon,
-        "pairs_per_trial": args.pairs_per_trial,
-        "seed": args.seed,
-        "out_dir": args.out,
-        "threads": args.threads,
-        "format": args.format,
-        "graph_format": getattr(args, "graph_format", None),
-    }
-    fields = {k: v for k, v in overrides.items() if v is not None}
-    if fields:
-        doc = cfg.to_dict()
-        doc.update(fields)
-        cfg = ExperimentConfig(**doc)
-    return cfg
+    overrides = {f.name: value for f in dataclasses.fields(cfg)
+                 if (value := getattr(args, f.name, None)) is not None}
+    return dataclasses.replace(cfg, **overrides)
 
 
 def main(argv=None) -> int:

@@ -37,8 +37,12 @@ from .verify import (
     check_tail_mass,
     check_union_coverage,
     degree_tail_report,
+    hypergeom_error,
     json_object,
+    mass_gamma_error,
     mass_regime_error,
+    mass_tau_error,
+    overlap_point_error,
 )
 
 __all__ = [
@@ -144,9 +148,18 @@ class ExperimentConfig:
             raise ConfigError("overlap_point must be [a, b, d, m]")
         if not (0.0 < self.alpha < 1.0):
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
-        regime = mass_regime_error(self.mass_n, self.alpha)
-        if regime is not None:
-            raise ConfigError(f"mass_n: {regime}")
+        # the verify-lemmas suites' own rules, checked before any suite runs
+        for name, error in (
+                # the grid's worst point: j = k = verify_jk_max at the least m
+                ("verify_jk_max", hypergeom_error(
+                    self.verify_jk_max, self.verify_jk_max,
+                    min(self.verify_m_values, default=self.verify_jk_max))),
+                ("overlap_point", overlap_point_error(*self.overlap_point)),
+                ("mass_n", mass_regime_error(self.mass_n, self.alpha)),
+                ("mass_tau", mass_tau_error(self.mass_tau, self.alpha)),
+                ("mass_gamma", mass_gamma_error(self.mass_gamma))):
+            if error is not None:
+                raise ConfigError(f"{name}: {error}")
         if self.c0 <= 0:
             raise ConfigError("c0 must be positive")
         if self.epsilon <= 0:
@@ -155,6 +168,11 @@ class ExperimentConfig:
             raise ConfigError(f"hub_floor must exceed 1, got {self.hub_floor}")
         if not (0.0 < self.coverage_gamma1 < self.coverage_gamma2 < 1.0):
             raise ConfigError("coverage gammas need 0 < gamma1 < gamma2 < 1")
+        size = self.coverage_size()
+        if self.coverage_set_count * size > self.coverage_gamma1 * self.coverage_m:
+            raise ConfigError(
+                f"coverage grid inconsistent: {self.coverage_set_count} sets of "
+                f"{size} exceed gamma1*m = {self.coverage_gamma1 * self.coverage_m:g}")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"format must be json or csv, got {self.format!r}")
         if self.graph_format not in ("binary", "json"):
@@ -196,11 +214,19 @@ class ExperimentConfig:
         return (self.pairs_per_trial if self.hub_samples_per_trial is None
                 else self.hub_samples_per_trial)
 
-    def pair_bound(self, n: int) -> float:
-        return (2.0 + self.epsilon) * iterated_log(n) / math.log(1.0 / self.alpha)
+    def coverage_size(self) -> int:
+        """Size of each union-coverage set: the suite's least size
+        6*g2*(g2-g1)^-2*ln(coverage_n), rounded up."""
+        g1, g2 = self.coverage_gamma1, self.coverage_gamma2
+        return math.ceil(6.0 * g2 * (g2 - g1) ** -2 * math.log(self.coverage_n))
 
-    def hub_bound(self, n: int) -> float:
-        return (1.0 + self.epsilon) * iterated_log(n) / math.log(1.0 / self.alpha)
+    def pair_bound(self, params: ModelParams) -> float:
+        """(2+eps) * ln ln(2+n) / ln(1/alpha), at the instance's n and alpha."""
+        return (2.0 + self.epsilon) * iterated_log(params.n) / math.log(1.0 / params.alpha)
+
+    def hub_bound(self, params: ModelParams) -> float:
+        """(1+eps) * ln ln(2+n) / ln(1/alpha), at the instance's n and alpha."""
+        return (1.0 + self.epsilon) * iterated_log(params.n) / math.log(1.0 / params.alpha)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -300,7 +326,7 @@ def _pass_rate(hops, bound: float) -> Optional[float]:
 
 def _hub_counts(samples, bound: float) -> dict:
     """Counters over (v, exact, cert) hub samples; they add up across trials."""
-    climbs = [c.climb_a.total_hops for _, _, c in samples if c.climb_a is not None]
+    climbs = [len(c.climb_a) - 1 for _, _, c in samples if c.climb_a is not None]
     certified = [(exact, c.certificate_hops) for _, exact, c in samples
                  if c.certificate_hops is not None]
     finite = [exact for _, exact, _ in samples if exact is not None]
@@ -379,15 +405,14 @@ def run_analyze(cfg: ExperimentConfig, graph_path=None) -> dict:
     }
 
 
-def run_distances(cfg: ExperimentConfig, n: Optional[int] = None,
-                  trial: int = 0, graph_path=None) -> dict:
+def run_distances(cfg: ExperimentConfig, trial: int = 0, graph_path=None) -> dict:
     """Pair distances within the giant component against the (2+eps) bound.
 
     Samples pairs_per_trial uniform giant pairs plus the fixed labeled pair
     (0, 1) conditioned on both endpoints lying in the giant.
     """
-    t = Trial(cfg, n if n is not None else cfg.n_values[0], trial, graph_path)
-    bound = cfg.pair_bound(t.params.n)
+    t = Trial(cfg, cfg.n_values[0], trial, graph_path)
+    bound = cfg.pair_bound(t.params)
     empty = t.giant_size < 2
     sampled, fixed = t.pairs(cfg.pairs_per_trial)
     return {
@@ -406,15 +431,14 @@ def run_distances(cfg: ExperimentConfig, n: Optional[int] = None,
     }
 
 
-def run_hubpath(cfg: ExperimentConfig, n: Optional[int] = None,
-                trial: int = 0, graph_path=None) -> dict:
+def run_hubpath(cfg: ExperimentConfig, trial: int = 0, graph_path=None) -> dict:
     """Hub distances and certificates against the (1+eps) bound.
 
     Samples vertices uniformly; for those with a finite distance to the
     maximal vertex, records the exact distance and a full certificate.
     """
-    t = Trial(cfg, n if n is not None else cfg.n_values[0], trial, graph_path)
-    bound = cfg.hub_bound(t.params.n)
+    t = Trial(cfg, cfg.n_values[0], trial, graph_path)
+    bound = cfg.hub_bound(t.params)
     degenerate, error, samples = t.hub_samples(cfg.hub_samples())
     hub = _hub_counts(samples, bound)
     return {
@@ -434,8 +458,8 @@ def run_hubpath(cfg: ExperimentConfig, n: Optional[int] = None,
             "v": v,
             "exact": exact,
             "certificate": cert.certificate_hops,
-            "escape_hops": None if cert.escape_a is None else cert.escape_a.total_hops,
-            "climb_hops": None if cert.climb_a is None else cert.climb_a.total_hops,
+            "escape_hops": None if cert.escape_a is None else len(cert.escape_a) - 1,
+            "climb_hops": None if cert.climb_a is None else len(cert.climb_a) - 1,
             "failed_stage": cert.failed_stage,
             "pass": None if exact is None else bool(exact <= bound),
         } for v, exact, cert in samples],
@@ -448,20 +472,14 @@ def run_hubpath(cfg: ExperimentConfig, n: Optional[int] = None,
 def run_verify(cfg: ExperimentConfig) -> list:
     """All four bound suites with the configured grids; returns the reports."""
     rng = trial_rng(cfg.seed, 0, 0)
-    grid = [(j, k, m) for m in cfg.verify_m_values
+    grid = ((j, k, m) for m in cfg.verify_m_values
             for j in range(cfg.verify_jk_max + 1)
-            for k in range(cfg.verify_jk_max + 1)]
+            for k in range(cfg.verify_jk_max + 1))
     reports = list(check_intersection_bounds(grid))
-
-    g1, g2 = cfg.coverage_gamma1, cfg.coverage_gamma2
-    size = math.ceil(6.0 * g2 * (g2 - g1) ** -2 * math.log(cfg.coverage_n))
-    sizes = [size] * cfg.coverage_set_count
-    if sum(sizes) > g1 * cfg.coverage_m:
-        raise ConfigError(
-            f"coverage grid inconsistent: {cfg.coverage_set_count} sets of "
-            f"{size} exceed gamma1*m = {g1 * cfg.coverage_m:g}")
-    reports.append(check_union_coverage(cfg.coverage_m, g1, g2, sizes,
-                                        cfg.coverage_n, cfg.coverage_trials, rng))
+    reports.append(check_union_coverage(
+        cfg.coverage_m, cfg.coverage_gamma1, cfg.coverage_gamma2,
+        [cfg.coverage_size()] * cfg.coverage_set_count, cfg.coverage_n,
+        cfg.coverage_trials, rng))
 
     a, b, d, m = cfg.overlap_point
     reports.append(check_conditional_overlap(a, b, d, m, cfg.overlap_trials, rng))
@@ -479,8 +497,7 @@ def run_verify(cfg: ExperimentConfig) -> list:
 
 def _experiment_cell(args) -> dict:
     """One (n, trial) work unit; must stay module-level for process pools."""
-    cfg_dict, n, trial = args
-    cfg = ExperimentConfig(**cfg_dict)
+    cfg, n, trial = args
     try:
         return _experiment_cell_inner(cfg, n, trial)
     except Exception as exc:  # recorded, the run continues
@@ -510,9 +527,9 @@ def _experiment_cell_inner(cfg: ExperimentConfig, n: int, trial: int) -> dict:
         "k_star": t.dec.k_star,
         "degenerate": degenerate,
         "pair_hops": hops,
-        "pair_pass_rate": _pass_rate(hops, cfg.pair_bound(n)),
+        "pair_pass_rate": _pass_rate(hops, cfg.pair_bound(t.params)),
         "fixed_pair": {"both_in_giant": t.fixed_in_giant, "hops": fixed},
-        "hub": _hub_counts(samples, cfg.hub_bound(n)),
+        "hub": _hub_counts(samples, cfg.hub_bound(t.params)),
     }
 
 
@@ -530,7 +547,7 @@ def _quantiles(values) -> Optional[dict]:
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """The full ladder: trials per n, aggregated per n and overall."""
-    tasks = [(cfg.to_dict(), n, t) for n in cfg.n_values
+    tasks = [(cfg, n, t) for n in cfg.n_values
              for t in range(cfg.trials)]
     if cfg.threads > 1:
         with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
@@ -552,6 +569,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                          "finite_escape_ok")}
         l2n = iterated_log(n)
         stats = _quantiles(pooled_hops)
+        params = cfg.params_for(n)
 
         def freq(key):
             return float(np.mean([c[key] for c in group])) if group else None
@@ -567,11 +585,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             "u_max_in_giant_freq": freq("u_max_in_giant"),
             "v0_in_giant_freq": freq("v0_in_giant"),
             "v0_threshold_freq": freq("v0_above_threshold"),
-            "pair_bound": cfg.pair_bound(n),
-            "hub_bound": cfg.hub_bound(n),
+            "pair_bound": cfg.pair_bound(params),
+            "hub_bound": cfg.hub_bound(params),
             "pair_distance": stats,
             "mean_over_l2n": (stats["mean"] / l2n if stats else None),
-            "pair_pass_rate": _pass_rate(pooled_hops, cfg.pair_bound(n)),
+            "pair_pass_rate": _pass_rate(pooled_hops, cfg.pair_bound(params)),
             "hub_pass_rate": _ratio(hub, "passed", "finite"),
             "escape_success_rate": _ratio(hub, "escape_ok", "samples"),
             "climb_success_rate": _ratio(hub, "climb_ok", "escape_ok"),

@@ -14,7 +14,8 @@ ln(ln(n)).  Above the ladder sits the hub core
 Navigation: a short BFS escapes from an arbitrary vertex to the widest layer
 U_{k_star}, then a greedy climb walks rung by rung up the ladder, one hop per
 rung, to the apex u_max, the vertex with the largest set, which the
-decomposition records.  Concatenating two such halves at the apex certifies
+decomposition records.  Each route is a plain list of vertices, from its
+start to its end.  Concatenating two such halves at the apex certifies
 a v1-v2 distance of order ln(ln(n)).  A certificate holds only its four
 stages: it is a real walk, so it can never undercut the exact distance,
 and a caller that wants that distance measures it on its own.
@@ -28,7 +29,6 @@ from typing import Optional
 
 import numpy as np
 
-from .graphgen import _sorted_unique
 from .graphops import TraversalCore, maximal_vertex, nearest_of, neighbors
 from .model import VertexWeights, iterated_log
 
@@ -36,7 +36,6 @@ __all__ = [
     "LadderError",
     "LayerThresholds",
     "LayerDecomposition",
-    "HubPath",
     "CertificateRecord",
     "threshold_rung",
     "thresholds",
@@ -129,7 +128,6 @@ class LayerDecomposition:
 
     th: LayerThresholds
     tilde_z: np.ndarray
-    sizes: np.ndarray
     u_max: int
     layers: list = field(default_factory=list)
     hub_core: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
@@ -151,10 +149,6 @@ class LayerDecomposition:
             if self.tilde_z[v] < self.th.t[k - 1]:
                 return k + 1
         return 1
-
-    def layer_index_of(self, v: int) -> int:
-        """Rungs cleared by v: k_star - level, hence -1 when off-ladder."""
-        return self.k_star - self.level_of(v)
 
     def escape_targets(self):
         """Target set for the escape stage: (vertices, degenerate_flag).
@@ -180,48 +174,23 @@ def decompose(weights: VertexWeights, th: LayerThresholds) -> LayerDecomposition
     hub_core = np.flatnonzero(tz > th.t0)
     masses = np.array([int(weights.sizes[layer].sum()) for layer in layers],
                       dtype=np.int64)
-    return LayerDecomposition(th=th, tilde_z=tz, sizes=weights.sizes,
-                              u_max=maximal_vertex(weights), layers=layers,
-                              hub_core=hub_core, masses=masses)
+    return LayerDecomposition(th=th, tilde_z=tz, u_max=maximal_vertex(weights),
+                              layers=layers, hub_core=hub_core, masses=masses)
 
 
-@dataclass(frozen=True)
-class HubPath:
-    """A concrete walk with per-vertex ladder progress.
-
-    layer_index[i] counts rungs cleared by vertices[i] (-1 off-ladder,
-    k_star at the apex); along a climb it strictly increases.
-    """
-
-    vertices: list
-    layer_index: list
-
-    @property
-    def total_hops(self) -> int:
-        return len(self.vertices) - 1
-
-    def to_dict(self) -> dict:
-        return {"vertices": [int(v) for v in self.vertices],
-                "layer_index": [int(i) for i in self.layer_index],
-                "total_hops": self.total_hops}
-
-
-def escape_bfs(core: TraversalCore, dec: LayerDecomposition, v: int) -> Optional[HubPath]:
+def escape_bfs(core: TraversalCore, dec: LayerDecomposition, v: int) -> Optional[list]:
     """Shortest route from v into the widest layer (or V0 in degenerate mode).
 
-    Returns None when v has no path to any target; raises LadderError when
-    there is no target set at all.
+    The route is the list of its vertices, from v to the first target
+    reached.  Returns None when v has no path to any target; raises
+    LadderError when there is no target set at all.
     """
     targets, _ = dec.escape_targets()
-    res = nearest_of(core, v, targets)
-    if res.hops is None:
-        return None
-    return HubPath(vertices=res.path,
-                   layer_index=[dec.layer_index_of(u) for u in res.path])
+    return nearest_of(core, v, targets).path
 
 
 def hub_climb(core: TraversalCore, dec: LayerDecomposition,
-              start: int) -> Optional[HubPath]:
+              start: int) -> Optional[list]:
     """Greedy rung-by-rung climb from the widest layer to the apex dec.u_max.
 
     From a vertex at level k the next hop must land in U_{k-1}, with
@@ -229,8 +198,9 @@ def hub_climb(core: TraversalCore, dec: LayerDecomposition,
     the largest tilde_z (smallest index on ties), and u_max qualifies
     whenever adjacent.  At level 1 the rung floor is infinite, so u_max is
     the only candidate.  Each hop clears at least one rung, so a successful
-    climb takes at most k_star hops (one in degenerate mode).  A dead end
-    returns None: failure is a data outcome, not an exception.
+    climb takes at most k_star hops (one in degenerate mode).  The climb is
+    the list of its vertices, from start to u_max.  A dead end returns None:
+    failure is a data outcome, not an exception.
     """
     k_star, u_max = dec.k_star, dec.u_max
     if not (0 <= start < core.n):
@@ -243,17 +213,11 @@ def hub_climb(core: TraversalCore, dec: LayerDecomposition,
         target_level = dec.level_of(path[-1]) - 1
         floor = dec.th.t[target_level - 1] if target_level else math.inf
         nbrs = neighbors(core, path[-1])
-        qual = nbrs[dec.tilde_z[nbrs] >= floor]
-        pos = np.searchsorted(nbrs, u_max)
-        if pos < nbrs.shape[0] and nbrs[pos] == u_max:
-            qual = _sorted_unique(np.append(qual, u_max))
+        qual = nbrs[(dec.tilde_z[nbrs] >= floor) | (nbrs == u_max)]
         if qual.size == 0:
             return None
         path.append(int(qual[np.argmax(dec.tilde_z[qual])]))
-
-    layer_index = [dec.layer_index_of(v) for v in path[:-1]]
-    layer_index.append(k_star)  # the apex caps the ladder by convention
-    return HubPath(vertices=path, layer_index=layer_index)
+    return path
 
 
 STAGES = ("escape_a", "climb_a", "escape_b", "climb_b")
@@ -264,18 +228,19 @@ class CertificateRecord:
     """Distance certificate between v1 and v2 through the apex.
 
     Each end's half is an escape into the widest layer followed by a climb
-    to the apex; a stage is None when it failed or was never reached.
-    certificate_hops adds up the four stages when all succeed, else None;
+    to the apex.  A stage is the vertex list of its route, or None when it
+    failed or was never reached.  certificate_hops adds up the hops
+    (len(stage) - 1) of the four stages when all succeed, else None;
     failed_stage is the first missing one in the order of STAGES.  A finished
     certificate is a real walk, so it never undercuts the exact distance.
     """
 
     v1: int
     v2: int
-    escape_a: Optional[HubPath]
-    climb_a: Optional[HubPath]
-    escape_b: Optional[HubPath]
-    climb_b: Optional[HubPath]
+    escape_a: Optional[list]
+    climb_a: Optional[list]
+    escape_b: Optional[list]
+    climb_b: Optional[list]
 
     @property
     def failed_stage(self) -> Optional[str]:
@@ -285,31 +250,22 @@ class CertificateRecord:
     def certificate_hops(self) -> Optional[int]:
         if self.failed_stage is not None:
             return None
-        return sum(getattr(self, s).total_hops for s in STAGES)
+        return sum(len(getattr(self, s)) - 1 for s in STAGES)
 
     def walk(self) -> Optional[list]:
         """The full v1 -> apex -> v2 vertex walk, or None if incomplete."""
         if self.failed_stage is not None:
             return None
-        up = self.escape_a.vertices + self.climb_a.vertices[1:]
-        down = self.climb_b.vertices[:-1][::-1] + self.escape_b.vertices[::-1][1:]
+        up = self.escape_a + self.climb_a[1:]
+        down = self.climb_b[:-1][::-1] + self.escape_b[::-1][1:]
         # climb_b ends at the apex, which up already contains
         return up + down
-
-    def to_dict(self) -> dict:
-        out = {"v1": int(self.v1), "v2": int(self.v2),
-               "certificate_hops": self.certificate_hops,
-               "failed_stage": self.failed_stage}
-        for s in STAGES:
-            stage = getattr(self, s)
-            out[s] = None if stage is None else stage.to_dict()
-        return out
 
 
 def _half(core: TraversalCore, dec: LayerDecomposition, v: int) -> tuple:
     """(escape, climb) from v to the apex; climb is None when escape is."""
     esc = escape_bfs(core, dec, v)
-    return esc, None if esc is None else hub_climb(core, dec, esc.vertices[-1])
+    return esc, None if esc is None else hub_climb(core, dec, esc[-1])
 
 
 def loglog_certificate(core: TraversalCore, dec: LayerDecomposition,

@@ -47,7 +47,11 @@ __all__ = [
     "check_tail_mass",
     "degree_tail_report",
     "default_intersection_grid",
+    "hypergeom_error",
+    "overlap_point_error",
     "mass_regime_error",
+    "mass_tau_error",
+    "mass_gamma_error",
 ]
 
 # 99% two-sided normal quantile, fixed for every Wilson interval here.
@@ -65,10 +69,9 @@ class HypergeomParams:
     m: int
 
     def __post_init__(self) -> None:
-        if self.m < 0 or self.j < 0 or self.k < 0:
-            raise ValueError("j, k, m must be non-negative")
-        if self.j > self.m or self.k > self.m:
-            raise ValueError("j and k cannot exceed m")
+        error = hypergeom_error(self.j, self.k, self.m)
+        if error is not None:
+            raise ValueError(error)
 
     @property
     def support(self) -> range:
@@ -110,6 +113,15 @@ class _Table:
         if stop < self.lo:
             return 0.0
         return min(1.0, float(self.prefix[stop - self.lo + 1]))
+
+
+def hypergeom_error(j: int, k: int, m: int) -> Optional[str]:
+    """Why (j, k, m) is no overlap model, or None: it needs 0 <= j, k <= m."""
+    if m < 0 or j < 0 or k < 0:
+        return "j, k, m must be non-negative"
+    if j > m or k > m:
+        return f"j and k cannot exceed m, got j = {j}, k = {k}, m = {m}"
+    return None
 
 
 def hypergeom_pmf(p: HypergeomParams, r: int) -> float:
@@ -379,6 +391,17 @@ def check_union_coverage(m: int, gamma1: float, gamma2: float,
     )
 
 
+def overlap_point_error(a: int, b: int, d: int, m: int) -> Optional[str]:
+    """Why check_conditional_overlap cannot run at (a, b, d, m), or None."""
+    if not (1 <= a <= d <= m):
+        return "need 1 <= a <= d <= m (S_a nested in S_d)"
+    if d > m / 100.0:
+        return f"needs d <= m/100, got d = {d}, m = {m}"
+    if not (1 <= b <= m):
+        return "need 1 <= b <= m"
+    return None
+
+
 def check_conditional_overlap(a: int, b: int, d: int, m: int, trials: int,
                               rng: np.random.Generator) -> BoundReport:
     """Conditional half-overlap bound for nested fixed sets.
@@ -394,12 +417,9 @@ def check_conditional_overlap(a: int, b: int, d: int, m: int, trials: int,
     b < 4 sit outside the derivation (the dyadic split needs floor(b/4) >= 1)
     and are reported with status "boundary" instead of being adjudicated.
     """
-    if not (1 <= a <= d <= m):
-        raise ValueError("need 1 <= a <= d <= m (S_a nested in S_d)")
-    if d > m / 100.0:
-        raise ValueError("needs d <= m/100")
-    if not (1 <= b <= m):
-        raise ValueError("need 1 <= b <= m")
+    error = overlap_point_error(a, b, d, m)
+    if error is not None:
+        raise ValueError(error)
 
     indicator = 1.0 if (a > b / 4.0 and a * b <= m and b >= 3) else 0.0
     bound = math.exp(-b / 8.0) * (1.0 + 4.0 * (m / (a * b)) * indicator)
@@ -471,6 +491,19 @@ def mass_regime_error(n: int, alpha: float) -> Optional[str]:
             f"n^(1/(1+alpha)) = {pole:.6g}")
 
 
+def mass_tau_error(tau: Optional[float], alpha: float) -> Optional[str]:
+    """Why the deviation exponent tau is unusable, or None; None stands for
+    the default 1 + alpha/2."""
+    if tau is None or 1.0 < tau < 1.0 + alpha:
+        return None
+    return f"need 1 < tau < 1 + alpha = {1.0 + alpha:g}, got {tau}"
+
+
+def mass_gamma_error(gamma: float) -> Optional[str]:
+    """Why the relative deviation gamma is unusable, or None."""
+    return None if gamma > 0.0 else f"gamma must be positive, got {gamma}"
+
+
 def check_tail_mass(n: int, alpha: float, c0: float,
                     rng: np.random.Generator,
                     t_grid: Optional[np.ndarray] = None,
@@ -493,16 +526,13 @@ def check_tail_mass(n: int, alpha: float, c0: float,
     with omega = ln(ln(2+n)), required to reach window_min.
     An n below 14, where T* <= n^(1/(1+alpha)), raises ValueError.
     """
-    regime = mass_regime_error(n, alpha)
-    if regime is not None:
-        raise ValueError(regime)
+    for error in (mass_regime_error(n, alpha), mass_tau_error(tau, alpha),
+                  mass_gamma_error(gamma)):
+        if error is not None:
+            raise ValueError(error)
     law = TailLaw(alpha, c0)
     if tau is None:
         tau = 1.0 + alpha / 2.0
-    if not (1.0 < tau < 1.0 + alpha):
-        raise ValueError("need 1 < tau < 1 + alpha")
-    if not (0.0 < gamma):
-        raise ValueError("gamma must be positive")
     if t_grid is None:
         t_grid = default_mass_grid(n, alpha, c0)
     t_grid = np.asarray(t_grid, dtype=float)

@@ -389,6 +389,48 @@ def test_hub_reports_golden(tmp_path, monkeypatch, capsys, command, seed, pairs,
         assert hashlib.sha256(fh.read()).hexdigest()[:16] == digest
 
 
+@pytest.mark.parametrize("field, value", [
+    ("verify_jk_max", 21),                  # above the least verify_m_values
+    ("overlap_point", [40, 16, 100, 1000]),  # d > m/100
+    ("mass_tau", 2.0),                      # outside (1, 1 + alpha)
+    ("mass_gamma", 0),
+])
+def test_verify_lemmas_rejects_invalid_suite_settings(tmp_path, capsys, field, value):
+    # each broke a suite's own rule and ended in a runtime failure (exit 2)
+    # once the suites before it had run; the config now rejects it up front
+    doc = dict(verify_m_values=[20], verify_jk_max=6, coverage_trials=50,
+               overlap_trials=3000, mass_n=2000, mass_trials=10, window_min=0.0)
+    doc[field] = value
+    path = write_config(tmp_path, **doc)
+    assert cli.main(["verify-lemmas", "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {field}:")
+    assert "FAIL" not in captured.err and captured.out == ""
+
+
+def test_graph_file_bounds_use_the_file_alpha(tmp_path, capsys):
+    # the graph's alpha is 0.5; the config's is the default 0.8, and the
+    # bounds must follow the graph's: 3*l2n/ln 2 and 2*l2n/ln 2 at n = 2000
+    out = str(tmp_path / "out")
+    assert cli.main(["generate", "-n", "2000", "--alpha", "0.5", "--seed", "3",
+                     "--trials", "1", "--out", out]) == 0
+    graph = capsys.readouterr().out.strip()
+    bounds = {"distances": 8.779081257559394, "hubpath": 5.852720838372929}
+    for command, bound in bounds.items():
+        assert cli.main([command, "--graph", graph, "--out", out]) == 0
+        with open(capsys.readouterr().out.strip()) as fh:
+            frag = json.load(fh)
+        assert frag["alpha"] == 0.5
+        assert frag["bound"] == pytest.approx(bound, rel=1e-12)
+        # the pass fields follow the same bound
+        if command == "distances":
+            hops = [p["hops"] for p in frag["pairs"] if p["hops"] is not None]
+            assert frag["pass_rate"] == sum(h <= bound for h in hops) / len(hops)
+        else:
+            assert all(s["pass"] == (s["exact"] <= bound)
+                       for s in frag["samples"] if s["exact"] is not None)
+
+
 @pytest.mark.parametrize("mass_n", [10, 13])
 def test_verify_lemmas_rejects_mass_n_below_14(tmp_path, capsys, mass_n):
     path = write_config(tmp_path, mass_n=mass_n)

@@ -83,8 +83,9 @@ def test_config_defaults_and_derived():
     assert cfg.m_for(1000) == default_attribute_count(1000)
     assert cfg.epsilon == 1.0
     l2n = iterated_log(1000)
-    assert cfg.pair_bound(1000) == pytest.approx(3.0 * l2n / math.log(1.0 / cfg.alpha))
-    assert cfg.hub_bound(1000) == pytest.approx(2.0 * l2n / math.log(1.0 / cfg.alpha))
+    params = cfg.params_for(1000)
+    assert cfg.pair_bound(params) == pytest.approx(3.0 * l2n / math.log(1.0 / cfg.alpha))
+    assert cfg.hub_bound(params) == pytest.approx(2.0 * l2n / math.log(1.0 / cfg.alpha))
     assert cfg.hub_samples() == cfg.pairs_per_trial
     cfg2 = ExperimentConfig(n_values=[1000], m=5000, hub_samples_per_trial=7)
     assert cfg2.m_for(1000) == 5000
@@ -371,9 +372,9 @@ def test_config_rejects_mass_n_below_14(tmp_path):
 
 
 def test_run_verify_coverage_consistency_check(tmp_path):
-    cfg = small_verify_cfg(tmp_path, coverage_m=200)
-    with pytest.raises(ConfigError):
-        harness.run_verify(cfg)
+    # the config itself rejects the grid, before any suite runs
+    with pytest.raises(ConfigError, match="coverage grid inconsistent"):
+        small_verify_cfg(tmp_path, coverage_m=200)
 
 
 def test_run_verify_csv_bytes_stable(tmp_path):
@@ -528,7 +529,7 @@ def test_experiment_conditioning_never_counts_infinite(tmp_path):
     for cell in report["cells"]:
         finite = [h for h in cell["pair_hops"] if h is not None]
         if cell["pair_pass_rate"] is not None:
-            bound = cfg.pair_bound(cell["n"])
+            bound = cfg.pair_bound(cfg.params_for(cell["n"]))
             expect = sum(h <= bound for h in finite) / len(finite)
             assert cell["pair_pass_rate"] == pytest.approx(expect)
         hub = cell["hub"]

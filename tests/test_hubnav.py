@@ -119,7 +119,8 @@ def test_level_and_layer_index():
     th = toy_ladder()
     dec = decompose(toy_weights([25.0, 15.0, 5.0]), th)
     assert [dec.level_of(v) for v in range(3)] == [1, 2, 3]
-    assert [dec.layer_index_of(v) for v in range(3)] == [1, 0, -1]
+    # rungs cleared, k* - level: -1 off the ladder
+    assert [dec.k_star - dec.level_of(v) for v in range(3)] == [1, 0, -1]
 
 
 def test_level_of_empty_ladder():
@@ -153,18 +154,20 @@ def climb_toy():
 def test_hub_climb_full_ladder_walk():
     _, core, dec = climb_toy()
     path = hub_climb(core, dec, 3)
-    assert path.vertices == [3, 2, 0]
-    assert path.layer_index == [0, 1, 2]
-    assert path.total_hops == 2 <= dec.k_star
+    assert path == [3, 2, 0]
+    # rungs cleared climb 0, 1 and k* at the apex
+    assert [dec.k_star - dec.level_of(v) for v in path[:-1]] == [0, 1]
+    assert path[-1] == dec.u_max
+    assert len(path) - 1 == 2 <= dec.k_star
 
 
 def test_hub_climb_short_cases():
     _, core, dec = climb_toy()
-    assert hub_climb(core, dec, 2).vertices == [2, 0]
+    assert hub_climb(core, dec, 2) == [2, 0]
     at_apex = hub_climb(core, dec, 0)
-    assert at_apex.vertices == [0]
-    assert at_apex.layer_index == [dec.k_star]
-    assert at_apex.total_hops == 0
+    assert at_apex == [0]
+    assert at_apex[-1] == dec.u_max
+    assert len(at_apex) - 1 == 0
 
 
 def test_hub_climb_start_outside_top_layer():
@@ -189,10 +192,11 @@ def test_hub_climb_tie_break_smallest_index():
     w = toy_weights([100.0, 25.0, 25.0, 12.0])
     dec = decompose(w, toy_ladder())
     path = hub_climb(core, dec, 3)
-    assert path.vertices == [3, 1, 0]
-    assert path.layer_index == [0, 1, 2]
-    assert path.total_hops == 2
-    assert path.total_hops <= dec.k_star
+    assert path == [3, 1, 0]
+    assert [dec.k_star - dec.level_of(v) for v in path[:-1]] == [0, 1]
+    assert path[-1] == dec.u_max
+    assert len(path) - 1 == 2
+    assert len(path) - 1 <= dec.k_star
 
 
 def test_hub_climb_apex_shortcut():
@@ -202,15 +206,15 @@ def test_hub_climb_apex_shortcut():
     w = toy_weights([100.0, 1.0, 12.0])
     dec = decompose(w, toy_ladder())
     path = hub_climb(core, dec, 2)
-    assert path.vertices == [2, 0]
-    assert path.total_hops == 1
+    assert path == [2, 0]
+    assert len(path) - 1 == 1
 
 
 def test_escape_bfs_modes():
     _, core, dec = climb_toy()
     # vertex 3 is already in the top layer: zero hops
     esc = escape_bfs(core, dec, 3)
-    assert esc.vertices == [3] and esc.total_hops == 0
+    assert esc == [3] and len(esc) - 1 == 0
     # vertex 1 is isolated from the ladder: no route
     assert escape_bfs(core, dec, 1) is None
     # off-ladder vertex adjacent to the ladder: one hop
@@ -218,8 +222,8 @@ def test_escape_bfs_modes():
     w2 = toy_weights([12.0, 1.0, 1.0])
     dec2 = decompose(w2, toy_ladder())
     esc2 = escape_bfs(TraversalCore(inc2), dec2, 1)
-    assert esc2.vertices == [1, 0]
-    assert esc2.layer_index == [-1, 0]
+    assert esc2 == [1, 0]
+    assert [dec2.k_star - dec2.level_of(v) for v in esc2] == [-1, 0]
 
 
 def test_escape_bfs_vertex_range():
@@ -250,8 +254,8 @@ def test_escape_bfs_distance_is_minimal(small_instances):
         if esc is None:
             assert not finite
         else:
-            assert esc.total_hops == min(finite)
-            assert esc.vertices[-1] in set(targets.tolist())
+            assert len(esc) - 1 == min(finite)
+            assert esc[-1] in set(targets.tolist())
 
 
 def test_certificate_on_toy():
@@ -265,7 +269,7 @@ def test_certificate_on_toy():
     walk = cert.walk()
     assert walk[0] == 3 and walk[-1] == 2
     assert len(walk) == cert.certificate_hops + 1
-    assert cert.to_dict()["climb_a"]["vertices"] == [3, 2, 0]
+    assert cert.climb_a == [3, 2, 0]
 
 
 def test_certificate_records_failure_stage():
@@ -302,15 +306,20 @@ def test_certificate_sound_on_random_instances(small_instances):
             assert cert.failed_stage == (missing[0] if missing else None)
             for climb in (cert.climb_a, cert.climb_b):
                 if climb is not None:
-                    assert climb.total_hops <= dec.k_star
-                    assert climb.vertices[-1] == dec.u_max
+                    assert len(climb) - 1 <= dec.k_star
+                    assert climb[-1] == dec.u_max
+                    # every hop clears a rung: the level falls, with the
+                    # apex at level 0
+                    levels = [0 if v == dec.u_max else dec.level_of(v)
+                              for v in climb]
+                    assert all(a > b for a, b in zip(levels, levels[1:]))
             if cert.certificate_hops is None:
                 assert cert.walk() is None
                 continue
             finished += 1
             exact = pair_hops_python(adj, v1)[v2]
             assert exact != -1
-            assert cert.certificate_hops == sum(s.total_hops for s in stages)
+            assert cert.certificate_hops == sum(len(s) - 1 for s in stages)
             assert cert.certificate_hops >= exact
             walk = cert.walk()
             assert walk[0] == v1 and walk[-1] == v2
@@ -340,6 +349,6 @@ def test_degenerate_mode_climb():
     targets, degenerate = dec.escape_targets()
     assert degenerate and targets.tolist() == [0, 1]
     esc = escape_bfs(core, dec, 2)
-    assert esc.vertices == [2, 1]
+    assert esc == [2, 1]
     path = hub_climb(core, dec, 1)
-    assert path.vertices == [1, 0]
+    assert path == [1, 0]
