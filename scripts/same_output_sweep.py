@@ -4,7 +4,7 @@ Usage, from the root of a rigkit source tree:
 
     python3 scripts/same_output_sweep.py ROOT [--src DIR]
 
-Runs 160 CLI commands, one fresh interpreter each, with the rigkit package
+Runs 174 CLI commands, one fresh interpreter each, with the rigkit package
 in DIR (default: this tree's src/):
 
 * distances, hubpath, analyze and a two-trial experiment, in JSON and in
@@ -19,7 +19,13 @@ in DIR (default: this tree's src/):
   in JSON and in CSV, where the ladder has three rungs (k* = 3): climbs
   of two hops and climbs that dead-end below the apex;
 * a three-n experiment ladder, and verify-lemmas with
-  perfbench/bounds_config.json, each in JSON and in CSV.
+  perfbench/bounds_config.json, each in JSON and in CSV;
+* verify-lemmas with seven small configs, in JSON and in CSV, so that
+  every bound-report status is written: the base config alone gives 60
+  skipped intersection reports, and the other six each change one thing
+  to give a boundary, an inconclusive and an adjudicated conditional
+  overlap, 40 skipped tail-mass reports, and failing mass checks at
+  mass_n 14 and at mass_n 20 with alpha 0.5.
 
 Every command runs inside ROOT with relative paths, so no output names ROOT.
 ROOT/log.txt gets each command's arguments, exit code, standard output and
@@ -34,6 +40,7 @@ and compare the roots:
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -46,6 +53,19 @@ FORMATS = ("json", "csv")
 SINGLE = ("distances", "hubpath", "analyze")
 LADDER_SEEDS = (51, 53, 56)
 RUNGS_SEEDS = (1, 5, 6)
+# the small verify-lemmas configs: each is SMALL_VERIFY with its changes
+SMALL_VERIFY = {"n_values": [1000], "verify_m_values": [20, 100, 1000],
+                "verify_jk_max": 12, "coverage_trials": 200, "overlap_trials": 2000,
+                "mass_n": 2000, "mass_trials": 20}
+SMALL_CHANGES = {
+    "base": {},
+    "boundary": {"overlap_point": [50, 3, 100, 10000]},
+    "inconclusive": {"overlap_point": [1, 4, 9, 10000], "overlap_trials": 20},
+    "adjudicated": {"overlap_point": [500, 64, 1000, 100000]},
+    "c0-above-pole": {"c0": 100.0},  # above 2000^(1/1.8), the t-grid's top
+    "mass-n14": {"mass_n": 14, "mass_trials": 10},
+    "mass-n20-a0.5": {"mass_n": 20, "mass_trials": 10, "alpha": 0.5},
+}
 
 
 def commands(bounds_config: str) -> list:
@@ -88,6 +108,11 @@ def commands(bounds_config: str) -> list:
         cmds.append((f"verify/{fmt}",
                      ["verify-lemmas", "--config", bounds_config, "--seed", "1",
                       "--format", fmt]))
+    for name in SMALL_CHANGES:
+        for fmt in FORMATS:
+            cmds.append((f"verify-{name}/{fmt}",
+                         ["verify-lemmas", "--config", f"verify-{name}.json",
+                          "--seed", "1", "--format", fmt]))
     return cmds
 
 
@@ -107,6 +132,9 @@ def main(argv=None) -> int:
         config = fh.read()
     with open(os.path.join(args.root, "bounds_config.json"), "w") as fh:
         fh.write(config)
+    for name, changes in SMALL_CHANGES.items():
+        with open(os.path.join(args.root, f"verify-{name}.json"), "w") as fh:
+            json.dump({**SMALL_VERIFY, **changes}, fh)
     cmds = commands("bounds_config.json")
     with open(os.path.join(args.root, "log.txt"), "w") as log:
         for i, (out, cli_args) in enumerate(cmds, start=1):

@@ -49,12 +49,12 @@ from .model import (
 from .storage import GraphFormatError, GraphHeader, file_checksum, read_graph, write_graph
 from .verify import (
     BoundReport,
+    HypergeomTable,
     check_conditional_overlap,
     check_intersection_bounds,
     check_tail_mass,
     check_union_coverage,
     degree_tail_report,
-    hypergeom_pmf,
     no_overlap_probability,
     wilson_interval,
 )
@@ -80,6 +80,7 @@ __all__ = [
     "ExperimentConfig",
     "GraphFormatError",
     "GraphHeader",
+    "HypergeomTable",
     "LadderError",
     "LayerDecomposition",
     "LayerThresholds",
@@ -103,7 +104,6 @@ __all__ = [
     "file_checksum",
     "generate",
     "hub_climb",
-    "hypergeom_pmf",
     "iterated_log",
     "loglog_certificate",
     "maximal_vertex",

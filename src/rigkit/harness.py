@@ -30,12 +30,13 @@ from . import storage
 from .graphgen import PACK_LIMIT, generate
 from .graphops import UNREACHED, TraversalCore, bfs_distance, components, distances_from
 from .hubnav import LadderError, decompose, loglog_certificate, thresholds
-from .model import ModelParams, default_attribute_count, iterated_log, trial_rng
+from .model import ModelParams, TailLaw, default_attribute_count, iterated_log, trial_rng
 from .verify import (
     check_conditional_overlap,
     check_intersection_bounds,
     check_tail_mass,
     check_union_coverage,
+    coverage_floor,
     degree_tail_report,
     hypergeom_error,
     json_object,
@@ -146,8 +147,10 @@ class ExperimentConfig:
             raise ConfigError("n_values must be a nonempty list")
         if len(self.overlap_point) != 4:
             raise ConfigError("overlap_point must be [a, b, d, m]")
-        if not (0.0 < self.alpha < 1.0):
-            raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
+        try:  # alpha in (0, 1), and a positive finite tail constant c0^(1+alpha)
+            TailLaw(self.alpha, self.c0)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         # the verify-lemmas suites' own rules, checked before any suite runs
         for name, error in (
                 # the grid's worst point: j = k = verify_jk_max at the least m
@@ -160,8 +163,6 @@ class ExperimentConfig:
                 ("mass_gamma", mass_gamma_error(self.mass_gamma))):
             if error is not None:
                 raise ConfigError(f"{name}: {error}")
-        if self.c0 <= 0:
-            raise ConfigError("c0 must be positive")
         if self.epsilon <= 0:
             raise ConfigError("epsilon must be positive")
         if self.hub_floor is not None and self.hub_floor <= 1:
@@ -215,10 +216,9 @@ class ExperimentConfig:
                 else self.hub_samples_per_trial)
 
     def coverage_size(self) -> int:
-        """Size of each union-coverage set: the suite's least size
-        6*g2*(g2-g1)^-2*ln(coverage_n), rounded up."""
-        g1, g2 = self.coverage_gamma1, self.coverage_gamma2
-        return math.ceil(6.0 * g2 * (g2 - g1) ** -2 * math.log(self.coverage_n))
+        """Size of each union-coverage set: the suite's least size, rounded up."""
+        return math.ceil(coverage_floor(self.coverage_gamma1, self.coverage_gamma2,
+                                        self.coverage_n))
 
     def pair_bound(self, params: ModelParams) -> float:
         """(2+eps) * ln ln(2+n) / ln(1/alpha), at the instance's n and alpha."""
@@ -475,7 +475,7 @@ def run_verify(cfg: ExperimentConfig) -> list:
     grid = ((j, k, m) for m in cfg.verify_m_values
             for j in range(cfg.verify_jk_max + 1)
             for k in range(cfg.verify_jk_max + 1))
-    reports = list(check_intersection_bounds(grid))
+    reports = check_intersection_bounds(grid)
     reports.append(check_union_coverage(
         cfg.coverage_m, cfg.coverage_gamma1, cfg.coverage_gamma2,
         [cfg.coverage_size()] * cfg.coverage_set_count, cfg.coverage_n,
@@ -549,8 +549,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     """The full ladder: trials per n, aggregated per n and overall."""
     tasks = [(cfg, n, t) for n in cfg.n_values
              for t in range(cfg.trials)]
-    if cfg.threads > 1:
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+    # the pool starts all its workers at once: no more than cells or cores
+    workers = min(cfg.threads, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(_experiment_cell, tasks))
     else:
         cells = [_experiment_cell(t) for t in tasks]

@@ -14,8 +14,10 @@ j-subset and k-subset of an m-pool and let H be their overlap.
   max-weight window event (check_tail_mass).
 
 Exact quantities are evaluated through log-factorials so they cannot be
-corrupted by cancellation; every Monte Carlo verdict goes through a 99%
-Wilson score interval and can only refute a bound from the safe side.
+corrupted by cancellation: one HypergeomTable per (j, k, m) holds the pmf of
+H and both tails.  Every Monte Carlo verdict goes through a 99% Wilson score
+interval and can only refute a bound from the safe side.  A BoundReport stores
+only lhs, rhs and its status; satisfied and slack = rhs - lhs follow from them.
 """
 
 from __future__ import annotations
@@ -33,12 +35,9 @@ from .graphops import TraversalCore, degrees
 from .model import TailLaw, iterated_log
 
 __all__ = [
-    "HypergeomParams",
+    "HypergeomTable",
     "BoundReport",
     "DegreeTailReport",
-    "hypergeom_pmf",
-    "hypergeom_sf",
-    "hypergeom_cdf",
     "no_overlap_probability",
     "wilson_interval",
     "check_intersection_bounds",
@@ -46,7 +45,7 @@ __all__ = [
     "check_conditional_overlap",
     "check_tail_mass",
     "degree_tail_report",
-    "default_intersection_grid",
+    "coverage_floor",
     "hypergeom_error",
     "overlap_point_error",
     "mass_regime_error",
@@ -59,42 +58,35 @@ WILSON_Z = 2.5758293035489004
 
 EXACT_TOL = 1e-12
 
+# degree_tail_report: least vertex count at the top of the fit window, and
+# grid points per decade of degree
+DEGREE_MIN_SUPPORT = 50
+POINTS_PER_DECADE = 8
 
-@dataclass(frozen=True)
-class HypergeomParams:
-    """Overlap model: j draws, k marked, pool m; H = |draws cap marked|."""
 
-    j: int
-    k: int
-    m: int
+class HypergeomTable:
+    """The law of H = |draws cap marked| for j draws from an m-pool with k
+    marked: its pmf over the support lo..hi in one vectorized log-factorial
+    pass (relative error <= 1e-10), with prefix sums for both tails.  Build
+    once per (j, k, m)."""
 
-    def __post_init__(self) -> None:
-        error = hypergeom_error(self.j, self.k, self.m)
+    def __init__(self, j: int, k: int, m: int):
+        error = hypergeom_error(j, k, m)
         if error is not None:
             raise ValueError(error)
-
-    @property
-    def support(self) -> range:
-        return range(max(0, self.j + self.k - self.m), min(self.j, self.k) + 1)
-
-    @property
-    def mean(self) -> float:
-        return self.j * self.k / self.m if self.m else 0.0
-
-
-class _Table:
-    """pmf of H over its support in one vectorized log-factorial pass, with
-    prefix sums for both tails; build once per (j, k, m)."""
-
-    def __init__(self, p: HypergeomParams):
-        self.lo, self.hi = p.support.start, p.support.stop - 1
+        self.mean = j * k / m if m else 0.0
+        self.lo, self.hi = max(0, j + k - m), min(j, k)
         r = np.arange(self.lo, self.hi + 1)
-        logs = (gammaln(p.k + 1) - gammaln(r + 1) - gammaln(p.k - r + 1)
-                + gammaln(p.m - p.k + 1) - gammaln(p.j - r + 1)
-                - gammaln(p.m - p.k - p.j + r + 1)
-                - gammaln(p.m + 1) + gammaln(p.j + 1) + gammaln(p.m - p.j + 1))
+        logs = (gammaln(k + 1) - gammaln(r + 1) - gammaln(k - r + 1)
+                + gammaln(m - k + 1) - gammaln(j - r + 1)
+                - gammaln(m - k - j + r + 1)
+                - gammaln(m + 1) + gammaln(j + 1) + gammaln(m - j + 1))
         self.pmf = np.exp(logs)
         self.prefix = np.concatenate(([0.0], np.cumsum(self.pmf)))
+
+    def prob(self, r: int) -> float:
+        """P(H = r); 0 off the support."""
+        return float(self.pmf[r - self.lo]) if self.lo <= r <= self.hi else 0.0
 
     def at_least(self, x: float) -> float:
         """P(H >= x) for a real x; 1 below the support, 0 above it."""
@@ -124,26 +116,12 @@ def hypergeom_error(j: int, k: int, m: int) -> Optional[str]:
     return None
 
 
-def hypergeom_pmf(p: HypergeomParams, r: int) -> float:
-    """P(H = r), exact up to log-factorial rounding (rel err <= 1e-10)."""
-    if r not in p.support:
-        return 0.0
-    table = _Table(p)
-    return float(table.pmf[r - table.lo])
-
-
-def hypergeom_sf(p: HypergeomParams, t: float) -> float:
-    """P(H >= t) for a real threshold t; 1 below the support, 0 above it."""
-    return _Table(p).at_least(t)
-
-
-def hypergeom_cdf(p: HypergeomParams, t: float) -> float:
-    """P(H <= t) for a real threshold t."""
-    return _Table(p).at_most(t)
-
-
 def no_overlap_probability(j: int, k: int, m: int) -> float:
-    """P(H = 0) = (m-k)_j / (m)_j via log-factorials (0 when j + k > m)."""
+    """P(H = 0) = (m-k)_j / (m)_j via log-factorials (0 when j + k > m).
+
+    Four log-factorials at any j, k and m, where a HypergeomTable takes a
+    pass over the support; HypergeomTable.prob(0) can differ from it in the
+    last bits."""
     if j + k > m:
         return 0.0
     if j == 0 or k == 0:
@@ -153,15 +131,16 @@ def no_overlap_probability(j: int, k: int, m: int) -> float:
     )
 
 
-def wilson_interval(successes: int, trials: int, z: float = WILSON_Z):
+def wilson_interval(successes: int, trials: int):
     """99% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         return 0.0, 1.0
     ph = successes / trials
-    z2 = z * z
+    z2 = WILSON_Z * WILSON_Z
     denom = 1.0 + z2 / trials
     center = (ph + z2 / (2 * trials)) / denom
-    half = z * math.sqrt(ph * (1.0 - ph) / trials + z2 / (4 * trials * trials)) / denom
+    half = (WILSON_Z * math.sqrt(ph * (1.0 - ph) / trials + z2 / (4 * trials * trials))
+            / denom)
     return max(0.0, center - half), min(1.0, center + half)
 
 
@@ -170,6 +149,8 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z):
 _JSON_FLOAT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _JSON_NUMBER = {**_JSON_FLOAT, "nan": "null"}
 _PLAIN = frozenset({str, int, float, bool, type(None)})
+# a report's verdict by status; every status not listed was not adjudicated
+_SATISFIED = {"pass": True, "vacuous": True, "fail": False}
 
 
 def json_scalar(value) -> str:
@@ -219,15 +200,14 @@ class BoundReport:
     conditions of the derivation (reported, not asserted); inconclusive when
     a conditional Monte Carlo could not collect enough samples; skipped when
     the point violates a precondition that only disables this family.
-    satisfied is None whenever the check was not actually adjudicated.
+    satisfied follows from the status alone and is None whenever the check
+    was not adjudicated; slack is rhs - lhs.
     """
 
     bound_id: str
     params: dict
     lhs: float
     rhs: float
-    satisfied: Optional[bool]
-    slack: float
     status: str
     note: str = ""
 
@@ -237,15 +217,20 @@ class BoundReport:
         # copied because the suites hand one dict to several reports.
         self.lhs = float(self.lhs)
         self.rhs = float(self.rhs)
-        self.slack = float(self.slack)
-        if self.satisfied is not None:
-            self.satisfied = bool(self.satisfied)
         params = dict(self.params)
         if not _PLAIN.issuperset(map(type, params.values())):
             for key, value in params.items():
                 if isinstance(value, np.generic):
                     params[key] = value.item()
         self.params = params
+
+    @property
+    def satisfied(self) -> Optional[bool]:
+        return _SATISFIED.get(self.status)
+
+    @property
+    def slack(self) -> float:
+        return self.rhs - self.lhs
 
     def json_block(self) -> str:
         """This report as json.dump(sort_keys=True, indent=2) writes it as an
@@ -266,41 +251,30 @@ class BoundReport:
 def _exact_report(bound_id: str, params: dict, lhs: float, rhs: float,
                   note: str = "") -> BoundReport:
     tol = EXACT_TOL * max(1.0, abs(lhs), abs(rhs))
-    ok = lhs <= rhs + tol
-    return BoundReport(bound_id, params, lhs, rhs, ok, rhs - lhs,
-                       "pass" if ok else "fail", note)
+    return BoundReport(bound_id, params, lhs, rhs,
+                       "pass" if lhs <= rhs + tol else "fail", note)
 
 
 def _skip_report(bound_id: str, params: dict, note: str) -> BoundReport:
-    return BoundReport(bound_id, params, math.nan, math.nan, None, math.nan,
-                       "skipped", note)
+    return BoundReport(bound_id, params, math.nan, math.nan, "skipped", note)
 
 
-def default_intersection_grid():
-    """The standing grid: all j, k in 0..30 crossed with m in {100, 300, 1000}."""
-    return [(j, k, m) for m in (100, 300, 1000)
-            for j in range(31) for k in range(31)]
+def check_intersection_bounds(grid):
+    """Exact checks of the overlap inequalities at every (j, k, m) of grid.
 
-
-def check_intersection_bounds(grid=None, deviations: Optional[Sequence[int]] = None):
-    """Exact checks of the overlap inequalities at every grid point.
-
-    Four families per (j, k, m): the no-overlap sandwich on P(H = 0), the
+    Four families per point: the no-overlap sandwich on P(H = 0), the
     derived sandwich on the hit probability P(H >= 1), Bernstein-style tail
-    bounds on deviations of H from jk/m at each integer deviation t (all of
-    0..min(j,k) unless a custom list is given), and the exponential
-    no-overlap bound P(H = 0) <= exp(-jk/2m).  Points that break a family's
-    side condition are reported as skipped for that family only.
+    bounds on the deviation of H from jk/m by each integer t in 0..min(j,k),
+    and the exponential no-overlap bound P(H = 0) <= exp(-jk/2m).
+    Points that break a family's side condition are reported as skipped for
+    that family only.
     """
-    if grid is None:
-        grid = default_intersection_grid()
     reports = []
     for j, k, m in grid:
-        p = HypergeomParams(j=j, k=k, m=m)
+        table = HypergeomTable(j, k, m)
         base = {"j": j, "k": k, "m": m}
-        lam = p.mean
+        lam = table.mean
         p0 = no_overlap_probability(j, k, m)
-        table = _Table(p)
 
         if j + k < m:
             lower = 1.0 - lam / (1.0 - (j + k) / m)
@@ -325,10 +299,7 @@ def check_intersection_bounds(grid=None, deviations: Optional[Sequence[int]] = N
             reports.append(_skip_report("edge_prob_lower", {**base, "s": s}, note))
             reports.append(_skip_report("edge_prob_upper", {**base, "s": s}, note))
 
-        t_values = range(min(j, k) + 1) if deviations is None else deviations
-        for t in t_values:
-            if t > min(j, k):
-                continue
+        for t in range(min(j, k) + 1):
             pt = {**base, "t": t}
             upper_tail = table.at_least(lam + t)
             rhs_up = 1.0 if t == 0 else math.exp(-t * t / (2.0 * (lam + t / 3.0)))
@@ -347,13 +318,18 @@ def check_intersection_bounds(grid=None, deviations: Optional[Sequence[int]] = N
     return reports
 
 
+def coverage_floor(gamma1: float, gamma2: float, n: int) -> float:
+    """The union-coverage claim's least set size 6*g2*(g2-g1)^-2*ln(n)."""
+    return 6.0 * gamma2 * (gamma2 - gamma1) ** -2 * math.log(n)
+
+
 def check_union_coverage(m: int, gamma1: float, gamma2: float,
                          sizes: Sequence[int], n: int, trials: int,
                          rng: np.random.Generator) -> BoundReport:
     """Monte Carlo check that r independent uniform subsets barely overlap.
 
     Claim: P(|union S_h| >= (1 - gamma2) * sum |S_h|) >= 1 - r * n^-3,
-    under sum sizes <= gamma1 * m and every size >= 6*gamma2*(gamma2-gamma1)^-2*ln(n).
+    under sum sizes <= gamma1 * m and every size >= coverage_floor(gamma1, gamma2, n).
     The reference scale n enters only through the bound and the size floor.
     Precondition violations raise ValueError naming the condition.
     """
@@ -367,7 +343,7 @@ def check_union_coverage(m: int, gamma1: float, gamma2: float,
         raise ValueError("reference scale n must be >= 2")
     if int(sizes.sum()) > gamma1 * m:
         raise ValueError("sum of sizes exceeds gamma1 * m")
-    floor = 6.0 * gamma2 * (gamma2 - gamma1) ** -2 * math.log(n)
+    floor = coverage_floor(gamma1, gamma2, n)
     if np.any(sizes < floor):
         raise ValueError(f"every size must be >= {floor:.3f} = 6*g2*(g2-g1)^-2*ln(n)")
 
@@ -385,8 +361,7 @@ def check_union_coverage(m: int, gamma1: float, gamma2: float,
         "union_coverage",
         {"m": m, "gamma1": gamma1, "gamma2": gamma2, "r": r, "n": n,
          "trials": trials},
-        bound, hits / trials, ok, hits / trials - bound,
-        "pass" if ok else "fail",
+        bound, hits / trials, "pass" if ok else "fail",
         f"wilson99=[{lo:.6f},{hi:.6f}]",
     )
 
@@ -449,23 +424,21 @@ def check_conditional_overlap(a: int, b: int, d: int, m: int, trials: int,
 
     if accepted < 100:
         return BoundReport(
-            "conditional_overlap", params, math.nan, bound, None, math.nan,
-            "inconclusive",
+            "conditional_overlap", params, math.nan, bound, "inconclusive",
             f"only {accepted} accepted samples in {drawn} draws",
         )
     freq = hits / accepted
     lo, hi = wilson_interval(hits, accepted)
     note = f"wilson99=[{lo:.6f},{hi:.6f}], accepted={accepted}"
     if b < 4:
-        return BoundReport("conditional_overlap", params, freq, bound, None,
-                           bound - freq, "boundary",
+        return BoundReport("conditional_overlap", params, freq, bound, "boundary",
                            note + "; b < 4 sits outside the derivation")
     if bound >= 1.0:
-        return BoundReport("conditional_overlap", params, freq, bound, True,
-                           bound - freq, "vacuous", note + "; bound >= 1")
-    ok = lo <= bound  # upper-bound claim: refuted only when even lo exceeds it
-    return BoundReport("conditional_overlap", params, freq, bound, ok,
-                       bound - freq, "pass" if ok else "fail", note)
+        return BoundReport("conditional_overlap", params, freq, bound, "vacuous",
+                           note + "; bound >= 1")
+    # upper-bound claim: refuted only when even lo exceeds it
+    return BoundReport("conditional_overlap", params, freq, bound,
+                       "pass" if lo <= bound else "fail", note)
 
 
 def default_mass_grid(n: int, alpha: float, c0: float, points: int = 10) -> np.ndarray:
@@ -579,10 +552,10 @@ def check_tail_mass(n: int, alpha: float, c0: float,
         q_mc = float(np.mean(q_draws))
         se = float(np.std(q_draws, ddof=1)) / math.sqrt(trials)
         gap = abs(q_mc - q_analytic)
-        ok = gap <= 3.0 * se
         reports.append(BoundReport(
-            "mass_mc_agreement", params, gap, 3.0 * se, ok, 3.0 * se - gap,
-            "pass" if ok else "fail", f"mc={q_mc:.6f} analytic={q_analytic:.6f}"))
+            "mass_mc_agreement", params, gap, 3.0 * se,
+            "pass" if gap <= 3.0 * se else "fail",
+            f"mc={q_mc:.6f} analytic={q_analytic:.6f}"))
 
         dev_bound = cstar * gamma**-tau * float(n) ** (1.0 - tau) \
             * float(t) ** ((tau - 1.0) * (alpha + 1.0))
@@ -590,23 +563,21 @@ def check_tail_mass(n: int, alpha: float, c0: float,
         freq = dev_hits / trials
         if dev_bound > 1.0:
             reports.append(BoundReport(
-                "mass_deviation", params, freq, dev_bound, True,
-                dev_bound - freq, "vacuous", "bound exceeds 1"))
+                "mass_deviation", params, freq, dev_bound, "vacuous",
+                "bound exceeds 1"))
         else:
             lo, hi = wilson_interval(dev_hits, trials)
-            ok = lo <= dev_bound
             reports.append(BoundReport(
-                "mass_deviation", params, freq, dev_bound, ok,
-                dev_bound - freq, "pass" if ok else "fail",
+                "mass_deviation", params, freq, dev_bound,
+                "pass" if lo <= dev_bound else "fail",
                 f"wilson99=[{lo:.6f},{hi:.6f}]"))
 
     in_window = np.sum((max_z > window_lo) & (max_z <= t_upper))
     freq = float(in_window) / trials
-    ok = freq >= window_min
     reports.append(BoundReport(
         "max_weight_window",
         {"n": n, "alpha": alpha, "c0": c0, "omega": omega, "trials": trials},
-        window_min, freq, ok, freq - window_min, "pass" if ok else "fail",
+        window_min, freq, "pass" if freq >= window_min else "fail",
         f"window=({window_lo:.4g}, {t_upper:.4g}]"))
     return reports
 
@@ -617,8 +588,8 @@ class DegreeTailReport:
 
     survival[i] = fraction of vertices with degree >= grid[i].  The slope is
     fitted by least squares over the top decade that still has solid support
-    (at least min_support vertices at the upper fit point); slope is None
-    when fewer than two grid points qualify.
+    (at least DEGREE_MIN_SUPPORT vertices at the upper fit point); slope is
+    None when fewer than two grid points qualify.
     """
 
     grid: np.ndarray
@@ -639,8 +610,7 @@ class DegreeTailReport:
         }
 
 
-def degree_tail_report(core: TraversalCore, min_support: int = 50,
-                       points_per_decade: int = 8) -> DegreeTailReport:
+def degree_tail_report(core: TraversalCore) -> DegreeTailReport:
     """Degree survival table and fitted tail exponent (target -(1+alpha))."""
     deg = degrees(core)
     n = core.n
@@ -649,15 +619,15 @@ def degree_tail_report(core: TraversalCore, min_support: int = 50,
         grid = np.array([1], dtype=np.int64)
         return DegreeTailReport(grid=grid, survival=np.zeros(1), slope=None)
 
-    num = max(2, int(math.ceil(math.log10(dmax) * points_per_decade)) + 1)
+    num = max(2, int(math.ceil(math.log10(dmax) * POINTS_PER_DECADE)) + 1)
     grid = np.unique(np.round(np.geomspace(1, dmax, num=num)).astype(np.int64))
     sorted_deg = np.sort(deg)
     survival = 1.0 - np.searchsorted(sorted_deg, grid, side="left") / n
 
-    # fit window: largest grid degree with >= min_support vertices above it,
-    # then one decade down from there
+    # fit window: largest grid degree with >= DEGREE_MIN_SUPPORT vertices
+    # above it, then one decade down from there
     counts = survival * n
-    eligible = np.flatnonzero(counts >= min_support)
+    eligible = np.flatnonzero(counts >= DEGREE_MIN_SUPPORT)
     slope = None
     fit_lo = fit_hi = None
     used = 0

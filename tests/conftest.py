@@ -7,6 +7,7 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 
 from rigkit.graphgen import generate
+from rigkit.harness import ExperimentConfig
 from rigkit.model import ModelParams, trial_rng
 
 
@@ -27,3 +28,11 @@ def medium_instance():
     params = ModelParams(n=200, m=5000, alpha=0.8, c0=1.0)
     inc, w = generate(params, trial_rng(99, 200, 0))
     return params, inc, w
+
+
+@pytest.fixture(scope="session")
+def default_verify_grid():
+    """The (j, k, m) grid that verify-lemmas checks at the config's defaults."""
+    cfg = ExperimentConfig(n_values=[100])
+    sides = range(cfg.verify_jk_max + 1)
+    return [(j, k, m) for m in cfg.verify_m_values for j in sides for k in sides]

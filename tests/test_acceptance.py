@@ -25,8 +25,7 @@ from rigkit.harness import ExperimentConfig
 from rigkit.hubnav import decompose, loglog_certificate, threshold_rung, thresholds
 from rigkit.model import (ModelParams, default_attribute_count, iterated_log,
                           sample_tilde_weights, trial_rng)
-from rigkit.verify import (check_intersection_bounds, check_tail_mass,
-                           default_intersection_grid)
+from rigkit.verify import check_intersection_bounds, check_tail_mass
 
 from oracles import adjacency_matrix, all_pairs_hops, component_labels_bfs
 
@@ -150,9 +149,9 @@ def mass_reports():
 # --- criteria ----------------------------------------------------------------
 
 
-def test_criterion_01_exact_intersection_suite():
+def test_criterion_01_exact_intersection_suite(default_verify_grid):
     start = time.perf_counter()
-    reports = check_intersection_bounds(default_intersection_grid())
+    reports = check_intersection_bounds(default_verify_grid)
     elapsed = time.perf_counter() - start
     fails = [r for r in reports if r.status == "fail"]
     assert all(r.status in ("pass", "skipped") for r in reports)

@@ -147,7 +147,8 @@ SCALARS = st.one_of(
     st.floats(), st.text(max_size=3))
 HOSTILE = st.one_of(SCALARS, st.lists(SCALARS, max_size=3),
                     st.dictionaries(st.text(max_size=2), SCALARS, max_size=2))
-# threads is left out: a valid draw would start up to a dozen worker processes
+# threads is left out: a valid draw would start worker processes, one per
+# cell up to the number of cores
 FIELDS = sorted(set(ExperimentConfig.__dataclass_fields__) - {"threads"})
 
 
@@ -451,13 +452,28 @@ def test_verify_lemmas_flags_violation(tmp_path, capsys):
 
 @pytest.mark.parametrize("c0", [1e308, 1e-300])
 def test_verify_lemmas_extreme_c0(tmp_path, capsys, c0):
-    # c0^(1+alpha) overflows, or underflows to 0: the tail law rejects it
-    # with a runtime failure that names c0, not a traceback
+    # c0^(1+alpha) overflows, or underflows to 0: the config rejects it with
+    # the tail law's text, which names c0, before any suite runs
     path = verify_config(tmp_path, window_min=0.0, c0=c0)
-    assert cli.main(["verify-lemmas", "--config", path]) == 2
-    err = capsys.readouterr().err
-    assert "runtime failure" in err
-    assert f"c0 = {c0}" in err and "c0^(1+alpha)" in err
+    assert cli.main(["verify-lemmas", "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert f"c0 = {c0}" in captured.err and "c0^(1+alpha)" in captured.err
+    assert "FAIL" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["experiment", "distances"])
+@pytest.mark.parametrize("c0", ["1e308", "1e-300"])
+def test_extreme_c0_is_a_config_error(tmp_path, capsys, command, c0):
+    # experiment recorded the error in every cell, then failed to aggregate
+    # them with exit 2 and no report; distances exited 2 as well
+    out = tmp_path / "out"
+    assert cli.main([command, "-n", "300", "--trials", "1", "--c0", c0,
+                     "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "c0^(1+alpha)" in captured.err
+    assert "FAIL" not in captured.err and captured.out == ""
+    assert not out.exists()
 
 
 def test_verify_lemmas_csv(tmp_path, capsys):

@@ -54,6 +54,8 @@ def test_config_validation_catalogue(tmp_path):
         dict(n_values=[100], m=2**63),
         dict(n_values=[100], epsilon=math.nan),
         dict(n_values=[100], c0=math.inf),
+        dict(n_values=[100], c0=1e308),   # c0^(1+alpha) overflows
+        dict(n_values=[100], c0=1e-300),  # c0^(1+alpha) underflows to 0
         dict(n_values=[100], alpha="0.5"),
         dict(n_values=[100], hub_floor=1.0),
         dict(n_values=[100], hub_floor=math.nan),
@@ -422,6 +424,38 @@ def test_run_experiment_threads_match(tmp_path):
     cfg2 = cfg_with(tmp_path, n_values=[200], trials=2, pairs_per_trial=3,
                     threads=2)
     assert harness.run_experiment(cfg1)["cells"] == harness.run_experiment(cfg2)["cells"]
+
+
+def test_run_experiment_caps_workers(tmp_path, monkeypatch):
+    # a pool starts all of its workers at once, so it gets no more than
+    # there are cells or cores; a stub pool maps serially and starts none
+    started = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    one = cfg_with(tmp_path, n_values=[200], trials=1, pairs_per_trial=3, threads=64)
+    assert harness.run_experiment(one)["cells"][0]["error"] is None
+    assert started == []  # one cell runs in this process
+    three = cfg_with(tmp_path, n_values=[200], trials=3, pairs_per_trial=3, threads=2)
+    assert len(harness.run_experiment(three)["cells"]) == 3
+    assert started == [2]
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    three.threads = 64
+    harness.run_experiment(three)
+    assert started == [2, 2]
 
 
 def test_experiment_cell_seeded_golden(tmp_path):

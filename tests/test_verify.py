@@ -9,17 +9,13 @@ from rigkit.graphops import TraversalCore
 from rigkit.model import ModelParams, TailLaw, iterated_log, trial_rng
 from rigkit.verify import (
     BoundReport,
-    HypergeomParams,
+    HypergeomTable,
     check_conditional_overlap,
     check_intersection_bounds,
     check_tail_mass,
     check_union_coverage,
-    default_intersection_grid,
     default_mass_grid,
     degree_tail_report,
-    hypergeom_cdf,
-    hypergeom_pmf,
-    hypergeom_sf,
     no_overlap_probability,
     wilson_interval,
 )
@@ -31,58 +27,59 @@ from oracles import conditional_overlap_exact, hyper_pmf_exact, no_overlap_exact
 
 
 def test_pmf_known_value():
-    assert hypergeom_pmf(HypergeomParams(1, 1, 2), 1) == pytest.approx(0.5)
-    assert hypergeom_pmf(HypergeomParams(1, 1, 2), 0) == pytest.approx(0.5)
-    assert hypergeom_pmf(HypergeomParams(1, 1, 2), 2) == 0.0
+    table = HypergeomTable(1, 1, 2)
+    assert table.prob(1) == pytest.approx(0.5)
+    assert table.prob(0) == pytest.approx(0.5)
+    assert table.prob(2) == 0.0
 
 
 def test_pmf_matches_exact_rational():
     for j, k, m in ((5, 7, 20), (0, 4, 9), (6, 6, 12), (30, 30, 100)):
-        p = HypergeomParams(j, k, m)
+        table = HypergeomTable(j, k, m)
         for r in range(-1, min(j, k) + 2):
             exact = float(hyper_pmf_exact(j, k, m, r))
-            assert hypergeom_pmf(p, r) == pytest.approx(exact, abs=1e-14, rel=1e-10)
+            assert table.prob(r) == pytest.approx(exact, abs=1e-14, rel=1e-10)
 
 
 def test_pmf_sums_to_one():
     for j, k, m in ((5, 7, 20), (9, 9, 10), (0, 0, 4), (17, 30, 40)):
-        p = HypergeomParams(j, k, m)
-        total = sum(hypergeom_pmf(p, r) for r in p.support)
+        table = HypergeomTable(j, k, m)
+        total = sum(table.prob(r) for r in range(table.lo, table.hi + 1))
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_support_includes_forced_overlap():
-    p = HypergeomParams(9, 9, 10)
-    assert p.support.start == 8  # j + k - m
-    assert hypergeom_pmf(p, 7) == 0.0
+    table = HypergeomTable(9, 9, 10)
+    assert table.lo == 8  # j + k - m
+    assert table.prob(7) == 0.0
 
 
 def test_sf_cdf_edges_and_complement():
-    p = HypergeomParams(6, 8, 30)
-    assert hypergeom_sf(p, -3) == 1.0
-    assert hypergeom_sf(p, 0) == 1.0
-    assert hypergeom_sf(p, 7) == 0.0
-    assert hypergeom_cdf(p, 6) == 1.0
-    assert hypergeom_cdf(p, -1) == 0.0
+    table = HypergeomTable(6, 8, 30)
+    assert table.at_least(-3) == 1.0
+    assert table.at_least(0) == 1.0
+    assert table.at_least(7) == 0.0
+    assert table.at_most(6) == 1.0
+    assert table.at_most(-1) == 0.0
     for t in range(0, 7):
-        assert hypergeom_sf(p, t) + hypergeom_cdf(p, t - 1) == pytest.approx(1.0, abs=1e-12)
+        assert table.at_least(t) + table.at_most(t - 1) == pytest.approx(1.0, abs=1e-12)
     # real-valued thresholds round to the right integers
-    assert hypergeom_sf(p, 2.3) == hypergeom_sf(p, 3)
-    assert hypergeom_cdf(p, 2.3) == hypergeom_cdf(p, 2)
+    assert table.at_least(2.3) == table.at_least(3)
+    assert table.at_most(2.3) == table.at_most(2)
     # monotone
-    vals = [hypergeom_sf(p, t) for t in range(0, 8)]
+    vals = [table.at_least(t) for t in range(0, 8)]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
 def test_sf_cdf_match_exact_rational_sums():
     for j, k, m in ((6, 8, 30), (9, 9, 10), (30, 30, 100), (0, 5, 12)):
-        p = HypergeomParams(j, k, m)
+        table = HypergeomTable(j, k, m)
         exact = [hyper_pmf_exact(j, k, m, r) for r in range(min(j, k) + 1)]
         for t in (-1, 0, 0.5, 1, 2.3, 4, 7, 9, 31):
             upper = sum(exact[max(0, math.ceil(t)):], Fraction(0))
             lower = sum(exact[:max(0, math.floor(t) + 1)], Fraction(0))
-            assert hypergeom_sf(p, t) == pytest.approx(float(upper), abs=1e-12)
-            assert hypergeom_cdf(p, t) == pytest.approx(float(lower), abs=1e-12)
+            assert table.at_least(t) == pytest.approx(float(upper), abs=1e-12)
+            assert table.at_most(t) == pytest.approx(float(lower), abs=1e-12)
 
 
 def test_no_overlap_probability_values():
@@ -92,7 +89,7 @@ def test_no_overlap_probability_values():
     for j, k, m in ((3, 4, 20), (10, 10, 60), (7, 2, 9)):
         exact = float(no_overlap_exact(j, k, m))
         assert no_overlap_probability(j, k, m) == pytest.approx(exact, rel=1e-12)
-        assert hypergeom_pmf(HypergeomParams(j, k, m), 0) == pytest.approx(exact, rel=1e-10)
+        assert HypergeomTable(j, k, m).prob(0) == pytest.approx(exact, rel=1e-10)
 
 
 def test_wilson_interval_shape():
@@ -149,9 +146,9 @@ def test_intersection_side_conditions_skip():
 
 def test_tail_bound_against_exact_tail():
     # j = k = 10, m = 100: lambda = 1, deviation t = 3
-    reps = check_intersection_bounds([(10, 10, 100)], deviations=[3])
+    reps = [r for r in check_intersection_bounds([(10, 10, 100)])
+            if r.params.get("t") == 3]
     up = next(r for r in reps if r.bound_id == "overlap_tail_upper")
-    p = HypergeomParams(10, 10, 100)
     exact = sum(float(hyper_pmf_exact(10, 10, 100, r)) for r in range(4, 11))
     assert up.lhs == pytest.approx(exact, rel=1e-10)
     assert up.rhs == pytest.approx(math.exp(-9.0 / (2.0 * 2.0)))
@@ -163,11 +160,12 @@ def test_tail_bound_against_exact_tail():
 
 
 def test_tail_deviation_zero_is_vacuous_equality():
-    reps = check_intersection_bounds([(4, 4, 50)], deviations=[0])
+    reps = [r for r in check_intersection_bounds([(4, 4, 50)])
+            if r.params.get("t") == 0]
+    assert {r.bound_id for r in reps} == {"overlap_tail_upper", "overlap_tail_lower"}
     for r in reps:
-        if r.bound_id.startswith("overlap_tail"):
-            assert r.rhs == 1.0
-            assert r.status == "pass"
+        assert r.rhs == 1.0
+        assert r.status == "pass"
 
 
 def test_reports_own_their_params():
@@ -181,8 +179,7 @@ def test_reports_own_their_params():
 def test_report_pins_numpy_scalars_to_plain_types():
     params = {"j": np.int64(3), "s": np.float64(0.5), "ok": np.bool_(True),
               "name": "x", "none": None}
-    rep = BoundReport("b", params, np.float64(0.25), np.int64(1), np.bool_(False),
-                      np.float32(0.5), "fail")
+    rep = BoundReport("b", params, np.float64(0.25), np.int64(1), "fail")
     assert {k: type(v) for k, v in rep.params.items()} == {
         "j": int, "s": float, "ok": bool, "name": str, "none": type(None)}
     assert rep.params == {"j": 3, "s": 0.5, "ok": True, "name": "x", "none": None}
@@ -191,8 +188,20 @@ def test_report_pins_numpy_scalars_to_plain_types():
     assert rep.satisfied is False
 
 
-def test_full_default_grid_clean():
-    reps = check_intersection_bounds(default_intersection_grid())
+def test_report_derives_satisfied_and_slack():
+    verdicts = {"pass": True, "vacuous": True, "fail": False, "skipped": None,
+                "boundary": None, "inconclusive": None}
+    for status, satisfied in verdicts.items():
+        assert BoundReport("b", {}, 0.25, 1.0, status).satisfied is satisfied
+    assert BoundReport("b", {}, 0.25, 1.0, "pass").slack == 0.75
+    assert BoundReport("b", {}, 1.0, 0.25, "fail").slack == -0.75
+    for lhs, rhs in ((math.nan, 1.0), (0.5, math.nan), (math.nan, math.nan),
+                     (math.inf, math.inf)):
+        assert math.isnan(BoundReport("b", {}, lhs, rhs, "skipped").slack)
+
+
+def test_full_default_grid_clean(default_verify_grid):
+    reps = check_intersection_bounds(default_verify_grid)
     assert all(r.status in ("pass", "skipped") for r in reps)
     assert not any(r.status == "fail" for r in reps)
 
