@@ -4,7 +4,7 @@ Usage, from the root of a rigkit source tree:
 
     python3 scripts/same_output_sweep.py ROOT [--src DIR]
 
-Runs 174 CLI commands, one fresh interpreter each, with the rigkit package
+Runs 180 CLI commands, one fresh interpreter each, with the rigkit package
 in DIR (default: this tree's src/):
 
 * distances, hubpath, analyze and a two-trial experiment, in JSON and in
@@ -18,6 +18,9 @@ in DIR (default: this tree's src/):
 * hubpath at n = 300000, alpha = 0.9, with 200 samples, seeds {1, 5, 6},
   in JSON and in CSV, where the ladder has three rungs (k* = 3): climbs
   of two hops and climbs that dead-end below the apex;
+* analyze, and hubpath in JSON and in CSV, at n = 20000, seed 1, with
+  alpha 0.999 (70 rungs) and 0.9999 (704 rungs): long ladders whose top
+  layer is empty, so hubpath reports that it has no escape targets;
 * a three-n experiment ladder, and verify-lemmas with
   perfbench/bounds_config.json, each in JSON and in CSV;
 * verify-lemmas with seven small configs, in JSON and in CSV, so that
@@ -53,6 +56,7 @@ FORMATS = ("json", "csv")
 SINGLE = ("distances", "hubpath", "analyze")
 LADDER_SEEDS = (51, 53, 56)
 RUNGS_SEEDS = (1, 5, 6)
+LONG_ALPHAS = ("0.999", "0.9999")
 # the small verify-lemmas configs: each is SMALL_VERIFY with its changes
 SMALL_VERIFY = {"n_values": [1000], "verify_m_values": [20, 100, 1000],
                 "verify_jk_max": 12, "coverage_trials": 200, "overlap_trials": 2000,
@@ -99,6 +103,12 @@ def commands(bounds_config: str) -> list:
             cmds.append((f"hubpath/n300000-a0.9-s{seed}-{fmt}",
                          ["hubpath", "-n", "300000", "--alpha", "0.9", "--seed",
                           str(seed), "--pairs", "200", "--format", fmt]))
+    for alpha in LONG_ALPHAS:
+        common = ["-n", "20000", "--seed", "1", "--alpha", alpha]
+        cmds.append((f"analyze/n20000-a{alpha}-s1", ["analyze", *common]))
+        for fmt in FORMATS:
+            cmds.append((f"hubpath/n20000-a{alpha}-s1-{fmt}",
+                         ["hubpath", *common, "--format", fmt]))
     ladder = [arg for n in NS for arg in ("-n", str(n))]
     for fmt in FORMATS:
         cmds.append((f"ladder/{fmt}",

@@ -46,7 +46,7 @@ from .model import (
     sample_tilde_weights,
     trial_rng,
 )
-from .storage import GraphFormatError, GraphHeader, file_checksum, read_graph, write_graph
+from .storage import GraphFormatError, file_checksum, read_graph, write_graph
 from .verify import (
     BoundReport,
     HypergeomTable,
@@ -79,7 +79,6 @@ __all__ = [
     "DistanceResult",
     "ExperimentConfig",
     "GraphFormatError",
-    "GraphHeader",
     "HypergeomTable",
     "LadderError",
     "LayerDecomposition",

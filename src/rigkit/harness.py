@@ -30,7 +30,8 @@ from . import storage
 from .graphgen import PACK_LIMIT, generate
 from .graphops import UNREACHED, TraversalCore, bfs_distance, components, distances_from
 from .hubnav import LadderError, decompose, loglog_certificate, thresholds
-from .model import ModelParams, TailLaw, default_attribute_count, iterated_log, trial_rng
+from .model import (ModelParams, TailLaw, default_attribute_count, iterated_log,
+                    realized_weights, trial_rng)
 from .verify import (
     check_conditional_overlap,
     check_intersection_bounds,
@@ -145,6 +146,8 @@ class ExperimentConfig:
             _check_type(f.name, str(f.type), getattr(self, f.name))
         if not self.n_values:
             raise ConfigError("n_values must be a nonempty list")
+        if len(set(self.n_values)) < len(self.n_values):
+            raise ConfigError(f"n_values must not repeat an n, got {self.n_values}")
         if len(self.overlap_point) != 4:
             raise ConfigError("overlap_point must be [a, b, d, m]")
         try:  # alpha in (0, 1), and a positive finite tail constant c0^(1+alpha)
@@ -184,6 +187,10 @@ class ExperimentConfig:
             if n * self.m_for(n) >= PACK_LIMIT:
                 raise ConfigError(f"n * m must stay below 2**62, got n = {n}, "
                                   f"m = {self.m_for(n)}")
+            try:  # a ladder of at most MAX_RUNGS rungs
+                thresholds(n, self.alpha, self.c0, self.hub_floor)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -236,6 +243,12 @@ class ExperimentConfig:
 # one trial: the instance and its two sampling loops
 
 
+def _instance_header(kind: str, params: ModelParams, seed: int) -> dict:
+    """The fields of one instance, (params, seed), under a report kind."""
+    return {"kind": kind, "n": params.n, "m": params.m, "alpha": params.alpha,
+            "c0": params.c0, "seed": seed}
+
+
 def _sample_pairs(pool: np.ndarray, count: int, rng: np.random.Generator):
     """count pairs drawn uniformly from pool, distinct within each pair."""
     pairs = np.empty((count, 2), dtype=np.int64)
@@ -248,16 +261,17 @@ class Trial:
     """One (n, trial) instance: its traversal core, components, ladder and stream.
 
     A fresh instance consumes the trial stream for weights and subsets and
-    keeps drawing from it; a graph file gets a fresh stream from the same
-    splitting rule.  The core is built once from the incidence, which is
-    not kept.  Callers draw pairs before hub vertices.
+    keeps drawing from it.  A graph file supplies the incidence, params and
+    seed; its weights are the realized ones, size / sqrt(m/n), and it gets a
+    fresh stream from the same splitting rule.  The core is built once from
+    the incidence, which is not kept.  Callers draw pairs before hub
+    vertices.
     """
 
     def __init__(self, cfg: ExperimentConfig, n: int, trial: int, graph_path=None):
         if graph_path is not None:
-            inc, header, self.weights = storage.read_graph(graph_path)
-            self.params = header.params()
-            self.seed = header.seed
+            inc, self.params, self.seed = storage.read_graph(graph_path)
+            self.weights = realized_weights(self.params, inc.sizes())
             self.rng = trial_rng(cfg.seed, self.params.n, trial)
         else:
             self.params = cfg.params_for(n)
@@ -275,9 +289,7 @@ class Trial:
 
     def header(self, kind: str) -> dict:
         """The instance fields that open every single-trial report."""
-        p = self.params
-        return {"kind": kind, "n": p.n, "m": p.m, "alpha": p.alpha, "c0": p.c0,
-                "seed": self.seed}
+        return _instance_header(kind, self.params, self.seed)
 
     def pairs(self, count: int):
         """Hops of count uniform giant pairs, then of the fixed pair (0, 1).
@@ -370,12 +382,7 @@ def run_generate(cfg: ExperimentConfig) -> list:
             except OSError as exc:
                 raise RuntimeError(f"cannot write graph to {path}: {exc}") from exc
             meta = {
-                "kind": "generate",
-                "n": n,
-                "m": params.m,
-                "alpha": cfg.alpha,
-                "c0": cfg.c0,
-                "seed": cfg.seed,
+                **_instance_header("generate", params, cfg.seed),
                 "trial": trial,
                 "path": name,
                 "bytes": os.path.getsize(path),
@@ -401,7 +408,7 @@ def run_analyze(cfg: ExperimentConfig, graph_path=None) -> dict:
         "k_star": t.dec.k_star,
         "hub_core_size": int(t.dec.hub_core.shape[0]),
         "layer_sizes": [int(layer.shape[0]) for layer in t.dec.layers],
-        "degree_tail": degree_tail_report(t.core).to_dict(),
+        "degree_tail": degree_tail_report(t.core),
     }
 
 

@@ -47,6 +47,12 @@ __all__ = [
 
 DEFAULT_FLOOR_OFFSET = 100.0
 
+# The longest ladder thresholds builds.  The rung count grows like
+# 1/(1 - alpha): alpha = 0.999 at the default floor needs at most 845 rungs
+# at any n the sampler admits (n < 2**31, as m >= n and n * m < 2**62),
+# while alpha = 1 - 1e-7 needs 704,018 rungs at n = 2e4.
+MAX_RUNGS = 1000
+
 
 class LadderError(RuntimeError):
     """The layer ladder cannot support navigation (no usable target set)."""
@@ -88,7 +94,8 @@ def thresholds(n: int, alpha: float, c0: float,
 
     The floor defaults to 100 + c0.  Rung k exists while
     n^(alpha^k/(1+alpha)) >= floor; the exponent decays geometrically, so
-    k_star <= l2n / ln(1/alpha).
+    k_star <= l2n / ln(1/alpha).  A ladder of more than MAX_RUNGS rungs is
+    refused with ValueError before its rung MAX_RUNGS + 1 is built.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -109,6 +116,9 @@ def thresholds(n: int, alpha: float, c0: float,
         power = math.exp(alpha**k * log_n / (1.0 + alpha))
         if power < floor:
             break
+        if len(rungs) == MAX_RUNGS:
+            raise ValueError(f"the ladder at n = {n}, alpha = {alpha}, floor {floor} "
+                             f"would have more than {MAX_RUNGS} rungs")
         rungs.append(power * l2n)
         k += 1
     return LayerThresholds(n=n, alpha=alpha, c0=c0, floor=floor,

@@ -25,11 +25,14 @@ A JSON mirror ({"format": "rig-json", "version": 1, ...}) covers small
 graphs where a readable artifact matters more than compactness.  Its reader
 takes n, m, seed and the set entries only as JSON integers, never as
 booleans, floats or strings, with the seed in [0, 2**64) as in the binary
-header, and alpha and c0 only as numbers.  Neither
-format stores the latent weight draws; a loaded graph carries realized
-normalized weights size * sqrt(n/m) instead, so layer decompositions of a
-reloaded graph can differ marginally from those of the in-memory instance
-that wrote it.
+header, and alpha and c0 only as numbers.
+
+A file reads back as the instance it stores: (incidence, params, seed),
+with params a ModelParams.  Neither format stores the latent weight draws,
+and this module applies no weight rule: the Trial that loads a graph
+derives realized normalized weights from its set sizes, so layer
+decompositions of a reloaded graph can differ marginally from those of the
+in-memory instance that wrote it.
 """
 
 from __future__ import annotations
@@ -38,15 +41,13 @@ import hashlib
 import itertools
 import json
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
 from .graphgen import BipartiteIncidence
-from .model import ModelParams, realized_weights
+from .model import ModelParams
 
 __all__ = [
-    "GraphHeader",
     "GraphFormatError",
     "write_graph",
     "read_graph",
@@ -63,19 +64,6 @@ class GraphFormatError(ValueError):
     """Raised on malformed or truncated graph files."""
 
 
-@dataclass(frozen=True)
-class GraphHeader:
-    n: int
-    m: int
-    alpha: float
-    c0: float
-    seed: int
-    version: int
-
-    def params(self) -> ModelParams:
-        return ModelParams(n=self.n, m=self.m, alpha=self.alpha, c0=self.c0)
-
-
 def write_graph(path, inc: BipartiteIncidence, alpha: float, c0: float,
                 seed: int, fmt: str = "binary") -> None:
     """Persist an incidence with its model parameters; fmt binary or json."""
@@ -88,21 +76,14 @@ def write_graph(path, inc: BipartiteIncidence, alpha: float, c0: float,
 
 
 def read_graph(path):
-    """Load a graph file of either format.
-
-    Returns (incidence, header, weights) with weights reconstructed from
-    the stored set sizes.
-    """
+    """Load a graph file of either format as (incidence, params, seed)."""
     with open(path, "rb") as fh:
         head = fh.read(4)
     if head == MAGIC:
-        inc, header = _read_binary(path)
-    elif head[:1] == b"{":
-        inc, header = _read_json(path)
-    else:
-        raise GraphFormatError(f"{path}: not a graph file (bad magic)")
-    weights = realized_weights(header.params(), inc.sizes())
-    return inc, header, weights
+        return _read_binary(path)
+    if head[:1] == b"{":
+        return _read_json(path)
+    raise GraphFormatError(f"{path}: not a graph file (bad magic)")
 
 
 def _write_binary(path, inc, alpha, c0, seed):
@@ -125,8 +106,7 @@ def _read_binary(path):
         raise GraphFormatError(f"{path}: unsupported version {version}")
     if (len(raw) - _HEADER.size) % 8:
         raise GraphFormatError(f"{path}: body is not a whole number of words")
-    header = _checked_header(path, n=n, m=m, alpha=alpha, c0=c0, seed=seed,
-                             version=version)
+    params = _checked_params(path, n, m, alpha, c0)
     body = np.frombuffer(raw, dtype="<u8", offset=_HEADER.size)
     words = body.shape[0]
     # every vertex needs its size word; checked before allocating
@@ -151,18 +131,16 @@ def _read_binary(path):
         inc = BipartiteIncidence.from_flat(n, m, sizes, ids)
     except ValueError as exc:
         raise GraphFormatError(f"{path}: {exc}") from exc
-    return inc, header
+    return inc, params, seed
 
 
-def _checked_header(path, **fields) -> GraphHeader:
-    """The stored header fields, which must form valid model parameters
+def _checked_params(path, n, m, alpha, c0) -> ModelParams:
+    """The stored header fields as model parameters, which must be valid
     (n >= 1, m >= 1, alpha in (0, 1), c0 > 0)."""
-    header = GraphHeader(**fields)
     try:
-        header.params()
+        return ModelParams(n=n, m=m, alpha=alpha, c0=c0)
     except ValueError as exc:
         raise GraphFormatError(f"{path}: bad header ({exc})") from exc
-    return header
 
 
 def _write_json(path, inc, alpha, c0, seed):
@@ -212,8 +190,9 @@ def _read_json(path):
     if not 0 <= fields["seed"] < 2**64:
         raise GraphFormatError(f"{path}: field 'seed' must lie in [0, 2**64), "
                                f"got {fields['seed']}")
-    header = _checked_header(path, version=JSON_VERSION, **fields)
-    n, m, sets = header.n, header.m, doc.get("sets")
+    params = _checked_params(path, fields["n"], fields["m"], fields["alpha"],
+                             fields["c0"])
+    n, m, sets = params.n, params.m, doc.get("sets")
     if type(sets) is not list or any(type(s) is not list for s in sets):
         raise GraphFormatError(f"{path}: field 'sets' must be a list of lists")
     if len(sets) != n:
@@ -226,7 +205,7 @@ def _read_json(path):
         inc = BipartiteIncidence.from_sets(n, m, sets)
     except (ValueError, TypeError, OverflowError) as exc:
         raise GraphFormatError(f"{path}: bad set data ({exc})") from exc
-    return inc, header
+    return inc, params, fields["seed"]
 
 
 def file_checksum(path) -> str:

@@ -37,7 +37,6 @@ from .model import TailLaw, iterated_log
 __all__ = [
     "HypergeomTable",
     "BoundReport",
-    "DegreeTailReport",
     "no_overlap_probability",
     "wilson_interval",
     "check_intersection_bounds",
@@ -582,42 +581,21 @@ def check_tail_mass(n: int, alpha: float, c0: float,
     return reports
 
 
-@dataclass
-class DegreeTailReport:
-    """Empirical degree survival on a geometric grid plus a log-log slope.
+def degree_tail_report(core: TraversalCore) -> dict:
+    """Empirical degree survival on a geometric grid plus a log-log slope,
+    the fitted tail exponent (target -(1+alpha)), as analyze reports them.
 
     survival[i] = fraction of vertices with degree >= grid[i].  The slope is
     fitted by least squares over the top decade that still has solid support
-    (at least DEGREE_MIN_SUPPORT vertices at the upper fit point); slope is
-    None when fewer than two grid points qualify.
+    (at least DEGREE_MIN_SUPPORT vertices at the upper fit point); slope,
+    fit_lo and fit_hi are None when fewer than two grid points qualify.
     """
-
-    grid: np.ndarray
-    survival: np.ndarray
-    slope: Optional[float]
-    fit_lo: Optional[float] = None
-    fit_hi: Optional[float] = None
-    points_used: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "grid": [int(g) for g in self.grid],
-            "survival": [float(s) for s in self.survival],
-            "slope": None if self.slope is None else float(self.slope),
-            "fit_lo": self.fit_lo,
-            "fit_hi": self.fit_hi,
-            "points_used": self.points_used,
-        }
-
-
-def degree_tail_report(core: TraversalCore) -> DegreeTailReport:
-    """Degree survival table and fitted tail exponent (target -(1+alpha))."""
     deg = degrees(core)
     n = core.n
     dmax = int(deg.max()) if deg.size else 0
     if dmax < 1:
-        grid = np.array([1], dtype=np.int64)
-        return DegreeTailReport(grid=grid, survival=np.zeros(1), slope=None)
+        return {"grid": [1], "survival": [0.0], "slope": None, "fit_lo": None,
+                "fit_hi": None, "points_used": 0}
 
     num = max(2, int(math.ceil(math.log10(dmax) * POINTS_PER_DECADE)) + 1)
     grid = np.unique(np.round(np.geomspace(1, dmax, num=num)).astype(np.int64))
@@ -640,5 +618,5 @@ def degree_tail_report(core: TraversalCore) -> DegreeTailReport:
             slope = float(np.polyfit(np.log(grid[window].astype(float)),
                                      np.log(survival[window]), 1)[0])
             fit_lo, fit_hi = float(lo), float(hi)
-    return DegreeTailReport(grid=grid, survival=survival, slope=slope,
-                            fit_lo=fit_lo, fit_hi=fit_hi, points_used=used)
+    return {"grid": grid.tolist(), "survival": survival.tolist(), "slope": slope,
+            "fit_lo": fit_lo, "fit_hi": fit_hi, "points_used": used}

@@ -11,8 +11,9 @@ from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
 from rigkit import cli, report_schema
-from rigkit.graphgen import BipartiteIncidence
+from rigkit.graphgen import BipartiteIncidence, generate
 from rigkit.harness import ConfigError, ExperimentConfig
+from rigkit.model import ModelParams, default_attribute_count, trial_rng
 from rigkit.storage import GraphFormatError, read_graph, write_graph
 
 jsonschema = pytest.importorskip("jsonschema")
@@ -289,10 +290,28 @@ def test_malformed_json_graph_file(tmp_path, capsys, name):
 
 def test_json_graph_bounds_and_number_kinds(tmp_path):
     # the largest u64 seed fits the binary header; an integer c0 is a number
-    inc, header, _ = read_graph(crafted_json_graph(tmp_path, "seed", 2**64 - 1))
-    assert header.seed == 2**64 - 1
-    _, header, _ = read_graph(crafted_json_graph(tmp_path, "c0", 1))
-    assert header.c0 == 1.0 and isinstance(header.c0, float)
+    _, _, seed = read_graph(crafted_json_graph(tmp_path, "seed", 2**64 - 1))
+    assert seed == 2**64 - 1
+    _, params, _ = read_graph(crafted_json_graph(tmp_path, "c0", 1))
+    assert params.c0 == 1.0 and isinstance(params.c0, float)
+
+
+def test_graph_header_alpha_near_one_is_refused(tmp_path, capsys):
+    # alpha 0.999999 at n = 20000 asks for a ladder of 70,402 rungs
+    params = ModelParams(n=20000, m=default_attribute_count(20000), alpha=0.8)
+    inc, _ = generate(params, trial_rng(1, 20000, 0))
+    path = tmp_path / "g.rig"
+    write_graph(path, inc, params.alpha, params.c0, seed=1)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<d", blob, 24, 0.999999)
+    path.write_bytes(bytes(blob))
+    out = tmp_path / "out"
+    rc = cli.main(["hubpath", "--graph", str(path), "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("runtime failure: the ladder at n = 20000, alpha = "
+                            "0.999999, floor 101.0 would have more than 1000 rungs\n")
+    assert captured.out == "" and not out.exists()
 
 
 # --- happy paths -------------------------------------------------------------
@@ -474,6 +493,23 @@ def test_extreme_c0_is_a_config_error(tmp_path, capsys, command, c0):
     assert captured.err.startswith("error: ") and "c0^(1+alpha)" in captured.err
     assert "FAIL" not in captured.err and captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args,message", [
+    # 70,402 rungs at n = 20000: the message names n, alpha and the floor
+    (["analyze", "-n", "20000", "--alpha", "0.999999"],
+     "the ladder at n = 20000, alpha = 0.999999, floor 101.0 would have more "
+     "than 1000 rungs"),
+    # each (n, trial) cell would be run and counted twice
+    (["experiment", "-n", "300", "-n", "300", "--trials", "2"],
+     "n_values must not repeat an n, got [300, 300]"),
+], ids=["rungs_70402", "n_repeated"])
+def test_ladder_limit_and_repeated_n_are_config_errors(tmp_path, capsys, args, message):
+    out = tmp_path / "out"
+    assert cli.main([*args, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == "" and not out.exists()
 
 
 def test_verify_lemmas_csv(tmp_path, capsys):

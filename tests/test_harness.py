@@ -68,6 +68,11 @@ def test_config_validation_catalogue(tmp_path):
         dict(n_values=[100], verify_m_values=[100.5]),
         dict(n_values=[100], coverage_gamma1=0.5),
         dict(n_values=[100], mass_trials=1),
+        dict(n_values=[300, 300]),        # each (n, trial) cell counted twice
+        dict(n_values=[1000.0, 1000]),    # the same n once normalised
+        # ladders past MAX_RUNGS: 15,408 and 70,402 rungs
+        dict(n_values=[20000], alpha=0.999, hub_floor=1.000001),
+        dict(n_values=[300, 20000], alpha=1 - 1e-6),
     ]
     for kw in bad:
         with pytest.raises(ConfigError):
@@ -125,8 +130,8 @@ def test_run_generate_round_trip(tmp_path):
         assert meta["sha256"] == file_checksum(path)
         from rigkit.storage import read_graph
 
-        inc, header, _ = read_graph(path)
-        assert header.n == 150
+        inc, params, _ = read_graph(path)
+        assert params.n == 150
         assert inc.total_incidence == meta["incidence"]
         jsonschema.validate(meta, report_schema())
 

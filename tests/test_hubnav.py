@@ -89,6 +89,20 @@ def test_thresholds_validation():
         thresholds(100, 0.5, -1.0)
     with pytest.raises(ValueError):
         thresholds(100, 0.5, 1.0, floor=0.5)
+    with pytest.raises(ValueError, match="more than 1000 rungs"):
+        thresholds(20000, 1 - 1e-6, 1.0)  # 70,402 rungs
+
+
+def test_rung_limit_boundary():
+    # a floor between the bare powers of rungs k and k + 1 gives k rungs
+    n, alpha = 10**9, 0.999
+
+    def floor_for(k):
+        return math.exp((alpha**k + alpha**(k + 1)) / 2 * math.log(n) / (1 + alpha))
+
+    assert thresholds(n, alpha, 1.0, floor_for(1000)).k_star == 1000
+    with pytest.raises(ValueError, match="more than 1000 rungs"):
+        thresholds(n, alpha, 1.0, floor_for(1001))
 
 
 def toy_ladder():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigkit.graphgen import BipartiteIncidence, generate
+from rigkit.harness import ExperimentConfig, Trial
 from rigkit.model import ModelParams, trial_rng
 from rigkit.storage import (
     GraphFormatError,
@@ -28,15 +29,16 @@ def test_round_trip(tmp_path, instance, fmt, ext):
     params, inc, w = instance
     path = tmp_path / f"g.{ext}"
     write_graph(path, inc, params.alpha, params.c0, seed=21, fmt=fmt)
-    inc2, header, w2 = read_graph(path)
+    inc2, params2, seed = read_graph(path)
     assert inc2 == inc
-    assert header.n == 120 and header.m == 900
-    assert header.alpha == params.alpha and header.c0 == params.c0
-    assert header.seed == 21
-    assert header.params() == params
-    # weights come back as realized normalized weights
-    assert np.array_equal(w2.sizes, inc.sizes())
-    assert np.allclose(w2.tilde_z, inc.sizes() / params.size_scale)
+    assert params2.n == 120 and params2.m == 900
+    assert params2.alpha == params.alpha and params2.c0 == params.c0
+    assert seed == 21
+    assert params2 == params
+    # a Trial on the file carries realized normalized weights
+    t = Trial(ExperimentConfig(n_values=[120]), 120, 0, graph_path=path)
+    assert np.array_equal(t.weights.sizes, inc.sizes())
+    assert np.allclose(t.weights.tilde_z, inc.sizes() / params.size_scale)
 
 
 def test_rewrite_is_byte_identical(tmp_path, instance):
@@ -128,9 +130,9 @@ def test_unknown_format_argument(tmp_path, instance):
 def test_empty_sets_round_trip(tmp_path):
     inc = BipartiteIncidence.from_sets(3, 50, [[], [7], []])
     write_graph(tmp_path / "tiny.rig", inc, 0.5, 1.0, seed=0)
-    inc2, header, w2 = read_graph(tmp_path / "tiny.rig")
+    inc2, _, _ = read_graph(tmp_path / "tiny.rig")
     assert inc2 == inc
-    assert w2.sizes.tolist() == [0, 1, 0]
+    assert inc2.sizes().tolist() == [0, 1, 0]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -391,14 +391,14 @@ def test_sandwich_constant_untruncated_identity():
 def test_degree_tail_empty_graph():
     inc = BipartiteIncidence.from_sets(4, 10, [[], [], [], []])
     rep = degree_tail_report(TraversalCore(inc))
-    assert rep.slope is None
-    assert rep.survival.tolist() == [0.0]
+    assert rep["slope"] is None
+    assert rep["survival"] == [0.0]
 
 
 def test_degree_tail_survival_is_valid(medium_instance):
     params, inc, w = medium_instance
     rep = degree_tail_report(TraversalCore(inc))
-    assert np.all(rep.survival >= 0) and np.all(rep.survival <= 1)
-    assert np.all(np.diff(rep.survival) <= 1e-12)  # nonincreasing
-    d = rep.to_dict()
-    assert len(d["grid"]) == len(d["survival"])
+    survival = np.asarray(rep["survival"])
+    assert np.all(survival >= 0) and np.all(survival <= 1)
+    assert np.all(np.diff(survival) <= 1e-12)  # nonincreasing
+    assert len(rep["grid"]) == len(rep["survival"])
