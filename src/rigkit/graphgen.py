@@ -10,6 +10,12 @@ vertices only.
 The vertex-vertex edge list is likewise never materialized: heavy vertices
 share attributes with thousands of others and the induced cliques would blow
 up memory, so traversals run on the bipartite structure.
+
+The sampler builds an instance in one buffer of sum(sizes) int64 keys, the
+length of the incidence itself: draws are added into it, sorted and
+compacted in place, and reduced to attribute ids in place, with every other
+temporary either per-vertex or _BLOCK entries long.  Building an instance
+thus peaks near 1.2x the incidence's bytes.
 """
 
 from __future__ import annotations
@@ -29,6 +35,10 @@ __all__ = [
 # Largest n*m for which the packed keys vertex*m + attr (sampler) and
 # attr*n + vertex (traversal core) fit in int64 with headroom.
 PACK_LIMIT = 2**62
+
+# Entries per step of the passes that work in place on an incidence-length
+# array: each step allocates only block-sized temporaries.
+_BLOCK = 1 << 18
 
 
 def concat_ranges(indptr: np.ndarray, data: np.ndarray, items: np.ndarray):
@@ -158,29 +168,50 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     """Sorted distinct values of a 1-d array, as np.unique returns them.
 
     Sorts keys in place, so callers pass an array they own and no longer
-    need, then keeps each entry that differs from its predecessor.  For
-    large integer arrays this is far cheaper than numpy's hash-based
-    np.unique.
+    need, then moves each entry that differs from its predecessor to the
+    front of keys, _BLOCK entries at a time, and returns a view of that
+    front.  Nothing of the input's length is allocated, and for large
+    integer arrays this is far cheaper than numpy's hash-based np.unique.
     """
     keys.sort()
-    keep = np.empty(keys.shape[0], dtype=bool)
-    keep[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    return keys[keep]
+    size = 0
+    for start in range(0, keys.shape[0], _BLOCK):
+        block = keys[start:start + _BLOCK]
+        keep = np.empty(block.shape[0], dtype=bool)
+        # the last kept value equals the previous block's last entry
+        keep[0] = size == 0 or block[0] != keys[size - 1]
+        np.not_equal(block[1:], block[:-1], out=keep[1:])
+        kept = block[keep]
+        keys[size:size + kept.shape[0]] = kept
+        size += kept.shape[0]
+    return keys[:size]
+
+
+def _add_draws(keys: np.ndarray, m: int, rng: np.random.Generator) -> None:
+    """Add an iid uniform attribute in [0, m) to every key, in place.
+
+    The draws are taken _BLOCK at a time; numpy's bounded integers keep no
+    state between calls, so the blocks consume the stream exactly as one
+    rng.integers call of the full length would.
+    """
+    for start in range(0, keys.shape[0], _BLOCK):
+        block = keys[start:start + _BLOCK]
+        block += rng.integers(0, m, size=block.shape[0], dtype=np.int64)
 
 
 def sample_incidence(m: int, sizes: np.ndarray, rng: np.random.Generator) -> "BipartiteIncidence":
     """Sample every vertex's uniform subset at once, sizes[v] attributes each.
 
-    All subsets are drawn in one batch: each raw draw is packed as
-    vertex*m + attr, and one in-place sort with a neighbour-inequality mask
-    (_sorted_unique) dedups the batch.  Vertices left short of their quota
-    by repeated draws are topped up in later rounds, each merging its extra
-    keys into the kept ones with the same sort.  Per vertex this keeps the
-    first z distinct values of an iid uniform stream, so the subsets are
-    exactly uniform and mutually independent.  Pools with n*m >= 2**62,
-    where the packed keys would overflow int64, raise ValueError before
-    anything is drawn.
+    All subsets are drawn in one batch, in one buffer of sum(sizes) int64
+    keys: each raw draw is packed as vertex*m + attr, and one in-place sort
+    that compacts the distinct keys to the buffer's front (_sorted_unique)
+    dedups the batch.  The duplicates dropped leave exactly as many free
+    slots as the vertices lack, so each top-up round draws its extra keys
+    into the buffer's tail and sorts and compacts the whole buffer again;
+    the buffer never grows.  Per vertex this keeps the first z distinct
+    values of an iid uniform stream, so the subsets are exactly uniform and
+    mutually independent.  Pools with n*m >= 2**62, where the packed keys
+    would overflow int64, raise ValueError before anything is drawn.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     n = sizes.shape[0]
@@ -193,20 +224,23 @@ def sample_incidence(m: int, sizes: np.ndarray, rng: np.random.Generator) -> "Bi
     if total == 0:
         return BipartiteIncidence.from_flat(n, m, sizes, np.empty(0, dtype=np.int64))
 
-    vert_of = np.repeat(np.arange(n, dtype=np.int64), sizes)
-    keys = vert_of * m + rng.integers(0, m, size=total, dtype=np.int64)
-    keys = _sorted_unique(keys)
-    deficit = sizes - np.bincount(keys // m, minlength=n)
-    while np.any(deficit > 0):
+    buf = np.repeat(np.arange(n, dtype=np.int64), sizes)
+    buf *= m
+    _add_draws(buf, m, rng)
+    keys = _sorted_unique(buf)
+    vertex_starts = np.arange(n + 1, dtype=np.int64) * m
+    while keys.shape[0] < total:
+        deficit = sizes - np.diff(np.searchsorted(keys, vertex_starts))
         need = np.flatnonzero(deficit)
-        extra_vert = np.repeat(need, deficit[need])
-        extra = extra_vert * m + rng.integers(0, m, size=extra_vert.shape[0],
-                                              dtype=np.int64)
-        keys = _sorted_unique(np.concatenate((keys, extra)))
-        deficit = sizes - np.bincount(keys // m, minlength=n)
+        tail = buf[keys.shape[0]:]
+        tail[:] = np.repeat(need, deficit[need])
+        tail *= m
+        _add_draws(tail, m, rng)
+        keys = _sorted_unique(buf)
 
     # keys are sorted, so attrs come out sorted within each vertex.
-    return BipartiteIncidence.from_flat(n, m, sizes, keys % m)
+    np.remainder(keys, m, out=keys)
+    return BipartiteIncidence.from_flat(n, m, sizes, keys)
 
 
 def generate(params: ModelParams, rng: np.random.Generator):

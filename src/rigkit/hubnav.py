@@ -178,9 +178,16 @@ class LayerDecomposition:
 
 
 def decompose(weights: VertexWeights, th: LayerThresholds) -> LayerDecomposition:
-    """Slice a weight sample into ladder layers, the hub core and the apex."""
+    """Slice a weight sample into ladder layers, the hub core and the apex.
+
+    A rung above the largest weight holds no vertex: it gets an empty layer
+    and mass 0 without a pass over the weights, which keeps long ladders
+    (alpha near 1) cheap.
+    """
     tz = weights.tilde_z
-    layers = [np.flatnonzero(tz >= tk) for tk in th.t]
+    top = tz.max()
+    layers = [np.flatnonzero(tz >= tk) if tk <= top else np.empty(0, dtype=np.int64)
+              for tk in th.t]
     hub_core = np.flatnonzero(tz > th.t0)
     masses = np.array([int(weights.sizes[layer].sum()) for layer in layers],
                       dtype=np.int64)

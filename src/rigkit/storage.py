@@ -17,9 +17,10 @@ vertex-major layout:
         within each vertex.
 
 The reader checks the header and the size words against the file length
-before it allocates anything, reads both blocks as array views without a
-per-vertex loop, and leaves the order check to BipartiteIncidence.from_flat;
-every failure is a GraphFormatError, version 1 included.
+(from fstat) before it allocates anything, reads each block straight into
+its final array without a per-vertex loop or a copy of the file's bytes,
+and leaves the order check to BipartiteIncidence.from_flat; every failure
+is a GraphFormatError, version 1 included.
 
 A JSON mirror ({"format": "rig-json", "version": 1, ...}) covers small
 graphs where a readable artifact matters more than compactness.  Its reader
@@ -40,6 +41,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import os
 import struct
 
 import numpy as np
@@ -96,42 +98,54 @@ def _write_binary(path, inc, alpha, c0, seed):
 
 def _read_binary(path):
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise GraphFormatError(f"{path}: truncated header")
-    magic, version, n, m, alpha, c0, seed = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise GraphFormatError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise GraphFormatError(f"{path}: unsupported version {version}")
-    if (len(raw) - _HEADER.size) % 8:
-        raise GraphFormatError(f"{path}: body is not a whole number of words")
-    params = _checked_params(path, n, m, alpha, c0)
-    body = np.frombuffer(raw, dtype="<u8", offset=_HEADER.size)
-    words = body.shape[0]
-    # every vertex needs its size word; checked before allocating
-    if n > words:
-        raise GraphFormatError(
-            f"{path}: header claims {n} vertices but the body holds {words} words")
+        size = os.fstat(fh.fileno()).st_size
+        raw = fh.read(_HEADER.size)
+        if len(raw) < _HEADER.size:
+            raise GraphFormatError(f"{path}: truncated header")
+        magic, version, n, m, alpha, c0, seed = _HEADER.unpack(raw)
+        if magic != MAGIC:
+            raise GraphFormatError(f"{path}: bad magic {magic!r}")
+        if version != VERSION:
+            raise GraphFormatError(f"{path}: unsupported version {version}")
+        if (size - _HEADER.size) % 8:
+            raise GraphFormatError(f"{path}: body is not a whole number of words")
+        params = _checked_params(path, n, m, alpha, c0)
+        words = (size - _HEADER.size) // 8
+        # every vertex needs its size word; checked before allocating
+        if n > words:
+            raise GraphFormatError(
+                f"{path}: header claims {n} vertices but the body holds {words} words")
 
-    sizes, ids = body[:n], body[n:]
-    # Clipping each size at len(ids) + 1 keeps the running totals exact up
-    # to the first vertex whose list would run past the end of the body.
-    ends = np.cumsum(np.minimum(sizes, ids.shape[0] + 1).astype(np.int64))
-    over = np.flatnonzero(ends > ids.shape[0])
-    if over.size:
-        v = int(over[0])
-        left = ids.shape[0] - (int(ends[v - 1]) if v else 0)
-        raise GraphFormatError(
-            f"{path}: vertex {v} claims {int(sizes[v])} attributes but only "
-            f"{left} words are left")
-    if ends[-1] != ids.shape[0]:
-        raise GraphFormatError(f"{path}: {ids.shape[0] - int(ends[-1])} trailing words")
+        sizes = _read_words(path, fh, n, "<u8")
+        num_ids = words - n
+        # Clipping each size at num_ids + 1 keeps the running totals exact up
+        # to the first vertex whose list would run past the end of the body.
+        ends = np.cumsum(np.minimum(sizes, num_ids + 1).astype(np.int64))
+        over = np.flatnonzero(ends > num_ids)
+        if over.size:
+            v = int(over[0])
+            left = num_ids - (int(ends[v - 1]) if v else 0)
+            raise GraphFormatError(
+                f"{path}: vertex {v} claims {int(sizes[v])} attributes but only "
+                f"{left} words are left")
+        if ends[-1] != num_ids:
+            raise GraphFormatError(f"{path}: {num_ids - int(ends[-1])} trailing words")
+        # Read as signed words: an id of 2**63 or more comes out negative
+        # and fails from_flat's range check, as its int64 cast would.
+        ids = _read_words(path, fh, num_ids, "<i8")
     try:
         inc = BipartiteIncidence.from_flat(n, m, sizes, ids)
     except ValueError as exc:
         raise GraphFormatError(f"{path}: {exc}") from exc
     return inc, params, seed
+
+
+def _read_words(path, fh, count, dtype):
+    """The next count little-endian words of fh, read into a new array."""
+    out = np.empty(count, dtype=dtype)
+    if fh.readinto(out) != out.nbytes:
+        raise GraphFormatError(f"{path}: file ended early")
+    return out
 
 
 def _checked_params(path, n, m, alpha, c0) -> ModelParams:

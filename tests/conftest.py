@@ -6,9 +6,25 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
+from rigkit import graphgen, graphops
 from rigkit.graphgen import generate
 from rigkit.harness import ExperimentConfig
 from rigkit.model import ModelParams, trial_rng
+
+
+@pytest.fixture(scope="session")
+def each_block():
+    """Run a check as is, then with graphgen's and graphops' in-place passes
+    working 1, 2 and 7 entries at a time, so that small inputs cross many
+    block boundaries and top-up rounds."""
+    def run(check):
+        check()
+        for block in (1, 2, 7):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(graphgen, "_BLOCK", block)
+                mp.setattr(graphops, "_BLOCK", block)
+                check()
+    return run
 
 
 @pytest.fixture(scope="session")

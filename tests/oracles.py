@@ -146,6 +146,37 @@ def traversal_core_reference(inc) -> dict:
             "set_attrs": set_attrs}
 
 
+def traversal_core_two_sorts(inc) -> dict:
+    """The shared-attribute core's arrays by two full-length packed sorts.
+
+    The formula the traversal core was first built with: attribute * n +
+    vertex keys for every incidence entry, sorted; run start and end masks
+    over the whole array to find the attributes with two or more holders;
+    then vertex * num_attrs + core id keys for the vertex side.
+    """
+    n = inc.n
+    sizes = np.diff(inc.set_indptr)
+    keys = inc.set_attrs * n + np.repeat(np.arange(n, dtype=np.int64), sizes)
+    keys.sort()
+    attrs = keys // n
+    starts = np.ones(keys.shape[0], dtype=bool)
+    starts[1:] = attrs[1:] != attrs[:-1]
+    ends = np.ones(keys.shape[0], dtype=bool)
+    ends[:-1] = starts[1:]
+    shared = ~(starts & ends)
+    starts = starts[shared]
+    num_attrs = int(np.count_nonzero(starts))
+    attr_vertices = keys[shared] % n
+    keys = attr_vertices * num_attrs + np.cumsum(starts) - 1
+    keys.sort()
+    set_sizes = np.bincount(attr_vertices, minlength=n)
+    return {"num_attrs": num_attrs,
+            "attr_indptr": np.append(np.flatnonzero(starts), starts.shape[0]),
+            "attr_vertices": attr_vertices,
+            "set_indptr": np.concatenate(([0], np.cumsum(set_sizes))),
+            "set_attrs": keys % num_attrs}
+
+
 def nearest_route_reference(inc, source: int, targets):
     """Route of a one-sided BFS from source to the nearest target, or None.
 

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -16,7 +17,8 @@ from rigkit.graphgen import (
     sample_incidence,
 )
 from rigkit.graphops import TraversalCore, neighbors
-from rigkit.model import ModelParams, default_attribute_count, trial_rng
+from rigkit.model import (ModelParams, default_attribute_count, sample_tilde_weights,
+                          trial_rng)
 
 from oracles import (adjacency_matrix, explicit_sets, sample_incidence_reference,
                      sample_subset)
@@ -117,8 +119,6 @@ def test_sample_incidence_one_vertex_matches_reference():
 def test_sample_incidence_rejects_packing_overflow():
     # n * m >= 2**62 would overflow the packed keys; the guard fires before
     # the 2**22 draws below are allocated or the stream is touched
-    import tracemalloc
-
     rng = trial_rng(0, 0, 0)
     state = rng.bit_generator.state
     sizes = np.full(4, 2**20, dtype=np.int64)
@@ -142,20 +142,27 @@ def test_sample_incidence_rejects_packing_overflow():
     [PACK_LIMIT - 1, 0, PACK_LIMIT - 1, PACK_LIMIT - 2, 2**63 - 1, -2**63],
 ], ids=["empty", "single", "all-equal", "already-unique", "reverse-sorted",
         "extremes"])
-def test_sorted_unique_cases(values):
-    keys = np.array(values, dtype=np.int64)
-    want = np.unique(keys)
-    got = _sorted_unique(keys)
-    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+def test_sorted_unique_cases(each_block, values):
+    want = np.unique(np.array(values, dtype=np.int64))
+
+    def check():
+        got = _sorted_unique(np.array(values, dtype=np.int64))
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    each_block(check)
 
 
 @PROPS
 @given(st.lists(st.integers(0, 12) | st.integers(PACK_LIMIT - 12, PACK_LIMIT - 1)
                 | st.integers(-2**63, 2**63 - 1), max_size=60))
-def test_sorted_unique_matches_np_unique(values):
-    keys = np.array(values, dtype=np.int64)
-    want = np.unique(keys)
-    assert _sorted_unique(keys).tolist() == want.tolist()
+def test_sorted_unique_matches_np_unique(each_block, values):
+    want = np.unique(np.array(values, dtype=np.int64))
+
+    def check():
+        # the result is a view of the front of the sorted input
+        keys = np.array(values, dtype=np.int64)
+        got = _sorted_unique(keys)
+        assert got.base is keys and got.tolist() == want.tolist()
+    each_block(check)
 
 
 @st.composite
@@ -167,15 +174,18 @@ def size_plans(draw):
 
 @PROPS
 @given(size_plans(), st.integers(0, 2**32 - 1))
-def test_sample_incidence_matches_reference(plan, seed):
+def test_sample_incidence_matches_reference(each_block, plan, seed):
     # tiny pools with sizes up to m need several top-up rounds
     m, sizes = plan
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    inc = sample_incidence(m, sizes, rng)
-    indptr, attrs = sample_incidence_reference(m, sizes, ref_rng)
-    assert np.array_equal(inc.set_indptr, indptr)
-    assert np.array_equal(inc.set_attrs, attrs)
-    assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
+
+    def check():
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        inc = sample_incidence(m, sizes, rng)
+        indptr, attrs = sample_incidence_reference(m, sizes, ref_rng)
+        assert np.array_equal(inc.set_indptr, indptr)
+        assert np.array_equal(inc.set_attrs, attrs)
+        assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
+    each_block(check)
 
 
 def test_sample_incidence_golden_1e5():
@@ -191,6 +201,30 @@ def test_sample_incidence_golden_1e5():
         h.update(inc.set_attrs.tobytes())
         assert h.hexdigest()[:16] == digest
         assert int(rng.integers(0, 2**62)) == after
+
+
+def test_instance_build_memory():
+    # Peak traced bytes, against the incidence's own: the sampler works in
+    # one buffer of the incidence's length, and the core build holds one
+    # packed key array and a one-byte mask beside it.
+    n = 100_000
+    params = ModelParams(n=n, m=default_attribute_count(n), alpha=0.8, c0=1.0)
+    rng = trial_rng(1, n, 0)
+    weights = sample_tilde_weights(params, rng)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        inc = sample_incidence(params.m, weights.sizes, rng)
+        _, sampler_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        base_core, _ = tracemalloc.get_traced_memory()
+        TraversalCore(inc)
+        _, core_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = inc.set_attrs.nbytes
+    assert sampler_peak - base <= 1.5 * size
+    assert core_peak - base_core <= 1.75 * size
 
 
 def test_from_flat_validation():

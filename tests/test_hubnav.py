@@ -129,6 +129,19 @@ def test_decompose_nesting_and_boundaries():
                                    int(w.sizes[[0, 1, 2, 4]].sum())]
 
 
+def test_decompose_rungs_above_top_weight():
+    # rungs at and above the largest weight: the one equal to it keeps its
+    # vertex, those above are empty int64 layers of mass 0
+    th = LayerThresholds(n=100, alpha=0.5, c0=1.0, floor=10.0,
+                         l2n=iterated_log(100), t0=50.0,
+                         t=(90.0, 40.0 + 1e-9, 40.0, 20.0))
+    dec = decompose(toy_weights([40.0, 20.0, 5.0]), th)
+    assert [layer.tolist() for layer in dec.layers] == [[], [], [0], [0, 1]]
+    assert all(layer.dtype == np.int64 for layer in dec.layers)
+    assert dec.masses.tolist() == [0, 0, 80, 120]
+    assert dec.hub_core.tolist() == []
+
+
 def test_level_and_layer_index():
     th = toy_ladder()
     dec = decompose(toy_weights([25.0, 15.0, 5.0]), th)

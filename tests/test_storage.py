@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from rigkit.graphgen import BipartiteIncidence, generate
 from rigkit.harness import ExperimentConfig, Trial
-from rigkit.model import ModelParams, trial_rng
+from rigkit.model import ModelParams, default_attribute_count, trial_rng
 from rigkit.storage import (
     GraphFormatError,
     file_checksum,
@@ -154,3 +155,36 @@ def test_damaged_binary_fails_only_as_format_error(tmp_path_factory, edits, cut)
         read_graph(path)
     except GraphFormatError:
         pass
+
+
+def test_huge_attribute_word_fails_range_check(tmp_path):
+    # an id word of 2**63 or more reads as a negative int64, which
+    # from_flat's range check rejects like any other id outside [0, m)
+    inc = BipartiteIncidence.from_sets(2, 50, [[1, 7], [9]])
+    path = tmp_path / "g.rig"
+    write_graph(path, inc, 0.5, 1.0, seed=0)
+    blob = bytearray(path.read_bytes())
+    for value in (2**63, 2**64 - 1):
+        blob[-8:] = value.to_bytes(8, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(GraphFormatError, match=r"attribute ids must lie in \[0, m\)"):
+            read_graph(path)
+
+
+def test_binary_read_holds_one_copy_of_the_ids(tmp_path):
+    # the id words are read straight into the incidence's int64 array, with
+    # no second copy of the file's bytes beside it
+    n = 100_000
+    params = ModelParams(n=n, m=default_attribute_count(n), alpha=0.8, c0=1.0)
+    inc, _ = generate(params, trial_rng(1, n, 0))
+    path = tmp_path / "g.rig"
+    write_graph(path, inc, params.alpha, params.c0, seed=1)
+    size = inc.set_attrs.nbytes
+    del inc
+    tracemalloc.start()
+    try:
+        read_graph(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * size

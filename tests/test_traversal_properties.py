@@ -18,7 +18,7 @@ from rigkit.graphops import (UNREACHED, TraversalCore, _first_by, bfs_distance,
 from oracles import (adjacency_matrix, all_pairs_hops, component_labels_bfs,
                      first_by_reference, nearest_route_reference,
                      pair_hops_python, target_ball_reference,
-                     traversal_core_reference)
+                     traversal_core_reference, traversal_core_two_sorts)
 
 PROPS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -247,6 +247,19 @@ def test_traversal_core_matches_reference(inc):
         got = getattr(core, name)
         assert got.dtype == np.int64, name
         assert got.tolist() == want[name], name
+
+
+@PROPS
+@given(incidences())
+def test_traversal_core_matches_two_sort_formula(each_block, inc):
+    want = traversal_core_two_sorts(inc)
+
+    def check():
+        core = TraversalCore(inc)
+        assert core.num_attrs == want["num_attrs"]
+        for name in ("attr_indptr", "attr_vertices", "set_indptr", "set_attrs"):
+            assert np.array_equal(getattr(core, name), want[name]), name
+    each_block(check)
 
 
 @st.composite
