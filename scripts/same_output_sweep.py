@@ -4,7 +4,7 @@ Usage, from the root of a rigkit source tree:
 
     python3 scripts/same_output_sweep.py ROOT [--src DIR]
 
-Runs 180 CLI commands, one fresh interpreter each, with the rigkit package
+Runs 182 CLI commands, one fresh interpreter each, with the rigkit package
 in DIR (default: this tree's src/):
 
 * distances, hubpath, analyze and a two-trial experiment, in JSON and in
@@ -23,12 +23,14 @@ in DIR (default: this tree's src/):
   layer is empty, so hubpath reports that it has no escape targets;
 * a three-n experiment ladder, and verify-lemmas with
   perfbench/bounds_config.json, each in JSON and in CSV;
-* verify-lemmas with seven small configs, in JSON and in CSV, so that
+* verify-lemmas with eight small configs, in JSON and in CSV, so that
   every bound-report status is written: the base config alone gives 60
-  skipped intersection reports, and the other six each change one thing
+  skipped intersection reports, and six others each change one thing
   to give a boundary, an inconclusive and an adjudicated conditional
   overlap, 40 skipped tail-mass reports, and failing mass checks at
-  mass_n 14 and at mass_n 20 with alpha 0.5.
+  mass_n 14 and at mass_n 20 with alpha 0.5; the eighth checks the
+  intersection bounds at m = 5000 and m = 1.5e8, where the log-gammas take
+  the Stirling series above 1000 and its bare leading terms above 1e8.
 
 Every command runs inside ROOT with relative paths, so no output names ROOT.
 ROOT/log.txt gets each command's arguments, exit code, standard output and
@@ -69,6 +71,7 @@ SMALL_CHANGES = {
     "c0-above-pole": {"c0": 100.0},  # above 2000^(1/1.8), the t-grid's top
     "mass-n14": {"mass_n": 14, "mass_trials": 10},
     "mass-n20-a0.5": {"mass_n": 20, "mass_trials": 10, "alpha": 0.5},
+    "large-m": {"verify_m_values": [5000, 150000000]},
 }
 
 

@@ -164,16 +164,17 @@ class BipartiteIncidence:
                 f"incidence={self.total_incidence}, occupied={self.num_occupied})")
 
 
-def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+def _sorted_unique(keys: np.ndarray, kind=None) -> np.ndarray:
     """Sorted distinct values of a 1-d array, as np.unique returns them.
 
-    Sorts keys in place, so callers pass an array they own and no longer
-    need, then moves each entry that differs from its predecessor to the
-    front of keys, _BLOCK entries at a time, and returns a view of that
-    front.  Nothing of the input's length is allocated, and for large
-    integer arrays this is far cheaper than numpy's hash-based np.unique.
+    Sorts keys in place with the given np.sort kind, so callers pass an
+    array they own and no longer need, then moves each entry that differs
+    from its predecessor to the front of keys, _BLOCK entries at a time, and
+    returns a view of that front.  Nothing of the input's length is
+    allocated, and for large integer arrays this is far cheaper than numpy's
+    hash-based np.unique.
     """
-    keys.sort()
+    keys.sort(kind=kind)
     size = 0
     for start in range(0, keys.shape[0], _BLOCK):
         block = keys[start:start + _BLOCK]
@@ -207,7 +208,8 @@ def sample_incidence(m: int, sizes: np.ndarray, rng: np.random.Generator) -> "Bi
     that compacts the distinct keys to the buffer's front (_sorted_unique)
     dedups the batch.  The duplicates dropped leave exactly as many free
     slots as the vertices lack, so each top-up round draws its extra keys
-    into the buffer's tail and sorts and compacts the whole buffer again;
+    into the buffer's tail and sorts and compacts the whole buffer again,
+    with a stable sort, which merges the sorted front with the short tail;
     the buffer never grows.  Per vertex this keeps the first z distinct
     values of an iid uniform stream, so the subsets are exactly uniform and
     mutually independent.  Pools with n*m >= 2**62, where the packed keys
@@ -227,6 +229,7 @@ def sample_incidence(m: int, sizes: np.ndarray, rng: np.random.Generator) -> "Bi
     buf = np.repeat(np.arange(n, dtype=np.int64), sizes)
     buf *= m
     _add_draws(buf, m, rng)
+    # only short runs, one per vertex: numpy's default sort beats timsort here
     keys = _sorted_unique(buf)
     vertex_starts = np.arange(n + 1, dtype=np.int64) * m
     while keys.shape[0] < total:
@@ -236,7 +239,8 @@ def sample_incidence(m: int, sizes: np.ndarray, rng: np.random.Generator) -> "Bi
         tail[:] = np.repeat(need, deficit[need])
         tail *= m
         _add_draws(tail, m, rng)
-        keys = _sorted_unique(buf)
+        # a sorted front and a short tail: timsort merges them in one pass
+        keys = _sorted_unique(buf, kind="stable")
 
     # keys are sorted, so attrs come out sorted within each vertex.
     np.remainder(keys, m, out=keys)

@@ -92,8 +92,10 @@ def _write_binary(path, inc, alpha, c0, seed):
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, inc.n, inc.m, float(alpha),
                               float(c0), int(seed)))
-        fh.write(inc.sizes().astype("<u8").tobytes())
-        fh.write(inc.set_attrs.astype("<u8").tobytes())
+        # the words are non-negative, so their little-endian int64 bytes are
+        # the u64 bytes: a little-endian host writes the arrays' own buffers
+        fh.write(np.ascontiguousarray(inc.sizes(), dtype="<i8"))
+        fh.write(np.ascontiguousarray(inc.set_attrs, dtype="<i8"))
 
 
 def _read_binary(path):

@@ -40,17 +40,31 @@ def verify_config(tmp_path, window_min, **kw):
 # --- imports -----------------------------------------------------------------
 
 
-def test_cli_import_leaves_out_scipy_sparse():
-    # every graph query runs on numpy alone; scipy.sparse would add about
-    # 0.1 s to each start of the CLI
+def _scipy_modules_after(code, prefix):
+    # a fresh interpreter, with this checkout's rigkit on the path, runs code
+    # and prints the loaded modules whose names start with prefix
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, rigkit.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
+    code += f"; print(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
+    out = subprocess.run([sys.executable, "-c", "import sys; " + code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.splitlines()[-1]
+
+
+def test_cli_import_leaves_out_scipy_sparse():
+    # every graph query runs on numpy alone; scipy.sparse would add about
+    # 0.1 s to each start of the CLI
+    assert _scipy_modules_after("import rigkit.cli", "scipy.sparse") == "[]"
+
+
+def test_verify_lemmas_runs_without_scipy(tmp_path):
+    # the bound suites take their log-gammas from rigkit.verify itself, so
+    # not even verify-lemmas loads scipy
+    path = verify_config(tmp_path, window_min=0.0)
+    code = ("import rigkit.cli; "
+            f"assert rigkit.cli.main(['verify-lemmas', '--config', {path!r}]) == 0")
+    assert _scipy_modules_after(code, "scipy") == "[]"
 
 
 # --- config handling ---------------------------------------------------------

@@ -188,3 +188,22 @@ def test_binary_read_holds_one_copy_of_the_ids(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * size
+
+
+def test_binary_write_holds_no_copy_of_the_ids(tmp_path):
+    # the int64 arrays' own buffers go to the file, and their bytes are the
+    # u64 words of the format
+    n = 100_000
+    params = ModelParams(n=n, m=default_attribute_count(n), alpha=0.8, c0=1.0)
+    inc, _ = generate(params, trial_rng(1, n, 0))
+    path = tmp_path / "g.rig"
+    tracemalloc.start()
+    try:
+        write_graph(path, inc, params.alpha, params.c0, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * inc.set_attrs.nbytes
+    body = path.read_bytes()[48:]
+    assert body == (inc.sizes().astype("<u8").tobytes()
+                    + inc.set_attrs.astype("<u8").tobytes())

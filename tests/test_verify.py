@@ -10,6 +10,7 @@ from rigkit.model import ModelParams, TailLaw, iterated_log, trial_rng
 from rigkit.verify import (
     BoundReport,
     HypergeomTable,
+    _log_gamma,
     check_conditional_overlap,
     check_intersection_bounds,
     check_tail_mass,
@@ -90,6 +91,40 @@ def test_no_overlap_probability_values():
         exact = float(no_overlap_exact(j, k, m))
         assert no_overlap_probability(j, k, m) == pytest.approx(exact, rel=1e-12)
         assert HypergeomTable(j, k, m).prob(0) == pytest.approx(exact, rel=1e-10)
+
+
+def test_log_gamma_matches_scipy_gammaln():
+    # the port reproduces gammaln bit for bit, across all four branches of
+    # Cephes lgam: x < 13, 13 <= x < 1000, 1000 <= x <= 1e8 and x > 1e8
+    from scipy.special import gammaln
+
+    xs = np.arange(1, 2_000_001)
+    assert np.array_equal([_log_gamma(x) for x in xs.tolist()], gammaln(xs))
+    for x in (12, 13, 999, 1000, 1001, 10**8, 10**8 + 1):
+        assert _log_gamma(x) == gammaln(x), x
+    xs = np.random.default_rng(18).integers(1, 2**40, size=100_000, endpoint=True)
+    assert np.array_equal([_log_gamma(x) for x in xs.tolist()], gammaln(xs))
+
+
+def test_tables_match_scipy_log_factorials(default_verify_grid):
+    # HypergeomTable and no_overlap_probability as they were written over
+    # scipy's gammaln, on the default grid and at pools whose log-gammas
+    # take the series above 1000 and the bare Stirling form above 1e8
+    from scipy.special import gammaln
+
+    large = [(j, k, m) for m in (5000, 150_000_000)
+             for j in range(13) for k in range(13)]
+    for j, k, m in default_verify_grid + large:
+        r = np.arange(max(0, j + k - m), min(j, k) + 1)
+        logs = (gammaln(k + 1) - gammaln(r + 1) - gammaln(k - r + 1)
+                + gammaln(m - k + 1) - gammaln(j - r + 1)
+                - gammaln(m - k - j + r + 1)
+                - gammaln(m + 1) + gammaln(j + 1) + gammaln(m - j + 1))
+        assert np.array_equal(HypergeomTable(j, k, m).pmf, np.exp(logs)), (j, k, m)
+        p0 = 1.0 if j == 0 or k == 0 else math.exp(
+            gammaln(m - k + 1) - gammaln(m - k - j + 1) - gammaln(m + 1)
+            + gammaln(m - j + 1))
+        assert no_overlap_probability(j, k, m) == p0, (j, k, m)
 
 
 def test_wilson_interval_shape():
