@@ -4,7 +4,7 @@ Usage, from the root of a rigkit source tree:
 
     python3 scripts/same_output_sweep.py ROOT [--src DIR]
 
-Runs 182 CLI commands, one fresh interpreter each, with the rigkit package
+Runs 185 CLI commands, one fresh interpreter each, with the rigkit package
 in DIR (default: this tree's src/):
 
 * distances, hubpath, analyze and a two-trial experiment, in JSON and in
@@ -16,8 +16,10 @@ in DIR (default: this tree's src/):
   ladder has a rung (k* = 1), so the climbs walk a real ladder; at the
   smaller n every certificate is degenerate (k* = 0);
 * hubpath at n = 300000, alpha = 0.9, with 200 samples, seeds {1, 5, 6},
-  in JSON and in CSV, where the ladder has three rungs (k* = 3): climbs
-  of two hops and climbs that dead-end below the apex;
+  in JSON and in CSV, and analyze on the same cells, where the ladder has
+  three rungs (k* = 3) of which two are occupied: climbs of two hops,
+  climbs that dead-end below the apex, and the layer sizes of a real
+  ladder;
 * analyze, and hubpath in JSON and in CSV, at n = 20000, seed 1, with
   alpha 0.999 (70 rungs) and 0.9999 (704 rungs): long ladders whose top
   layer is empty, so hubpath reports that it has no escape targets;
@@ -106,6 +108,8 @@ def commands(bounds_config: str) -> list:
             cmds.append((f"hubpath/n300000-a0.9-s{seed}-{fmt}",
                          ["hubpath", "-n", "300000", "--alpha", "0.9", "--seed",
                           str(seed), "--pairs", "200", "--format", fmt]))
+        cmds.append((f"analyze/n300000-a0.9-s{seed}",
+                     ["analyze", "-n", "300000", "--alpha", "0.9", "--seed", str(seed)]))
     for alpha in LONG_ALPHAS:
         common = ["-n", "20000", "--seed", "1", "--alpha", alpha]
         cmds.append((f"analyze/n20000-a{alpha}-s1", ["analyze", *common]))

@@ -130,12 +130,6 @@ class BipartiteIncidence:
     # -- accessors ---------------------------------------------------------
 
     @property
-    def num_occupied(self) -> int:
-        """Number of attributes held by at least one vertex."""
-        attrs = np.sort(self.set_attrs)
-        return int(np.count_nonzero(attrs[1:] != attrs[:-1])) + int(attrs.size > 0)
-
-    @property
     def total_incidence(self) -> int:
         return self.set_attrs.shape[0]
 
@@ -161,7 +155,7 @@ class BipartiteIncidence:
 
     def __repr__(self) -> str:
         return (f"BipartiteIncidence(n={self.n}, m={self.m}, "
-                f"incidence={self.total_incidence}, occupied={self.num_occupied})")
+                f"incidence={self.total_incidence})")
 
 
 def _sorted_unique(keys: np.ndarray, kind=None) -> np.ndarray:

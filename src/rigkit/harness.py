@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import storage
-from .graphgen import PACK_LIMIT, generate
+from .graphgen import PACK_LIMIT, _sorted_unique, generate
 from .graphops import UNREACHED, TraversalCore, bfs_distance, components, distances_from
 from .hubnav import LadderError, decompose, loglog_certificate, thresholds
 from .model import (ModelParams, TailLaw, default_attribute_count, iterated_log,
@@ -388,7 +388,8 @@ def run_generate(cfg: ExperimentConfig) -> list:
                 "bytes": os.path.getsize(path),
                 "sha256": storage.file_checksum(path),
                 "incidence": inc.total_incidence,
-                "occupied_attrs": inc.num_occupied,
+                # written and checksummed, the ids are free to sort in place
+                "occupied_attrs": int(_sorted_unique(inc.set_attrs).shape[0]),
             }
             write_json_report(path + ".meta.json", meta)
             out.append(meta)
@@ -407,7 +408,7 @@ def run_analyze(cfg: ExperimentConfig, graph_path=None) -> dict:
         "u_max_size": int(t.weights.sizes[t.dec.u_max]),
         "k_star": t.dec.k_star,
         "hub_core_size": int(t.dec.hub_core.shape[0]),
-        "layer_sizes": [int(layer.shape[0]) for layer in t.dec.layers],
+        "layer_sizes": t.dec.layer_sizes().tolist(),
         "degree_tail": degree_tail_report(t.core),
     }
 

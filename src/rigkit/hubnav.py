@@ -11,9 +11,13 @@ ln(ln(n)).  Above the ladder sits the hub core
 
     V0 = { v : tilde_z[v] > t0 },      t0 = n^(1/(1+alpha)) * l2n^(-alpha).
 
+The decomposition stores the ladder as one rung level per vertex: level[v]
+is the smallest k with v in U_k, or k_star + 1 off the ladder, so
+U_k = { v : level[v] <= k }.
+
 Navigation: a short BFS escapes from an arbitrary vertex to the widest layer
-U_{k_star}, then a greedy climb walks rung by rung up the ladder, one hop per
-rung, to the apex u_max, the vertex with the largest set, which the
+U_{k_star}, then a greedy climb walks down the levels, at least one rung per
+hop, to the apex u_max, the vertex with the largest set, which the
 decomposition records.  Each route is a plain list of vertices, from its
 start to its end.  Concatenating two such halves at the apex certifies
 a v1-v2 distance of order ln(ln(n)).  A certificate holds only its four
@@ -24,7 +28,7 @@ and a caller that wants that distance measures it on its own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -75,11 +79,6 @@ class LayerThresholds:
     100*l2n < t_k* < (100+c0)^(1/alpha) * l2n whenever k_star >= 1.
     """
 
-    n: int
-    alpha: float
-    c0: float
-    floor: float
-    l2n: float
     t0: float
     t: tuple
 
@@ -121,44 +120,38 @@ def thresholds(n: int, alpha: float, c0: float,
                              f"would have more than {MAX_RUNGS} rungs")
         rungs.append(power * l2n)
         k += 1
-    return LayerThresholds(n=n, alpha=alpha, c0=c0, floor=floor,
-                           l2n=l2n, t0=t0, t=tuple(rungs))
+    return LayerThresholds(t0=t0, t=tuple(rungs))
 
 
 @dataclass
 class LayerDecomposition:
-    """Realized layers of one weight sample against a ladder.
+    """Realized ladder of one weight sample.
 
-    layers[k-1] holds the sorted vertices of U_k; the layers are nested
-    upward (U_1 is the thinnest).  hub_core is V0 (strict inequality).
-    masses[k-1] is the total attribute count over U_k.  u_max is the apex
-    every climb ends at: the vertex with the largest set (smallest id on
-    ties).
+    level[v] is the smallest k with tilde_z[v] >= t_k, or k_star + 1 when v
+    is off the ladder; with an empty ladder (k_star = 0) every vertex is at
+    level 1.  The layers U_k = { v : level[v] <= k } nest upward (U_1 is the
+    thinnest), and the widest, U_{k_star}, is kept sorted in top.  hub_core
+    is V0 (strict inequality).  u_max is the apex every climb ends at: the
+    vertex with the largest set (smallest id on ties).
     """
 
     th: LayerThresholds
     tilde_z: np.ndarray
     u_max: int
-    layers: list = field(default_factory=list)
-    hub_core: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    masses: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    level: np.ndarray
+    top: np.ndarray
+    hub_core: np.ndarray
 
     @property
     def k_star(self) -> int:
         return self.th.k_star
 
     def top_layer(self) -> np.ndarray:
-        return self.layers[-1] if self.layers else np.empty(0, dtype=np.int64)
+        return self.top
 
-    def level_of(self, v: int) -> int:
-        """Smallest k with tilde_z[v] >= t_k, or k_star + 1 if v is off-ladder.
-
-        With an empty ladder (k_star = 0) every vertex is at level 1.
-        """
-        for k in range(self.k_star, 0, -1):
-            if self.tilde_z[v] < self.th.t[k - 1]:
-                return k + 1
-        return 1
+    def layer_sizes(self) -> np.ndarray:
+        """|U_1|, ..., |U_k_star|: the cumulative vertex count per level."""
+        return np.cumsum(np.bincount(self.level, minlength=self.k_star + 2)[1:-1])
 
     def escape_targets(self):
         """Target set for the escape stage: (vertices, degenerate_flag).
@@ -168,9 +161,8 @@ class LayerDecomposition:
         that is empty.
         """
         if self.k_star >= 1:
-            top = self.top_layer()
-            if top.size:
-                return top, False
+            if self.top.size:
+                return self.top, False
             raise LadderError("top layer is empty; no escape targets")
         if self.hub_core.size:
             return self.hub_core, True
@@ -178,21 +170,17 @@ class LayerDecomposition:
 
 
 def decompose(weights: VertexWeights, th: LayerThresholds) -> LayerDecomposition:
-    """Slice a weight sample into ladder layers, the hub core and the apex.
+    """Rung levels of a weight sample, its widest layer, hub core and apex.
 
-    A rung above the largest weight holds no vertex: it gets an empty layer
-    and mass 0 without a pass over the weights, which keeps long ladders
-    (alpha near 1) cheap.
+    One searchsorted on the rungs in ascending order counts the rungs each
+    weight clears; side="right" counts a weight exactly on a rung as on it,
+    as tilde_z >= t_k does.
     """
     tz = weights.tilde_z
-    top = tz.max()
-    layers = [np.flatnonzero(tz >= tk) if tk <= top else np.empty(0, dtype=np.int64)
-              for tk in th.t]
-    hub_core = np.flatnonzero(tz > th.t0)
-    masses = np.array([int(weights.sizes[layer].sum()) for layer in layers],
-                      dtype=np.int64)
+    level = th.k_star + 1 - np.searchsorted(th.t[::-1], tz, side="right")
     return LayerDecomposition(th=th, tilde_z=tz, u_max=maximal_vertex(weights),
-                              layers=layers, hub_core=hub_core, masses=masses)
+                              level=level, top=np.flatnonzero(level <= th.k_star),
+                              hub_core=np.flatnonzero(tz > th.t0))
 
 
 def escape_bfs(core: TraversalCore, dec: LayerDecomposition, v: int) -> Optional[list]:
@@ -208,29 +196,27 @@ def escape_bfs(core: TraversalCore, dec: LayerDecomposition, v: int) -> Optional
 
 def hub_climb(core: TraversalCore, dec: LayerDecomposition,
               start: int) -> Optional[list]:
-    """Greedy rung-by-rung climb from the widest layer to the apex dec.u_max.
+    """Greedy climb from the widest layer down the levels to the apex dec.u_max.
 
-    From a vertex at level k the next hop must land in U_{k-1}, with
-    U_0 = {u_max} by convention; among qualifying neighbours the climb takes
-    the largest tilde_z (smallest index on ties), and u_max qualifies
-    whenever adjacent.  At level 1 the rung floor is infinite, so u_max is
-    the only candidate.  Each hop clears at least one rung, so a successful
-    climb takes at most k_star hops (one in degenerate mode).  The climb is
-    the list of its vertices, from start to u_max.  A dead end returns None:
-    failure is a data outcome, not an exception.
+    A neighbour x of the current vertex qualifies when its level is lower,
+    or when x is u_max, which qualifies whenever adjacent; among qualifying
+    neighbours the climb takes the largest tilde_z (smallest index on ties).
+    At level 1 no level is lower, so u_max is the only candidate.  Each hop
+    clears at least one rung, so a successful climb takes at most k_star
+    hops (one in degenerate mode).  The climb is the list of its vertices,
+    from start to u_max.  A dead end returns None: failure is a data
+    outcome, not an exception.
     """
-    k_star, u_max = dec.k_star, dec.u_max
+    k_star, u_max, level = dec.k_star, dec.u_max, dec.level
     if not (0 <= start < core.n):
         raise ValueError("vertex out of range")
-    if k_star >= 1 and dec.tilde_z[start] < dec.th.t[k_star - 1]:
+    if k_star >= 1 and level[start] > k_star:
         raise ValueError("climb must start inside the widest layer")
 
     path = [int(start)]
     while path[-1] != u_max:
-        target_level = dec.level_of(path[-1]) - 1
-        floor = dec.th.t[target_level - 1] if target_level else math.inf
         nbrs = neighbors(core, path[-1])
-        qual = nbrs[(dec.tilde_z[nbrs] >= floor) | (nbrs == u_max)]
+        qual = nbrs[(level[nbrs] < level[path[-1]]) | (nbrs == u_max)]
         if qual.size == 0:
             return None
         path.append(int(qual[np.argmax(dec.tilde_z[qual])]))

@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphgen import sample_incidence
+from .graphgen import _sorted_unique, sample_incidence
 from .graphops import TraversalCore, degrees
 from .model import TailLaw, iterated_log
 
@@ -395,8 +395,8 @@ def check_union_coverage(m: int, gamma1: float, gamma2: float,
     need = (1.0 - gamma2) * total
     hits = 0
     for _ in range(trials):
-        inc = sample_incidence(m, sizes, rng)
-        if inc.num_occupied >= need:
+        occupied = _sorted_unique(sample_incidence(m, sizes, rng).set_attrs).shape[0]
+        if occupied >= need:
             hits += 1
     bound = 1.0 - r * float(n) ** -3
     lo, hi = wilson_interval(hits, trials)

@@ -209,6 +209,37 @@ def nearest_route_reference(inc, source: int, targets):
     return None
 
 
+def ladder_level_reference(tilde_z, t, v: int) -> int:
+    """Smallest k with tilde_z[v] >= t[k-1], or len(t) + 1 off the ladder.
+
+    A scan down the rungs t_1 > ... > t_k*, from the widest, one comparison
+    each; with no rungs every vertex is at level 1.
+    """
+    for k in range(len(t), 0, -1):
+        if tilde_z[v] < t[k - 1]:
+            return k + 1
+    return 1
+
+
+def hub_climb_reference(adj, tilde_z, t, u_max: int, start: int):
+    """Greedy climb by rung floors on a dense adjacency matrix, or None.
+
+    From level k the next hop needs tilde_z >= t_{k-1}, with an infinite
+    floor at level 1, unless it is u_max; the largest tilde_z wins, the
+    smallest id on ties.
+    """
+    path = [start]
+    while path[-1] != u_max:
+        target = ladder_level_reference(tilde_z, t, path[-1]) - 1
+        floor = t[target - 1] if target else math.inf
+        qual = [x for x in range(len(tilde_z))
+                if adj[path[-1], x] and (tilde_z[x] >= floor or x == u_max)]
+        if not qual:
+            return None
+        path.append(max(qual, key=lambda x: (tilde_z[x], -x)))
+    return path
+
+
 def target_ball_reference(inc, sources):
     """Hop counts from a vertex set, by a multi-source queue BFS over sets.
 

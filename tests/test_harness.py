@@ -133,6 +133,7 @@ def test_run_generate_round_trip(tmp_path):
         inc, params, _ = read_graph(path)
         assert params.n == 150
         assert inc.total_incidence == meta["incidence"]
+        assert meta["occupied_attrs"] == len(set(inc.set_attrs.tolist()))
         jsonschema.validate(meta, report_schema())
 
 

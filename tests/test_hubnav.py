@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import adjacency_matrix, pair_hops_python
+from oracles import (adjacency_matrix, hub_climb_reference, ladder_level_reference,
+                     pair_hops_python)
 from rigkit.graphgen import BipartiteIncidence, adjacent, generate
 from rigkit.graphops import TraversalCore, bfs_distance, maximal_vertex
 from rigkit.hubnav import (
@@ -50,7 +53,7 @@ def test_t0_formula():
     th = thresholds(10**5, 0.8, 1.0)
     l2n = iterated_log(10**5)
     assert th.t0 == pytest.approx((10**5) ** (1 / 1.8) * l2n ** (-0.8), rel=1e-12)
-    assert th.l2n == pytest.approx(l2n)
+    assert th.t[0] == pytest.approx(threshold_rung(10**5, 0.8, 1), rel=1e-12)
 
 
 def test_k_star_matches_scan():
@@ -65,19 +68,20 @@ def test_k_star_matches_scan():
 def test_k_star_positive_case():
     th = thresholds(10**5, 0.8, 1.0)
     assert th.k_star >= 1
-    assert th.k_star <= th.l2n / math.log(1.0 / 0.8)
+    assert th.k_star <= iterated_log(10**5) / math.log(1.0 / 0.8)
 
 
 def test_rungs_decrease_and_respect_floor():
     th = thresholds(10**8, 0.8, 1.0)
+    floor = 100.0 + 1.0  # the default floor, 100 + c0
     assert th.k_star >= 2
     assert all(a > b for a, b in zip(th.t, th.t[1:]))
     for k in range(1, th.k_star + 1):
         power = math.exp(0.8**k * math.log(10**8) / 1.8)
-        assert power >= th.floor  # every kept rung clears the floor
+        assert power >= floor  # every kept rung clears the floor
     # the next rung would dip under
     next_power = (10**8) ** (0.8 ** (th.k_star + 1) / 1.8)
-    assert next_power < th.floor
+    assert next_power < floor
 
 
 def test_thresholds_validation():
@@ -107,8 +111,7 @@ def test_rung_limit_boundary():
 
 def toy_ladder():
     """A hand-built 2-rung ladder: t = (20, 10), hub cutoff t0 = 50."""
-    return LayerThresholds(n=100, alpha=0.5, c0=1.0, floor=10.0,
-                           l2n=iterated_log(100), t0=50.0, t=(20.0, 10.0))
+    return LayerThresholds(t0=50.0, t=(20.0, 10.0))
 
 
 def toy_weights(tz):
@@ -121,47 +124,49 @@ def test_decompose_nesting_and_boundaries():
     # weights sit exactly on the cut points: >= for rungs, strict > for t0
     w = toy_weights([50.0, 20.0, 10.0, 9.99, 60.0])
     dec = decompose(w, th)
-    assert dec.layers[0].tolist() == [0, 1, 4]       # U_1: tz >= 20
-    assert dec.layers[1].tolist() == [0, 1, 2, 4]    # U_2: tz >= 10, nested
-    assert set(dec.layers[0]) <= set(dec.layers[1])
+    assert dec.level.tolist() == [1, 1, 2, 3, 1]
+    u1, u2 = (np.flatnonzero(dec.level <= k) for k in (1, 2))
+    assert u1.tolist() == [0, 1, 4]                  # U_1: tz >= 20
+    assert u2.tolist() == [0, 1, 2, 4]               # U_2: tz >= 10, nested
+    assert set(u1) <= set(u2)
+    assert dec.layer_sizes().tolist() == [3, 4]
+    assert dec.top_layer().tolist() == [0, 1, 2, 4]
     assert dec.hub_core.tolist() == [4]              # V0: tz > 50, strict
-    assert dec.masses.tolist() == [int(w.sizes[[0, 1, 4]].sum()),
-                                   int(w.sizes[[0, 1, 2, 4]].sum())]
 
 
 def test_decompose_rungs_above_top_weight():
     # rungs at and above the largest weight: the one equal to it keeps its
-    # vertex, those above are empty int64 layers of mass 0
-    th = LayerThresholds(n=100, alpha=0.5, c0=1.0, floor=10.0,
-                         l2n=iterated_log(100), t0=50.0,
-                         t=(90.0, 40.0 + 1e-9, 40.0, 20.0))
+    # vertex, those above hold no vertex
+    th = LayerThresholds(t0=50.0, t=(90.0, 40.0 + 1e-9, 40.0, 20.0))
     dec = decompose(toy_weights([40.0, 20.0, 5.0]), th)
-    assert [layer.tolist() for layer in dec.layers] == [[], [], [0], [0, 1]]
-    assert all(layer.dtype == np.int64 for layer in dec.layers)
-    assert dec.masses.tolist() == [0, 0, 80, 120]
+    assert dec.level.tolist() == [3, 4, 5]
+    assert [np.flatnonzero(dec.level <= k).tolist() for k in range(1, 5)] == \
+        [[], [], [0], [0, 1]]
+    assert dec.layer_sizes().tolist() == [0, 0, 1, 2]
+    assert dec.top_layer().tolist() == [0, 1]
+    assert dec.level.dtype == dec.top_layer().dtype == np.int64
     assert dec.hub_core.tolist() == []
 
 
 def test_level_and_layer_index():
     th = toy_ladder()
     dec = decompose(toy_weights([25.0, 15.0, 5.0]), th)
-    assert [dec.level_of(v) for v in range(3)] == [1, 2, 3]
+    assert dec.level.tolist() == [1, 2, 3]
     # rungs cleared, k* - level: -1 off the ladder
-    assert [dec.k_star - dec.level_of(v) for v in range(3)] == [1, 0, -1]
+    assert (dec.k_star - dec.level).tolist() == [1, 0, -1]
 
 
 def test_level_of_empty_ladder():
-    th = LayerThresholds(n=100, alpha=0.5, c0=1.0, floor=10.0,
-                         l2n=iterated_log(100), t0=50.0, t=())
+    th = LayerThresholds(t0=50.0, t=())
     dec = decompose(toy_weights([60.0, 1.0]), th)
-    assert dec.level_of(0) == 1 and dec.level_of(1) == 1
+    assert dec.level.tolist() == [1, 1]
+    assert dec.layer_sizes().tolist() == [] and dec.top_layer().tolist() == []
     targets, degenerate = dec.escape_targets()
     assert degenerate and targets.tolist() == [0]
 
 
 def test_escape_targets_error_when_nothing_qualifies():
-    th = LayerThresholds(n=100, alpha=0.5, c0=1.0, floor=10.0,
-                         l2n=iterated_log(100), t0=50.0, t=())
+    th = LayerThresholds(t0=50.0, t=())
     dec = decompose(toy_weights([1.0, 2.0]), th)
     with pytest.raises(LadderError):
         dec.escape_targets()
@@ -183,7 +188,7 @@ def test_hub_climb_full_ladder_walk():
     path = hub_climb(core, dec, 3)
     assert path == [3, 2, 0]
     # rungs cleared climb 0, 1 and k* at the apex
-    assert [dec.k_star - dec.level_of(v) for v in path[:-1]] == [0, 1]
+    assert [dec.k_star - dec.level[v] for v in path[:-1]] == [0, 1]
     assert path[-1] == dec.u_max
     assert len(path) - 1 == 2 <= dec.k_star
 
@@ -220,7 +225,7 @@ def test_hub_climb_tie_break_smallest_index():
     dec = decompose(w, toy_ladder())
     path = hub_climb(core, dec, 3)
     assert path == [3, 1, 0]
-    assert [dec.k_star - dec.level_of(v) for v in path[:-1]] == [0, 1]
+    assert [dec.k_star - dec.level[v] for v in path[:-1]] == [0, 1]
     assert path[-1] == dec.u_max
     assert len(path) - 1 == 2
     assert len(path) - 1 <= dec.k_star
@@ -250,7 +255,7 @@ def test_escape_bfs_modes():
     dec2 = decompose(w2, toy_ladder())
     esc2 = escape_bfs(TraversalCore(inc2), dec2, 1)
     assert esc2 == [1, 0]
-    assert [dec2.k_star - dec2.level_of(v) for v in esc2] == [-1, 0]
+    assert [dec2.k_star - dec2.level[v] for v in esc2] == [-1, 0]
 
 
 def test_escape_bfs_vertex_range():
@@ -260,8 +265,7 @@ def test_escape_bfs_vertex_range():
             escape_bfs(core, dec, v)
     # no target set outranks a bad vertex
     empty = decompose(toy_weights([1.0] * core.n),
-                      LayerThresholds(n=100, alpha=0.5, c0=1.0, floor=10.0,
-                                      l2n=iterated_log(100), t0=50.0, t=()))
+                      LayerThresholds(t0=50.0, t=()))
     with pytest.raises(LadderError):
         escape_bfs(core, empty, core.n)
 
@@ -337,7 +341,7 @@ def test_certificate_sound_on_random_instances(small_instances):
                     assert climb[-1] == dec.u_max
                     # every hop clears a rung: the level falls, with the
                     # apex at level 0
-                    levels = [0 if v == dec.u_max else dec.level_of(v)
+                    levels = [0 if v == dec.u_max else dec.level[v]
                               for v in climb]
                     assert all(a > b for a, b in zip(levels, levels[1:]))
             if cert.certificate_hops is None:
@@ -368,8 +372,7 @@ def test_decompose_apex_tie_goes_to_smallest_id():
 def test_degenerate_mode_climb():
     # empty ladder, nonempty hub core: escape goes to V0, climb is a single
     # adjacency test against the apex
-    th = LayerThresholds(n=100, alpha=0.5, c0=1.0, floor=10.0,
-                         l2n=iterated_log(100), t0=5.0, t=())
+    th = LayerThresholds(t0=5.0, t=())
     core = TraversalCore(BipartiteIncidence.from_sets(3, 3, [[0], [0, 1], [1]]))
     w = toy_weights([10.0, 7.0, 1.0])
     dec = decompose(w, th)
@@ -379,3 +382,66 @@ def test_degenerate_mode_climb():
     assert esc == [2, 1]
     path = hub_climb(core, dec, 1)
     assert path == [1, 0]
+
+
+@st.composite
+def weighted_ladders(draw):
+    """Weights and a ladder: random weights, weights exactly on a rung or on
+    t0, rungs above the top weight, no rungs, and hundreds of rungs."""
+    count = draw(st.sampled_from([0, 1, 2, 3, 7, 300, 704]))
+    lo, hi = sorted(draw(st.lists(st.floats(1.0, 1e4), min_size=2, max_size=2,
+                                  unique=True)))
+    t = tuple(float(x) for x in np.geomspace(hi, lo, count))
+    t0 = draw(st.floats(0.0, 2.0 * hi))
+    top = draw(st.floats(0.0, 2.0 * hi))  # below hi, the upper rungs are empty
+    weight = st.floats(0.0, top) | st.sampled_from(t + (t0,))
+    tz = draw(st.lists(weight, min_size=1, max_size=30))
+    return toy_weights(tz), LayerThresholds(t0=t0, t=t)
+
+
+PROPS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@PROPS
+@example((toy_weights([5.0, 20.0, 10.0, 60.0]), LayerThresholds(t0=50.0, t=(20.0, 10.0))))
+@given(weighted_ladders())
+def test_level_array_matches_rung_comparisons(case):
+    w, th = case
+    tz = w.tilde_z
+    dec = decompose(w, th)
+    assert dec.level.tolist() == [ladder_level_reference(tz, th.t, v) for v in range(tz.size)]
+    layers = [np.flatnonzero(tz >= tk) for tk in th.t]
+    for k, layer in enumerate(layers, start=1):
+        assert np.flatnonzero(dec.level <= k).tolist() == layer.tolist()
+    assert dec.layer_sizes().tolist() == [layer.size for layer in layers]
+    top = layers[-1] if layers else np.empty(0, dtype=np.int64)
+    assert dec.top_layer().tolist() == top.tolist()
+    assert dec.top_layer().dtype == np.int64
+    hub_core = np.flatnonzero(tz > th.t0)
+    assert dec.hub_core.tolist() == hub_core.tolist()
+    want = (top, False) if th.k_star else (hub_core, True)
+    if want[0].size == 0:
+        with pytest.raises(LadderError):
+            dec.escape_targets()
+    else:
+        targets, degenerate = dec.escape_targets()
+        assert (targets.tolist(), degenerate) == (want[0].tolist(), want[1])
+        # built once by decompose, not on each call
+        assert dec.escape_targets()[0] is targets
+
+
+def test_hub_climb_matches_rung_floor_reference(small_instances):
+    # every start in the widest layer, on ladders of several rungs: the
+    # level comparison takes the same hops as the rung floors
+    climbs = 0
+    for params, inc, w in small_instances:
+        adj = adjacency_matrix(inc)
+        core = TraversalCore(inc)
+        for floor in (2.0, 5.0, 20.0):
+            th = thresholds(params.n, params.alpha, params.c0, floor=floor)
+            dec = decompose(w, th)
+            for v in dec.top_layer():
+                path = hub_climb(core, dec, int(v))
+                assert path == hub_climb_reference(adj, w.tilde_z, th.t, dec.u_max, int(v))
+                climbs += path is not None and len(path) > 2
+    assert climbs > 0
