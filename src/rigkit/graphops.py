@@ -12,10 +12,13 @@ vertex for the attribute side and vertex * num_attrs + core id for the
 vertex side, and core attributes are numbered in increasing order of
 original id.  A one-sided search thus makes the same smallest-id parent
 choices, and traces the same paths, as it would on the full incidence.
-The first sort runs over the whole incidence, so it works in place: the
-vertex ids are added into the keys, and the entries whose attribute has a
-second holder are marked in a one-byte mask, graphgen._BLOCK entries at a
-time.  Beside the incidence, the build then peaks near 1.3x its bytes.
+Only the entries that may be shared are packed for the first sort: a sorted
+copy of the ids, uint32 (half their bytes) while m <= 2**32, shows which
+attributes have a second holder, and a one-byte mark on each span of ids
+that holds one picks the candidates, which are every shared entry and, at
+n = 1e5, about 5% of the others.  The shared ones among them are then
+marked in a one-byte mask, graphgen._BLOCK entries at a time.  The build
+only reads the incidence, and beside it peaks near 0.65x its ids' bytes.
 
 Component labels come from min-label hook and compress on the core's
 attribute side, with numpy scatters and no second graph: the final label of
@@ -109,11 +112,12 @@ class TraversalCore:
     (length n) and seen[side] (length num_attrs) are all False between
     queries.  ball is the target ball of the last source set that
     nearest_of or distances_from asked about (it has no sources before the
-    first).  The incidence is read once, here, and not kept.
+    first).  The incidence is read once, here, left as it was, and not
+    kept.
 
-    Both sides come from packed int64 sorts: attribute * n + vertex
-    (_shared_entries), then vertex * num_attrs + core id.  Attribute ids
-    are below m and num_attrs <= m, so every key stays below
+    Both sides come from packed int64 sorts: attribute * n + vertex of the
+    candidate entries (_shared_entries), then vertex * num_attrs + core id.
+    Attribute ids are below m and num_attrs <= m, so every key stays below
     n * m < PACK_LIMIT.
     """
 
@@ -147,12 +151,43 @@ class TraversalCore:
         return int(self.set_sizes[verts].sum())
 
 
-def _entry_owners(indptr: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """The vertex of each incidence entry start..stop-1, from its row pointer."""
-    first = int(np.searchsorted(indptr, start, side="right")) - 1
-    last = int(np.searchsorted(indptr, stop, side="left"))
-    bounds = np.clip(indptr[first:last + 1], start, stop)
-    return np.repeat(np.arange(first, last, dtype=np.int64), np.diff(bounds))
+def _candidate_keys(inc: BipartiteIncidence) -> np.ndarray:
+    """Packed attribute * n + vertex keys of the entries that may be shared.
+
+    A sorted copy of the ids, as uint32 when every id fits (m <= 2**32, half
+    the ids' bytes), shows the attributes with a second holder: the ids
+    that repeat their predecessor.  The id range is cut into spans of
+    2**shift ids, about 16 spans per repeat and never more than there are
+    entries, and a one-byte mark goes on every span that holds a repeated
+    id.  An entry is a candidate when its id lies in a marked span: every
+    shared entry is one, and so, at ids spread uniformly, are about 5% of
+    the others.  The candidates are packed in incidence order, _BLOCK
+    entries at a time, into one array of exactly their count.  The
+    incidence is only read.
+    """
+    ids, total, m = inc.set_attrs, inc.total_incidence, inc.m
+    vals = ids.astype(np.uint32 if m <= 2**32 else np.int64)
+    vals.sort()
+    repeated = vals[1:][vals[1:] == vals[:-1]]
+    del vals
+    spans = min(16 * repeated.shape[0], total)
+    shift = max((m - 1).bit_length() - spans.bit_length(), 0)
+    marked = np.zeros(((m - 1) >> shift) + 1, dtype=bool)
+    marked[repeated >> shift] = True
+    del repeated
+    candidate = np.empty(total, dtype=bool)
+    for start in range(0, total, _BLOCK):
+        candidate[start:start + _BLOCK] = marked[ids[start:start + _BLOCK] >> shift]
+    del marked
+    keys = np.empty(int(np.count_nonzero(candidate)), dtype=np.int64)
+    size = 0
+    for start in range(0, total, _BLOCK):
+        at = np.flatnonzero(candidate[start:start + _BLOCK]) + start
+        block = keys[size:size + at.shape[0]]
+        np.multiply(ids[at], inc.n, out=block)
+        block += np.searchsorted(inc.set_indptr, at, side="right") - 1
+        size += at.shape[0]
+    return keys
 
 
 def _shared_entries(inc: BipartiteIncidence):
@@ -161,15 +196,13 @@ def _shared_entries(inc: BipartiteIncidence):
     attr_vertices lists the holders of every attribute with two or more
     holders, attribute by attribute in increasing original id, each
     attribute's holders sorted; starts flags the first entry of each
-    attribute.  The full-length work happens in one array of packed
-    attribute * n + vertex keys, _BLOCK entries at a time, plus a one-byte
-    mask of the shared entries; both are freed on return.
+    attribute.  Only the candidate entries (_candidate_keys) are packed and
+    sorted; the shared ones among them are found _BLOCK entries at a time
+    with a one-byte mask.
     """
-    n, total = inc.n, inc.total_incidence
-    keys = inc.set_attrs * n
-    for start in range(0, total, _BLOCK):
-        stop = min(start + _BLOCK, total)
-        keys[start:stop] += _entry_owners(inc.set_indptr, start, stop)
+    n = inc.n
+    keys = _candidate_keys(inc)
+    total = keys.shape[0]
     keys.sort()
     # an entry is shared when its attribute is that of a neighbouring entry
     shared = np.empty(total, dtype=bool)
@@ -390,11 +423,14 @@ def components(core: TraversalCore) -> ComponentLabeling:
     then the count of roots up to its own, minus one: a cumulative sum, with
     no sort.
     """
-    ids = np.arange(core.n, dtype=np.int64)
+    # labels and attribute numbers fit in int32 below 2**31, which halves
+    # the core-length temporaries of each round
+    small = np.int32 if max(core.n, core.num_attrs) < 2**31 else np.int64
+    ids = np.arange(core.n, dtype=small)
     label = ids.copy()
-    attr_of = np.repeat(np.arange(core.num_attrs), np.diff(core.attr_indptr))
+    attr_of = np.repeat(np.arange(core.num_attrs, dtype=small), np.diff(core.attr_indptr))
     while True:
-        amin = np.full(core.num_attrs, core.n, dtype=np.int64)
+        amin = np.full(core.num_attrs, core.n, dtype=small)
         np.minimum.at(amin, attr_of, label[core.attr_vertices])
         sees = label.copy()
         np.minimum.at(sees, core.attr_vertices, amin[attr_of])

@@ -14,13 +14,13 @@ json.dump.
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import json
 import math
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
@@ -560,7 +560,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     # the pool starts all its workers at once: no more than cells or cores
     workers = min(cfg.threads, len(tasks), os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # concurrent.futures loads its process pool, and multiprocessing
+        # with it, on first access: a serial run never imports them
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(_experiment_cell, tasks))
     else:
         cells = [_experiment_cell(t) for t in tasks]

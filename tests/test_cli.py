@@ -40,7 +40,7 @@ def verify_config(tmp_path, window_min, **kw):
 # --- imports -----------------------------------------------------------------
 
 
-def _scipy_modules_after(code, prefix):
+def _modules_after(code, prefix):
     # a fresh interpreter, with this checkout's rigkit on the path, runs code
     # and prints the loaded modules whose names start with prefix
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -55,7 +55,14 @@ def _scipy_modules_after(code, prefix):
 def test_cli_import_leaves_out_scipy_sparse():
     # every graph query runs on numpy alone; scipy.sparse would add about
     # 0.1 s to each start of the CLI
-    assert _scipy_modules_after("import rigkit.cli", "scipy.sparse") == "[]"
+    assert _modules_after("import rigkit.cli", "scipy.sparse") == "[]"
+
+
+def test_cli_import_leaves_out_process_pool():
+    # no run with one worker starts a pool, and concurrent.futures loads
+    # its process pool, with multiprocessing, only on first access
+    assert _modules_after("import rigkit.cli", "multiprocessing") == "[]"
+    assert _modules_after("import rigkit.cli", "concurrent.futures.process") == "[]"
 
 
 def test_verify_lemmas_runs_without_scipy(tmp_path):
@@ -64,7 +71,7 @@ def test_verify_lemmas_runs_without_scipy(tmp_path):
     path = verify_config(tmp_path, window_min=0.0)
     code = ("import rigkit.cli; "
             f"assert rigkit.cli.main(['verify-lemmas', '--config', {path!r}]) == 0")
-    assert _scipy_modules_after(code, "scipy") == "[]"
+    assert _modules_after(code, "scipy") == "[]"
 
 
 # --- config handling ---------------------------------------------------------

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -11,7 +12,9 @@ from rigkit.graphgen import BipartiteIncidence
 from rigkit.graphops import TraversalCore
 from rigkit.harness import ConfigError, ExperimentConfig
 from rigkit.model import default_attribute_count, iterated_log
-from rigkit.storage import file_checksum, write_graph
+from rigkit.storage import file_checksum, read_graph, write_graph
+
+from oracles import traversal_core_two_sorts
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -155,6 +158,19 @@ def test_run_generate_json_format(tmp_path):
     cfg = cfg_with(tmp_path, n_values=[50], graph_format="json")
     metas = harness.run_generate(cfg)
     assert metas[0]["path"].endswith(".json")
+
+
+@pytest.mark.parametrize("fmt", ["binary", "json"])
+def test_file_trial_core_matches_two_sort_formula(tmp_path, fmt):
+    # the core a Trial builds from either graph file has the arrays of the
+    # two full-length packed sorts on the incidence read from that file
+    cfg = cfg_with(tmp_path, n_values=[2000], hub_floor=20.0, graph_format=fmt)
+    path = os.path.join(cfg.out_dir, harness.run_generate(cfg)[0]["path"])
+    want = traversal_core_two_sorts(read_graph(path)[0])
+    core = harness.Trial(cfg, 2000, 0, graph_path=path).core
+    assert core.num_attrs == want["num_attrs"] > 0
+    for name in ("attr_indptr", "attr_vertices", "set_indptr", "set_attrs"):
+        assert np.array_equal(getattr(core, name), want[name]), name
 
 
 def test_trial_keeps_one_core_from_either_graph_file(tmp_path):
@@ -450,7 +466,7 @@ def test_run_experiment_caps_workers(tmp_path, monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     one = cfg_with(tmp_path, n_values=[200], trials=1, pairs_per_trial=3, threads=64)
     assert harness.run_experiment(one)["cells"][0]["error"] is None

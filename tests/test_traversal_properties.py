@@ -11,9 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rigkit.graphgen import PACK_LIMIT, BipartiteIncidence, _sorted_unique, adjacent
-from rigkit.graphops import (UNREACHED, TraversalCore, _first_by, bfs_distance,
-                             components, degrees, distances_from, nearest_of,
-                             neighbors, unique_edges)
+from rigkit.graphops import (UNREACHED, TraversalCore, _candidate_keys, _first_by,
+                             bfs_distance, components, degrees, distances_from,
+                             nearest_of, neighbors, unique_edges)
 
 from oracles import (adjacency_matrix, all_pairs_hops, component_labels_bfs,
                      first_by_reference, nearest_route_reference,
@@ -249,17 +249,60 @@ def test_traversal_core_matches_reference(inc):
         assert got.tolist() == want[name], name
 
 
-@PROPS
-@given(incidences())
-def test_traversal_core_matches_two_sort_formula(each_block, inc):
+def assert_core_matches_two_sorts(each_block, inc):
+    """TraversalCore(inc) has the two-sort formula's arrays under every
+    block size, and leaves inc as it was."""
     want = traversal_core_two_sorts(inc)
+    ids, indptr = inc.set_attrs.copy(), inc.set_indptr.copy()
 
     def check():
         core = TraversalCore(inc)
         assert core.num_attrs == want["num_attrs"]
         for name in ("attr_indptr", "attr_vertices", "set_indptr", "set_attrs"):
             assert np.array_equal(getattr(core, name), want[name]), name
+        assert np.array_equal(core.set_sizes, np.diff(want["set_indptr"]))
     each_block(check)
+    assert np.array_equal(inc.set_attrs, ids) and np.array_equal(inc.set_indptr, indptr)
+
+
+@PROPS
+@example(inc=BipartiteIncidence.from_sets(3, 6, [[], [], []]))  # empty
+@example(inc=BipartiteIncidence.from_sets(4, 6, [[0], [3, 5], [1], []]))  # nothing shared
+@given(inc=incidences())
+def test_traversal_core_matches_two_sort_formula(each_block, inc):
+    assert_core_matches_two_sorts(each_block, inc)
+
+
+@st.composite
+def wide_incidences(draw):
+    """Incidences with few ids in a pool far larger than the entries, at and
+    past the 2**32 limit of the build's uint32 copy, half of the ids packed
+    within 64 of each other (often at the top of the pool): the spans that
+    _candidate_keys marks then also hold private attributes."""
+    n = draw(st.integers(1, 10))
+    m = draw(st.sampled_from([2**32 - 1, 2**32, 2**32 + 1, 2**33, 2**40,
+                              (PACK_LIMIT - 1) // n]))
+    base = draw(st.one_of(st.just(m - 64), st.integers(0, m - 64)))
+    near = st.integers(base, base + 63)
+    pool = draw(st.lists(st.one_of(near, st.integers(0, m - 1)), min_size=1, max_size=8))
+    sets = draw(st.lists(st.sets(st.sampled_from(pool), max_size=4),
+                         min_size=n, max_size=n))
+    return BipartiteIncidence.from_sets(n, m, [sorted(s) for s in sets])
+
+
+@PROPS
+@given(inc=wide_incidences())
+def test_traversal_core_on_wide_id_pools(each_block, inc):
+    assert_core_matches_two_sorts(each_block, inc)
+
+
+def test_candidate_keys_keep_every_shared_entry():
+    # attribute 5 is shared; 7 lies in its span of 2**37 ids and is a
+    # candidate too, 2**39 is not; the core keeps attribute 5 alone
+    inc = BipartiteIncidence.from_sets(3, 2**40, [[5, 7], [5], [2**39]])
+    assert _candidate_keys(inc).tolist() == [5 * 3 + 0, 7 * 3 + 0, 5 * 3 + 1]
+    core = TraversalCore(inc)
+    assert core.num_attrs == 1 and core.attr_vertices.tolist() == [0, 1]
 
 
 @st.composite
