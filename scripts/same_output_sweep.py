@@ -4,7 +4,7 @@ Usage, from the root of a rigkit source tree:
 
     python3 scripts/same_output_sweep.py ROOT [--src DIR]
 
-Runs 185 CLI commands, one fresh interpreter each, with the rigkit package
+Runs 191 CLI commands, one fresh interpreter each, with the rigkit package
 in DIR (default: this tree's src/):
 
 * distances, hubpath, analyze and a two-trial experiment, in JSON and in
@@ -12,6 +12,10 @@ in DIR (default: this tree's src/):
 * generate at the same n and seeds, as a binary and as a JSON graph file,
   then distances, hubpath and analyze on each graph file; the reports of
   the two files of one cell are the same bytes;
+* generate at n = 2000 with a pool of m = 2000, seeds {1, 5, 9}, as a
+  binary graph file, then analyze on each file: the largest sets are a
+  sizeable share of the pool, so the sampler's top-up runs several rounds
+  (6, 1 and 1);
 * hubpath at n = 100000 with 400 samples, seeds {51, 53, 56}, where the
   ladder has a rung (k* = 1), so the climbs walk a real ladder; at the
   smaller n every certificate is degenerate (k* = 0);
@@ -98,6 +102,14 @@ def commands(bounds_config: str) -> list:
                 for sub in SINGLE:
                     cmds.append((f"{sub}-{kind}/{cell}",
                                  [sub, "--graph", graph, "--seed", str(seed)]))
+    for seed in SEEDS:
+        cell = f"n2000-m2000-s{seed}"
+        cmds.append((f"generate/{cell}",
+                     ["generate", "-n", "2000", "--m", "2000", "--seed", str(seed),
+                      "--trials", "1", "--graph-format", "binary"]))
+        cmds.append((f"analyze-graph/{cell}",
+                     ["analyze", "--graph", f"generate/{cell}/graph_n2000_t0.rig",
+                      "--seed", str(seed)]))
     for seed in LADDER_SEEDS:
         for fmt in FORMATS:
             cmds.append((f"hubpath/n100000-s{seed}-{fmt}",

@@ -12,10 +12,12 @@ share attributes with thousands of others and the induced cliques would blow
 up memory, so traversals run on the bipartite structure.
 
 The sampler builds an instance in one buffer of sum(sizes) int64 keys, the
-length of the incidence itself: draws are added into it, sorted and
-compacted in place, and reduced to attribute ids in place, with every other
-temporary either per-vertex or _BLOCK entries long.  Building an instance
-thus peaks near 1.2x the incidence's bytes.
+length of the incidence itself: draws are added into it and sorted in
+place, which leaves every vertex's draws in its own final slots; only the
+slots of vertices with a repeated draw are gathered, topped up and written
+back, and the keys are reduced to attribute ids in place.  Every other
+temporary is per-vertex, _BLOCK entries or those few slots long, so
+building an instance peaks near 1.1x the incidence's bytes.
 """
 
 from __future__ import annotations
@@ -41,20 +43,25 @@ PACK_LIMIT = 2**62
 _BLOCK = 1 << 18
 
 
+def _range_slots(indptr: np.ndarray, items: np.ndarray):
+    """Positions of data[indptr[i]:indptr[i+1]] for every i in items, back
+    to back, and each range's length.  One np.repeat + one arange."""
+    items = np.asarray(items, dtype=np.int64)
+    starts = indptr[items]
+    lens = indptr[items + 1] - starts
+    ends = np.cumsum(lens)
+    idx = np.arange(ends[-1] if ends.size else 0, dtype=np.int64)
+    idx += np.repeat(starts + lens - ends, lens)  # item i's offset: start - first slot
+    return idx, lens
+
+
 def concat_ranges(indptr: np.ndarray, data: np.ndarray, items: np.ndarray):
     """Concatenate data[indptr[i]:indptr[i+1]] for every i in items.
 
     Returns (values, lengths).  Vectorized: one np.repeat + one arange,
     no per-item Python loop.
     """
-    items = np.asarray(items, dtype=np.int64)
-    starts = indptr[items]
-    lens = indptr[items + 1] - starts
-    ends = np.cumsum(lens)
-    if ends.size == 0 or ends[-1] == 0:
-        return np.empty(0, dtype=data.dtype), lens
-    idx = np.arange(ends[-1], dtype=np.int64)
-    idx += np.repeat(starts + lens - ends, lens)  # item i's offset: start - first slot
+    idx, lens = _range_slots(indptr, items)
     return data[idx], lens
 
 
@@ -194,20 +201,38 @@ def _add_draws(keys: np.ndarray, m: int, rng: np.random.Generator) -> None:
         block += rng.integers(0, m, size=block.shape[0], dtype=np.int64)
 
 
+def _repeat_owners(keys: np.ndarray, m: int) -> np.ndarray:
+    """Distinct vertices, ascending, with a key that repeats its predecessor.
+
+    keys are sorted packed vertex*m + attr draws.  The scan goes _BLOCK
+    entries at a time, each block reaching back one entry to compare its
+    first key with the previous block's last.
+    """
+    owners = [np.empty(0, dtype=np.int64)]
+    for start in range(0, keys.shape[0], _BLOCK):
+        block = keys[max(start - 1, 0):start + _BLOCK]
+        owners.append(block[1:][block[1:] == block[:-1]] // m)
+    return _sorted_unique(np.concatenate(owners))
+
+
 def sample_incidence(m: int, sizes: np.ndarray, rng: np.random.Generator) -> "BipartiteIncidence":
     """Sample every vertex's uniform subset at once, sizes[v] attributes each.
 
     All subsets are drawn in one batch, in one buffer of sum(sizes) int64
-    keys: each raw draw is packed as vertex*m + attr, and one in-place sort
-    that compacts the distinct keys to the buffer's front (_sorted_unique)
-    dedups the batch.  The duplicates dropped leave exactly as many free
-    slots as the vertices lack, so each top-up round draws its extra keys
-    into the buffer's tail and sorts and compacts the whole buffer again,
-    with a stable sort, which merges the sorted front with the short tail;
-    the buffer never grows.  Per vertex this keeps the first z distinct
-    values of an iid uniform stream, so the subsets are exactly uniform and
-    mutually independent.  Pools with n*m >= 2**62, where the packed keys
-    would overflow int64, raise ValueError before anything is drawn.
+    keys: vertex v draws exactly sizes[v] raw keys vertex*m + attr, so after
+    one in-place sort its draws already fill its final slots
+    [indptr[v], indptr[v+1]), and each repeated draw sits next to its twin.
+    Only the vertices with a twin come up short.  Their slots are gathered
+    into a small array and deduplicated, and the top-up rounds run on it
+    alone: each round draws the missing keys into its tail, short vertices
+    in ascending order, and sorts and dedups it again (a sorted front and a
+    short tail, which a stable sort merges in one pass).  The result goes
+    back into those vertices' slots.  Per vertex this keeps the first z
+    distinct values of an iid uniform stream, so the subsets are exactly
+    uniform and mutually independent.  Each list ends strictly increasing
+    by construction, so the incidence is built without a re-scan.  Pools
+    with n*m >= 2**62, where the packed keys would overflow int64, raise
+    ValueError before anything is drawn.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     n = sizes.shape[0]
@@ -216,29 +241,33 @@ def sample_incidence(m: int, sizes: np.ndarray, rng: np.random.Generator) -> "Bi
     if n * int(m) >= PACK_LIMIT:
         raise ValueError(f"n * m = {n * int(m)} must stay below 2**62 so that "
                          f"vertex * m + attribute fits in int64")
-    total = int(sizes.sum())
-    if total == 0:
-        return BipartiteIncidence.from_flat(n, m, sizes, np.empty(0, dtype=np.int64))
+    set_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(sizes, out=set_indptr[1:])
 
     buf = np.repeat(np.arange(n, dtype=np.int64), sizes)
     buf *= m
     _add_draws(buf, m, rng)
     # only short runs, one per vertex: numpy's default sort beats timsort here
-    keys = _sorted_unique(buf)
-    vertex_starts = np.arange(n + 1, dtype=np.int64) * m
-    while keys.shape[0] < total:
-        deficit = sizes - np.diff(np.searchsorted(keys, vertex_starts))
+    buf.sort()
+    short = _repeat_owners(buf, m)
+    slots, _ = _range_slots(set_indptr, short)
+    held = buf[slots]
+    keys = _sorted_unique(held, kind="stable")
+    firsts = short * m
+    while keys.shape[0] < held.shape[0]:
+        have = np.diff(np.searchsorted(keys, firsts), append=keys.shape[0])
+        deficit = sizes[short] - have
         need = np.flatnonzero(deficit)
-        tail = buf[keys.shape[0]:]
-        tail[:] = np.repeat(need, deficit[need])
-        tail *= m
+        tail = held[keys.shape[0]:]
+        tail[:] = np.repeat(firsts[need], deficit[need])
         _add_draws(tail, m, rng)
         # a sorted front and a short tail: timsort merges them in one pass
-        keys = _sorted_unique(buf, kind="stable")
+        keys = _sorted_unique(held, kind="stable")
+    buf[slots] = keys
 
-    # keys are sorted, so attrs come out sorted within each vertex.
-    np.remainder(keys, m, out=keys)
-    return BipartiteIncidence.from_flat(n, m, sizes, keys)
+    # each vertex's slots hold its distinct keys sorted, so its attrs too
+    np.remainder(buf, m, out=buf)
+    return BipartiteIncidence(n, m, set_indptr, buf)
 
 
 def generate(params: ModelParams, rng: np.random.Generator):

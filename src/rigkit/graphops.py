@@ -162,8 +162,9 @@ def _candidate_keys(inc: BipartiteIncidence) -> np.ndarray:
     id.  An entry is a candidate when its id lies in a marked span: every
     shared entry is one, and so, at ids spread uniformly, are about 5% of
     the others.  The candidates are packed in incidence order, _BLOCK
-    entries at a time, into one array of exactly their count.  The
-    incidence is only read.
+    entries at a time, into one array of exactly their count; each block
+    takes its entries' owners from one np.repeat over its vertex range.
+    The incidence is only read.
     """
     ids, total, m = inc.set_attrs, inc.total_incidence, inc.m
     vals = ids.astype(np.uint32 if m <= 2**32 else np.int64)
@@ -180,12 +181,18 @@ def _candidate_keys(inc: BipartiteIncidence) -> np.ndarray:
         candidate[start:start + _BLOCK] = marked[ids[start:start + _BLOCK] >> shift]
     del marked
     keys = np.empty(int(np.count_nonzero(candidate)), dtype=np.int64)
+    indptr = inc.set_indptr
     size = 0
     for start in range(0, total, _BLOCK):
-        at = np.flatnonzero(candidate[start:start + _BLOCK]) + start
+        stop = min(start + _BLOCK, total)
+        # the owner of every entry in the block, from its vertex range
+        first, last = np.searchsorted(indptr, [start, stop - 1], side="right") - 1
+        bounds = np.clip(indptr[first:last + 2], start, stop)
+        owners = np.repeat(np.arange(first, last + 1, dtype=np.int64), np.diff(bounds))
+        at = np.flatnonzero(candidate[start:stop])
         block = keys[size:size + at.shape[0]]
-        np.multiply(ids[at], inc.n, out=block)
-        block += np.searchsorted(inc.set_indptr, at, side="right") - 1
+        np.multiply(ids[start:stop][at], inc.n, out=block)
+        block += owners[at]
         size += at.shape[0]
     return keys
 

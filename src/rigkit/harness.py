@@ -542,15 +542,25 @@ def _experiment_cell_inner(cfg: ExperimentConfig, n: int, trial: int) -> dict:
 
 
 def _quantiles(values) -> Optional[dict]:
+    """Mean, median, p90 and max, equal to np.mean, np.median and
+    np.quantile(..., 0.9) but read off one sort: those two numpy functions
+    import numpy.ma on first use."""
     if not values:
         return None
     arr = np.asarray(values, dtype=float)
-    return {
-        "mean": float(np.mean(arr)),
-        "median": float(np.median(arr)),
-        "p90": float(np.quantile(arr, 0.9)),
-        "max": float(np.max(arr)),
-    }
+    mean = float(np.mean(arr))  # before the sort: np.mean sums in the given order
+    arr.sort()
+    n = arr.shape[0]
+    half = n // 2
+    median = arr[half] if n % 2 else (arr[half - 1] + arr[half]) / 2
+    # linear interpolation at virtual index (n - 1) * q, by numpy's _lerp
+    at = (n - 1) * 0.9
+    lo = math.floor(at)
+    a, b = arr[lo], arr[min(lo + 1, n - 1)]
+    t = at - lo
+    p90 = b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+    return {"mean": mean, "median": float(median), "p90": float(p90),
+            "max": float(arr[-1])}
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
@@ -624,7 +634,7 @@ def _loglog_slope(per_n, alpha: float) -> dict:
     x = np.array([row["l2n"] for row in rows])
     y = np.array([row["pair_distance"]["mean"] for row in rows])
     slope = None
-    if np.unique(x).shape[0] >= 2:  # rows at one n alone give no slope
+    if x.size and x.min() < x.max():  # rows at one n alone give no slope
         dx = x - x.mean()
         slope = float(np.sum(dx * y) / np.sum(dx * dx))
     return {"slope": slope, "asymptotic": 2.0 / math.log(1.0 / alpha), "rows": len(rows)}

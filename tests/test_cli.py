@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import hashlib
 import json
@@ -72,6 +73,15 @@ def test_verify_lemmas_runs_without_scipy(tmp_path):
     code = ("import rigkit.cli; "
             f"assert rigkit.cli.main(['verify-lemmas', '--config', {path!r}]) == 0")
     assert _modules_after(code, "scipy") == "[]"
+
+
+def test_experiment_leaves_out_numpy_ma(tmp_path):
+    # the per-n quantiles and the slope's distinct-n test are read off plain
+    # arrays: np.median, np.quantile and np.unique would import numpy.ma
+    code = ("import rigkit.cli; assert rigkit.cli.main(['experiment', '-n', '300', "
+            f"'--out', {str(tmp_path / 'out')!r}]) == 0")
+    loaded = ast.literal_eval(_modules_after(code, "numpy.ma"))
+    assert [m for m in loaded if m == "numpy.ma" or m.startswith("numpy.ma.")] == []
 
 
 # --- config handling ---------------------------------------------------------

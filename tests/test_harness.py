@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigkit import harness, report_schema
 from rigkit.graphgen import BipartiteIncidence
@@ -577,6 +579,29 @@ def test_loglog_slope_matches_polyfit(tmp_path):
 def test_loglog_slope_none_on_one_n(tmp_path):
     agg = harness.run_experiment(cfg_with(tmp_path))["aggregates"]
     assert agg["loglog_slope"]["slope"] is None and agg["loglog_slope"]["rows"] == 1
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, 12).map(float) | st.floats(-1e12, 1e12),
+                min_size=1, max_size=40))
+def test_quantiles_match_numpy(values):
+    # one sort in place of np.median and np.quantile, which import numpy.ma
+    got = harness._quantiles(values)
+    arr = np.array(values)
+    want = {"mean": float(np.mean(arr)), "median": float(np.median(arr)),
+            "p90": float(np.quantile(arr, 0.9)), "max": float(np.max(arr))}
+    assert got == want
+    assert harness._quantiles([]) is None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(-40, 40).map(lambda k: k / 8), max_size=6))
+def test_loglog_slope_needs_two_distinct_n(l2n):
+    rows = [{"l2n": x, "pair_distance": {"mean": 1.0 + x * x}} for x in l2n]
+    rows.append({"l2n": 9.0, "pair_distance": None})  # never enters the fit
+    got = harness._loglog_slope(rows, 0.8)
+    assert got["rows"] == len(l2n)
+    assert (got["slope"] is not None) == (np.unique(np.array(l2n)).shape[0] >= 2)
 
 
 def test_experiment_conditioning_never_counts_infinite(tmp_path):
