@@ -11,7 +11,7 @@ numerically.
 import importlib.resources
 import json
 
-from .graphgen import BipartiteIncidence, adjacent, generate
+from .graphgen import BipartiteIncidence, generate
 from .graphops import (
     ComponentLabeling,
     DistanceResult,
@@ -20,7 +20,6 @@ from .graphops import (
     components,
     degrees,
     distances_from,
-    maximal_vertex,
     neighbors,
     unique_edges,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "TailLaw",
     "TraversalCore",
     "VertexWeights",
-    "adjacent",
     "bfs_distance",
     "check_conditional_overlap",
     "check_intersection_bounds",
@@ -105,7 +103,6 @@ __all__ = [
     "hub_climb",
     "iterated_log",
     "loglog_certificate",
-    "maximal_vertex",
     "neighbors",
     "no_overlap_probability",
     "read_graph",
@@ -115,4 +112,5 @@ __all__ = [
     "trial_rng",
     "unique_edges",
     "wilson_interval",
+    "write_graph",
 ]

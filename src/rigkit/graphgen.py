@@ -30,7 +30,6 @@ __all__ = [
     "BipartiteIncidence",
     "sample_incidence",
     "generate",
-    "adjacent",
     "concat_ranges",
 ]
 
@@ -143,9 +142,6 @@ class BipartiteIncidence:
     def set_of(self, v: int) -> np.ndarray:
         """Sorted original attribute ids of vertex v."""
         return self.set_attrs[self.set_indptr[v]:self.set_indptr[v + 1]]
-
-    def set_size(self, v: int) -> int:
-        return int(self.set_indptr[v + 1] - self.set_indptr[v])
 
     def sizes(self) -> np.ndarray:
         return np.diff(self.set_indptr)
@@ -280,19 +276,3 @@ def generate(params: ModelParams, rng: np.random.Generator):
     weights = sample_tilde_weights(params, rng)
     inc = sample_incidence(params.m, weights.sizes, rng)
     return inc, weights
-
-
-def adjacent(inc: BipartiteIncidence, u: int, v: int) -> bool:
-    """True when u and v share at least one attribute.  Requires u != v."""
-    if u == v:
-        raise ValueError("adjacency is defined for distinct vertices")
-    a = inc.set_of(u)
-    b = inc.set_of(v)
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        return False
-    if a.shape[0] > b.shape[0]:
-        a, b = b, a
-    pos = np.searchsorted(b, a)
-    pos[pos == b.shape[0]] = b.shape[0] - 1
-    return bool(np.any(b[pos] == a))
-

@@ -63,7 +63,6 @@ from typing import Optional
 import numpy as np
 
 from .graphgen import _BLOCK, BipartiteIncidence, _sorted_unique, concat_ranges
-from .model import VertexWeights
 
 __all__ = [
     "ComponentLabeling",
@@ -72,7 +71,6 @@ __all__ = [
     "components",
     "bfs_distance",
     "distances_from",
-    "maximal_vertex",
     "neighbors",
     "unique_edges",
     "degrees",
@@ -567,11 +565,6 @@ def nearest_of(core: TraversalCore, source: int, targets: np.ndarray) -> Distanc
         return DistanceResult(hops=None, path=None)
     finally:
         search.reset()
-
-
-def maximal_vertex(weights: VertexWeights) -> int:
-    """Index of the vertex with the largest attribute-set size (ties: smallest id)."""
-    return int(np.argmax(weights.sizes))
 
 
 def neighbors(core: TraversalCore, u: int) -> np.ndarray:

@@ -457,7 +457,7 @@ def run_hubpath(cfg: ExperimentConfig, trial: int = 0, graph_path=None) -> dict:
         "k_star": t.dec.k_star,
         "t0": t.dec.th.t0,
         "hub_core_size": int(t.dec.hub_core.shape[0]),
-        "top_layer_size": int(t.dec.top_layer().shape[0]),
+        "top_layer_size": int(t.dec.top.shape[0]),
         "u_max": t.dec.u_max,
         "u_max_in_giant": t.u_max_in_giant,
         "degenerate": degenerate,

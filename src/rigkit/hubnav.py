@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graphops import TraversalCore, maximal_vertex, nearest_of, neighbors
+from .graphops import TraversalCore, nearest_of, neighbors
 from .model import VertexWeights, iterated_log
 
 __all__ = [
@@ -132,7 +132,9 @@ class LayerDecomposition:
     level 1.  The layers U_k = { v : level[v] <= k } nest upward (U_1 is the
     thinnest), and the widest, U_{k_star}, is kept sorted in top.  hub_core
     is V0 (strict inequality).  u_max is the apex every climb ends at: the
-    vertex with the largest set (smallest id on ties).
+    vertex with the largest set size, smallest id on ties.  It is not the
+    vertex with the largest tilde_z: weights that round to the same size tie,
+    and the smallest id among them wins.
     """
 
     th: LayerThresholds
@@ -145,9 +147,6 @@ class LayerDecomposition:
     @property
     def k_star(self) -> int:
         return self.th.k_star
-
-    def top_layer(self) -> np.ndarray:
-        return self.top
 
     def layer_sizes(self) -> np.ndarray:
         """|U_1|, ..., |U_k_star|: the cumulative vertex count per level."""
@@ -174,11 +173,13 @@ def decompose(weights: VertexWeights, th: LayerThresholds) -> LayerDecomposition
 
     One searchsorted on the rungs in ascending order counts the rungs each
     weight clears; side="right" counts a weight exactly on a rung as on it,
-    as tilde_z >= t_k does.
+    as tilde_z >= t_k does.  The apex u_max is the vertex with the largest
+    set size (weights.sizes), smallest id on ties, not the one with the
+    largest tilde_z.
     """
     tz = weights.tilde_z
     level = th.k_star + 1 - np.searchsorted(th.t[::-1], tz, side="right")
-    return LayerDecomposition(th=th, tilde_z=tz, u_max=maximal_vertex(weights),
+    return LayerDecomposition(th=th, tilde_z=tz, u_max=int(np.argmax(weights.sizes)),
                               level=level, top=np.flatnonzero(level <= th.k_star),
                               hub_core=np.flatnonzero(tz > th.t0))
 
@@ -254,15 +255,6 @@ class CertificateRecord:
         if self.failed_stage is not None:
             return None
         return sum(len(getattr(self, s)) - 1 for s in STAGES)
-
-    def walk(self) -> Optional[list]:
-        """The full v1 -> apex -> v2 vertex walk, or None if incomplete."""
-        if self.failed_stage is not None:
-            return None
-        up = self.escape_a + self.climb_a[1:]
-        down = self.climb_b[:-1][::-1] + self.escape_b[::-1][1:]
-        # climb_b ends at the apex, which up already contains
-        return up + down
 
 
 def _half(core: TraversalCore, dec: LayerDecomposition, v: int) -> tuple:

@@ -102,10 +102,6 @@ class TailLaw:
         out = self.c0 * arr ** (-1.0 / (1.0 + self.alpha))
         return float(out) if out.ndim == 0 else out
 
-    def mean(self) -> float:
-        """E tilde_z = c0 * (1+alpha) / alpha.  The second moment is infinite."""
-        return self.c0 * (1.0 + self.alpha) / self.alpha
-
     def interval_mean(self, lo: float, hi: float) -> float:
         """E[tilde_z * 1{lo < tilde_z <= hi}], closed form.
 
@@ -137,10 +133,6 @@ class ModelParams:
             raise ValueError(f"m must be >= 1, got {self.m}")
         # TailLaw re-validates alpha and c0; construct one to fail early.
         TailLaw(self.alpha, self.c0)
-
-    @classmethod
-    def with_default_m(cls, n: int, alpha: float, c0: float = 1.0) -> "ModelParams":
-        return cls(n=n, m=default_attribute_count(n), alpha=alpha, c0=c0)
 
     def law(self) -> TailLaw:
         return TailLaw(self.alpha, self.c0)

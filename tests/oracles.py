@@ -111,6 +111,21 @@ def adjacency_matrix(inc) -> np.ndarray:
     return adj
 
 
+def shares_attribute(inc, u: int, v: int) -> bool:
+    """True when the attribute sets of u and v intersect."""
+    return np.intersect1d(inc.set_of(u), inc.set_of(v)).size > 0
+
+
+def certificate_walk(cert):
+    """A certificate's v1 -> apex -> v2 vertex walk, or None if a stage is
+    missing.  Each stage is a vertex list; the climbs end at the apex."""
+    stages = (cert.escape_a, cert.climb_a, cert.escape_b, cert.climb_b)
+    if any(s is None for s in stages):
+        return None
+    escape_a, climb_a, escape_b, climb_b = stages
+    return escape_a + climb_a[1:] + climb_b[::-1][1:] + escape_b[::-1][1:]
+
+
 def first_by_reference(keys, vals):
     """Sorted distinct keys and the smallest val seen with each, via a dict."""
     best = {}

@@ -18,16 +18,17 @@ import numpy as np
 import pytest
 
 from rigkit import harness
-from rigkit.graphgen import adjacent, generate
+from rigkit.graphgen import generate
 from rigkit.graphops import (UNREACHED, TraversalCore, bfs_distance, components,
-                             distances_from, maximal_vertex, neighbors)
+                             distances_from, neighbors)
 from rigkit.harness import ExperimentConfig
 from rigkit.hubnav import decompose, loglog_certificate, threshold_rung, thresholds
 from rigkit.model import (ModelParams, default_attribute_count, iterated_log,
                           sample_tilde_weights, trial_rng)
 from rigkit.verify import check_intersection_bounds, check_tail_mass
 
-from oracles import adjacency_matrix, all_pairs_hops, component_labels_bfs
+from oracles import (adjacency_matrix, all_pairs_hops, certificate_walk,
+                     component_labels_bfs, shares_attribute)
 
 SEED = 20260818
 ALPHA = 0.8
@@ -70,7 +71,7 @@ def battery40():
             inc, w = generate(params, rng)
             comp = components(TraversalCore(inc))
             dec = decompose(w, th)
-            um = maximal_vertex(w)
+            um = dec.u_max
             v0 = dec.hub_core
             rows.append({
                 "frac": comp.giant_fraction(),
@@ -95,7 +96,7 @@ def hub_battery():
     comp = components(core)
     th = thresholds(n, ALPHA, C0)
     dec = decompose(w, th)
-    um = maximal_vertex(w)
+    um = dec.u_max
     giant = comp.giant_vertices()
 
     pair_rng = trial_rng(SEED, n, 10**6)
@@ -322,10 +323,10 @@ def test_criterion_08_certificate_soundness(hub_battery):
             continue
         total += 1
         unsound += exact is None or cert.certificate_hops < exact
-        walk = cert.walk()
+        walk = certificate_walk(cert)
         for a, b in zip(walk, walk[1:]):
             edges += 1
-            edge_bad += a == b or not adjacent(inc, int(a), int(b))
+            edge_bad += a == b or not shares_attribute(inc, int(a), int(b))
         for climb in (cert.climb_a, cert.climb_b):
             if climb is not None:
                 climb_bad += len(climb) - 1 > k_star

@@ -1,16 +1,21 @@
-"""The checked-in configs and the README quick tour keep running.
+"""The checked-in configs, the README quick tour and the public names keep
+working.
 
 Each configs/<subcommand>-<name>.json must load unchanged, and a shrunk
 copy must run through the CLI and write reports that validate against the
-report schema.  The README's python block is executed as written.
+report schema.  The README's python block is executed as written.  Every
+name the package and its modules list in __all__ resolves.
 """
 
+import importlib
+import inspect
 import json
 import pathlib
 import re
 
 import pytest
 
+import rigkit
 from rigkit import cli, report_schema
 from rigkit.harness import ExperimentConfig
 
@@ -55,3 +60,19 @@ def test_readme_quick_tour_runs(capsys):
     exec(compile(block, "README.md", "exec"), {})
     giant_fraction, certificate = capsys.readouterr().out.split()
     assert 0.0 < float(giant_fraction) <= 1.0 and int(certificate) >= 0
+
+
+@pytest.mark.parametrize("name", ["rigkit"] + [f"rigkit.{m}" for m in (
+    "cli", "graphgen", "graphops", "harness", "hubnav", "model", "storage", "verify")])
+def test_public_names_resolve(name):
+    # a stale __all__ entry makes `from <module> import *` raise AttributeError
+    module = importlib.import_module(name)
+    listed = getattr(module, "__all__", [])
+    assert [entry for entry in listed if not hasattr(module, entry)] == []
+    assert len(set(listed)) == len(listed)
+
+
+def test_package_lists_every_function_and_class_it_imports():
+    public = [name for name, obj in vars(rigkit).items() if not name.startswith("_")
+              and (inspect.isfunction(obj) or inspect.isclass(obj))]
+    assert public and set(public) <= set(rigkit.__all__)

@@ -11,7 +11,6 @@ from rigkit.graphgen import (
     PACK_LIMIT,
     BipartiteIncidence,
     _sorted_unique,
-    adjacent,
     concat_ranges,
     generate,
     sample_incidence,
@@ -21,7 +20,7 @@ from rigkit.model import (ModelParams, default_attribute_count, sample_tilde_wei
                           trial_rng)
 
 from oracles import (adjacency_matrix, explicit_sets, sample_incidence_reference,
-                     sample_subset)
+                     sample_subset, shares_attribute)
 
 PROPS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -289,7 +288,7 @@ def test_from_sets_and_inverted_index():
     inc = BipartiteIncidence.from_sets(3, 100, [[7, 50], [50], []])
     assert _sorted_unique(inc.set_attrs.copy()).tolist() == [7, 50]
     assert inc.total_incidence == 3
-    assert inc.set_size(2) == 0
+    assert inc.sizes()[2] == 0
 
 
 def test_adjacent_and_neighbors_against_brute_force(medium_instance):
@@ -298,23 +297,17 @@ def test_adjacent_and_neighbors_against_brute_force(medium_instance):
     rng = trial_rng(123, 0, 0)
     for _ in range(400):
         u, v = rng.choice(params.n, size=2, replace=False)
-        assert adjacent(inc, int(u), int(v)) == bool(adj[u, v])
+        assert shares_attribute(inc, int(u), int(v)) == bool(adj[u, v])
     core = TraversalCore(inc)
     for u in range(0, params.n, 10):
         assert neighbors(core, u).tolist() == np.flatnonzero(adj[u]).tolist()
 
 
-def test_adjacent_requires_distinct():
-    inc = BipartiteIncidence.from_sets(2, 4, [[0], [0]])
-    with pytest.raises(ValueError):
-        adjacent(inc, 1, 1)
-
-
 def test_empty_set_is_isolated():
     inc = BipartiteIncidence.from_sets(3, 9, [[], [1, 2], [2]])
     assert neighbors(TraversalCore(inc), 0).shape == (0,)
-    assert not adjacent(inc, 0, 1)
-    assert adjacent(inc, 1, 2)
+    assert not shares_attribute(inc, 0, 1)
+    assert shares_attribute(inc, 1, 2)
 
 
 def test_generate_determinism():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rigkit.graphgen import BipartiteIncidence, adjacent, generate
+from rigkit.graphgen import BipartiteIncidence, generate
 from rigkit.graphops import (
     UNREACHED,
     TraversalCore,
@@ -9,17 +9,17 @@ from rigkit.graphops import (
     components,
     degrees,
     distances_from,
-    maximal_vertex,
     nearest_of,
     unique_edges,
 )
-from rigkit.model import ModelParams, VertexWeights, trial_rng
+from rigkit.model import ModelParams, trial_rng
 
 from oracles import (
     adjacency_matrix,
     all_pairs_hops,
     component_labels_bfs,
     pair_hops_python,
+    shares_attribute,
 )
 
 
@@ -175,7 +175,7 @@ def test_shortest_path_is_a_real_walk(small_instances):
             assert res.path[0] == u and res.path[-1] == v
             assert len(set(res.path)) == len(res.path)
             for a, b in zip(res.path, res.path[1:]):
-                assert adjacent(inc, a, b)
+                assert shares_attribute(inc, a, b)
 
 
 def test_finite_distance_iff_same_component(small_instances):
@@ -201,12 +201,6 @@ def test_nearest_of_min_distance_and_tie_break():
     assert res.hops == 0 and res.path == [4]
     with pytest.raises(ValueError):
         nearest_of(core, 0, np.array([], dtype=np.int64))
-
-
-def test_maximal_vertex_first_max():
-    w = VertexWeights(tilde_z=np.array([1.0, 3.0, 3.0]),
-                      sizes=np.array([2, 9, 9]))
-    assert maximal_vertex(w) == 1
 
 
 def test_unique_edges_and_degrees(small_instances):

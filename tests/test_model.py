@@ -70,7 +70,6 @@ def test_law_validation():
 def test_tail_constant_and_mean():
     law = TailLaw(alpha=0.5, c0=2.0)
     assert law.tail_constant == pytest.approx(2.0**1.5)
-    assert law.mean() == pytest.approx(2.0 * 1.5 / 0.5)
 
 
 def test_interval_mean_closed_form():
@@ -161,5 +160,5 @@ def test_model_params_validation():
         ModelParams(n=10, m=0, alpha=0.5)
     with pytest.raises(ValueError):
         ModelParams(n=10, m=10, alpha=1.0)
-    p = ModelParams.with_default_m(500, 0.8)
+    p = ModelParams(n=500, m=default_attribute_count(500), alpha=0.8)
     assert p.m == default_attribute_count(500)
