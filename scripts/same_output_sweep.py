@@ -4,7 +4,7 @@ Usage, from the root of a rigkit source tree:
 
     python3 scripts/same_output_sweep.py ROOT [--src DIR]
 
-Runs 191 CLI commands, one fresh interpreter each, with the rigkit package
+Runs 195 CLI commands, one fresh interpreter each, with the rigkit package
 in DIR (default: this tree's src/):
 
 * distances, hubpath, analyze and a two-trial experiment, in JSON and in
@@ -19,6 +19,13 @@ in DIR (default: this tree's src/):
 * hubpath at n = 100000 with 400 samples, seeds {51, 53, 56}, where the
   ladder has a rung (k* = 1), so the climbs walk a real ladder; at the
   smaller n every certificate is degenerate (k* = 0);
+* hubpath with 400 samples on the graph file of generate -n 100000
+  --seed 1 (binary), at seeds {1, 2}: the benchmark's hub-file instance,
+  whose top layer is {u_max}, so the hub BFS leaves a complete ball and
+  every escape is a pure descent through it; and hubpath at n = 100000,
+  seed 85, with 400 samples, whose top layer holds six vertices, the apex
+  (vertex 73975) among them, so the hub BFS's ball is restarted for that
+  layer and each escape that does not start in it is a forward search;
 * hubpath at n = 300000, alpha = 0.9, with 200 samples, seeds {1, 5, 6},
   in JSON and in CSV, and analyze on the same cells, where the ladder has
   three rungs (k* = 3) of which two are occupied: climbs of two hops,
@@ -64,6 +71,7 @@ FORMATS = ("json", "csv")
 SINGLE = ("distances", "hubpath", "analyze")
 LADDER_SEEDS = (51, 53, 56)
 RUNGS_SEEDS = (1, 5, 6)
+HUB_FILE_SEEDS = (1, 2)
 LONG_ALPHAS = ("0.999", "0.9999")
 # the small verify-lemmas configs: each is SMALL_VERIFY with its changes
 SMALL_VERIFY = {"n_values": [1000], "verify_m_values": [20, 100, 1000],
@@ -115,6 +123,15 @@ def commands(bounds_config: str) -> list:
             cmds.append((f"hubpath/n100000-s{seed}-{fmt}",
                          ["hubpath", "-n", "100000", "--seed", str(seed),
                           "--pairs", "400", "--format", fmt]))
+    hub_file = "generate/n100000-s1-binary"
+    cmds.append((hub_file, ["generate", "-n", "100000", "--seed", "1", "--trials", "1",
+                            "--graph-format", "binary"]))
+    for seed in HUB_FILE_SEEDS:
+        cmds.append((f"hubpath-graph/n100000-s{seed}",
+                     ["hubpath", "--graph", f"{hub_file}/graph_n100000_t0.rig",
+                      "--seed", str(seed), "--pairs", "400"]))
+    cmds.append(("hubpath/n100000-s85",
+                 ["hubpath", "-n", "100000", "--seed", "85", "--pairs", "400"]))
     for seed in RUNGS_SEEDS:
         for fmt in FORMATS:
             cmds.append((f"hubpath/n300000-a0.9-s{seed}-{fmt}",

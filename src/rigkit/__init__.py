@@ -20,6 +20,8 @@ from .graphops import (
     components,
     degrees,
     distances_from,
+    nearest_of,
+    nearest_routes,
     neighbors,
     unique_edges,
 )
@@ -103,6 +105,8 @@ __all__ = [
     "hub_climb",
     "iterated_log",
     "loglog_certificate",
+    "nearest_of",
+    "nearest_routes",
     "neighbors",
     "no_overlap_probability",
     "read_graph",

@@ -17,6 +17,8 @@ import sys
 from . import harness
 from .harness import ConfigError, ExperimentConfig
 
+__all__ = ["build_parser", "main"]
+
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2

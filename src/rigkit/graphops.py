@@ -45,11 +45,23 @@ their targets share its levels, and distances_from(u) is the completed
 ball of {u}: the hub distances leave behind the ball that the escapes to
 {u_max} then use.
 
+nearest_routes answers many sources at once.  Each source's forward search
+runs alone until it meets the ball; then one descent carries every source
+down through the ball, one hop per hop count over the union of their
+levels, each entry keyed by source index * n + id (source index *
+num_attrs + id for an attribute), so that every source keeps its own
+smallest-id target, attribute and owner; the trace-back is vectorized
+across the sources.  They are taken in chunks of
+max(1, PACK_LIMIT // (n * num_attrs)), which keeps every packed key below
+PACK_LIMIT.  The ball keeps each route it has found, keyed by source, until
+it restarts for another set, so asking again is a lookup that hands out a
+copy; nearest_of is the one-source case.
+
 A TraversalCore is built once from an incidence, keeps no reference to it,
 and is passed to every function here.  Besides the two CSR sides it owns a
 visited mask over vertices and a seen mask over core attributes for each
-of the two sides of a search, and the target ball's arrays: n + num_attrs
-int64 counts and an n-byte membership mask.  A query allocates in
+of the two sides of a search, and the target ball: n + num_attrs int64
+counts, an n-byte membership mask and the routes it keeps.  A query allocates in
 proportion to what it scans, and on the way out clears only the mask
 entries it set; a ball for a new target set clears the ball's arrays.  At
 n = 1e5 a core holds about 14.5 MB, 2.8 MB of it the ball.
@@ -62,7 +74,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graphgen import _BLOCK, BipartiteIncidence, _sorted_unique, concat_ranges
+from .graphgen import _BLOCK, PACK_LIMIT, BipartiteIncidence, _sorted_unique, concat_ranges
 
 __all__ = [
     "ComponentLabeling",
@@ -71,6 +83,8 @@ __all__ = [
     "components",
     "bfs_distance",
     "distances_from",
+    "nearest_of",
+    "nearest_routes",
     "neighbors",
     "unique_edges",
     "degrees",
@@ -109,8 +123,8 @@ class TraversalCore:
     attr_vertices list each core attribute's holders, sorted.  visited[side]
     (length n) and seen[side] (length num_attrs) are all False between
     queries.  ball is the target ball of the last source set that
-    nearest_of or distances_from asked about (it has no sources before the
-    first).  The incidence is read once, here, left as it was, and not
+    nearest_routes or distances_from asked about (it has no sources before
+    the first).  The incidence is read once, here, left as it was, and not
     kept.
 
     Both sides come from packed int64 sorts: attribute * n + vertex of the
@@ -236,7 +250,8 @@ def _first_by(keys: np.ndarray, vals: np.ndarray, base: int):
     orders by key, then by val, and the first entry of each key's run holds
     its smallest val.  The callers pair core attributes with owners
     (base n) and vertices with core attributes (base num_attrs), so a packed
-    key stays below n * num_attrs <= n * m < PACK_LIMIT.
+    key stays below n * num_attrs <= n * m < PACK_LIMIT; a tagged _hop over
+    a chunk of c sources packs keys below c * n * num_attrs <= PACK_LIMIT.
     """
     if keys.size == 0:
         return keys, vals
@@ -251,7 +266,8 @@ def _first_by(keys: np.ndarray, vals: np.ndarray, base: int):
 
 
 def _hop(core: TraversalCore, verts: np.ndarray, attr_mark: np.ndarray,
-         attr_want: int, vert_mark: np.ndarray, vert_want: int) -> tuple:
+         attr_want: int, vert_mark: np.ndarray, vert_want: int,
+         tagged: bool = False) -> tuple:
     """One intersection hop out of the sorted vertices verts, as a level.
 
     Returns (nxt, via, attrs, owners) laid out as _Search records a level:
@@ -260,16 +276,32 @@ def _hop(core: TraversalCore, verts: np.ndarray, attr_mark: np.ndarray,
     the holders x of attrs with vert_mark[x] == vert_want, sorted, each with
     the smallest-id attribute of attrs it holds.  A search and a descent
     share this step, so both make the same via and owner choices.
+
+    tagged hops many searches at once: verts then holds keys i * n + x of
+    a vertex x on search i's level, attrs comes out as keys i * num_attrs + a
+    and nxt as keys i * n + x, and each search makes its own choices; via
+    and owners stay plain ids.
     """
-    attrs, lens = concat_ranges(core.set_indptr, core.set_attrs, verts)
+    n, num_attrs = core.n, core.num_attrs
+    attrs, lens = concat_ranges(core.set_indptr, core.set_attrs,
+                                verts % n if tagged else verts)
     owners = np.repeat(verts, lens)
     keep = attr_mark[attrs] == attr_want
-    attrs, owners = _first_by(attrs[keep], owners[keep], core.n)
+    attrs, owners = attrs[keep], owners[keep]
+    if tagged:
+        tags, owners = np.divmod(owners, n)
+        attrs += tags * num_attrs
+    keys, owners = _first_by(attrs, owners, n)
+    attrs = keys % num_attrs if tagged else keys
     nxt, lens = concat_ranges(core.attr_indptr, core.attr_vertices, attrs)
-    via = np.repeat(attrs, lens)
+    via = np.repeat(keys, lens)
     keep = vert_mark[nxt] == vert_want
-    nxt, via = _first_by(nxt[keep], via[keep], core.num_attrs)
-    return nxt, via, attrs, owners
+    nxt, via = nxt[keep], via[keep]
+    if tagged:
+        tags, via = np.divmod(via, num_attrs)
+        nxt += tags * n
+    nxt, via = _first_by(nxt, via, num_attrs)
+    return nxt, via, keys, owners
 
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -341,7 +373,10 @@ class _TargetBall:
     when x is inside; adist[a] is the hop count of a core attribute's
     nearest holder when that is below depth.  Both hold UNREACHED everywhere
     else.  frontier lists the vertices at hop depth, sorted; it is empty
-    once the ball holds the sources' whole components.
+    once the ball holds the sources' whole components.  routes maps each
+    vertex that nearest_routes has answered for to its route (None when it
+    has none); a route does not depend on how far the ball has grown, so it
+    is kept until a restart.
 
     No search needs a via or owner choice here, so a level is found without
     sorting: it is scattered into dist or adist and read back with
@@ -355,10 +390,12 @@ class _TargetBall:
         self.dist = np.empty(core.n, dtype=np.int64)
         self.adist = np.empty(core.num_attrs, dtype=np.int64)
         self.inside = np.empty(core.n, dtype=bool)
+        self.routes = {}
 
     def restart(self, sources: np.ndarray) -> None:
         """Forget the ball and start one from sources (nonempty)."""
         self.sources = sources.copy()
+        self.routes = {}
         self.inside.fill(False)
         self.inside[sources] = True
         self.dist.fill(UNREACHED)
@@ -383,22 +420,6 @@ class _TargetBall:
         self.inside[verts] = True
         self.depth = hop + 1
         self._set_frontier(np.flatnonzero(self.dist == hop + 1))
-
-    def descend(self, verts: np.ndarray, togo: int) -> list:
-        """The levels of every shortest route from verts down to the sources.
-
-        verts must be sorted and all lie togo <= depth hops from the sources.
-        Step k keeps the attributes at hop togo - k held by the level before
-        and the vertices at hop togo - k that hold them.  Each step is the
-        _hop of a search, so the levels come out as _Search records them,
-        with the same smallest-id via and owner choices: every holder a kept
-        attribute has on the level before was kept there.
-        """
-        levels = []
-        for hop in range(togo - 1, -1, -1):
-            levels.append(_hop(self.core, verts, self.adist, hop, self.dist, hop))
-            verts = levels[-1][0]
-        return levels
 
 
 def _check_vertex(core: TraversalCore, x: int) -> None:
@@ -503,7 +524,8 @@ def distances_from(core: TraversalCore, u: int) -> np.ndarray:
     """Hop counts from u to every vertex; UNREACHED (-1) where no path.
 
     Grows the cached target ball of {u} to completion and returns a copy of
-    its distances, so a later nearest_of(core, v, [u]) starts from a full ball.
+    its distances, so that later routes to [u] (nearest_routes) start from a
+    full ball.
     """
     _check_vertex(core, u)
     ball = core.ball_around(np.array([u], dtype=np.int64))
@@ -512,45 +534,23 @@ def distances_from(core: TraversalCore, u: int) -> np.ndarray:
     return ball.dist.copy()
 
 
-def nearest_of(core: TraversalCore, source: int, targets: np.ndarray) -> DistanceResult:
-    """Shortest path from source to the nearest member of targets.
+def _reach_ball(core: TraversalCore, ball: _TargetBall, source: int):
+    """The forward half of source's route: (levels, hits), or None.
 
-    The path is the route a one-sided BFS from source would trace: ties go
-    to the smallest-id target at the minimal distance, then to the
-    smallest-id attribute and owner at each hop back.  It is found by
-    balancing, as in bfs_distance, a search from source against the cached
-    target ball of targets, which grows lazily and is kept for the next call
-    with the same targets: each step advances the side whose frontier holds
-    fewer core entries (the ball on ties).  The first forward level f that
-    meets a ball of depth b fixes the distance at L = f + b (L is the ball's
-    count when source lies in the ball), and the route goes on from level f
-    with _TargetBall.descend, which needs no masks.  The search from source
-    uses the first side's masks only: the targets are marked by the ball's
-    own membership mask, not by core.visited[1].
+    Balances, as bfs_distance does, a search from source against the ball:
+    each step advances the side whose frontier holds fewer core entries (the
+    ball on ties), until a forward level meets the ball.  Returns the
+    search's levels past the source, as _Search records them, and the
+    sorted vertices of the last level (the source's, when levels is empty)
+    that lie in the ball; None when source has no path to the ball's
+    sources.  The search uses the first side's masks only, and clears them
+    on the way out: the ball marks its members with its own mask.
     """
-    targets = np.asarray(targets, dtype=np.int64)
-    if targets.size == 0:
-        raise ValueError("targets must be nonempty")
-    _check_vertex(core, source)
-    if targets.min() < 0 or targets.max() >= core.n:
-        raise ValueError("targets out of range")
-    ball = core.ball_around(targets)
+    if ball.inside[source]:
+        return [], np.array([source], dtype=np.int64)
     search = _Search(core, 0, source)
     try:
-        verts = search.frontier
-        while True:
-            hits = verts[ball.inside[verts]]
-            if hits.size:
-                # The forward levels before this one missed the ball, so all
-                # hits lie equally far from the targets: at the ball's depth,
-                # or anywhere inside it when the hit is the source itself.
-                down = ball.descend(hits, int(ball.dist[hits[0]]))
-                target = down[-1][0][0] if down else hits[0]
-                back = _trace_back(down, target)
-                path = search.route_to(back[-1], search.depth) + back[-2::-1]
-                return DistanceResult(hops=len(path) - 1, path=path)
-            if ball.frontier.size == 0:
-                break
+        while ball.frontier.size:
             if ball.entries <= core.entries(search.frontier):
                 # Only the last forward level can meet the new ball level:
                 # a vertex of an earlier level at hop depth + 1 from the
@@ -562,9 +562,141 @@ def nearest_of(core: TraversalCore, source: int, targets: np.ndarray) -> Distanc
                 verts = search.expand()
                 if verts.size == 0:
                     break
-        return DistanceResult(hops=None, path=None)
+            # The forward levels before this one missed the ball, so all
+            # hits lie equally far from the targets, at the ball's depth.
+            hits = verts[ball.inside[verts]]
+            if hits.size:
+                return search.levels[1:], hits
+        return None
     finally:
         search.reset()
+
+
+def _descent_levels(core: TraversalCore, ball: _TargetBall, keys: np.ndarray) -> list:
+    """The levels of every shortest route down to the ball's sources from
+    where each of many searches met the ball, for all searches at once.
+
+    keys, sorted, hold i * n + x for each vertex x where search i met the
+    ball; all of search i's lie at one hop count D_i from the sources.  One
+    tagged _hop per hop count, from the largest D_i down, carries every
+    search that far out, and search i joins when the hop count reaches D_i.
+    The step to hop count h keeps the attributes at h held by the level
+    before and the vertices at h that hold them, so no level leaves a
+    shortest route, and every holder a kept attribute has on the level
+    before was kept there: each search makes the same smallest-id via and
+    owner choices as a one-sided search would.
+    """
+    joins = ball.dist[keys % core.n]
+    level, levels = _EMPTY, []
+    for hop in range(int(joins.max(initial=0)) - 1, -1, -1):
+        joining = keys[joins == hop + 1]
+        if joining.size:
+            level = np.concatenate((level, joining))
+            level.sort()
+        levels.append(_hop(core, level, ball.adist, hop, ball.dist, hop, tagged=True))
+        level = levels[-1][0]
+    return levels
+
+
+def _descend(core: TraversalCore, ball: _TargetBall, hits: list) -> list:
+    """Each search's route from its hits down to its smallest-id target.
+
+    hits[i] are the sorted vertices where search i met the ball.  The last
+    of their _descent_levels holds each search's targets, and the first key
+    of search i's run there is its smallest-id target.  The trace-back then
+    takes one via and one owner lookup per hop for every search still on
+    its route.  Returns, per search, the vertex list from the hit its route
+    leaves the forward levels at down to its target.
+    """
+    n, num_attrs = core.n, core.num_attrs
+    keys = np.concatenate([_EMPTY, *hits])
+    keys += np.repeat(np.arange(len(hits), dtype=np.int64) * n, [h.shape[0] for h in hits])
+    levels = _descent_levels(core, ball, keys)
+    keys = levels[-1][0] if levels else _EMPTY
+    tags = keys // n
+    first = np.ones(keys.shape[0], dtype=bool)
+    np.not_equal(tags[1:], tags[:-1], out=first[1:])
+    keys, tags = keys[first], tags[first]
+    togo = ball.dist[np.array([h[0] for h in hits], dtype=np.int64)][tags]
+    # steps[h] holds each search's vertex h hops from the targets, read up
+    # to its own togo
+    steps = np.empty((len(levels) + 1, keys.shape[0]), dtype=np.int64)
+    steps[0] = keys % n
+    for hop, (verts, via, attrs, owners) in enumerate(reversed(levels)):
+        live = np.flatnonzero(togo > hop)
+        attr = via[np.searchsorted(verts, keys[live])]
+        owner = owners[np.searchsorted(attrs, tags[live] * num_attrs + attr)]
+        keys[live] = tags[live] * n + owner
+        steps[hop + 1, live] = owner
+    down = [[int(h[0])] for h in hits]  # a hit at hop count 0 is a target
+    for i, up, col in zip(tags.tolist(), togo.tolist(), steps.T.tolist()):
+        down[i] = col[up::-1]
+    return down
+
+
+def _route_batch(core: TraversalCore, ball: _TargetBall, batch: list) -> None:
+    """Find and keep in ball.routes the route of every vertex in batch."""
+    found = [_reach_ball(core, ball, s) for s in batch]
+    met = [i for i, f in enumerate(found) if f is not None]
+    for s in batch:
+        ball.routes[s] = None
+    for i, down in zip(met, _descend(core, ball, [found[i][1] for i in met])):
+        ball.routes[batch[i]] = _trace_back(found[i][0], down[0])[:0:-1] + down
+
+
+def nearest_routes(core: TraversalCore, sources, targets: np.ndarray) -> list:
+    """Shortest paths from each of sources to its nearest member of targets.
+
+    Returns one DistanceResult per entry of sources, in order.  Each path is
+    the route a one-sided BFS from its source would trace: ties go to the
+    smallest-id target at the minimal distance, then to the smallest-id
+    attribute and owner at each hop back.  The routes run against the
+    cached target ball of targets, which grows lazily and keeps every route
+    it has found, keyed by source, until it restarts for other targets; a
+    source found before is a lookup, and every result holds a copy of its
+    path.  The sources not found before are taken in chunks of
+    max(1, PACK_LIMIT // (n * num_attrs)), so that a tagged key of the
+    descent stays below PACK_LIMIT, each chunk in three stages:
+
+    * forward, source by source (_reach_ball): the first forward level f
+      that meets a ball of depth b fixes the distance at L = f + b (L is the
+      ball's count when the source lies in the ball, and then no search
+      step is taken);
+    * descent, once for the chunk (_descend): one tagged _hop per hop count
+      over the union of the chunk's levels inside the ball, so that every
+      source keeps its own smallest-id target, attribute and owner;
+    * trace-back, vectorized across the chunk down the ball, then through
+      each source's own forward levels.
+    """
+    targets = np.asarray(targets, dtype=np.int64)
+    if targets.size == 0:
+        raise ValueError("targets must be nonempty")
+    sources = np.asarray(sources, dtype=np.int64).tolist()
+    for s in sources:
+        _check_vertex(core, s)
+    if targets.min() < 0 or targets.max() >= core.n:
+        raise ValueError("targets out of range")
+    ball = core.ball_around(targets)
+    todo = [s for s in dict.fromkeys(sources) if s not in ball.routes]
+    chunk = max(1, PACK_LIMIT // max(core.n * core.num_attrs, 1))
+    for start in range(0, len(todo), chunk):
+        _route_batch(core, ball, todo[start:start + chunk])
+    results = []
+    for s in sources:
+        path = ball.routes[s]
+        results.append(DistanceResult(hops=None, path=None) if path is None
+                       else DistanceResult(hops=len(path) - 1, path=list(path)))
+    return results
+
+
+def nearest_of(core: TraversalCore, source: int, targets: np.ndarray) -> DistanceResult:
+    """Shortest path from source to the nearest member of targets.
+
+    nearest_routes(core, [source], targets)[0]: the route a one-sided BFS
+    from source would trace, found against the cached target ball of
+    targets, or looked up there when that ball has found it before.
+    """
+    return nearest_routes(core, [source], targets)[0]
 
 
 def neighbors(core: TraversalCore, u: int) -> np.ndarray:

@@ -28,7 +28,8 @@ import numpy as np
 
 from . import storage
 from .graphgen import PACK_LIMIT, _sorted_unique, generate
-from .graphops import UNREACHED, TraversalCore, bfs_distance, components, distances_from
+from .graphops import (UNREACHED, TraversalCore, bfs_distance, components, distances_from,
+                       nearest_routes)
 from .hubnav import LadderError, decompose, loglog_certificate, thresholds
 from .model import (ModelParams, TailLaw, default_attribute_count, iterated_log,
                     realized_weights, trial_rng)
@@ -62,6 +63,9 @@ __all__ = [
     "write_bound_reports",
     "write_verify_report",
     "write_experiment_report",
+    "write_fragment",
+    "distances_rows",
+    "hubpath_rows",
 ]
 
 
@@ -312,19 +316,23 @@ class Trial:
 
         Returns (degenerate, error, samples), samples listing (v, exact, cert)
         with exact None off u_max's component.  One BFS out of u_max gives
-        every exact distance.  When the ladder has no escape targets nothing
-        is drawn: error holds the LadderError text.
+        every exact distance.  One nearest_routes call then finds the escape
+        of every drawn vertex and of u_max at once, and the target ball keeps
+        them, so each escape that a certificate makes is a lookup.  When the
+        ladder has no escape targets nothing is drawn: error holds the
+        LadderError text.
         """
         try:
-            _, degenerate = self.dec.escape_targets()
+            targets, degenerate = self.dec.escape_targets()
         except LadderError as exc:
             return True, str(exc), []
         u_max = self.dec.u_max
         hub_dist = distances_from(self.core, u_max)
         n = self.params.n
+        drawn = self.rng.choice(n, size=count, replace=count > n)
+        nearest_routes(self.core, np.append(drawn, u_max), targets)
         samples = []
-        for v in self.rng.choice(n, size=count, replace=count > n):
-            v = int(v)
+        for v in drawn.tolist():
             exact = None if hub_dist[v] == UNREACHED else int(hub_dist[v])
             samples.append((v, exact, loglog_certificate(self.core, self.dec, v, u_max)))
         return bool(degenerate), None, samples

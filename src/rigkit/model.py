@@ -169,7 +169,7 @@ def trial_rng(seed: int, n: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(n, trial)))
 
 
-def sizes_from_tilde(params: ModelParams, tilde_z: np.ndarray) -> np.ndarray:
+def _sizes_from_tilde(params: ModelParams, tilde_z: np.ndarray) -> np.ndarray:
     """Round-half-up tilde_z * sqrt(m/n) and cap at m."""
     raw = np.floor(tilde_z * params.size_scale + 0.5)
     return np.minimum(raw, float(params.m)).astype(np.int64)
@@ -184,7 +184,7 @@ def sample_tilde_weights(params: ModelParams, rng: np.random.Generator) -> Verte
     u = 1.0 - rng.random(params.n)
     tilde_z = params.law().quantile(u)
     tilde_z = np.atleast_1d(np.asarray(tilde_z, dtype=float))
-    return VertexWeights(tilde_z=tilde_z, sizes=sizes_from_tilde(params, tilde_z))
+    return VertexWeights(tilde_z=tilde_z, sizes=_sizes_from_tilde(params, tilde_z))
 
 
 def realized_weights(params: ModelParams, sizes: np.ndarray) -> VertexWeights:

@@ -56,6 +56,7 @@ __all__ = [
     "mass_regime_error",
     "mass_tau_error",
     "mass_gamma_error",
+    "json_object",
 ]
 
 # 99% two-sided normal quantile, fixed for every Wilson interval here.
@@ -197,7 +198,7 @@ _PLAIN = frozenset({str, int, float, bool, type(None)})
 _SATISFIED = {"pass": True, "vacuous": True, "fail": False}
 
 
-def json_scalar(value) -> str:
+def _json_scalar(value) -> str:
     """value as json.dumps writes it with ensure_ascii on.
 
     Raises TypeError where json would (a numpy int64 or bool_, say), and for
@@ -230,7 +231,7 @@ def json_object(doc: dict, depth: int) -> str:
     if not doc:
         return "{}"
     pad = "  " * depth
-    items = ",\n".join([f"{pad}  {encode_basestring_ascii(key)}: {json_scalar(doc[key])}"
+    items = ",\n".join([f"{pad}  {encode_basestring_ascii(key)}: {_json_scalar(doc[key])}"
                         for key in sorted(doc)])
     return f"{{\n{items}\n{pad}}}"
 
@@ -286,7 +287,7 @@ class BoundReport:
                 f'      "note": {encode_basestring_ascii(self.note)},\n'
                 f'      "params": {json_object(self.params, 3)},\n'
                 f'      "rhs": {_json_number(self.rhs)},\n'
-                f'      "satisfied": {json_scalar(self.satisfied)},\n'
+                f'      "satisfied": {_json_scalar(self.satisfied)},\n'
                 f'      "slack": {_json_number(self.slack)},\n'
                 f'      "status": {encode_basestring_ascii(self.status)}\n'
                 f'    }}')
@@ -485,7 +486,7 @@ def check_conditional_overlap(a: int, b: int, d: int, m: int, trials: int,
                        "pass" if lo <= bound else "fail", note)
 
 
-def default_mass_grid(n: int, alpha: float, c0: float, points: int = 10) -> np.ndarray:
+def _default_mass_grid(n: int, alpha: float, c0: float, points: int = 10) -> np.ndarray:
     """Strictly interior geometric t-grid between c0 and n^(1/(1+alpha))."""
     ratio = float(n) ** (1.0 / (1.0 + alpha)) / c0
     expo = np.arange(1, points + 1) / (points + 1)
@@ -551,7 +552,7 @@ def check_tail_mass(n: int, alpha: float, c0: float,
     if tau is None:
         tau = 1.0 + alpha / 2.0
     if t_grid is None:
-        t_grid = default_mass_grid(n, alpha, c0)
+        t_grid = _default_mass_grid(n, alpha, c0)
     t_grid = np.asarray(t_grid, dtype=float)
 
     omega = iterated_log(n)

@@ -65,11 +65,17 @@ def test_readme_quick_tour_runs(capsys):
 @pytest.mark.parametrize("name", ["rigkit"] + [f"rigkit.{m}" for m in (
     "cli", "graphgen", "graphops", "harness", "hubnav", "model", "storage", "verify")])
 def test_public_names_resolve(name):
-    # a stale __all__ entry makes `from <module> import *` raise AttributeError
+    # a stale __all__ entry makes `from <module> import *` raise AttributeError;
+    # a function or class the module defines under a public name is listed,
+    # and one that only the module and its tests use takes a leading underscore
     module = importlib.import_module(name)
     listed = getattr(module, "__all__", [])
     assert [entry for entry in listed if not hasattr(module, entry)] == []
     assert len(set(listed)) == len(listed)
+    own = [key for key, obj in vars(module).items() if not key.startswith("_")
+           and (inspect.isfunction(obj) or inspect.isclass(obj))
+           and obj.__module__ == name]
+    assert [key for key in own if key not in listed] == []
 
 
 def test_package_lists_every_function_and_class_it_imports():

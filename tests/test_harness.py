@@ -359,6 +359,30 @@ def test_hub_samples_reuse_the_hub_bfs(tmp_path, monkeypatch):
                     for flag in (False, True)}
 
 
+def test_hub_samples_descend_once_for_all_samples(tmp_path, monkeypatch):
+    # the top layer is {u_max}, so the hub BFS leaves the escapes a complete
+    # ball: no escape takes a search step, and the one batched descent takes
+    # one _hop per hop count, at most the largest hub distance, where a
+    # descent per escape would take one per hop of every escape
+    from rigkit import graphops
+
+    t = harness.Trial(cfg_with(tmp_path, n_values=[2000], hub_floor=20.0, seed=1), 2000, 0)
+    assert t.dec.top.tolist() == [t.dec.u_max]
+    calls = []
+    real = graphops._hop
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("tagged", False))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(graphops, "_hop", counting)
+    _, error, samples = t.hub_samples(400)
+    assert error is None and len(samples) == 400
+    hub = [exact for _, exact, _ in samples if exact is not None]
+    assert 0 < len(calls) <= max(hub) < sum(hub)
+    assert all(calls)  # no search step
+
+
 # --- verify ------------------------------------------------------------------
 
 

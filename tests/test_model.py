@@ -6,11 +6,11 @@ import pytest
 from rigkit.model import (
     ModelParams,
     TailLaw,
+    _sizes_from_tilde,
     default_attribute_count,
     iterated_log,
     realized_weights,
     sample_tilde_weights,
-    sizes_from_tilde,
     trial_rng,
 )
 
@@ -118,12 +118,12 @@ def test_sizes_from_tilde_rounding():
     params = ModelParams(n=4, m=100, alpha=0.5, c0=1.0)
     assert params.size_scale == pytest.approx(5.0)
     tilde = np.array([0.09, 0.1, 0.3, 1000.0])
-    sizes = sizes_from_tilde(params, tilde)
+    sizes = _sizes_from_tilde(params, tilde)
     # floor(x*5 + 0.5): 0.45->0, 0.5 rounds up to 1, 1.5->2, cap at m
     assert sizes.tolist() == [0, 1, 2, 100]
     # monotone in tilde_z
     t = np.sort(trial_rng(0, 0, 0).random(100) * 40)
-    s = sizes_from_tilde(params, t)
+    s = _sizes_from_tilde(params, t)
     assert np.all(np.diff(s) >= 0)
 
 

@@ -10,10 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rigkit import graphops
 from rigkit.graphgen import PACK_LIMIT, BipartiteIncidence, _sorted_unique
-from rigkit.graphops import (UNREACHED, TraversalCore, _candidate_keys, _first_by,
-                             bfs_distance, components, degrees, distances_from,
-                             nearest_of, neighbors, unique_edges)
+from rigkit.graphops import (UNREACHED, TraversalCore, _candidate_keys, _descent_levels,
+                             _first_by, bfs_distance, components, degrees,
+                             distances_from, nearest_of, nearest_routes, neighbors,
+                             unique_edges)
 
 from oracles import (adjacency_matrix, all_pairs_hops, component_labels_bfs,
                      first_by_reference, nearest_route_reference,
@@ -155,9 +157,11 @@ def test_target_ball_matches_reference(case):
 @PROPS
 @given(ball_sources())
 def test_descend_keeps_only_shortest_route_levels(case):
-    # step k from v keeps the vertices k hops from v and D(v) - k from the
-    # sources, and the attributes at hop D(v) - k held by the step before:
-    # nothing off a shortest route, with the smallest-id via and owner
+    # every reachable vertex v descends at once, joining at its own hop
+    # count D(v): step k from v keeps the vertices k hops from v and D(v) - k
+    # from the sources, and the attributes at hop D(v) - k held by the step
+    # before: nothing off a shortest route, with the smallest-id via and
+    # owner, and nothing of v's before it joins
     inc, sources = case
     dist, adist = target_ball_reference(inc, sources)
     ref = traversal_core_reference(inc)
@@ -165,21 +169,30 @@ def test_descend_keeps_only_shortest_route_levels(case):
             for v in range(inc.n)]
     adj = adjacency_matrix(inc)
     ball = complete_ball(inc, sources)
-    for v in range(inc.n):
-        if dist[v] == UNREACHED:
-            continue
+    n, num_attrs = inc.n, ball.core.num_attrs
+    starts = [v for v in range(n) if dist[v] != UNREACHED]
+    keys = np.array([i * n + v for i, v in enumerate(starts)], dtype=np.int64)
+    levels = _descent_levels(ball.core, ball, keys)
+    depth = max(dist[v] for v in starts)
+    assert len(levels) == depth
+    for i, v in enumerate(starts):
+        for verts, _, attrs, _ in levels[:depth - dist[v]]:
+            assert i not in (verts // n).tolist() + (attrs // num_attrs).tolist()
         hops = pair_hops_python(adj, v)
         prev = [v]
-        for k, (verts, via, attrs, owners) in enumerate(
-                ball.descend(np.array([v], dtype=np.int64), dist[v]), start=1):
-            togo = dist[v] - k
-            want = sorted({a for x in prev for a in held[x] if adist[a] == togo})
-            assert attrs.tolist() == want
-            assert owners.tolist() == [min(x for x in prev if a in held[x]) for a in want]
-            want = [y for y in range(inc.n) if hops[y] == k and dist[y] == togo]
-            assert verts.tolist() == want
-            assert via.tolist() == [min(a for a in attrs.tolist() if a in held[y])
-                                    for y in want]
+        for k in range(1, dist[v] + 1):
+            down = dist[v] - k
+            verts, via, attrs, owners = levels[depth - 1 - down]
+            mine = attrs // num_attrs == i
+            got = (attrs[mine] % num_attrs).tolist()
+            assert got == sorted({a for x in prev for a in held[x] if adist[a] == down})
+            assert owners[mine].tolist() == [min(x for x in prev if a in held[x])
+                                             for a in got]
+            mine = verts // n == i
+            want = [y for y in range(n) if hops[y] == k and dist[y] == down]
+            assert (verts[mine] % n).tolist() == want
+            assert via[mine].tolist() == [min(a for a in got if a in held[y])
+                                          for y in want]
             prev = want
         assert all(dist[x] == 0 for x in prev)
 
@@ -235,6 +248,62 @@ def test_warm_ball_edge_cases():
     assert nearest_of(core, 4, targets).path == [4, 3, 2, 1, 0]
     assert nearest_of(core, 6, targets).path is None
     assert masks_clear(core)
+
+
+def route_paths(core, sources, targets):
+    return [res.path for res in nearest_routes(core, sources, np.array(targets))]
+
+
+@PROPS
+@given(incidences(), st.data())
+def test_nearest_routes_match_python_bfs(inc, data):
+    # every vertex, some of them again and the targets once more, so the
+    # batch holds sources inside, outside and unreachable from the ball,
+    # repeats and targets; each of three orders runs on a restarted ball that
+    # earlier queries grew part way and whose routes they left behind, and
+    # asking again only looks the kept routes up
+    n = inc.n
+    vertex = st.integers(0, n - 1)
+    targets = data.draw(st.one_of(st.lists(vertex, min_size=1, max_size=1),
+                                  st.lists(vertex, min_size=2, max_size=4)))
+    sources = list(range(n)) + data.draw(st.lists(vertex, max_size=6)) + targets
+    warm = data.draw(st.lists(vertex, max_size=3))
+    grow = data.draw(st.integers(0, 3))
+    want = {v: nearest_route_reference(inc, v, targets) for v in range(n)}
+    core = TraversalCore(inc)
+    orders = [sources, sources[::-1], data.draw(st.permutations(sources))]
+    for order in orders:
+        ball = core.ball_around(np.array(targets))
+        ball.restart(np.array(targets))
+        assert ball.routes == {}
+        for v in warm:
+            assert nearest_of(core, v, np.array(targets)).path == want[v]
+        for _ in range(grow):
+            if ball.frontier.size:
+                ball.grow()
+        for _ in range(2):
+            res = nearest_routes(core, order, np.array(targets))
+            assert [r.path for r in res] == [want[v] for v in order]
+            assert [r.hops for r in res] == [None if want[v] is None else len(want[v]) - 1
+                                             for v in order]
+        assert core.ball is ball and sorted(ball.routes) == sorted(set(sources))
+        assert masks_clear(core)
+
+
+def test_kept_routes_are_the_callers_copies():
+    # the path 0-1-2-3-4 and the edge 5-6 of test_warm_ball_edge_cases
+    core = TraversalCore(BipartiteIncidence.from_sets(
+        7, 12, [[0, 8, 9, 10], [0, 1, 8, 9, 10], [1, 2], [2, 3], [3], [11], [11]]))
+    first = nearest_routes(core, [4, 4, 2, 6], np.array([0]))
+    assert [r.path for r in first] == [[4, 3, 2, 1, 0]] * 2 + [[2, 1, 0], None]
+    first[0].path.append(9)
+    first[1].path[:] = []
+    nearest_of(core, 2, np.array([0])).path.reverse()
+    assert route_paths(core, [2, 4, 6], [0]) == [[2, 1, 0], [4, 3, 2, 1, 0], None]
+    assert nearest_of(core, 4, np.array([0])).hops == 4
+    # another target set restarts the ball and drops its routes
+    assert route_paths(core, [4], [6]) == [None]
+    assert list(core.ball.routes) == [4]
 
 
 @PROPS
@@ -294,6 +363,44 @@ def wide_incidences(draw):
 @given(inc=wide_incidences())
 def test_traversal_core_on_wide_id_pools(each_block, inc):
     assert_core_matches_two_sorts(each_block, inc)
+
+
+@PROPS
+@given(inc=wide_incidences(), data=st.data())
+def test_nearest_routes_on_wide_id_pools(inc, data):
+    # a descent key (source index, id) stays below PACK_LIMIT: the chunk of
+    # sources is PACK_LIMIT // (n * num_attrs), so with the limit at one or
+    # two chunks' worth every batch holds that many sources, every key that
+    # _first_by packs stays below the limit, and the routes do not change
+    n = inc.n
+    targets = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+    sources = list(range(n)) * 2
+    want = [nearest_route_reference(inc, v, targets) for v in sources]
+    core = TraversalCore(inc)
+    room = max(n * core.num_attrs, 1)
+    route_batch, first_by = graphops._route_batch, graphops._first_by
+    for per_chunk in (1, 2, None):
+        limit = PACK_LIMIT if per_chunk is None else room * per_chunk
+        batches = []
+
+        def counted(core, ball, batch):
+            batches.append(len(batch))
+            route_batch(core, ball, batch)
+
+        def bounded(keys, vals, base):
+            assert keys.size == 0 or int(keys.max()) * base + base - 1 < limit
+            return first_by(keys, vals, base)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphops, "PACK_LIMIT", limit)
+            mp.setattr(graphops, "_route_batch", counted)
+            mp.setattr(graphops, "_first_by", bounded)
+            core.ball_around(np.array(targets)).restart(np.array(targets))
+            assert route_paths(core, sources, targets) == want
+        assert sum(batches) == n
+        if per_chunk is not None:
+            assert max(batches) <= per_chunk
+    assert masks_clear(core)
 
 
 def test_candidate_keys_keep_every_shared_entry():

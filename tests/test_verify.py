@@ -10,12 +10,12 @@ from rigkit.model import ModelParams, TailLaw, iterated_log, trial_rng
 from rigkit.verify import (
     BoundReport,
     HypergeomTable,
+    _default_mass_grid,
     _log_gamma,
     check_conditional_overlap,
     check_intersection_bounds,
     check_tail_mass,
     check_union_coverage,
-    default_mass_grid,
     degree_tail_report,
     no_overlap_probability,
     wilson_interval,
@@ -336,7 +336,7 @@ def test_conditional_overlap_inconclusive():
 
 
 def test_mass_grid_strictly_interior():
-    g = default_mass_grid(10**5, 0.8, 1.0)
+    g = _default_mass_grid(10**5, 0.8, 1.0)
     pole = (10**5) ** (1 / 1.8)
     assert g.shape == (10,)
     assert np.all(g > 1.0) and np.all(g < pole)

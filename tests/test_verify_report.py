@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from rigkit import harness
 from rigkit.harness import ExperimentConfig
-from rigkit.verify import BoundReport, check_intersection_bounds, json_scalar
+from rigkit.verify import BoundReport, _json_scalar, check_intersection_bounds
 
 from oracles import verify_report_reference
 
@@ -71,4 +71,4 @@ def test_param_that_is_no_json_scalar_raises(tmp_path, value):
 @pytest.mark.parametrize("value", [np.float64(0.25), -0.0, math.nan, -math.inf,
                                    2**70, True, None, "é\"\\"])
 def test_json_scalar_matches_json_dumps(value):
-    assert json_scalar(value) == json.dumps(value)
+    assert _json_scalar(value) == json.dumps(value)
