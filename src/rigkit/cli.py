@@ -126,9 +126,16 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         if args.command == "verify-lemmas":
-            reports = harness.run_verify(cfg)
-            print(harness.write_verify_report(cfg, reports))
-            failed = [rep for rep in reports if rep.status == "fail"]
+            failed = []
+
+            def noting_failures(reports):
+                # the reports stream into the file; only the failing ones stay
+                for rep in reports:
+                    if rep.status == "fail":
+                        failed.append(rep)
+                    yield rep
+
+            print(harness.write_verify_report(cfg, noting_failures(harness.run_verify(cfg))))
             for rep in failed:
                 print(f"FAIL {rep.bound_id} at {rep.params}: "
                       f"lhs={rep.lhs:.6g} rhs={rep.rhs:.6g}", file=sys.stderr)

@@ -6,23 +6,24 @@ cells are independent and replayable in isolation.  Each (n, trial) is one
 Trial, whose stream is consumed in a fixed order: weights, subsets, then the
 sampled pairs, then the sampled hub vertices.  Reports are written with
 sorted keys and no timestamps, which makes reruns byte-identical.
-verify_bounds.json is rendered directly from the bound reports, one report
-at a time, in the layout of json.dump(sort_keys=True, indent=2), with NaN
-in lhs, rhs and slack written as null; every other JSON report goes through
-json.dump.
+verify_bounds.json is rendered directly from the bound reports as they
+stream from the suites, one report at a time and none kept, in the layout of
+json.dump(sort_keys=True, indent=2), with NaN in lhs, rhs and slack written
+as null; every other JSON report goes through json.dump.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import csv
 import json
 import math
 import os
+import shutil
 import sys
-from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .hubnav import LadderError, decompose, loglog_certificate, thresholds
 from .model import (ModelParams, TailLaw, default_attribute_count, iterated_log,
                     realized_weights, trial_rng)
 from .verify import (
+    BoundReport,
     check_conditional_overlap,
     check_intersection_bounds,
     check_tail_mass,
@@ -485,26 +487,31 @@ def run_hubpath(cfg: ExperimentConfig, trial: int = 0, graph_path=None) -> dict:
     }
 
 
-def run_verify(cfg: ExperimentConfig) -> list:
-    """All four bound suites with the configured grids; returns the reports."""
+def run_verify(cfg: ExperimentConfig) -> Iterator[BoundReport]:
+    """All four bound suites with the configured grids, yielding their reports.
+
+    The intersection suite is called once per (j, k, m) grid point, m
+    outermost, so no more than one point's reports (2*min(j, k) + 7) are
+    held at a time and the caller's memory need not grow with the grid.
+    The coverage, overlap and tail-mass suites follow, sharing one rng.
+    """
     rng = trial_rng(cfg.seed, 0, 0)
-    grid = ((j, k, m) for m in cfg.verify_m_values
-            for j in range(cfg.verify_jk_max + 1)
-            for k in range(cfg.verify_jk_max + 1))
-    reports = check_intersection_bounds(grid)
-    reports.append(check_union_coverage(
+    for m in cfg.verify_m_values:
+        for j in range(cfg.verify_jk_max + 1):
+            for k in range(cfg.verify_jk_max + 1):
+                yield from check_intersection_bounds([(j, k, m)])
+    yield check_union_coverage(
         cfg.coverage_m, cfg.coverage_gamma1, cfg.coverage_gamma2,
         [cfg.coverage_size()] * cfg.coverage_set_count, cfg.coverage_n,
-        cfg.coverage_trials, rng))
+        cfg.coverage_trials, rng)
 
     a, b, d, m = cfg.overlap_point
-    reports.append(check_conditional_overlap(a, b, d, m, cfg.overlap_trials, rng))
+    yield check_conditional_overlap(a, b, d, m, cfg.overlap_trials, rng)
 
-    reports.extend(check_tail_mass(
+    yield from check_tail_mass(
         n=cfg.mass_n, alpha=cfg.alpha, c0=cfg.c0, rng=rng,
         gamma=cfg.mass_gamma, tau=cfg.mass_tau, trials=cfg.mass_trials,
-        window_min=cfg.window_min))
-    return reports
+        window_min=cfg.window_min)
 
 
 # ---------------------------------------------------------------------------
@@ -719,28 +726,69 @@ def write_bound_reports(path, reports) -> None:
                      repr(rep.rhs), repr(rep.slack), rep.status] for rep in reports))
 
 
-def write_verify_report(cfg: ExperimentConfig, reports) -> str:
+def _make_dirs(directory: str) -> list:
+    """Create an absolute directory and its missing parents; return those
+    made, deepest first."""
+    made = []
+    path = directory
+    while not os.path.isdir(path):
+        made.append(path)
+        path = os.path.dirname(path)
+    os.makedirs(directory, exist_ok=True)
+    return made
+
+
+def write_verify_report(cfg: ExperimentConfig, reports: Iterable[BoundReport]) -> str:
     """verify_bounds.json with status counts, or verify_bounds.csv; returns the path.
 
-    The JSON is streamed one report block at a time, in the bytes that
+    reports may be any iterable, run_verify's generator included; it is
+    consumed once, and no report is kept.  Each JSON report block goes to a
+    temporary file in out_dir while the statuses are tallied.  The counts
+    lead the file, so the report is then written as the header with them,
+    the blocks copied over and the footer: the bytes that
     json.dump(doc, fh, sort_keys=True, indent=2) writes for
-    {"counts", "kind", "reports"}, plus a final line break.
+    {"counts", "kind", "reports"}, plus a final line break.  CSV rows go to
+    the temporary file, which is renamed to the report.  If reports raises,
+    the temporary file and any directory made for it are removed, and an
+    earlier report stays as it was.
     """
     path = os.path.join(cfg.out_dir, f"verify_bounds.{cfg.format}")
-    if cfg.format == "csv":
-        write_bound_reports(path, reports)
-        return path
-    counts = Counter(rep.status for rep in reports)
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(f'{{\n  "counts": {json_object(counts, 1)},\n  "kind": "verify",\n'
-                 f'  "reports": [')
+    directory = os.path.abspath(cfg.out_dir)
+    made = _make_dirs(directory)
+    body = os.path.join(directory, f".verify_bounds.{os.getpid()}.tmp")
+    try:
+        try:
+            if cfg.format == "csv":
+                write_bound_reports(body, reports)
+                os.replace(body, path)
+            else:
+                _write_verify_json(path, body, reports)
+        finally:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(body)
+    except BaseException:
+        for made_dir in made:
+            try:
+                os.rmdir(made_dir)
+            except OSError:
+                break
+        raise
+    return path
+
+
+def _write_verify_json(path: str, body: str, reports) -> None:
+    counts = {}
+    with open(body, "w") as fh:
         sep = "\n"
         for rep in reports:
+            counts[rep.status] = counts.get(rep.status, 0) + 1
             fh.write(sep + rep.json_block())
             sep = ",\n"
-        fh.write("\n  ]\n}\n" if reports else "]\n}\n")
-    return path
+    with open(path, "wb") as out, open(body, "rb") as fh:
+        out.write(f'{{\n  "counts": {json_object(counts, 1)},\n  "kind": "verify",\n'
+                  f'  "reports": ['.encode())
+        shutil.copyfileobj(fh, out)
+        out.write(b"\n  ]\n}\n" if counts else b"]\n}\n")
 
 
 _AGGREGATE_COLUMNS = ["n", "m", "l2n", "trials_ok", "trials_failed",

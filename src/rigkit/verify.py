@@ -204,6 +204,8 @@ def _json_scalar(value) -> str:
     Raises TypeError where json would (a numpy int64 or bool_, say), and for
     lists and dicts, which no report holds.
     """
+    if type(value) is int:  # a grid's params are mostly ints
+        return int.__repr__(value)
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -218,11 +220,6 @@ def _json_scalar(value) -> str:
         text = float.__repr__(value)
         return _JSON_FLOAT.get(text, text)
     raise TypeError(f"{type(value).__name__} value {value!r} is not a JSON scalar")
-
-
-def _json_number(x: float) -> str:
-    text = float.__repr__(x)
-    return _JSON_NUMBER.get(text, text)
 
 
 def json_object(doc: dict, depth: int) -> str:
@@ -280,17 +277,55 @@ class BoundReport:
     def json_block(self) -> str:
         """This report as json.dump(sort_keys=True, indent=2) writes it as an
         entry of the verify report's "reports" list (depth 2), without the
-        line break before it.  NaN in lhs, rhs and slack is written null."""
-        return (f'    {{\n'
-                f'      "bound_id": {encode_basestring_ascii(self.bound_id)},\n'
-                f'      "lhs": {_json_number(self.lhs)},\n'
-                f'      "note": {encode_basestring_ascii(self.note)},\n'
-                f'      "params": {json_object(self.params, 3)},\n'
-                f'      "rhs": {_json_number(self.rhs)},\n'
-                f'      "satisfied": {_json_scalar(self.satisfied)},\n'
-                f'      "slack": {_json_number(self.slack)},\n'
-                f'      "status": {encode_basestring_ascii(self.status)}\n'
-                f'    }}')
+        line break before it.  NaN in lhs, rhs and slack is written null.
+
+        One % template per key tuple of params fills in every value; the
+        template, the encoded strings and the status's satisfied are cached,
+        since a grid's reports share a few of each."""
+        params = self.params
+        order, template = _block_layout(tuple(params))
+        status, satisfied = _status_json(self.status)
+        # lhs, rhs and slack as json writes them, NaN as null
+        lhs, rhs, slack = map(float.__repr__, (self.lhs, self.rhs, self.rhs - self.lhs))
+        return template % (_json_text(self.bound_id), _JSON_NUMBER.get(lhs, lhs),
+                           _json_text(self.note),
+                           *[_json_scalar(params[key]) for key in order],
+                           _JSON_NUMBER.get(rhs, rhs), satisfied,
+                           _JSON_NUMBER.get(slack, slack), status)
+
+
+@functools.lru_cache(maxsize=4096)
+def _json_text(text: str) -> str:
+    return encode_basestring_ascii(text)
+
+
+@functools.lru_cache(maxsize=256)
+def _status_json(status: str) -> tuple:
+    """A status and the satisfied it implies, each as json writes it."""
+    return encode_basestring_ascii(status), _json_scalar(_SATISFIED.get(status))
+
+
+@functools.lru_cache(maxsize=256)
+def _block_layout(keys: tuple) -> tuple:
+    """The sorted params keys, and the % template of a json_block whose
+    params has these keys: json_object(params, 3) with one %s per value."""
+    order = tuple(sorted(keys))
+    if order:
+        items = ",\n".join([f"        {encode_basestring_ascii(key).replace('%', '%%')}: %s"
+                            for key in order])
+        params = f"{{\n{items}\n      }}"
+    else:
+        params = "{}"
+    return order, ('    {\n'
+                   '      "bound_id": %s,\n'
+                   '      "lhs": %s,\n'
+                   '      "note": %s,\n'
+                   f'      "params": {params},\n'
+                   '      "rhs": %s,\n'
+                   '      "satisfied": %s,\n'
+                   '      "slack": %s,\n'
+                   '      "status": %s\n'
+                   '    }')
 
 
 def _exact_report(bound_id: str, params: dict, lhs: float, rhs: float,

@@ -9,6 +9,7 @@ workload's config no longer meets.
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -64,3 +65,33 @@ def test_hub_samples_call_loglog_certificate_once_per_sample(tmp_path, monkeypat
     _, error, samples = Trial(cfg, 300, 0).hub_samples(7)
     assert error is None
     assert calls == [v for v, _, _ in samples] and len(calls) == 7
+
+
+def test_traced_verify_lemmas_keeps_the_bound_layer_metrics(tmp_path, monkeypatch, capsys):
+    # the bounds workload's per-layer figures come from the spans of the
+    # four suites: each call's fails are counted from the list it returns,
+    # so the count must equal the FAIL lines that verify-lemmas prints
+    from rigkit import cli
+
+    spans = load_spans()
+    for module_name, attr, _, _ in spans.BINDINGS:
+        module = importlib.import_module(module_name)
+        monkeypatch.setattr(module, attr, getattr(module, attr))  # restored after
+    tracer = spans.Tracer("op")
+    spans.instrument(tracer)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(
+        n_values=[300], seed=5, out_dir=str(tmp_path / "out"), verify_m_values=[60],
+        verify_jk_max=6, coverage_trials=50, overlap_trials=3000, mass_n=2000,
+        mass_trials=10, window_min=2.0)))
+    root = tracer.open("cli.main")
+    rc = cli.main(["verify-lemmas", "--config", str(cfg)])
+    tracer.close(root)
+    fails = [line for line in capsys.readouterr().err.splitlines()
+             if line.startswith("FAIL ")]
+    assert rc == 3 and fails
+    layers = spans.layer_metrics(tracer.spans)
+    assert layers["verify.fail_reports"] == (len(fails), "count")
+    assert layers["verify.intersection_s"][0] > 0
+    assert all(layers[f"verify.{suite}_s"][0] > 0
+               for suite in ("coverage", "overlap", "tail_mass"))

@@ -2,6 +2,7 @@ import concurrent.futures
 import json
 import math
 import os
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigkit import harness, report_schema
+from rigkit import cli, harness, report_schema
 from rigkit.graphgen import BipartiteIncidence
 from rigkit.graphops import TraversalCore
 from rigkit.harness import ConfigError, ExperimentConfig
@@ -425,6 +426,58 @@ def test_run_verify_coverage_consistency_check(tmp_path):
     # the config itself rejects the grid, before any suite runs
     with pytest.raises(ConfigError, match="coverage grid inconsistent"):
         small_verify_cfg(tmp_path, coverage_m=200)
+
+
+def test_verify_report_memory_is_flat_in_the_grid(tmp_path):
+    # Peak traced bytes of writing run_verify's reports, at a grid with 5.7x
+    # the intersection reports of another (28,350 against 4,966).  The
+    # reports stream into the file, so the peak does not grow with them;
+    # holding every report in one list grew it by 8.3 MB.
+    peaks = []
+    tracemalloc.start()
+    try:
+        for jk_max in (12, 24):
+            cfg = small_verify_cfg(tmp_path / str(jk_max), verify_m_values=[60, 100],
+                                   verify_jk_max=jk_max)
+            base, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            harness.write_verify_report(cfg, harness.run_verify(cfg))
+            _, peak = tracemalloc.get_traced_memory()
+            peaks.append(peak - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1e6, peaks
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_failing_suite_leaves_out_dir_as_it_was(tmp_path, monkeypatch, capsys, fmt):
+    # a suite that raises part way through exits 2 and leaves no partial
+    # report and no temporary file; an earlier report keeps its bytes
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(
+        n_values=[300], seed=5, out_dir=str(out), verify_m_values=[60], verify_jk_max=6,
+        coverage_trials=50, overlap_trials=3000, mass_n=2000, mass_trials=10,
+        window_min=0.0, format=fmt)))
+    assert cli.main(["verify-lemmas", "--config", str(cfg_path)]) == 0
+    report = out / f"verify_bounds.{fmt}"
+    assert os.listdir(out) == [report.name]
+    earlier = report.read_bytes()
+
+    def raising(**kwargs):
+        raise ValueError("tail mass broke")
+
+    monkeypatch.setattr(harness, "check_tail_mass", raising)
+    capsys.readouterr()
+    assert cli.main(["verify-lemmas", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == "runtime failure: tail mass broke\n"
+    assert os.listdir(out) == [report.name]
+    assert report.read_bytes() == earlier
+    # an out_dir that did not exist is not left behind, nor are its parents
+    nested = tmp_path / "fresh" / "nested"
+    assert cli.main(["verify-lemmas", "--config", str(cfg_path),
+                     "--out", str(nested)]) == 2
+    assert not (tmp_path / "fresh").exists()
 
 
 def test_run_verify_csv_bytes_stable(tmp_path):

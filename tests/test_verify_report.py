@@ -72,3 +72,24 @@ def test_param_that_is_no_json_scalar_raises(tmp_path, value):
                                    2**70, True, None, "é\"\\"])
 def test_json_scalar_matches_json_dumps(value):
     assert _json_scalar(value) == json.dumps(value)
+
+
+def test_params_key_orders_and_prefixes_share_no_layout(tmp_path):
+    # the renderer caches one template per key tuple of params: the same
+    # keys in two insertion orders, a key set that is a prefix of another,
+    # keys that need escaping or hold a "%", and note and status strings
+    # repeated across reports must each render as json.dump does
+    reports = [
+        BoundReport("a", {"j": 1, "k": 2, "m": 3}, 0.5, 1.0, "pass", "same note"),
+        BoundReport("a", {"m": 3, "k": 2, "j": 1}, 0.5, 1.0, "pass", "same note"),
+        BoundReport("b", {"k": 2.5, "m": None, "j": True}, 1.0, 0.5, "fail", "same note"),
+        BoundReport("b", {"j": 1, "k": 2}, math.nan, 1.0, "skipped", "other"),
+        BoundReport("c", {"j": 1, "k": 2, "m": 3, "t": 0}, 1.0, 0.5, "fail", "same note"),
+        BoundReport("c", {"j": 1}, 0.25, math.inf, "pass", ""),
+        BoundReport("d", {}, 0.25, 0.5, "vacuous", "%s %d %%"),
+        BoundReport("d", {"%s": "%", "é\"": 1, "%d%%": -0.0}, 0.1, 0.2, "pass", "%"),
+        BoundReport("d", {"é\"": 2, "%s": "x", "%d%%": 3}, 0.1, 0.2, "%s", "same note"),
+    ]
+    assert written(tmp_path, reports) == verify_report_reference(reports)
+    for rep in reports:
+        assert written(tmp_path, [rep]) == verify_report_reference([rep])
