@@ -4,7 +4,7 @@ Usage, from the root of a rigkit source tree:
 
     python3 scripts/same_output_sweep.py ROOT [--src DIR]
 
-Runs 195 CLI commands, one fresh interpreter each, with the rigkit package
+Runs 196 CLI commands, one fresh interpreter each, with the rigkit package
 in DIR (default: this tree's src/):
 
 * distances, hubpath, analyze and a two-trial experiment, in JSON and in
@@ -22,10 +22,12 @@ in DIR (default: this tree's src/):
 * hubpath with 400 samples on the graph file of generate -n 100000
   --seed 1 (binary), at seeds {1, 2}: the benchmark's hub-file instance,
   whose top layer is {u_max}, so the hub BFS leaves a complete ball and
-  every escape is a pure descent through it; and hubpath at n = 100000,
-  seed 85, with 400 samples, whose top layer holds six vertices, the apex
-  (vertex 73975) among them, so the hub BFS's ball is restarted for that
-  layer and each escape that does not start in it is a forward search;
+  every escape is a pure descent through it; distances with 50 pairs on
+  the same file at seed 2, whose pairs are drawn at the config's seed
+  while its report carries the file's; and hubpath at n = 100000, seed 85,
+  with 400 samples, whose top layer holds six vertices, the apex (vertex
+  73975) among them, so the hub BFS's ball is restarted for that layer and
+  each escape that does not start in it is a forward search;
 * hubpath at n = 300000, alpha = 0.9, with 200 samples, seeds {1, 5, 6},
   in JSON and in CSV, and analyze on the same cells, where the ladder has
   three rungs (k* = 3) of which two are occupied: climbs of two hops,
@@ -130,6 +132,9 @@ def commands(bounds_config: str) -> list:
         cmds.append((f"hubpath-graph/n100000-s{seed}",
                      ["hubpath", "--graph", f"{hub_file}/graph_n100000_t0.rig",
                       "--seed", str(seed), "--pairs", "400"]))
+    cmds.append(("distances-graph/n100000-s2",
+                 ["distances", "--graph", f"{hub_file}/graph_n100000_t0.rig",
+                  "--seed", "2", "--pairs", "50"]))
     cmds.append(("hubpath/n100000-s85",
                  ["hubpath", "-n", "100000", "--seed", "85", "--pairs", "400"]))
     for seed in RUNGS_SEEDS:

@@ -24,6 +24,13 @@ EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 EXIT_CHECK = 3
 
+# the subcommands on one instance, generated or read from --graph: each
+# one's report function and its CSV rows; analyze has none, writes JSON
+# only, and names its report without n and trial
+_SINGLE = {"analyze": (harness.run_analyze, None),
+           "distances": (harness.run_distances, harness.distances_rows),
+           "hubpath": (harness.run_hubpath, harness.hubpath_rows)}
+
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     # every dest that names an ExperimentConfig field overrides that field
@@ -106,23 +113,14 @@ def main(argv=None) -> int:
                 print(os.path.join(cfg.out_dir, meta["path"]))
             return EXIT_OK
 
-        if args.command == "analyze":
-            frag = harness.run_analyze(cfg, graph_path=args.graph)
-            print(harness.write_fragment(cfg, "analyze", frag))
-            return EXIT_OK
-
-        if args.command == "distances":
-            frag = harness.run_distances(cfg, trial=args.trial,
-                                         graph_path=args.graph)
-            print(harness.write_fragment(cfg, f"distances_n{frag['n']}_t{args.trial}",
-                                         frag, harness.distances_rows))
-            return EXIT_OK
-
-        if args.command == "hubpath":
-            frag = harness.run_hubpath(cfg, trial=args.trial,
-                                       graph_path=args.graph)
-            print(harness.write_fragment(cfg, f"hubpath_n{frag['n']}_t{args.trial}",
-                                         frag, harness.hubpath_rows))
+        if args.command in _SINGLE:
+            run, rows = _SINGLE[args.command]
+            trial = getattr(args, "trial", 0)
+            t = (harness.Trial.generated(cfg, cfg.n_values[0], trial) if args.graph is None
+                 else harness.Trial.from_file(cfg, args.graph, trial))
+            frag = run(cfg, t)
+            name = "analyze" if rows is None else f"{args.command}_n{frag['n']}_t{trial}"
+            print(harness.write_fragment(cfg, name, frag, rows))
             return EXIT_OK
 
         if args.command == "verify-lemmas":

@@ -1,11 +1,15 @@
 """Experiment orchestration: configs, seed ladders, trials, report files.
 
-Every quantity in a report is a pure function of the ExperimentConfig.  The
-stream for trial t at size n is SeedSequence(seed, spawn_key=(n, t)), so
-cells are independent and replayable in isolation.  Each (n, trial) is one
-Trial, whose stream is consumed in a fixed order: weights, subsets, then the
-sampled pairs, then the sampled hub vertices.  Reports are written with
-sorted keys and no timestamps, which makes reruns byte-identical.
+Every quantity in a report is a pure function of the ExperimentConfig, and
+of the graph file when one is given.  The stream for trial t at size n is
+SeedSequence(seed, spawn_key=(n, t)), so cells are independent and
+replayable in isolation.  Each instance is one Trial, built by
+Trial.generated, whose stream is consumed for weights and subsets, or by
+Trial.from_file, whose stream starts fresh at the file's n.  Either stream
+then gives the sampled pairs, then the sampled hub vertices: run_distances
+and run_hubpath draw them, and an experiment cell is the summary of those
+two reports.  Reports are written with sorted keys and no timestamps, which
+makes reruns byte-identical.
 verify_bounds.json is rendered directly from the bound reports as they
 stream from the suites, one report at a time and none kept, in the layout of
 json.dump(sort_keys=True, indent=2), with NaN in lhs, rhs and slack written
@@ -264,34 +268,44 @@ def _sample_pairs(pool: np.ndarray, count: int, rng: np.random.Generator):
 
 
 class Trial:
-    """One (n, trial) instance: its traversal core, components, ladder and stream.
+    """One instance: its traversal core, components, ladder and stream.
 
-    A fresh instance consumes the trial stream for weights and subsets and
-    keeps drawing from it.  A graph file supplies the incidence, params and
-    seed; its weights are the realized ones, size / sqrt(m/n), and it gets a
-    fresh stream from the same splitting rule.  The core is built once from
-    the incidence, which is not kept.  Callers draw pairs before hub
-    vertices.
+    Built from the trial index, params, seed, the stream left to draw from,
+    the incidence and the weights, with the ladder's hub_floor.  The core is
+    built once from the incidence, which is not kept.  Callers draw pairs
+    before hub vertices.  Two constructors supply an instance: generated
+    draws it from the config's stream, and from_file reads a graph file.
     """
 
-    def __init__(self, cfg: ExperimentConfig, n: int, trial: int, graph_path=None):
-        if graph_path is not None:
-            inc, self.params, self.seed = storage.read_graph(graph_path)
-            self.weights = realized_weights(self.params, inc.sizes())
-            self.rng = trial_rng(cfg.seed, self.params.n, trial)
-        else:
-            self.params = cfg.params_for(n)
-            self.seed = cfg.seed
-            self.rng = trial_rng(cfg.seed, n, trial)
-            inc, self.weights = generate(self.params, self.rng)
+    def __init__(self, trial: int, params: ModelParams, seed: int,
+                 rng: np.random.Generator, inc, weights, hub_floor: Optional[float]):
+        self.trial, self.params, self.seed, self.rng = trial, params, seed, rng
+        self.weights = weights
         self.core = TraversalCore(inc)
-        p = self.params
         self.comp = components(self.core)
-        self.dec = decompose(self.weights, thresholds(p.n, p.alpha, p.c0, cfg.hub_floor))
+        self.dec = decompose(weights, thresholds(params.n, params.alpha, params.c0, hub_floor))
         self.giant_size = int(self.comp.sizes[self.comp.giant])
         labels, giant = self.comp.labels, self.comp.giant
         self.u_max_in_giant = bool(labels[self.dec.u_max] == giant)
-        self.fixed_in_giant = bool(p.n > 1 and labels[0] == giant and labels[1] == giant)
+        self.fixed_in_giant = bool(params.n > 1 and labels[0] == giant and labels[1] == giant)
+
+    @classmethod
+    def generated(cls, cfg: ExperimentConfig, n: int, trial: int) -> "Trial":
+        """Instance (n, trial) of the config: weights and subsets are the
+        first draws of trial_rng(cfg.seed, n, trial), which keeps drawing."""
+        params, rng = cfg.params_for(n), trial_rng(cfg.seed, n, trial)
+        inc, weights = generate(params, rng)
+        return cls(trial, params, cfg.seed, rng, inc, weights, cfg.hub_floor)
+
+    @classmethod
+    def from_file(cls, cfg: ExperimentConfig, path, trial: int) -> "Trial":
+        """The instance of a graph file, which supplies the incidence, params
+        and seed.  Its weights are the realized ones, size / sqrt(m/n), and
+        it draws from trial_rng(cfg.seed, file n, trial): the config's seed,
+        not the file's."""
+        inc, params, seed = storage.read_graph(path)
+        return cls(trial, params, seed, trial_rng(cfg.seed, params.n, trial), inc,
+                   realized_weights(params, inc.sizes()), cfg.hub_floor)
 
     def header(self, kind: str) -> dict:
         """The instance fields that open every single-trial report."""
@@ -346,23 +360,22 @@ def _pass_rate(hops, bound: float) -> Optional[float]:
     return sum(h <= bound for h in finite) / len(finite) if finite else None
 
 
-def _hub_counts(samples, bound: float) -> dict:
-    """Counters over (v, exact, cert) hub samples; they add up across trials."""
-    climbs = [len(c.climb_a) - 1 for _, _, c in samples if c.climb_a is not None]
-    certified = [(exact, c.certificate_hops) for _, exact, c in samples
-                 if c.certificate_hops is not None]
-    finite = [exact for _, exact, _ in samples if exact is not None]
+def _hub_counts(samples) -> dict:
+    """Counters over hubpath sample records; they add up across trials."""
+    climbs = [s["climb_hops"] for s in samples if s["climb_hops"] is not None]
+    certified = [(s["exact"], s["certificate"]) for s in samples
+                 if s["certificate"] is not None]
+    finite = [s for s in samples if s["exact"] is not None]
     return {
         "samples": len(samples),
         "finite": len(finite),
-        "passed": sum(h <= bound for h in finite),
-        "escape_ok": sum(c.escape_a is not None for _, _, c in samples),
+        "passed": sum(s["pass"] for s in finite),
+        "escape_ok": sum(s["escape_hops"] is not None for s in samples),
         "climb_ok": len(climbs),
         "certificates": len(certified),
         "cert_sound": all(e is not None and h >= e for e, h in certified),
         "max_climb_hops": max(climbs, default=0),
-        "finite_escape_ok": sum(c.escape_a is not None for _, exact, c in samples
-                                if exact is not None),
+        "finite_escape_ok": sum(s["escape_hops"] is not None for s in finite),
     }
 
 
@@ -406,9 +419,8 @@ def run_generate(cfg: ExperimentConfig) -> list:
     return out
 
 
-def run_analyze(cfg: ExperimentConfig, graph_path=None) -> dict:
+def run_analyze(cfg: ExperimentConfig, t: Trial) -> dict:
     """Structure summary of one instance: components, degrees, ladder."""
-    t = Trial(cfg, cfg.n_values[0], 0, graph_path)
     return {
         **t.header("analyze"),
         "components": int(t.comp.count),
@@ -423,19 +435,18 @@ def run_analyze(cfg: ExperimentConfig, graph_path=None) -> dict:
     }
 
 
-def run_distances(cfg: ExperimentConfig, trial: int = 0, graph_path=None) -> dict:
+def run_distances(cfg: ExperimentConfig, t: Trial) -> dict:
     """Pair distances within the giant component against the (2+eps) bound.
 
     Samples pairs_per_trial uniform giant pairs plus the fixed labeled pair
     (0, 1) conditioned on both endpoints lying in the giant.
     """
-    t = Trial(cfg, cfg.n_values[0], trial, graph_path)
     bound = cfg.pair_bound(t.params)
     empty = t.giant_size < 2
     sampled, fixed = t.pairs(cfg.pairs_per_trial)
     return {
         **t.header("distances"),
-        "trial": trial,
+        "trial": t.trial,
         "epsilon": cfg.epsilon,
         "bound": bound,
         "giant_size": t.giant_size,
@@ -449,19 +460,27 @@ def run_distances(cfg: ExperimentConfig, trial: int = 0, graph_path=None) -> dic
     }
 
 
-def run_hubpath(cfg: ExperimentConfig, trial: int = 0, graph_path=None) -> dict:
+def run_hubpath(cfg: ExperimentConfig, t: Trial) -> dict:
     """Hub distances and certificates against the (1+eps) bound.
 
     Samples vertices uniformly; for those with a finite distance to the
     maximal vertex, records the exact distance and a full certificate.
     """
-    t = Trial(cfg, cfg.n_values[0], trial, graph_path)
     bound = cfg.hub_bound(t.params)
-    degenerate, error, samples = t.hub_samples(cfg.hub_samples())
-    hub = _hub_counts(samples, bound)
+    degenerate, error, drawn = t.hub_samples(cfg.hub_samples())
+    samples = [{
+        "v": v,
+        "exact": exact,
+        "certificate": cert.certificate_hops,
+        "escape_hops": None if cert.escape_a is None else len(cert.escape_a) - 1,
+        "climb_hops": None if cert.climb_a is None else len(cert.climb_a) - 1,
+        "failed_stage": cert.failed_stage,
+        "pass": None if exact is None else bool(exact <= bound),
+    } for v, exact, cert in drawn]
+    hub = _hub_counts(samples)
     return {
         **t.header("hubpath"),
-        "trial": trial,
+        "trial": t.trial,
         "epsilon": cfg.epsilon,
         "bound": bound,
         "k_star": t.dec.k_star,
@@ -472,15 +491,7 @@ def run_hubpath(cfg: ExperimentConfig, trial: int = 0, graph_path=None) -> dict:
         "u_max_in_giant": t.u_max_in_giant,
         "degenerate": degenerate,
         "error": error,
-        "samples": [{
-            "v": v,
-            "exact": exact,
-            "certificate": cert.certificate_hops,
-            "escape_hops": None if cert.escape_a is None else len(cert.escape_a) - 1,
-            "climb_hops": None if cert.climb_a is None else len(cert.climb_a) - 1,
-            "failed_stage": cert.failed_stage,
-            "pass": None if exact is None else bool(exact <= bound),
-        } for v, exact, cert in samples],
+        "samples": samples,
         "pass_rate": _ratio(hub, "passed", "finite"),
         "escape_success_rate": _ratio(hub, "escape_ok", "samples"),
         "climb_success_rate": _ratio(hub, "climb_ok", "escape_ok"),
@@ -528,17 +539,17 @@ def _experiment_cell(args) -> dict:
 
 
 def _experiment_cell_inner(cfg: ExperimentConfig, n: int, trial: int) -> dict:
-    t = Trial(cfg, n, trial)
-    sampled, fixed = t.pairs(cfg.pairs_per_trial)
-    degenerate, error, samples = t.hub_samples(cfg.hub_samples())
-    hops = [h for _, _, h in sampled]
+    """The summary of one instance's distances and hubpath reports, which
+    draw its pairs and then its hub vertices."""
+    t = Trial.generated(cfg, n, trial)
+    dist, hub = run_distances(cfg, t), run_hubpath(cfg, t)
     v0 = t.dec.hub_core
     v0_threshold = 2.0 * t.params.law().tail_constant * iterated_log(n) ** (
         t.params.alpha * (1.0 + t.params.alpha))
     return {
         "n": n,
         "trial": trial,
-        "error": error,
+        "error": hub["error"],
         "m": t.params.m,
         "giant_fraction": t.comp.giant_fraction(),
         "giant_size": t.giant_size,
@@ -548,11 +559,12 @@ def _experiment_cell_inner(cfg: ExperimentConfig, n: int, trial: int) -> dict:
         "v0_in_giant": bool(np.all(t.comp.labels[v0] == t.comp.giant)) if v0.size else True,
         "v0_above_threshold": bool(v0.shape[0] >= v0_threshold),
         "k_star": t.dec.k_star,
-        "degenerate": degenerate,
-        "pair_hops": hops,
-        "pair_pass_rate": _pass_rate(hops, cfg.pair_bound(t.params)),
-        "fixed_pair": {"both_in_giant": t.fixed_in_giant, "hops": fixed},
-        "hub": _hub_counts(samples, cfg.hub_bound(t.params)),
+        "degenerate": hub["degenerate"],
+        "pair_hops": [p["hops"] for p in dist["pairs"]],
+        "pair_pass_rate": dist["pass_rate"],
+        "fixed_pair": {"both_in_giant": t.fixed_in_giant,
+                       "hops": (dist["fixed_pair"] or {}).get("hops")},
+        "hub": _hub_counts(hub["samples"]),
     }
 
 

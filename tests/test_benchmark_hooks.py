@@ -2,9 +2,10 @@
 
 perfbench/spans.py replaces each (module, attribute) of its BINDINGS with a
 timing wrapper, and perfbench/checks.py wraps three functions to record the
-inputs of its output checks.  A rename in the package would otherwise only
-show up as a broken benchmark run; so would a config rule that the bounds
-workload's config no longer meets.
+inputs of its output checks, so the package must call them through those
+names.  A rename in the package would otherwise only show up as a broken
+benchmark run; so would a config rule that the bounds workload's config no
+longer meets.
 """
 
 import importlib
@@ -39,6 +40,32 @@ def test_output_check_hooks_exist():
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
 
 
+def test_trial_constructors_call_the_hooked_names(tmp_path, monkeypatch):
+    # the benchmark's capture and spans replace harness.generate and
+    # storage.read_graph; a constructor that reached either function some
+    # other way (say, from .storage import read_graph) would bypass them
+    from rigkit import harness, storage
+    from rigkit.harness import ExperimentConfig, Trial
+
+    cfg = ExperimentConfig(n_values=[300], trials=1, seed=5, out_dir=str(tmp_path))
+    path = tmp_path / harness.run_generate(cfg)[0]["path"]
+    calls = []
+
+    def recording(name, fn):
+        def record(*args, **kwargs):
+            calls.append((name, args, kwargs))
+            return fn(*args, **kwargs)
+        return record
+
+    monkeypatch.setattr(harness, "generate", recording("generate", harness.generate))
+    monkeypatch.setattr(storage, "read_graph", recording("read_graph", storage.read_graph))
+    t = Trial.generated(cfg, 300, 0)
+    assert calls == [("generate", (t.params, t.rng), {})]  # a Generator equals only itself
+    calls.clear()
+    Trial.from_file(cfg, path, 0)
+    assert calls == [("read_graph", (path,), {})]
+
+
 def test_bounds_workload_config_is_valid():
     from rigkit.harness import ExperimentConfig
 
@@ -62,7 +89,7 @@ def test_hub_samples_call_loglog_certificate_once_per_sample(tmp_path, monkeypat
     monkeypatch.setattr(harness, "loglog_certificate", counting)
     cfg = ExperimentConfig(n_values=[300], trials=1, pairs_per_trial=5, seed=5,
                            out_dir=str(tmp_path))
-    _, error, samples = Trial(cfg, 300, 0).hub_samples(7)
+    _, error, samples = Trial.generated(cfg, 300, 0).hub_samples(7)
     assert error is None
     assert calls == [v for v, _, _ in samples] and len(calls) == 7
 

@@ -3,7 +3,6 @@ import json
 import math
 import os
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from rigkit import cli, harness, report_schema
 from rigkit.graphgen import BipartiteIncidence
 from rigkit.graphops import TraversalCore
 from rigkit.harness import ConfigError, ExperimentConfig
-from rigkit.model import default_attribute_count, iterated_log
+from rigkit.model import default_attribute_count, iterated_log, trial_rng
 from rigkit.storage import file_checksum, read_graph, write_graph
 
 from oracles import traversal_core_two_sorts
@@ -170,7 +169,7 @@ def test_file_trial_core_matches_two_sort_formula(tmp_path, fmt):
     cfg = cfg_with(tmp_path, n_values=[2000], hub_floor=20.0, graph_format=fmt)
     path = os.path.join(cfg.out_dir, harness.run_generate(cfg)[0]["path"])
     want = traversal_core_two_sorts(read_graph(path)[0])
-    core = harness.Trial(cfg, 2000, 0, graph_path=path).core
+    core = harness.Trial.from_file(cfg, path, 0).core
     assert core.num_attrs == want["num_attrs"] > 0
     for name in ("attr_indptr", "attr_vertices", "set_indptr", "set_attrs"):
         assert np.array_equal(getattr(core, name), want[name]), name
@@ -180,11 +179,12 @@ def test_trial_keeps_one_core_from_either_graph_file(tmp_path):
     # a generated instance and its binary and rig-json files give cores with
     # equal arrays, and the two files the same pairs and hub samples; no
     # Trial keeps the incidence that its core was built from
-    trials = [harness.Trial(cfg_with(tmp_path, n_values=[2000], hub_floor=20.0), 2000, 0)]
+    trials = [harness.Trial.generated(cfg_with(tmp_path, n_values=[2000], hub_floor=20.0),
+                                      2000, 0)]
     for fmt in ("binary", "json"):
         cfg = cfg_with(tmp_path / fmt, n_values=[2000], hub_floor=20.0, graph_format=fmt)
         path = os.path.join(cfg.out_dir, harness.run_generate(cfg)[0]["path"])
-        trials.append(harness.Trial(cfg, 2000, 0, graph_path=path))
+        trials.append(harness.Trial.from_file(cfg, path, 0))
     for t in trials:
         assert not hasattr(t, "inc")
         assert not any(isinstance(value, BipartiteIncidence) for value in vars(t).values())
@@ -199,6 +199,19 @@ def test_trial_keeps_one_core_from_either_graph_file(tmp_path):
     degenerate, error, samples = binary.hub_samples(30)
     assert error is None and len(samples) == 30
     assert (degenerate, error, samples) == text.hub_samples(30)
+
+
+def test_file_trial_draws_from_the_config_seed(tmp_path):
+    # a graph file supplies the instance and the seed its report carries;
+    # the config supplies the stream, trial_rng(cfg.seed, file n, trial),
+    # whatever its n_values
+    made = cfg_with(tmp_path / "made", n_values=[300], seed=1)
+    path = os.path.join(made.out_dir, harness.run_generate(made)[0]["path"])
+    cfg = cfg_with(tmp_path, n_values=[1000], seed=2)
+    t = harness.Trial.from_file(cfg, path, 3)
+    header = t.header("distances")
+    assert (header["seed"], header["n"]) == (1, 300)
+    assert np.array_equal(t.rng.random(8), trial_rng(2, 300, 3).random(8))
 
 
 # --- distances ---------------------------------------------------------------
@@ -220,7 +233,7 @@ def complete_overlap_graph(tmp_path, n=8, hub_size=1):
 def test_run_distances_complete_graph(tmp_path):
     path = complete_overlap_graph(tmp_path)
     cfg = cfg_with(tmp_path, n_values=[8], pairs_per_trial=12)
-    frag = harness.run_distances(cfg, graph_path=path)
+    frag = harness.run_distances(cfg, harness.Trial.from_file(cfg, path, 0))
     assert frag["empty"] is False
     assert [p["hops"] for p in frag["pairs"]] == [1] * 12
     assert frag["pass_rate"] == 1.0
@@ -232,7 +245,7 @@ def test_run_distances_complete_graph(tmp_path):
 
 def test_run_distances_huge_epsilon(tmp_path):
     cfg = cfg_with(tmp_path, n_values=[300], epsilon=1000.0, pairs_per_trial=10)
-    frag = harness.run_distances(cfg)
+    frag = harness.run_distances(cfg, harness.Trial.generated(cfg, 300, 0))
     assert frag["pass_rate"] == 1.0
 
 
@@ -241,7 +254,7 @@ def test_run_distances_empty_giant(tmp_path):
     path = str(tmp_path / "isolated.rig")
     write_graph(path, inc, alpha=0.8, c0=1.0, seed=3)
     cfg = cfg_with(tmp_path, n_values=[5])
-    frag = harness.run_distances(cfg, graph_path=path)
+    frag = harness.run_distances(cfg, harness.Trial.from_file(cfg, path, 0))
     assert frag["empty"] is True
     assert frag["pairs"] == [] and frag["pass_rate"] is None
     jsonschema.validate(frag, report_schema())
@@ -250,12 +263,12 @@ def test_run_distances_empty_giant(tmp_path):
 def test_run_distances_seeded_golden(tmp_path):
     # frozen reference: cfg(n=300, seed=5, trial 0) reproduces these numbers
     cfg = cfg_with(tmp_path, n_values=[300], pairs_per_trial=4)
-    frag = harness.run_distances(cfg)
+    frag = harness.run_distances(cfg, harness.Trial.generated(cfg, 300, 0))
     assert [p["hops"] for p in frag["pairs"]] == [2, 3, 5, 4]
     assert frag["fixed_pair"]["hops"] == 5
     assert frag["pass_rate"] == 1.0
-    frag2 = harness.run_distances(cfg_with(tmp_path, n_values=[300],
-                                           pairs_per_trial=4))
+    cfg2 = cfg_with(tmp_path, n_values=[300], pairs_per_trial=4)
+    frag2 = harness.run_distances(cfg2, harness.Trial.generated(cfg2, 300, 0))
     assert frag == frag2
 
 
@@ -265,7 +278,7 @@ def test_run_distances_seeded_golden(tmp_path):
 def test_run_hubpath_seeded_golden(tmp_path):
     # frozen reference: cfg(n=300, seed=5, trial 0) with 6 hub samples
     cfg = cfg_with(tmp_path, n_values=[300], pairs_per_trial=6)
-    frag = harness.run_hubpath(cfg)
+    frag = harness.run_hubpath(cfg, harness.Trial.generated(cfg, 300, 0))
     assert frag["u_max"] == 223
     assert [(s["v"], s["exact"], s["certificate"], s["failed_stage"])
             for s in frag["samples"]] == [
@@ -278,7 +291,7 @@ def test_run_hubpath_seeded_golden(tmp_path):
 
 def test_run_hubpath_small_n(tmp_path):
     cfg = cfg_with(tmp_path, n_values=[300], pairs_per_trial=6)
-    frag = harness.run_hubpath(cfg)
+    frag = harness.run_hubpath(cfg, harness.Trial.generated(cfg, 300, 0))
     # n = 300 sits below the ladder cutoff: degenerate mode via the hub core
     assert frag["k_star"] == 0
     assert frag["degenerate"] is True
@@ -295,7 +308,7 @@ def test_run_hubpath_ladder_error(tmp_path):
     path = str(tmp_path / "isolated.rig")
     write_graph(path, inc, alpha=0.8, c0=1.0, seed=3)
     cfg = cfg_with(tmp_path, n_values=[5])
-    frag = harness.run_hubpath(cfg, graph_path=path)
+    frag = harness.run_hubpath(cfg, harness.Trial.from_file(cfg, path, 0))
     assert frag["degenerate"] is True
     assert frag["error"] is not None
     assert frag["samples"] == []
@@ -305,7 +318,7 @@ def test_run_hubpath_ladder_error(tmp_path):
 def test_run_hubpath_u_max_sample(tmp_path):
     path = complete_overlap_graph(tmp_path, hub_size=6)
     cfg = cfg_with(tmp_path, n_values=[8], pairs_per_trial=20)
-    frag = harness.run_hubpath(cfg, graph_path=path)
+    frag = harness.run_hubpath(cfg, harness.Trial.from_file(cfg, path, 0))
     assert frag["error"] is None
     assert frag["u_max"] == 0
     assert len(frag["samples"]) == 20
@@ -335,13 +348,13 @@ def test_hub_samples_reuse_the_hub_bfs(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "bfs_distance", counting)
     trials = [
         # degenerate ladder (k* = 0), escapes into the hub core
-        harness.Trial(cfg_with(tmp_path, n_values=[300]), 300, 0),
+        harness.Trial.generated(cfg_with(tmp_path, n_values=[300]), 300, 0),
         # one rung; two of the samples lie off u_max's component
-        harness.Trial(cfg_with(tmp_path, n_values=[2000], hub_floor=20.0, seed=1),
-                      2000, 0),
+        harness.Trial.generated(cfg_with(tmp_path, n_values=[2000], hub_floor=20.0, seed=1),
+                                2000, 0),
         # complete graph: u_max itself is drawn
-        harness.Trial(cfg_with(tmp_path, n_values=[8]), 8, 0,
-                      graph_path=complete_overlap_graph(tmp_path, hub_size=6)),
+        harness.Trial.from_file(cfg_with(tmp_path, n_values=[8]),
+                                complete_overlap_graph(tmp_path, hub_size=6), 0),
     ]
     seen = set()
     for t, count in zip(trials, (12, 40, 20)):
@@ -367,7 +380,8 @@ def test_hub_samples_descend_once_for_all_samples(tmp_path, monkeypatch):
     # descent per escape would take one per hop of every escape
     from rigkit import graphops
 
-    t = harness.Trial(cfg_with(tmp_path, n_values=[2000], hub_floor=20.0, seed=1), 2000, 0)
+    t = harness.Trial.generated(cfg_with(tmp_path, n_values=[2000], hub_floor=20.0, seed=1),
+                                2000, 0)
     assert t.dec.top.tolist() == [t.dec.u_max]
     calls = []
     real = graphops._hop
@@ -631,13 +645,15 @@ def test_run_experiment_rows_show_hub_denominators(tmp_path):
 def test_hub_counts_escapes_among_finite_only():
     # a vertex off u_max's component may still escape to a top-layer vertex
     # of its own component; the giant escape count leaves it out
-    def cert(escaped):
-        return SimpleNamespace(escape_a=object() if escaped else None,
-                               climb_a=None, certificate_hops=None)
+    def record(v, exact, escaped):
+        return {"v": v, "exact": exact, "certificate": None,
+                "escape_hops": 1 if escaped else None, "climb_hops": None,
+                "failed_stage": "climb_a" if escaped else "escape_a",
+                "pass": None if exact is None else exact <= 10.0}
 
-    samples = [(0, 2, cert(True)), (1, 3, cert(False)), (2, None, cert(True)),
-               (3, None, cert(False))]
-    hub = harness._hub_counts(samples, bound=10.0)
+    samples = [record(0, 2, True), record(1, 3, False), record(2, None, True),
+               record(3, None, False)]
+    hub = harness._hub_counts(samples)
     assert (hub["samples"], hub["finite"]) == (4, 2)
     assert (hub["escape_ok"], hub["finite_escape_ok"]) == (2, 1)
 
@@ -706,7 +722,7 @@ def test_experiment_certificates_sound(tmp_path):
 
 def test_write_fragment_formats(tmp_path):
     cfg = cfg_with(tmp_path, format="csv")
-    frag = harness.run_distances(cfg)
+    frag = harness.run_distances(cfg, harness.Trial.generated(cfg, 300, 0))
     path = harness.write_fragment(cfg, "d", frag, harness.distances_rows)
     assert path.endswith(".csv")
     lines = open(path).read().splitlines()

@@ -37,7 +37,7 @@ def test_round_trip(tmp_path, instance, fmt, ext):
     assert seed == 21
     assert params2 == params
     # a Trial on the file carries realized normalized weights
-    t = Trial(ExperimentConfig(n_values=[120]), 120, 0, graph_path=path)
+    t = Trial.from_file(ExperimentConfig(n_values=[120]), path, 0)
     assert np.array_equal(t.weights.sizes, inc.sizes())
     assert np.allclose(t.weights.tilde_z, inc.sizes() / params.size_scale)
 
