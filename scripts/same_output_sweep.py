@@ -4,7 +4,7 @@ Usage, from the root of a rigkit source tree:
 
     python3 scripts/same_output_sweep.py ROOT [--src DIR]
 
-Runs 196 CLI commands, one fresh interpreter each, with the rigkit package
+Runs 198 CLI commands, one fresh interpreter each, with the rigkit package
 in DIR (default: this tree's src/):
 
 * distances, hubpath, analyze and a two-trial experiment, in JSON and in
@@ -36,6 +36,10 @@ in DIR (default: this tree's src/):
 * analyze, and hubpath in JSON and in CSV, at n = 20000, seed 1, with
   alpha 0.999 (70 rungs) and 0.9999 (704 rungs): long ladders whose top
   layer is empty, so hubpath reports that it has no escape targets;
+* analyze and hubpath on a hand-built rig-json graph of 8 vertices whose
+  apex (vertex 3) holds only attributes of its own, so u_max is isolated
+  and lies outside the giant, which no seed in 1-119 gives at n = 300, 2000
+  or 20000;
 * a three-n experiment ladder, and verify-lemmas with
   perfbench/bounds_config.json, each in JSON and in CSV;
 * verify-lemmas with eight small configs, in JSON and in CSV, so that
@@ -89,6 +93,11 @@ SMALL_CHANGES = {
     "mass-n20-a0.5": {"mass_n": 20, "mass_trials": 10, "alpha": 0.5},
     "large-m": {"verify_m_values": [5000, 150000000]},
 }
+# the apex, vertex 3, holds only attributes of its own (the graph of
+# tests/test_harness.py's ISOLATED_APEX_SETS)
+ISOLATED_APEX = {"format": "rig-json", "version": 1, "n": 8, "m": 20, "alpha": 0.8,
+                 "c0": 1.0, "seed": 3,
+                 "sets": [[0], [0, 1], [1], [10, 11, 12, 13, 14, 15], [2], [2], [3], []]}
 
 
 def commands(bounds_config: str) -> list:
@@ -150,6 +159,9 @@ def commands(bounds_config: str) -> list:
         for fmt in FORMATS:
             cmds.append((f"hubpath/n20000-a{alpha}-s1-{fmt}",
                          ["hubpath", *common, "--format", fmt]))
+    for sub in ("analyze", "hubpath"):
+        cmds.append((f"{sub}-graph/isolated-apex",
+                     [sub, "--graph", "isolated-apex.json", "--seed", "1"]))
     ladder = [arg for n in NS for arg in ("-n", str(n))]
     for fmt in FORMATS:
         cmds.append((f"ladder/{fmt}",
@@ -186,6 +198,8 @@ def main(argv=None) -> int:
     for name, changes in SMALL_CHANGES.items():
         with open(os.path.join(args.root, f"verify-{name}.json"), "w") as fh:
             json.dump({**SMALL_VERIFY, **changes}, fh)
+    with open(os.path.join(args.root, "isolated-apex.json"), "w") as fh:
+        json.dump(ISOLATED_APEX, fh)
     cmds = commands("bounds_config.json")
     with open(os.path.join(args.root, "log.txt"), "w") as log:
         for i, (out, cli_args) in enumerate(cmds, start=1):

@@ -11,13 +11,14 @@ The vertex-vertex edge list is likewise never materialized: heavy vertices
 share attributes with thousands of others and the induced cliques would blow
 up memory, so traversals run on the bipartite structure.
 
-The sampler builds an instance in one buffer of sum(sizes) int64 keys, the
-length of the incidence itself: draws are added into it and sorted in
-place, which leaves every vertex's draws in its own final slots; only the
-slots of vertices with a repeated draw are gathered, topped up and written
-back, and the keys are reduced to attribute ids in place.  Every other
-temporary is per-vertex, _BLOCK entries or those few slots long, so
-building an instance peaks near 1.1x the incidence's bytes.
+The sampler draws every vertex's attributes straight into the incidence's
+id array, in its final slots, one run of whole vertices and about _RUN
+(2**15) entries at a time.  A run is offset by vertex, sorted while it sits
+in cache and offset back, which leaves each vertex's draws sorted in its
+own slots and puts every repeated draw next to its twin.  Only the slots
+of vertices with a repeat are gathered, topped up and written back.  Every
+temporary is run-sized, _BLOCK entries long or those few slots long, so
+building an instance peaks near 1.05x the incidence's bytes.
 """
 
 from __future__ import annotations
@@ -40,6 +41,10 @@ PACK_LIMIT = 2**62
 # Entries per step of the passes that work in place on an incidence-length
 # array: each step allocates only block-sized temporaries.
 _BLOCK = 1 << 18
+
+# Entries per sampler run: a run's keys and offsets stay in cache while it
+# sorts them.
+_RUN = 1 << 15
 
 
 def _range_slots(indptr: np.ndarray, items: np.ndarray):
@@ -197,31 +202,36 @@ def _add_draws(keys: np.ndarray, m: int, rng: np.random.Generator) -> None:
         block += rng.integers(0, m, size=block.shape[0], dtype=np.int64)
 
 
-def _repeat_owners(keys: np.ndarray, m: int) -> np.ndarray:
-    """Distinct vertices, ascending, with a key that repeats its predecessor.
+def _run_starts(set_indptr: np.ndarray) -> list:
+    """First vertex of each sampler run, then n.
 
-    keys are sorted packed vertex*m + attr draws.  The scan goes _BLOCK
-    entries at a time, each block reaching back one entry to compare its
-    first key with the previous block's last.
+    Runs hold whole vertices, and a new one starts at the first vertex whose
+    slots start at or after each multiple of _RUN entries.  So a run holds
+    about _RUN entries, more when its last vertex is longer than that.
     """
-    owners = [np.empty(0, dtype=np.int64)]
-    for start in range(0, keys.shape[0], _BLOCK):
-        block = keys[max(start - 1, 0):start + _BLOCK]
-        owners.append(block[1:][block[1:] == block[:-1]] // m)
-    return _sorted_unique(np.concatenate(owners))
+    n, total = set_indptr.shape[0] - 1, int(set_indptr[-1])
+    if total <= _RUN:
+        return [0, n]
+    cuts = np.searchsorted(set_indptr, np.arange(_RUN, total, _RUN), side="left")
+    return list(dict.fromkeys([0, *cuts.tolist(), n]))
 
 
 def sample_incidence(m: int, sizes: np.ndarray, rng: np.random.Generator) -> "BipartiteIncidence":
-    """Sample every vertex's uniform subset at once, sizes[v] attributes each.
+    """Sample every vertex's uniform subset, sizes[v] attributes each.
 
-    All subsets are drawn in one batch, in one buffer of sum(sizes) int64
-    keys: vertex v draws exactly sizes[v] raw keys vertex*m + attr, so after
-    one in-place sort its draws already fill its final slots
-    [indptr[v], indptr[v+1]), and each repeated draw sits next to its twin.
-    Only the vertices with a twin come up short.  Their slots are gathered
-    into a small array and deduplicated, and the top-up rounds run on it
-    alone: each round draws the missing keys into its tail, short vertices
-    in ascending order, and sorts and dedups it again (a sorted front and a
+    Vertex v draws exactly sizes[v] raw attributes into its final slots
+    [indptr[v], indptr[v+1]), in vertex order.  The draws are taken run by
+    run (_run_starts), and numpy's bounded integers keep no state between
+    calls, so the runs consume the stream exactly as one rng.integers call
+    of the full length would.  Each run adds the offset (v - first) * m to
+    the draws of its vertex v, first being its first vertex, sorts, notes
+    the vertices with a draw that repeats its predecessor, and subtracts
+    the same offsets: sorting keeps every key in its own vertex's slots, so
+    each vertex's draws come out sorted.  Only the vertices with a repeat
+    come up short.  Their slots are gathered, packed as vertex * m + attr,
+    and deduplicated, and the top-up rounds run on that small array alone:
+    each round draws the missing keys into its tail, short vertices in
+    ascending order, and sorts and dedups it again (a sorted front and a
     short tail, which a stable sort merges in one pass).  The result goes
     back into those vertices' slots.  Per vertex this keeps the first z
     distinct values of an iid uniform stream, so the subsets are exactly
@@ -240,30 +250,37 @@ def sample_incidence(m: int, sizes: np.ndarray, rng: np.random.Generator) -> "Bi
     set_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(sizes, out=set_indptr[1:])
 
-    buf = np.repeat(np.arange(n, dtype=np.int64), sizes)
-    buf *= m
-    _add_draws(buf, m, rng)
-    # only short runs, one per vertex: numpy's default sort beats timsort here
-    buf.sort()
-    short = _repeat_owners(buf, m)
-    slots, _ = _range_slots(set_indptr, short)
-    held = buf[slots]
-    keys = _sorted_unique(held, kind="stable")
-    firsts = short * m
-    while keys.shape[0] < held.shape[0]:
-        have = np.diff(np.searchsorted(keys, firsts), append=keys.shape[0])
-        deficit = sizes[short] - have
-        need = np.flatnonzero(deficit)
-        tail = held[keys.shape[0]:]
-        tail[:] = np.repeat(firsts[need], deficit[need])
-        _add_draws(tail, m, rng)
-        # a sorted front and a short tail: timsort merges them in one pass
-        keys = _sorted_unique(held, kind="stable")
-    buf[slots] = keys
+    attrs = np.empty(int(set_indptr[-1]), dtype=np.int64)
+    repeated = np.zeros(n, dtype=bool)
+    starts = _run_starts(set_indptr)
+    for first, last in zip(starts[:-1], starts[1:]):
+        run = attrs[set_indptr[first]:set_indptr[last]]
+        offsets = np.repeat(np.arange(0, (last - first) * m, m, dtype=np.int64),
+                            sizes[first:last])
+        np.add(rng.integers(0, m, size=run.shape[0], dtype=np.int64), offsets, out=run)
+        run.sort()
+        repeated[run[1:][run[1:] == run[:-1]] // m + first] = True
+        run -= offsets
 
-    # each vertex's slots hold its distinct keys sorted, so its attrs too
-    np.remainder(buf, m, out=buf)
-    return BipartiteIncidence(n, m, set_indptr, buf)
+    short = np.flatnonzero(repeated)
+    if short.size:
+        slots, lens = _range_slots(set_indptr, short)
+        firsts = short * m
+        packed = np.repeat(firsts, lens)
+        held = attrs[slots] + packed
+        keys = _sorted_unique(held, kind="stable")
+        while keys.shape[0] < held.shape[0]:
+            have = np.diff(np.searchsorted(keys, firsts), append=keys.shape[0])
+            deficit = sizes[short] - have
+            need = np.flatnonzero(deficit)
+            tail = held[keys.shape[0]:]
+            tail[:] = np.repeat(firsts[need], deficit[need])
+            _add_draws(tail, m, rng)
+            # a sorted front and a short tail: timsort merges them in one pass
+            keys = _sorted_unique(held, kind="stable")
+        held -= packed
+        attrs[slots] = held
+    return BipartiteIncidence(n, m, set_indptr, attrs)
 
 
 def generate(params: ModelParams, rng: np.random.Generator):

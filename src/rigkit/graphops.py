@@ -20,10 +20,15 @@ n = 1e5, about 5% of the others.  The shared ones among them are then
 marked in a one-byte mask, graphgen._BLOCK entries at a time.  The build
 only reads the incidence, and beside it peaks near 0.65x its ids' bytes.
 
-Component labels come from min-label hook and compress on the core's
-attribute side, with numpy scatters and no second graph: the final label of
-a vertex is its component's smallest id, so the canonical numbering is a
-cumulative sum.  Outside the package, this module imports only numpy.
+Component labels start from a root: its component is the completed target
+ball of {root} (below), the ball that distances_from(root) then copies.
+Only the core attributes the ball did not reach, and their holders, go
+through min-label hook and compress, with numpy scatters and no second
+graph.  Rooted at an instance's apex, the ball holds the giant, about 95%
+of the vertices at n = 1e5, so the hook runs on a small remainder.  The
+final label of a vertex is its component's smallest id, so the canonical
+numbering is a cumulative sum.  Outside the package, this module imports
+only numpy.
 
 Searches alternate vertex-side and attribute-side frontiers; an
 intersection-graph hop is two bipartite hops.  This keeps hub cliques
@@ -41,8 +46,9 @@ attribute (the count of the attribute's nearest holder).  It makes no via
 or owner choice, so it needs no sort: each level is scattered into the
 count arrays and read back with np.flatnonzero.  The ball of the last set
 asked about stays in the core, so the searches of one trial that share
-their targets share its levels, and distances_from(u) is the completed
-ball of {u}: the hub distances leave behind the ball that the escapes to
+their targets share its levels, and components(root) and
+distances_from(u) complete the ball of {root} or {u}: the component labels
+leave behind the ball that the hub distances copy and the escapes to
 {u_max} then use.
 
 nearest_routes answers many sources at once.  Each source's forward search
@@ -123,9 +129,9 @@ class TraversalCore:
     attr_vertices list each core attribute's holders, sorted.  visited[side]
     (length n) and seen[side] (length num_attrs) are all False between
     queries.  ball is the target ball of the last source set that
-    nearest_routes or distances_from asked about (it has no sources before
-    the first).  The incidence is read once, here, left as it was, and not
-    kept.
+    nearest_routes, distances_from or components asked about (it has no
+    sources before the first).  The incidence is read once, here, left as
+    it was, and not kept.
 
     Both sides come from packed int64 sorts: attribute * n + vertex of the
     candidate entries (_shared_entries), then vertex * num_attrs + core id.
@@ -427,21 +433,35 @@ def _check_vertex(core: TraversalCore, x: int) -> None:
         raise ValueError(f"vertex {x} out of range")
 
 
-def components(core: TraversalCore) -> ComponentLabeling:
+def _complete_ball(core: TraversalCore, u: int) -> _TargetBall:
+    """The cached target ball of {u}, grown until it holds u's component."""
+    _check_vertex(core, u)
+    ball = core.ball_around(np.array([u], dtype=np.int64))
+    while ball.frontier.size:
+        ball.grow()
+    return ball
+
+
+def components(core: TraversalCore, root: int) -> ComponentLabeling:
     """Label connected components of the intersection graph.
 
-    Min-label hook and compress (Shiloach-Vishkin) on the core's
-    attribute side.  label starts as the identity and stays a forest of
-    pointers to smaller ids whose roots point to themselves.  Each round
-    scatters, with np.minimum.at over the core entries, every holder's label
-    onto its attribute and every attribute's smallest label back onto its
-    holders, which gives the smallest label each vertex sees.  When no
-    vertex sees a label below its own, every edge joins equal labels and the
-    loop stops.  Otherwise each root is hooked to the smallest label that a
-    vertex labelled with it sees below it, and pointer jumping (label =
-    label[label] until it stops changing) compresses the forest so that
-    every label is a root again.  Labels only decrease, and a round that
-    hooks leaves fewer roots, so the loop ends after at most n rounds.
+    root's component comes from the completed target ball of {root}, the
+    ball that distances_from(core, root) then copies: its members get the
+    label of the smallest of them.  The rest of the graph is every core
+    attribute the ball did not reach and their holders, and there labels
+    come from min-label hook and compress (Shiloach-Vishkin).  label starts
+    as the identity and stays a forest of pointers to smaller ids whose
+    roots point to themselves.  Each round scatters, with np.minimum.at
+    over the rest's entries, every holder's label onto its attribute and
+    every attribute's smallest label back onto its holders, which gives the
+    smallest label each vertex sees.  When no vertex sees a label below its
+    own, every edge joins equal labels and the loop stops.  Otherwise each
+    root is hooked to the smallest label that a vertex labelled with it
+    sees below it, and pointer jumping (label = label[label] until it stops
+    changing) compresses the forest so that every label is a root again.
+    Labels only decrease, and a round that hooks leaves fewer roots, so the
+    loop ends after at most n rounds.  Rooted at the apex of an instance,
+    the ball holds the giant and the hook runs on a small remainder.
 
     A label is always a vertex of its own component and never exceeds the
     vertex's id, so the final label is the component's smallest vertex id,
@@ -449,17 +469,20 @@ def components(core: TraversalCore) -> ComponentLabeling:
     then the count of roots up to its own, minus one: a cumulative sum, with
     no sort.
     """
+    ball = _complete_ball(core, root)
     # labels and attribute numbers fit in int32 below 2**31, which halves
-    # the core-length temporaries of each round
+    # the temporaries of each round
     small = np.int32 if max(core.n, core.num_attrs) < 2**31 else np.int64
     ids = np.arange(core.n, dtype=small)
     label = ids.copy()
-    attr_of = np.repeat(np.arange(core.num_attrs, dtype=small), np.diff(core.attr_indptr))
+    rest = np.flatnonzero(ball.adist == UNREACHED)
+    holders, lens = concat_ranges(core.attr_indptr, core.attr_vertices, rest)
+    attr_of = np.repeat(np.arange(rest.shape[0], dtype=small), lens)
     while True:
-        amin = np.full(core.num_attrs, core.n, dtype=small)
-        np.minimum.at(amin, attr_of, label[core.attr_vertices])
+        amin = np.full(rest.shape[0], core.n, dtype=small)
+        np.minimum.at(amin, attr_of, label[holders])
         sees = label.copy()
-        np.minimum.at(sees, core.attr_vertices, amin[attr_of])
+        np.minimum.at(sees, holders, amin[attr_of])
         lower = sees < label
         if not lower.any():
             break
@@ -467,6 +490,7 @@ def components(core: TraversalCore) -> ComponentLabeling:
         jumped = label[label]
         while not np.array_equal(jumped, label):
             label, jumped = jumped, jumped[jumped]
+    label[ball.inside] = np.argmax(ball.inside)  # the ball's smallest member
     labels = (np.cumsum(label == ids) - 1)[label]
     sizes = np.bincount(labels)
     giant = int(np.argmax(sizes))  # first max, i.e. smallest label
@@ -527,11 +551,7 @@ def distances_from(core: TraversalCore, u: int) -> np.ndarray:
     its distances, so that later routes to [u] (nearest_routes) start from a
     full ball.
     """
-    _check_vertex(core, u)
-    ball = core.ball_around(np.array([u], dtype=np.int64))
-    while ball.frontier.size:
-        ball.grow()
-    return ball.dist.copy()
+    return _complete_ball(core, u).dist.copy()
 
 
 def _reach_ball(core: TraversalCore, ball: _TargetBall, source: int):

@@ -272,7 +272,9 @@ class Trial:
 
     Built from the trial index, params, seed, the stream left to draw from,
     the incidence and the weights, with the ladder's hub_floor.  The core is
-    built once from the incidence, which is not kept.  Callers draw pairs
+    built once from the incidence, which is not kept.  The components are
+    labelled from the apex u_max, which leaves the core's ball the complete
+    ball of {u_max}, so hub_samples' hub BFS is a copy.  Callers draw pairs
     before hub vertices.  Two constructors supply an instance: generated
     draws it from the config's stream, and from_file reads a graph file.
     """
@@ -282,8 +284,8 @@ class Trial:
         self.trial, self.params, self.seed, self.rng = trial, params, seed, rng
         self.weights = weights
         self.core = TraversalCore(inc)
-        self.comp = components(self.core)
         self.dec = decompose(weights, thresholds(params.n, params.alpha, params.c0, hub_floor))
+        self.comp = components(self.core, self.dec.u_max)
         self.giant_size = int(self.comp.sizes[self.comp.giant])
         labels, giant = self.comp.labels, self.comp.giant
         self.u_max_in_giant = bool(labels[self.dec.u_max] == giant)
@@ -331,12 +333,12 @@ class Trial:
         """Exact hub distance and certificate of count uniform vertices.
 
         Returns (degenerate, error, samples), samples listing (v, exact, cert)
-        with exact None off u_max's component.  One BFS out of u_max gives
-        every exact distance.  One nearest_routes call then finds the escape
-        of every drawn vertex and of u_max at once, and the target ball keeps
-        them, so each escape that a certificate makes is a lookup.  When the
-        ladder has no escape targets nothing is drawn: error holds the
-        LadderError text.
+        with exact None off u_max's component.  One BFS out of u_max, run
+        when the trial labelled its components, gives every exact distance.
+        One nearest_routes call then finds the escape of every drawn vertex
+        and of u_max at once, and the target ball keeps them, so each escape
+        that a certificate makes is a lookup.  When the ladder has no escape
+        targets nothing is drawn: error holds the LadderError text.
         """
         try:
             targets, degenerate = self.dec.escape_targets()

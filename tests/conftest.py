@@ -15,14 +15,16 @@ from rigkit.model import ModelParams, trial_rng
 @pytest.fixture(scope="session")
 def each_block():
     """Run a check as is, then with graphgen's and graphops' in-place passes
-    working 1, 2 and 7 entries at a time, so that small inputs cross many
-    block boundaries and top-up rounds."""
+    working 1, 2 and 7 entries at a time and the sampler's runs 1, 5 and 16
+    entries long, so that small inputs cross many block boundaries, runs of
+    several vertices and top-up rounds."""
     def run(check):
         check()
-        for block in (1, 2, 7):
+        for block, run_size in ((1, 1), (2, 5), (7, 16)):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(graphgen, "_BLOCK", block)
                 mp.setattr(graphops, "_BLOCK", block)
+                mp.setattr(graphgen, "_RUN", run_size)
                 check()
     return run
 

@@ -69,9 +69,9 @@ def battery40():
         for trial in range(20):
             rng = trial_rng(SEED, n, trial)
             inc, w = generate(params, rng)
-            comp = components(TraversalCore(inc))
             dec = decompose(w, th)
             um = dec.u_max
+            comp = components(TraversalCore(inc), um)
             v0 = dec.hub_core
             rows.append({
                 "frac": comp.giant_fraction(),
@@ -93,10 +93,10 @@ def hub_battery():
     params = ModelParams(n=n, m=default_attribute_count(n), alpha=ALPHA, c0=C0)
     inc, w = generate(params, trial_rng(SEED, n, 0))
     core = TraversalCore(inc)
-    comp = components(core)
     th = thresholds(n, ALPHA, C0)
     dec = decompose(w, th)
     um = dec.u_max
+    comp = components(core, um)
     giant = comp.giant_vertices()
 
     pair_rng = trial_rng(SEED, n, 10**6)
@@ -125,7 +125,7 @@ def median_ladder():
                              alpha=ALPHA, c0=C0)
         inc, _ = generate(params, trial_rng(SEED, n, 0))
         core = TraversalCore(inc)
-        comp = components(core)
+        comp = components(core, int(np.argmax(inc.sizes())))
         giant = comp.giant_vertices()
         prng = trial_rng(SEED, n, 10**6)
         hops = []
@@ -197,7 +197,7 @@ def test_criterion_03_small_instance_oracles():
         adj = adjacency_matrix(inc)
         core = TraversalCore(inc)
 
-        comp = components(core)
+        comp = components(core, trial)
         comp_bad += not np.array_equal(comp.labels, component_labels_bfs(adj))
 
         hops = all_pairs_hops(adj)

@@ -178,6 +178,12 @@ def size_plans(draw):
 @given(size_plans(), st.integers(0, 2**32 - 1))
 @example((3, np.array([0, 3, 1, 3, 0])), 0)
 @example((2**56, np.array([0, 0, 40, 1, 0])), 0)
+# a set longer than a default run, and empty vertices at a run's edges
+@example((2**40, np.array([0, 3, 40000, 0, 5])), 0)
+@example((2**40, np.array([30000, 2768, 0, 0, 5, 0])), 1)
+@example((2**20, np.array([30000, 2768, 0, 0, 40, 0, 0])), 2)
+# under each_block's runs of 5 and 16: edges at empty vertices, top-ups
+@example((4, np.array([2, 3, 0, 0, 4, 1, 0, 3, 4, 0, 2])), 3)
 def test_sample_incidence_matches_reference(each_block, plan, seed):
     m, sizes = plan
 
@@ -210,10 +216,10 @@ def test_sample_incidence_golden_1e5():
 
 
 def test_instance_build_memory():
-    # Peak traced bytes, against the incidence's own: the sampler works in
-    # one buffer of the incidence's length and tops up only the short
-    # vertices' slots, and the core build holds one packed key array and a
-    # one-byte mask beside it.
+    # Peak traced bytes, against the incidence's own: the sampler draws into
+    # the incidence's ids with run-sized temporaries and tops up only the
+    # short vertices' slots, and the core build holds one packed key array
+    # and a one-byte mask beside it.
     n = 100_000
     params = ModelParams(n=n, m=default_attribute_count(n), alpha=0.8, c0=1.0)
     rng = trial_rng(1, n, 0)
@@ -231,7 +237,8 @@ def test_instance_build_memory():
         tracemalloc.stop()
     size = inc.set_attrs.nbytes
     assert sampler_peak - base <= 1.5 * size
-    assert sampler_peak - base <= 1.15 * size  # 1.09x measured
+    assert sampler_peak - base <= 1.15 * size
+    assert sampler_peak - base <= 1.08 * size  # 1.05x measured
     assert core_peak - base_core <= 1.75 * size
 
 

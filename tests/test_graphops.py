@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from rigkit import graphops
 from rigkit.graphgen import BipartiteIncidence, generate
 from rigkit.graphops import (
     UNREACHED,
@@ -12,7 +15,8 @@ from rigkit.graphops import (
     nearest_of,
     unique_edges,
 )
-from rigkit.model import ModelParams, trial_rng
+from rigkit.hubnav import decompose, thresholds
+from rigkit.model import ModelParams, default_attribute_count, trial_rng
 
 from oracles import (
     adjacency_matrix,
@@ -41,7 +45,7 @@ def test_path_graph_distances():
 
 def test_disconnected_components():
     core = TraversalCore(BipartiteIncidence.from_sets(5, 10, [[0], [0], [5], [5], []]))
-    comp = components(core)
+    comp = components(core, 2)
     assert comp.count == 3
     assert comp.labels.tolist() == [0, 0, 1, 1, 2]
     assert comp.sizes.tolist() == [2, 2, 1]
@@ -55,15 +59,16 @@ def test_disconnected_components():
 def test_components_canonical_order():
     # vertex 0 must always carry label 0, first unseen vertex the next label
     inc = BipartiteIncidence.from_sets(6, 20, [[3], [7], [3], [9], [7], [9]])
-    comp = components(TraversalCore(inc))
-    assert comp.labels.tolist() == [0, 1, 0, 2, 1, 2]
+    for root in range(6):
+        comp = components(TraversalCore(inc), root)
+        assert comp.labels.tolist() == [0, 1, 0, 2, 1, 2]
 
 
 def test_components_match_bfs_oracle(small_instances):
     for params, inc, w in small_instances:
         adj = adjacency_matrix(inc)
         expect = component_labels_bfs(adj)
-        got = components(TraversalCore(inc))
+        got = components(TraversalCore(inc), int(np.argmax(inc.sizes())))
         assert np.array_equal(got.labels, expect)
         assert np.array_equal(got.sizes, np.bincount(expect))
 
@@ -129,13 +134,24 @@ LONG_DIAMETER = {
 
 
 @pytest.mark.parametrize("name", sorted(LONG_DIAMETER))
-def test_components_large_diameter_match_bfs_oracle(name):
+def test_components_large_diameter_match_bfs_oracle(name, monkeypatch):
+    # roots at both ends, in the middle, isolated (joined-paths and no-core
+    # have one) and drawn; the ball of each is left complete, so
+    # distances_from(root) only copies it
     inc = LONG_DIAMETER[name]
-    expect = component_labels_bfs(adjacency_matrix(inc))
-    got = components(TraversalCore(inc))
-    assert np.array_equal(got.labels, expect)
-    assert np.array_equal(got.sizes, np.bincount(expect))
-    assert got.giant == int(np.argmax(np.bincount(expect)))
+    adj = adjacency_matrix(inc)
+    expect = component_labels_bfs(adj)
+    core = TraversalCore(inc)
+    isolated = np.flatnonzero(inc.sizes() == 0)[:1]
+    drawn = trial_rng(17, inc.n, 0).choice(inc.n, size=3, replace=False)
+    for root in [0, inc.n // 2, inc.n - 1, *isolated.tolist(), *drawn.tolist()]:
+        got = components(core, root)
+        assert np.array_equal(got.labels, expect)
+        assert np.array_equal(got.sizes, np.bincount(expect))
+        assert got.giant == int(np.argmax(np.bincount(expect)))
+        with monkeypatch.context() as mp:
+            mp.setattr(graphops._TargetBall, "grow", None)  # a call raises TypeError
+            assert np.array_equal(distances_from(core, root), pair_hops_python(adj, root))
 
 
 def test_distances_match_floyd_warshall(small_instances):
@@ -181,7 +197,7 @@ def test_shortest_path_is_a_real_walk(small_instances):
 def test_finite_distance_iff_same_component(small_instances):
     params, inc, w = small_instances[1]
     core = TraversalCore(inc)
-    comp = components(core)
+    comp = components(core, 0)
     d = distances_from(core, 0)
     same = comp.labels == comp.labels[0]
     assert np.array_equal(d != UNREACHED, same)
@@ -226,3 +242,27 @@ def test_multi_vertex_attribute_is_a_clique():
     e = unique_edges(core)
     assert e.tolist() == [[0, 1], [0, 2], [1, 2]]
     assert bfs_distance(core, 0, 2).hops == 1
+
+
+def test_components_memory_beyond_the_ball():
+    # Peak traced bytes of components(core, u_max) once its ball is
+    # complete, against the core's attr_vertices bytes: the hook runs on
+    # what the ball did not reach.  A hook over the whole core peaks near
+    # 1.71x, and a core-length int64 gather such as ball.adist[attr_of]
+    # alone adds 1.0x.
+    n = 100_000
+    params = ModelParams(n=n, m=default_attribute_count(n), alpha=0.8, c0=1.0)
+    inc, w = generate(params, trial_rng(1, n, 0))
+    core = TraversalCore(inc)
+    del inc
+    u_max = decompose(w, thresholds(n, 0.8, 1.0)).u_max
+    distances_from(core, u_max)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        comp = components(core, u_max)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert comp.labels[u_max] == comp.giant
+    assert peak - base <= 1.2 * core.attr_vertices.nbytes  # 0.90x measured

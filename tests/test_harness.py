@@ -16,7 +16,8 @@ from rigkit.harness import ConfigError, ExperimentConfig
 from rigkit.model import default_attribute_count, iterated_log, trial_rng
 from rigkit.storage import file_checksum, read_graph, write_graph
 
-from oracles import traversal_core_two_sorts
+from oracles import (adjacency_matrix, component_labels_bfs, pair_hops_python,
+                     traversal_core_two_sorts)
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -199,6 +200,47 @@ def test_trial_keeps_one_core_from_either_graph_file(tmp_path):
     degenerate, error, samples = binary.hub_samples(30)
     assert error is None and len(samples) == 30
     assert (degenerate, error, samples) == text.hub_samples(30)
+
+
+def test_trial_leaves_the_complete_ball_of_u_max(tmp_path, monkeypatch):
+    # components runs the hub BFS, so the core's ball is the complete ball
+    # of {u_max}, and distances_from(u_max) in hub_samples only copies it
+    from rigkit import graphops
+
+    cfg = cfg_with(tmp_path, n_values=[2000], hub_floor=20.0, seed=1)
+    path = os.path.join(cfg.out_dir, harness.run_generate(cfg)[0]["path"])
+    adj = adjacency_matrix(read_graph(path)[0])
+    trials = [harness.Trial.generated(cfg, 2000, 0), harness.Trial.from_file(cfg, path, 0)]
+    monkeypatch.setattr(graphops._TargetBall, "grow", None)  # a call raises TypeError
+    for t in trials:
+        u_max = t.dec.u_max
+        want = pair_hops_python(adj, u_max)
+        ball = t.core.ball
+        assert ball.sources.tolist() == [u_max] and ball.frontier.size == 0
+        assert np.array_equal(ball.dist, want)
+        assert np.array_equal(graphops.distances_from(t.core, u_max), want)
+
+
+# the apex, vertex 3, holds only attributes of its own: it is isolated, and
+# the giant is {0, 1, 2}; scripts/same_output_sweep.py runs the same graph
+ISOLATED_APEX_SETS = [[0], [0, 1], [1], [10, 11, 12, 13, 14, 15], [2], [2], [3], []]
+
+
+def test_isolated_apex_graph_file(tmp_path):
+    inc = BipartiteIncidence.from_sets(8, 20, ISOLATED_APEX_SETS)
+    path = str(tmp_path / "isolated-apex.rig")
+    write_graph(path, inc, alpha=0.8, c0=1.0, seed=3)
+    cfg = cfg_with(tmp_path, n_values=[8])
+    t = harness.Trial.from_file(cfg, path, 0)
+    assert t.dec.u_max == 3 and t.u_max_in_giant is False
+    assert np.array_equal(t.comp.labels, component_labels_bfs(adjacency_matrix(inc)))
+    analyze = harness.run_analyze(cfg, t)
+    assert (analyze["u_max"], analyze["components"], analyze["giant_size"]) == (3, 5, 3)
+    hub = harness.run_hubpath(cfg, t)
+    assert hub["u_max"] == 3 and hub["u_max_in_giant"] is False
+    assert all(s["v"] == 3 or s["exact"] is None for s in hub["samples"])
+    jsonschema.validate(analyze, report_schema())
+    jsonschema.validate(hub, report_schema())
 
 
 def test_file_trial_draws_from_the_config_seed(tmp_path):

@@ -72,12 +72,22 @@ def test_distances_from_match_python_bfs(inc):
 
 
 @PROPS
-@given(incidences())
-def test_component_labels_match_queue_bfs(inc):
-    expect = component_labels_bfs(adjacency_matrix(inc))
-    comp = components(TraversalCore(inc))
+@given(incidences(), st.data())
+def test_component_labels_match_queue_bfs(inc, data):
+    # the root may be isolated or in a small component; its ball is left
+    # complete, so distances_from(root) only copies it
+    adj = adjacency_matrix(inc)
+    expect = component_labels_bfs(adj)
+    root = data.draw(st.integers(0, inc.n - 1))
+    core = TraversalCore(inc)
+    comp = components(core, root)
     assert np.array_equal(comp.labels, expect)
     assert np.array_equal(comp.sizes, np.bincount(expect))
+    assert comp.giant == int(np.argmax(np.bincount(expect)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphops._TargetBall, "grow", None)  # a call raises TypeError
+        assert np.array_equal(distances_from(core, root), pair_hops_python(adj, root))
+    assert masks_clear(core)
 
 
 @PROPS
