@@ -4,7 +4,7 @@ Usage, from the root of a rigkit source tree:
 
     python3 scripts/same_output_sweep.py ROOT [--src DIR]
 
-Runs 198 CLI commands, one fresh interpreter each, with the rigkit package
+Runs 204 CLI commands, one fresh interpreter each, with the rigkit package
 in DIR (default: this tree's src/):
 
 * distances, hubpath, analyze and a two-trial experiment, in JSON and in
@@ -15,7 +15,9 @@ in DIR (default: this tree's src/):
 * generate at n = 2000 with a pool of m = 2000, seeds {1, 5, 9}, as a
   binary graph file, then analyze on each file: the largest sets are a
   sizeable share of the pool, so the sampler's top-up runs several rounds
-  (6, 1 and 1);
+  (6, 1 and 1); and the same cells sampled by analyze itself, with the
+  attribute-major sampler, beside a two-trial experiment at n = 300 with
+  a pool of m = 300 (top-up rounds 1 and 3, 1 and 1, 1 and 2);
 * hubpath at n = 100000 with 400 samples, seeds {51, 53, 56}, where the
   ladder has a rung (k* = 1), so the climbs walk a real ladder; at the
   smaller n every certificate is degenerate (k* = 0);
@@ -129,6 +131,11 @@ def commands(bounds_config: str) -> list:
         cmds.append((f"analyze-graph/{cell}",
                      ["analyze", "--graph", f"generate/{cell}/graph_n2000_t0.rig",
                       "--seed", str(seed)]))
+        cmds.append((f"analyze/{cell}",
+                     ["analyze", "-n", "2000", "--m", "2000", "--seed", str(seed)]))
+        cmds.append((f"experiment/n300-m300-s{seed}",
+                     ["experiment", "-n", "300", "--m", "300", "--seed", str(seed),
+                      "--trials", "2"]))
     for seed in LADDER_SEEDS:
         for fmt in FORMATS:
             cmds.append((f"hubpath/n100000-s{seed}-{fmt}",

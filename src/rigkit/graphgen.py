@@ -1,24 +1,35 @@
 """Sampling and storage layout for the bipartite vertex-attribute incidence.
 
-A graph instance is stored once, as a vertex-major CSR: each vertex's
-attribute ids, strictly increasing, back to back in vertex order.  Graph
-files hold the same layout.  The attribute pool can be enormous (the default
-m-rule gives m ~ n ln^2 n ln ln n), so nothing here ever allocates an array
-of length m.  The attribute side is not stored: graphops.TraversalCore
-builds it from an incidence, for the attributes held by two or more
-vertices only.
+An incidence is read as a vertex-major CSR: each vertex's attribute ids,
+strictly increasing, back to back in vertex order.  Graph files hold that
+layout.  A generated instance is sampled attribute-major instead, as the
+sorted keys attr * n + vertex of its entries, because graphops.TraversalCore
+reads its core straight off those keys; its vertex-major ids are derived
+from the keys, with one sort, only when something reads them.  The
+attribute pool can be enormous (the default m-rule gives
+m ~ n ln^2 n ln ln n), so nothing here ever allocates an array of length m.
 The vertex-vertex edge list is likewise never materialized: heavy vertices
 share attributes with thousands of others and the induced cliques would blow
 up memory, so traversals run on the bipartite structure.
 
-The sampler draws every vertex's attributes straight into the incidence's
-id array, in its final slots, one run of whole vertices and about _RUN
-(2**15) entries at a time.  A run is offset by vertex, sorted while it sits
-in cache and offset back, which leaves each vertex's draws sorted in its
-own slots and puts every repeated draw next to its twin.  Only the slots
-of vertices with a repeat are gathered, topped up and written back.  Every
-temporary is run-sized, _BLOCK entries long or those few slots long, so
-building an instance peaks near 1.05x the incidence's bytes.
+Two samplers draw the same sets from the same stream.  Each vertex draws its
+quota in vertex order, and a vertex whose draws repeat draws its shortfall
+in top-up rounds, short vertices in ascending order.
+
+* sample_incidence (vertex-major, for graph files and the bound suites)
+  draws every vertex's attributes straight into the incidence's id array,
+  in its final slots, one run of whole vertices and about _RUN (2**15)
+  entries at a time.  A run is offset by vertex, sorted while it sits in
+  cache and offset back, which leaves each vertex's draws sorted in its own
+  slots and puts every repeated draw next to its twin.  Only the slots of
+  vertices with a repeat are gathered, topped up and written back.  Every
+  temporary is run-sized, _BLOCK entries long or those few slots long, so
+  building an instance peaks near 1.05x the incidence's bytes.
+* sample_keys (attribute-major, for generate) packs each draw as
+  attr * n + vertex, _RUN entries at a time, sorts the whole array in place
+  once and compacts away the repeats, which tell each vertex's shortfall.
+  Each top-up round draws into the tail, and a stable sort merges the
+  sorted front with it.  It peaks near 1.05x its keys' bytes.
 """
 
 from __future__ import annotations
@@ -30,20 +41,22 @@ from .model import ModelParams, VertexWeights, sample_tilde_weights
 __all__ = [
     "BipartiteIncidence",
     "sample_incidence",
+    "sample_keys",
     "generate",
     "concat_ranges",
 ]
 
-# Largest n*m for which the packed keys vertex*m + attr (sampler) and
-# attr*n + vertex (traversal core) fit in int64 with headroom.
+# Largest n*m for which the packed keys vertex*m + attr and attr*n + vertex
+# fit in int64 with headroom.
 PACK_LIMIT = 2**62
 
 # Entries per step of the passes that work in place on an incidence-length
 # array: each step allocates only block-sized temporaries.
 _BLOCK = 1 << 18
 
-# Entries per sampler run: a run's keys and offsets stay in cache while it
-# sorts them.
+# Entries per run of the passes that keep a run in cache while they work on
+# it: the samplers' draws, the compaction of _sorted_unique and the
+# vertex-major view of keys.  Their temporaries are a run long.
 _RUN = 1 << 15
 
 
@@ -69,6 +82,41 @@ def concat_ranges(indptr: np.ndarray, data: np.ndarray, items: np.ndarray):
     return data[idx], lens
 
 
+def _owners(indptr: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """The vertex of every entry start..stop-1 (start < stop) of a
+    vertex-major layout: one np.repeat over the vertices that hold them."""
+    first, last = np.searchsorted(indptr, [start, stop - 1], side="right") - 1
+    bounds = np.clip(indptr[first:last + 2], start, stop)
+    return np.repeat(np.arange(first, last + 1, dtype=np.int64), np.diff(bounds))
+
+
+def _vertex_major(keys: np.ndarray, n: int, m: int, indptr: np.ndarray) -> np.ndarray:
+    """The vertex-major ids of sorted attr * n + vertex keys.
+
+    One in-place sort of vertex * m + attr, packed from the keys and unpacked
+    against the owners _RUN entries at a time, so that beside the result
+    only run-sized temporaries exist.
+    """
+    ids = np.empty_like(keys)
+    scratch = np.empty(min(_RUN, keys.shape[0]), dtype=np.int64)
+    for start in range(0, keys.shape[0], _RUN):
+        block = keys[start:start + _RUN]
+        out, verts = ids[start:start + _RUN], scratch[:block.shape[0]]
+        np.floor_divide(block, n, out=out)
+        # vertex = key - attr * n: cheaper than the remainder np.divmod takes
+        np.multiply(out, n, out=verts)
+        np.subtract(block, verts, out=verts)
+        verts *= m
+        out += verts
+    ids.sort()
+    for start in range(0, ids.shape[0], _RUN):
+        out = ids[start:start + _RUN]
+        firsts = _owners(indptr, start, start + out.shape[0])
+        firsts *= m
+        out -= firsts
+    return ids
+
+
 class BipartiteIncidence:
     """Vertex-major CSR incidence: each vertex's attribute ids, sorted.
 
@@ -79,14 +127,26 @@ class BipartiteIncidence:
     set_indptr : (n+1,) int64
         Row pointer for per-vertex attribute lists.
     set_attrs : int64
-        Original attribute ids, strictly increasing within each vertex.
+        Original attribute ids, strictly increasing within each vertex.  A
+        keyed incidence derives them from its keys on first read and keeps
+        them.
+    keys : int64 or None
+        Every entry as attr * n + vertex, sorted, when the incidence was
+        sampled attribute-major (sample_keys); None otherwise.
     """
 
-    def __init__(self, n, m, set_indptr, set_attrs):
+    def __init__(self, n, m, set_indptr, set_attrs=None, keys=None):
         self.n = int(n)
         self.m = int(m)
         self.set_indptr = set_indptr
-        self.set_attrs = set_attrs
+        self._set_attrs = set_attrs
+        self.keys = keys
+
+    @property
+    def set_attrs(self) -> np.ndarray:
+        if self._set_attrs is None:
+            self._set_attrs = _vertex_major(self.keys, self.n, self.m, self.set_indptr)
+        return self._set_attrs
 
     # -- construction ------------------------------------------------------
 
@@ -142,7 +202,7 @@ class BipartiteIncidence:
 
     @property
     def total_incidence(self) -> int:
-        return self.set_attrs.shape[0]
+        return int(self.set_indptr[-1])
 
     def set_of(self, v: int) -> np.ndarray:
         """Sorted original attribute ids of vertex v."""
@@ -166,32 +226,39 @@ class BipartiteIncidence:
                 f"incidence={self.total_incidence})")
 
 
-def _sorted_unique(keys: np.ndarray, kind=None) -> np.ndarray:
+def _sorted_unique(keys: np.ndarray, kind=None, repeats=None) -> np.ndarray:
     """Sorted distinct values of a 1-d array, as np.unique returns them.
 
     Sorts keys in place with the given np.sort kind, so callers pass an
     array they own and no longer need, then moves each entry that differs
-    from its predecessor to the front of keys, _BLOCK entries at a time, and
+    from its predecessor to the front of keys, _RUN entries at a time, and
     returns a view of that front.  Nothing of the input's length is
     allocated, and for large integer arrays this is far cheaper than numpy's
-    hash-based np.unique.
+    hash-based np.unique.  When repeats is a list, each block's dropped
+    entries are appended to it.
     """
     keys.sort(kind=kind)
     size = 0
-    for start in range(0, keys.shape[0], _BLOCK):
-        block = keys[start:start + _BLOCK]
+    for start in range(0, keys.shape[0], _RUN):
+        block = keys[start:start + _RUN]
         keep = np.empty(block.shape[0], dtype=bool)
         # the last kept value equals the previous block's last entry
         keep[0] = size == 0 or block[0] != keys[size - 1]
         np.not_equal(block[1:], block[:-1], out=keep[1:])
-        kept = block[keep]
-        keys[size:size + kept.shape[0]] = kept
+        if keep.all():  # most blocks of sampled keys: move them, if at all, whole
+            kept = block
+        else:
+            kept = block[keep]
+            if repeats is not None:
+                repeats.append(block[~keep])
+        if kept is not block or size < start:
+            keys[size:size + kept.shape[0]] = kept
         size += kept.shape[0]
     return keys[:size]
 
 
-def _add_draws(keys: np.ndarray, m: int, rng: np.random.Generator) -> None:
-    """Add an iid uniform attribute in [0, m) to every key, in place.
+def _add_draws(keys: np.ndarray, m: int, rng: np.random.Generator, scale: int = 1) -> None:
+    """Add scale times an iid uniform attribute in [0, m) to every key, in place.
 
     The draws are taken _BLOCK at a time; numpy's bounded integers keep no
     state between calls, so the blocks consume the stream exactly as one
@@ -199,7 +266,22 @@ def _add_draws(keys: np.ndarray, m: int, rng: np.random.Generator) -> None:
     """
     for start in range(0, keys.shape[0], _BLOCK):
         block = keys[start:start + _BLOCK]
-        block += rng.integers(0, m, size=block.shape[0], dtype=np.int64)
+        block += rng.integers(0, m, size=block.shape[0], dtype=np.int64) * scale
+
+
+def _set_indptr(m: int, sizes: np.ndarray) -> np.ndarray:
+    """Row pointer of sets of the given sizes; ValueError, before anything
+    is drawn, for a size outside [0, m] or a pool with n * m >= 2**62, where
+    packed keys would overflow int64."""
+    n = sizes.shape[0]
+    if np.any(sizes < 0) or np.any(sizes > m):
+        raise ValueError("set sizes must lie in [0, m]")
+    if n * int(m) >= PACK_LIMIT:
+        raise ValueError(f"n * m = {n * int(m)} must stay below 2**62 so that "
+                         f"packed vertex-attribute keys fit in int64")
+    set_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(sizes, out=set_indptr[1:])
+    return set_indptr
 
 
 def _run_starts(set_indptr: np.ndarray) -> list:
@@ -238,17 +320,12 @@ def sample_incidence(m: int, sizes: np.ndarray, rng: np.random.Generator) -> "Bi
     uniform and mutually independent.  Each list ends strictly increasing
     by construction, so the incidence is built without a re-scan.  Pools
     with n*m >= 2**62, where the packed keys would overflow int64, raise
-    ValueError before anything is drawn.
+    ValueError before anything is drawn.  This is the layout that graph
+    files and the bound suites read; generate samples with sample_keys.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     n = sizes.shape[0]
-    if np.any(sizes < 0) or np.any(sizes > m):
-        raise ValueError("set sizes must lie in [0, m]")
-    if n * int(m) >= PACK_LIMIT:
-        raise ValueError(f"n * m = {n * int(m)} must stay below 2**62 so that "
-                         f"vertex * m + attribute fits in int64")
-    set_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(sizes, out=set_indptr[1:])
+    set_indptr = _set_indptr(m, sizes)
 
     attrs = np.empty(int(set_indptr[-1]), dtype=np.int64)
     repeated = np.zeros(n, dtype=bool)
@@ -283,13 +360,53 @@ def sample_incidence(m: int, sizes: np.ndarray, rng: np.random.Generator) -> "Bi
     return BipartiteIncidence(n, m, set_indptr, attrs)
 
 
+def sample_keys(m: int, sizes: np.ndarray, rng: np.random.Generator) -> "BipartiteIncidence":
+    """The sets of sample_incidence, from the same stream, sampled attribute-major.
+
+    Every vertex's draws are taken in vertex order, _RUN entries at a time,
+    and packed as attr * n + vertex; the whole array is sorted in place once
+    and _sorted_unique drops the repeats, which it hands back.  Each
+    vertex's shortfall is the count of its dropped keys.  A top-up round
+    draws the shortfalls into the tail, short vertices in ascending order,
+    and a stable sort merges the sorted front with that short tail before
+    the repeats are dropped again.  The stream is thus consumed exactly as
+    sample_incidence consumes it, and every set and the next draw are the
+    same.  Returns a keyed incidence: its keys are sorted and distinct, and
+    its vertex-major ids are derived only when read.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    n = sizes.shape[0]
+    set_indptr = _set_indptr(m, sizes)
+    total = int(set_indptr[-1])
+    buf = np.empty(total, dtype=np.int64)
+    for start in range(0, total, _RUN):
+        block = buf[start:start + _RUN]
+        np.multiply(rng.integers(0, m, size=block.shape[0], dtype=np.int64), n, out=block)
+        block += _owners(set_indptr, start, start + block.shape[0])
+    repeats = []
+    keys = _sorted_unique(buf, repeats=repeats)
+    while repeats:
+        deficit = np.bincount(np.concatenate(repeats) % n, minlength=n)
+        short = np.flatnonzero(deficit)
+        tail = buf[keys.shape[0]:]
+        tail[:] = np.repeat(short, deficit[short])
+        _add_draws(tail, m, rng, scale=n)
+        repeats = []
+        # a sorted front and a short tail: timsort merges them in one pass
+        keys = _sorted_unique(buf, kind="stable", repeats=repeats)
+    return BipartiteIncidence(n, m, set_indptr, keys=buf)
+
+
 def generate(params: ModelParams, rng: np.random.Generator):
     """Sample a full instance: weights first, then all attribute subsets.
 
     Returns (incidence, weights).  The rng is consumed in a fixed order
     (one weight batch, then the subset batch), so a given (params, seed)
-    pair reproduces the instance bit for bit.
+    pair reproduces the instance bit for bit.  The subsets are drawn by
+    sample_keys, so the incidence is keyed: TraversalCore reads its keys,
+    and its vertex-major ids are sorted out of them only when something
+    reads set_attrs.
     """
     weights = sample_tilde_weights(params, rng)
-    inc = sample_incidence(params.m, weights.sizes, rng)
+    inc = sample_keys(params.m, weights.sizes, rng)
     return inc, weights

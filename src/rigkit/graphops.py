@@ -12,13 +12,17 @@ vertex for the attribute side and vertex * num_attrs + core id for the
 vertex side, and core attributes are numbered in increasing order of
 original id.  A one-sided search thus makes the same smallest-id parent
 choices, and traces the same paths, as it would on the full incidence.
-Only the entries that may be shared are packed for the first sort: a sorted
-copy of the ids, uint32 (half their bytes) while m <= 2**32, shows which
-attributes have a second holder, and a one-byte mark on each span of ids
-that holds one picks the candidates, which are every shared entry and, at
-n = 1e5, about 5% of the others.  The shared ones among them are then
-marked in a one-byte mask, graphgen._BLOCK entries at a time.  The build
-only reads the incidence, and beside it peaks near 0.65x its ids' bytes.
+A generated instance is sampled as those sorted attribute * n + vertex
+keys (graphgen.sample_keys), so its first sort is already done: the build
+reads the keys and peaks near 0.58x their bytes beside them.  An incidence
+read vertex-major, from a graph file, packs only the entries that may be
+shared for the first sort: a sorted copy of the ids, uint32 (half their
+bytes) while m <= 2**32, shows which attributes have a second holder, and
+a one-byte mark on each span of ids that holds one picks the candidates,
+which are every shared entry and, at n = 1e5, about 5% of the others; that
+build peaks near 0.65x the ids' bytes.  Either way the shared entries are
+then marked in a one-byte mask, graphgen._BLOCK entries at a time, and the
+incidence is only read.
 
 Component labels start from a root: its component is the completed target
 ball of {root} (below), the ball that distances_from(root) then copies.
@@ -80,7 +84,8 @@ from typing import Optional
 
 import numpy as np
 
-from .graphgen import _BLOCK, PACK_LIMIT, BipartiteIncidence, _sorted_unique, concat_ranges
+from .graphgen import (_BLOCK, PACK_LIMIT, BipartiteIncidence, _owners, _sorted_unique,
+                       concat_ranges)
 
 __all__ = [
     "ComponentLabeling",
@@ -131,12 +136,14 @@ class TraversalCore:
     queries.  ball is the target ball of the last source set that
     nearest_routes, distances_from or components asked about (it has no
     sources before the first).  The incidence is read once, here, left as
-    it was, and not kept.
+    it was, and not kept; a keyed incidence is read through its keys only,
+    so its vertex-major ids are not derived.
 
-    Both sides come from packed int64 sorts: attribute * n + vertex of the
-    candidate entries (_shared_entries), then vertex * num_attrs + core id.
-    Attribute ids are below m and num_attrs <= m, so every key stays below
-    n * m < PACK_LIMIT.
+    Both sides come from packed int64 keys: attribute * n + vertex, sorted,
+    which are a keyed incidence's own keys or else the candidate entries
+    packed and sorted here (_shared_entries), then vertex * num_attrs + core
+    id.  Attribute ids are below m and num_attrs <= m, so every key stays
+    below n * m < PACK_LIMIT.
     """
 
     def __init__(self, inc: BipartiteIncidence):
@@ -170,7 +177,7 @@ class TraversalCore:
 
 
 def _candidate_keys(inc: BipartiteIncidence) -> np.ndarray:
-    """Packed attribute * n + vertex keys of the entries that may be shared.
+    """Sorted attribute * n + vertex keys of the entries that may be shared.
 
     A sorted copy of the ids, as uint32 when every id fits (m <= 2**32, half
     the ids' bytes), shows the attributes with a second holder: the ids
@@ -182,7 +189,7 @@ def _candidate_keys(inc: BipartiteIncidence) -> np.ndarray:
     the others.  The candidates are packed in incidence order, _BLOCK
     entries at a time, into one array of exactly their count; each block
     takes its entries' owners from one np.repeat over its vertex range.
-    The incidence is only read.
+    The incidence is only read, and the keys come back sorted.
     """
     ids, total, m = inc.set_attrs, inc.total_incidence, inc.m
     vals = ids.astype(np.uint32 if m <= 2**32 else np.int64)
@@ -199,19 +206,16 @@ def _candidate_keys(inc: BipartiteIncidence) -> np.ndarray:
         candidate[start:start + _BLOCK] = marked[ids[start:start + _BLOCK] >> shift]
     del marked
     keys = np.empty(int(np.count_nonzero(candidate)), dtype=np.int64)
-    indptr = inc.set_indptr
     size = 0
     for start in range(0, total, _BLOCK):
         stop = min(start + _BLOCK, total)
-        # the owner of every entry in the block, from its vertex range
-        first, last = np.searchsorted(indptr, [start, stop - 1], side="right") - 1
-        bounds = np.clip(indptr[first:last + 2], start, stop)
-        owners = np.repeat(np.arange(first, last + 1, dtype=np.int64), np.diff(bounds))
+        owners = _owners(inc.set_indptr, start, stop)
         at = np.flatnonzero(candidate[start:stop])
         block = keys[size:size + at.shape[0]]
         np.multiply(ids[start:stop][at], inc.n, out=block)
         block += owners[at]
         size += at.shape[0]
+    keys.sort()
     return keys
 
 
@@ -221,14 +225,23 @@ def _shared_entries(inc: BipartiteIncidence):
     attr_vertices lists the holders of every attribute with two or more
     holders, attribute by attribute in increasing original id, each
     attribute's holders sorted; starts flags the first entry of each
-    attribute.  Only the candidate entries (_candidate_keys) are packed and
-    sorted; the shared ones among them are found _BLOCK entries at a time
-    with a one-byte mask.
+    attribute.  A keyed incidence's sorted keys are read as they are.
+    Otherwise only the candidate entries (_candidate_keys) are packed and
+    sorted.  Either way the shared entries are found _BLOCK entries at a
+    time with a one-byte mask.
     """
-    n = inc.n
-    keys = _candidate_keys(inc)
+    if inc.keys is not None:
+        return _shared_of_sorted(inc.keys, inc.n)
+    return _shared_of_sorted(_candidate_keys(inc), inc.n)
+
+
+def _shared_of_sorted(keys: np.ndarray, n: int):
+    """_shared_entries of sorted attr * n + vertex keys, which are only read.
+
+    The shared entries are copied out before anything else of their size is
+    made; a caller that passes keys it does not keep has them freed then.
+    """
     total = keys.shape[0]
-    keys.sort()
     # an entry is shared when its attribute is that of a neighbouring entry
     shared = np.empty(total, dtype=bool)
     for start in range(0, total, _BLOCK):

@@ -31,7 +31,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from . import storage
+from . import graphgen, storage
 from .graphgen import PACK_LIMIT, _sorted_unique, generate
 from .graphops import (UNREACHED, TraversalCore, bfs_distance, components, distances_from,
                        nearest_routes)
@@ -272,7 +272,9 @@ class Trial:
 
     Built from the trial index, params, seed, the stream left to draw from,
     the incidence and the weights, with the ladder's hub_floor.  The core is
-    built once from the incidence, which is not kept.  The components are
+    built once from the incidence, which is not kept: off the sorted keys of
+    a generated (keyed) incidence, whose vertex-major ids are then never
+    derived, or from a graph file's vertex-major ids.  The components are
     labelled from the apex u_max, which leaves the core's ball the complete
     ball of {u_max}, so hub_samples' hub BFS is a copy.  Callers draw pairs
     before hub vertices.  Two constructors supply an instance: generated
@@ -294,7 +296,9 @@ class Trial:
     @classmethod
     def generated(cls, cfg: ExperimentConfig, n: int, trial: int) -> "Trial":
         """Instance (n, trial) of the config: weights and subsets are the
-        first draws of trial_rng(cfg.seed, n, trial), which keeps drawing."""
+        first draws of trial_rng(cfg.seed, n, trial), which keeps drawing.
+        generate samples the subsets attribute-major, as the core reads
+        them."""
         params, rng = cfg.params_for(n), trial_rng(cfg.seed, n, trial)
         inc, weights = generate(params, rng)
         return cls(trial, params, cfg.seed, rng, inc, weights, cfg.hub_floor)
@@ -390,7 +394,13 @@ def _ratio(counts: dict, part: str, whole: str) -> Optional[float]:
 
 
 def run_generate(cfg: ExperimentConfig) -> list:
-    """Write one graph file per (n, trial) plus a metadata sidecar each."""
+    """Write one graph file per (n, trial) plus a metadata sidecar each.
+
+    A graph file is vertex-major, so the subsets are drawn by
+    sample_incidence, which samples that layout, and not by generate, whose
+    keyed incidence would have to sort its ids out again.  Both draw the
+    same instance from the same stream.
+    """
     os.makedirs(cfg.out_dir, exist_ok=True)
     ext = "rig" if cfg.graph_format == "binary" else "json"
     out = []
@@ -398,7 +408,8 @@ def run_generate(cfg: ExperimentConfig) -> list:
         params = cfg.params_for(n)
         for trial in range(cfg.trials):
             rng = trial_rng(cfg.seed, n, trial)
-            inc, _ = generate(params, rng)
+            weights = graphgen.sample_tilde_weights(params, rng)
+            inc = graphgen.sample_incidence(params.m, weights.sizes, rng)
             name = f"graph_n{n}_t{trial}.{ext}"
             path = os.path.join(cfg.out_dir, name)
             try:

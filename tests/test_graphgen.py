@@ -14,13 +14,14 @@ from rigkit.graphgen import (
     concat_ranges,
     generate,
     sample_incidence,
+    sample_keys,
 )
 from rigkit.graphops import TraversalCore, neighbors
 from rigkit.model import (ModelParams, default_attribute_count, sample_tilde_weights,
                           trial_rng)
 
 from oracles import (adjacency_matrix, explicit_sets, sample_incidence_reference,
-                     sample_subset, shares_attribute)
+                     sample_subset, shares_attribute, traversal_core_two_sorts)
 
 PROPS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -200,6 +201,45 @@ def test_sample_incidence_matches_reference(each_block, plan, seed):
     each_block(check)
 
 
+@PROPS
+@given(size_plans(), st.integers(0, 2**32 - 1))
+# dense sets near m: several top-up rounds, each vertex short again
+@example((6, np.array([6, 5, 6, 4, 6, 6])), 0)
+@example((40, np.array([40, 39, 0, 40, 38])), 1)
+# empty vertices only, around a set, and n = 1 with m = 1
+@example((5, np.array([0, 0, 0])), 0)
+@example((5, np.array([0, 0, 3, 0])), 0)
+@example((1, np.array([1])), 0)
+@example((1, np.array([0])), 0)
+# a set longer than a default run, with empty vertices beside it
+@example((2**40, np.array([0, 3, 40000, 0, 5])), 0)
+@example((4, np.array([2, 3, 0, 0, 4, 1, 0, 3, 4, 0, 2])), 3)
+def test_sample_keys_matches_sample_incidence(each_block, plan, seed):
+    m, sizes = plan
+
+    def check():
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        inc = sample_keys(m, sizes, rng)
+        want = sample_incidence(m, sizes, ref_rng)
+        # the next draw: both consume the stream alike
+        assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
+        n = sizes.shape[0]
+        assert np.array_equal(inc.keys, np.sort(want.set_attrs * n + np.repeat(
+            np.arange(n, dtype=np.int64), sizes)))
+        # the core reads the keys and leaves the vertex-major ids underived
+        core = TraversalCore(inc)
+        assert inc._set_attrs is None
+        two_sorts = traversal_core_two_sorts(want)
+        assert core.num_attrs == two_sorts["num_attrs"]
+        for name in ("attr_indptr", "attr_vertices", "set_indptr", "set_attrs"):
+            assert np.array_equal(getattr(core, name), two_sorts[name]), name
+        assert np.array_equal(inc.set_indptr, want.set_indptr)
+        assert np.array_equal(inc.set_attrs, want.set_attrs)
+        assert inc.set_attrs.dtype == np.int64
+        assert BipartiteIncidence.from_flat(n, m, sizes, inc.set_attrs) == want
+    each_block(check)
+
+
 def test_sample_incidence_golden_1e5():
     # sha256 of set_indptr || set_attrs, and the next draw: fixed seeds must
     # keep reproducing the same graphs and streams bit for bit
@@ -260,6 +300,38 @@ def test_core_build_memory():
     finally:
         tracemalloc.stop()
     assert peak - base <= 0.75 * inc.set_attrs.nbytes
+
+
+def test_keyed_build_memory():
+    # Peak traced bytes of the keyed path, against its keys' own: the
+    # sampler draws into the keys with run-sized temporaries and sorts them
+    # in place; the core build only reads them; the vertex-major ids, the
+    # view's one array of the keys' length, are packed, sorted and unpacked
+    # in place, run by run.
+    n = 100_000
+    params = ModelParams(n=n, m=default_attribute_count(n), alpha=0.8, c0=1.0)
+    rng = trial_rng(1, n, 0)
+    weights = sample_tilde_weights(params, rng)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        inc = sample_keys(params.m, weights.sizes, rng)
+        _, sampler_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        base_core, _ = tracemalloc.get_traced_memory()
+        core = TraversalCore(inc)
+        _, core_peak = tracemalloc.get_traced_memory()
+        del core
+        tracemalloc.reset_peak()
+        base_view, _ = tracemalloc.get_traced_memory()
+        inc.set_attrs
+        _, view_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = inc.keys.nbytes
+    assert sampler_peak - base <= 1.08 * size  # 1.05x measured
+    assert core_peak - base_core <= 0.65 * size  # 0.58x measured
+    assert view_peak - base_view <= 1.1 * size  # 1.03x measured
 
 
 def test_from_flat_validation():

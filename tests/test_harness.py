@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigkit import cli, harness, report_schema
+from rigkit import cli, graphgen, harness, report_schema
 from rigkit.graphgen import BipartiteIncidence
 from rigkit.graphops import TraversalCore
 from rigkit.harness import ConfigError, ExperimentConfig
@@ -149,6 +149,20 @@ def test_run_generate_rerun_identical(tmp_path):
     m1 = harness.run_generate(cfg1)
     m2 = harness.run_generate(cfg2)
     assert [m["sha256"] for m in m1] == [m["sha256"] for m in m2]
+
+
+def test_run_generate_never_builds_a_keyed_instance(tmp_path, monkeypatch):
+    # a graph file is vertex-major, so rigkit generate samples that layout;
+    # its instance is the keyed one that generate draws from the same stream
+    cfg = cfg_with(tmp_path, n_values=[150])
+    keyed, _ = graphgen.generate(cfg.params_for(150), trial_rng(cfg.seed, 150, 0))
+
+    def refuse(*args):
+        raise AssertionError("run_generate built a keyed instance")
+
+    monkeypatch.setattr(graphgen, "sample_keys", refuse)
+    meta, = harness.run_generate(cfg)
+    assert read_graph(os.path.join(cfg.out_dir, meta["path"]))[0] == keyed
 
 
 def test_run_generate_minimal_n(tmp_path):
