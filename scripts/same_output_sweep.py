@@ -15,9 +15,9 @@ in DIR (default: this tree's src/):
 * generate at n = 2000 with a pool of m = 2000, seeds {1, 5, 9}, as a
   binary graph file, then analyze on each file: the largest sets are a
   sizeable share of the pool, so the sampler's top-up runs several rounds
-  (6, 1 and 1); and the same cells sampled by analyze itself, with the
-  attribute-major sampler, beside a two-trial experiment at n = 300 with
-  a pool of m = 300 (top-up rounds 1 and 3, 1 and 1, 1 and 2);
+  (6, 1 and 1); and the same cells sampled by analyze itself, beside a
+  two-trial experiment at n = 300 with a pool of m = 300 (top-up rounds
+  1 and 3, 1 and 1, 1 and 2);
 * hubpath at n = 100000 with 400 samples, seeds {51, 53, 56}, where the
   ladder has a rung (k* = 1), so the climbs walk a real ladder; at the
   smaller n every certificate is degenerate (k* = 0);

@@ -1,35 +1,24 @@
-"""Sampling and storage layout for the bipartite vertex-attribute incidence.
+"""Sampling and layout of the bipartite vertex-attribute incidence.
 
-An incidence is read as a vertex-major CSR: each vertex's attribute ids,
-strictly increasing, back to back in vertex order.  Graph files hold that
-layout.  A generated instance is sampled attribute-major instead, as the
-sorted keys attr * n + vertex of its entries, because graphops.TraversalCore
-reads its core straight off those keys; its vertex-major ids are derived
-from the keys, with one sort, only when something reads them.  The
-attribute pool can be enormous (the default m-rule gives
-m ~ n ln^2 n ln ln n), so nothing here ever allocates an array of length m.
-The vertex-vertex edge list is likewise never materialized: heavy vertices
-share attributes with thousands of others and the induced cliques would blow
-up memory, so traversals run on the bipartite structure.
+An instance is held in one layout: the sorted keys attr * n + vertex of its
+entries.  The sampler draws them, the binary reader packs a file's ids into
+them, and graphops.TraversalCore reads its core straight off them.  The
+vertex-major view, each vertex's attribute ids strictly increasing and back
+to back in vertex order, is the layout of graph files; it is derived from
+the keys, with one sort, only when something reads it.  The attribute pool
+can be enormous (the default m-rule gives m ~ n ln^2 n ln ln n), so nothing
+here ever allocates an array of length m.  The vertex-vertex edge list is
+likewise never materialized: heavy vertices share attributes with thousands
+of others and the induced cliques would blow up memory, so traversals run
+on the bipartite structure.
 
-Two samplers draw the same sets from the same stream.  Each vertex draws its
-quota in vertex order, and a vertex whose draws repeat draws its shortfall
-in top-up rounds, short vertices in ascending order.
-
-* sample_incidence (vertex-major, for graph files and the bound suites)
-  draws every vertex's attributes straight into the incidence's id array,
-  in its final slots, one run of whole vertices and about _RUN (2**15)
-  entries at a time.  A run is offset by vertex, sorted while it sits in
-  cache and offset back, which leaves each vertex's draws sorted in its own
-  slots and puts every repeated draw next to its twin.  Only the slots of
-  vertices with a repeat are gathered, topped up and written back.  Every
-  temporary is run-sized, _BLOCK entries long or those few slots long, so
-  building an instance peaks near 1.05x the incidence's bytes.
-* sample_keys (attribute-major, for generate) packs each draw as
-  attr * n + vertex, _RUN entries at a time, sorts the whole array in place
-  once and compacts away the repeats, which tell each vertex's shortfall.
-  Each top-up round draws into the tail, and a stable sort merges the
-  sorted front with it.  It peaks near 1.05x its keys' bytes.
+sample_incidence takes each vertex's draws in vertex order, _RUN (2**15)
+entries at a time, packs them as attr * n + vertex, sorts the whole array
+in place once and compacts away the repeats, which tell each vertex's
+shortfall.  Each top-up round draws the shortfalls into the tail, short
+vertices in ascending order, and a stable sort merges the sorted front with
+that short tail.  Every temporary is run-sized, so sampling peaks near
+1.05x the keys' bytes.
 """
 
 from __future__ import annotations
@@ -41,7 +30,6 @@ from .model import ModelParams, VertexWeights, sample_tilde_weights
 __all__ = [
     "BipartiteIncidence",
     "sample_incidence",
-    "sample_keys",
     "generate",
     "concat_ranges",
 ]
@@ -55,21 +43,10 @@ PACK_LIMIT = 2**62
 _BLOCK = 1 << 18
 
 # Entries per run of the passes that keep a run in cache while they work on
-# it: the samplers' draws, the compaction of _sorted_unique and the
-# vertex-major view of keys.  Their temporaries are a run long.
+# it: the sampler's draws, the compaction of _sorted_unique and the packing
+# of keys to and from the vertex-major view.  Their temporaries are a run
+# long.
 _RUN = 1 << 15
-
-
-def _range_slots(indptr: np.ndarray, items: np.ndarray):
-    """Positions of data[indptr[i]:indptr[i+1]] for every i in items, back
-    to back, and each range's length.  One np.repeat + one arange."""
-    items = np.asarray(items, dtype=np.int64)
-    starts = indptr[items]
-    lens = indptr[items + 1] - starts
-    ends = np.cumsum(lens)
-    idx = np.arange(ends[-1] if ends.size else 0, dtype=np.int64)
-    idx += np.repeat(starts + lens - ends, lens)  # item i's offset: start - first slot
-    return idx, lens
 
 
 def concat_ranges(indptr: np.ndarray, data: np.ndarray, items: np.ndarray):
@@ -78,7 +55,12 @@ def concat_ranges(indptr: np.ndarray, data: np.ndarray, items: np.ndarray):
     Returns (values, lengths).  Vectorized: one np.repeat + one arange,
     no per-item Python loop.
     """
-    idx, lens = _range_slots(indptr, items)
+    items = np.asarray(items, dtype=np.int64)
+    starts = indptr[items]
+    lens = indptr[items + 1] - starts
+    ends = np.cumsum(lens)
+    idx = np.arange(ends[-1] if ends.size else 0, dtype=np.int64)
+    idx += np.repeat(starts + lens - ends, lens)  # item i's offset: start - first slot
     return data[idx], lens
 
 
@@ -88,6 +70,21 @@ def _owners(indptr: np.ndarray, start: int, stop: int) -> np.ndarray:
     first, last = np.searchsorted(indptr, [start, stop - 1], side="right") - 1
     bounds = np.clip(indptr[first:last + 2], start, stop)
     return np.repeat(np.arange(first, last + 1, dtype=np.int64), np.diff(bounds))
+
+
+def _attr_major(ids: np.ndarray, n: int, indptr: np.ndarray) -> np.ndarray:
+    """Pack vertex-major ids, in place, into sorted attr * n + vertex keys.
+
+    The caller owns ids and gives them up: they are returned as the keys.
+    Each run of _RUN entries takes its owners from one np.repeat, and the
+    whole array is then sorted in place once.
+    """
+    for start in range(0, ids.shape[0], _RUN):
+        block = ids[start:start + _RUN]
+        block *= n
+        block += _owners(indptr, start, start + block.shape[0])
+    ids.sort()
+    return ids
 
 
 def _vertex_major(keys: np.ndarray, n: int, m: int, indptr: np.ndarray) -> np.ndarray:
@@ -117,8 +114,22 @@ def _vertex_major(keys: np.ndarray, n: int, m: int, indptr: np.ndarray) -> np.nd
     return ids
 
 
+def _occupied_attrs(keys: np.ndarray, n: int) -> int:
+    """How many distinct attributes sorted attr * n + vertex keys hold.
+
+    Counted _RUN keys at a time, each run's attributes against the last
+    attribute of the run before, so no temporary is longer than a run.
+    """
+    count, last = 0, -1
+    for start in range(0, keys.shape[0], _RUN):
+        attrs = keys[start:start + _RUN] // n
+        count += int(attrs[0] != last) + int(np.count_nonzero(attrs[1:] != attrs[:-1]))
+        last = attrs[-1]
+    return count
+
+
 class BipartiteIncidence:
-    """Vertex-major CSR incidence: each vertex's attribute ids, sorted.
+    """Every vertex's attribute set: sorted keys with a vertex-major view.
 
     Attributes
     ----------
@@ -126,13 +137,13 @@ class BipartiteIncidence:
         Vertex count and attribute pool size; n * m < PACK_LIMIT.
     set_indptr : (n+1,) int64
         Row pointer for per-vertex attribute lists.
-    set_attrs : int64
-        Original attribute ids, strictly increasing within each vertex.  A
-        keyed incidence derives them from its keys on first read and keeps
-        them.
     keys : int64 or None
-        Every entry as attr * n + vertex, sorted, when the incidence was
-        sampled attribute-major (sample_keys); None otherwise.
+        Every entry as attr * n + vertex, sorted: what sample_incidence draws
+        and the binary reader packs.  None for an incidence built from lists
+        (from_flat, from_sets).
+    set_attrs : int64
+        Original attribute ids, strictly increasing within each vertex.  An
+        incidence with keys derives them on first read and keeps them.
     """
 
     def __init__(self, n, m, set_indptr, set_attrs=None, keys=None):
@@ -257,22 +268,26 @@ def _sorted_unique(keys: np.ndarray, kind=None, repeats=None) -> np.ndarray:
     return keys[:size]
 
 
-def _add_draws(keys: np.ndarray, m: int, rng: np.random.Generator, scale: int = 1) -> None:
-    """Add scale times an iid uniform attribute in [0, m) to every key, in place.
+def sample_incidence(m: int, sizes: np.ndarray, rng: np.random.Generator) -> "BipartiteIncidence":
+    """Sample every vertex's uniform subset, sizes[v] attributes each.
 
-    The draws are taken _BLOCK at a time; numpy's bounded integers keep no
-    state between calls, so the blocks consume the stream exactly as one
-    rng.integers call of the full length would.
+    Every vertex draws sizes[v] raw attributes, in vertex order, _RUN
+    entries at a time (a top-up round, _BLOCK at a time); numpy's bounded
+    integers keep no state between calls, so the pieces consume the stream
+    exactly as one rng.integers call of the full length would.  Each draw
+    is packed as attr * n + vertex (_owners); the whole array is sorted in
+    place once and _sorted_unique drops the repeats, which it hands back.
+    Each vertex's shortfall is the count of its dropped keys.  A top-up round draws the shortfalls into the
+    tail, short vertices in ascending order, and a stable sort merges the
+    sorted front with that short tail before the repeats are dropped again.
+    Per vertex this keeps the first sizes[v] distinct values of an iid
+    uniform stream, so the subsets are exactly uniform and mutually
+    independent.  Returns an incidence whose keys are sorted and distinct;
+    its vertex-major ids are derived only when read.  A size outside
+    [0, m], or a pool with n * m >= 2**62, where the packed keys would
+    overflow int64, raises ValueError before anything is drawn.
     """
-    for start in range(0, keys.shape[0], _BLOCK):
-        block = keys[start:start + _BLOCK]
-        block += rng.integers(0, m, size=block.shape[0], dtype=np.int64) * scale
-
-
-def _set_indptr(m: int, sizes: np.ndarray) -> np.ndarray:
-    """Row pointer of sets of the given sizes; ValueError, before anything
-    is drawn, for a size outside [0, m] or a pool with n * m >= 2**62, where
-    packed keys would overflow int64."""
+    sizes = np.asarray(sizes, dtype=np.int64)
     n = sizes.shape[0]
     if np.any(sizes < 0) or np.any(sizes > m):
         raise ValueError("set sizes must lie in [0, m]")
@@ -281,102 +296,6 @@ def _set_indptr(m: int, sizes: np.ndarray) -> np.ndarray:
                          f"packed vertex-attribute keys fit in int64")
     set_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(sizes, out=set_indptr[1:])
-    return set_indptr
-
-
-def _run_starts(set_indptr: np.ndarray) -> list:
-    """First vertex of each sampler run, then n.
-
-    Runs hold whole vertices, and a new one starts at the first vertex whose
-    slots start at or after each multiple of _RUN entries.  So a run holds
-    about _RUN entries, more when its last vertex is longer than that.
-    """
-    n, total = set_indptr.shape[0] - 1, int(set_indptr[-1])
-    if total <= _RUN:
-        return [0, n]
-    cuts = np.searchsorted(set_indptr, np.arange(_RUN, total, _RUN), side="left")
-    return list(dict.fromkeys([0, *cuts.tolist(), n]))
-
-
-def sample_incidence(m: int, sizes: np.ndarray, rng: np.random.Generator) -> "BipartiteIncidence":
-    """Sample every vertex's uniform subset, sizes[v] attributes each.
-
-    Vertex v draws exactly sizes[v] raw attributes into its final slots
-    [indptr[v], indptr[v+1]), in vertex order.  The draws are taken run by
-    run (_run_starts), and numpy's bounded integers keep no state between
-    calls, so the runs consume the stream exactly as one rng.integers call
-    of the full length would.  Each run adds the offset (v - first) * m to
-    the draws of its vertex v, first being its first vertex, sorts, notes
-    the vertices with a draw that repeats its predecessor, and subtracts
-    the same offsets: sorting keeps every key in its own vertex's slots, so
-    each vertex's draws come out sorted.  Only the vertices with a repeat
-    come up short.  Their slots are gathered, packed as vertex * m + attr,
-    and deduplicated, and the top-up rounds run on that small array alone:
-    each round draws the missing keys into its tail, short vertices in
-    ascending order, and sorts and dedups it again (a sorted front and a
-    short tail, which a stable sort merges in one pass).  The result goes
-    back into those vertices' slots.  Per vertex this keeps the first z
-    distinct values of an iid uniform stream, so the subsets are exactly
-    uniform and mutually independent.  Each list ends strictly increasing
-    by construction, so the incidence is built without a re-scan.  Pools
-    with n*m >= 2**62, where the packed keys would overflow int64, raise
-    ValueError before anything is drawn.  This is the layout that graph
-    files and the bound suites read; generate samples with sample_keys.
-    """
-    sizes = np.asarray(sizes, dtype=np.int64)
-    n = sizes.shape[0]
-    set_indptr = _set_indptr(m, sizes)
-
-    attrs = np.empty(int(set_indptr[-1]), dtype=np.int64)
-    repeated = np.zeros(n, dtype=bool)
-    starts = _run_starts(set_indptr)
-    for first, last in zip(starts[:-1], starts[1:]):
-        run = attrs[set_indptr[first]:set_indptr[last]]
-        offsets = np.repeat(np.arange(0, (last - first) * m, m, dtype=np.int64),
-                            sizes[first:last])
-        np.add(rng.integers(0, m, size=run.shape[0], dtype=np.int64), offsets, out=run)
-        run.sort()
-        repeated[run[1:][run[1:] == run[:-1]] // m + first] = True
-        run -= offsets
-
-    short = np.flatnonzero(repeated)
-    if short.size:
-        slots, lens = _range_slots(set_indptr, short)
-        firsts = short * m
-        packed = np.repeat(firsts, lens)
-        held = attrs[slots] + packed
-        keys = _sorted_unique(held, kind="stable")
-        while keys.shape[0] < held.shape[0]:
-            have = np.diff(np.searchsorted(keys, firsts), append=keys.shape[0])
-            deficit = sizes[short] - have
-            need = np.flatnonzero(deficit)
-            tail = held[keys.shape[0]:]
-            tail[:] = np.repeat(firsts[need], deficit[need])
-            _add_draws(tail, m, rng)
-            # a sorted front and a short tail: timsort merges them in one pass
-            keys = _sorted_unique(held, kind="stable")
-        held -= packed
-        attrs[slots] = held
-    return BipartiteIncidence(n, m, set_indptr, attrs)
-
-
-def sample_keys(m: int, sizes: np.ndarray, rng: np.random.Generator) -> "BipartiteIncidence":
-    """The sets of sample_incidence, from the same stream, sampled attribute-major.
-
-    Every vertex's draws are taken in vertex order, _RUN entries at a time,
-    and packed as attr * n + vertex; the whole array is sorted in place once
-    and _sorted_unique drops the repeats, which it hands back.  Each
-    vertex's shortfall is the count of its dropped keys.  A top-up round
-    draws the shortfalls into the tail, short vertices in ascending order,
-    and a stable sort merges the sorted front with that short tail before
-    the repeats are dropped again.  The stream is thus consumed exactly as
-    sample_incidence consumes it, and every set and the next draw are the
-    same.  Returns a keyed incidence: its keys are sorted and distinct, and
-    its vertex-major ids are derived only when read.
-    """
-    sizes = np.asarray(sizes, dtype=np.int64)
-    n = sizes.shape[0]
-    set_indptr = _set_indptr(m, sizes)
     total = int(set_indptr[-1])
     buf = np.empty(total, dtype=np.int64)
     for start in range(0, total, _RUN):
@@ -390,7 +309,9 @@ def sample_keys(m: int, sizes: np.ndarray, rng: np.random.Generator) -> "Biparti
         short = np.flatnonzero(deficit)
         tail = buf[keys.shape[0]:]
         tail[:] = np.repeat(short, deficit[short])
-        _add_draws(tail, m, rng, scale=n)
+        for start in range(0, tail.shape[0], _BLOCK):
+            block = tail[start:start + _BLOCK]
+            block += rng.integers(0, m, size=block.shape[0], dtype=np.int64) * n
         repeats = []
         # a sorted front and a short tail: timsort merges them in one pass
         keys = _sorted_unique(buf, kind="stable", repeats=repeats)
@@ -402,11 +323,10 @@ def generate(params: ModelParams, rng: np.random.Generator):
 
     Returns (incidence, weights).  The rng is consumed in a fixed order
     (one weight batch, then the subset batch), so a given (params, seed)
-    pair reproduces the instance bit for bit.  The subsets are drawn by
-    sample_keys, so the incidence is keyed: TraversalCore reads its keys,
-    and its vertex-major ids are sorted out of them only when something
-    reads set_attrs.
+    pair reproduces the instance bit for bit.  TraversalCore reads the
+    incidence's keys, and its vertex-major ids are sorted out of them only
+    when something reads set_attrs.
     """
     weights = sample_tilde_weights(params, rng)
-    inc = sample_keys(params.m, weights.sizes, rng)
+    inc = sample_incidence(params.m, weights.sizes, rng)
     return inc, weights

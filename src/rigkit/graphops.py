@@ -7,22 +7,15 @@ leaving it out keeps every component, distance, neighbour list and degree.
 Under the default m-rule at n = 1e5 the core keeps about 12% of the
 incidence entries (474k of 4.04M) and 6% of the occupied attributes (232k of
 3.80M).  It is the only attribute-side view of an instance: it is built from
-the incidence's sorted vertex lists with two packed sorts, attribute * n +
-vertex for the attribute side and vertex * num_attrs + core id for the
-vertex side, and core attributes are numbered in increasing order of
-original id.  A one-sided search thus makes the same smallest-id parent
-choices, and traces the same paths, as it would on the full incidence.
-A generated instance is sampled as those sorted attribute * n + vertex
-keys (graphgen.sample_keys), so its first sort is already done: the build
-reads the keys and peaks near 0.58x their bytes beside them.  An incidence
-read vertex-major, from a graph file, packs only the entries that may be
-shared for the first sort: a sorted copy of the ids, uint32 (half their
-bytes) while m <= 2**32, shows which attributes have a second holder, and
-a one-byte mark on each span of ids that holds one picks the candidates,
-which are every shared entry and, at n = 1e5, about 5% of the others; that
-build peaks near 0.65x the ids' bytes.  Either way the shared entries are
-then marked in a one-byte mask, graphgen._BLOCK entries at a time, and the
-incidence is only read.
+the incidence's sorted attribute * n + vertex keys, whose runs of two or
+more equal attributes are the core's attribute side, and one packed sort of
+vertex * num_attrs + core id for the vertex side; core attributes are
+numbered in increasing order of original id.  A one-sided search thus makes
+the same smallest-id parent choices, and traces the same paths, as it would
+on the full incidence.  The shared entries are marked in a one-byte mask,
+graphgen._BLOCK entries at a time, and the keys are only read; beside them
+the build peaks near 0.58x their bytes.  An incidence built from lists has
+no keys, so a copy of its ids is packed into them first.
 
 Component labels start from a root: its component is the completed target
 ball of {root} (below), the ball that distances_from(root) then copies.
@@ -84,7 +77,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graphgen import (_BLOCK, PACK_LIMIT, BipartiteIncidence, _owners, _sorted_unique,
+from .graphgen import (_BLOCK, PACK_LIMIT, BipartiteIncidence, _attr_major, _sorted_unique,
                        concat_ranges)
 
 __all__ = [
@@ -135,21 +128,23 @@ class TraversalCore:
     (length n) and seen[side] (length num_attrs) are all False between
     queries.  ball is the target ball of the last source set that
     nearest_routes, distances_from or components asked about (it has no
-    sources before the first).  The incidence is read once, here, left as
-    it was, and not kept; a keyed incidence is read through its keys only,
-    so its vertex-major ids are not derived.
+    sources before the first).  The incidence is read once, here, through
+    its keys, left as it was, and not kept; its vertex-major ids are not
+    derived.  An incidence built from lists (from_flat, from_sets) has no
+    keys, so a copy of its ids is packed into them (graphgen._attr_major).
 
-    Both sides come from packed int64 keys: attribute * n + vertex, sorted,
-    which are a keyed incidence's own keys or else the candidate entries
-    packed and sorted here (_shared_entries), then vertex * num_attrs + core
-    id.  Attribute ids are below m and num_attrs <= m, so every key stays
-    below n * m < PACK_LIMIT.
+    Both sides come from packed int64 keys: the incidence's attribute * n +
+    vertex, sorted, then vertex * num_attrs + core id.  Attribute ids are
+    below m and num_attrs <= m, so every key stays below n * m < PACK_LIMIT.
     """
 
     def __init__(self, inc: BipartiteIncidence):
         n = inc.n
         self.n = n
-        self.attr_vertices, starts = _shared_entries(inc)
+        keys = inc.keys
+        if keys is None:
+            keys = _attr_major(inc.set_attrs.copy(), n, inc.set_indptr)
+        self.attr_vertices, starts = _shared_entries(keys, n)
         self.num_attrs = int(np.count_nonzero(starts))
         self.attr_indptr = np.append(np.flatnonzero(starts), starts.shape[0])
         # vertex-major: each vertex's core ids come out increasing
@@ -176,70 +171,16 @@ class TraversalCore:
         return int(self.set_sizes[verts].sum())
 
 
-def _candidate_keys(inc: BipartiteIncidence) -> np.ndarray:
-    """Sorted attribute * n + vertex keys of the entries that may be shared.
-
-    A sorted copy of the ids, as uint32 when every id fits (m <= 2**32, half
-    the ids' bytes), shows the attributes with a second holder: the ids
-    that repeat their predecessor.  The id range is cut into spans of
-    2**shift ids, about 16 spans per repeat and never more than there are
-    entries, and a one-byte mark goes on every span that holds a repeated
-    id.  An entry is a candidate when its id lies in a marked span: every
-    shared entry is one, and so, at ids spread uniformly, are about 5% of
-    the others.  The candidates are packed in incidence order, _BLOCK
-    entries at a time, into one array of exactly their count; each block
-    takes its entries' owners from one np.repeat over its vertex range.
-    The incidence is only read, and the keys come back sorted.
-    """
-    ids, total, m = inc.set_attrs, inc.total_incidence, inc.m
-    vals = ids.astype(np.uint32 if m <= 2**32 else np.int64)
-    vals.sort()
-    repeated = vals[1:][vals[1:] == vals[:-1]]
-    del vals
-    spans = min(16 * repeated.shape[0], total)
-    shift = max((m - 1).bit_length() - spans.bit_length(), 0)
-    marked = np.zeros(((m - 1) >> shift) + 1, dtype=bool)
-    marked[repeated >> shift] = True
-    del repeated
-    candidate = np.empty(total, dtype=bool)
-    for start in range(0, total, _BLOCK):
-        candidate[start:start + _BLOCK] = marked[ids[start:start + _BLOCK] >> shift]
-    del marked
-    keys = np.empty(int(np.count_nonzero(candidate)), dtype=np.int64)
-    size = 0
-    for start in range(0, total, _BLOCK):
-        stop = min(start + _BLOCK, total)
-        owners = _owners(inc.set_indptr, start, stop)
-        at = np.flatnonzero(candidate[start:stop])
-        block = keys[size:size + at.shape[0]]
-        np.multiply(ids[start:stop][at], inc.n, out=block)
-        block += owners[at]
-        size += at.shape[0]
-    keys.sort()
-    return keys
-
-
-def _shared_entries(inc: BipartiteIncidence):
+def _shared_entries(keys: np.ndarray, n: int):
     """The core's attribute side: (attr_vertices, starts).
 
-    attr_vertices lists the holders of every attribute with two or more
-    holders, attribute by attribute in increasing original id, each
+    keys are an incidence's sorted attr * n + vertex keys, which are only
+    read.  attr_vertices lists the holders of every attribute with two or
+    more holders, attribute by attribute in increasing original id, each
     attribute's holders sorted; starts flags the first entry of each
-    attribute.  A keyed incidence's sorted keys are read as they are.
-    Otherwise only the candidate entries (_candidate_keys) are packed and
-    sorted.  Either way the shared entries are found _BLOCK entries at a
-    time with a one-byte mask.
-    """
-    if inc.keys is not None:
-        return _shared_of_sorted(inc.keys, inc.n)
-    return _shared_of_sorted(_candidate_keys(inc), inc.n)
-
-
-def _shared_of_sorted(keys: np.ndarray, n: int):
-    """_shared_entries of sorted attr * n + vertex keys, which are only read.
-
-    The shared entries are copied out before anything else of their size is
-    made; a caller that passes keys it does not keep has them freed then.
+    attribute.  The shared entries are found _BLOCK entries at a time with
+    a one-byte mask and copied out before anything else of their size is
+    made.
     """
     total = keys.shape[0]
     # an entry is shared when its attribute is that of a neighbouring entry
@@ -253,7 +194,7 @@ def _shared_of_sorted(keys: np.ndarray, n: int):
         np.equal(attrs[1:], attrs[:-1], out=same[1:-1])
         shared[start:stop] = (same[:-1] | same[1:])[start - lo:stop - lo]
     core = keys[shared]
-    del keys, shared
+    del shared
     attrs = core // n
     starts = np.empty(core.shape[0], dtype=bool)
     starts[:1] = True

@@ -31,8 +31,8 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from . import graphgen, storage
-from .graphgen import PACK_LIMIT, _sorted_unique, generate
+from . import storage
+from .graphgen import PACK_LIMIT, _occupied_attrs, generate
 from .graphops import (UNREACHED, TraversalCore, bfs_distance, components, distances_from,
                        nearest_routes)
 from .hubnav import LadderError, decompose, loglog_certificate, thresholds
@@ -272,9 +272,8 @@ class Trial:
 
     Built from the trial index, params, seed, the stream left to draw from,
     the incidence and the weights, with the ladder's hub_floor.  The core is
-    built once from the incidence, which is not kept: off the sorted keys of
-    a generated (keyed) incidence, whose vertex-major ids are then never
-    derived, or from a graph file's vertex-major ids.  The components are
+    built once from the incidence's sorted keys, and the incidence is not
+    kept, so its vertex-major ids are never derived.  The components are
     labelled from the apex u_max, which leaves the core's ball the complete
     ball of {u_max}, so hub_samples' hub BFS is a copy.  Callers draw pairs
     before hub vertices.  Two constructors supply an instance: generated
@@ -396,10 +395,8 @@ def _ratio(counts: dict, part: str, whole: str) -> Optional[float]:
 def run_generate(cfg: ExperimentConfig) -> list:
     """Write one graph file per (n, trial) plus a metadata sidecar each.
 
-    A graph file is vertex-major, so the subsets are drawn by
-    sample_incidence, which samples that layout, and not by generate, whose
-    keyed incidence would have to sort its ids out again.  Both draw the
-    same instance from the same stream.
+    Each instance is generate's; the file holds its vertex-major view, and
+    the sidecar counts the occupied attributes off its sorted keys.
     """
     os.makedirs(cfg.out_dir, exist_ok=True)
     ext = "rig" if cfg.graph_format == "binary" else "json"
@@ -407,9 +404,7 @@ def run_generate(cfg: ExperimentConfig) -> list:
     for n in cfg.n_values:
         params = cfg.params_for(n)
         for trial in range(cfg.trials):
-            rng = trial_rng(cfg.seed, n, trial)
-            weights = graphgen.sample_tilde_weights(params, rng)
-            inc = graphgen.sample_incidence(params.m, weights.sizes, rng)
+            inc, _ = generate(params, trial_rng(cfg.seed, n, trial))
             name = f"graph_n{n}_t{trial}.{ext}"
             path = os.path.join(cfg.out_dir, name)
             try:
@@ -424,8 +419,7 @@ def run_generate(cfg: ExperimentConfig) -> list:
                 "bytes": os.path.getsize(path),
                 "sha256": storage.file_checksum(path),
                 "incidence": inc.total_incidence,
-                # written and checksummed, the ids are free to sort in place
-                "occupied_attrs": int(_sorted_unique(inc.set_attrs).shape[0]),
+                "occupied_attrs": _occupied_attrs(inc.keys, n),
             }
             write_json_report(path + ".meta.json", meta)
             out.append(meta)

@@ -1,7 +1,7 @@
 """Graph persistence.
 
-Binary format v2 (extension-agnostic, magic-sniffed), the incidence's own
-vertex-major layout:
+Binary format v2 (extension-agnostic, magic-sniffed), the incidence's
+vertex-major view:
 
     header, 48 bytes, little-endian:
         magic   4s   b"RIGB"
@@ -20,7 +20,10 @@ The reader checks the header and the size words against the file length
 (from fstat) before it allocates anything, reads each block straight into
 its final array without a per-vertex loop or a copy of the file's bytes,
 and leaves the order check to BipartiteIncidence.from_flat; every failure
-is a GraphFormatError, version 1 included.
+is a GraphFormatError, version 1 included.  The checked ids are then packed
+in place into the sorted attr * n + vertex keys that every instance is held
+in (graphgen), so a binary file reads back with the one array of its ids;
+the writer writes the incidence's vertex-major view.
 
 A JSON mirror ({"format": "rig-json", "version": 1, ...}) covers small
 graphs where a readable artifact matters more than compactness.  Its reader
@@ -46,7 +49,7 @@ import struct
 
 import numpy as np
 
-from .graphgen import BipartiteIncidence
+from .graphgen import BipartiteIncidence, _attr_major
 from .model import ModelParams
 
 __all__ = [
@@ -139,7 +142,9 @@ def _read_binary(path):
         inc = BipartiteIncidence.from_flat(n, m, sizes, ids)
     except ValueError as exc:
         raise GraphFormatError(f"{path}: {exc}") from exc
-    return inc, params, seed
+    # the checked ids are this reader's own buffer: pack them into the keys
+    keys = _attr_major(inc.set_attrs, n, inc.set_indptr)
+    return BipartiteIncidence(n, m, inc.set_indptr, keys=keys), params, seed
 
 
 def _read_words(path, fh, count, dtype):

@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphgen import _sorted_unique, sample_incidence
+from .graphgen import _occupied_attrs, sample_incidence
 from .graphops import TraversalCore, degrees
 from .model import TailLaw, iterated_log
 
@@ -431,8 +431,7 @@ def check_union_coverage(m: int, gamma1: float, gamma2: float,
     need = (1.0 - gamma2) * total
     hits = 0
     for _ in range(trials):
-        occupied = _sorted_unique(sample_incidence(m, sizes, rng).set_attrs).shape[0]
-        if occupied >= need:
+        if _occupied_attrs(sample_incidence(m, sizes, rng).keys, r) >= need:
             hits += 1
     bound = 1.0 - r * float(n) ** -3
     lo, hi = wilson_interval(hits, trials)
@@ -487,10 +486,10 @@ def check_conditional_overlap(a: int, b: int, d: int, m: int, trials: int,
     batch_size = max(256, min(trials, 65536))
     while accepted < trials and drawn < cap:
         batch = min(batch_size, cap - drawn)
-        inc = sample_incidence(m, np.full(batch, b, dtype=np.int64), rng)
-        vert_of = np.repeat(np.arange(batch), b)
-        in_a = np.bincount(vert_of[inc.set_attrs < a], minlength=batch)
-        in_d = np.bincount(vert_of[inc.set_attrs < d], minlength=batch)
+        # sorted attr * batch + vertex keys: the entries in S_a, S_d lead
+        keys = sample_incidence(m, np.full(batch, b, dtype=np.int64), rng).keys
+        in_a = np.bincount(keys[:np.searchsorted(keys, a * batch)] % batch, minlength=batch)
+        in_d = np.bincount(keys[:np.searchsorted(keys, d * batch)] % batch, minlength=batch)
         cond = in_a > 0
         take = cond
         if accepted + int(cond.sum()) > trials:

@@ -14,11 +14,11 @@ from rigkit.graphgen import (
     concat_ranges,
     generate,
     sample_incidence,
-    sample_keys,
 )
 from rigkit.graphops import TraversalCore, neighbors
 from rigkit.model import (ModelParams, default_attribute_count, sample_tilde_weights,
                           trial_rng)
+from rigkit.storage import read_graph, write_graph
 
 from oracles import (adjacency_matrix, explicit_sets, sample_incidence_reference,
                      sample_subset, shares_attribute, traversal_core_two_sorts)
@@ -179,30 +179,6 @@ def size_plans(draw):
 @given(size_plans(), st.integers(0, 2**32 - 1))
 @example((3, np.array([0, 3, 1, 3, 0])), 0)
 @example((2**56, np.array([0, 0, 40, 1, 0])), 0)
-# a set longer than a default run, and empty vertices at a run's edges
-@example((2**40, np.array([0, 3, 40000, 0, 5])), 0)
-@example((2**40, np.array([30000, 2768, 0, 0, 5, 0])), 1)
-@example((2**20, np.array([30000, 2768, 0, 0, 40, 0, 0])), 2)
-# under each_block's runs of 5 and 16: edges at empty vertices, top-ups
-@example((4, np.array([2, 3, 0, 0, 4, 1, 0, 3, 4, 0, 2])), 3)
-def test_sample_incidence_matches_reference(each_block, plan, seed):
-    m, sizes = plan
-
-    def check():
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        inc = sample_incidence(m, sizes, rng)
-        indptr, attrs = sample_incidence_reference(m, sizes, ref_rng)
-        assert np.array_equal(inc.set_indptr, indptr)
-        assert np.array_equal(inc.set_attrs, attrs)
-        assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
-        # the sampler builds its incidence unchecked: from_flat validates it
-        assert BipartiteIncidence.from_flat(inc.n, m, sizes, inc.set_attrs) == inc
-        assert inc.set_indptr.dtype == inc.set_attrs.dtype == np.int64
-    each_block(check)
-
-
-@PROPS
-@given(size_plans(), st.integers(0, 2**32 - 1))
 # dense sets near m: several top-up rounds, each vertex short again
 @example((6, np.array([6, 5, 6, 4, 6, 6])), 0)
 @example((40, np.array([40, 39, 0, 40, 38])), 1)
@@ -211,32 +187,35 @@ def test_sample_incidence_matches_reference(each_block, plan, seed):
 @example((5, np.array([0, 0, 3, 0])), 0)
 @example((1, np.array([1])), 0)
 @example((1, np.array([0])), 0)
-# a set longer than a default run, with empty vertices beside it
+# a set longer than a default run, and empty vertices at a run's edges
 @example((2**40, np.array([0, 3, 40000, 0, 5])), 0)
+@example((2**40, np.array([30000, 2768, 0, 0, 5, 0])), 1)
+@example((2**20, np.array([30000, 2768, 0, 0, 40, 0, 0])), 2)
+# under each_block's runs of 5 and 16: edges at empty vertices, top-ups
 @example((4, np.array([2, 3, 0, 0, 4, 1, 0, 3, 4, 0, 2])), 3)
-def test_sample_keys_matches_sample_incidence(each_block, plan, seed):
+def test_sample_incidence_matches_reference(each_block, plan, seed):
     m, sizes = plan
+    n = sizes.shape[0]
 
     def check():
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        inc = sample_keys(m, sizes, rng)
-        want = sample_incidence(m, sizes, ref_rng)
-        # the next draw: both consume the stream alike
+        inc = sample_incidence(m, sizes, rng)
+        indptr, attrs = sample_incidence_reference(m, sizes, ref_rng)
         assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
-        n = sizes.shape[0]
-        assert np.array_equal(inc.keys, np.sort(want.set_attrs * n + np.repeat(
+        assert np.array_equal(inc.keys, np.sort(attrs * n + np.repeat(
             np.arange(n, dtype=np.int64), sizes)))
         # the core reads the keys and leaves the vertex-major ids underived
         core = TraversalCore(inc)
         assert inc._set_attrs is None
-        two_sorts = traversal_core_two_sorts(want)
+        two_sorts = traversal_core_two_sorts(BipartiteIncidence.from_flat(n, m, sizes, attrs))
         assert core.num_attrs == two_sorts["num_attrs"]
         for name in ("attr_indptr", "attr_vertices", "set_indptr", "set_attrs"):
             assert np.array_equal(getattr(core, name), two_sorts[name]), name
-        assert np.array_equal(inc.set_indptr, want.set_indptr)
-        assert np.array_equal(inc.set_attrs, want.set_attrs)
-        assert inc.set_attrs.dtype == np.int64
-        assert BipartiteIncidence.from_flat(n, m, sizes, inc.set_attrs) == want
+        assert np.array_equal(inc.set_indptr, indptr)
+        assert np.array_equal(inc.set_attrs, attrs)
+        # the sampler builds its incidence unchecked: from_flat validates it
+        assert BipartiteIncidence.from_flat(n, m, sizes, inc.set_attrs) == inc
+        assert inc.set_indptr.dtype == inc.set_attrs.dtype == np.int64
     each_block(check)
 
 
@@ -256,10 +235,11 @@ def test_sample_incidence_golden_1e5():
 
 
 def test_instance_build_memory():
-    # Peak traced bytes, against the incidence's own: the sampler draws into
-    # the incidence's ids with run-sized temporaries and tops up only the
-    # short vertices' slots, and the core build holds one packed key array
-    # and a one-byte mask beside it.
+    # Peak traced bytes, against the keys' own: the sampler draws into the
+    # keys with run-sized temporaries and sorts them in place; the core
+    # build only reads them, with a one-byte mask and its own arrays beside
+    # them; the vertex-major ids, the view's one array of the keys' length,
+    # are packed, sorted and unpacked in place, run by run.
     n = 100_000
     params = ModelParams(n=n, m=default_attribute_count(n), alpha=0.8, c0=1.0)
     rng = trial_rng(1, n, 0)
@@ -268,54 +248,6 @@ def test_instance_build_memory():
     try:
         base, _ = tracemalloc.get_traced_memory()
         inc = sample_incidence(params.m, weights.sizes, rng)
-        _, sampler_peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        base_core, _ = tracemalloc.get_traced_memory()
-        TraversalCore(inc)
-        _, core_peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    size = inc.set_attrs.nbytes
-    assert sampler_peak - base <= 1.5 * size
-    assert sampler_peak - base <= 1.15 * size
-    assert sampler_peak - base <= 1.08 * size  # 1.05x measured
-    assert core_peak - base_core <= 1.75 * size
-
-
-def test_core_build_memory():
-    # Peak traced bytes of TraversalCore(inc) beyond the incidence it reads,
-    # against the ids' own bytes: only a uint32 copy of the ids (half their
-    # bytes) and the packed keys of the candidate entries are made.  Packing
-    # every entry, a second int64 array of incidence length, peaks near 1.27x.
-    n = 100_000
-    params = ModelParams(n=n, m=default_attribute_count(n), alpha=0.8, c0=1.0)
-    rng = trial_rng(1, n, 0)
-    weights = sample_tilde_weights(params, rng)
-    inc = sample_incidence(params.m, weights.sizes, rng)
-    tracemalloc.start()
-    try:
-        base, _ = tracemalloc.get_traced_memory()
-        TraversalCore(inc)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - base <= 0.75 * inc.set_attrs.nbytes
-
-
-def test_keyed_build_memory():
-    # Peak traced bytes of the keyed path, against its keys' own: the
-    # sampler draws into the keys with run-sized temporaries and sorts them
-    # in place; the core build only reads them; the vertex-major ids, the
-    # view's one array of the keys' length, are packed, sorted and unpacked
-    # in place, run by run.
-    n = 100_000
-    params = ModelParams(n=n, m=default_attribute_count(n), alpha=0.8, c0=1.0)
-    rng = trial_rng(1, n, 0)
-    weights = sample_tilde_weights(params, rng)
-    tracemalloc.start()
-    try:
-        base, _ = tracemalloc.get_traced_memory()
-        inc = sample_keys(params.m, weights.sizes, rng)
         _, sampler_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         base_core, _ = tracemalloc.get_traced_memory()
@@ -329,9 +261,34 @@ def test_keyed_build_memory():
     finally:
         tracemalloc.stop()
     size = inc.keys.nbytes
+    assert sampler_peak - base <= 1.5 * size
+    assert sampler_peak - base <= 1.15 * size
     assert sampler_peak - base <= 1.08 * size  # 1.05x measured
+    assert core_peak - base_core <= 1.75 * size
     assert core_peak - base_core <= 0.65 * size  # 0.58x measured
     assert view_peak - base_view <= 1.1 * size  # 1.03x measured
+
+
+def test_core_build_memory(tmp_path):
+    # Peak traced bytes of reading an n = 1e5 binary graph file and building
+    # its core, against the ids' bytes: the reader packs the one array of
+    # ids it reads into the keys in place, and the core build only reads
+    # them.  Packing a second, incidence-length array of keys beside the
+    # ids would add 1.0x.
+    n = 100_000
+    params = ModelParams(n=n, m=default_attribute_count(n), alpha=0.8, c0=1.0)
+    inc, _ = generate(params, trial_rng(1, n, 0))
+    path = tmp_path / "g.rig"
+    write_graph(path, inc, params.alpha, params.c0, seed=1)
+    size = inc.keys.nbytes
+    del inc
+    tracemalloc.start()
+    try:
+        TraversalCore(read_graph(path)[0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.65 * size  # 1.60x measured
 
 
 def test_from_flat_validation():

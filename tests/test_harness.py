@@ -151,18 +151,15 @@ def test_run_generate_rerun_identical(tmp_path):
     assert [m["sha256"] for m in m1] == [m["sha256"] for m in m2]
 
 
-def test_run_generate_never_builds_a_keyed_instance(tmp_path, monkeypatch):
-    # a graph file is vertex-major, so rigkit generate samples that layout;
-    # its instance is the keyed one that generate draws from the same stream
+def test_run_generate_writes_the_generated_instance(tmp_path):
+    # the file reads back as the instance that generate draws from the same
+    # stream, and the reader packs it into the same sorted keys
     cfg = cfg_with(tmp_path, n_values=[150])
-    keyed, _ = graphgen.generate(cfg.params_for(150), trial_rng(cfg.seed, 150, 0))
-
-    def refuse(*args):
-        raise AssertionError("run_generate built a keyed instance")
-
-    monkeypatch.setattr(graphgen, "sample_keys", refuse)
+    want, _ = graphgen.generate(cfg.params_for(150), trial_rng(cfg.seed, 150, 0))
     meta, = harness.run_generate(cfg)
-    assert read_graph(os.path.join(cfg.out_dir, meta["path"]))[0] == keyed
+    got = read_graph(os.path.join(cfg.out_dir, meta["path"]))[0]
+    assert np.array_equal(got.keys, want.keys)
+    assert got == want
 
 
 def test_run_generate_minimal_n(tmp_path):

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigkit.graphgen import BipartiteIncidence, generate, sample_incidence
+from rigkit.graphgen import BipartiteIncidence, generate
 from rigkit.harness import ExperimentConfig, Trial
-from rigkit.model import ModelParams, default_attribute_count, sample_tilde_weights, trial_rng
+from rigkit.model import ModelParams, default_attribute_count, trial_rng
 from rigkit.storage import (
     GraphFormatError,
     file_checksum,
@@ -172,8 +172,8 @@ def test_huge_attribute_word_fails_range_check(tmp_path):
 
 
 def test_binary_read_holds_one_copy_of_the_ids(tmp_path):
-    # the id words are read straight into the incidence's int64 array, with
-    # no second copy of the file's bytes beside it
+    # the id words are read straight into one int64 array, which is packed
+    # into the incidence's keys in place, with no second copy beside it
     n = 100_000
     params = ModelParams(n=n, m=default_attribute_count(n), alpha=0.8, c0=1.0)
     inc, _ = generate(params, trial_rng(1, n, 0))
@@ -192,13 +192,13 @@ def test_binary_read_holds_one_copy_of_the_ids(tmp_path):
 
 def test_binary_write_holds_no_copy_of_the_ids(tmp_path):
     # the int64 arrays' own buffers go to the file, and their bytes are the
-    # u64 words of the format.  The instance is drawn vertex-major, as
-    # run_generate draws it, so that the traced region holds the writer
-    # alone and not the sort that derives a keyed incidence's ids.
+    # u64 words of the format.  The vertex-major view is derived before
+    # tracing starts, so that the traced region holds the writer alone and
+    # not the sort that derives the ids from the keys.
     n = 100_000
     params = ModelParams(n=n, m=default_attribute_count(n), alpha=0.8, c0=1.0)
-    rng = trial_rng(1, n, 0)
-    inc = sample_incidence(params.m, sample_tilde_weights(params, rng).sizes, rng)
+    inc, _ = generate(params, trial_rng(1, n, 0))
+    inc.set_attrs
     path = tmp_path / "g.rig"
     tracemalloc.start()
     try:

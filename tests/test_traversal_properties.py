@@ -11,8 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rigkit import graphops
-from rigkit.graphgen import PACK_LIMIT, BipartiteIncidence, _sorted_unique
-from rigkit.graphops import (UNREACHED, TraversalCore, _candidate_keys, _descent_levels,
+from rigkit.graphgen import PACK_LIMIT, BipartiteIncidence, _attr_major, _occupied_attrs
+from rigkit.graphops import (UNREACHED, TraversalCore, _descent_levels,
                              _first_by, bfs_distance, components, degrees,
                              distances_from, nearest_of, nearest_routes, neighbors,
                              unique_edges)
@@ -354,10 +354,11 @@ def test_traversal_core_matches_two_sort_formula(each_block, inc):
 
 @st.composite
 def wide_incidences(draw):
-    """Incidences with few ids in a pool far larger than the entries, at and
-    past the 2**32 limit of the build's uint32 copy, half of the ids packed
-    within 64 of each other (often at the top of the pool): the spans that
-    _candidate_keys marks then also hold private attributes."""
+    """Incidences with few ids in a pool far larger than the entries, around
+    2**32 and up to n * m just below PACK_LIMIT, half of the ids packed
+    within 64 of each other (often at the top of the pool): packed keys
+    then reach the top of their range, and shared and private attributes
+    lie side by side."""
     n = draw(st.integers(1, 10))
     m = draw(st.sampled_from([2**32 - 1, 2**32, 2**32 + 1, 2**33, 2**40,
                               (PACK_LIMIT - 1) // n]))
@@ -414,11 +415,9 @@ def test_nearest_routes_on_wide_id_pools(inc, data):
 
 
 def test_candidate_keys_keep_every_shared_entry():
-    # attribute 5 is shared; 7 lies in its span of 2**37 ids and is a
-    # candidate too, 2**39 is not; the core keeps attribute 5 alone.  The
-    # keys come back sorted.
+    # attribute 5 is shared; 7, its near neighbour, and 2**39 are private;
+    # the core keeps attribute 5 alone
     inc = BipartiteIncidence.from_sets(3, 2**40, [[5, 7], [5], [2**39]])
-    assert _candidate_keys(inc).tolist() == [5 * 3 + 0, 5 * 3 + 1, 7 * 3 + 0]
     core = TraversalCore(inc)
     assert core.num_attrs == 1 and core.attr_vertices.tolist() == [0, 1]
 
@@ -464,13 +463,17 @@ def test_neighbors_edges_degrees_match_adjacency(inc):
 
 @PROPS
 @given(incidences())
-def test_sorted_unique_counts_occupied_attributes(inc):
+def test_sorted_unique_counts_occupied_attributes(each_block, inc):
     # how generate's sidecar and the union-coverage check count occupied
-    # attributes: the distinct ids, sorted in place
+    # attributes: run by run over the sorted keys, across run edges
     held = set()
     for v in range(inc.n):
         held.update(inc.set_of(v).tolist())
-    assert _sorted_unique(inc.set_attrs.copy()).shape[0] == len(held)
+
+    def check():
+        keys = _attr_major(inc.set_attrs.copy(), inc.n, inc.set_indptr)
+        assert _occupied_attrs(keys, inc.n) == len(held)
+    each_block(check)
 
 
 def ask(core, query):

@@ -324,6 +324,17 @@ def test_conditional_overlap_matches_enumeration():
     assert abs(rep.lhs - exact) <= 4 * se + 1e-9
 
 
+def test_conditional_overlap_counts_s_a_and_s_d_apart():
+    # the hits of S_b in S_a and in S_d are counted apart: the exact rate is
+    # 0.0209 here, and 0.0060 with S_a taken for S_d.  About 20,000 of the
+    # 10^6 draws are accepted.
+    a, b, d, m = 5, 4, 10, 1000
+    exact = float(conditional_overlap_exact(a, b, d, m))
+    rep = check_conditional_overlap(a, b, d, m, 100000, trial_rng(9, 0, 0))
+    se = math.sqrt(exact * (1 - exact) / 20000)
+    assert abs(rep.lhs - exact) <= 4 * se
+
+
 def test_conditional_overlap_inconclusive():
     # acceptance probability ~ b*a/m = 4e-4: the 10x cap cannot reach 100
     rng = trial_rng(6, 0, 0)
