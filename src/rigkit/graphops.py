@@ -77,8 +77,8 @@ from typing import Optional
 
 import numpy as np
 
-from .graphgen import (_BLOCK, PACK_LIMIT, BipartiteIncidence, _attr_major, _sorted_unique,
-                       concat_ranges)
+from .graphgen import (_BLOCK, PACK_LIMIT, BipartiteIncidence, _attr_major, _sort,
+                       _sorted_unique, concat_ranges)
 
 __all__ = [
     "ComponentLabeling",
@@ -150,7 +150,7 @@ class TraversalCore:
         # vertex-major: each vertex's core ids come out increasing
         keys = self.attr_vertices * self.num_attrs
         keys += np.cumsum(starts) - 1
-        keys.sort()
+        _sort(keys)
         self.set_attrs = keys % self.num_attrs
         self.set_sizes = np.bincount(self.attr_vertices, minlength=n)
         self.set_indptr = np.zeros(n + 1, dtype=np.int64)

@@ -32,7 +32,8 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from . import storage
-from .graphgen import PACK_LIMIT, _occupied_attrs, generate
+from .graphgen import (PACK_LIMIT, BipartiteIncidence, _occupied_attrs, _share_cpus, _vertex_major,
+                       generate)
 from .graphops import (UNREACHED, TraversalCore, bfs_distance, components, distances_from,
                        nearest_routes)
 from .hubnav import LadderError, decompose, loglog_certificate, thresholds
@@ -395,8 +396,10 @@ def _ratio(counts: dict, part: str, whole: str) -> Optional[float]:
 def run_generate(cfg: ExperimentConfig) -> list:
     """Write one graph file per (n, trial) plus a metadata sidecar each.
 
-    Each instance is generate's; the file holds its vertex-major view, and
-    the sidecar counts the occupied attributes off its sorted keys.
+    Each instance is generate's.  The sidecar counts the occupied
+    attributes off its sorted keys, which are then unpacked in place into
+    the vertex-major view the file holds, so no second array of their
+    length is made.
     """
     os.makedirs(cfg.out_dir, exist_ok=True)
     ext = "rig" if cfg.graph_format == "binary" else "json"
@@ -405,6 +408,9 @@ def run_generate(cfg: ExperimentConfig) -> list:
         params = cfg.params_for(n)
         for trial in range(cfg.trials):
             inc, _ = generate(params, trial_rng(cfg.seed, n, trial))
+            occupied = _occupied_attrs(inc.keys, n)
+            inc = BipartiteIncidence(n, inc.m, inc.set_indptr,
+                                     _vertex_major(inc.keys, n, inc.m, inc.set_indptr))
             name = f"graph_n{n}_t{trial}.{ext}"
             path = os.path.join(cfg.out_dir, name)
             try:
@@ -419,7 +425,7 @@ def run_generate(cfg: ExperimentConfig) -> list:
                 "bytes": os.path.getsize(path),
                 "sha256": storage.file_checksum(path),
                 "incidence": inc.total_incidence,
-                "occupied_attrs": _occupied_attrs(inc.keys, n),
+                "occupied_attrs": occupied,
             }
             write_json_report(path + ".meta.json", meta)
             out.append(meta)
@@ -605,8 +611,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     workers = min(cfg.threads, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         # concurrent.futures loads its process pool, and multiprocessing
-        # with it, on first access: a serial run never imports them
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        # with it, on first access: a serial run never imports them.  Each
+        # worker sorts on its share of the CPUs, not on every CPU.
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers, initializer=_share_cpus,
+                initargs=(workers,)) as pool:
             cells = list(pool.map(_experiment_cell, tasks))
     else:
         cells = [_experiment_cell(t) for t in tasks]

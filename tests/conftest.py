@@ -15,16 +15,20 @@ from rigkit.model import ModelParams, trial_rng
 @pytest.fixture(scope="session")
 def each_block():
     """Run a check as is, then with graphgen's and graphops' in-place passes
-    working 1, 2 and 7 entries at a time and the sampler's runs 1, 5 and 16
-    entries long, so that small inputs cross many block boundaries, runs of
-    several vertices and top-up rounds."""
+    working 1, 2 and 7 entries at a time, the sampler's runs 1, 5 and 16
+    entries long, and graphgen._sort splitting parts of 2, 3 and 5 entries
+    or more over 3 CPUs, so that small inputs cross many block boundaries,
+    runs of several vertices and top-up rounds, and every whole-array sort
+    splits into a 2-thread and a 1-thread part."""
     def run(check):
         check()
-        for block, run_size in ((1, 1), (2, 5), (7, 16)):
+        for block, run_size, split in ((1, 1, 2), (2, 5, 3), (7, 16, 5)):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(graphgen, "_BLOCK", block)
                 mp.setattr(graphops, "_BLOCK", block)
                 mp.setattr(graphgen, "_RUN", run_size)
+                mp.setattr(graphgen, "_SPLIT", split)
+                mp.setattr(graphgen, "_cpus", lambda: 3)
                 check()
     return run
 

@@ -53,6 +53,26 @@ def _modules_after(code, prefix):
     return out.stdout.splitlines()[-1]
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="counts threads in /proc/self/task")
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("4", "4")])
+def test_import_defaults_openblas_to_one_thread(preset, want):
+    # OpenBLAS's idle threads would spin on the CPU that graphgen._sort's
+    # second thread needs; a value the user set is kept
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = ("import os, rigkit; print(os.environ['OPENBLAS_NUM_THREADS'], "
+            "len(os.listdir('/proc/self/task')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    value, threads = out.stdout.split()
+    assert value == want
+    if preset is None:
+        assert threads == "1"
+
+
 def test_cli_import_leaves_out_scipy_sparse():
     # every graph query runs on numpy alone; scipy.sparse would add about
     # 0.1 s to each start of the CLI

@@ -162,6 +162,36 @@ def test_run_generate_writes_the_generated_instance(tmp_path):
     assert got == want
 
 
+def test_run_generate_unpacks_the_keys_in_place(tmp_path, monkeypatch):
+    # once the sidecar has counted the keys, the file's vertex-major view is
+    # unpacked over them with run-sized temporaries; a second array of their
+    # length would add 1.0x
+    n = 100_000
+    cfg = cfg_with(tmp_path, n_values=[n])
+    params = cfg.params_for(n)
+    want = graphgen.generate(params, trial_rng(cfg.seed, n, 0))[0].set_attrs
+    inc, weights = graphgen.generate(params, trial_rng(cfg.seed, n, 0))
+    keys = inc.keys
+    monkeypatch.setattr(harness, "generate", lambda params, rng: (inc, weights))
+    written = {}
+
+    def write_graph(path, got, *args, **kwargs):
+        written["peak"] = tracemalloc.get_traced_memory()[1]
+        written["ids"] = got.set_attrs
+        open(path, "wb").close()
+    monkeypatch.setattr(harness.storage, "write_graph", write_graph)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        meta, = harness.run_generate(cfg)
+    finally:
+        tracemalloc.stop()
+    assert written["ids"] is keys
+    assert np.array_equal(keys, want)
+    assert meta["occupied_attrs"] == np.unique(want).shape[0]
+    assert written["peak"] - base <= 0.1 * keys.nbytes
+
+
 def test_run_generate_minimal_n(tmp_path):
     cfg = cfg_with(tmp_path, n_values=[2])
     metas = harness.run_generate(cfg)
@@ -596,11 +626,13 @@ def test_run_experiment_threads_match(tmp_path):
 
 def test_run_experiment_caps_workers(tmp_path, monkeypatch):
     # a pool starts all of its workers at once, so it gets no more than
-    # there are cells or cores; a stub pool maps serially and starts none
+    # there are cells or cores; a stub pool maps serially and starts none.
+    # Each worker's sorts get its share of the CPUs.
     started = []
 
     class Pool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
+            assert initializer is graphgen._share_cpus and initargs == (max_workers,)
             started.append(max_workers)
 
         def __enter__(self):
@@ -624,6 +656,19 @@ def test_run_experiment_caps_workers(tmp_path, monkeypatch):
     three.threads = 64
     harness.run_experiment(three)
     assert started == [2, 2]
+
+
+def test_pool_workers_sort_on_their_share_of_the_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3, 4})
+    assert graphgen._cpus() == 5
+    for sharers, cpus in ((2, 2), (5, 1), (8, 1)):
+        monkeypatch.setattr(graphgen, "_SHARERS", sharers)
+        assert graphgen._cpus() == cpus
+    monkeypatch.undo()
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=1, initializer=graphgen._share_cpus, initargs=(64,)) as pool:
+        assert pool.submit(graphgen._cpus).result(timeout=60) == 1
+    assert graphgen._SHARERS == 1  # the initializer ran in the worker only
 
 
 def test_experiment_cell_seeded_golden(tmp_path):

@@ -313,15 +313,19 @@ def test_conditional_overlap_vacuous_point():
 
 
 def test_conditional_overlap_matches_enumeration():
-    # moderate point with indicator off: bound e^(-1), true rate ~ 2.4%
-    a, b, d, m = 2, 8, 3, 300
+    # indicator off (a <= b/4): bound e^(-1/2); the exact rate is 0.0200,
+    # and 0 with S_a taken for S_d.  Only S_b holding attribute 0 is
+    # accepted, 4 in 300, so the 10x cap stops at about 5,300 accepted.
+    a, b, d, m = 1, 4, 3, 300
     exact = float(conditional_overlap_exact(a, b, d, m))
+    assert 0.01 < exact < 0.5
     rng = trial_rng(5, 0, 0)
     rep = check_conditional_overlap(a, b, d, m, 40000, rng)
     assert rep.status == "pass"
-    assert rep.rhs == pytest.approx(math.exp(-1.0))
-    se = math.sqrt(exact * (1 - exact) / 40000)
-    assert abs(rep.lhs - exact) <= 4 * se + 1e-9
+    assert rep.rhs == pytest.approx(math.exp(-0.5))
+    accepted = int(rep.note.rsplit("accepted=", 1)[1])
+    se = math.sqrt(exact * (1 - exact) / accepted)
+    assert abs(rep.lhs - exact) <= 4 * se
 
 
 def test_conditional_overlap_counts_s_a_and_s_d_apart():
