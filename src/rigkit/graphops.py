@@ -163,7 +163,7 @@ class TraversalCore:
     def ball_around(self, sources: np.ndarray) -> "_TargetBall":
         """The cached target ball of sources, restarted for a new set."""
         if not np.array_equal(self.ball.sources, sources):
-            self.ball.restart(sources)
+            self.ball.restart(self, sources)
         return self.ball
 
     def entries(self, verts: np.ndarray) -> int:
@@ -341,18 +341,19 @@ class _TargetBall:
     No search needs a via or owner choice here, so a level is found without
     sorting: it is scattered into dist or adist and read back with
     np.flatnonzero.  The arrays are allocated once per core and reused by
-    every restart.
+    every restart.  The ball keeps no reference to its core: the methods
+    that read the core take it, so a core that its last user drops is freed
+    by reference counting, without waiting for the cyclic collector.
     """
 
     def __init__(self, core: TraversalCore):
-        self.core = core
         self.sources = _EMPTY
         self.dist = np.empty(core.n, dtype=np.int64)
         self.adist = np.empty(core.num_attrs, dtype=np.int64)
         self.inside = np.empty(core.n, dtype=bool)
         self.routes = {}
 
-    def restart(self, sources: np.ndarray) -> None:
+    def restart(self, core: TraversalCore, sources: np.ndarray) -> None:
         """Forget the ball and start one from sources (nonempty)."""
         self.sources = sources.copy()
         self.routes = {}
@@ -362,15 +363,15 @@ class _TargetBall:
         self.dist[sources] = 0
         self.adist.fill(UNREACHED)
         self.depth = 0
-        self._set_frontier(_sorted_unique(self.sources.copy()))
+        self._set_frontier(core, _sorted_unique(self.sources.copy()))
 
-    def _set_frontier(self, verts: np.ndarray) -> None:
+    def _set_frontier(self, core: TraversalCore, verts: np.ndarray) -> None:
         self.frontier = verts
-        self.entries = self.core.entries(verts)
+        self.entries = core.entries(verts)
 
-    def grow(self) -> None:
+    def grow(self, core: TraversalCore) -> None:
         """Add the vertices at hop depth + 1, and the attributes at hop depth."""
-        core, hop = self.core, self.depth
+        hop = self.depth
         attrs, _ = concat_ranges(core.set_indptr, core.set_attrs, self.frontier)
         self.adist[attrs[self.adist[attrs] == UNREACHED]] = hop
         attrs = np.flatnonzero(self.adist == hop)
@@ -379,7 +380,7 @@ class _TargetBall:
         self.dist[verts] = hop + 1
         self.inside[verts] = True
         self.depth = hop + 1
-        self._set_frontier(np.flatnonzero(self.dist == hop + 1))
+        self._set_frontier(core, np.flatnonzero(self.dist == hop + 1))
 
 
 def _check_vertex(core: TraversalCore, x: int) -> None:
@@ -392,7 +393,7 @@ def _complete_ball(core: TraversalCore, u: int) -> _TargetBall:
     _check_vertex(core, u)
     ball = core.ball_around(np.array([u], dtype=np.int64))
     while ball.frontier.size:
-        ball.grow()
+        ball.grow(core)
     return ball
 
 
@@ -530,7 +531,7 @@ def _reach_ball(core: TraversalCore, ball: _TargetBall, source: int):
                 # a vertex of an earlier level at hop depth + 1 from the
                 # targets would have a neighbour at hop depth, and that
                 # neighbour lies in the forward levels already checked.
-                ball.grow()
+                ball.grow(core)
                 verts = search.frontier
             else:
                 verts = search.expand()

@@ -770,10 +770,11 @@ def write_verify_report(cfg: ExperimentConfig, reports: Iterable[BoundReport]) -
     """verify_bounds.json with status counts, or verify_bounds.csv; returns the path.
 
     reports may be any iterable, run_verify's generator included; it is
-    consumed once, and no report is kept.  Each JSON report block goes to a
-    temporary file in out_dir while the statuses are tallied.  The counts
-    lead the file, so the report is then written as the header with them,
-    the blocks copied over and the footer: the bytes that
+    consumed once, and no report is kept.  The JSON report blocks go to a
+    temporary file in out_dir, _BLOCKS_PER_WRITE joined into each write,
+    while the statuses are tallied.  The counts lead the file, so the
+    report is then written as the header with them, the blocks copied over
+    and the footer: the bytes that
     json.dump(doc, fh, sort_keys=True, indent=2) writes for
     {"counts", "kind", "reports"}, plus a final line break.  CSV rows go to
     the temporary file, which is renamed to the report.  If reports raises,
@@ -804,14 +805,23 @@ def write_verify_report(cfg: ExperimentConfig, reports: Iterable[BoundReport]) -
     return path
 
 
+# json blocks joined into one write: a few grid points' worth, so the
+# memory held stays flat in the grid
+_BLOCKS_PER_WRITE = 256
+
+
 def _write_verify_json(path: str, body: str, reports) -> None:
     counts = {}
     with open(body, "w") as fh:
-        sep = "\n"
+        sep, blocks = "\n", []
         for rep in reports:
             counts[rep.status] = counts.get(rep.status, 0) + 1
-            fh.write(sep + rep.json_block())
-            sep = ",\n"
+            blocks.append(rep.json_block())
+            if len(blocks) == _BLOCKS_PER_WRITE:
+                fh.write(sep + ",\n".join(blocks))
+                sep, blocks = ",\n", []
+        if blocks:
+            fh.write(sep + ",\n".join(blocks))
     with open(path, "wb") as out, open(body, "rb") as fh:
         out.write(f'{{\n  "counts": {json_object(counts, 1)},\n  "kind": "verify",\n'
                   f'  "reports": ['.encode())

@@ -24,13 +24,23 @@ checks report false fails against EXACT_TOL.  Every Monte Carlo verdict goes
 through a 99% Wilson score interval and can only refute a bound from the
 safe side.  A BoundReport stores only lhs, rhs and its status; satisfied and
 slack = rhs - lhs follow from them.
+
+A report renders its own block of verify_bounds.json (json_block): one %
+template per key set of params (_block_layout), every number spelled by
+_json_number.  check_intersection_bounds checks each grid point in scalar
+Python on the point's table, spells the point's params once per key set
+(jkm, jkms, and jkmt once per t) into a _Layout, and builds its reports
+without the constructor's type pins; json_block reuses a report's layout
+while the report's params hold the very values it spelled.  Nothing is
+rendered until a writer asks, so a CSV report renders no JSON.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
@@ -126,7 +136,8 @@ class HypergeomTable:
                 - _log_gammas(m - k - j + r + 1)
                 - _log_gamma(m + 1) + _log_gamma(j + 1) + _log_gamma(m - j + 1))
         self.pmf = np.exp(logs)
-        self.prefix = np.concatenate(([0.0], np.cumsum(self.pmf)))
+        # a list, so that each tail is scalar float arithmetic
+        self.prefix = [0.0, *np.cumsum(self.pmf).tolist()]
 
     def prob(self, r: int) -> float:
         """P(H = r); 0 off the support."""
@@ -139,7 +150,7 @@ class HypergeomTable:
             return 1.0
         if start > self.hi:
             return 0.0
-        return min(1.0, float(self.prefix[-1] - self.prefix[start - self.lo]))
+        return min(1.0, self.prefix[-1] - self.prefix[start - self.lo])
 
     def at_most(self, x: float) -> float:
         """P(H <= x) for a real x; 0 below the support, 1 above it."""
@@ -148,7 +159,7 @@ class HypergeomTable:
             return 1.0
         if stop < self.lo:
             return 0.0
-        return min(1.0, float(self.prefix[stop - self.lo + 1]))
+        return min(1.0, self.prefix[stop - self.lo + 1])
 
 
 def hypergeom_error(j: int, k: int, m: int) -> Optional[str]:
@@ -189,13 +200,26 @@ def wilson_interval(successes: int, trials: int):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-# json's spellings of the floats that float.__repr__ writes as nan and inf;
-# a report's own numbers write NaN, "not evaluated", as null
-_JSON_FLOAT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_JSON_NUMBER = {**_JSON_FLOAT, "nan": "null"}
+# json's spellings of the floats that float.__repr__ writes as nan and inf,
+# in a report's own numbers, which write NaN, "not evaluated", as null
+_JSON_NUMBER = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 _PLAIN = frozenset({str, int, float, bool, type(None)})
 # a report's verdict by status; every status not listed was not adjudicated
 _SATISFIED = {"pass": True, "vacuous": True, "fail": False}
+
+
+def _json_number(x: float) -> str:
+    """A report's lhs, rhs or slack as json writes it, NaN as null.
+
+    0.0 and 1.0, about a fifth of an intersection grid's numbers, are
+    spelled without float.__repr__; -0.0 equals 0.0 and is not one of them.
+    """
+    if x == 1.0:
+        return "1.0"
+    if x == 0.0 and math.copysign(1.0, x) > 0.0:
+        return "0.0"
+    text = float.__repr__(x)
+    return _JSON_NUMBER.get(text, text)
 
 
 def _json_scalar(value) -> str:
@@ -217,8 +241,8 @@ def _json_scalar(value) -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        text = float.__repr__(value)
-        return _JSON_FLOAT.get(text, text)
+        text = _json_number(value)
+        return "NaN" if text == "null" else text
     raise TypeError(f"{type(value).__name__} value {value!r} is not a JSON scalar")
 
 
@@ -233,7 +257,7 @@ def json_object(doc: dict, depth: int) -> str:
     return f"{{\n{items}\n{pad}}}"
 
 
-@dataclass
+@dataclass(slots=True)
 class BoundReport:
     """One checked inequality instance, always oriented as lhs <= rhs.
 
@@ -244,6 +268,11 @@ class BoundReport:
     the point violates a precondition that only disables this family.
     satisfied follows from the status alone and is None whenever the check
     was not adjudicated; slack is rhs - lhs.
+
+    The constructor pins numpy scalars to plain types and copies params.
+    check_intersection_bounds builds its reports with _lean_report instead,
+    from values that are plain already, and gives each the _Layout of its
+    grid point's params, so that json_block need not spell them again.
     """
 
     bound_id: str
@@ -252,6 +281,8 @@ class BoundReport:
     rhs: float
     status: str
     note: str = ""
+    _layout: Optional["_Layout"] = field(default=None, init=False, repr=False,
+                                         compare=False)
 
     def __post_init__(self) -> None:
         # numpy scalars sneak in from vectorized arithmetic; pin plain types
@@ -279,19 +310,69 @@ class BoundReport:
         entry of the verify report's "reports" list (depth 2), without the
         line break before it.  NaN in lhs, rhs and slack is written null.
 
-        One % template per key tuple of params fills in every value; the
-        template, the encoded strings and the status's satisfied are cached,
-        since a grid's reports share a few of each."""
-        params = self.params
-        order, template = _block_layout(tuple(params))
+        The params come from a _Layout: the % template of their key set,
+        with one %s per value, and the values' texts.  A report of
+        check_intersection_bounds carries its grid point's layout, used
+        while its params still hold those very value objects; any other
+        report spells its params here.  The numbers go through
+        _json_number, and slack reuses rhs's text when lhs is 0.0.  The
+        encoded bound_id, note and status, and the satisfied a status
+        implies, are cached, since a grid's reports share a few of each.
+        """
+        layout = self._layout
+        if layout is None or not layout.holds(self.params):
+            layout = _Layout.of(self.params)
         status, satisfied = _status_json(self.status)
-        # lhs, rhs and slack as json writes them, NaN as null
-        lhs, rhs, slack = map(float.__repr__, (self.lhs, self.rhs, self.rhs - self.lhs))
-        return template % (_json_text(self.bound_id), _JSON_NUMBER.get(lhs, lhs),
-                           _json_text(self.note),
-                           *[_json_scalar(params[key]) for key in order],
-                           _JSON_NUMBER.get(rhs, rhs), satisfied,
-                           _JSON_NUMBER.get(slack, slack), status)
+        lhs, rhs = self.lhs, self.rhs
+        lhs_text, rhs_text = _json_number(lhs), _json_number(rhs)
+        # rhs - 0.0 is rhs, bit for bit
+        slack = rhs_text if lhs_text == "0.0" else _json_number(rhs - lhs)
+        return layout.template % (_json_text(self.bound_id), lhs_text,
+                                  _json_text(self.note), *layout.texts, rhs_text,
+                                  satisfied, slack, status)
+
+
+_new_report = BoundReport.__new__
+
+
+def _lean_report(bound_id: str, params: dict, lhs: float, rhs: float,
+                 status: str, note: str, layout: "_Layout") -> BoundReport:
+    """A BoundReport of plain values, made without the constructor's type
+    pins and params copy: params must be the report's own dict."""
+    rep = _new_report(BoundReport)
+    rep.bound_id = bound_id
+    rep.params = params
+    rep.lhs = lhs
+    rep.rhs = rhs
+    rep.status = status
+    rep.note = note
+    rep._layout = layout
+    return rep
+
+
+class _Layout:
+    """How json_block writes one set of params: order, the sorted keys, and
+    template, from _block_layout; values, the params' values in that order,
+    and texts, their json spellings."""
+
+    __slots__ = ("order", "template", "values", "texts")
+
+    def __init__(self, order: tuple, template: str, values: tuple, texts: tuple):
+        self.order, self.template = order, template
+        self.values, self.texts = values, texts
+
+    @classmethod
+    def of(cls, params: dict) -> "_Layout":
+        order, template = _block_layout(tuple(params))
+        values = tuple(map(params.__getitem__, order))
+        return cls(order, template, values, tuple(map(_json_scalar, values)))
+
+    def holds(self, params: dict) -> bool:
+        """Whether params has these keys, inserted in sorted order, each
+        bound to the very object in values.  An equal object is not enough:
+        3, 3.0 and True are equal and are spelled apart."""
+        return tuple(params) == self.order and all(
+            map(operator.is_, params.values(), self.values))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -328,11 +409,14 @@ def _block_layout(keys: tuple) -> tuple:
                    '    }')
 
 
+def _exact_status(lhs: float, rhs: float) -> str:
+    """pass when lhs <= rhs up to EXACT_TOL relative to the larger side."""
+    return "pass" if lhs <= rhs + EXACT_TOL * max(1.0, abs(lhs), abs(rhs)) else "fail"
+
+
 def _exact_report(bound_id: str, params: dict, lhs: float, rhs: float,
                   note: str = "") -> BoundReport:
-    tol = EXACT_TOL * max(1.0, abs(lhs), abs(rhs))
-    return BoundReport(bound_id, params, lhs, rhs,
-                       "pass" if lhs <= rhs + tol else "fail", note)
+    return BoundReport(bound_id, params, lhs, rhs, _exact_status(lhs, rhs), note)
 
 
 def _skip_report(bound_id: str, params: dict, note: str) -> BoundReport:
@@ -348,42 +432,63 @@ def check_intersection_bounds(grid):
     and the exponential no-overlap bound P(H = 0) <= exp(-jk/2m).
     Points that break a family's side condition are reported as skipped for
     that family only.
+
+    Each point is checked in scalar Python on its HypergeomTable.  Its
+    params are spelled once per point (j, k, m and s) and once per t, into
+    the _Layout of each key set (jkm, jkms and jkmt), which every report of
+    that key set carries; each report still owns its params dict.
     """
     reports = []
-    for j, k, m in grid:
+    add = reports.append
+    tail_order, tail_template = _block_layout(("j", "k", "m", "t"))
+    for jkm in grid:
+        # numpy integers are taken, and the reports hold plain ints
+        j, k, m = map(operator.index, jkm)
         table = HypergeomTable(j, k, m)
         base = {"j": j, "k": k, "m": m}
+        point = _Layout.of(base)
         lam = table.mean
         p0 = no_overlap_probability(j, k, m)
 
         if j + k < m:
             lower = 1.0 - lam / (1.0 - (j + k) / m)
             upper = 1.0 - lam + lam * lam
-            reports.append(_exact_report("no_overlap_lower", base, lower, p0))
-            reports.append(_exact_report("no_overlap_upper", base, p0, upper))
+            add(_lean_report("no_overlap_lower", dict(base), lower, p0,
+                             _exact_status(lower, p0), "", point))
+            add(_lean_report("no_overlap_upper", dict(base), p0, upper,
+                             _exact_status(p0, upper), "", point))
         else:
             note = f"needs j+k < m, got {j + k} >= {m}"
-            reports.append(_skip_report("no_overlap_lower", base, note))
-            reports.append(_skip_report("no_overlap_upper", base, note))
+            add(_lean_report("no_overlap_lower", dict(base), math.nan, math.nan,
+                             "skipped", note, point))
+            add(_lean_report("no_overlap_upper", dict(base), math.nan, math.nan,
+                             "skipped", note, point))
 
         s = (j + k) / m
+        with_s = {**base, "s": s}
+        edge = _Layout.of(with_s)
         if s < 1.0:
             hit = 1.0 - p0
-            reports.append(_exact_report(
-                "edge_prob_lower", {**base, "s": s}, lam - lam * lam, hit))
-            reports.append(_exact_report(
-                "edge_prob_upper", {**base, "s": s}, hit,
-                lam + (2.0 / (1.0 - s)) * lam * lam))
+            lower = lam - lam * lam
+            upper = lam + (2.0 / (1.0 - s)) * lam * lam
+            add(_lean_report("edge_prob_lower", with_s, lower, hit,
+                             _exact_status(lower, hit), "", edge))
+            add(_lean_report("edge_prob_upper", dict(with_s), hit, upper,
+                             _exact_status(hit, upper), "", edge))
         else:
             note = f"needs (j+k)/m < 1, got s = {s:g}"
-            reports.append(_skip_report("edge_prob_lower", {**base, "s": s}, note))
-            reports.append(_skip_report("edge_prob_upper", {**base, "s": s}, note))
+            add(_lean_report("edge_prob_lower", with_s, math.nan, math.nan,
+                             "skipped", note, edge))
+            add(_lean_report("edge_prob_upper", dict(with_s), math.nan, math.nan,
+                             "skipped", note, edge))
 
+        texts = point.texts
         for t in range(min(j, k) + 1):
-            pt = {**base, "t": t}
+            tail = _Layout(tail_order, tail_template, (j, k, m, t), (*texts, int.__repr__(t)))
             upper_tail = table.at_least(lam + t)
             rhs_up = 1.0 if t == 0 else math.exp(-t * t / (2.0 * (lam + t / 3.0)))
-            reports.append(_exact_report("overlap_tail_upper", pt, upper_tail, rhs_up))
+            add(_lean_report("overlap_tail_upper", {**base, "t": t}, upper_tail, rhs_up,
+                             _exact_status(upper_tail, rhs_up), "", tail))
             lower_tail = table.at_most(lam - t)
             if t == 0:
                 rhs_lo = 1.0
@@ -391,10 +496,11 @@ def check_intersection_bounds(grid):
                 rhs_lo = 0.0
             else:
                 rhs_lo = math.exp(-t * t / (2.0 * lam))
-            reports.append(_exact_report("overlap_tail_lower", pt, lower_tail, rhs_lo))
+            add(_lean_report("overlap_tail_lower", {**base, "t": t}, lower_tail, rhs_lo,
+                             _exact_status(lower_tail, rhs_lo), "", tail))
 
-        reports.append(_exact_report(
-            "no_overlap_exp", base, p0, math.exp(-j * k / (2.0 * m))))
+        rhs = math.exp(-j * k / (2.0 * m))
+        add(_lean_report("no_overlap_exp", base, p0, rhs, _exact_status(p0, rhs), "", point))
     return reports
 
 

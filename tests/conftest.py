@@ -58,3 +58,13 @@ def default_verify_grid():
     cfg = ExperimentConfig(n_values=[100])
     sides = range(cfg.verify_jk_max + 1)
     return [(j, k, m) for m in cfg.verify_m_values for j in sides for k in sides]
+
+
+@pytest.fixture(scope="session")
+def mixed_verify_grid():
+    """(j, k, m) points, j, k <= 12, whose intersection reports take every
+    status the suite gives: skipped where j + k >= m (m = 10 and 20), fail
+    at m = 1.5e8, where P(H = 0) loses digits to cancellation, pass, and
+    the degenerate points j = 0 or k = 0."""
+    return [(j, k, m) for m in (10, 20, 1000, 150000000)
+            for j in range(min(m, 12) + 1) for k in range(min(m, 12) + 1)]

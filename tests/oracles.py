@@ -331,6 +331,65 @@ def pair_hops_python(adj: np.ndarray, s: int) -> np.ndarray:
     return dist
 
 
+def intersection_reports_reference(grid) -> list:
+    """check_intersection_bounds as it was written before its reports were
+    built lean: one BoundReport through the public constructor per check,
+    the tails through HypergeomTable.at_least and at_most.  The table and
+    no_overlap_probability are the package's own; their values are checked
+    against exact rationals elsewhere."""
+    from rigkit.verify import (EXACT_TOL, BoundReport, HypergeomTable,
+                               no_overlap_probability)
+
+    def exact(bound_id, params, lhs, rhs):
+        tol = EXACT_TOL * max(1.0, abs(lhs), abs(rhs))
+        return BoundReport(bound_id, params, lhs, rhs,
+                           "pass" if lhs <= rhs + tol else "fail")
+
+    def skip(bound_id, params, note):
+        return BoundReport(bound_id, params, math.nan, math.nan, "skipped", note)
+
+    reports = []
+    for j, k, m in grid:
+        table = HypergeomTable(j, k, m)
+        base = {"j": j, "k": k, "m": m}
+        lam = table.mean
+        p0 = no_overlap_probability(j, k, m)
+        if j + k < m:
+            lower = 1.0 - lam / (1.0 - (j + k) / m)
+            upper = 1.0 - lam + lam * lam
+            reports.append(exact("no_overlap_lower", base, lower, p0))
+            reports.append(exact("no_overlap_upper", base, p0, upper))
+        else:
+            note = f"needs j+k < m, got {j + k} >= {m}"
+            reports.append(skip("no_overlap_lower", base, note))
+            reports.append(skip("no_overlap_upper", base, note))
+        s = (j + k) / m
+        if s < 1.0:
+            hit = 1.0 - p0
+            reports.append(exact("edge_prob_lower", {**base, "s": s}, lam - lam * lam, hit))
+            reports.append(exact("edge_prob_upper", {**base, "s": s}, hit,
+                                 lam + (2.0 / (1.0 - s)) * lam * lam))
+        else:
+            note = f"needs (j+k)/m < 1, got s = {s:g}"
+            reports.append(skip("edge_prob_lower", {**base, "s": s}, note))
+            reports.append(skip("edge_prob_upper", {**base, "s": s}, note))
+        for t in range(min(j, k) + 1):
+            pt = {**base, "t": t}
+            upper_tail = table.at_least(lam + t)
+            rhs_up = 1.0 if t == 0 else math.exp(-t * t / (2.0 * (lam + t / 3.0)))
+            reports.append(exact("overlap_tail_upper", pt, upper_tail, rhs_up))
+            lower_tail = table.at_most(lam - t)
+            if t == 0:
+                rhs_lo = 1.0
+            elif lam == 0.0:
+                rhs_lo = 0.0
+            else:
+                rhs_lo = math.exp(-t * t / (2.0 * lam))
+            reports.append(exact("overlap_tail_lower", pt, lower_tail, rhs_lo))
+        reports.append(exact("no_overlap_exp", base, p0, math.exp(-j * k / (2.0 * m))))
+    return reports
+
+
 def verify_report_reference(reports) -> str:
     """Reference text of verify_bounds.json: the reports as dicts (NaN in
     lhs, rhs and slack becomes None), their status counts, then json.dumps

@@ -1,8 +1,10 @@
 import concurrent.futures
+import gc
 import json
 import math
 import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -261,6 +263,25 @@ def test_trial_leaves_the_complete_ball_of_u_max(tmp_path, monkeypatch):
         assert np.array_equal(ball.dist, want)
         assert np.array_equal(graphops.distances_from(t.core, u_max), want)
 
+
+
+def test_trial_core_is_freed_by_reference_counting(tmp_path):
+    # the core owns its target ball and the ball keeps no reference back to
+    # it, so a dropped Trial frees its core at once, with the cyclic
+    # collector off: a serial experiment holds no finished cell's core
+    cfg = cfg_with(tmp_path, n_values=[2000], hub_floor=20.0, seed=1)
+    t = harness.Trial.generated(cfg, 2000, 0)
+    t.pairs(5)
+    t.hub_samples(5)
+    core = weakref.ref(t.core)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del t
+        assert core() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 # the apex, vertex 3, holds only attributes of its own: it is isolated, and
 # the giant is {0, 1, 2}; scripts/same_output_sweep.py runs the same graph

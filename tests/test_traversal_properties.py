@@ -131,10 +131,11 @@ def ball_sources(draw):
 
 
 def complete_ball(inc, sources):
-    ball = TraversalCore(inc).ball_around(np.array(sources, dtype=np.int64))
+    core = TraversalCore(inc)
+    ball = core.ball_around(np.array(sources, dtype=np.int64))
     while ball.frontier.size:
-        ball.grow()
-    return ball
+        ball.grow(core)
+    return core, ball
 
 
 @PROPS
@@ -147,8 +148,8 @@ def test_target_ball_matches_reference(case):
     # of other sources left its arrays.
     inc, sources = case
     dist, adist = target_ball_reference(inc, sources)
-    ball = complete_ball(inc, [inc.n - 1 - s for s in sources])
-    ball.restart(np.array(sources, dtype=np.int64))
+    core, ball = complete_ball(inc, [inc.n - 1 - s for s in sources])
+    ball.restart(core, np.array(sources, dtype=np.int64))
     assert ball.sources.tolist() == sources
     while True:
         depth = ball.depth
@@ -161,7 +162,7 @@ def test_target_ball_matches_reference(case):
         assert ball.frontier.tolist() == [v for v, d in enumerate(dist) if d == depth]
         if ball.frontier.size == 0:
             break
-        ball.grow()
+        ball.grow(core)
 
 
 @PROPS
@@ -178,11 +179,11 @@ def test_descend_keeps_only_shortest_route_levels(case):
     held = [ref["set_attrs"][ref["set_indptr"][v]:ref["set_indptr"][v + 1]]
             for v in range(inc.n)]
     adj = adjacency_matrix(inc)
-    ball = complete_ball(inc, sources)
-    n, num_attrs = inc.n, ball.core.num_attrs
+    core, ball = complete_ball(inc, sources)
+    n, num_attrs = inc.n, core.num_attrs
     starts = [v for v in range(n) if dist[v] != UNREACHED]
     keys = np.array([i * n + v for i, v in enumerate(starts)], dtype=np.int64)
-    levels = _descent_levels(ball.core, ball, keys)
+    levels = _descent_levels(core, ball, keys)
     depth = max(dist[v] for v in starts)
     assert len(levels) == depth
     for i, v in enumerate(starts):
@@ -284,13 +285,13 @@ def test_nearest_routes_match_python_bfs(inc, data):
     orders = [sources, sources[::-1], data.draw(st.permutations(sources))]
     for order in orders:
         ball = core.ball_around(np.array(targets))
-        ball.restart(np.array(targets))
+        ball.restart(core, np.array(targets))
         assert ball.routes == {}
         for v in warm:
             assert nearest_of(core, v, np.array(targets)).path == want[v]
         for _ in range(grow):
             if ball.frontier.size:
-                ball.grow()
+                ball.grow(core)
         for _ in range(2):
             res = nearest_routes(core, order, np.array(targets))
             assert [r.path for r in res] == [want[v] for v in order]
@@ -406,7 +407,7 @@ def test_nearest_routes_on_wide_id_pools(inc, data):
             mp.setattr(graphops, "PACK_LIMIT", limit)
             mp.setattr(graphops, "_route_batch", counted)
             mp.setattr(graphops, "_first_by", bounded)
-            core.ball_around(np.array(targets)).restart(np.array(targets))
+            core.ball_around(np.array(targets)).restart(core, np.array(targets))
             assert route_paths(core, sources, targets) == want
         assert sum(batches) == n
         if per_chunk is not None:

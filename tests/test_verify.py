@@ -21,7 +21,8 @@ from rigkit.verify import (
     wilson_interval,
 )
 
-from oracles import conditional_overlap_exact, hyper_pmf_exact, no_overlap_exact
+from oracles import (conditional_overlap_exact, hyper_pmf_exact,
+                     intersection_reports_reference, no_overlap_exact)
 
 
 # --- exact hypergeometric machinery ----------------------------------------
@@ -243,6 +244,38 @@ def test_full_default_grid_clean(default_verify_grid):
 
 def test_empty_grid_empty_report():
     assert check_intersection_bounds([]) == []
+
+
+def same_bits(x: float, y: float) -> bool:
+    return math.isnan(x) and math.isnan(y) or x.hex() == y.hex()
+
+
+def test_intersection_reports_match_the_reference(mixed_verify_grid):
+    # the lean per-point build against the suite as it was written, report
+    # by report: every field, each param's type, and lhs and rhs bit for bit
+    got = check_intersection_bounds(mixed_verify_grid)
+    want = intersection_reports_reference(mixed_verify_grid)
+    assert {r.status for r in got} == {"pass", "fail", "skipped"}
+    assert any(r.params["j"] * r.params["k"] == 0 for r in got)
+    assert len(got) == len(want) == 9066
+    for a, b in zip(got, want):
+        assert (a.bound_id, a.status, a.note) == (b.bound_id, b.status, b.note)
+        assert ([(key, type(v), v) for key, v in a.params.items()]
+                == [(key, type(v), v) for key, v in b.params.items()])
+        assert same_bits(a.lhs, b.lhs) and same_bits(a.rhs, b.rhs), (a, b)
+        assert type(a.lhs) is float and type(a.rhs) is float
+
+
+def test_intersection_grid_of_numpy_ints_gives_plain_reports():
+    grid = [(3, 4, 20), (0, 5, 9), (6, 5, 10)]
+    want = check_intersection_bounds(grid)
+    got = check_intersection_bounds([tuple(map(np.int64, p)) for p in grid])
+    assert got == want
+    for rep in got:
+        assert {type(v) for v in rep.params.values()} <= {int, float}
+        assert type(rep.lhs) is float and type(rep.rhs) is float
+    with pytest.raises(TypeError):
+        check_intersection_bounds([(3.0, 4, 20)])
 
 
 # --- union coverage ----------------------------------------------------------

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from rigkit import harness
 from rigkit.harness import ExperimentConfig
-from rigkit.verify import BoundReport, _json_scalar, check_intersection_bounds
+from rigkit.verify import (BoundReport, _json_number, _json_scalar,
+                          check_intersection_bounds)
 
 from oracles import verify_report_reference
 
@@ -52,6 +53,53 @@ def test_empty_report_list(tmp_path):
 def test_full_default_grid_matches_json_dump(tmp_path, default_verify_grid):
     reports = check_intersection_bounds(default_verify_grid)
     assert len(reports) == 76911
+    assert written(tmp_path, reports) == verify_report_reference(reports)
+
+
+def test_mixed_grid_matches_json_dump(tmp_path, mixed_verify_grid):
+    # skipped reports write NaN as null, failed ones false; the suite's
+    # reports carry their grid point's spelled params
+    reports = check_intersection_bounds(mixed_verify_grid)
+    assert {r.status for r in reports} == {"pass", "fail", "skipped"}
+    text, want = written(tmp_path, reports), verify_report_reference(reports)
+    # the first difference only: a diff of two 4 MB texts takes minutes
+    at = next((i for i, (a, b) in enumerate(zip(text, want)) if a != b),
+              min(len(text), len(want)))
+    assert text[max(at - 200, 0):at + 200] == want[max(at - 200, 0):at + 200]
+    assert len(text) == len(want)
+
+
+def test_suite_report_with_changed_params_writes_them(tmp_path):
+    # a report spells the params its grid point spelled only while they hold
+    # those very values: an equal value of another type, a new value, an
+    # added key, a removed one and a new dict are each written as they are
+    reports = check_intersection_bounds([(3, 4, 20)])
+    reports[0].params["j"] = 3.0
+    reports[1].params["m"] = True
+    reports[2].params["k"] = 5
+    reports[3].params["u"] = 1
+    reports[4].params["j"] = reports[4].params.pop("k")
+    reports[5].params = {"j": -0.0}
+    assert written(tmp_path, reports) == verify_report_reference(reports)
+    text = written(tmp_path, reports[:6])
+    for spelled in ('"j": 3.0', '"m": true', '"k": 5', '"u": 1', '"j": -0.0'):
+        assert spelled in text
+
+
+@pytest.mark.parametrize("value, text", [
+    (0.0, "0.0"), (-0.0, "-0.0"), (1.0, "1.0"), (-1.0, "-1.0"),
+    (math.nan, "null"), (-math.nan, "null"), (math.inf, "Infinity"),
+    (-math.inf, "-Infinity"), (5e-324, "5e-324"), (0.1, "0.1")])
+def test_report_numbers_are_spelled_as_json_writes_them(value, text):
+    assert _json_number(value) == text
+    if not math.isnan(value):
+        assert json.dumps(value) == text
+
+
+def test_slack_of_signed_zeros_is_written_as_json_dump(tmp_path):
+    # slack reuses rhs's text only when lhs is 0.0: -0.0 - -0.0 is 0.0
+    reports = [BoundReport("z", {}, lhs, rhs, "pass") for lhs in (0.0, -0.0)
+               for rhs in (0.0, -0.0, 2.5, math.nan)]
     assert written(tmp_path, reports) == verify_report_reference(reports)
 
 
