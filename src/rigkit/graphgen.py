@@ -1,13 +1,15 @@
 """Sampling and layout of the bipartite vertex-attribute incidence.
 
-An instance is held in one layout: the sorted keys attr * n + vertex of its
-entries.  The sampler draws them, the binary reader packs a file's ids into
-them, and graphops.TraversalCore reads its core straight off them.  The
-vertex-major view, each vertex's attribute ids strictly increasing and back
-to back in vertex order, is the layout of graph files; it is derived from
-the keys, with one sort, only when something reads it.  The attribute pool
-can be enormous (the default m-rule gives m ~ n ln^2 n ln ln n), so nothing
-here ever allocates an array of length m.  The vertex-vertex edge list is
+An instance is held in one layout: its set sizes and the sorted keys
+attr * n + vertex of its entries.  The sampler draws the keys, from_flat
+packs checked vertex-major ids into them in place (both graph readers and
+from_sets build through it), and graphops.TraversalCore reads its core
+straight off them.  The vertex-major view, each vertex's attribute ids
+strictly increasing and back to back in vertex order, is the layout of
+graph files; each read of set_attrs derives it from a copy of the keys,
+with one sort, and nothing keeps it.  The attribute pool can be enormous
+(the default m-rule gives m ~ n ln^2 n ln ln n), so nothing here ever
+allocates an array of length m.  The vertex-vertex edge list is
 likewise never materialized: heavy vertices share attributes with thousands
 of others and the induced cliques would blow up memory, so traversals run
 on the bipartite structure.
@@ -200,7 +202,7 @@ def _occupied_attrs(keys: np.ndarray, n: int) -> int:
 
 
 class BipartiteIncidence:
-    """Every vertex's attribute set: sorted keys with a vertex-major view.
+    """Every vertex's attribute set: its set sizes and its sorted keys.
 
     Attributes
     ----------
@@ -208,28 +210,24 @@ class BipartiteIncidence:
         Vertex count and attribute pool size; n * m < PACK_LIMIT.
     set_indptr : (n+1,) int64
         Row pointer for per-vertex attribute lists.
-    keys : int64 or None
+    keys : int64
         Every entry as attr * n + vertex, sorted: what sample_incidence draws
-        and the binary reader packs.  None for an incidence built from lists
-        (from_flat, from_sets).
-    set_attrs : int64
-        Original attribute ids, strictly increasing within each vertex.  An
-        incidence with keys derives them on first read and keeps them.
+        and from_flat packs.  Nothing else of the entries is held.
+    set_attrs : int64, read-only
+        The vertex-major view: original attribute ids, strictly increasing
+        within each vertex.  Each read sorts it out of a copy of the keys
+        and keeps nothing.
     """
 
-    def __init__(self, n, m, set_indptr, set_attrs=None, keys=None):
+    def __init__(self, n, m, set_indptr, keys):
         self.n = int(n)
         self.m = int(m)
         self.set_indptr = set_indptr
-        self._set_attrs = set_attrs
         self.keys = keys
 
     @property
     def set_attrs(self) -> np.ndarray:
-        if self._set_attrs is None:
-            self._set_attrs = _vertex_major(self.keys.copy(), self.n, self.m,
-                                            self.set_indptr)
-        return self._set_attrs
+        return _vertex_major(self.keys.copy(), self.n, self.m, self.set_indptr)
 
     # -- construction ------------------------------------------------------
 
@@ -240,7 +238,9 @@ class BipartiteIncidence:
 
         flat holds the lists back to back in vertex order; sizes gives each
         length.  Each list must be strictly increasing, which rules out
-        repeats too; nothing is sorted here.
+        repeats too.  Once checked, flat is packed in place into the keys
+        (_attr_major): the caller gives it up, and an int64 flat is returned
+        as the keys.
         """
         n = int(n)
         m = int(m)
@@ -269,7 +269,7 @@ class BipartiteIncidence:
             v = int(np.searchsorted(set_indptr, i, side="right")) - 1
             raise ValueError(f"vertex {v} lists attribute {flat[i]} after "
                              f"{flat[i - 1]}; each list must be strictly increasing")
-        return cls(n, m, set_indptr, flat)
+        return cls(n, m, set_indptr, _attr_major(flat, n, set_indptr))
 
     @classmethod
     def from_sets(cls, n: int, m: int, sets) -> "BipartiteIncidence":
@@ -287,10 +287,6 @@ class BipartiteIncidence:
     def total_incidence(self) -> int:
         return int(self.set_indptr[-1])
 
-    def set_of(self, v: int) -> np.ndarray:
-        """Sorted original attribute ids of vertex v."""
-        return self.set_attrs[self.set_indptr[v]:self.set_indptr[v + 1]]
-
     def sizes(self) -> np.ndarray:
         return np.diff(self.set_indptr)
 
@@ -301,7 +297,7 @@ class BipartiteIncidence:
             self.n == other.n
             and self.m == other.m
             and np.array_equal(self.set_indptr, other.set_indptr)
-            and np.array_equal(self.set_attrs, other.set_attrs)
+            and np.array_equal(self.keys, other.keys)
         )
 
     def __repr__(self) -> str:
@@ -315,10 +311,10 @@ def _sorted_unique(keys: np.ndarray, kind=None, repeats=None) -> np.ndarray:
     Sorts keys in place, on every CPU (_sort) or, given a kind, with that
     np.sort kind, so callers pass an array they own and no longer need,
     then moves each entry that differs from its predecessor to the front of
-    keys, _RUN entries at a time, and returns a view of that front.  Nothing of the input's length is
-    allocated, and for large integer arrays this is far cheaper than numpy's
-    hash-based np.unique.  When repeats is a list, each block's dropped
-    entries are appended to it.
+    keys, _RUN entries at a time, and returns a view of that front.  Nothing
+    of the input's length is allocated, and for large integer arrays this is
+    far cheaper than numpy's hash-based np.unique.  When repeats is a list,
+    each block's dropped entries are appended to it.
     """
     if kind is None:
         _sort(keys)
@@ -352,15 +348,15 @@ def sample_incidence(m: int, sizes: np.ndarray, rng: np.random.Generator) -> "Bi
     exactly as one rng.integers call of the full length would.  Each draw
     is packed as attr * n + vertex (_owners); the whole array is sorted in
     place once and _sorted_unique drops the repeats, which it hands back.
-    Each vertex's shortfall is the count of its dropped keys.  A top-up round draws the shortfalls into the
-    tail, short vertices in ascending order, and a stable sort merges the
-    sorted front with that short tail before the repeats are dropped again.
-    Per vertex this keeps the first sizes[v] distinct values of an iid
-    uniform stream, so the subsets are exactly uniform and mutually
-    independent.  Returns an incidence whose keys are sorted and distinct;
-    its vertex-major ids are derived only when read.  A size outside
-    [0, m], or a pool with n * m >= 2**62, where the packed keys would
-    overflow int64, raises ValueError before anything is drawn.
+    Each vertex's shortfall is the count of its dropped keys.  A top-up
+    round draws the shortfalls into the tail, short vertices in ascending
+    order, and a stable sort merges the sorted front with that short tail
+    before the repeats are dropped again.  Per vertex this keeps the first
+    sizes[v] distinct values of an iid uniform stream, so the subsets are
+    exactly uniform and mutually independent.  Returns an incidence whose
+    keys are sorted and distinct.  A size outside [0, m], or a pool with
+    n * m >= 2**62, where the packed keys would overflow int64, raises
+    ValueError before anything is drawn.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     n = sizes.shape[0]
@@ -390,7 +386,7 @@ def sample_incidence(m: int, sizes: np.ndarray, rng: np.random.Generator) -> "Bi
         repeats = []
         # a sorted front and a short tail: timsort merges them in one pass
         keys = _sorted_unique(buf, kind="stable", repeats=repeats)
-    return BipartiteIncidence(n, m, set_indptr, keys=buf)
+    return BipartiteIncidence(n, m, set_indptr, buf)
 
 
 def generate(params: ModelParams, rng: np.random.Generator):
@@ -399,8 +395,9 @@ def generate(params: ModelParams, rng: np.random.Generator):
     Returns (incidence, weights).  The rng is consumed in a fixed order
     (one weight batch, then the subset batch), so a given (params, seed)
     pair reproduces the instance bit for bit.  TraversalCore reads the
-    incidence's keys, and its vertex-major ids are sorted out of them only
-    when something reads set_attrs.
+    incidence's keys; its vertex-major ids are sorted out of a copy of them
+    at each read of set_attrs, or, by a caller that gives the keys up,
+    unpacked over them in place (_vertex_major).
     """
     weights = sample_tilde_weights(params, rng)
     inc = sample_incidence(params.m, weights.sizes, rng)

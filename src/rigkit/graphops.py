@@ -14,8 +14,7 @@ numbered in increasing order of original id.  A one-sided search thus makes
 the same smallest-id parent choices, and traces the same paths, as it would
 on the full incidence.  The shared entries are marked in a one-byte mask,
 graphgen._BLOCK entries at a time, and the keys are only read; beside them
-the build peaks near 0.58x their bytes.  An incidence built from lists has
-no keys, so a copy of its ids is packed into them first.
+the build peaks near 0.58x their bytes.
 
 Component labels start from a root: its component is the completed target
 ball of {root} (below), the ball that distances_from(root) then copies.
@@ -77,8 +76,8 @@ from typing import Optional
 
 import numpy as np
 
-from .graphgen import (_BLOCK, PACK_LIMIT, BipartiteIncidence, _attr_major, _sort,
-                       _sorted_unique, concat_ranges)
+from .graphgen import (_BLOCK, PACK_LIMIT, BipartiteIncidence, _sort, _sorted_unique,
+                       concat_ranges)
 
 __all__ = [
     "ComponentLabeling",
@@ -128,10 +127,9 @@ class TraversalCore:
     (length n) and seen[side] (length num_attrs) are all False between
     queries.  ball is the target ball of the last source set that
     nearest_routes, distances_from or components asked about (it has no
-    sources before the first).  The incidence is read once, here, through
-    its keys, left as it was, and not kept; its vertex-major ids are not
-    derived.  An incidence built from lists (from_flat, from_sets) has no
-    keys, so a copy of its ids is packed into them (graphgen._attr_major).
+    sources before the first).  The incidence is read once, here: only its
+    n and its keys, which are left as they were and not kept; its
+    vertex-major ids are not derived.
 
     Both sides come from packed int64 keys: the incidence's attribute * n +
     vertex, sorted, then vertex * num_attrs + core id.  Attribute ids are
@@ -141,10 +139,7 @@ class TraversalCore:
     def __init__(self, inc: BipartiteIncidence):
         n = inc.n
         self.n = n
-        keys = inc.keys
-        if keys is None:
-            keys = _attr_major(inc.set_attrs.copy(), n, inc.set_indptr)
-        self.attr_vertices, starts = _shared_entries(keys, n)
+        self.attr_vertices, starts = _shared_entries(inc.keys, n)
         self.num_attrs = int(np.count_nonzero(starts))
         self.attr_indptr = np.append(np.flatnonzero(starts), starts.shape[0])
         # vertex-major: each vertex's core ids come out increasing

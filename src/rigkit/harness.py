@@ -32,8 +32,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from . import storage
-from .graphgen import (PACK_LIMIT, BipartiteIncidence, _occupied_attrs, _share_cpus, _vertex_major,
-                       generate)
+from .graphgen import PACK_LIMIT, _occupied_attrs, _share_cpus, _vertex_major, generate
 from .graphops import (UNREACHED, TraversalCore, bfs_distance, components, distances_from,
                        nearest_routes)
 from .hubnav import LadderError, decompose, loglog_certificate, thresholds
@@ -397,9 +396,10 @@ def run_generate(cfg: ExperimentConfig) -> list:
     """Write one graph file per (n, trial) plus a metadata sidecar each.
 
     Each instance is generate's.  The sidecar counts the occupied
-    attributes off its sorted keys, which are then unpacked in place into
-    the vertex-major view the file holds, so no second array of their
-    length is made.
+    attributes off its sorted keys, which are then given up: unpacked in
+    place into the vertex-major ids the file holds and passed with the row
+    pointer to storage.write_graph, so no second array of their length is
+    made.
     """
     os.makedirs(cfg.out_dir, exist_ok=True)
     ext = "rig" if cfg.graph_format == "binary" else "json"
@@ -409,13 +409,12 @@ def run_generate(cfg: ExperimentConfig) -> list:
         for trial in range(cfg.trials):
             inc, _ = generate(params, trial_rng(cfg.seed, n, trial))
             occupied = _occupied_attrs(inc.keys, n)
-            inc = BipartiteIncidence(n, inc.m, inc.set_indptr,
-                                     _vertex_major(inc.keys, n, inc.m, inc.set_indptr))
+            ids = _vertex_major(inc.keys, n, inc.m, inc.set_indptr)
             name = f"graph_n{n}_t{trial}.{ext}"
             path = os.path.join(cfg.out_dir, name)
             try:
-                storage.write_graph(path, inc, cfg.alpha, cfg.c0, cfg.seed,
-                                    fmt=cfg.graph_format)
+                storage.write_graph(path, inc.m, inc.set_indptr, ids, cfg.alpha,
+                                    cfg.c0, cfg.seed, fmt=cfg.graph_format)
             except OSError as exc:
                 raise RuntimeError(f"cannot write graph to {path}: {exc}") from exc
             meta = {

@@ -20,10 +20,12 @@ The reader checks the header and the size words against the file length
 (from fstat) before it allocates anything, reads each block straight into
 its final array without a per-vertex loop or a copy of the file's bytes,
 and leaves the order check to BipartiteIncidence.from_flat; every failure
-is a GraphFormatError, version 1 included.  The checked ids are then packed
-in place into the sorted attr * n + vertex keys that every instance is held
-in (graphgen), so a binary file reads back with the one array of its ids;
-the writer writes the incidence's vertex-major view.
+is a GraphFormatError, version 1 included.  from_flat then packs the checked
+ids in place into the sorted attr * n + vertex keys that every instance is
+held in (graphgen), so a binary file reads back with the one array of its
+ids.  The writers take the file's own layout, a row pointer and the
+vertex-major ids (an incidence's set_indptr and set_attrs), and write those
+arrays as they are.
 
 A JSON mirror ({"format": "rig-json", "version": 1, ...}) covers small
 graphs where a readable artifact matters more than compactness.  Its reader
@@ -49,7 +51,7 @@ import struct
 
 import numpy as np
 
-from .graphgen import BipartiteIncidence, _attr_major
+from .graphgen import BipartiteIncidence
 from .model import ModelParams
 
 __all__ = [
@@ -69,13 +71,22 @@ class GraphFormatError(ValueError):
     """Raised on malformed or truncated graph files."""
 
 
-def write_graph(path, inc: BipartiteIncidence, alpha: float, c0: float,
-                seed: int, fmt: str = "binary") -> None:
-    """Persist an incidence with its model parameters; fmt binary or json."""
+def write_graph(path, m: int, set_indptr: np.ndarray, ids: np.ndarray,
+                alpha: float, c0: float, seed: int, fmt: str = "binary") -> None:
+    """Persist an instance with its model parameters; fmt binary or json.
+
+    The instance is given in the file's layout: vertex v's attribute ids,
+    strictly increasing, are ids[set_indptr[v]:set_indptr[v + 1]], and n is
+    len(set_indptr) - 1.  A row pointer that does not start at 0 or end at
+    len(ids) raises ValueError before the file is opened.
+    """
+    if set_indptr[0] != 0 or len(ids) != set_indptr[-1]:
+        raise ValueError(f"set_indptr runs {set_indptr[0]}..{set_indptr[-1]}, "
+                         f"not 0..{len(ids)} over the ids")
     if fmt == "binary":
-        _write_binary(path, inc, alpha, c0, seed)
+        _write_binary(path, m, set_indptr, ids, alpha, c0, seed)
     elif fmt == "json":
-        _write_json(path, inc, alpha, c0, seed)
+        _write_json(path, m, set_indptr, ids, alpha, c0, seed)
     else:
         raise ValueError(f"unknown graph format {fmt!r}")
 
@@ -91,14 +102,14 @@ def read_graph(path):
     raise GraphFormatError(f"{path}: not a graph file (bad magic)")
 
 
-def _write_binary(path, inc, alpha, c0, seed):
+def _write_binary(path, m, set_indptr, ids, alpha, c0, seed):
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, inc.n, inc.m, float(alpha),
+        fh.write(_HEADER.pack(MAGIC, VERSION, len(set_indptr) - 1, m, float(alpha),
                               float(c0), int(seed)))
         # the words are non-negative, so their little-endian int64 bytes are
         # the u64 bytes: a little-endian host writes the arrays' own buffers
-        fh.write(np.ascontiguousarray(inc.sizes(), dtype="<i8"))
-        fh.write(np.ascontiguousarray(inc.set_attrs, dtype="<i8"))
+        fh.write(np.ascontiguousarray(np.diff(set_indptr), dtype="<i8"))
+        fh.write(np.ascontiguousarray(ids, dtype="<i8"))
 
 
 def _read_binary(path):
@@ -139,12 +150,10 @@ def _read_binary(path):
         # and fails from_flat's range check, as its int64 cast would.
         ids = _read_words(path, fh, num_ids, "<i8")
     try:
-        inc = BipartiteIncidence.from_flat(n, m, sizes, ids)
+        # ids is this reader's own buffer: from_flat packs it into the keys
+        return BipartiteIncidence.from_flat(n, m, sizes, ids), params, seed
     except ValueError as exc:
         raise GraphFormatError(f"{path}: {exc}") from exc
-    # the checked ids are this reader's own buffer: pack them into the keys
-    keys = _attr_major(inc.set_attrs, n, inc.set_indptr)
-    return BipartiteIncidence(n, m, inc.set_indptr, keys=keys), params, seed
 
 
 def _read_words(path, fh, count, dtype):
@@ -164,16 +173,16 @@ def _checked_params(path, n, m, alpha, c0) -> ModelParams:
         raise GraphFormatError(f"{path}: bad header ({exc})") from exc
 
 
-def _write_json(path, inc, alpha, c0, seed):
+def _write_json(path, m, set_indptr, ids, alpha, c0, seed):
     doc = {
         "format": "rig-json",
         "version": JSON_VERSION,
-        "n": inc.n,
-        "m": inc.m,
+        "n": len(set_indptr) - 1,
+        "m": int(m),
         "alpha": float(alpha),
         "c0": float(c0),
         "seed": int(seed),
-        "sets": [[int(a) for a in inc.set_of(v)] for v in range(inc.n)],
+        "sets": [ids[a:b].tolist() for a, b in zip(set_indptr[:-1], set_indptr[1:])],
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)

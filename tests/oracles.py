@@ -96,7 +96,8 @@ def conditional_overlap_exact(a: int, b: int, d: int, m: int) -> Fraction:
 
 
 def explicit_sets(inc) -> list:
-    return [set(inc.set_of(v).tolist()) for v in range(inc.n)]
+    ids, bounds = inc.set_attrs.tolist(), inc.set_indptr.tolist()
+    return [set(ids[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def adjacency_matrix(inc) -> np.ndarray:
@@ -111,9 +112,11 @@ def adjacency_matrix(inc) -> np.ndarray:
     return adj
 
 
-def shares_attribute(inc, u: int, v: int) -> bool:
-    """True when the attribute sets of u and v intersect."""
-    return np.intersect1d(inc.set_of(u), inc.set_of(v)).size > 0
+def shares_attribute(indptr, ids, u: int, v: int) -> bool:
+    """True when the attribute sets of u and v intersect, given the
+    vertex-major view (indptr, ids) of their incidence."""
+    return np.intersect1d(ids[indptr[u]:indptr[u + 1]],
+                          ids[indptr[v]:indptr[v + 1]]).size > 0
 
 
 def certificate_walk(cert):
@@ -161,17 +164,18 @@ def traversal_core_reference(inc) -> dict:
             "set_attrs": set_attrs}
 
 
-def traversal_core_two_sorts(inc) -> dict:
-    """The shared-attribute core's arrays by two full-length packed sorts.
+def traversal_core_two_sorts(indptr, ids) -> dict:
+    """The shared-attribute core's arrays by two full-length packed sorts,
+    from the vertex-major view (indptr, ids) of an incidence.
 
     The formula the traversal core was first built with: attribute * n +
     vertex keys for every incidence entry, sorted; run start and end masks
     over the whole array to find the attributes with two or more holders;
     then vertex * num_attrs + core id keys for the vertex side.
     """
-    n = inc.n
-    sizes = np.diff(inc.set_indptr)
-    keys = inc.set_attrs * n + np.repeat(np.arange(n, dtype=np.int64), sizes)
+    n = len(indptr) - 1
+    sizes = np.diff(indptr)
+    keys = ids * n + np.repeat(np.arange(n, dtype=np.int64), sizes)
     keys.sort()
     attrs = keys // n
     starts = np.ones(keys.shape[0], dtype=bool)

@@ -315,6 +315,7 @@ def test_criterion_07_distance_bounds(hub_battery, median_ladder):
 
 def test_criterion_08_certificate_soundness(hub_battery):
     inc = hub_battery["inc"]
+    indptr, ids = inc.set_indptr, inc.set_attrs
     k_star = hub_battery["k_star"]
     total = unsound = edge_bad = climb_bad = 0
     edges = 0
@@ -326,7 +327,7 @@ def test_criterion_08_certificate_soundness(hub_battery):
         walk = certificate_walk(cert)
         for a, b in zip(walk, walk[1:]):
             edges += 1
-            edge_bad += a == b or not shares_attribute(inc, int(a), int(b))
+            edge_bad += a == b or not shares_attribute(indptr, ids, int(a), int(b))
         for climb in (cert.climb_a, cert.climb_b):
             if climb is not None:
                 climb_bad += len(climb) - 1 > k_star

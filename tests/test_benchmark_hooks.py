@@ -3,9 +3,10 @@
 perfbench/spans.py replaces each (module, attribute) of its BINDINGS with a
 timing wrapper, and perfbench/checks.py wraps three functions to record the
 inputs of its output checks, so the package must call them through those
-names.  A rename in the package would otherwise only show up as a broken
-benchmark run; so would a config rule that the bounds workload's config no
-longer meets.
+names, and its hop check must still read the incidences it records.  A
+rename in the package would otherwise only show up as a broken benchmark
+run; so would a config rule that the bounds workload's config no longer
+meets.
 """
 
 import importlib
@@ -14,14 +15,18 @@ import json
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-SPANS = PERFBENCH / "spans.py"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_spans():
+    return load_perfbench("spans")
 
 
 def test_every_span_binding_resolves_to_a_callable():
@@ -38,6 +43,31 @@ def test_output_check_hooks_exist():
     for module, attr in ((harness, "generate"), (harness, "bfs_distance"),
                          (storage, "read_graph")):
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def test_output_check_reads_a_generated_and_a_read_back_incidence(tmp_path):
+    # the benchmark's hop check builds its star graph from the set_attrs of
+    # the incidence it captures from harness.generate (cell-1e5) or from
+    # storage.read_graph (hub-file): on either one it must agree with
+    # bfs_distance
+    from rigkit.graphgen import generate
+    from rigkit.graphops import TraversalCore, bfs_distance
+    from rigkit.model import ModelParams, default_attribute_count, trial_rng
+    from rigkit.storage import read_graph, write_graph
+
+    checks = load_perfbench("checks")
+    n = 300
+    params = ModelParams(n=n, m=default_attribute_count(n), alpha=0.8, c0=1.0)
+    inc, _ = generate(params, trial_rng(5, n, 0))
+    path = tmp_path / "g.rig"
+    write_graph(path, inc.m, inc.set_indptr, inc.set_attrs, params.alpha, params.c0, seed=5)
+    core = TraversalCore(inc)
+    targets = list(range(0, n, 23))
+    for source in (0, 1, 150):
+        want = [bfs_distance(core, source, v).hops for v in targets]
+        assert any(hops and hops > 1 for hops in want)
+        for got in (inc, read_graph(path)[0]):
+            assert checks.hops_from(checks.star_graph(got), source, targets) == want
 
 
 def test_trial_constructors_call_the_hooked_names(tmp_path, monkeypatch):

@@ -261,7 +261,7 @@ def crafted_graph(tmp_path, offset, fmt, value):
     """A valid little graph file with one header or body field overwritten."""
     inc = BipartiteIncidence.from_sets(3, 50, [[1, 7], [7], []])
     path = tmp_path / "crafted.rig"
-    write_graph(path, inc, 0.5, 1.0, seed=0)
+    write_graph(path, inc.m, inc.set_indptr, inc.set_attrs, 0.5, 1.0, seed=0)
     blob = bytearray(path.read_bytes())
     struct.pack_into(fmt, blob, offset, value)
     path.write_bytes(bytes(blob))
@@ -297,7 +297,7 @@ def crafted_json_graph(tmp_path, key, value):
     """The little graph of crafted_graph as rig-json, one field replaced."""
     inc = BipartiteIncidence.from_sets(3, 50, [[1, 7], [7], []])
     path = tmp_path / "crafted.json"
-    write_graph(path, inc, 0.5, 1.0, seed=0, fmt="json")
+    write_graph(path, inc.m, inc.set_indptr, inc.set_attrs, 0.5, 1.0, seed=0, fmt="json")
     doc = json.loads(path.read_text())
     doc[key] = value
     path.write_text(json.dumps(doc))
@@ -352,7 +352,7 @@ def test_graph_header_alpha_near_one_is_refused(tmp_path, capsys):
     params = ModelParams(n=20000, m=default_attribute_count(20000), alpha=0.8)
     inc, _ = generate(params, trial_rng(1, 20000, 0))
     path = tmp_path / "g.rig"
-    write_graph(path, inc, params.alpha, params.c0, seed=1)
+    write_graph(path, inc.m, inc.set_indptr, inc.set_attrs, params.alpha, params.c0, seed=1)
     blob = bytearray(path.read_bytes())
     struct.pack_into("<d", blob, 24, 0.999999)
     path.write_bytes(bytes(blob))

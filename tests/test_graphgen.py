@@ -80,8 +80,9 @@ def test_sample_incidence_matches_quota():
     sizes = np.array([0, 1, 5, 17, 3])
     inc = sample_incidence(40, sizes, rng)
     assert np.array_equal(inc.sizes(), sizes)
+    indptr, ids = inc.set_indptr, inc.set_attrs
     for v in range(5):
-        s = inc.set_of(v)
+        s = ids[indptr[v]:indptr[v + 1]]
         assert np.all(np.diff(s) > 0)
         assert s.shape[0] == sizes[v]
 
@@ -92,8 +93,7 @@ def test_sample_incidence_row_uniformity():
     n = 6000
     inc = sample_incidence(4, np.full(n, 2, dtype=np.int64), rng)
     counts = {}
-    for v in range(n):
-        key = tuple(inc.set_of(v).tolist())
+    for key in map(tuple, inc.set_attrs.reshape(n, 2).tolist()):
         counts[key] = counts.get(key, 0) + 1
     p = 1.0 / 6.0
     sigma = (n * p * (1 - p)) ** 0.5
@@ -115,7 +115,7 @@ def test_sample_incidence_marginal_rate():
 def test_sample_incidence_one_vertex_matches_reference():
     # one sparse vertex consumes the stream exactly as the reference does
     for m, z in ((50, 1), (50, 20), (1000, 500), (7, 3)):
-        got = sample_incidence(m, np.array([z]), trial_rng(11, m, z)).set_of(0)
+        got = sample_incidence(m, np.array([z]), trial_rng(11, m, z)).set_attrs
         assert got.tolist() == sample_subset(m, z, trial_rng(11, m, z)).tolist()
 
 
@@ -261,19 +261,22 @@ def test_sample_incidence_matches_reference(each_block, plan, seed):
         assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
         assert np.array_equal(inc.keys, np.sort(attrs * n + np.repeat(
             np.arange(n, dtype=np.int64), sizes)))
-        # the core reads the keys and leaves the vertex-major ids underived
+        # the core reads the keys and leaves them as they were
+        keys = inc.keys.copy()
         core = TraversalCore(inc)
-        assert inc._set_attrs is None
-        two_sorts = traversal_core_two_sorts(BipartiteIncidence.from_flat(n, m, sizes, attrs))
+        assert np.array_equal(inc.keys, keys)
+        two_sorts = traversal_core_two_sorts(indptr, attrs)
         assert core.num_attrs == two_sorts["num_attrs"]
         for name in ("attr_indptr", "attr_vertices", "set_indptr", "set_attrs"):
             assert np.array_equal(getattr(core, name), two_sorts[name]), name
+        ids = inc.set_attrs
         assert np.array_equal(inc.set_indptr, indptr)
-        assert np.array_equal(inc.set_attrs, attrs)
-        # the sampler builds its incidence unchecked: from_flat validates it
-        assert BipartiteIncidence.from_flat(n, m, sizes, inc.set_attrs) == inc
-        assert inc.set_indptr.dtype == inc.set_attrs.dtype == np.int64
+        assert np.array_equal(ids, attrs)
+        assert inc.set_indptr.dtype == ids.dtype == np.int64
     each_block(check)
+    # the sampler builds its incidence unchecked: from_flat validates it
+    inc = sample_incidence(m, sizes, np.random.default_rng(seed))
+    assert BipartiteIncidence.from_flat(n, m, sizes, inc.set_attrs) == inc
 
 
 def test_sample_incidence_golden_1e5():
@@ -336,7 +339,7 @@ def test_core_build_memory(tmp_path):
     params = ModelParams(n=n, m=default_attribute_count(n), alpha=0.8, c0=1.0)
     inc, _ = generate(params, trial_rng(1, n, 0))
     path = tmp_path / "g.rig"
-    write_graph(path, inc, params.alpha, params.c0, seed=1)
+    write_graph(path, inc.m, inc.set_indptr, inc.set_attrs, params.alpha, params.c0, seed=1)
     size = inc.keys.nbytes
     del inc
     tracemalloc.start()
@@ -373,8 +376,7 @@ def test_from_flat_rejects_unsorted_from_sets_sorts():
                                      np.array([0, 2, 4, 1, 5]))
     b = BipartiteIncidence.from_sets(2, 6, [[4, 0, 2], [5, 1]])
     assert a == b
-    assert a.set_of(0).tolist() == [0, 2, 4]
-    assert a.set_of(1).tolist() == [1, 5]
+    assert a.set_attrs.tolist() == [0, 2, 4, 1, 5]
 
 
 def test_from_sets_and_inverted_index():
@@ -387,10 +389,11 @@ def test_from_sets_and_inverted_index():
 def test_adjacent_and_neighbors_against_brute_force(medium_instance):
     params, inc, w = medium_instance
     adj = adjacency_matrix(inc)
+    indptr, ids = inc.set_indptr, inc.set_attrs
     rng = trial_rng(123, 0, 0)
     for _ in range(400):
         u, v = rng.choice(params.n, size=2, replace=False)
-        assert shares_attribute(inc, int(u), int(v)) == bool(adj[u, v])
+        assert shares_attribute(indptr, ids, int(u), int(v)) == bool(adj[u, v])
     core = TraversalCore(inc)
     for u in range(0, params.n, 10):
         assert neighbors(core, u).tolist() == np.flatnonzero(adj[u]).tolist()
@@ -399,8 +402,9 @@ def test_adjacent_and_neighbors_against_brute_force(medium_instance):
 def test_empty_set_is_isolated():
     inc = BipartiteIncidence.from_sets(3, 9, [[], [1, 2], [2]])
     assert neighbors(TraversalCore(inc), 0).shape == (0,)
-    assert not shares_attribute(inc, 0, 1)
-    assert shares_attribute(inc, 1, 2)
+    indptr, ids = inc.set_indptr, inc.set_attrs
+    assert not shares_attribute(indptr, ids, 0, 1)
+    assert shares_attribute(indptr, ids, 1, 2)
 
 
 def test_generate_determinism():

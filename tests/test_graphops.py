@@ -181,6 +181,7 @@ def test_distances_from_matches_single_source(small_instances):
 def test_shortest_path_is_a_real_walk(small_instances):
     for params, inc, w in small_instances:
         core = TraversalCore(inc)
+        indptr, ids = inc.set_indptr, inc.set_attrs
         rng = trial_rng(47, 0, 0)
         for _ in range(20):
             u, v = rng.choice(params.n, size=2, replace=False)
@@ -191,7 +192,7 @@ def test_shortest_path_is_a_real_walk(small_instances):
             assert res.path[0] == u and res.path[-1] == v
             assert len(set(res.path)) == len(res.path)
             for a, b in zip(res.path, res.path[1:]):
-                assert shares_attribute(inc, a, b)
+                assert shares_attribute(indptr, ids, a, b)
 
 
 def test_finite_distance_iff_same_component(small_instances):

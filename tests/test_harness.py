@@ -177,9 +177,9 @@ def test_run_generate_unpacks_the_keys_in_place(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "generate", lambda params, rng: (inc, weights))
     written = {}
 
-    def write_graph(path, got, *args, **kwargs):
+    def write_graph(path, m, set_indptr, ids, *args, **kwargs):
         written["peak"] = tracemalloc.get_traced_memory()[1]
-        written["ids"] = got.set_attrs
+        written["ids"] = ids
         open(path, "wb").close()
     monkeypatch.setattr(harness.storage, "write_graph", write_graph)
     tracemalloc.start()
@@ -212,7 +212,8 @@ def test_file_trial_core_matches_two_sort_formula(tmp_path, fmt):
     # two full-length packed sorts on the incidence read from that file
     cfg = cfg_with(tmp_path, n_values=[2000], hub_floor=20.0, graph_format=fmt)
     path = os.path.join(cfg.out_dir, harness.run_generate(cfg)[0]["path"])
-    want = traversal_core_two_sorts(read_graph(path)[0])
+    inc = read_graph(path)[0]
+    want = traversal_core_two_sorts(inc.set_indptr, inc.set_attrs)
     core = harness.Trial.from_file(cfg, path, 0).core
     assert core.num_attrs == want["num_attrs"] > 0
     for name in ("attr_indptr", "attr_vertices", "set_indptr", "set_attrs"):
@@ -291,7 +292,7 @@ ISOLATED_APEX_SETS = [[0], [0, 1], [1], [10, 11, 12, 13, 14, 15], [2], [2], [3],
 def test_isolated_apex_graph_file(tmp_path):
     inc = BipartiteIncidence.from_sets(8, 20, ISOLATED_APEX_SETS)
     path = str(tmp_path / "isolated-apex.rig")
-    write_graph(path, inc, alpha=0.8, c0=1.0, seed=3)
+    write_graph(path, inc.m, inc.set_indptr, inc.set_attrs, alpha=0.8, c0=1.0, seed=3)
     cfg = cfg_with(tmp_path, n_values=[8])
     t = harness.Trial.from_file(cfg, path, 0)
     assert t.dec.u_max == 3 and t.u_max_in_giant is False
@@ -330,7 +331,7 @@ def complete_overlap_graph(tmp_path, n=8, hub_size=1):
     sets = [list(range(hub_size))] + [[0]] * (n - 1)
     inc = BipartiteIncidence.from_sets(n, 10, sets)
     path = str(tmp_path / "complete.rig")
-    write_graph(path, inc, alpha=0.8, c0=1.0, seed=3)
+    write_graph(path, inc.m, inc.set_indptr, inc.set_attrs, alpha=0.8, c0=1.0, seed=3)
     return path
 
 
@@ -356,7 +357,7 @@ def test_run_distances_huge_epsilon(tmp_path):
 def test_run_distances_empty_giant(tmp_path):
     inc = BipartiteIncidence.from_sets(5, 10, [[0], [1], [2], [3], [4]])
     path = str(tmp_path / "isolated.rig")
-    write_graph(path, inc, alpha=0.8, c0=1.0, seed=3)
+    write_graph(path, inc.m, inc.set_indptr, inc.set_attrs, alpha=0.8, c0=1.0, seed=3)
     cfg = cfg_with(tmp_path, n_values=[5])
     frag = harness.run_distances(cfg, harness.Trial.from_file(cfg, path, 0))
     assert frag["empty"] is True
@@ -410,7 +411,7 @@ def test_run_hubpath_small_n(tmp_path):
 def test_run_hubpath_ladder_error(tmp_path):
     inc = BipartiteIncidence.from_sets(5, 10, [[0], [1], [2], [3], [4]])
     path = str(tmp_path / "isolated.rig")
-    write_graph(path, inc, alpha=0.8, c0=1.0, seed=3)
+    write_graph(path, inc.m, inc.set_indptr, inc.set_attrs, alpha=0.8, c0=1.0, seed=3)
     cfg = cfg_with(tmp_path, n_values=[5])
     frag = harness.run_hubpath(cfg, harness.Trial.from_file(cfg, path, 0))
     assert frag["degenerate"] is True

@@ -328,6 +328,7 @@ def test_certificate_sound_on_random_instances(small_instances):
         assert dec.k_star >= 1  # the floor of 2 gives a real ladder at n = 60
         adj = adjacency_matrix(inc)
         core = TraversalCore(inc)
+        indptr, ids = inc.set_indptr, inc.set_attrs
         rng = trial_rng(17, 0, 0)
         for _ in range(10):
             v1, v2 = (int(v) for v in rng.choice(params.n, size=2, replace=False))
@@ -356,7 +357,7 @@ def test_certificate_sound_on_random_instances(small_instances):
             assert walk[0] == v1 and walk[-1] == v2
             assert len(walk) == cert.certificate_hops + 1
             for a, b in zip(walk, walk[1:]):
-                assert a != b and shares_attribute(inc, int(a), int(b))
+                assert a != b and shares_attribute(indptr, ids, int(a), int(b))
     assert finished > 0
 
 

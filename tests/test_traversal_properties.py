@@ -37,8 +37,9 @@ def incidences(draw):
 def assert_walk(inc, path, start, end, hops):
     assert len(path) == hops + 1
     assert path[0] == start and path[-1] == end
+    indptr, ids = inc.set_indptr, inc.set_attrs
     for a, b in zip(path, path[1:]):
-        assert a != b and shares_attribute(inc, a, b)
+        assert a != b and shares_attribute(indptr, ids, a, b)
 
 
 def masks_clear(core):
@@ -332,8 +333,8 @@ def test_traversal_core_matches_reference(inc):
 def assert_core_matches_two_sorts(each_block, inc):
     """TraversalCore(inc) has the two-sort formula's arrays under every
     block size, and leaves inc as it was."""
-    want = traversal_core_two_sorts(inc)
-    ids, indptr = inc.set_attrs.copy(), inc.set_indptr.copy()
+    ids, indptr, keys = inc.set_attrs, inc.set_indptr.copy(), inc.keys.copy()
+    want = traversal_core_two_sorts(indptr, ids)
 
     def check():
         core = TraversalCore(inc)
@@ -342,7 +343,7 @@ def assert_core_matches_two_sorts(each_block, inc):
             assert np.array_equal(getattr(core, name), want[name]), name
         assert np.array_equal(core.set_sizes, np.diff(want["set_indptr"]))
     each_block(check)
-    assert np.array_equal(inc.set_attrs, ids) and np.array_equal(inc.set_indptr, indptr)
+    assert np.array_equal(inc.keys, keys) and np.array_equal(inc.set_indptr, indptr)
 
 
 @PROPS
@@ -467,12 +468,10 @@ def test_neighbors_edges_degrees_match_adjacency(inc):
 def test_sorted_unique_counts_occupied_attributes(each_block, inc):
     # how generate's sidecar and the union-coverage check count occupied
     # attributes: run by run over the sorted keys, across run edges
-    held = set()
-    for v in range(inc.n):
-        held.update(inc.set_of(v).tolist())
+    held = set(inc.set_attrs.tolist())
 
     def check():
-        keys = _attr_major(inc.set_attrs.copy(), inc.n, inc.set_indptr)
+        keys = _attr_major(inc.set_attrs, inc.n, inc.set_indptr)
         assert _occupied_attrs(keys, inc.n) == len(held)
     each_block(check)
 
