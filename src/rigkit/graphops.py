@@ -31,21 +31,23 @@ intersection-graph hop is two bipartite hops.  This keeps hub cliques
 implicit: a popular attribute is expanded once instead of contributing
 quadratically many edges.  One function takes that hop for a search and for
 a descent through the target ball, so both pick the same smallest-id
-attribute and owner.  Pair distances use balanced bidirectional BFS:
-each step advances, by one full hop, the side whose frontier holds fewer
-incidence entries, so a pair query scans a small fraction of the core.
+attribute and owner.
 
-Searches to a vertex set run against a *target ball*: a multi-source BFS
-from the set, grown one level at a time and only as far as queries need it.
-It records the hop count of every vertex it reaches and of every core
-attribute (the count of the attribute's nearest holder).  It makes no via
-or owner choice, so it needs no sort: each level is scattered into the
-count arrays and read back with np.flatnonzero.  The ball of the last set
-asked about stays in the core, so the searches of one trial that share
-their targets share its levels, and components(root) and
-distances_from(u) complete the ball of {root} or {u}: the component labels
-leave behind the ball that the hub distances copy and the escapes to
-{u_max} then use.
+Every search between two sides runs through one balanced loop, _meet: each
+step advances, by one full hop, the side whose frontier holds fewer core
+entries, until a new level meets the other side, so a query scans a small
+fraction of the core.  A pair distance is a search from u against one from
+v (balanced bidirectional BFS).  A search to a vertex set is a search from
+the source against a *target ball*: a multi-source BFS from the set, grown
+one level at a time and only as far as queries need it.  The ball records
+the hop count of every vertex it reaches and of every core attribute (the
+count of the attribute's nearest holder).  It makes no via or owner choice,
+so it needs no sort: each level is scattered into the count arrays and read
+back with np.flatnonzero.  The ball of the last set asked about stays in
+the core, so the searches of one trial that share their targets share its
+levels, and components(root) and distances_from(u) complete the ball of
+{root} or {u}: the component labels leave behind the ball that the hub
+distances copy and the escapes to {u_max} then use.
 
 nearest_routes answers many sources at once.  Each source's forward search
 runs alone until it meets the ball; then one descent carries every source
@@ -269,43 +271,47 @@ class _Search:
     hop k, sorted, each with the core attribute it came through; and the
     attributes first seen in that step, sorted, each with the frontier
     vertex it came from.  Every choice takes the smallest id, so routes
-    traced back through these arrays are deterministic.  reset() must run
-    before the masks serve another search.
+    traced back through these arrays are deterministic.  As a side of
+    _meet, frontier is the last level's vertices, entries their core
+    entries, set as the level is added, and inside the side's visited mask.
+    The search keeps no reference to its core: expand takes it.  reset()
+    must run before the masks serve another search.
     """
 
     def __init__(self, core: TraversalCore, side: int, source: int):
-        self.core = core
-        self.visited = core.visited[side]
+        self.inside = core.visited[side]
         self.seen = core.seen[side]
         src = np.array([source], dtype=np.int64)
-        self.visited[src] = True
-        self.levels = [(src, _EMPTY, _EMPTY, _EMPTY)]
+        self.inside[src] = True
+        self.levels = []
+        self._add(core, (src, _EMPTY, _EMPTY, _EMPTY))
 
     @property
     def depth(self) -> int:
         return len(self.levels) - 1
 
-    @property
-    def frontier(self) -> np.ndarray:
-        return self.levels[-1][0]
+    def _add(self, core: TraversalCore, level: tuple) -> None:
+        self.levels.append(level)
+        self.frontier = level[0]
+        self.entries = core.entries(self.frontier)
 
-    def expand(self) -> np.ndarray:
+    def expand(self, core: TraversalCore) -> np.ndarray:
         """Advance one intersection hop; returns the new (possibly empty) level."""
-        level = _hop(self.core, self.frontier, self.seen, False, self.visited, False)
+        level = _hop(core, self.frontier, self.seen, False, self.inside, False)
         verts, _, attrs, _ = level
         self.seen[attrs] = True
-        self.visited[verts] = True
-        self.levels.append(level)
+        self.inside[verts] = True
+        self._add(core, level)
         return verts
 
-    def route_to(self, x: int, hop: int) -> list:
-        """Vertices of the recorded route from the source to x, reached at hop."""
-        return _trace_back(self.levels[1:hop + 1], x)[::-1]
+    def route_to(self, x: int) -> list:
+        """Vertices of the recorded route from the source to x, on the last level."""
+        return _trace_back(self.levels[1:], x)[::-1]
 
     def reset(self) -> None:
         """Clear every mask entry this search set."""
         for verts, _, attrs, _ in self.levels:
-            self.visited[verts] = False
+            self.inside[verts] = False
             self.seen[attrs] = False
 
 
@@ -327,11 +333,13 @@ class _TargetBall:
     misses of an int64 array.  dist[x] is x's hop count to the nearest source
     when x is inside; adist[a] is the hop count of a core attribute's
     nearest holder when that is below depth.  Both hold UNREACHED everywhere
-    else.  frontier lists the vertices at hop depth, sorted; it is empty
-    once the ball holds the sources' whole components.  routes maps each
-    vertex that nearest_routes has answered for to its route (None when it
-    has none); a route does not depend on how far the ball has grown, so it
-    is kept until a restart.
+    else.  frontier lists the vertices at hop depth, sorted, and entries
+    counts their core entries; the frontier is empty once the ball holds
+    the sources' whole components.  With inside and expand, which adds a
+    level and returns it, these make the ball a side of _meet.  routes maps
+    each vertex that nearest_routes has answered for to its route (None
+    when it has none); a route does not depend on how far the ball has
+    grown, so it is kept until a restart.
 
     No search needs a via or owner choice here, so a level is found without
     sorting: it is scattered into dist or adist and read back with
@@ -364,8 +372,9 @@ class _TargetBall:
         self.frontier = verts
         self.entries = core.entries(verts)
 
-    def grow(self, core: TraversalCore) -> None:
-        """Add the vertices at hop depth + 1, and the attributes at hop depth."""
+    def expand(self, core: TraversalCore) -> np.ndarray:
+        """Add the vertices at hop depth + 1, and the attributes at hop depth;
+        returns the new level, the new frontier."""
         hop = self.depth
         attrs, _ = concat_ranges(core.set_indptr, core.set_attrs, self.frontier)
         self.adist[attrs[self.adist[attrs] == UNREACHED]] = hop
@@ -376,6 +385,7 @@ class _TargetBall:
         self.inside[verts] = True
         self.depth = hop + 1
         self._set_frontier(core, np.flatnonzero(self.dist == hop + 1))
+        return self.frontier
 
 
 def _check_vertex(core: TraversalCore, x: int) -> None:
@@ -388,7 +398,7 @@ def _complete_ball(core: TraversalCore, u: int) -> _TargetBall:
     _check_vertex(core, u)
     ball = core.ball_around(np.array([u], dtype=np.int64))
     while ball.frontier.size:
-        ball.grow(core)
+        ball.expand(core)
     return ball
 
 
@@ -456,13 +466,37 @@ class DistanceResult:
     path: Optional[list]
 
 
+def _meet(core: TraversalCore, first, second) -> Optional[np.ndarray]:
+    """Grow two search sides until they meet: the sorted meeting vertices,
+    or None when a side has no new level.
+
+    A side (_Search or _TargetBall) has a frontier, the core entries of
+    that frontier, an inside mask and expand(core), which adds the next
+    level and returns it.  Each step expands, by one full hop, the side
+    whose frontier holds fewer core entries (first on ties); when that side's
+    frontier is empty, it is not expanded and the search ends.  The step's
+    new level is checked against the whole of the other side's inside, and
+    the first level that meets it ends the search.  The sides were disjoint
+    before that step, so every meeting vertex lies on the other side's last
+    level too, and the distance between the two sides' sources is the sum
+    of their depths.
+    """
+    while True:
+        grow, other = (first, second) if first.entries <= second.entries else (second, first)
+        if grow.frontier.size == 0:
+            return None
+        verts = grow.expand(core)
+        meet = verts[other.inside[verts]]
+        if meet.size:
+            return meet
+
+
 def bfs_distance(core: TraversalCore, u: int, v: int) -> DistanceResult:
     """Shortest path between two vertices; hops=None when disconnected.
 
-    Balanced bidirectional BFS: each step expands, by one full hop, the side
-    whose frontier holds fewer core entries (u's side on ties), and the
-    search ends with the first level that meets the other side.  The path
-    runs through the smallest-id meeting vertex.
+    Balanced bidirectional BFS: _meet grows a search from u against one
+    from v (u's side on ties).  The path runs through the smallest-id
+    meeting vertex.
     """
     _check_vertex(core, u)
     _check_vertex(core, v)
@@ -470,25 +504,12 @@ def bfs_distance(core: TraversalCore, u: int, v: int) -> DistanceResult:
         return DistanceResult(hops=0, path=[int(u)])
     fwd, bwd = _Search(core, 0, u), _Search(core, 1, v)
     try:
-        while True:
-            if core.entries(fwd.frontier) <= core.entries(bwd.frontier):
-                grow, other = fwd, bwd
-            else:
-                grow, other = bwd, fwd
-            verts = grow.expand()
-            if verts.size == 0:
-                return DistanceResult(hops=None, path=None)
-            meet = verts[other.visited[verts]]
-            if meet.size:
-                # The two balls were disjoint before this step, so
-                # d(u, v) >= fwd.depth + bwd.depth, and any meeting vertex
-                # closes a walk of at most that length: it lies on the other
-                # side's last level and d(u, v) is exactly the sum.
-                x = int(meet[0])
-                head = fwd.route_to(x, fwd.depth)
-                tail = bwd.route_to(x, bwd.depth)
-                return DistanceResult(hops=fwd.depth + bwd.depth,
-                                      path=head + tail[-2::-1])
+        meet = _meet(core, fwd, bwd)
+        if meet is None:
+            return DistanceResult(hops=None, path=None)
+        x = int(meet[0])
+        return DistanceResult(hops=fwd.depth + bwd.depth,
+                              path=fwd.route_to(x) + bwd.route_to(x)[-2::-1])
     finally:
         fwd.reset()
         bwd.reset()
@@ -507,37 +528,20 @@ def distances_from(core: TraversalCore, u: int) -> np.ndarray:
 def _reach_ball(core: TraversalCore, ball: _TargetBall, source: int):
     """The forward half of source's route: (levels, hits), or None.
 
-    Balances, as bfs_distance does, a search from source against the ball:
-    each step advances the side whose frontier holds fewer core entries (the
-    ball on ties), until a forward level meets the ball.  Returns the
-    search's levels past the source, as _Search records them, and the
-    sorted vertices of the last level (the source's, when levels is empty)
-    that lie in the ball; None when source has no path to the ball's
-    sources.  The search uses the first side's masks only, and clears them
-    on the way out: the ball marks its members with its own mask.
+    _meet grows the ball against a search from source (the ball on ties).
+    Returns the search's levels past the source, as _Search records them,
+    and the sorted vertices where the two met, all on the search's last
+    level (the source itself, when it lies in the ball and levels is
+    empty); None when source has no path to the ball's sources.  The search
+    uses the first side's masks only, and clears them on the way out: the
+    ball marks its members with its own mask.
     """
     if ball.inside[source]:
         return [], np.array([source], dtype=np.int64)
     search = _Search(core, 0, source)
     try:
-        while ball.frontier.size:
-            if ball.entries <= core.entries(search.frontier):
-                # Only the last forward level can meet the new ball level:
-                # a vertex of an earlier level at hop depth + 1 from the
-                # targets would have a neighbour at hop depth, and that
-                # neighbour lies in the forward levels already checked.
-                ball.grow(core)
-                verts = search.frontier
-            else:
-                verts = search.expand()
-                if verts.size == 0:
-                    break
-            # The forward levels before this one missed the ball, so all
-            # hits lie equally far from the targets, at the ball's depth.
-            hits = verts[ball.inside[verts]]
-            if hits.size:
-                return search.levels[1:], hits
-        return None
+        hits = _meet(core, ball, search)
+        return None if hits is None else (search.levels[1:], hits)
     finally:
         search.reset()
 
@@ -628,10 +632,11 @@ def nearest_routes(core: TraversalCore, sources, targets: np.ndarray) -> list:
     max(1, PACK_LIMIT // (n * num_attrs)), so that a tagged key of the
     descent stays below PACK_LIMIT, each chunk in three stages:
 
-    * forward, source by source (_reach_ball): the first forward level f
-      that meets a ball of depth b fixes the distance at L = f + b (L is the
-      ball's count when the source lies in the ball, and then no search
-      step is taken);
+    * forward, source by source (_reach_ball): _meet grows a search from
+      the source against the ball, and where they meet, at forward depth f
+      and ball depth b, fixes the distance at L = f + b (L is the ball's
+      count when the source lies in the ball, and then no search step is
+      taken);
     * descent, once for the chunk (_descend): one tagged _hop per hop count
       over the union of the chunk's levels inside the ball, so that every
       source keeps its own smallest-id target, attribute and owner;

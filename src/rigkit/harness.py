@@ -47,7 +47,6 @@ from .verify import (
     coverage_floor,
     degree_tail_report,
     hypergeom_error,
-    json_object,
     mass_gamma_error,
     mass_regime_error,
     mass_tau_error,
@@ -822,7 +821,8 @@ def _write_verify_json(path: str, body: str, reports) -> None:
         if blocks:
             fh.write(sep + ",\n".join(blocks))
     with open(path, "wb") as out, open(body, "rb") as fh:
-        out.write(f'{{\n  "counts": {json_object(counts, 1)},\n  "kind": "verify",\n'
+        header = json.dumps(counts, sort_keys=True, indent=2).replace("\n", "\n  ")
+        out.write(f'{{\n  "counts": {header},\n  "kind": "verify",\n'
                   f'  "reports": ['.encode())
         shutil.copyfileobj(fh, out)
         out.write(b"\n  ]\n}\n" if counts else b"]\n}\n")

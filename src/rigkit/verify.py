@@ -66,7 +66,6 @@ __all__ = [
     "mass_regime_error",
     "mass_tau_error",
     "mass_gamma_error",
-    "json_object",
 ]
 
 # 99% two-sided normal quantile, fixed for every Wilson interval here.
@@ -246,17 +245,6 @@ def _json_scalar(value) -> str:
     raise TypeError(f"{type(value).__name__} value {value!r} is not a JSON scalar")
 
 
-def json_object(doc: dict, depth: int) -> str:
-    """A dict of scalars at nesting depth `depth` as json.dump(sort_keys=True,
-    indent=2) writes it, from its opening brace to its closing one."""
-    if not doc:
-        return "{}"
-    pad = "  " * depth
-    items = ",\n".join([f"{pad}  {encode_basestring_ascii(key)}: {_json_scalar(doc[key])}"
-                        for key in sorted(doc)])
-    return f"{{\n{items}\n{pad}}}"
-
-
 @dataclass(slots=True)
 class BoundReport:
     """One checked inequality instance, always oriented as lhs <= rhs.
@@ -389,7 +377,8 @@ def _status_json(status: str) -> tuple:
 @functools.lru_cache(maxsize=256)
 def _block_layout(keys: tuple) -> tuple:
     """The sorted params keys, and the % template of a json_block whose
-    params has these keys: json_object(params, 3) with one %s per value."""
+    params has these keys, as json.dump(sort_keys=True, indent=2) writes
+    params at nesting depth 3, with one %s per value."""
     order = tuple(sorted(keys))
     if order:
         items = ",\n".join([f"        {encode_basestring_ascii(key).replace('%', '%%')}: %s"

@@ -228,6 +228,53 @@ def nearest_route_reference(inc, source: int, targets):
     return None
 
 
+def balanced_pair_reference(inc, u: int, v: int):
+    """The path of a balanced bidirectional BFS from u to v, or None.
+
+    A vertex weighs its count of shared attributes (those with two or more
+    holders).  Each step grows, by one hop, the side whose frontier weighs
+    less, u's side on ties, and a side with an empty frontier ends the
+    search.  A vertex first reached comes through the smallest-id attribute
+    it holds of those its side's frontier holds, from that attribute's
+    smallest-id holder on the frontier.  The path runs through the
+    smallest-id vertex of the first new level that the other side has
+    reached.
+    """
+    if u == v:
+        return [u]
+    sets = explicit_sets(inc)
+    count = Counter(a for s in sets for a in s)
+    weight = [sum(count[a] >= 2 for a in s) for s in sets]
+    parents = [{u: None}, {v: None}]
+    frontiers = [[u], [v]]
+    while True:
+        fw, bw = (sum(weight[x] for x in f) for f in frontiers)
+        side = 0 if fw <= bw else 1
+        parent, frontier = parents[side], frontiers[side]
+        if not frontier:
+            return None
+        owner = {}
+        for x in sorted(frontier):
+            for a in sets[x]:
+                owner.setdefault(a, x)
+        reached = {}
+        for a in sorted(owner):
+            for w in range(inc.n):
+                if a in sets[w] and w not in parent and w not in reached:
+                    reached[w] = owner[a]
+        parent.update(reached)
+        frontiers[side] = sorted(reached)
+        meet = [x for x in frontiers[side] if x in parents[1 - side]]
+        if meet:
+            halves = []
+            for parent in parents:
+                half = [meet[0]]
+                while parent[half[-1]] is not None:
+                    half.append(parent[half[-1]])
+                halves.append(half)
+            return halves[0][::-1] + halves[1][1:]
+
+
 def ladder_level_reference(tilde_z, t, v: int) -> int:
     """Smallest k with tilde_z[v] >= t[k-1], or len(t) + 1 off the ladder.
 

@@ -150,7 +150,7 @@ def test_components_large_diameter_match_bfs_oracle(name, monkeypatch):
         assert np.array_equal(got.sizes, np.bincount(expect))
         assert got.giant == int(np.argmax(np.bincount(expect)))
         with monkeypatch.context() as mp:
-            mp.setattr(graphops._TargetBall, "grow", None)  # a call raises TypeError
+            mp.setattr(graphops._TargetBall, "expand", None)  # a call raises TypeError
             assert np.array_equal(distances_from(core, root), pair_hops_python(adj, root))
 
 

@@ -255,7 +255,7 @@ def test_trial_leaves_the_complete_ball_of_u_max(tmp_path, monkeypatch):
     path = os.path.join(cfg.out_dir, harness.run_generate(cfg)[0]["path"])
     adj = adjacency_matrix(read_graph(path)[0])
     trials = [harness.Trial.generated(cfg, 2000, 0), harness.Trial.from_file(cfg, path, 0)]
-    monkeypatch.setattr(graphops._TargetBall, "grow", None)  # a call raises TypeError
+    monkeypatch.setattr(graphops._TargetBall, "expand", None)  # a call raises TypeError
     for t in trials:
         u_max = t.dec.u_max
         want = pair_hops_python(adj, u_max)

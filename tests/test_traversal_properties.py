@@ -17,8 +17,8 @@ from rigkit.graphops import (UNREACHED, TraversalCore, _descent_levels,
                              distances_from, nearest_of, nearest_routes, neighbors,
                              unique_edges)
 
-from oracles import (adjacency_matrix, all_pairs_hops, component_labels_bfs,
-                     first_by_reference, nearest_route_reference,
+from oracles import (adjacency_matrix, all_pairs_hops, balanced_pair_reference,
+                     component_labels_bfs, first_by_reference, nearest_route_reference,
                      pair_hops_python, shares_attribute, target_ball_reference,
                      traversal_core_reference, traversal_core_two_sorts)
 
@@ -47,6 +47,10 @@ def masks_clear(core):
 
 
 @PROPS
+# two crossing 3-hop routes, 0-1-4-5 and 0-2-3-5, where every frontier
+# weighs the same: the tie rule decides which side meets the other, and so
+# which route the path takes
+@example(BipartiteIncidence.from_sets(6, 6, [[0, 1], [0, 2], [1, 3], [3, 5], [2, 4], [4, 5]]))
 @given(incidences())
 def test_pair_hops_match_floyd_warshall(inc):
     fw = all_pairs_hops(adjacency_matrix(inc))
@@ -54,6 +58,7 @@ def test_pair_hops_match_floyd_warshall(inc):
     for u in range(inc.n):
         for v in range(inc.n):
             res = bfs_distance(core, u, v)
+            assert res.path == balanced_pair_reference(inc, u, v)
             if np.isinf(fw[u, v]):
                 assert res.hops is None and res.path is None
             else:
@@ -86,7 +91,7 @@ def test_component_labels_match_queue_bfs(inc, data):
     assert np.array_equal(comp.sizes, np.bincount(expect))
     assert comp.giant == int(np.argmax(np.bincount(expect)))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graphops._TargetBall, "grow", None)  # a call raises TypeError
+        mp.setattr(graphops._TargetBall, "expand", None)  # a call raises TypeError
         assert np.array_equal(distances_from(core, root), pair_hops_python(adj, root))
     assert masks_clear(core)
 
@@ -135,7 +140,7 @@ def complete_ball(inc, sources):
     core = TraversalCore(inc)
     ball = core.ball_around(np.array(sources, dtype=np.int64))
     while ball.frontier.size:
-        ball.grow(core)
+        ball.expand(core)
     return core, ball
 
 
@@ -163,7 +168,7 @@ def test_target_ball_matches_reference(case):
         assert ball.frontier.tolist() == [v for v, d in enumerate(dist) if d == depth]
         if ball.frontier.size == 0:
             break
-        ball.grow(core)
+        ball.expand(core)
 
 
 @PROPS
@@ -258,7 +263,10 @@ def test_warm_ball_edge_cases():
     got[:] = 0
     assert distances_from(core, 0).tolist() == [0, 1, 2, 3, 4, UNREACHED, UNREACHED]
     assert nearest_of(core, 4, targets).path == [4, 3, 2, 1, 0]
+    # the ball is complete: an escape from outside it stops without growing it
+    depth = ball.depth
     assert nearest_of(core, 6, targets).path is None
+    assert ball.depth == depth
     assert masks_clear(core)
 
 
@@ -292,7 +300,7 @@ def test_nearest_routes_match_python_bfs(inc, data):
             assert nearest_of(core, v, np.array(targets)).path == want[v]
         for _ in range(grow):
             if ball.frontier.size:
-                ball.grow(core)
+                ball.expand(core)
         for _ in range(2):
             res = nearest_routes(core, order, np.array(targets))
             assert [r.path for r in res] == [want[v] for v in order]
