@@ -4,23 +4,28 @@ An instance is held in one layout: its set sizes and the sorted keys
 attr * n + vertex of its entries.  The sampler draws the keys, from_flat
 packs checked vertex-major ids into them in place (both graph readers and
 from_sets build through it), and graphops.TraversalCore reads its core
-straight off them.  The vertex-major view, each vertex's attribute ids
-strictly increasing and back to back in vertex order, is the layout of
-graph files; each read of set_attrs derives it from a copy of the keys,
-with one sort, and nothing keeps it.  The attribute pool can be enormous
+straight off them (_shared_entries).  The vertex-major view, each vertex's
+attribute ids strictly increasing and back to back in vertex order, is the
+layout of graph files; each read of set_attrs derives it from a copy of the
+keys, with one sort, and nothing keeps it.  The attribute pool can be enormous
 (the default m-rule gives m ~ n ln^2 n ln ln n), so nothing here ever
 allocates an array of length m.  The vertex-vertex edge list is
 likewise never materialized: heavy vertices share attributes with thousands
 of others and the induced cliques would blow up memory, so traversals run
 on the bipartite structure.
 
-sample_incidence takes each vertex's draws in vertex order, _RUN (2**15)
-entries at a time, packs them as attr * n + vertex, sorts the whole array
-in place once, on every CPU (_sort), and compacts away the repeats, which
-tell each vertex's shortfall.  Each top-up round draws the shortfalls into
-the tail, short vertices in ascending order, and a stable sort merges the
-sorted front with that short tail.  Every temporary is run-sized, so
-sampling peaks near 1.05x the keys' bytes.
+This module alone sizes work to the machine.  Every pass over an
+incidence-length array walks it _RUN (2**15) entries at a time, and _cpus()
+counts the CPUs this process may run on: every whole-array sort (_sort)
+splits over them, and harness caps its pool workers by them.
+
+sample_incidence takes each vertex's draws in vertex order, a run at a
+time, packs them as attr * n + vertex, sorts the whole array in place once,
+on every CPU (_sort), and compacts away the repeats, which tell each
+vertex's shortfall.  Each top-up round draws the shortfalls into the tail,
+a run at a time, short vertices in ascending order, and a stable sort
+merges the sorted front with that short tail.  Every temporary is
+run-sized, so sampling peaks near 1.05x the keys' bytes.
 """
 
 from __future__ import annotations
@@ -43,14 +48,11 @@ __all__ = [
 # fit in int64 with headroom.
 PACK_LIMIT = 2**62
 
-# Entries per step of the passes that work in place on an incidence-length
-# array: each step allocates only block-sized temporaries.
-_BLOCK = 1 << 18
-
-# Entries per run of the passes that keep a run in cache while they work on
-# it: the sampler's draws, the compaction of _sorted_unique and the packing
-# of keys to and from the vertex-major view.  Their temporaries are a run
-# long.
+# Entries per run of every pass that walks an incidence-length array: the
+# sampler's draws and top-up draws, the compaction of _sorted_unique, the
+# packing of keys to and from the vertex-major view, and the neighbour
+# compares of _occupied_attrs and _shared_entries.  A run stays in cache
+# while a pass works on it, and the pass's temporaries are a run long.
 _RUN = 1 << 15
 
 # Shortest part of an array that _sort splits between two threads; shorter
@@ -72,8 +74,8 @@ def _share_cpus(processes: int) -> None:
 
 
 def _cpus() -> int:
-    """How many CPUs this process's sorts may use: its share of the CPUs it
-    may run on."""
+    """How many CPUs this process's sorts and pool workers may use: its
+    share of the CPUs it may run on."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -199,6 +201,38 @@ def _occupied_attrs(keys: np.ndarray, n: int) -> int:
         count += int(attrs[0] != last) + int(np.count_nonzero(attrs[1:] != attrs[:-1]))
         last = attrs[-1]
     return count
+
+
+def _shared_entries(keys: np.ndarray, n: int):
+    """The shared-attribute core's attribute side: (attr_vertices, starts).
+
+    keys are an incidence's sorted attr * n + vertex keys, which are only
+    read.  attr_vertices lists the holders of every attribute with two or
+    more holders, attribute by attribute in increasing original id, each
+    attribute's holders sorted; starts flags the first entry of each
+    attribute.  The shared entries are marked in a one-byte mask, _RUN
+    entries at a time, each run's attributes against the entries on either
+    side of it, and copied out before anything else of their size is made.
+    """
+    total = keys.shape[0]
+    # an entry is shared when its attribute is that of a neighbouring entry
+    shared = np.empty(total, dtype=bool)
+    for start in range(0, total, _RUN):
+        stop = min(start + _RUN, total)
+        lo, hi = max(start - 1, 0), min(stop + 1, total)
+        attrs = keys[lo:hi] // n
+        # same[j]: entries lo + j - 1 and lo + j hold the same attribute
+        same = np.zeros(hi - lo + 1, dtype=bool)
+        np.equal(attrs[1:], attrs[:-1], out=same[1:-1])
+        shared[start:stop] = (same[:-1] | same[1:])[start - lo:stop - lo]
+    core = keys[shared]
+    del shared
+    attrs = core // n
+    starts = np.empty(core.shape[0], dtype=bool)
+    starts[:1] = True
+    np.not_equal(attrs[1:], attrs[:-1], out=starts[1:])
+    np.remainder(core, n, out=core)
+    return core, starts
 
 
 class BipartiteIncidence:
@@ -343,7 +377,7 @@ def sample_incidence(m: int, sizes: np.ndarray, rng: np.random.Generator) -> "Bi
     """Sample every vertex's uniform subset, sizes[v] attributes each.
 
     Every vertex draws sizes[v] raw attributes, in vertex order, _RUN
-    entries at a time (a top-up round, _BLOCK at a time); numpy's bounded
+    entries at a time, and so does each top-up round; numpy's bounded
     integers keep no state between calls, so the pieces consume the stream
     exactly as one rng.integers call of the full length would.  Each draw
     is packed as attr * n + vertex (_owners); the whole array is sorted in
@@ -380,8 +414,8 @@ def sample_incidence(m: int, sizes: np.ndarray, rng: np.random.Generator) -> "Bi
         short = np.flatnonzero(deficit)
         tail = buf[keys.shape[0]:]
         tail[:] = np.repeat(short, deficit[short])
-        for start in range(0, tail.shape[0], _BLOCK):
-            block = tail[start:start + _BLOCK]
+        for start in range(0, tail.shape[0], _RUN):
+            block = tail[start:start + _RUN]
             block += rng.integers(0, m, size=block.shape[0], dtype=np.int64) * n
         repeats = []
         # a sorted front and a short tail: timsort merges them in one pass

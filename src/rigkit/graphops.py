@@ -12,9 +12,9 @@ more equal attributes are the core's attribute side, and one packed sort of
 vertex * num_attrs + core id for the vertex side; core attributes are
 numbered in increasing order of original id.  A one-sided search thus makes
 the same smallest-id parent choices, and traces the same paths, as it would
-on the full incidence.  The shared entries are marked in a one-byte mask,
-graphgen._BLOCK entries at a time, and the keys are only read; beside them
-the build peaks near 0.58x their bytes.
+on the full incidence.  graphgen._shared_entries marks the shared entries
+in a one-byte mask, one run of keys at a time, and only reads the keys;
+beside them the build peaks near 0.58x their bytes.
 
 Component labels start from a root: its component is the completed target
 ball of {root} (below), the ball that distances_from(root) then copies.
@@ -78,8 +78,8 @@ from typing import Optional
 
 import numpy as np
 
-from .graphgen import (_BLOCK, PACK_LIMIT, BipartiteIncidence, _sort, _sorted_unique,
-                       concat_ranges)
+from .graphgen import (PACK_LIMIT, BipartiteIncidence, _shared_entries, _sort,
+                       _sorted_unique, concat_ranges)
 
 __all__ = [
     "ComponentLabeling",
@@ -166,38 +166,6 @@ class TraversalCore:
     def entries(self, verts: np.ndarray) -> int:
         """Core incidence entries held by the given vertices."""
         return int(self.set_sizes[verts].sum())
-
-
-def _shared_entries(keys: np.ndarray, n: int):
-    """The core's attribute side: (attr_vertices, starts).
-
-    keys are an incidence's sorted attr * n + vertex keys, which are only
-    read.  attr_vertices lists the holders of every attribute with two or
-    more holders, attribute by attribute in increasing original id, each
-    attribute's holders sorted; starts flags the first entry of each
-    attribute.  The shared entries are found _BLOCK entries at a time with
-    a one-byte mask and copied out before anything else of their size is
-    made.
-    """
-    total = keys.shape[0]
-    # an entry is shared when its attribute is that of a neighbouring entry
-    shared = np.empty(total, dtype=bool)
-    for start in range(0, total, _BLOCK):
-        stop = min(start + _BLOCK, total)
-        lo, hi = max(start - 1, 0), min(stop + 1, total)
-        attrs = keys[lo:hi] // n
-        # same[j]: entries lo + j - 1 and lo + j hold the same attribute
-        same = np.zeros(hi - lo + 1, dtype=bool)
-        np.equal(attrs[1:], attrs[:-1], out=same[1:-1])
-        shared[start:stop] = (same[:-1] | same[1:])[start - lo:stop - lo]
-    core = keys[shared]
-    del shared
-    attrs = core // n
-    starts = np.empty(core.shape[0], dtype=bool)
-    starts[:1] = True
-    np.not_equal(attrs[1:], attrs[:-1], out=starts[1:])
-    np.remainder(core, n, out=core)
-    return core, starts
 
 
 def _first_by(keys: np.ndarray, vals: np.ndarray, base: int):

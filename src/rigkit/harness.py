@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from . import storage
-from .graphgen import PACK_LIMIT, _occupied_attrs, _share_cpus, _vertex_major, generate
+from .graphgen import PACK_LIMIT, _cpus, _occupied_attrs, _share_cpus, _vertex_major, generate
 from .graphops import (UNREACHED, TraversalCore, bfs_distance, components, distances_from,
                        nearest_routes)
 from .hubnav import LadderError, decompose, loglog_certificate, thresholds
@@ -605,8 +605,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     """The full ladder: trials per n, aggregated per n and overall."""
     tasks = [(cfg, n, t) for n in cfg.n_values
              for t in range(cfg.trials)]
-    # the pool starts all its workers at once: no more than cells or cores
-    workers = min(cfg.threads, len(tasks), os.cpu_count() or 1)
+    # the pool starts all its workers at once: no more than cells or than
+    # the CPUs this process may run on
+    workers = min(cfg.threads, len(tasks), _cpus())
     if workers > 1:
         # concurrent.futures loads its process pool, and multiprocessing
         # with it, on first access: a serial run never imports them.  Each

@@ -648,8 +648,9 @@ def test_run_experiment_threads_match(tmp_path):
 
 def test_run_experiment_caps_workers(tmp_path, monkeypatch):
     # a pool starts all of its workers at once, so it gets no more than
-    # there are cells or cores; a stub pool maps serially and starts none.
-    # Each worker's sorts get its share of the CPUs.
+    # there are cells or CPUs this process may run on (its affinity mask,
+    # which graphgen._cpus reads); a stub pool maps serially and starts
+    # none.  Each worker's sorts get its share of the CPUs.
     started = []
 
     class Pool:
@@ -667,16 +668,22 @@ def test_run_experiment_caps_workers(tmp_path, monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
     one = cfg_with(tmp_path, n_values=[200], trials=1, pairs_per_trial=3, threads=64)
     assert harness.run_experiment(one)["cells"][0]["error"] is None
     assert started == []  # one cell runs in this process
     three = cfg_with(tmp_path, n_values=[200], trials=3, pairs_per_trial=3, threads=2)
     assert len(harness.run_experiment(three)["cells"]) == 3
     assert started == [2]
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     three.threads = 64
     harness.run_experiment(three)
+    assert started == [2, 2]
+    # the machine has 8 CPUs, but this process may run on one of them
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})
+    three.threads = 4
+    assert len(harness.run_experiment(three)["cells"]) == 3
     assert started == [2, 2]
 
 
