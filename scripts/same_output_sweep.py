@@ -4,7 +4,7 @@ Usage, from the root of a rigkit source tree:
 
     python3 scripts/same_output_sweep.py ROOT [--src DIR]
 
-Runs 206 CLI commands, one fresh interpreter each, with the rigkit package
+Runs 208 CLI commands, one fresh interpreter each, with the rigkit package
 in DIR (default: this tree's src/):
 
 * distances, hubpath, analyze and a two-trial experiment, in JSON and in
@@ -44,7 +44,7 @@ in DIR (default: this tree's src/):
   or 20000;
 * a three-n experiment ladder, and verify-lemmas with
   perfbench/bounds_config.json, each in JSON and in CSV;
-* verify-lemmas with nine small configs, in JSON and in CSV, so that
+* verify-lemmas with ten small configs, in JSON and in CSV, so that
   every bound-report status is written: the base config alone gives 60
   skipped intersection reports, and six others each change one thing
   to give a boundary, an inconclusive and an adjudicated conditional
@@ -54,7 +54,9 @@ in DIR (default: this tree's src/):
   the Stirling series above 1000 and its bare leading terms above 1e8; the
   ninth checks j, k up to 45 at m = 90 and m = 1.5e8, so one command
   writes tails up to t = 45, skipped points where j + k >= 90 and the
-  false fails of P(H = 0) at m = 1.5e8.
+  false fails of P(H = 0) at m = 1.5e8; the tenth sets c0 and mass_gamma
+  to JSON integers, which the tail-mass reports carry in their params as
+  they are.
 
 Every command runs inside ROOT with relative paths, so no output names ROOT.
 ROOT/log.txt gets each command's arguments, exit code, standard output and
@@ -98,6 +100,7 @@ SMALL_CHANGES = {
     "mass-n20-a0.5": {"mass_n": 20, "mass_trials": 10, "alpha": 0.5},
     "large-m": {"verify_m_values": [5000, 150000000]},
     "long-tails": {"verify_m_values": [90, 150000000], "verify_jk_max": 45},
+    "int-params": {"c0": 2, "mass_gamma": 1},
 }
 # the apex, vertex 3, holds only attributes of its own (the graph of
 # tests/test_harness.py's ISOLATED_APEX_SETS)

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import os
 import threading
+from typing import Optional
 
 import numpy as np
 
@@ -42,6 +43,7 @@ __all__ = [
     "sample_incidence",
     "generate",
     "concat_ranges",
+    "pack_error",
 ]
 
 # Largest n*m for which the packed keys vertex*m + attr and attr*n + vertex
@@ -64,6 +66,28 @@ _SPLIT = 1 << 17
 # How many processes share the CPUs this process may run on: more than one
 # only in a worker of a process pool (_share_cpus).
 _SHARERS = 1
+
+
+def pack_error(n: int, m: int) -> Optional[str]:
+    """Why n vertices over an m-pool cannot be packed into int64 keys, or
+    None: it needs n * m < PACK_LIMIT."""
+    if n * m >= PACK_LIMIT:
+        return f"n * m = {n * m} must stay below 2**62 so that packed keys fit in int64"
+    return None
+
+
+def _set_indptr(n: int, m: int, sizes: np.ndarray) -> np.ndarray:
+    """The row pointer of n int64 set sizes over an m-pool.  Raises
+    ValueError unless n * m packs (pack_error) and every size lies in
+    [0, m], which keeps the running sums below n * m."""
+    error = pack_error(n, m)
+    if error is not None:
+        raise ValueError(error)
+    if np.any(sizes < 0) or np.any(sizes > m):
+        raise ValueError("set sizes must lie in [0, m]")
+    set_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(sizes, out=set_indptr[1:])
+    return set_indptr
 
 
 def _share_cpus(processes: int) -> None:
@@ -278,22 +302,16 @@ class BipartiteIncidence:
         """
         n = int(n)
         m = int(m)
-        if n * m >= PACK_LIMIT:
-            raise ValueError(f"n * m = {n * m} must stay below 2**62 so that "
-                             f"packed vertex-attribute keys fit in int64")
         sizes = np.asarray(sizes, dtype=np.int64)
         flat = np.asarray(flat, dtype=np.int64)
         if sizes.shape != (n,):
             raise ValueError("sizes must have length n")
-        if int(sizes.sum()) != flat.shape[0]:
+        set_indptr = _set_indptr(n, m, sizes)
+        if set_indptr[-1] != flat.shape[0]:
             raise ValueError("sizes do not add up to the flat list length")
-        if np.any(sizes < 0) or np.any(sizes > m):
-            raise ValueError("set sizes must lie in [0, m]")
         if flat.size and (flat.min() < 0 or flat.max() >= m):
             raise ValueError("attribute ids must lie in [0, m)")
 
-        set_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(sizes, out=set_indptr[1:])
         # rises[i] compares flat[i + 1] with flat[i]; a new list may start low
         rises = flat[1:] > flat[:-1]
         starts = set_indptr[1:-1]
@@ -388,19 +406,13 @@ def sample_incidence(m: int, sizes: np.ndarray, rng: np.random.Generator) -> "Bi
     before the repeats are dropped again.  Per vertex this keeps the first
     sizes[v] distinct values of an iid uniform stream, so the subsets are
     exactly uniform and mutually independent.  Returns an incidence whose
-    keys are sorted and distinct.  A size outside [0, m], or a pool with
-    n * m >= 2**62, where the packed keys would overflow int64, raises
-    ValueError before anything is drawn.
+    keys are sorted and distinct.  A pool with n * m >= 2**62, where the
+    packed keys would overflow int64, or a size outside [0, m] raises
+    ValueError before anything is drawn (_set_indptr).
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     n = sizes.shape[0]
-    if np.any(sizes < 0) or np.any(sizes > m):
-        raise ValueError("set sizes must lie in [0, m]")
-    if n * int(m) >= PACK_LIMIT:
-        raise ValueError(f"n * m = {n * int(m)} must stay below 2**62 so that "
-                         f"packed vertex-attribute keys fit in int64")
-    set_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(sizes, out=set_indptr[1:])
+    set_indptr = _set_indptr(n, int(m), sizes)
     total = int(set_indptr[-1])
     buf = np.empty(total, dtype=np.int64)
     for start in range(0, total, _RUN):

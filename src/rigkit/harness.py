@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from . import storage
-from .graphgen import PACK_LIMIT, _cpus, _occupied_attrs, _share_cpus, _vertex_major, generate
+from .graphgen import _cpus, _occupied_attrs, _share_cpus, _vertex_major, generate, pack_error
 from .graphops import (UNREACHED, TraversalCore, bfs_distance, components, distances_from,
                        nearest_routes)
 from .hubnav import LadderError, decompose, loglog_certificate, thresholds
@@ -44,7 +44,8 @@ from .verify import (
     check_intersection_bounds,
     check_tail_mass,
     check_union_coverage,
-    coverage_floor,
+    coverage_error,
+    coverage_size,
     degree_tail_report,
     hypergeom_error,
     mass_gamma_error,
@@ -163,13 +164,17 @@ class ExperimentConfig:
             TailLaw(self.alpha, self.c0)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        # the verify-lemmas suites' own rules, checked before any suite runs
+        # the verify-lemmas suites' own rules, each the function its suite
+        # calls, checked before any suite runs; the coverage and overlap
+        # rules include the packing limit of the sets their suites draw
         for name, error in (
                 # the grid's worst point: j = k = verify_jk_max at the least m
                 ("verify_jk_max", hypergeom_error(
                     self.verify_jk_max, self.verify_jk_max,
                     min(self.verify_m_values, default=self.verify_jk_max))),
-                ("overlap_point", overlap_point_error(*self.overlap_point)),
+                ("coverage_m", coverage_error(self.coverage_m, self.coverage_gamma1,
+                    self.coverage_gamma2, self.coverage_n, self.coverage_set_count)),
+                ("overlap_point", overlap_point_error(*self.overlap_point, self.overlap_trials)),
                 ("mass_n", mass_regime_error(self.mass_n, self.alpha)),
                 ("mass_tau", mass_tau_error(self.mass_tau, self.alpha)),
                 ("mass_gamma", mass_gamma_error(self.mass_gamma))):
@@ -177,15 +182,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{name}: {error}")
         if self.epsilon <= 0:
             raise ConfigError("epsilon must be positive")
-        if self.hub_floor is not None and self.hub_floor <= 1:
-            raise ConfigError(f"hub_floor must exceed 1, got {self.hub_floor}")
-        if not (0.0 < self.coverage_gamma1 < self.coverage_gamma2 < 1.0):
-            raise ConfigError("coverage gammas need 0 < gamma1 < gamma2 < 1")
-        size = self.coverage_size()
-        if self.coverage_set_count * size > self.coverage_gamma1 * self.coverage_m:
-            raise ConfigError(
-                f"coverage grid inconsistent: {self.coverage_set_count} sets of "
-                f"{size} exceed gamma1*m = {self.coverage_gamma1 * self.coverage_m:g}")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"format must be json or csv, got {self.format!r}")
         if self.graph_format not in ("binary", "json"):
@@ -193,10 +189,10 @@ class ExperimentConfig:
         if self.m is not None and self.m < max(self.n_values):
             raise ConfigError("explicit m must be >= every n in the ladder")
         for n in self.n_values:
-            if n * self.m_for(n) >= PACK_LIMIT:
-                raise ConfigError(f"n * m must stay below 2**62, got n = {n}, "
-                                  f"m = {self.m_for(n)}")
-            try:  # a ladder of at most MAX_RUNGS rungs
+            error = pack_error(n, self.m_for(n))
+            if error is not None:
+                raise ConfigError(error)
+            try:  # a ladder of at most MAX_RUNGS rungs, with a floor above 1
                 thresholds(n, self.alpha, self.c0, self.hub_floor)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
@@ -230,11 +226,6 @@ class ExperimentConfig:
     def hub_samples(self) -> int:
         return (self.pairs_per_trial if self.hub_samples_per_trial is None
                 else self.hub_samples_per_trial)
-
-    def coverage_size(self) -> int:
-        """Size of each union-coverage set: the suite's least size, rounded up."""
-        return math.ceil(coverage_floor(self.coverage_gamma1, self.coverage_gamma2,
-                                        self.coverage_n))
 
     def pair_bound(self, params: ModelParams) -> float:
         """(2+eps) * ln ln(2+n) / ln(1/alpha), at the instance's n and alpha."""
@@ -522,10 +513,10 @@ def run_verify(cfg: ExperimentConfig) -> Iterator[BoundReport]:
         for j in range(cfg.verify_jk_max + 1):
             for k in range(cfg.verify_jk_max + 1):
                 yield from check_intersection_bounds([(j, k, m)])
+    size = coverage_size(cfg.coverage_gamma1, cfg.coverage_gamma2, cfg.coverage_n)
     yield check_union_coverage(
         cfg.coverage_m, cfg.coverage_gamma1, cfg.coverage_gamma2,
-        [cfg.coverage_size()] * cfg.coverage_set_count, cfg.coverage_n,
-        cfg.coverage_trials, rng)
+        [size] * cfg.coverage_set_count, cfg.coverage_n, cfg.coverage_trials, rng)
 
     a, b, d, m = cfg.overlap_point
     yield check_conditional_overlap(a, b, d, m, cfg.overlap_trials, rng)

@@ -25,14 +25,20 @@ through a 99% Wilson score interval and can only refute a bound from the
 safe side.  A BoundReport stores only lhs, rhs and its status; satisfied and
 slack = rhs - lhs follow from them.
 
+Every exact verdict, of the intersection suite and of the tail-mass
+sandwich, is one call of _exact, which states the EXACT_TOL pass/fail rule
+once; a point outside a family's precondition is one call of _skipped.
+Both build their reports without the constructor's type pins, so each
+takes floats and a params dict of plain values that the report owns.
+
 A report renders its own block of verify_bounds.json (json_block): one %
 template per key set of params (_block_layout), every number spelled by
 _json_number.  check_intersection_bounds checks each grid point in scalar
-Python on the point's table, spells the point's params once per key set
-(jkm, jkms, and jkmt once per t) into a _Layout, and builds its reports
-without the constructor's type pins; json_block reuses a report's layout
-while the report's params hold the very values it spelled.  Nothing is
-rendered until a writer asks, so a CSV report renders no JSON.
+Python on the point's table and spells the point's params once per key set
+(jkm, jkms, and jkmt once per t) into a _Layout that its reports carry;
+json_block reuses a report's layout while the report's params hold the
+very values it spelled.  Nothing is rendered until a writer asks, so a CSV
+report renders no JSON.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphgen import _occupied_attrs, sample_incidence
+from .graphgen import _occupied_attrs, pack_error, sample_incidence
 from .graphops import TraversalCore, degrees
 from .model import TailLaw, iterated_log
 
@@ -61,6 +67,8 @@ __all__ = [
     "check_tail_mass",
     "degree_tail_report",
     "coverage_floor",
+    "coverage_size",
+    "coverage_error",
     "hypergeom_error",
     "overlap_point_error",
     "mass_regime_error",
@@ -257,10 +265,12 @@ class BoundReport:
     satisfied follows from the status alone and is None whenever the check
     was not adjudicated; slack is rhs - lhs.
 
-    The constructor pins numpy scalars to plain types and copies params.
-    check_intersection_bounds builds its reports with _lean_report instead,
-    from values that are plain already, and gives each the _Layout of its
-    grid point's params, so that json_block need not spell them again.
+    The constructor pins numpy scalars to plain types and copies params;
+    the Monte Carlo checks and callers outside this module build through
+    it.  The exact checks build with _exact and _skipped instead, from
+    values that are plain already; check_intersection_bounds gives each of
+    its reports the _Layout of its grid point's params, so that json_block
+    need not spell them again.
     """
 
     bound_id: str
@@ -323,18 +333,34 @@ class BoundReport:
 _new_report = BoundReport.__new__
 
 
-def _lean_report(bound_id: str, params: dict, lhs: float, rhs: float,
-                 status: str, note: str, layout: "_Layout") -> BoundReport:
-    """A BoundReport of plain values, made without the constructor's type
-    pins and params copy: params must be the report's own dict."""
+def _exact(bound_id: str, params: dict, lhs: float, rhs: float,
+           layout: Optional["_Layout"] = None) -> BoundReport:
+    """The report of an exact check, the one place its verdict is ruled:
+    pass when lhs <= rhs up to EXACT_TOL relative to the larger side, fail
+    otherwise.
+
+    Made in one Python call, without the constructor's type pins and params
+    copy: lhs and rhs must be floats, and params the report's own dict of
+    plain values.  layout, when given, is the _Layout of those values.
+    """
     rep = _new_report(BoundReport)
     rep.bound_id = bound_id
     rep.params = params
     rep.lhs = lhs
     rep.rhs = rhs
-    rep.status = status
-    rep.note = note
+    rep.status = "pass" if lhs <= rhs + EXACT_TOL * max(1.0, abs(lhs), abs(rhs)) else "fail"
+    rep.note = ""
     rep._layout = layout
+    return rep
+
+
+def _skipped(bound_id: str, params: dict, note: str,
+             layout: Optional["_Layout"] = None) -> BoundReport:
+    """The report of a check skipped at a point that breaks its family's
+    precondition: _exact's report of no values, with its own status and note."""
+    rep = _exact(bound_id, params, math.nan, math.nan, layout)
+    rep.status = "skipped"
+    rep.note = note
     return rep
 
 
@@ -398,20 +424,6 @@ def _block_layout(keys: tuple) -> tuple:
                    '    }')
 
 
-def _exact_status(lhs: float, rhs: float) -> str:
-    """pass when lhs <= rhs up to EXACT_TOL relative to the larger side."""
-    return "pass" if lhs <= rhs + EXACT_TOL * max(1.0, abs(lhs), abs(rhs)) else "fail"
-
-
-def _exact_report(bound_id: str, params: dict, lhs: float, rhs: float,
-                  note: str = "") -> BoundReport:
-    return BoundReport(bound_id, params, lhs, rhs, _exact_status(lhs, rhs), note)
-
-
-def _skip_report(bound_id: str, params: dict, note: str) -> BoundReport:
-    return BoundReport(bound_id, params, math.nan, math.nan, "skipped", note)
-
-
 def check_intersection_bounds(grid):
     """Exact checks of the overlap inequalities at every (j, k, m) of grid.
 
@@ -422,10 +434,11 @@ def check_intersection_bounds(grid):
     Points that break a family's side condition are reported as skipped for
     that family only.
 
-    Each point is checked in scalar Python on its HypergeomTable.  Its
-    params are spelled once per point (j, k, m and s) and once per t, into
-    the _Layout of each key set (jkm, jkms and jkmt), which every report of
-    that key set carries; each report still owns its params dict.
+    Each point is checked in scalar Python on its HypergeomTable, and each
+    check is one _exact or _skipped call.  Its params are spelled once per
+    point (j, k, m and s) and once per t, into the _Layout of each key set
+    (jkm, jkms and jkmt), which every report of that key set carries; each
+    report still owns its params dict.
     """
     reports = []
     add = reports.append
@@ -442,16 +455,12 @@ def check_intersection_bounds(grid):
         if j + k < m:
             lower = 1.0 - lam / (1.0 - (j + k) / m)
             upper = 1.0 - lam + lam * lam
-            add(_lean_report("no_overlap_lower", dict(base), lower, p0,
-                             _exact_status(lower, p0), "", point))
-            add(_lean_report("no_overlap_upper", dict(base), p0, upper,
-                             _exact_status(p0, upper), "", point))
+            add(_exact("no_overlap_lower", dict(base), lower, p0, point))
+            add(_exact("no_overlap_upper", dict(base), p0, upper, point))
         else:
             note = f"needs j+k < m, got {j + k} >= {m}"
-            add(_lean_report("no_overlap_lower", dict(base), math.nan, math.nan,
-                             "skipped", note, point))
-            add(_lean_report("no_overlap_upper", dict(base), math.nan, math.nan,
-                             "skipped", note, point))
+            add(_skipped("no_overlap_lower", dict(base), note, point))
+            add(_skipped("no_overlap_upper", dict(base), note, point))
 
         s = (j + k) / m
         with_s = {**base, "s": s}
@@ -460,24 +469,19 @@ def check_intersection_bounds(grid):
             hit = 1.0 - p0
             lower = lam - lam * lam
             upper = lam + (2.0 / (1.0 - s)) * lam * lam
-            add(_lean_report("edge_prob_lower", with_s, lower, hit,
-                             _exact_status(lower, hit), "", edge))
-            add(_lean_report("edge_prob_upper", dict(with_s), hit, upper,
-                             _exact_status(hit, upper), "", edge))
+            add(_exact("edge_prob_lower", with_s, lower, hit, edge))
+            add(_exact("edge_prob_upper", dict(with_s), hit, upper, edge))
         else:
             note = f"needs (j+k)/m < 1, got s = {s:g}"
-            add(_lean_report("edge_prob_lower", with_s, math.nan, math.nan,
-                             "skipped", note, edge))
-            add(_lean_report("edge_prob_upper", dict(with_s), math.nan, math.nan,
-                             "skipped", note, edge))
+            add(_skipped("edge_prob_lower", with_s, note, edge))
+            add(_skipped("edge_prob_upper", dict(with_s), note, edge))
 
         texts = point.texts
         for t in range(min(j, k) + 1):
             tail = _Layout(tail_order, tail_template, (j, k, m, t), (*texts, int.__repr__(t)))
             upper_tail = table.at_least(lam + t)
             rhs_up = 1.0 if t == 0 else math.exp(-t * t / (2.0 * (lam + t / 3.0)))
-            add(_lean_report("overlap_tail_upper", {**base, "t": t}, upper_tail, rhs_up,
-                             _exact_status(upper_tail, rhs_up), "", tail))
+            add(_exact("overlap_tail_upper", {**base, "t": t}, upper_tail, rhs_up, tail))
             lower_tail = table.at_most(lam - t)
             if t == 0:
                 rhs_lo = 1.0
@@ -485,17 +489,49 @@ def check_intersection_bounds(grid):
                 rhs_lo = 0.0
             else:
                 rhs_lo = math.exp(-t * t / (2.0 * lam))
-            add(_lean_report("overlap_tail_lower", {**base, "t": t}, lower_tail, rhs_lo,
-                             _exact_status(lower_tail, rhs_lo), "", tail))
+            add(_exact("overlap_tail_lower", {**base, "t": t}, lower_tail, rhs_lo, tail))
 
-        rhs = math.exp(-j * k / (2.0 * m))
-        add(_lean_report("no_overlap_exp", base, p0, rhs, _exact_status(p0, rhs), "", point))
+        add(_exact("no_overlap_exp", base, p0, math.exp(-j * k / (2.0 * m)), point))
     return reports
 
 
 def coverage_floor(gamma1: float, gamma2: float, n: int) -> float:
     """The union-coverage claim's least set size 6*g2*(g2-g1)^-2*ln(n)."""
     return 6.0 * gamma2 * (gamma2 - gamma1) ** -2 * math.log(n)
+
+
+def coverage_size(gamma1: float, gamma2: float, n: int) -> int:
+    """The least whole set size the union-coverage claim admits: each set
+    run_verify draws for check_union_coverage has this size."""
+    return math.ceil(coverage_floor(gamma1, gamma2, n))
+
+
+def coverage_error(m: int, gamma1: float, gamma2: float, n: int, r: int,
+                   total: Optional[int] = None, least: Optional[int] = None) -> Optional[str]:
+    """Why check_union_coverage cannot run with r sets whose sizes add up to
+    total, the smallest of size least, or None.  Without total and least,
+    the r sets are each of coverage_size(gamma1, gamma2, n), as run_verify
+    draws them.
+
+    The gammas are checked before the size floor, which divides by their
+    gap, and the r sets must pack over the m-pool (pack_error).
+    """
+    if not (0.0 < gamma1 < gamma2 < 1.0):
+        return "coverage gammas need 0 < gamma1 < gamma2 < 1"
+    if r == 0:
+        return "need at least one set"
+    if n < 2:
+        return "reference scale n must be >= 2"
+    floor = coverage_floor(gamma1, gamma2, n)
+    if least is None:
+        least = coverage_size(gamma1, gamma2, n)
+        total = r * least
+    if total > gamma1 * m:
+        return (f"coverage grid inconsistent: {r} sets of {total} attributes in all "
+                f"exceed gamma1*m = {gamma1 * m:g}")
+    if least < floor:
+        return f"every size must be >= {floor:.3f} = 6*g2*(g2-g1)^-2*ln(n)"
+    return pack_error(r, m)
 
 
 def check_union_coverage(m: int, gamma1: float, gamma2: float,
@@ -506,23 +542,15 @@ def check_union_coverage(m: int, gamma1: float, gamma2: float,
     Claim: P(|union S_h| >= (1 - gamma2) * sum |S_h|) >= 1 - r * n^-3,
     under sum sizes <= gamma1 * m and every size >= coverage_floor(gamma1, gamma2, n).
     The reference scale n enters only through the bound and the size floor.
-    Precondition violations raise ValueError naming the condition.
+    A point that breaks coverage_error's rules raises ValueError naming it.
     """
     sizes = np.asarray(list(sizes), dtype=np.int64)
     r = sizes.shape[0]
-    if not (0.0 < gamma1 < gamma2 < 1.0):
-        raise ValueError("need 0 < gamma1 < gamma2 < 1")
-    if r == 0:
-        raise ValueError("need at least one set")
-    if n < 2:
-        raise ValueError("reference scale n must be >= 2")
-    if int(sizes.sum()) > gamma1 * m:
-        raise ValueError("sum of sizes exceeds gamma1 * m")
-    floor = coverage_floor(gamma1, gamma2, n)
-    if np.any(sizes < floor):
-        raise ValueError(f"every size must be >= {floor:.3f} = 6*g2*(g2-g1)^-2*ln(n)")
-
     total = int(sizes.sum())
+    error = coverage_error(m, gamma1, gamma2, n, r, total, int(sizes.min()) if r else 0)
+    if error is not None:
+        raise ValueError(error)
+
     need = (1.0 - gamma2) * total
     hits = 0
     for _ in range(trials):
@@ -540,15 +568,23 @@ def check_union_coverage(m: int, gamma1: float, gamma2: float,
     )
 
 
-def overlap_point_error(a: int, b: int, d: int, m: int) -> Optional[str]:
-    """Why check_conditional_overlap cannot run at (a, b, d, m), or None."""
+def _overlap_batch(trials: int) -> int:
+    """How many S_b check_conditional_overlap draws at most in one
+    sample_incidence call."""
+    return max(256, min(trials, 65536))
+
+
+def overlap_point_error(a: int, b: int, d: int, m: int, trials: int) -> Optional[str]:
+    """Why check_conditional_overlap cannot run at (a, b, d, m) with this
+    many trials, or None.  Each batch of draws must pack over the m-pool
+    (pack_error)."""
     if not (1 <= a <= d <= m):
         return "need 1 <= a <= d <= m (S_a nested in S_d)"
     if d > m / 100.0:
         return f"needs d <= m/100, got d = {d}, m = {m}"
     if not (1 <= b <= m):
         return "need 1 <= b <= m"
-    return None
+    return pack_error(_overlap_batch(trials), m)
 
 
 def check_conditional_overlap(a: int, b: int, d: int, m: int, trials: int,
@@ -561,12 +597,15 @@ def check_conditional_overlap(a: int, b: int, d: int, m: int, trials: int,
         P(|S_b cap S_d| >= b/2 | S_b cap S_a != 0)
             <= exp(-b/8) * (1 + 4*(m/(a*b)) * 1{a > b/4, a*b <= m, b >= 3}).
 
-    The conditioning event is rejection-sampled with a 10x trial cap; fewer
-    than 100 accepted samples yields status "inconclusive".  Points with
+    The conditioning event is rejection-sampled with a 10x trial cap, in
+    batches of up to _overlap_batch(trials) draws, of which the conditioned
+    rows are taken in order until exactly `trials` are accepted; fewer
+    than 100 accepted samples yields status "inconclusive".  A point that
+    breaks overlap_point_error's rules raises ValueError.  Points with
     b < 4 sit outside the derivation (the dyadic split needs floor(b/4) >= 1)
     and are reported with status "boundary" instead of being adjudicated.
     """
-    error = overlap_point_error(a, b, d, m)
+    error = overlap_point_error(a, b, d, m, trials)
     if error is not None:
         raise ValueError(error)
 
@@ -578,22 +617,17 @@ def check_conditional_overlap(a: int, b: int, d: int, m: int, trials: int,
     hits = 0
     drawn = 0
     cap = 10 * trials
-    batch_size = max(256, min(trials, 65536))
+    batch_size = _overlap_batch(trials)
     while accepted < trials and drawn < cap:
         batch = min(batch_size, cap - drawn)
         # sorted attr * batch + vertex keys: the entries in S_a, S_d lead
         keys = sample_incidence(m, np.full(batch, b, dtype=np.int64), rng).keys
         in_a = np.bincount(keys[:np.searchsorted(keys, a * batch)] % batch, minlength=batch)
         in_d = np.bincount(keys[:np.searchsorted(keys, d * batch)] % batch, minlength=batch)
-        cond = in_a > 0
-        take = cond
-        if accepted + int(cond.sum()) > trials:
-            # keep only enough conditioned rows to land exactly on `trials`
-            idx = np.flatnonzero(cond)[: trials - accepted]
-            take = np.zeros(batch, dtype=bool)
-            take[idx] = True
-        accepted += int(take.sum())
-        hits += int(np.sum(take & (2 * in_d >= b)))
+        # the conditioned rows, only enough of them to land exactly on `trials`
+        rows = np.flatnonzero(in_a)[:trials - accepted]
+        accepted += rows.shape[0]
+        hits += int(np.count_nonzero(2 * in_d[rows] >= b))
         drawn += batch
 
     if accepted < 100:
@@ -713,14 +747,12 @@ def check_tail_mass(n: int, alpha: float, c0: float,
             note = f"t outside [c0, n^(1/(1+alpha))) = [{c0:g}, {pole:g})"
             for bid in ("mass_sandwich_lower", "mass_sandwich_upper",
                         "mass_mc_agreement", "mass_deviation"):
-                reports.append(_skip_report(bid, params, note))
+                reports.append(_skipped(bid, dict(params), note))
             continue
         el = n * law.interval_mean(float(t), t_upper)
-        q_analytic = scale_of[idx] * el
-        reports.append(_exact_report("mass_sandwich_lower", params,
-                                     c1 / 2.0, q_analytic))
-        reports.append(_exact_report("mass_sandwich_upper", params,
-                                     q_analytic, c2))
+        q_analytic = float(scale_of[idx] * el)
+        reports.append(_exact("mass_sandwich_lower", dict(params), c1 / 2.0, q_analytic))
+        reports.append(_exact("mass_sandwich_upper", dict(params), q_analytic, c2))
 
         q_draws = scale_of[idx] * l_samples[:, idx]
         q_mc = float(np.mean(q_draws))

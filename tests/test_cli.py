@@ -465,6 +465,8 @@ def test_hub_reports_golden(tmp_path, monkeypatch, capsys, command, seed, pairs,
     ("overlap_point", [40, 16, 100, 1000]),  # d > m/100
     ("mass_tau", 2.0),                      # outside (1, 1 + alpha)
     ("mass_gamma", 0),
+    ("coverage_m", 10**18),                 # 10 sets * m >= 2**62
+    ("overlap_point", [40, 16, 100, 10**16]),  # a batch of 3000 * m >= 2**62
 ])
 def test_verify_lemmas_rejects_invalid_suite_settings(tmp_path, capsys, field, value):
     # each broke a suite's own rule and ended in a runtime failure (exit 2)

@@ -205,11 +205,18 @@ def test_tail_deviation_zero_is_vacuous_equality():
 
 
 def test_reports_own_their_params():
-    # one grid point hands the same dict to several reports
-    reps = check_intersection_bounds([(3, 4, 20)])
-    assert len({id(r.params) for r in reps}) == len(reps)
-    reps[0].params["j"] = 99
-    assert all(r.params["j"] == 3 for r in reps[1:])
+    # one grid point hands the same dict to several reports, and so does
+    # one t of the tail mass, here with t = 0.5 below c0 skipped
+    tail = check_tail_mass(n=10**4, alpha=0.8, c0=1, rng=trial_rng(9, 0, 0),
+                           t_grid=np.array([0.5, 2.0]), gamma=1, trials=5)
+    assert [r.status for r in tail[:4]] == ["skipped"] * 4
+    assert tail[4].bound_id == "mass_sandwich_lower"
+    for reps, key in ((check_intersection_bounds([(3, 4, 20)]), "j"), (tail, "n")):
+        assert len({id(r.params) for r in reps}) == len(reps)
+        first = reps[0].params[key]
+        reps[0].params[key] = 99
+        assert all(r.params[key] == first for r in reps[1:])
+        assert all(type(r.lhs) is float and type(r.rhs) is float for r in reps)
 
 
 def test_report_pins_numpy_scalars_to_plain_types():
