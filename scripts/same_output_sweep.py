@@ -50,13 +50,13 @@ in DIR (default: this tree's src/):
   to give a boundary, an inconclusive and an adjudicated conditional
   overlap, 40 skipped tail-mass reports, and failing mass checks at
   mass_n 14 and at mass_n 20 with alpha 0.5; the eighth checks the
-  intersection bounds at m = 5000 and m = 1.5e8, where the log-gammas take
-  the Stirling series above 1000 and its bare leading terms above 1e8; the
+  intersection bounds at the large pools m = 5000 and m = 1.5e8; the
   ninth checks j, k up to 45 at m = 90 and m = 1.5e8, so one command
-  writes tails up to t = 45, skipped points where j + k >= 90 and the
-  false fails of P(H = 0) at m = 1.5e8; the tenth sets c0 and mass_gamma
-  to JSON integers, which the tail-mass reports carry in their params as
-  they are.
+  writes tails up to t = 45 and skipped points where j + k >= 90; every
+  intersection report of these two passes or is skipped, and each writes
+  one fail, the max-weight window of criterion 9c; the tenth sets c0 and
+  mass_gamma to JSON integers, which the tail-mass reports carry in their
+  params as they are.
 
 Every command runs inside ROOT with relative paths, so no output names ROOT.
 ROOT/log.txt gets each command's arguments, exit code, standard output and

@@ -41,7 +41,6 @@ __all__ = [
     "LayerThresholds",
     "LayerDecomposition",
     "CertificateRecord",
-    "threshold_rung",
     "thresholds",
     "decompose",
     "escape_bfs",
@@ -60,14 +59,6 @@ MAX_RUNGS = 1000
 
 class LadderError(RuntimeError):
     """The layer ladder cannot support navigation (no usable target set)."""
-
-
-def threshold_rung(n: int, alpha: float, k: int) -> float:
-    """Raw rung value t_k = n^(alpha^k/(1+alpha)) * ln(ln(2+n)), any k >= 1."""
-    if k < 1:
-        raise ValueError("rungs are indexed from 1")
-    expo = alpha**k / (1.0 + alpha)
-    return math.exp(expo * math.log(n)) * iterated_log(n)
 
 
 @dataclass(frozen=True)

@@ -63,9 +63,8 @@ def default_verify_grid():
 
 @pytest.fixture(scope="session")
 def mixed_verify_grid():
-    """(j, k, m) points, j, k <= 12, whose intersection reports take every
-    status the suite gives: skipped where j + k >= m (m = 10 and 20), fail
-    at m = 1.5e8, where P(H = 0) loses digits to cancellation, pass, and
-    the degenerate points j = 0 or k = 0."""
+    """(j, k, m) points, j, k <= 12, whose intersection reports are
+    skipped where j + k >= m (m = 10 and 20) and pass elsewhere, at pools
+    from 10 to 1.5e8, and the degenerate points j = 0 or k = 0."""
     return [(j, k, m) for m in (10, 20, 1000, 150000000)
             for j in range(min(m, 12) + 1) for k in range(min(m, 12) + 1)]

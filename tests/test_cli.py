@@ -87,8 +87,8 @@ def test_cli_import_leaves_out_process_pool():
 
 
 def test_verify_lemmas_runs_without_scipy(tmp_path):
-    # the bound suites take their log-gammas from rigkit.verify itself, so
-    # not even verify-lemmas loads scipy
+    # the bound suites compute every hypergeometric law in rigkit.verify
+    # itself, by a ratio recursion, so not even verify-lemmas loads scipy
     path = verify_config(tmp_path, window_min=0.0)
     code = ("import rigkit.cli; "
             f"assert rigkit.cli.main(['verify-lemmas', '--config', {path!r}]) == 0")
@@ -441,7 +441,7 @@ def test_verify_lemmas_report_golden(tmp_path, capsys):
     path = verify_config(tmp_path, window_min=0.0)
     assert cli.main(["verify-lemmas", "--config", path]) == 0
     with open(capsys.readouterr().out.strip(), "rb") as fh:
-        assert hashlib.sha256(fh.read()).hexdigest()[:16] == "b4cd1ef8bb7fbb47"
+        assert hashlib.sha256(fh.read()).hexdigest()[:16] == "6661f3f8e261214c"
 
 
 @pytest.mark.parametrize("command, seed, pairs, digest", [

@@ -17,7 +17,6 @@ from rigkit.hubnav import (
     escape_bfs,
     hub_climb,
     loglog_certificate,
-    threshold_rung,
     thresholds,
 )
 from rigkit.model import ModelParams, VertexWeights, iterated_log, trial_rng
@@ -38,22 +37,21 @@ def k_star_by_scan(n, alpha, floor):
 
 def test_rung_formula_and_small_n_collapse():
     # n = 1e4, alpha = 0.5: the first rung power is 10^(4/3) ~ 21.5 < 101,
-    # so the ladder is empty
+    # so the ladder is empty; a floor of 20 keeps that rung and no other
+    # (the second rung power is 10^(2/3) ~ 4.6)
     l2n = iterated_log(10**4)
-    assert threshold_rung(10**4, 0.5, 1) == pytest.approx(10 ** (4 / 3) * l2n,
-                                                          rel=1e-12)
     th = thresholds(10**4, 0.5, 1.0)
     assert th.k_star == 0
     assert th.t == ()
-    with pytest.raises(ValueError):
-        threshold_rung(10**4, 0.5, 0)
+    th = thresholds(10**4, 0.5, 1.0, floor=20.0)
+    assert th.t == pytest.approx((10 ** (4 / 3) * l2n,), rel=1e-12)
 
 
 def test_t0_formula():
     th = thresholds(10**5, 0.8, 1.0)
     l2n = iterated_log(10**5)
     assert th.t0 == pytest.approx((10**5) ** (1 / 1.8) * l2n ** (-0.8), rel=1e-12)
-    assert th.t[0] == pytest.approx(threshold_rung(10**5, 0.8, 1), rel=1e-12)
+    assert th.t[0] == pytest.approx((10**5) ** (0.8 / 1.8) * l2n, rel=1e-12)
 
 
 def test_k_star_matches_scan():

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,6 @@ from rigkit.verify import (
     BoundReport,
     HypergeomTable,
     _default_mass_grid,
-    _log_gamma,
     check_conditional_overlap,
     check_intersection_bounds,
     check_tail_mass,
@@ -94,38 +94,40 @@ def test_no_overlap_probability_values():
         assert HypergeomTable(j, k, m).prob(0) == pytest.approx(exact, rel=1e-10)
 
 
-def test_log_gamma_matches_scipy_gammaln():
-    # the port reproduces gammaln bit for bit, across all four branches of
-    # Cephes lgam: x < 13, 13 <= x < 1000, 1000 <= x <= 1e8 and x > 1e8
-    from scipy.special import gammaln
+def _worst_pmf_error(j, k, m):
+    """The largest relative error of HypergeomTable(j, k, m)'s pmf against
+    exact rationals, over the values that are normal floats; raises on a
+    NaN, an inf or a 0 among them."""
+    table = HypergeomTable(j, k, m)
+    worst = 0.0
+    for r in range(table.lo, table.hi + 1):
+        exact = hyper_pmf_exact(j, k, m, r)
+        if float(exact) < sys.float_info.min:
+            continue
+        got = table.prob(r)
+        assert math.isfinite(got) and got != 0.0, (j, k, m, r, got)
+        worst = max(worst, float(abs(Fraction(got) - exact) / exact))
+    return worst
 
-    xs = np.arange(1, 2_000_001)
-    assert np.array_equal([_log_gamma(x) for x in xs.tolist()], gammaln(xs))
-    for x in (12, 13, 999, 1000, 1001, 10**8, 10**8 + 1):
-        assert _log_gamma(x) == gammaln(x), x
-    xs = np.random.default_rng(18).integers(1, 2**40, size=100_000, endpoint=True)
-    assert np.array_equal([_log_gamma(x) for x in xs.tolist()], gammaln(xs))
 
-
-def test_tables_match_scipy_log_factorials(default_verify_grid):
-    # HypergeomTable and no_overlap_probability as they were written over
-    # scipy's gammaln, on the default grid and at pools whose log-gammas
-    # take the series above 1000 and the bare Stirling form above 1e8
-    from scipy.special import gammaln
-
-    large = [(j, k, m) for m in (5000, 150_000_000)
-             for j in range(13) for k in range(13)]
-    for j, k, m in default_verify_grid + large:
-        r = np.arange(max(0, j + k - m), min(j, k) + 1)
-        logs = (gammaln(k + 1) - gammaln(r + 1) - gammaln(k - r + 1)
-                + gammaln(m - k + 1) - gammaln(j - r + 1)
-                - gammaln(m - k - j + r + 1)
-                - gammaln(m + 1) + gammaln(j + 1) + gammaln(m - j + 1))
-        assert np.array_equal(HypergeomTable(j, k, m).pmf, np.exp(logs)), (j, k, m)
-        p0 = 1.0 if j == 0 or k == 0 else math.exp(
-            gammaln(m - k + 1) - gammaln(m - k - j + 1) - gammaln(m + 1)
-            + gammaln(m - j + 1))
-        assert no_overlap_probability(j, k, m) == p0, (j, k, m)
+def test_tables_match_exact_rationals(default_verify_grid, mixed_verify_grid):
+    # the ratio recursion forms no factorial of m, so nothing cancels at any
+    # pool: every normal pmf value to 1e-13, the wide supports to 1e-12,
+    # and the edge probability 1 - P(H = 0) at a pool of n = 1e5's size.
+    # P(H = 0) has one computation, the table's
+    for j, k, m in default_verify_grid + mixed_verify_grid:
+        assert no_overlap_probability(j, k, m) == HypergeomTable(j, k, m).prob(0)
+    for m in (30, 10**3, 10**6, 3 * 10**7, 15 * 10**7, 2**40):
+        for j in range(31):
+            for k in range(31):
+                assert _worst_pmf_error(j, k, m) <= 1e-13, (j, k, m)
+    for j, k, m in ((1500, 1500, 3000), (400, 700, 2000)):
+        assert _worst_pmf_error(j, k, m) <= 1e-12, (j, k, m)
+    for j, k in ((1, 1), (2, 3)):
+        m = 32_387_601
+        exact = 1 - no_overlap_exact(j, k, m)
+        hit = 1.0 - no_overlap_probability(j, k, m)
+        assert abs(Fraction(hit) - exact) <= Fraction(1, 10**6) * exact, (j, k)
 
 
 def test_wilson_interval_shape():
@@ -262,7 +264,8 @@ def test_intersection_reports_match_the_reference(mixed_verify_grid):
     # by report: every field, each param's type, and lhs and rhs bit for bit
     got = check_intersection_bounds(mixed_verify_grid)
     want = intersection_reports_reference(mixed_verify_grid)
-    assert {r.status for r in got} == {"pass", "fail", "skipped"}
+    assert {r.status for r in got} == {"pass", "skipped"}
+    assert not any(r.status == "fail" for r in got if r.params["m"] == 150000000)
     assert any(r.params["j"] * r.params["k"] == 0 for r in got)
     assert len(got) == len(want) == 9066
     for a, b in zip(got, want):

@@ -57,10 +57,13 @@ def test_full_default_grid_matches_json_dump(tmp_path, default_verify_grid):
 
 
 def test_mixed_grid_matches_json_dump(tmp_path, mixed_verify_grid):
-    # skipped reports write NaN as null, failed ones false; the suite's
-    # reports carry their grid point's spelled params
+    # skipped reports write NaN as null; the suite's reports carry their
+    # grid point's spelled params.  No report at m = 1.5e8 fails: its
+    # P(H = 0) keeps its digits (a failed report is written in
+    # test_params_key_orders_and_prefixes_share_no_layout)
     reports = check_intersection_bounds(mixed_verify_grid)
-    assert {r.status for r in reports} == {"pass", "fail", "skipped"}
+    assert {r.status for r in reports} == {"pass", "skipped"}
+    assert not any(r.status == "fail" for r in reports if r.params["m"] == 150000000)
     text, want = written(tmp_path, reports), verify_report_reference(reports)
     # the first difference only: a diff of two 4 MB texts takes minutes
     at = next((i for i, (a, b) in enumerate(zip(text, want)) if a != b),
