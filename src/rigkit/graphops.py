@@ -13,8 +13,11 @@ vertex * num_attrs + core id for the vertex side; core attributes are
 numbered in increasing order of original id.  A one-sided search thus makes
 the same smallest-id parent choices, and traces the same paths, as it would
 on the full incidence.  graphgen._shared_entries marks the shared entries
-in a one-byte mask, one run of keys at a time, and only reads the keys;
-beside them the build peaks near 0.58x their bytes.
+in a one-byte mask, one run of keys at a time, and only reads the keys.
+The core is held in int32, and each int64 temporary of the build is freed
+as soon as its int32 result exists, so beside the keys the build peaks
+near 0.29x their bytes.  Every packed key is formed in int64: numpy keeps
+an int32 array times a Python int in int32, and wraps on overflow.
 
 Component labels start from a root: its component is the completed target
 ball of {root} (below), the ball that distances_from(root) then copies.
@@ -42,12 +45,13 @@ the source against a *target ball*: a multi-source BFS from the set, grown
 one level at a time and only as far as queries need it.  The ball records
 the hop count of every vertex it reaches and of every core attribute (the
 count of the attribute's nearest holder).  It makes no via or owner choice,
-so it needs no sort: each level is scattered into the count arrays and read
-back with np.flatnonzero.  The ball of the last set asked about stays in
-the core, so the searches of one trial that share their targets share its
-levels, and components(root) and distances_from(u) complete the ball of
-{root} or {u}: the component labels leave behind the ball that the hub
-distances copy and the escapes to {u_max} then use.
+so it needs no sort: each level is scattered into the count arrays, in
+slices of graphgen._RUN vertices and then attributes, and read back with
+np.flatnonzero.  The ball of the last set asked about stays in the core,
+so the searches of one trial that share their targets share its levels,
+and components(root) and distances_from(u) complete the ball of {root} or
+{u}: the component labels leave behind the ball that the hub distances
+copy and the escapes to {u_max} then use.
 
 nearest_routes answers many sources at once.  Each source's forward search
 runs alone until it meets the ball; then one descent carries every source
@@ -64,11 +68,11 @@ copy; nearest_of is the one-source case.
 A TraversalCore is built once from an incidence, keeps no reference to it,
 and is passed to every function here.  Besides the two CSR sides it owns a
 visited mask over vertices and a seen mask over core attributes for each
-of the two sides of a search, and the target ball: n + num_attrs int64
+of the two sides of a search, and the target ball: n + num_attrs int32
 counts, an n-byte membership mask and the routes it keeps.  A query allocates in
 proportion to what it scans, and on the way out clears only the mask
 entries it set; a ball for a new target set clears the ball's arrays.  At
-n = 1e5 a core holds about 14.5 MB, 2.8 MB of it the ball.
+n = 1e5 a core holds about 8.0 MB, 1.4 MB of it the ball.
 """
 
 from __future__ import annotations
@@ -78,6 +82,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import graphgen
 from .graphgen import (PACK_LIMIT, BipartiteIncidence, _shared_entries, _sort,
                        _sorted_unique, concat_ranges)
 
@@ -136,21 +141,41 @@ class TraversalCore:
     Both sides come from packed int64 keys: the incidence's attribute * n +
     vertex, sorted, then vertex * num_attrs + core id.  Attribute ids are
     below m and num_attrs <= m, so every key stays below n * m < PACK_LIMIT.
+    The four CSR arrays are int32 (set_sizes is int64): a core whose n,
+    attribute count or entry count reaches 2**31 raises ValueError
+    (_check_int32).  The build frees each int64 temporary once its int32
+    result exists: the int64 holders from _shared_entries are packed into
+    the vertex-major keys in place, and the core ids are an in-place
+    cumulative sum over int32 flags, so no int64 array of the core's length
+    outlives its use.
     """
 
     def __init__(self, inc: BipartiteIncidence):
         n = inc.n
         self.n = n
-        self.attr_vertices, starts = _shared_entries(inc.keys, n)
+        keys, starts = _shared_entries(inc.keys, n)
+        entries = keys.shape[0]
         self.num_attrs = int(np.count_nonzero(starts))
-        self.attr_indptr = np.append(np.flatnonzero(starts), starts.shape[0])
-        # vertex-major: each vertex's core ids come out increasing
-        keys = self.attr_vertices * self.num_attrs
-        keys += np.cumsum(starts) - 1
+        _check_int32(n, self.num_attrs, entries)
+        self.attr_vertices = keys.astype(np.int32)
+        self.attr_indptr = np.empty(self.num_attrs + 1, dtype=np.int32)
+        self.attr_indptr[:-1] = np.flatnonzero(starts)
+        self.attr_indptr[-1] = entries
+        # vertex-major: each vertex's core ids come out increasing; the
+        # int64 holders become the packed keys in place
+        keys *= self.num_attrs
+        ids = starts.astype(np.int32)
+        del starts
+        np.cumsum(ids, out=ids)
+        ids -= 1
+        keys += ids
+        del ids
         _sort(keys)
-        self.set_attrs = keys % self.num_attrs
+        keys %= self.num_attrs
+        self.set_attrs = keys.astype(np.int32)
+        del keys
         self.set_sizes = np.bincount(self.attr_vertices, minlength=n)
-        self.set_indptr = np.zeros(n + 1, dtype=np.int64)
+        self.set_indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(self.set_sizes, out=self.set_indptr[1:])
         self.visited = (np.zeros(n, dtype=bool), np.zeros(n, dtype=bool))
         self.seen = (np.zeros(self.num_attrs, dtype=bool),
@@ -168,6 +193,14 @@ class TraversalCore:
         return int(self.set_sizes[verts].sum())
 
 
+def _check_int32(n: int, num_attrs: int, entries: int) -> None:
+    """Raise ValueError unless a core of n vertices, num_attrs attributes
+    and entries incidence entries has every id and offset below 2**31."""
+    if max(n, num_attrs, entries) >= 2**31:
+        raise ValueError(f"a core of n = {n}, {num_attrs} attributes and {entries} "
+                         f"entries needs each of them below 2**31 to fit in int32")
+
+
 def _first_by(keys: np.ndarray, vals: np.ndarray, base: int):
     """Sorted distinct keys, each paired with its smallest val.
 
@@ -177,10 +210,13 @@ def _first_by(keys: np.ndarray, vals: np.ndarray, base: int):
     (base n) and vertices with core attributes (base num_attrs), so a packed
     key stays below n * num_attrs <= n * m < PACK_LIMIT; a tagged _hop over
     a chunk of c sources packs keys below c * n * num_attrs <= PACK_LIMIT.
+    The keys may be the core's int32 ids, so they are packed in int64: an
+    int32 product would wrap once n * num_attrs passes 2**31.  Both results
+    are int64.
     """
     if keys.size == 0:
         return keys, vals
-    packed = keys * base
+    packed = np.multiply(keys, base, dtype=np.int64)
     packed += vals
     packed.sort()
     keys = packed // base
@@ -204,27 +240,28 @@ def _hop(core: TraversalCore, verts: np.ndarray, attr_mark: np.ndarray,
 
     tagged hops many searches at once: verts then holds keys i * n + x of
     a vertex x on search i's level, attrs comes out as keys i * num_attrs + a
-    and nxt as keys i * n + x, and each search makes its own choices; via
-    and owners stay plain ids.
+    and nxt as keys i * n + x, each formed in int64 from the core's int32
+    ids, and each search makes its own choices; via and owners stay plain
+    ids.  Every array returned is int64.
     """
     n, num_attrs = core.n, core.num_attrs
     attrs, lens = concat_ranges(core.set_indptr, core.set_attrs,
                                 verts % n if tagged else verts)
     owners = np.repeat(verts, lens)
-    keep = attr_mark[attrs] == attr_want
+    keep = attr_mark.take(attrs) == attr_want
     attrs, owners = attrs[keep], owners[keep]
     if tagged:
         tags, owners = np.divmod(owners, n)
-        attrs += tags * num_attrs
+        attrs = tags * num_attrs + attrs
     keys, owners = _first_by(attrs, owners, n)
     attrs = keys % num_attrs if tagged else keys
     nxt, lens = concat_ranges(core.attr_indptr, core.attr_vertices, attrs)
     via = np.repeat(keys, lens)
-    keep = vert_mark[nxt] == vert_want
+    keep = vert_mark.take(nxt) == vert_want
     nxt, via = nxt[keep], via[keep]
     if tagged:
         tags, via = np.divmod(via, num_attrs)
-        nxt += tags * n
+        nxt = tags * n + nxt
     nxt, via = _first_by(nxt, via, num_attrs)
     return nxt, via, keys, owners
 
@@ -298,29 +335,32 @@ class _TargetBall:
 
     inside marks the vertices within depth hops of a source: a search checks
     its levels against it, because a byte mask costs a fraction of the cache
-    misses of an int64 array.  dist[x] is x's hop count to the nearest source
-    when x is inside; adist[a] is the hop count of a core attribute's
-    nearest holder when that is below depth.  Both hold UNREACHED everywhere
-    else.  frontier lists the vertices at hop depth, sorted, and entries
-    counts their core entries; the frontier is empty once the ball holds
-    the sources' whole components.  With inside and expand, which adds a
-    level and returns it, these make the ball a side of _meet.  routes maps
-    each vertex that nearest_routes has answered for to its route (None
-    when it has none); a route does not depend on how far the ball has
-    grown, so it is kept until a restart.
+    misses of an int32 array.  dist[x] (int32) is x's hop count to the
+    nearest source when x is inside; adist[a] (int32) is the hop count of a
+    core attribute's nearest holder when that is below depth.  Both hold
+    UNREACHED everywhere else.  frontier lists the vertices at hop depth,
+    sorted, and entries counts their core entries; the frontier is empty
+    once the ball holds the sources' whole components.  With inside and
+    expand, which adds a level and returns it, these make the ball a side
+    of _meet.  routes maps each vertex that nearest_routes has answered for
+    to its route (None when it has none); a route does not depend on how
+    far the ball has grown, so it is kept until a restart.
 
     No search needs a via or owner choice here, so a level is found without
     sorting: it is scattered into dist or adist and read back with
-    np.flatnonzero.  The arrays are allocated once per core and reused by
-    every restart.  The ball keeps no reference to its core: the methods
-    that read the core take it, so a core that its last user drops is freed
-    by reference counting, without waiting for the cyclic collector.
+    np.flatnonzero.  expand walks the frontier, and then the new attribute
+    level, in slices of graphgen._RUN ids, read at each call, so its
+    temporaries stay run-sized however large a level is.  The arrays are
+    allocated once per core and reused by every restart.  The ball keeps no
+    reference to its core: the methods that read the core take it, so a
+    core that its last user drops is freed by reference counting, without
+    waiting for the cyclic collector.
     """
 
     def __init__(self, core: TraversalCore):
         self.sources = _EMPTY
-        self.dist = np.empty(core.n, dtype=np.int64)
-        self.adist = np.empty(core.num_attrs, dtype=np.int64)
+        self.dist = np.empty(core.n, dtype=np.int32)
+        self.adist = np.empty(core.num_attrs, dtype=np.int32)
         self.inside = np.empty(core.n, dtype=bool)
         self.routes = {}
 
@@ -343,14 +383,18 @@ class _TargetBall:
     def expand(self, core: TraversalCore) -> np.ndarray:
         """Add the vertices at hop depth + 1, and the attributes at hop depth;
         returns the new level, the new frontier."""
-        hop = self.depth
-        attrs, _ = concat_ranges(core.set_indptr, core.set_attrs, self.frontier)
-        self.adist[attrs[self.adist[attrs] == UNREACHED]] = hop
-        attrs = np.flatnonzero(self.adist == hop)
-        verts, _ = concat_ranges(core.attr_indptr, core.attr_vertices, attrs)
-        verts = verts[~self.inside[verts]]
-        self.dist[verts] = hop + 1
-        self.inside[verts] = True
+        hop, run = self.depth, graphgen._RUN
+        for start in range(0, self.frontier.shape[0], run):
+            attrs, _ = concat_ranges(core.set_indptr, core.set_attrs,
+                                     self.frontier[start:start + run])
+            self.adist[attrs[self.adist.take(attrs) == UNREACHED]] = hop
+        level = np.flatnonzero(self.adist == hop)
+        for start in range(0, level.shape[0], run):
+            verts, _ = concat_ranges(core.attr_indptr, core.attr_vertices,
+                                     level[start:start + run])
+            verts = verts[~self.inside.take(verts)]
+            self.dist[verts] = hop + 1
+            self.inside[verts] = True
         self.depth = hop + 1
         self._set_frontier(core, np.flatnonzero(self.dist == hop + 1))
         return self.frontier
@@ -391,23 +435,21 @@ def components(core: TraversalCore, root: int) -> ComponentLabeling:
     loop ends after at most n rounds.  Rooted at the apex of an instance,
     the ball holds the giant and the hook runs on a small remainder.
 
-    A label is always a vertex of its own component and never exceeds the
-    vertex's id, so the final label is the component's smallest vertex id,
-    which is also its first vertex.  The canonical rank of a component is
-    then the count of roots up to its own, minus one: a cumulative sum, with
-    no sort.
+    Labels and the rest's attribute numbers are int32, as the core's ids
+    are.  A label is always a vertex of its own component and never exceeds
+    the vertex's id, so the final label is the component's smallest vertex
+    id, which is also its first vertex.  The canonical rank of a component
+    is then the count of roots up to its own, minus one: a cumulative sum,
+    with no sort.
     """
     ball = _complete_ball(core, root)
-    # labels and attribute numbers fit in int32 below 2**31, which halves
-    # the temporaries of each round
-    small = np.int32 if max(core.n, core.num_attrs) < 2**31 else np.int64
-    ids = np.arange(core.n, dtype=small)
+    ids = np.arange(core.n, dtype=np.int32)
     label = ids.copy()
     rest = np.flatnonzero(ball.adist == UNREACHED)
     holders, lens = concat_ranges(core.attr_indptr, core.attr_vertices, rest)
-    attr_of = np.repeat(np.arange(rest.shape[0], dtype=small), lens)
+    attr_of = np.repeat(np.arange(rest.shape[0], dtype=np.int32), lens)
     while True:
-        amin = np.full(rest.shape[0], core.n, dtype=small)
+        amin = np.full(rest.shape[0], core.n, dtype=np.int32)
         np.minimum.at(amin, attr_of, label[holders])
         sees = label.copy()
         np.minimum.at(sees, holders, amin[attr_of])
@@ -487,8 +529,8 @@ def distances_from(core: TraversalCore, u: int) -> np.ndarray:
     """Hop counts from u to every vertex; UNREACHED (-1) where no path.
 
     Grows the cached target ball of {u} to completion and returns a copy of
-    its distances, so that later routes to [u] (nearest_routes) start from a
-    full ball.
+    its int32 distances, so that later routes to [u] (nearest_routes) start
+    from a full ball.
     """
     return _complete_ball(core, u).dist.copy()
 
@@ -643,7 +685,7 @@ def nearest_of(core: TraversalCore, source: int, targets: np.ndarray) -> Distanc
 
 
 def neighbors(core: TraversalCore, u: int) -> np.ndarray:
-    """Sorted neighbours of u: every other vertex sharing an attribute."""
+    """Sorted neighbours of u, int32: every other vertex sharing an attribute."""
     _check_vertex(core, u)
     attrs = core.set_attrs[core.set_indptr[u]:core.set_indptr[u + 1]]
     verts, _ = concat_ranges(core.attr_indptr, core.attr_vertices, attrs)
@@ -654,9 +696,10 @@ def neighbors(core: TraversalCore, u: int) -> np.ndarray:
 def unique_edges(core: TraversalCore) -> np.ndarray:
     """All intersection-graph edges as an (E, 2) array with u < v.
 
-    Expands each core attribute into its vertex pairs and dedups.  Intended
-    for the sparse-overlap regime (m well above n); an attribute shared by
-    k vertices contributes k(k-1)/2 raw pairs.
+    Expands each core attribute into its vertex pairs and dedups them as
+    int64 keys u * n + v.  Intended for the sparse-overlap regime (m well
+    above n); an attribute shared by k vertices contributes k(k-1)/2 raw
+    pairs.
     """
     counts = np.diff(core.attr_indptr)
     n = core.n
@@ -664,7 +707,7 @@ def unique_edges(core: TraversalCore) -> np.ndarray:
     for k in np.unique(counts):
         which = np.flatnonzero(counts == k)
         block, _ = concat_ranges(core.attr_indptr, core.attr_vertices, which)
-        block = block.reshape(-1, int(k))
+        block = block.astype(np.int64).reshape(-1, int(k))
         iu, ju = np.triu_indices(int(k), 1)
         # vertex lists are sorted, so block[:, iu] < block[:, ju] holds
         keys.append((block[:, iu] * n + block[:, ju]).ravel())

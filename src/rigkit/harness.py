@@ -261,20 +261,23 @@ class Trial:
     """One instance: its traversal core, components, ladder and stream.
 
     Built from the trial index, params, seed, the stream left to draw from,
-    the incidence and the weights, with the ladder's hub_floor.  The core is
-    built once from the incidence's sorted keys, and the incidence is not
-    kept, so its vertex-major ids are never derived.  The components are
-    labelled from the apex u_max, which leaves the core's ball the complete
-    ball of {u_max}, so hub_samples' hub BFS is a copy.  Callers draw pairs
-    before hub vertices.  Two constructors supply an instance: generated
-    draws it from the config's stream, and from_file reads a graph file.
+    the traversal core and the weights, with the ladder's hub_floor.  Two
+    constructors supply an instance: generated draws it from the config's
+    stream, and from_file reads a graph file.  Each builds the core once
+    from its incidence's sorted keys and drops its own reference to the
+    incidence before the components are labelled, so the keys are freed
+    there unless a caller holds them; the vertex-major ids are never
+    derived.  The components are labelled from the apex u_max, which leaves
+    the core's ball the complete ball of {u_max}, so hub_samples' hub BFS
+    is a copy.  Callers draw pairs before hub vertices.
     """
 
     def __init__(self, trial: int, params: ModelParams, seed: int,
-                 rng: np.random.Generator, inc, weights, hub_floor: Optional[float]):
+                 rng: np.random.Generator, core: TraversalCore, weights,
+                 hub_floor: Optional[float]):
         self.trial, self.params, self.seed, self.rng = trial, params, seed, rng
         self.weights = weights
-        self.core = TraversalCore(inc)
+        self.core = core
         self.dec = decompose(weights, thresholds(params.n, params.alpha, params.c0, hub_floor))
         self.comp = components(self.core, self.dec.u_max)
         self.giant_size = int(self.comp.sizes[self.comp.giant])
@@ -290,7 +293,9 @@ class Trial:
         them."""
         params, rng = cfg.params_for(n), trial_rng(cfg.seed, n, trial)
         inc, weights = generate(params, rng)
-        return cls(trial, params, cfg.seed, rng, inc, weights, cfg.hub_floor)
+        core = TraversalCore(inc)
+        del inc
+        return cls(trial, params, cfg.seed, rng, core, weights, cfg.hub_floor)
 
     @classmethod
     def from_file(cls, cfg: ExperimentConfig, path, trial: int) -> "Trial":
@@ -299,8 +304,11 @@ class Trial:
         it draws from trial_rng(cfg.seed, file n, trial): the config's seed,
         not the file's."""
         inc, params, seed = storage.read_graph(path)
-        return cls(trial, params, seed, trial_rng(cfg.seed, params.n, trial), inc,
-                   realized_weights(params, inc.sizes()), cfg.hub_floor)
+        weights = realized_weights(params, inc.sizes())
+        core = TraversalCore(inc)
+        del inc
+        return cls(trial, params, seed, trial_rng(cfg.seed, params.n, trial), core,
+                   weights, cfg.hub_floor)
 
     def header(self, kind: str) -> dict:
         """The instance fields that open every single-trial report."""

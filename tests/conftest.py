@@ -22,7 +22,9 @@ def each_block():
     16 entries long, and graphgen._sort splitting parts of 2, 3 and 5
     entries or more over 3 CPUs, so that small inputs cross many run
     boundaries, runs of several vertices and top-up rounds, and every
-    whole-array sort splits into a 2-thread and a 1-thread part."""
+    whole-array sort splits into a 2-thread and a 1-thread part.  The
+    target ball of graphops reads graphgen._RUN at each expand, so its
+    levels are walked in slices of the same lengths."""
     def run(check):
         check()
         for run_size, split in ((1, 2), (5, 3), (16, 5)):

@@ -13,6 +13,8 @@ from rigkit.graphops import (
     degrees,
     distances_from,
     nearest_of,
+    nearest_routes,
+    neighbors,
     unique_edges,
 )
 from rigkit.hubnav import decompose, thresholds
@@ -25,6 +27,7 @@ from oracles import (
     pair_hops_python,
     shares_attribute,
 )
+from test_benchmark_hooks import load_perfbench
 
 
 def path_graph(k: int) -> BipartiteIncidence:
@@ -245,25 +248,96 @@ def test_multi_vertex_attribute_is_a_clique():
     assert bfs_distance(core, 0, 2).hops == 1
 
 
-def test_components_memory_beyond_the_ball():
-    # Peak traced bytes of components(core, u_max) once its ball is
-    # complete, against the core's attr_vertices bytes: the hook runs on
-    # what the ball did not reach.  A hook over the whole core peaks near
-    # 1.71x, and a core-length int64 gather such as ball.adist[attr_of]
-    # alone adds 1.0x.
+@pytest.fixture(scope="module")
+def instance_1e5():
+    """The n = 1e5 default-m instance at seed 1, with its apex."""
     n = 100_000
     params = ModelParams(n=n, m=default_attribute_count(n), alpha=0.8, c0=1.0)
     inc, w = generate(params, trial_rng(1, n, 0))
-    core = TraversalCore(inc)
-    del inc
-    u_max = decompose(w, thresholds(n, 0.8, 1.0)).u_max
-    distances_from(core, u_max)
+    return inc, decompose(w, thresholds(n, 0.8, 1.0)).u_max
+
+
+def traced_peak(run):
+    """run()'s result and the peak traced bytes it allocated."""
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()
-        comp = components(core, u_max)
+        out = run()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return out, peak - base
+
+
+def test_components_memory_beyond_the_ball(instance_1e5):
+    # Peak traced bytes of components(core, u_max) once its ball is
+    # complete, against 8 bytes per core entry (an int64 array of the
+    # core's length): the hook runs on what the ball did not reach.  A hook
+    # over the whole core peaks near 1.71x, and a core-length int64 gather
+    # such as ball.adist[attr_of] alone adds 1.0x.
+    inc, u_max = instance_1e5
+    core = TraversalCore(inc)
+    distances_from(core, u_max)
+    comp, peak = traced_peak(lambda: components(core, u_max))
     assert comp.labels[u_max] == comp.giant
-    assert peak - base <= 1.2 * core.attr_vertices.nbytes  # 0.90x measured
+    assert peak <= 1.2 * 8 * core.attr_vertices.shape[0]  # 0.90x measured
+
+
+def test_fresh_ball_memory(instance_1e5):
+    # Peak traced bytes of completing a fresh ball of {u_max} with
+    # distances_from, against 8 bytes per core entry: the ball walks each
+    # level in slices of graphgen._RUN ids, so beside its own int32 counts
+    # and the copy it returns only run-sized temporaries and the levels'
+    # ids exist.  Walking a whole level at once peaked at 2.30x.
+    inc, u_max = instance_1e5
+    core = TraversalCore(inc)
+    dist, peak = traced_peak(lambda: distances_from(core, u_max))
+    assert dist[u_max] == 0
+    assert peak <= 1.2 * 8 * core.attr_vertices.shape[0]  # 1.08x measured
+
+
+def test_packed_keys_past_2_31_match_scipy(instance_1e5):
+    # n * num_attrs is about 2.3e10, far past 2**31, so a key that
+    # _first_by, a tagged _hop or _descend packs from the core's int32 ids
+    # wraps unless it is formed in int64.  Pair hops, the hub distances,
+    # the component labels and routes down the hub's ball are checked
+    # against scipy's csgraph on the star graph of the incidence.
+    from scipy.sparse.csgraph import connected_components, shortest_path
+
+    inc, u_max = instance_1e5
+    n = inc.n
+    core = TraversalCore(inc)
+    assert n * core.num_attrs > 2**34
+    checks = load_perfbench("checks")
+    graph = checks.star_graph(inc)
+    _, star_labels = connected_components(graph, directed=False)
+    _, first, which = np.unique(star_labels[:n], return_index=True, return_inverse=True)
+    rank = np.empty(first.shape[0], dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.shape[0])  # by first vertex
+    comp = components(core, u_max)
+    assert np.array_equal(comp.labels, rank[which])
+    hub = shortest_path(graph, unweighted=True, indices=u_max)[:n]
+    hub[np.isinf(hub)] = 2 * UNREACHED  # star hops are twice the graph's
+    want = (hub // 2).astype(np.int64)
+    assert np.array_equal(distances_from(core, u_max), want)
+    pairs = trial_rng(5, n, 0).choice(comp.giant_vertices(), size=(20, 2))
+    for u, v in pairs.tolist():
+        assert bfs_distance(core, u, v).hops == checks.hops_from(graph, u, [v])[0]
+    sources = pairs.ravel()
+    for s, res in zip(sources.tolist(), nearest_routes(core, sources, np.array([u_max]))):
+        assert res.hops == want[s] and res.path[0] == s and res.path[-1] == u_max
+        for a, b in zip(res.path, res.path[1:]):
+            assert b in neighbors(core, a)
+
+
+def test_int32_core_guard(monkeypatch):
+    # ids and offsets of the core must stay below 2**31 to fit in int32;
+    # TraversalCore passes its vertex, attribute and entry counts
+    graphops._check_int32(2**31 - 1, 2**31 - 1, 2**31 - 1)
+    for counts in ((2**31, 1, 1), (1, 2**31, 1), (1, 1, 2**31)):
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            graphops._check_int32(*counts)
+    calls = []
+    monkeypatch.setattr(graphops, "_check_int32", lambda *counts: calls.append(counts))
+    TraversalCore(path_graph(5))
+    assert calls == [(5, 4, 8)]

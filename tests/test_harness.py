@@ -284,6 +284,42 @@ def test_trial_core_is_freed_by_reference_counting(tmp_path):
         if enabled:
             gc.enable()
 
+
+def test_trial_gives_up_its_incidence_before_components(tmp_path, monkeypatch):
+    # each constructor drops its own reference to the incidence once the
+    # core is built, so with the cyclic collector off the keys are freed
+    # before the components are labelled; the incidence is only the
+    # constructors' to drop, so a caller that holds it keeps it
+    cfg = cfg_with(tmp_path, n_values=[2000], hub_floor=20.0, seed=1)
+    path = os.path.join(cfg.out_dir, harness.run_generate(cfg)[0]["path"])
+    keys, alive = [], []
+
+    def keeping_a_weakref(fn):
+        def call(*args):
+            out = fn(*args)
+            keys.append(weakref.ref(out[0].keys))
+            return out
+        return call
+
+    def components(core, root):
+        alive.append(keys[-1]() is not None)
+        return graphops_components(core, root)
+
+    graphops_components = harness.components
+    monkeypatch.setattr(harness, "generate", keeping_a_weakref(harness.generate))
+    monkeypatch.setattr(harness.storage, "read_graph",
+                        keeping_a_weakref(harness.storage.read_graph))
+    monkeypatch.setattr(harness, "components", components)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        harness.Trial.generated(cfg, 2000, 0)
+        harness.Trial.from_file(cfg, path, 0)
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(keys) == 2 and alive == [False, False]
+
 # the apex, vertex 3, holds only attributes of its own: it is isolated, and
 # the giant is {0, 1, 2}; scripts/same_output_sweep.py runs the same graph
 ISOLATED_APEX_SETS = [[0], [0, 1], [1], [10, 11, 12, 13, 14, 15], [2], [2], [3], []]

@@ -78,22 +78,26 @@ def test_distances_from_match_python_bfs(inc):
 
 
 @PROPS
-@given(incidences(), st.data())
-def test_component_labels_match_queue_bfs(inc, data):
+@given(inc=incidences(), data=st.data())
+def test_component_labels_match_queue_bfs(each_block, inc, data):
     # the root may be isolated or in a small component; its ball is left
-    # complete, so distances_from(root) only copies it
+    # complete, so distances_from(root) only copies it; under each_block the
+    # ball walks its levels in slices of 1, 5 and 16 ids
     adj = adjacency_matrix(inc)
     expect = component_labels_bfs(adj)
     root = data.draw(st.integers(0, inc.n - 1))
-    core = TraversalCore(inc)
-    comp = components(core, root)
-    assert np.array_equal(comp.labels, expect)
-    assert np.array_equal(comp.sizes, np.bincount(expect))
-    assert comp.giant == int(np.argmax(np.bincount(expect)))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graphops._TargetBall, "expand", None)  # a call raises TypeError
-        assert np.array_equal(distances_from(core, root), pair_hops_python(adj, root))
-    assert masks_clear(core)
+
+    def check():
+        core = TraversalCore(inc)
+        comp = components(core, root)
+        assert np.array_equal(comp.labels, expect)
+        assert np.array_equal(comp.sizes, np.bincount(expect))
+        assert comp.giant == int(np.argmax(np.bincount(expect)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphops._TargetBall, "expand", None)  # a call raises TypeError
+            assert np.array_equal(distances_from(core, root), pair_hops_python(adj, root))
+        assert masks_clear(core)
+    each_block(check)
 
 
 @PROPS
@@ -145,30 +149,35 @@ def complete_ball(inc, sources):
 
 
 @PROPS
-@example((BipartiteIncidence.from_sets(4, 3, [[0], [0, 1], [1, 2], [2]]), [3, 0, 3]))
-@given(ball_sources())
-def test_target_ball_matches_reference(case):
+@example(case=(BipartiteIncidence.from_sets(4, 3, [[0], [0, 1], [1, 2], [2]]), [3, 0, 3]))
+@given(case=ball_sources())
+def test_target_ball_matches_reference(each_block, case):
     # level by level: a partly grown ball holds exactly the reference's
     # counts up to its depth (attributes: below it); before it first grows,
     # only its members' counts are read.  It starts where a complete ball
-    # of other sources left its arrays.
+    # of other sources left its arrays.  Under each_block it walks each
+    # frontier and attribute level in slices of 1, 5 and 16 ids.
     inc, sources = case
     dist, adist = target_ball_reference(inc, sources)
-    core, ball = complete_ball(inc, [inc.n - 1 - s for s in sources])
-    ball.restart(core, np.array(sources, dtype=np.int64))
-    assert ball.sources.tolist() == sources
-    while True:
-        depth = ball.depth
-        within = [d if d <= depth else UNREACHED for d in dist]
-        assert ball.inside.tolist() == [d != UNREACHED for d in within]
-        assert np.where(ball.inside, ball.dist, UNREACHED).tolist() == within
-        if depth:
-            assert ball.dist.tolist() == within
-            assert ball.adist.tolist() == [d if d < depth else UNREACHED for d in adist]
-        assert ball.frontier.tolist() == [v for v, d in enumerate(dist) if d == depth]
-        if ball.frontier.size == 0:
-            break
-        ball.expand(core)
+
+    def check():
+        core, ball = complete_ball(inc, [inc.n - 1 - s for s in sources])
+        ball.restart(core, np.array(sources, dtype=np.int64))
+        assert ball.sources.tolist() == sources
+        while True:
+            depth = ball.depth
+            within = [d if d <= depth else UNREACHED for d in dist]
+            assert ball.inside.tolist() == [d != UNREACHED for d in within]
+            assert np.where(ball.inside, ball.dist, UNREACHED).tolist() == within
+            if depth:
+                assert ball.dist.tolist() == within
+                assert ball.adist.tolist() == [d if d < depth else UNREACHED
+                                               for d in adist]
+            assert ball.frontier.tolist() == [v for v, d in enumerate(dist) if d == depth]
+            if ball.frontier.size == 0:
+                break
+            ball.expand(core)
+    each_block(check)
 
 
 @PROPS
@@ -334,8 +343,9 @@ def test_traversal_core_matches_reference(inc):
     assert core.num_attrs == want["num_attrs"]
     for name in ("attr_indptr", "attr_vertices", "set_indptr", "set_attrs"):
         got = getattr(core, name)
-        assert got.dtype == np.int64, name
+        assert got.dtype == np.int32, name
         assert got.tolist() == want[name], name
+    assert core.ball.dist.dtype == core.ball.adist.dtype == np.int32
 
 
 def assert_core_matches_two_sorts(each_block, inc):
