@@ -4,7 +4,7 @@ Usage, from the root of a rigkit source tree:
 
     python3 scripts/same_output_sweep.py ROOT [--src DIR]
 
-Runs 208 CLI commands, one fresh interpreter each, with the rigkit package
+Runs 209 CLI commands, one fresh interpreter each, with the rigkit package
 in DIR (default: this tree's src/):
 
 * distances, hubpath, analyze and a two-trial experiment, in JSON and in
@@ -18,6 +18,9 @@ in DIR (default: this tree's src/):
   (6, 1 and 1); and the same cells sampled by analyze itself, beside a
   two-trial experiment at n = 300 with a pool of m = 300 (top-up rounds
   1 and 3, 1 and 1, 1 and 2);
+* hubpath at n = 100 with c0 = 100, seed 1: sets of nearly the whole pool,
+  whose last free attributes the sampler tops up over 6,752 rounds, so
+  that every change to the sampler meets a many-round instance;
 * hubpath at n = 100000 with 400 samples, seeds {51, 53, 56}, where the
   ladder has a rung (k* = 1), so the climbs walk a real ladder; at the
   smaller n every certificate is degenerate (k* = 0);
@@ -143,6 +146,8 @@ def commands(bounds_config: str) -> list:
         cmds.append((f"experiment/n300-m300-s{seed}",
                      ["experiment", "-n", "300", "--m", "300", "--seed", str(seed),
                       "--trials", "2"]))
+    cmds.append(("hubpath/n100-c100-s1",
+                 ["hubpath", "-n", "100", "--c0", "100", "--seed", "1"]))
     for seed in LADDER_SEEDS:
         for fmt in FORMATS:
             cmds.append((f"hubpath/n100000-s{seed}-{fmt}",

@@ -14,6 +14,15 @@ likewise never materialized: heavy vertices share attributes with thousands
 of others and the induced cliques would blow up memory, so traversals run
 on the bipartite structure.
 
+An instance is full, as generate, sample_incidence and the graph readers
+give it, or core-only, as generate_core gives it to a trial: the same
+layout holding only the shared entries, those of attributes with two or
+more holders, with each vertex's count of them as its set size.  An
+attribute with one holder creates no edge, so a core-only instance has the
+full one's traversal core, its components and its distances; at n = 1e5 it
+keeps 12% of the entries.  One rule tells a shared entry (_shared_run): its
+attribute is that of a neighbouring key.
+
 This module alone sizes work to the machine.  Every pass over an
 incidence-length array walks it _RUN (2**15) entries at a time, and _cpus()
 counts the CPUs this process may run on: every whole-array sort (_sort)
@@ -22,10 +31,13 @@ splits over them, and harness caps its pool workers by them.
 sample_incidence takes each vertex's draws in vertex order, a run at a
 time, packs them as attr * n + vertex, sorts the whole array in place once,
 on every CPU (_sort), and compacts away the repeats, which tell each
-vertex's shortfall.  Each top-up round draws the shortfalls into the tail,
-a run at a time, short vertices in ascending order, and a stable sort
-merges the sorted front with that short tail.  Every temporary is
-run-sized, so sampling peaks near 1.05x the keys' bytes.
+vertex's shortfall.  Each top-up round (_top_up) draws the shortfalls into
+the tail, a run at a time, short vertices in ascending order, and checks
+only those draws against the keys held, so a round costs its shortfall; one
+merge at the end (_merge) sorts the whole array again.  Every temporary is
+run-sized or round-sized, so sampling peaks near 1.05x the keys' bytes, and
+generate_core then moves the shared entries to the front of the keys and
+shrinks them in place, with nothing of the core's size beside them.
 """
 
 from __future__ import annotations
@@ -42,6 +54,7 @@ __all__ = [
     "BipartiteIncidence",
     "sample_incidence",
     "generate",
+    "generate_core",
     "concat_ranges",
     "pack_error",
 ]
@@ -227,6 +240,19 @@ def _occupied_attrs(keys: np.ndarray, n: int) -> int:
     return count
 
 
+def _shared_run(keys: np.ndarray, start: int, stop: int, n: int) -> np.ndarray:
+    """Which of the sorted attr * n + vertex keys[start:stop] are shared: an
+    entry is when its attribute is that of a neighbouring entry.  Reads only
+    keys[start - 1:stop + 1], so the mask is run-sized."""
+    total = keys.shape[0]
+    lo, hi = max(start - 1, 0), min(stop + 1, total)
+    attrs = keys[lo:hi] // n
+    # same[j]: entries lo + j - 1 and lo + j hold the same attribute
+    same = np.zeros(hi - lo + 1, dtype=bool)
+    np.equal(attrs[1:], attrs[:-1], out=same[1:-1])
+    return (same[:-1] | same[1:])[start - lo:stop - lo]
+
+
 def _shared_entries(keys: np.ndarray, n: int):
     """The shared-attribute core's attribute side: (attr_vertices, starts).
 
@@ -234,21 +260,15 @@ def _shared_entries(keys: np.ndarray, n: int):
     read.  attr_vertices lists the holders of every attribute with two or
     more holders, attribute by attribute in increasing original id, each
     attribute's holders sorted; starts flags the first entry of each
-    attribute.  The shared entries are marked in a one-byte mask, _RUN
-    entries at a time, each run's attributes against the entries on either
-    side of it, and copied out before anything else of their size is made.
+    attribute.  The shared entries (_shared_run) are marked in a one-byte
+    mask, _RUN entries at a time, and copied out before anything else of
+    their size is made.
     """
     total = keys.shape[0]
-    # an entry is shared when its attribute is that of a neighbouring entry
     shared = np.empty(total, dtype=bool)
     for start in range(0, total, _RUN):
         stop = min(start + _RUN, total)
-        lo, hi = max(start - 1, 0), min(stop + 1, total)
-        attrs = keys[lo:hi] // n
-        # same[j]: entries lo + j - 1 and lo + j hold the same attribute
-        same = np.zeros(hi - lo + 1, dtype=bool)
-        np.equal(attrs[1:], attrs[:-1], out=same[1:-1])
-        shared[start:stop] = (same[:-1] | same[1:])[start - lo:stop - lo]
+        shared[start:stop] = _shared_run(keys, start, stop, n)
     core = keys[shared]
     del shared
     attrs = core // n
@@ -257,6 +277,24 @@ def _shared_entries(keys: np.ndarray, n: int):
     np.not_equal(attrs[1:], attrs[:-1], out=starts[1:])
     np.remainder(core, n, out=core)
     return core, starts
+
+
+def _keep_shared(keys: np.ndarray, n: int) -> int:
+    """Move the shared entries (_shared_run) of sorted attr * n + vertex
+    keys, which the caller owns, to the front of keys, in order, and return
+    their count.
+
+    Each run of _RUN entries is marked before anything is written, and the
+    kept entries never pass the run being read, so the neighbour that the
+    next run reads is still in place.
+    """
+    size = 0
+    for start in range(0, keys.shape[0], _RUN):
+        stop = min(start + _RUN, keys.shape[0])
+        kept = keys[start:stop][_shared_run(keys, start, stop, n)]
+        keys[size:size + kept.shape[0]] = kept
+        size += kept.shape[0]
+    return size
 
 
 class BipartiteIncidence:
@@ -270,7 +308,11 @@ class BipartiteIncidence:
         Row pointer for per-vertex attribute lists.
     keys : int64
         Every entry as attr * n + vertex, sorted: what sample_incidence draws
-        and from_flat packs.  Nothing else of the entries is held.
+        and from_flat packs.  Nothing else of the entries is held.  In a
+        core-only instance (generate_core) the keys are only the shared
+        entries, those of attributes with two or more holders, and
+        set_indptr counts each vertex's shared entries; everything else
+        reads it as it reads a full one.
     set_attrs : int64, read-only
         The vertex-major view: original attribute ids, strictly increasing
         within each vertex.  Each read sorts it out of a copy of the keys
@@ -357,21 +399,25 @@ class BipartiteIncidence:
                 f"incidence={self.total_incidence})")
 
 
-def _sorted_unique(keys: np.ndarray, kind=None, repeats=None) -> np.ndarray:
+def _merge(keys: np.ndarray) -> None:
+    """Sort in place keys that are a few sorted runs back to back: timsort
+    finds the runs and merges them, in about a tenth of _sort's time on a
+    long sorted run with a short one behind it."""
+    keys.sort(kind="stable")
+
+
+def _sorted_unique(keys: np.ndarray, repeats=None) -> np.ndarray:
     """Sorted distinct values of a 1-d array, as np.unique returns them.
 
-    Sorts keys in place, on every CPU (_sort) or, given a kind, with that
-    np.sort kind, so callers pass an array they own and no longer need,
-    then moves each entry that differs from its predecessor to the front of
-    keys, _RUN entries at a time, and returns a view of that front.  Nothing
-    of the input's length is allocated, and for large integer arrays this is
-    far cheaper than numpy's hash-based np.unique.  When repeats is a list,
-    each block's dropped entries are appended to it.
+    Sorts keys in place, on every CPU (_sort), so callers pass an array they
+    own and no longer need, then moves each entry that differs from its
+    predecessor to the front of keys, _RUN entries at a time, and returns a
+    view of that front.  Nothing of the input's length is allocated, and for
+    large integer arrays this is far cheaper than numpy's hash-based
+    np.unique.  When repeats is a list, each block's dropped entries are
+    appended to it.
     """
-    if kind is None:
-        _sort(keys)
-    else:
-        keys.sort(kind=kind)
+    _sort(keys)
     size = 0
     for start in range(0, keys.shape[0], _RUN):
         block = keys[start:start + _RUN]
@@ -391,6 +437,57 @@ def _sorted_unique(keys: np.ndarray, kind=None, repeats=None) -> np.ndarray:
     return keys[:size]
 
 
+def _top_up(buf: np.ndarray, size: int, repeats: np.ndarray, n: int, m: int,
+            rng: np.random.Generator) -> None:
+    """Redraw every repeat of buf until each vertex holds distinct keys.
+
+    buf[:size] are sorted distinct attr * n + vertex keys, and repeats the
+    draws dropped from them, one per missing key, so buf[size:] is the room
+    for the missing keys.  Each round draws the shortfalls into that tail,
+    a run at a time, short vertices in ascending order (the sorted owners
+    of the repeats), sorts the tail alone and drops its repeats: draws
+    repeated within it, found by one compare of neighbours, or held by the
+    front or by a key accepted in an earlier round, found by one
+    np.searchsorted per sorted run, each on the draws that the runs before
+    it left.  The rest are accepted as a new sorted run behind the others.
+    An accepted run shorter than _RUN, or at most twice as long as the run
+    behind it, merges with that run (_merge), so the runs stay few, and a
+    round costs its shortfall, not the whole buffer.  Once no vertex is
+    short, one _merge sorts the whole buffer.  The keys and the draws are
+    those of merging every round into the whole sorted buffer.
+    """
+    bounds = [0, size]  # the front, then each accepted run: buf[bounds[i]:bounds[i + 1]]
+    while repeats.shape[0]:
+        tail = buf[size:]
+        np.remainder(repeats, n, out=tail)
+        tail.sort()
+        for start in range(0, tail.shape[0], _RUN):
+            block = tail[start:start + _RUN]
+            block += rng.integers(0, m, size=block.shape[0], dtype=np.int64) * n
+        tail.sort()
+        # fresh marks each draw's first copy, then the accepted draws alone
+        fresh = np.empty(tail.shape[0], dtype=bool)
+        fresh[0] = True
+        np.not_equal(tail[1:], tail[:-1], out=fresh[1:])
+        new = fresh.nonzero()[0]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            draws, held = tail[new], buf[lo:hi]
+            new = new[held.take(held.searchsorted(draws), mode="clip") != draws]
+        fresh[:] = False
+        fresh[new] = True
+        repeats = tail[~fresh]
+        if new.shape[0]:
+            tail[:new.shape[0]] = tail[new]
+            size += new.shape[0]
+            bounds.append(size)
+        while len(bounds) > 3 and (bounds[-2] - bounds[-3] < _RUN or
+                                   bounds[-2] - bounds[-3] <= 2 * (bounds[-1] - bounds[-2])):
+            _merge(buf[bounds[-3]:bounds[-1]])
+            del bounds[-2]
+    if len(bounds) > 2:
+        _merge(buf)
+
+
 def sample_incidence(m: int, sizes: np.ndarray, rng: np.random.Generator) -> "BipartiteIncidence":
     """Sample every vertex's uniform subset, sizes[v] attributes each.
 
@@ -400,15 +497,14 @@ def sample_incidence(m: int, sizes: np.ndarray, rng: np.random.Generator) -> "Bi
     exactly as one rng.integers call of the full length would.  Each draw
     is packed as attr * n + vertex (_owners); the whole array is sorted in
     place once and _sorted_unique drops the repeats, which it hands back.
-    Each vertex's shortfall is the count of its dropped keys.  A top-up
-    round draws the shortfalls into the tail, short vertices in ascending
-    order, and a stable sort merges the sorted front with that short tail
-    before the repeats are dropped again.  Per vertex this keeps the first
-    sizes[v] distinct values of an iid uniform stream, so the subsets are
-    exactly uniform and mutually independent.  Returns an incidence whose
-    keys are sorted and distinct.  A pool with n * m >= 2**62, where the
-    packed keys would overflow int64, or a size outside [0, m] raises
-    ValueError before anything is drawn (_set_indptr).
+    Each vertex's shortfall is the count of its dropped keys, and _top_up
+    redraws them in rounds that each cost their shortfall, then merges the
+    accepted keys into the sorted front once.  Per vertex this keeps the
+    first sizes[v] distinct values of an iid uniform stream, so the subsets
+    are exactly uniform and mutually independent.  Returns the full
+    incidence, its keys sorted and distinct.  A pool with n * m >= 2**62,
+    where the packed keys would overflow int64, or a size outside [0, m]
+    raises ValueError before anything is drawn (_set_indptr).
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     n = sizes.shape[0]
@@ -420,18 +516,9 @@ def sample_incidence(m: int, sizes: np.ndarray, rng: np.random.Generator) -> "Bi
         np.multiply(rng.integers(0, m, size=block.shape[0], dtype=np.int64), n, out=block)
         block += _owners(set_indptr, start, start + block.shape[0])
     repeats = []
-    keys = _sorted_unique(buf, repeats=repeats)
-    while repeats:
-        deficit = np.bincount(np.concatenate(repeats) % n, minlength=n)
-        short = np.flatnonzero(deficit)
-        tail = buf[keys.shape[0]:]
-        tail[:] = np.repeat(short, deficit[short])
-        for start in range(0, tail.shape[0], _RUN):
-            block = tail[start:start + _RUN]
-            block += rng.integers(0, m, size=block.shape[0], dtype=np.int64) * n
-        repeats = []
-        # a sorted front and a short tail: timsort merges them in one pass
-        keys = _sorted_unique(buf, kind="stable", repeats=repeats)
+    size = _sorted_unique(buf, repeats=repeats).shape[0]
+    if repeats:
+        _top_up(buf, size, np.concatenate(repeats), n, m, rng)
     return BipartiteIncidence(n, m, set_indptr, buf)
 
 
@@ -448,3 +535,23 @@ def generate(params: ModelParams, rng: np.random.Generator):
     weights = sample_tilde_weights(params, rng)
     inc = sample_incidence(params.m, weights.sizes, rng)
     return inc, weights
+
+
+def generate_core(params: ModelParams, rng: np.random.Generator):
+    """Sample the instance that generate samples, and keep only its core.
+
+    Returns (incidence, weights), the incidence core-only: its keys are the
+    shared entries of generate's, attr * n + vertex of every attribute with
+    two or more holders, sorted, and its set_indptr counts each vertex's
+    core entries.  The rng is consumed as generate consumes it.  The full
+    keys are this function's alone: their shared entries are moved to the
+    front in place (_keep_shared) and the array is shrunk to them
+    (ndarray.resize), so nothing of the core's size is made beside the
+    full keys, and the sampler's peak stays the instance's peak.
+    """
+    inc, weights = generate(params, rng)
+    n, keys = inc.n, inc.keys
+    del inc  # the keys' only other holder: resize needs them unshared
+    keys.resize(_keep_shared(keys, n))
+    set_indptr = _set_indptr(n, params.m, np.bincount(keys % n, minlength=n))
+    return BipartiteIncidence(n, params.m, set_indptr, keys), weights

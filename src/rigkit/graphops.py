@@ -14,10 +14,13 @@ numbered in increasing order of original id.  A one-sided search thus makes
 the same smallest-id parent choices, and traces the same paths, as it would
 on the full incidence.  graphgen._shared_entries marks the shared entries
 in a one-byte mask, one run of keys at a time, and only reads the keys.
-The core is held in int32, and each int64 temporary of the build is freed
-as soon as its int32 result exists, so beside the keys the build peaks
-near 0.29x their bytes.  Every packed key is formed in int64: numpy keeps
-an int32 array times a Python int in int32, and wraps on overflow.
+A trial's generated instance is core-only already (graphgen.generate_core),
+so its core is built from its shared entries alone; a graph file's instance
+is full.  The core is held in int32, and each int64 temporary of the build
+is freed as soon as its int32 result exists, so beside the keys of a full
+instance the build peaks near 0.28x their bytes.  Every packed key is
+formed in int64: numpy keeps an int32 array times a Python int in int32,
+and wraps on overflow.
 
 Component labels start from a root: its component is the completed target
 ball of {root} (below), the ball that distances_from(root) then copies.
@@ -136,7 +139,8 @@ class TraversalCore:
     nearest_routes, distances_from or components asked about (it has no
     sources before the first).  The incidence is read once, here: only its
     n and its keys, which are left as they were and not kept; its
-    vertex-major ids are not derived.
+    vertex-major ids are not derived.  A full incidence and its core-only
+    instance (graphgen.generate_core) give the same core, array for array.
 
     Both sides come from packed int64 keys: the incidence's attribute * n +
     vertex, sorted, then vertex * num_attrs + core id.  Attribute ids are
@@ -145,9 +149,10 @@ class TraversalCore:
     attribute count or entry count reaches 2**31 raises ValueError
     (_check_int32).  The build frees each int64 temporary once its int32
     result exists: the int64 holders from _shared_entries are packed into
-    the vertex-major keys in place, and the core ids are an in-place
-    cumulative sum over int32 flags, so no int64 array of the core's length
-    outlives its use.
+    the vertex-major keys in place, the core ids are an in-place cumulative
+    sum over int32 flags, and set_indptr is searched out of the sorted keys
+    at each vertex's first possible key, so no int64 array of the core's
+    length outlives its use or is made beside them.
     """
 
     def __init__(self, inc: BipartiteIncidence):
@@ -171,12 +176,15 @@ class TraversalCore:
         keys += ids
         del ids
         _sort(keys)
+        # vertex v's keys are the first at or above v * num_attrs
+        firsts = np.arange(n + 1, dtype=np.int64)
+        firsts *= self.num_attrs
+        self.set_indptr = np.searchsorted(keys, firsts).astype(np.int32)
+        del firsts
         keys %= self.num_attrs
         self.set_attrs = keys.astype(np.int32)
         del keys
-        self.set_sizes = np.bincount(self.attr_vertices, minlength=n)
-        self.set_indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(self.set_sizes, out=self.set_indptr[1:])
+        self.set_sizes = np.diff(self.set_indptr).astype(np.int64)
         self.visited = (np.zeros(n, dtype=bool), np.zeros(n, dtype=bool))
         self.seen = (np.zeros(self.num_attrs, dtype=bool),
                      np.zeros(self.num_attrs, dtype=bool))

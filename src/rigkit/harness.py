@@ -31,8 +31,10 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from . import storage
-from .graphgen import _cpus, _occupied_attrs, _share_cpus, _vertex_major, generate, pack_error
+from . import graphgen, storage
+from .graphgen import _cpus, _occupied_attrs, _share_cpus, _vertex_major, pack_error
+# a trial's instance is core-only; perfbench hooks this name
+from .graphgen import generate_core as generate
 from .graphops import (UNREACHED, TraversalCore, bfs_distance, components, distances_from,
                        nearest_routes)
 from .hubnav import LadderError, decompose, loglog_certificate, thresholds
@@ -263,8 +265,9 @@ class Trial:
     Built from the trial index, params, seed, the stream left to draw from,
     the traversal core and the weights, with the ladder's hub_floor.  Two
     constructors supply an instance: generated draws it from the config's
-    stream, and from_file reads a graph file.  Each builds the core once
-    from its incidence's sorted keys and drops its own reference to the
+    stream, core-only (generate, which is graphgen.generate_core), and
+    from_file reads a graph file, in full.  Each builds the core once from
+    its incidence's sorted keys and drops its own reference to the
     incidence before the components are labelled, so the keys are freed
     there unless a caller holds them; the vertex-major ids are never
     derived.  The components are labelled from the apex u_max, which leaves
@@ -290,7 +293,8 @@ class Trial:
         """Instance (n, trial) of the config: weights and subsets are the
         first draws of trial_rng(cfg.seed, n, trial), which keeps drawing.
         generate samples the subsets attribute-major, as the core reads
-        them."""
+        them, and keeps only their shared entries, so no full keys outlive
+        the sampler."""
         params, rng = cfg.params_for(n), trial_rng(cfg.seed, n, trial)
         inc, weights = generate(params, rng)
         core = TraversalCore(inc)
@@ -393,11 +397,11 @@ def _ratio(counts: dict, part: str, whole: str) -> Optional[float]:
 def run_generate(cfg: ExperimentConfig) -> list:
     """Write one graph file per (n, trial) plus a metadata sidecar each.
 
-    Each instance is generate's.  The sidecar counts the occupied
-    attributes off its sorted keys, which are then given up: unpacked in
-    place into the vertex-major ids the file holds and passed with the row
-    pointer to storage.write_graph, so no second array of their length is
-    made.
+    Each instance is graphgen.generate's, in full.  The sidecar counts
+    the occupied attributes off its sorted keys, which are then given up:
+    unpacked in place into the vertex-major ids the file holds and passed
+    with the row pointer to storage.write_graph, so no second array of
+    their length is made.
     """
     os.makedirs(cfg.out_dir, exist_ok=True)
     ext = "rig" if cfg.graph_format == "binary" else "json"
@@ -405,7 +409,7 @@ def run_generate(cfg: ExperimentConfig) -> list:
     for n in cfg.n_values:
         params = cfg.params_for(n)
         for trial in range(cfg.trials):
-            inc, _ = generate(params, trial_rng(cfg.seed, n, trial))
+            inc, _ = graphgen.generate(params, trial_rng(cfg.seed, n, trial))
             occupied = _occupied_attrs(inc.keys, n)
             ids = _vertex_major(inc.keys, n, inc.m, inc.set_indptr)
             name = f"graph_n{n}_t{trial}.{ext}"

@@ -15,7 +15,7 @@ from rigkit import cli, graphgen, harness, report_schema
 from rigkit.graphgen import BipartiteIncidence
 from rigkit.graphops import TraversalCore
 from rigkit.harness import ConfigError, ExperimentConfig
-from rigkit.model import default_attribute_count, iterated_log, trial_rng
+from rigkit.model import ModelParams, default_attribute_count, iterated_log, trial_rng
 from rigkit.storage import file_checksum, read_graph, write_graph
 
 from oracles import (adjacency_matrix, component_labels_bfs, pair_hops_python,
@@ -174,7 +174,7 @@ def test_run_generate_unpacks_the_keys_in_place(tmp_path, monkeypatch):
     want = graphgen.generate(params, trial_rng(cfg.seed, n, 0))[0].set_attrs
     inc, weights = graphgen.generate(params, trial_rng(cfg.seed, n, 0))
     keys = inc.keys
-    monkeypatch.setattr(harness, "generate", lambda params, rng: (inc, weights))
+    monkeypatch.setattr(graphgen, "generate", lambda params, rng: (inc, weights))
     written = {}
 
     def write_graph(path, m, set_indptr, ids, *args, **kwargs):
@@ -319,6 +319,38 @@ def test_trial_gives_up_its_incidence_before_components(tmp_path, monkeypatch):
         if enabled:
             gc.enable()
     assert len(keys) == 2 and alive == [False, False]
+
+
+def test_generated_instance_is_core_only_1e5():
+    # a trial's instance, harness.generate's, holds only the shared entries
+    # of the full one: they are moved to the front of the sampler's keys and
+    # the keys shrunk to them in place, so the core is built from 12% of the
+    # entries and the traced peak of sampling plus the core build is the
+    # sampler's own, against the full keys' bytes.  With the full keys kept
+    # through the build it was 1.36x.  The stream and the core are the same.
+    n = 100_000
+    params = ModelParams(n=n, m=default_attribute_count(n), alpha=0.8, c0=1.0)
+    full_rng = trial_rng(1, n, 0)
+    full, _ = graphgen.generate(params, full_rng)
+    size = full.keys.nbytes
+    want = TraversalCore(full)
+    del full
+    rng = trial_rng(1, n, 0)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        inc, _ = harness.generate(params, rng)
+        core = TraversalCore(inc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert inc.keys.shape[0] == inc.total_incidence == 474_271
+    assert peak - base <= 1.10 * size  # 1.08x measured
+    assert rng.integers(0, 2**62) == full_rng.integers(0, 2**62)
+    assert core.num_attrs == want.num_attrs
+    for name in ("attr_indptr", "attr_vertices", "set_indptr", "set_attrs"):
+        assert np.array_equal(getattr(core, name), getattr(want, name)), name
+
 
 # the apex, vertex 3, holds only attributes of its own: it is isolated, and
 # the giant is {0, 1, 2}; scripts/same_output_sweep.py runs the same graph
