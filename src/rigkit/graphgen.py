@@ -15,13 +15,15 @@ of others and the induced cliques would blow up memory, so traversals run
 on the bipartite structure.
 
 An instance is full, as generate, sample_incidence and the graph readers
-give it, or core-only, as generate_core gives it to a trial: the same
-layout holding only the shared entries, those of attributes with two or
-more holders, with each vertex's count of them as its set size.  An
-attribute with one holder creates no edge, so a core-only instance has the
-full one's traversal core, its components and its distances; at n = 1e5 it
-keeps 12% of the entries.  One rule tells a shared entry (_shared_run): its
-attribute is that of a neighbouring key.
+give it, or core-only: the same layout holding only the shared entries,
+those of attributes with two or more holders, with each vertex's count of
+them as its set size.  An attribute with one holder creates no edge, so a
+core-only instance has the full one's traversal core, its components and
+its distances; at n = 1e5 it keeps 12% of the entries.  One method makes
+it, in place (keep_core), and both kinds of trial call it: generate_core
+on the sampler's instance, and harness's Trial.from_file on a graph file's
+once its weights are taken from the full sizes.  One rule tells a shared
+entry (_shared_run): its attribute is that of a neighbouring key.
 
 This module alone sizes work to the machine.  Every pass over an
 incidence-length array walks it _RUN (2**15) entries at a time, and _cpus()
@@ -36,8 +38,10 @@ the tail, a run at a time, short vertices in ascending order, and checks
 only those draws against the keys held, so a round costs its shortfall; one
 merge at the end (_merge) sorts the whole array again.  Every temporary is
 run-sized or round-sized, so sampling peaks near 1.05x the keys' bytes, and
-generate_core then moves the shared entries to the front of the keys and
+keep_core then moves the shared entries to the front of the keys and
 shrinks them in place, with nothing of the core's size beside them.
+from_flat checks a file's ids run by run too, so reading one peaks near
+1.06x its ids' bytes.
 """
 
 from __future__ import annotations
@@ -65,8 +69,9 @@ PACK_LIMIT = 2**62
 
 # Entries per run of every pass that walks an incidence-length array: the
 # sampler's draws and top-up draws, the compaction of _sorted_unique, the
-# packing of keys to and from the vertex-major view, and the neighbour
-# compares of _occupied_attrs and _shared_entries.  A run stays in cache
+# order check of from_flat, the packing of keys to and from the
+# vertex-major view, and the neighbour compares of _occupied_attrs,
+# _shared_entries and _keep_shared.  A run stays in cache
 # while a pass works on it, and the pass's temporaries are a run long.
 _RUN = 1 << 15
 
@@ -253,45 +258,59 @@ def _shared_run(keys: np.ndarray, start: int, stop: int, n: int) -> np.ndarray:
     return (same[:-1] | same[1:])[start - lo:stop - lo]
 
 
-def _shared_entries(keys: np.ndarray, n: int):
+def _shared_entries(inc: "BipartiteIncidence"):
     """The shared-attribute core's attribute side: (attr_vertices, starts).
 
-    keys are an incidence's sorted attr * n + vertex keys, which are only
-    read.  attr_vertices lists the holders of every attribute with two or
-    more holders, attribute by attribute in increasing original id, each
-    attribute's holders sorted; starts flags the first entry of each
-    attribute.  The shared entries (_shared_run) are marked in a one-byte
+    inc's sorted attr * n + vertex keys are only read.  attr_vertices lists
+    the holders of every attribute with two or more holders, attribute by
+    attribute in increasing original id, each attribute's holders sorted;
+    starts flags the first entry of each attribute.  A core-only instance
+    (keep_core) holds only those entries, so they are copied as they are;
+    in a full one the shared entries (_shared_run) are marked in a one-byte
     mask, _RUN entries at a time, and copied out before anything else of
-    their size is made.
+    their size is made.  The attribute starts and the holders are then
+    taken _RUN entries at a time, the holders in place over the copy.
     """
-    total = keys.shape[0]
-    shared = np.empty(total, dtype=bool)
-    for start in range(0, total, _RUN):
-        stop = min(start + _RUN, total)
-        shared[start:stop] = _shared_run(keys, start, stop, n)
-    core = keys[shared]
-    del shared
-    attrs = core // n
+    keys, n = inc.keys, inc.n
+    if inc.core_only:
+        core = keys.copy()
+    else:
+        total = keys.shape[0]
+        shared = np.empty(total, dtype=bool)
+        for start in range(0, total, _RUN):
+            stop = min(start + _RUN, total)
+            shared[start:stop] = _shared_run(keys, start, stop, n)
+        core = keys[shared]
+        del shared
     starts = np.empty(core.shape[0], dtype=bool)
-    starts[:1] = True
-    np.not_equal(attrs[1:], attrs[:-1], out=starts[1:])
-    np.remainder(core, n, out=core)
+    last = -1
+    for start in range(0, core.shape[0], _RUN):
+        block = core[start:start + _RUN]
+        attrs = block // n
+        flags = starts[start:start + block.shape[0]]
+        flags[0] = attrs[0] != last
+        np.not_equal(attrs[1:], attrs[:-1], out=flags[1:])
+        last = attrs[-1]
+        attrs *= n
+        block -= attrs
     return core, starts
 
 
-def _keep_shared(keys: np.ndarray, n: int) -> int:
+def _keep_shared(keys: np.ndarray, n: int, counts: np.ndarray) -> int:
     """Move the shared entries (_shared_run) of sorted attr * n + vertex
-    keys, which the caller owns, to the front of keys, in order, and return
-    their count.
+    keys, which the caller owns, to the front of keys, in order, add each
+    vertex's count of them to the n int64 counts, and return their count.
 
-    Each run of _RUN entries is marked before anything is written, and the
-    kept entries never pass the run being read, so the neighbour that the
-    next run reads is still in place.
+    Each run of _RUN entries is marked and counted before anything is
+    written, and the kept entries never pass the run being read, so the
+    neighbour that the next run reads is still in place.
     """
     size = 0
     for start in range(0, keys.shape[0], _RUN):
         stop = min(start + _RUN, keys.shape[0])
-        kept = keys[start:stop][_shared_run(keys, start, stop, n)]
+        # np.compress: a boolean index of a run takes about 2.5x as long
+        kept = np.compress(_shared_run(keys, start, stop, n), keys[start:stop])
+        np.add.at(counts, kept % n, 1)
         keys[size:size + kept.shape[0]] = kept
         size += kept.shape[0]
     return size
@@ -309,10 +328,13 @@ class BipartiteIncidence:
     keys : int64
         Every entry as attr * n + vertex, sorted: what sample_incidence draws
         and from_flat packs.  Nothing else of the entries is held.  In a
-        core-only instance (generate_core) the keys are only the shared
-        entries, those of attributes with two or more holders, and
-        set_indptr counts each vertex's shared entries; everything else
-        reads it as it reads a full one.
+        core-only instance (keep_core) the keys are only the shared entries,
+        those of attributes with two or more holders, and set_indptr counts
+        each vertex's shared entries; everything else reads it as it reads
+        a full one.
+    core_only : bool
+        Whether keep_core has shrunk the instance to its shared entries;
+        the traversal core then copies the keys without marking them.
     set_attrs : int64, read-only
         The vertex-major view: original attribute ids, strictly increasing
         within each vertex.  Each read sorts it out of a copy of the keys
@@ -324,6 +346,7 @@ class BipartiteIncidence:
         self.m = int(m)
         self.set_indptr = set_indptr
         self.keys = keys
+        self.core_only = False
 
     @property
     def set_attrs(self) -> np.ndarray:
@@ -338,9 +361,11 @@ class BipartiteIncidence:
 
         flat holds the lists back to back in vertex order; sizes gives each
         length.  Each list must be strictly increasing, which rules out
-        repeats too.  Once checked, flat is packed in place into the keys
+        repeats too; this is checked _RUN entries at a time, so the check's
+        masks are run-sized, and the first fault names its vertex and its
+        two ids.  Once checked, flat is packed in place into the keys
         (_attr_major): the caller gives it up, and an int64 flat is returned
-        as the keys.
+        as the keys.  The instance is full.
         """
         n = int(n)
         m = int(m)
@@ -354,15 +379,18 @@ class BipartiteIncidence:
         if flat.size and (flat.min() < 0 or flat.max() >= m):
             raise ValueError("attribute ids must lie in [0, m)")
 
-        # rises[i] compares flat[i + 1] with flat[i]; a new list may start low
-        rises = flat[1:] > flat[:-1]
-        starts = set_indptr[1:-1]
-        rises[starts[(starts > 0) & (starts < flat.shape[0])] - 1] = True
-        if not rises.all():
-            i = int(np.argmin(rises)) + 1
-            v = int(np.searchsorted(set_indptr, i, side="right")) - 1
-            raise ValueError(f"vertex {v} lists attribute {flat[i]} after "
-                             f"{flat[i - 1]}; each list must be strictly increasing")
+        for start in range(1, flat.shape[0], _RUN):
+            stop = min(start + _RUN, flat.shape[0])
+            # rises[j] compares flat[start + j] with the id before it; a new
+            # list may start low
+            rises = flat[start:stop] > flat[start - 1:stop - 1]
+            lo, hi = np.searchsorted(set_indptr, [start, stop])
+            rises[set_indptr[lo:hi] - start] = True
+            if not rises.all():
+                i = start + int(np.argmin(rises))
+                v = int(np.searchsorted(set_indptr, i, side="right")) - 1
+                raise ValueError(f"vertex {v} lists attribute {flat[i]} after "
+                                 f"{flat[i - 1]}; each list must be strictly increasing")
         return cls(n, m, set_indptr, _attr_major(flat, n, set_indptr))
 
     @classmethod
@@ -374,6 +402,31 @@ class BipartiteIncidence:
         sizes = np.array([s.shape[0] for s in sets], dtype=np.int64)
         flat = np.concatenate(sets) if sets else np.empty(0, dtype=np.int64)
         return cls.from_flat(n, m, sizes, flat)
+
+    def keep_core(self) -> None:
+        """Shrink this instance, in place, to its core-only form.
+
+        The shared entries, those of attributes with two or more holders,
+        are moved to the front of the keys, run by run (_keep_shared), and
+        the keys are shrunk to them in place (ndarray.resize), so nothing of
+        the core's size is made beside them.  The walk counts each vertex's
+        kept entries into set_indptr, which is then summed in place: no
+        array of length n is made either.  The instance gives up its keys
+        and its set_indptr, and any other holder of them finds them
+        overwritten.  numpy refuses the resize while another reference to
+        the keys or a view of them exists, or when they are a view
+        themselves, and a trace or profile function holds a reference
+        during the call: the kept front is then copied out instead.
+        """
+        counts = self.set_indptr
+        counts[:] = 0
+        size = _keep_shared(self.keys, self.n, counts[1:])
+        try:
+            self.keys.resize(size)
+        except ValueError:  # the keys are shared or not their own
+            self.keys = self.keys[:size].copy()
+        np.cumsum(counts, out=counts)
+        self.core_only = True
 
     # -- accessors ---------------------------------------------------------
 
@@ -540,18 +593,14 @@ def generate(params: ModelParams, rng: np.random.Generator):
 def generate_core(params: ModelParams, rng: np.random.Generator):
     """Sample the instance that generate samples, and keep only its core.
 
-    Returns (incidence, weights), the incidence core-only: its keys are the
-    shared entries of generate's, attr * n + vertex of every attribute with
-    two or more holders, sorted, and its set_indptr counts each vertex's
-    core entries.  The rng is consumed as generate consumes it.  The full
-    keys are this function's alone: their shared entries are moved to the
-    front in place (_keep_shared) and the array is shrunk to them
-    (ndarray.resize), so nothing of the core's size is made beside the
-    full keys, and the sampler's peak stays the instance's peak.
+    Returns (incidence, weights): generate's, with the incidence shrunk in
+    place to its core-only form (keep_core), so its keys are the shared
+    entries, attr * n + vertex of every attribute with two or more holders,
+    sorted, and its set_indptr counts each vertex's core entries.  The rng
+    is consumed as generate consumes it, and nothing of the core's size is
+    made beside the full keys, so the sampler's peak stays the instance's
+    peak.
     """
     inc, weights = generate(params, rng)
-    n, keys = inc.n, inc.keys
-    del inc  # the keys' only other holder: resize needs them unshared
-    keys.resize(_keep_shared(keys, n))
-    set_indptr = _set_indptr(n, params.m, np.bincount(keys % n, minlength=n))
-    return BipartiteIncidence(n, params.m, set_indptr, keys), weights
+    inc.keep_core()
+    return inc, weights

@@ -12,15 +12,16 @@ more equal attributes are the core's attribute side, and one packed sort of
 vertex * num_attrs + core id for the vertex side; core attributes are
 numbered in increasing order of original id.  A one-sided search thus makes
 the same smallest-id parent choices, and traces the same paths, as it would
-on the full incidence.  graphgen._shared_entries marks the shared entries
-in a one-byte mask, one run of keys at a time, and only reads the keys.
-A trial's generated instance is core-only already (graphgen.generate_core),
-so its core is built from its shared entries alone; a graph file's instance
-is full.  The core is held in int32, and each int64 temporary of the build
-is freed as soon as its int32 result exists, so beside the keys of a full
-instance the build peaks near 0.28x their bytes.  Every packed key is
-formed in int64: numpy keeps an int32 array times a Python int in int32,
-and wraps on overflow.
+on the full incidence.  graphgen._shared_entries only reads the keys: of
+a full incidence it marks the shared entries in a one-byte mask, one run
+of keys at a time, and of a core-only one (graphgen's keep_core) it copies
+them all.  Every trial's instance is core-only, generated or read from a
+graph file, so its core is built from its shared entries alone; a graph
+file's instance as read_graph gives it is full.  The core is held in
+int32, and each int64 temporary of the build is freed as soon as its int32
+result exists, so beside the keys of a full instance the build peaks near
+0.28x their bytes.  Every packed key is formed in int64: numpy keeps an
+int32 array times a Python int in int32, and wraps on overflow.
 
 Component labels start from a root: its component is the completed target
 ball of {root} (below), the ball that distances_from(root) then copies.
@@ -138,9 +139,10 @@ class TraversalCore:
     queries.  ball is the target ball of the last source set that
     nearest_routes, distances_from or components asked about (it has no
     sources before the first).  The incidence is read once, here: only its
-    n and its keys, which are left as they were and not kept; its
-    vertex-major ids are not derived.  A full incidence and its core-only
-    instance (graphgen.generate_core) give the same core, array for array.
+    n, its keys, which are left as they were and not kept, and whether it
+    is core-only; its vertex-major ids are not derived.  A full incidence
+    and its core-only form (graphgen's keep_core) give the same core, array
+    for array; the core-only one skips the marking of its entries.
 
     Both sides come from packed int64 keys: the incidence's attribute * n +
     vertex, sorted, then vertex * num_attrs + core id.  Attribute ids are
@@ -150,15 +152,15 @@ class TraversalCore:
     (_check_int32).  The build frees each int64 temporary once its int32
     result exists: the int64 holders from _shared_entries are packed into
     the vertex-major keys in place, the core ids are an in-place cumulative
-    sum over int32 flags, and set_indptr is searched out of the sorted keys
-    at each vertex's first possible key, so no int64 array of the core's
-    length outlives its use or is made beside them.
+    sum over int32 flags, and set_indptr is counted from the sorted keys
+    run by run (_row_pointer), so no int64 array of the core's length
+    outlives its use or is made beside them.
     """
 
     def __init__(self, inc: BipartiteIncidence):
         n = inc.n
         self.n = n
-        keys, starts = _shared_entries(inc.keys, n)
+        keys, starts = _shared_entries(inc)
         entries = keys.shape[0]
         self.num_attrs = int(np.count_nonzero(starts))
         _check_int32(n, self.num_attrs, entries)
@@ -176,11 +178,7 @@ class TraversalCore:
         keys += ids
         del ids
         _sort(keys)
-        # vertex v's keys are the first at or above v * num_attrs
-        firsts = np.arange(n + 1, dtype=np.int64)
-        firsts *= self.num_attrs
-        self.set_indptr = np.searchsorted(keys, firsts).astype(np.int32)
-        del firsts
+        self.set_indptr = _row_pointer(keys, n, self.num_attrs)
         keys %= self.num_attrs
         self.set_attrs = keys.astype(np.int32)
         del keys
@@ -199,6 +197,24 @@ class TraversalCore:
     def entries(self, verts: np.ndarray) -> int:
         """Core incidence entries held by the given vertices."""
         return int(self.set_sizes[verts].sum())
+
+
+def _row_pointer(keys: np.ndarray, n: int, num_attrs: int) -> np.ndarray:
+    """The int32 row pointer of n vertices' sorted vertex * num_attrs + id
+    keys.  The keys are counted graphgen._RUN at a time: a run's vertices
+    span a range from its first, which one np.bincount counts, so each
+    temporary spans one run's keys or its vertex range, the ranges add up
+    to at most n plus the number of runs, and no search per vertex
+    boundary is made."""
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    for start in range(0, keys.shape[0], graphgen._RUN):
+        verts = keys[start:start + graphgen._RUN] // num_attrs
+        first = int(verts[0])
+        verts -= first
+        counts = np.bincount(verts)
+        indptr[first + 1:first + 1 + counts.shape[0]] += counts
+    np.cumsum(indptr, out=indptr)
+    return indptr
 
 
 def _check_int32(n: int, num_attrs: int, entries: int) -> None:

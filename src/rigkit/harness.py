@@ -265,14 +265,15 @@ class Trial:
     Built from the trial index, params, seed, the stream left to draw from,
     the traversal core and the weights, with the ladder's hub_floor.  Two
     constructors supply an instance: generated draws it from the config's
-    stream, core-only (generate, which is graphgen.generate_core), and
-    from_file reads a graph file, in full.  Each builds the core once from
-    its incidence's sorted keys and drops its own reference to the
-    incidence before the components are labelled, so the keys are freed
-    there unless a caller holds them; the vertex-major ids are never
-    derived.  The components are labelled from the apex u_max, which leaves
-    the core's ball the complete ball of {u_max}, so hub_samples' hub BFS
-    is a copy.  Callers draw pairs before hub vertices.
+    stream (generate, which is graphgen.generate_core), and from_file reads
+    a graph file in full.  Each shrinks its instance in place to the shared
+    entries (graphgen's keep_core), builds the core once from those sorted
+    keys and drops its own reference to the incidence before the components
+    are labelled, so the keys are freed there unless a caller holds them;
+    the vertex-major ids are never derived.  The components are labelled
+    from the apex u_max, which leaves the core's ball the complete ball of
+    {u_max}, so hub_samples' hub BFS is a copy.  Callers draw pairs before
+    hub vertices.
     """
 
     def __init__(self, trial: int, params: ModelParams, seed: int,
@@ -304,11 +305,15 @@ class Trial:
     @classmethod
     def from_file(cls, cfg: ExperimentConfig, path, trial: int) -> "Trial":
         """The instance of a graph file, which supplies the incidence, params
-        and seed.  Its weights are the realized ones, size / sqrt(m/n), and
-        it draws from trial_rng(cfg.seed, file n, trial): the config's seed,
-        not the file's."""
+        and seed.  Its weights are the realized ones, size / sqrt(m/n) of
+        the full sizes, and it draws from trial_rng(cfg.seed, file n,
+        trial): the config's seed, not the file's.  The incidence read is
+        full; once the weights are taken it is shrunk in place to its shared
+        entries (keep_core), as a generated one is, so the full keys are
+        gone before the core is built from those."""
         inc, params, seed = storage.read_graph(path)
         weights = realized_weights(params, inc.sizes())
+        inc.keep_core()
         core = TraversalCore(inc)
         del inc
         return cls(trial, params, seed, trial_rng(cfg.seed, params.n, trial), core,

@@ -23,7 +23,9 @@ and leaves the order check to BipartiteIncidence.from_flat; every failure
 is a GraphFormatError, version 1 included.  from_flat then packs the checked
 ids in place into the sorted attr * n + vertex keys that every instance is
 held in (graphgen), so a binary file reads back with the one array of its
-ids.  The writers take the file's own layout, a row pointer and the
+ids, beside its size words, taken as int64 without a copy once checked,
+and the row pointer.  The instance read is full; a Trial shrinks it to its
+shared entries (graphgen's keep_core).  The writers take the file's own layout, a row pointer and the
 vertex-major ids (an incidence's set_indptr and set_attrs), and write those
 arrays as they are.
 
@@ -146,6 +148,10 @@ def _read_binary(path):
                 f"{left} words are left")
         if ends[-1] != num_ids:
             raise GraphFormatError(f"{path}: {num_ids - int(ends[-1])} trailing words")
+        del ends, over
+        # every size is now at most num_ids < 2**61, so its u64 word reads
+        # the same as an i8 word, and from_flat takes the sizes uncopied
+        sizes = sizes.view("<i8")
         # Read as signed words: an id of 2**63 or more comes out negative
         # and fails from_flat's range check, as its int64 cast would.
         ids = _read_words(path, fh, num_ids, "<i8")

@@ -48,9 +48,10 @@ def test_output_check_hooks_exist():
 def test_output_check_reads_a_generated_and_a_read_back_incidence(tmp_path):
     # the benchmark's hop check builds its star graph from the set_attrs of
     # the incidence it captures from harness.generate (cell-1e5), which is
-    # core-only, or from storage.read_graph (hub-file), which is full: on
-    # each of them, and on the full generated one, it must agree with
-    # bfs_distance
+    # core-only, or from storage.read_graph (hub-file), which is full when
+    # read and which Trial.from_file then shrinks in place (keep_core)
+    # before the check runs: on each of them, and on the full generated
+    # one, it must agree with bfs_distance
     from rigkit import harness
     from rigkit.graphgen import generate
     from rigkit.graphops import TraversalCore, bfs_distance
@@ -64,11 +65,14 @@ def test_output_check_reads_a_generated_and_a_read_back_incidence(tmp_path):
     path = tmp_path / "g.rig"
     write_graph(path, inc.m, inc.set_indptr, inc.set_attrs, params.alpha, params.c0, seed=5)
     core = TraversalCore(inc)
+    shrunk = read_graph(path)[0]
+    shrunk.keep_core()
     targets = list(range(0, n, 23))
     for source in (0, 1, 150):
         want = [bfs_distance(core, source, v).hops for v in targets]
         assert any(hops and hops > 1 for hops in want)
-        for got in (inc, read_graph(path)[0], harness.generate(params, trial_rng(5, n, 0))[0]):
+        for got in (inc, read_graph(path)[0], shrunk,
+                    harness.generate(params, trial_rng(5, n, 0))[0]):
             assert checks.hops_from(checks.star_graph(got), source, targets) == want
 
 

@@ -432,9 +432,12 @@ def test_core_build_memory(tmp_path):
     # ids it reads into the keys in place, and the core build only reads
     # them, into an int32 core (an int64 core peaks at 1.60x).  Packing a
     # second, incidence-length array of keys beside the ids would add 1.0x.
-    # The core's row pointer is searched out of its sorted vertex-major
-    # keys: counting the sizes with np.bincount, which copies the int32
-    # holders into an intp array of the core's length, peaked at 1.313x.
+    # The core's row pointer is counted run by run from its sorted
+    # vertex-major keys; one np.bincount of all the int32 holders, which
+    # copies them into an intp array of the core's length, peaked at
+    # 1.313x.  A trial shrinks the instance read to its shared entries in
+    # place first (keep_core), so its core is built beside 12% of the keys
+    # and the read itself, the ids with two n-length arrays, is the peak.
     n = 100_000
     params = ModelParams(n=n, m=default_attribute_count(n), alpha=0.8, c0=1.0)
     inc, _ = generate(params, trial_rng(1, n, 0))
@@ -442,15 +445,24 @@ def test_core_build_memory(tmp_path):
     write_graph(path, inc.m, inc.set_indptr, inc.set_attrs, params.alpha, params.c0, seed=1)
     size = inc.keys.nbytes
     del inc
-    tracemalloc.start()
-    try:
-        TraversalCore(read_graph(path)[0])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+
+    def traced_peak(shrink):
+        tracemalloc.start()
+        try:
+            inc = read_graph(path)[0]
+            if shrink:
+                inc.keep_core()
+            TraversalCore(inc)
+            del inc
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak = traced_peak(shrink=False)
     assert peak <= 1.65 * size
     assert peak <= 1.38 * size
     assert peak <= 1.308 * size  # 1.303x measured
+    assert traced_peak(shrink=True) <= 1.07 * size  # 1.059x measured
 
 
 def test_from_flat_validation():
@@ -479,6 +491,37 @@ def test_from_flat_rejects_unsorted_from_sets_sorts():
     b = BipartiteIncidence.from_sets(2, 6, [[4, 0, 2], [5, 1]])
     assert a == b
     assert a.set_attrs.tolist() == [0, 2, 4, 1, 5]
+
+
+def test_from_flat_names_the_first_order_fault_across_runs(each_block):
+    # the order check walks runs of _RUN ids, each run's first id compared
+    # with the last id of the run before: a fault at any position, run
+    # boundaries included, names its vertex and both ids, as one pass over
+    # the whole array did, and a later fault is not named; a list may start
+    # below the one before it, on a boundary or not
+    sizes = np.array([4, 0, 7, 1, 6, 0, 0, 9, 5])
+    n, m = sizes.shape[0], 100
+    good = np.concatenate([1 + v + 3 * np.arange(s) for v, s in enumerate(sizes)])
+    firsts = set(np.cumsum(sizes).tolist())
+    owner = np.repeat(np.arange(n), sizes)
+    want = BipartiteIncidence.from_sets(n, m, np.split(good, np.cumsum(sizes)[:-1]))
+
+    def check_good():
+        assert BipartiteIncidence.from_flat(n, m, sizes, good.copy()) == want
+    each_block(check_good)
+    for i in range(1, good.shape[0]):
+        if i in firsts:
+            continue
+        flat = good.copy()
+        flat[i] = flat[i - 1] - (i % 2)  # a repeat or a drop
+        flat[-1] = flat[-2]  # a later fault
+        message = (f"^vertex {owner[i]} lists attribute {flat[i]} after {flat[i - 1]}; "
+                   "each list must be strictly increasing$")
+
+        def check():
+            with pytest.raises(ValueError, match=message):
+                BipartiteIncidence.from_flat(n, m, sizes, flat.copy())
+        each_block(check)
 
 
 def test_from_sets_and_inverted_index():

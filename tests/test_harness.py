@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import os
+import sys
 import tracemalloc
 import weakref
 
@@ -13,13 +14,14 @@ from hypothesis import strategies as st
 
 from rigkit import cli, graphgen, harness, report_schema
 from rigkit.graphgen import BipartiteIncidence
-from rigkit.graphops import TraversalCore
+from rigkit.graphops import UNREACHED, TraversalCore, distances_from
 from rigkit.harness import ConfigError, ExperimentConfig
 from rigkit.model import ModelParams, default_attribute_count, iterated_log, trial_rng
 from rigkit.storage import file_checksum, read_graph, write_graph
 
 from oracles import (adjacency_matrix, component_labels_bfs, pair_hops_python,
                      traversal_core_two_sorts)
+from test_benchmark_hooks import load_perfbench
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -208,16 +210,61 @@ def test_run_generate_json_format(tmp_path):
 
 @pytest.mark.parametrize("fmt", ["binary", "json"])
 def test_file_trial_core_matches_two_sort_formula(tmp_path, fmt):
-    # the core a Trial builds from either graph file has the arrays of the
-    # two full-length packed sorts on the incidence read from that file
+    # the core a Trial builds from either graph file, whose instance it
+    # shrinks to the shared entries first, has the arrays of the two
+    # full-length packed sorts on the full incidence read from that file,
+    # and of the core built from that incidence; its weights come from the
+    # full sizes, and distances_from(u_max) gives scipy's breadth-first hops
+    # on the star graph of the full incidence
     cfg = cfg_with(tmp_path, n_values=[2000], hub_floor=20.0, graph_format=fmt)
     path = os.path.join(cfg.out_dir, harness.run_generate(cfg)[0]["path"])
     inc = read_graph(path)[0]
     want = traversal_core_two_sorts(inc.set_indptr, inc.set_attrs)
-    core = harness.Trial.from_file(cfg, path, 0).core
-    assert core.num_attrs == want["num_attrs"] > 0
+    full = TraversalCore(inc)
+    t = harness.Trial.from_file(cfg, path, 0)
+    assert t.core.num_attrs == full.num_attrs == want["num_attrs"] > 0
     for name in ("attr_indptr", "attr_vertices", "set_indptr", "set_attrs"):
-        assert np.array_equal(getattr(core, name), want[name]), name
+        assert np.array_equal(getattr(t.core, name), want[name]), name
+    for name in ("attr_indptr", "attr_vertices", "set_indptr", "set_attrs", "set_sizes"):
+        assert np.array_equal(getattr(t.core, name), getattr(full, name)), name
+    assert np.array_equal(t.weights.sizes, inc.sizes())
+    checks = load_perfbench("checks")
+    u_max = t.dec.u_max
+    hops = checks.hops_from(checks.star_graph(inc), u_max, range(inc.n))
+    got = distances_from(t.core, u_max)
+    assert got.tolist() == [UNREACHED if h is None else h for h in hops]
+    assert np.count_nonzero(got > 1) > 0
+
+
+def test_trials_under_a_trace_or_profile_function(tmp_path):
+    # a trace or profile function holds a reference to the keys while the
+    # shrink to the shared entries resizes them, which numpy refuses: the
+    # kept entries are copied out instead, so both constructors work under
+    # a tracer, a profiler or a debugger and give the cores they give
+    # without one
+    cfg = cfg_with(tmp_path, n_values=[2000], hub_floor=20.0, seed=1)
+    path = os.path.join(cfg.out_dir, harness.run_generate(cfg)[0]["path"])
+
+    def cores():
+        return [harness.Trial.generated(cfg, 2000, 0).core,
+                harness.Trial.from_file(cfg, path, 0).core]
+
+    def ignore(frame, event, arg):
+        return ignore
+
+    want = cores()
+    for set_hook, get_hook in ((sys.settrace, sys.gettrace), (sys.setprofile, sys.getprofile)):
+        before = get_hook()
+        set_hook(ignore)
+        try:
+            got = cores()
+        finally:
+            set_hook(before)
+        for core, ref in zip(got, want):
+            assert core.num_attrs == ref.num_attrs
+            for name in ("attr_indptr", "attr_vertices", "set_indptr", "set_attrs",
+                         "set_sizes"):
+                assert np.array_equal(getattr(core, name), getattr(ref, name)), name
 
 
 def test_trial_keeps_one_core_from_either_graph_file(tmp_path):
