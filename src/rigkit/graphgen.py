@@ -4,15 +4,15 @@ An instance is held in one layout: its set sizes and the sorted keys
 attr * n + vertex of its entries.  The sampler draws the keys, from_flat
 packs checked vertex-major ids into them in place (both graph readers and
 from_sets build through it), and graphops.TraversalCore reads its core
-straight off them (_shared_entries).  The vertex-major view, each vertex's
-attribute ids strictly increasing and back to back in vertex order, is the
-layout of graph files; each read of set_attrs derives it from a copy of the
-keys, with one sort, and nothing keeps it.  The attribute pool can be enormous
-(the default m-rule gives m ~ n ln^2 n ln ln n), so nothing here ever
-allocates an array of length m.  The vertex-vertex edge list is
-likewise never materialized: heavy vertices share attributes with thousands
-of others and the induced cliques would blow up memory, so traversals run
-on the bipartite structure.
+straight off a core-only instance's keys (_shared_entries).  The
+vertex-major view, each vertex's attribute ids strictly increasing and back
+to back in vertex order, is the layout of graph files; each read of
+set_attrs derives it from a copy of the keys, with one sort, and nothing
+keeps it.  The attribute pool can be enormous (the default m-rule gives
+m ~ n ln^2 n ln ln n), so nothing here ever allocates an array of length m.
+The vertex-vertex edge list is likewise never materialized: heavy vertices
+share attributes with thousands of others and the induced cliques would
+blow up memory, so traversals run on the bipartite structure.
 
 An instance is full, as generate, sample_incidence and the graph readers
 give it, or core-only: the same layout holding only the shared entries,
@@ -20,10 +20,11 @@ those of attributes with two or more holders, with each vertex's count of
 them as its set size.  An attribute with one holder creates no edge, so a
 core-only instance has the full one's traversal core, its components and
 its distances; at n = 1e5 it keeps 12% of the entries.  One method makes
-it, in place (keep_core), and both kinds of trial call it: generate_core
-on the sampler's instance, and harness's Trial.from_file on a graph file's
-once its weights are taken from the full sizes.  One rule tells a shared
-entry (_shared_run): its attribute is that of a neighbouring key.
+it, in place (keep_core), and a traversal core is built only from its
+output (_shared_entries): harness's Trial.generated shrinks the sampler's
+instance, and Trial.from_file a graph file's once its weights are taken
+from the full sizes.  One rule tells a shared entry (_shared_run): its
+attribute is that of a neighbouring key.
 
 This module alone sizes work to the machine.  Every pass over an
 incidence-length array walks it _RUN (2**15) entries at a time, and _cpus()
@@ -58,7 +59,6 @@ __all__ = [
     "BipartiteIncidence",
     "sample_incidence",
     "generate",
-    "generate_core",
     "concat_ranges",
     "pack_error",
 ]
@@ -261,27 +261,16 @@ def _shared_run(keys: np.ndarray, start: int, stop: int, n: int) -> np.ndarray:
 def _shared_entries(inc: "BipartiteIncidence"):
     """The shared-attribute core's attribute side: (attr_vertices, starts).
 
-    inc's sorted attr * n + vertex keys are only read.  attr_vertices lists
-    the holders of every attribute with two or more holders, attribute by
-    attribute in increasing original id, each attribute's holders sorted;
-    starts flags the first entry of each attribute.  A core-only instance
-    (keep_core) holds only those entries, so they are copied as they are;
-    in a full one the shared entries (_shared_run) are marked in a one-byte
-    mask, _RUN entries at a time, and copied out before anything else of
-    their size is made.  The attribute starts and the holders are then
-    taken _RUN entries at a time, the holders in place over the copy.
+    inc is core-only (keep_core): its sorted attr * n + vertex keys, which
+    are only read, are the shared entries.  attr_vertices lists the holders
+    of every attribute with two or more holders, attribute by attribute in
+    increasing original id, each attribute's holders sorted; starts flags
+    the first entry of each attribute.  The keys are copied, and the
+    attribute starts and the holders are taken from the copy _RUN entries
+    at a time, the holders in place.
     """
-    keys, n = inc.keys, inc.n
-    if inc.core_only:
-        core = keys.copy()
-    else:
-        total = keys.shape[0]
-        shared = np.empty(total, dtype=bool)
-        for start in range(0, total, _RUN):
-            stop = min(start + _RUN, total)
-            shared[start:stop] = _shared_run(keys, start, stop, n)
-        core = keys[shared]
-        del shared
+    n = inc.n
+    core = inc.keys.copy()
     starts = np.empty(core.shape[0], dtype=bool)
     last = -1
     for start in range(0, core.shape[0], _RUN):
@@ -333,8 +322,8 @@ class BipartiteIncidence:
         each vertex's shared entries; everything else reads it as it reads
         a full one.
     core_only : bool
-        Whether keep_core has shrunk the instance to its shared entries;
-        the traversal core then copies the keys without marking them.
+        Whether keep_core has shrunk the instance to its shared entries:
+        graphops.TraversalCore builds only from such an instance.
     set_attrs : int64, read-only
         The vertex-major view: original attribute ids, strictly increasing
         within each vertex.  Each read sorts it out of a copy of the keys
@@ -580,27 +569,13 @@ def generate(params: ModelParams, rng: np.random.Generator):
 
     Returns (incidence, weights).  The rng is consumed in a fixed order
     (one weight batch, then the subset batch), so a given (params, seed)
-    pair reproduces the instance bit for bit.  TraversalCore reads the
-    incidence's keys; its vertex-major ids are sorted out of a copy of them
-    at each read of set_attrs, or, by a caller that gives the keys up,
-    unpacked over them in place (_vertex_major).
+    pair reproduces the instance bit for bit.  A traversal core is built
+    once the incidence is shrunk to its shared entries (keep_core); its
+    vertex-major ids are sorted out of a copy of the keys at each read of
+    set_attrs, or, by a caller that gives the keys up, unpacked over them
+    in place (_vertex_major).
     """
     weights = sample_tilde_weights(params, rng)
     inc = sample_incidence(params.m, weights.sizes, rng)
     return inc, weights
 
-
-def generate_core(params: ModelParams, rng: np.random.Generator):
-    """Sample the instance that generate samples, and keep only its core.
-
-    Returns (incidence, weights): generate's, with the incidence shrunk in
-    place to its core-only form (keep_core), so its keys are the shared
-    entries, attr * n + vertex of every attribute with two or more holders,
-    sorted, and its set_indptr counts each vertex's core entries.  The rng
-    is consumed as generate consumes it, and nothing of the core's size is
-    made beside the full keys, so the sampler's peak stays the instance's
-    peak.
-    """
-    inc, weights = generate(params, rng)
-    inc.keep_core()
-    return inc, weights

@@ -6,22 +6,20 @@ least two vertices.  An attribute with a single holder creates no edge, so
 leaving it out keeps every component, distance, neighbour list and degree.
 Under the default m-rule at n = 1e5 the core keeps about 12% of the
 incidence entries (474k of 4.04M) and 6% of the occupied attributes (232k of
-3.80M).  It is the only attribute-side view of an instance: it is built from
-the incidence's sorted attribute * n + vertex keys, whose runs of two or
-more equal attributes are the core's attribute side, and one packed sort of
+3.80M).  It is the only attribute-side view of an instance, and it is built
+only from a core-only instance (graphgen's keep_core): from its shared
+entries, held as sorted keys attribute * n + vertex, whose runs of equal
+attributes are the core's attribute side, and from one packed sort of
 vertex * num_attrs + core id for the vertex side; core attributes are
 numbered in increasing order of original id.  A one-sided search thus makes
 the same smallest-id parent choices, and traces the same paths, as it would
-on the full incidence.  graphgen._shared_entries only reads the keys: of
-a full incidence it marks the shared entries in a one-byte mask, one run
-of keys at a time, and of a core-only one (graphgen's keep_core) it copies
-them all.  Every trial's instance is core-only, generated or read from a
-graph file, so its core is built from its shared entries alone; a graph
-file's instance as read_graph gives it is full.  The core is held in
-int32, and each int64 temporary of the build is freed as soon as its int32
-result exists, so beside the keys of a full instance the build peaks near
-0.28x their bytes.  Every packed key is formed in int64: numpy keeps an
-int32 array times a Python int in int32, and wraps on overflow.
+on the full incidence.  A full instance, as generate and read_graph give
+it, raises ValueError.  graphgen._shared_entries only reads the keys, into
+a copy.  The core is held in int32, and each int64 temporary of the build
+is freed as soon as its int32 result exists, so beside the core-only keys
+the build peaks near 2.4x their bytes, 0.28x those of the full keys at
+n = 1e5.  Every packed key is formed in int64: numpy keeps an int32 array
+times a Python int in int32, and wraps on overflow.
 
 Component labels start from a root: its component is the completed target
 ball of {root} (below), the ball that distances_from(root) then copies.
@@ -139,10 +137,9 @@ class TraversalCore:
     queries.  ball is the target ball of the last source set that
     nearest_routes, distances_from or components asked about (it has no
     sources before the first).  The incidence is read once, here: only its
-    n, its keys, which are left as they were and not kept, and whether it
-    is core-only; its vertex-major ids are not derived.  A full incidence
-    and its core-only form (graphgen's keep_core) give the same core, array
-    for array; the core-only one skips the marking of its entries.
+    n, whether it is core-only and its keys, which are left as they were
+    and not kept; its vertex-major ids are not derived.  It must be
+    core-only (graphgen's keep_core), and a full one raises ValueError.
 
     Both sides come from packed int64 keys: the incidence's attribute * n +
     vertex, sorted, then vertex * num_attrs + core id.  Attribute ids are
@@ -158,6 +155,9 @@ class TraversalCore:
     """
 
     def __init__(self, inc: BipartiteIncidence):
+        if not inc.core_only:
+            raise ValueError("a traversal core is built from a core-only instance: "
+                             "call its keep_core() first")
         n = inc.n
         self.n = n
         keys, starts = _shared_entries(inc)

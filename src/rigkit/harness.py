@@ -33,8 +33,8 @@ import numpy as np
 
 from . import graphgen, storage
 from .graphgen import _cpus, _occupied_attrs, _share_cpus, _vertex_major, pack_error
-# a trial's instance is core-only; perfbench hooks this name
-from .graphgen import generate_core as generate
+# perfbench hooks this name
+from .graphgen import generate
 from .graphops import (UNREACHED, TraversalCore, bfs_distance, components, distances_from,
                        nearest_routes)
 from .hubnav import LadderError, decompose, loglog_certificate, thresholds
@@ -265,12 +265,12 @@ class Trial:
     Built from the trial index, params, seed, the stream left to draw from,
     the traversal core and the weights, with the ladder's hub_floor.  Two
     constructors supply an instance: generated draws it from the config's
-    stream (generate, which is graphgen.generate_core), and from_file reads
-    a graph file in full.  Each shrinks its instance in place to the shared
-    entries (graphgen's keep_core), builds the core once from those sorted
-    keys and drops its own reference to the incidence before the components
-    are labelled, so the keys are freed there unless a caller holds them;
-    the vertex-major ids are never derived.  The components are labelled
+    stream (generate), and from_file reads a graph file in full.  Each
+    shrinks its instance in place to the shared entries (graphgen's
+    keep_core), builds the core once from those sorted keys and drops its
+    own reference to the incidence before the components are labelled, so
+    the keys are freed there unless a caller holds them; the vertex-major
+    ids are never derived.  The components are labelled
     from the apex u_max, which leaves the core's ball the complete ball of
     {u_max}, so hub_samples' hub BFS is a copy.  Callers draw pairs before
     hub vertices.
@@ -294,10 +294,11 @@ class Trial:
         """Instance (n, trial) of the config: weights and subsets are the
         first draws of trial_rng(cfg.seed, n, trial), which keeps drawing.
         generate samples the subsets attribute-major, as the core reads
-        them, and keeps only their shared entries, so no full keys outlive
-        the sampler."""
+        them, and the instance is shrunk in place to its shared entries
+        (keep_core), so no full keys outlive the sampler."""
         params, rng = cfg.params_for(n), trial_rng(cfg.seed, n, trial)
         inc, weights = generate(params, rng)
+        inc.keep_core()
         core = TraversalCore(inc)
         del inc
         return cls(trial, params, cfg.seed, rng, core, weights, cfg.hub_floor)

@@ -25,9 +25,9 @@ ids in place into the sorted attr * n + vertex keys that every instance is
 held in (graphgen), so a binary file reads back with the one array of its
 ids, beside its size words, taken as int64 without a copy once checked,
 and the row pointer.  The instance read is full; a Trial shrinks it to its
-shared entries (graphgen's keep_core).  The writers take the file's own layout, a row pointer and the
-vertex-major ids (an incidence's set_indptr and set_attrs), and write those
-arrays as they are.
+shared entries (graphgen's keep_core).  The writers take the file's own
+layout, a row pointer and the vertex-major ids (an incidence's set_indptr
+and set_attrs), and write those arrays as they are.
 
 A JSON mirror ({"format": "rig-json", "version": 1, ...}) covers small
 graphs where a readable artifact matters more than compactness.  Its reader

@@ -19,14 +19,14 @@ import pytest
 
 from rigkit import harness
 from rigkit.graphgen import generate
-from rigkit.graphops import (UNREACHED, TraversalCore, bfs_distance, components,
-                             distances_from, neighbors)
+from rigkit.graphops import UNREACHED, bfs_distance, components, distances_from, neighbors
 from rigkit.harness import ExperimentConfig
 from rigkit.hubnav import decompose, loglog_certificate, thresholds
 from rigkit.model import (ModelParams, default_attribute_count, iterated_log,
                           sample_tilde_weights, trial_rng)
 from rigkit.verify import check_intersection_bounds, check_tail_mass
 
+from cores import core_of
 from oracles import (adjacency_matrix, all_pairs_hops, certificate_walk,
                      component_labels_bfs, shares_attribute)
 
@@ -71,7 +71,7 @@ def battery40():
             inc, w = generate(params, rng)
             dec = decompose(w, th)
             um = dec.u_max
-            comp = components(TraversalCore(inc), um)
+            comp = components(core_of(inc), um)
             v0 = dec.hub_core
             rows.append({
                 "frac": comp.giant_fraction(),
@@ -92,7 +92,7 @@ def hub_battery():
     n = 100_000
     params = ModelParams(n=n, m=default_attribute_count(n), alpha=ALPHA, c0=C0)
     inc, w = generate(params, trial_rng(SEED, n, 0))
-    core = TraversalCore(inc)
+    core = core_of(inc)
     th = thresholds(n, ALPHA, C0)
     dec = decompose(w, th)
     um = dec.u_max
@@ -124,7 +124,7 @@ def median_ladder():
         params = ModelParams(n=n, m=default_attribute_count(n),
                              alpha=ALPHA, c0=C0)
         inc, _ = generate(params, trial_rng(SEED, n, 0))
-        core = TraversalCore(inc)
+        core = core_of(inc)
         comp = components(core, int(np.argmax(inc.sizes())))
         giant = comp.giant_vertices()
         prng = trial_rng(SEED, n, 10**6)
@@ -195,7 +195,7 @@ def test_criterion_03_small_instance_oracles():
         rng = trial_rng(SEED, 200, trial)
         inc, _ = generate(params, rng)
         adj = adjacency_matrix(inc)
-        core = TraversalCore(inc)
+        core = core_of(inc)
 
         comp = components(core, trial)
         comp_bad += not np.array_equal(comp.labels, component_labels_bfs(adj))

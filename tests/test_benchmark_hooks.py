@@ -47,16 +47,21 @@ def test_output_check_hooks_exist():
 
 def test_output_check_reads_a_generated_and_a_read_back_incidence(tmp_path):
     # the benchmark's hop check builds its star graph from the set_attrs of
-    # the incidence it captures from harness.generate (cell-1e5), which is
-    # core-only, or from storage.read_graph (hub-file), which is full when
-    # read and which Trial.from_file then shrinks in place (keep_core)
-    # before the check runs: on each of them, and on the full generated
-    # one, it must agree with bfs_distance
+    # the incidence it captures from harness.generate (cell-1e5) or from
+    # storage.read_graph (hub-file): each is full when captured, and the
+    # Trial then shrinks it in place (keep_core) before the check runs.  On
+    # each of them, full or shrunk, it must agree with bfs_distance on a
+    # core with the two-sort formula's arrays on the full instance
+    import numpy as np
+
     from rigkit import harness
     from rigkit.graphgen import generate
-    from rigkit.graphops import TraversalCore, bfs_distance
+    from rigkit.graphops import bfs_distance
     from rigkit.model import ModelParams, default_attribute_count, trial_rng
     from rigkit.storage import read_graph, write_graph
+
+    from cores import core_of
+    from oracles import traversal_core_two_sorts
 
     checks = load_perfbench("checks")
     n = 300
@@ -64,15 +69,19 @@ def test_output_check_reads_a_generated_and_a_read_back_incidence(tmp_path):
     inc, _ = generate(params, trial_rng(5, n, 0))
     path = tmp_path / "g.rig"
     write_graph(path, inc.m, inc.set_indptr, inc.set_attrs, params.alpha, params.c0, seed=5)
-    core = TraversalCore(inc)
+    core = core_of(inc)
+    two_sorts = traversal_core_two_sorts(inc.set_indptr, inc.set_attrs)
+    for name in ("attr_indptr", "attr_vertices", "set_indptr", "set_attrs"):
+        assert np.array_equal(getattr(core, name), two_sorts[name]), name
     shrunk = read_graph(path)[0]
     shrunk.keep_core()
+    generated = harness.generate(params, trial_rng(5, n, 0))[0]
+    generated.keep_core()
     targets = list(range(0, n, 23))
     for source in (0, 1, 150):
         want = [bfs_distance(core, source, v).hops for v in targets]
         assert any(hops and hops > 1 for hops in want)
-        for got in (inc, read_graph(path)[0], shrunk,
-                    harness.generate(params, trial_rng(5, n, 0))[0]):
+        for got in (inc, read_graph(path)[0], shrunk, generated):
             assert checks.hops_from(checks.star_graph(got), source, targets) == want
 
 

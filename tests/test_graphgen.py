@@ -16,7 +16,6 @@ from rigkit.graphgen import (
     _sorted_unique,
     concat_ranges,
     generate,
-    generate_core,
     sample_incidence,
 )
 from rigkit.graphops import TraversalCore, neighbors
@@ -24,6 +23,7 @@ from rigkit.model import (ModelParams, default_attribute_count, sample_tilde_wei
                           trial_rng)
 from rigkit.storage import read_graph, write_graph
 
+from cores import core_of
 from oracles import (adjacency_matrix, explicit_sets, sample_incidence_reference,
                      sample_subset, shares_attribute, traversal_core_two_sorts)
 
@@ -262,10 +262,7 @@ def test_sample_incidence_matches_reference(each_block, plan, seed):
         assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
         assert np.array_equal(inc.keys, np.sort(attrs * n + np.repeat(
             np.arange(n, dtype=np.int64), sizes)))
-        # the core reads the keys and leaves them as they were
-        keys = inc.keys.copy()
-        core = TraversalCore(inc)
-        assert np.array_equal(inc.keys, keys)
+        core = core_of(inc)
         two_sorts = traversal_core_two_sorts(indptr, attrs)
         assert core.num_attrs == two_sorts["num_attrs"]
         for name in ("attr_indptr", "attr_vertices", "set_indptr", "set_attrs"):
@@ -328,23 +325,23 @@ POOLS = (st.tuples(st.integers(1, 60), st.floats(1.0, 20.0))
 @settings(PROPS, max_examples=60)
 @given(st.integers(1, 30), POOLS, st.sampled_from([0.5, 0.8]), st.integers(0, 2**32 - 1))
 # a top-up draw makes both first-round private attributes shared
-# (test_generate_core_keeps_what_a_top_up_shares)
+# (test_keep_core_keeps_what_a_top_up_shares)
 @example(2, (2, 2.0), 0.5, 1)
 @example(1, (5, 3.0), 0.8, 0)  # one vertex: nothing is shared
 @example(30, (5000, 1.0), 0.8, 0)  # a sparse pool: few shared entries
-def test_generate_core_keeps_the_shared_entries(each_block, n, pool, alpha, seed):
-    # the core-only instance holds exactly the shared entries of the full
-    # one, sorted, with each vertex's core size; the stream is consumed as
-    # generate consumes it, and the traversal core is the same
+def test_keep_core_keeps_the_shared_entries(each_block, n, pool, alpha, seed):
+    # keep_core shrinks the sampler's instance to exactly the shared entries
+    # of the full one, sorted, with each vertex's core size, and the
+    # traversal core built from it has the arrays of the two-sort formula
+    # on the full instance
     m, c0 = pool
     params = ModelParams(n=n, m=m, alpha=alpha, c0=c0)
 
     def check():
-        rng, full_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        inc, weights = generate_core(params, rng)
-        full, full_weights = generate(params, full_rng)
-        assert rng.integers(0, 2**62) == full_rng.integers(0, 2**62)
-        assert np.array_equal(weights.sizes, full_weights.sizes)
+        inc, _ = generate(params, np.random.default_rng(seed))
+        full, _ = generate(params, np.random.default_rng(seed))
+        inc.keep_core()
+        assert inc.core_only and not full.core_only
         assert (inc.n, inc.m) == (full.n, full.m)
         _, holders = np.unique(inc.keys // n, return_counts=True)
         assert np.all(holders >= 2)
@@ -353,14 +350,16 @@ def test_generate_core_keeps_the_shared_entries(each_block, n, pool, alpha, seed
         assert np.array_equal(inc.keys, want)
         assert np.array_equal(inc.sizes(), np.bincount(want % n, minlength=n))
         assert inc.keys.dtype == inc.set_indptr.dtype == np.int64
-        got, core = TraversalCore(inc), TraversalCore(full)
-        assert got.num_attrs == core.num_attrs
-        for name in ("attr_indptr", "attr_vertices", "set_indptr", "set_attrs", "set_sizes"):
-            assert np.array_equal(getattr(got, name), getattr(core, name)), name
+        core = TraversalCore(inc)
+        two_sorts = traversal_core_two_sorts(full.set_indptr, full.set_attrs)
+        assert core.num_attrs == two_sorts["num_attrs"]
+        for name in ("attr_indptr", "attr_vertices", "set_indptr", "set_attrs"):
+            assert np.array_equal(getattr(core, name), two_sorts[name]), name
+        assert np.array_equal(core.set_sizes, np.diff(two_sorts["set_indptr"]))
     each_block(check)
 
 
-def test_generate_core_keeps_what_a_top_up_shares():
+def test_keep_core_keeps_what_a_top_up_shares():
     # n = 2 over m = 2, both sets of size 2: the first draws give each vertex
     # one attribute of its own, and the top-up round gives each the other's
     params = ModelParams(n=2, m=2, alpha=0.5, c0=2.0)
@@ -369,8 +368,27 @@ def test_generate_core_keeps_what_a_top_up_shares():
     first = np.unique(rng.integers(0, 2, size=int(sizes.sum())) * 2 + np.repeat([0, 1], sizes))
     attrs, holders = np.unique(first // 2, return_counts=True)
     assert sizes.tolist() == [2, 2] and attrs[holders == 1].tolist() == [0, 1]
-    inc, _ = generate_core(params, np.random.default_rng(1))
+    inc, _ = generate(params, np.random.default_rng(1))
+    inc.keep_core()
     assert inc.keys.tolist() == [0, 1, 2, 3] and inc.sizes().tolist() == [2, 2]
+
+
+def test_keep_core_of_a_core_only_instance_changes_nothing(each_block):
+    # every entry of a core-only instance is shared, so shrinking it again
+    # keeps its keys, its set sizes and its flag
+    n = 300
+    params = ModelParams(n=n, m=default_attribute_count(n), alpha=0.8, c0=1.0)
+
+    def check():
+        inc, _ = generate(params, trial_rng(2, n, 0))
+        total = inc.total_incidence
+        inc.keep_core()
+        keys, indptr = inc.keys.copy(), inc.set_indptr.copy()
+        assert 0 < keys.shape[0] < total
+        inc.keep_core()
+        assert inc.core_only
+        assert np.array_equal(inc.keys, keys) and np.array_equal(inc.set_indptr, indptr)
+    each_block(check)
 
 
 def test_sample_incidence_golden_1e5():
@@ -390,12 +408,13 @@ def test_sample_incidence_golden_1e5():
 
 def test_instance_build_memory():
     # Peak traced bytes, against the keys' own: the sampler draws into the
-    # keys with run-sized temporaries and sorts them in place; the core
-    # build only reads them, with a one-byte mask and its own int32 arrays
-    # beside them, each int64 temporary freed once its int32 result exists
-    # (an int64 core peaks at 0.58x); the vertex-major ids, the view's one
-    # array of the keys' length, are packed, sorted and unpacked in place,
-    # run by run.
+    # keys with run-sized temporaries and sorts them in place; the
+    # vertex-major ids, the view's one array of the keys' length, are
+    # packed, sorted and unpacked in place, run by run; keep_core moves the
+    # shared entries to the front of the keys, run by run, and shrinks them
+    # in place, and the core build reads those 12% of them into its own
+    # int32 arrays, each int64 temporary freed once its int32 result
+    # exists, so it peaks below the keys that keep_core freed.
     n = 100_000
     params = ModelParams(n=n, m=default_attribute_count(n), alpha=0.8, c0=1.0)
     rng = trial_rng(1, n, 0)
@@ -405,39 +424,37 @@ def test_instance_build_memory():
         base, _ = tracemalloc.get_traced_memory()
         inc = sample_incidence(params.m, weights.sizes, rng)
         _, sampler_peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        base_core, _ = tracemalloc.get_traced_memory()
-        core = TraversalCore(inc)
-        _, core_peak = tracemalloc.get_traced_memory()
-        del core
+        size = inc.keys.nbytes
         tracemalloc.reset_peak()
         base_view, _ = tracemalloc.get_traced_memory()
         inc.set_attrs
         _, view_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        base_core, _ = tracemalloc.get_traced_memory()
+        inc.keep_core()
+        core = TraversalCore(inc)
+        _, core_peak = tracemalloc.get_traced_memory()
+        del core
     finally:
         tracemalloc.stop()
-    size = inc.keys.nbytes
     assert sampler_peak - base <= 1.5 * size
     assert sampler_peak - base <= 1.15 * size
     assert sampler_peak - base <= 1.08 * size  # 1.05x measured
     assert core_peak - base_core <= 1.75 * size
     assert core_peak - base_core <= 0.65 * size
-    assert core_peak - base_core <= 0.35 * size  # 0.28x measured
+    assert core_peak - base_core <= 0.35 * size
+    assert core_peak - base_core <= 0.03 * size  # 0.011x measured
     assert view_peak - base_view <= 1.1 * size  # 1.03x measured
 
 
 def test_core_build_memory(tmp_path):
-    # Peak traced bytes of reading an n = 1e5 binary graph file and building
+    # Peak traced bytes of reading an n = 1e5 binary graph file, shrinking
+    # its instance in place to its shared entries (keep_core) and building
     # its core, against the ids' bytes: the reader packs the one array of
-    # ids it reads into the keys in place, and the core build only reads
-    # them, into an int32 core (an int64 core peaks at 1.60x).  Packing a
-    # second, incidence-length array of keys beside the ids would add 1.0x.
-    # The core's row pointer is counted run by run from its sorted
-    # vertex-major keys; one np.bincount of all the int32 holders, which
-    # copies them into an intp array of the core's length, peaked at
-    # 1.313x.  A trial shrinks the instance read to its shared entries in
-    # place first (keep_core), so its core is built beside 12% of the keys
-    # and the read itself, the ids with two n-length arrays, is the peak.
+    # ids it reads into the keys in place (packing a second,
+    # incidence-length array of keys beside the ids would add 1.0x), and
+    # the core is built beside 12% of the keys, so the read itself, the ids
+    # with two n-length arrays, is the peak.
     n = 100_000
     params = ModelParams(n=n, m=default_attribute_count(n), alpha=0.8, c0=1.0)
     inc, _ = generate(params, trial_rng(1, n, 0))
@@ -445,24 +462,16 @@ def test_core_build_memory(tmp_path):
     write_graph(path, inc.m, inc.set_indptr, inc.set_attrs, params.alpha, params.c0, seed=1)
     size = inc.keys.nbytes
     del inc
-
-    def traced_peak(shrink):
-        tracemalloc.start()
-        try:
-            inc = read_graph(path)[0]
-            if shrink:
-                inc.keep_core()
-            TraversalCore(inc)
-            del inc
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    peak = traced_peak(shrink=False)
-    assert peak <= 1.65 * size
-    assert peak <= 1.38 * size
-    assert peak <= 1.308 * size  # 1.303x measured
-    assert traced_peak(shrink=True) <= 1.07 * size  # 1.059x measured
+    tracemalloc.start()
+    try:
+        inc = read_graph(path)[0]
+        inc.keep_core()
+        TraversalCore(inc)
+        del inc
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.07 * size  # 1.059x measured
 
 
 def test_from_flat_validation():
@@ -539,14 +548,14 @@ def test_adjacent_and_neighbors_against_brute_force(medium_instance):
     for _ in range(400):
         u, v = rng.choice(params.n, size=2, replace=False)
         assert shares_attribute(indptr, ids, int(u), int(v)) == bool(adj[u, v])
-    core = TraversalCore(inc)
+    core = core_of(inc)
     for u in range(0, params.n, 10):
         assert neighbors(core, u).tolist() == np.flatnonzero(adj[u]).tolist()
 
 
 def test_empty_set_is_isolated():
     inc = BipartiteIncidence.from_sets(3, 9, [[], [1, 2], [2]])
-    assert neighbors(TraversalCore(inc), 0).shape == (0,)
+    assert neighbors(core_of(inc), 0).shape == (0,)
     indptr, ids = inc.set_indptr, inc.set_attrs
     assert not shares_attribute(indptr, ids, 0, 1)
     assert shares_attribute(indptr, ids, 1, 2)

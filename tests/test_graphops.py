@@ -19,7 +19,9 @@ from rigkit.graphops import (
 )
 from rigkit.hubnav import decompose, thresholds
 from rigkit.model import ModelParams, default_attribute_count, trial_rng
+from rigkit.storage import read_graph, write_graph
 
+from cores import core_of
 from oracles import (
     adjacency_matrix,
     all_pairs_hops,
@@ -37,7 +39,7 @@ def path_graph(k: int) -> BipartiteIncidence:
 
 
 def test_path_graph_distances():
-    core = TraversalCore(path_graph(5))
+    core = core_of(path_graph(5))
     res = bfs_distance(core, 0, 4)
     assert res.hops == 4
     assert res.path == [0, 1, 2, 3, 4]
@@ -47,7 +49,7 @@ def test_path_graph_distances():
 
 
 def test_disconnected_components():
-    core = TraversalCore(BipartiteIncidence.from_sets(5, 10, [[0], [0], [5], [5], []]))
+    core = core_of(BipartiteIncidence.from_sets(5, 10, [[0], [0], [5], [5], []]))
     comp = components(core, 2)
     assert comp.count == 3
     assert comp.labels.tolist() == [0, 0, 1, 1, 2]
@@ -63,7 +65,7 @@ def test_components_canonical_order():
     # vertex 0 must always carry label 0, first unseen vertex the next label
     inc = BipartiteIncidence.from_sets(6, 20, [[3], [7], [3], [9], [7], [9]])
     for root in range(6):
-        comp = components(TraversalCore(inc), root)
+        comp = components(core_of(inc), root)
         assert comp.labels.tolist() == [0, 1, 0, 2, 1, 2]
 
 
@@ -71,7 +73,7 @@ def test_components_match_bfs_oracle(small_instances):
     for params, inc, w in small_instances:
         adj = adjacency_matrix(inc)
         expect = component_labels_bfs(adj)
-        got = components(TraversalCore(inc), int(np.argmax(inc.sizes())))
+        got = components(core_of(inc), int(np.argmax(inc.sizes())))
         assert np.array_equal(got.labels, expect)
         assert np.array_equal(got.sizes, np.bincount(expect))
 
@@ -144,7 +146,7 @@ def test_components_large_diameter_match_bfs_oracle(name, monkeypatch):
     inc = LONG_DIAMETER[name]
     adj = adjacency_matrix(inc)
     expect = component_labels_bfs(adj)
-    core = TraversalCore(inc)
+    core = core_of(inc)
     isolated = np.flatnonzero(inc.sizes() == 0)[:1]
     drawn = trial_rng(17, inc.n, 0).choice(inc.n, size=3, replace=False)
     for root in [0, inc.n // 2, inc.n - 1, *isolated.tolist(), *drawn.tolist()]:
@@ -161,7 +163,7 @@ def test_distances_match_floyd_warshall(small_instances):
     for params, inc, w in small_instances:
         adj = adjacency_matrix(inc)
         fw = all_pairs_hops(adj)
-        core = TraversalCore(inc)
+        core = core_of(inc)
         rng = trial_rng(31, 0, 0)
         for _ in range(40):
             u, v = rng.choice(params.n, size=2, replace=False)
@@ -176,14 +178,14 @@ def test_distances_match_floyd_warshall(small_instances):
 def test_distances_from_matches_single_source(small_instances):
     params, inc, w = small_instances[0]
     adj = adjacency_matrix(inc)
-    core = TraversalCore(inc)
+    core = core_of(inc)
     for s in (0, 13, 59):
         assert np.array_equal(distances_from(core, s), pair_hops_python(adj, s))
 
 
 def test_shortest_path_is_a_real_walk(small_instances):
     for params, inc, w in small_instances:
-        core = TraversalCore(inc)
+        core = core_of(inc)
         indptr, ids = inc.set_indptr, inc.set_attrs
         rng = trial_rng(47, 0, 0)
         for _ in range(20):
@@ -200,7 +202,7 @@ def test_shortest_path_is_a_real_walk(small_instances):
 
 def test_finite_distance_iff_same_component(small_instances):
     params, inc, w = small_instances[1]
-    core = TraversalCore(inc)
+    core = core_of(inc)
     comp = components(core, 0)
     d = distances_from(core, 0)
     same = comp.labels == comp.labels[0]
@@ -208,13 +210,13 @@ def test_finite_distance_iff_same_component(small_instances):
 
 
 def test_nearest_of_min_distance_and_tie_break():
-    core = TraversalCore(path_graph(7))
+    core = core_of(path_graph(7))
     # targets at distance 2 (vertex 1) and 2 (vertex 5) from 3: tie -> id 1
     res = nearest_of(core, 3, np.array([5, 1]))
     assert res.hops == 2
     assert res.path[-1] == 1
     # target unreachable
-    core2 = TraversalCore(BipartiteIncidence.from_sets(3, 6, [[0], [0], [4]]))
+    core2 = core_of(BipartiteIncidence.from_sets(3, 6, [[0], [0], [4]]))
     assert nearest_of(core2, 0, np.array([2])).hops is None
     # source already a target
     res = nearest_of(core, 4, np.array([4, 0]))
@@ -227,14 +229,14 @@ def test_unique_edges_and_degrees(small_instances):
     for params, inc, w in small_instances:
         adj = adjacency_matrix(inc)
         expect = np.argwhere(np.triu(adj, 1))
-        core = TraversalCore(inc)
+        core = core_of(inc)
         got = unique_edges(core)
         assert np.array_equal(got, expect)
         assert np.array_equal(degrees(core), adj.sum(axis=1))
 
 
 def test_bfs_vertex_range_checks():
-    core = TraversalCore(path_graph(3))
+    core = core_of(path_graph(3))
     with pytest.raises(ValueError):
         bfs_distance(core, 0, 3)
     with pytest.raises(ValueError):
@@ -242,7 +244,7 @@ def test_bfs_vertex_range_checks():
 
 
 def test_multi_vertex_attribute_is_a_clique():
-    core = TraversalCore(BipartiteIncidence.from_sets(4, 5, [[2], [2], [2], [4]]))
+    core = core_of(BipartiteIncidence.from_sets(4, 5, [[2], [2], [2], [4]]))
     e = unique_edges(core)
     assert e.tolist() == [[0, 1], [0, 2], [1, 2]]
     assert bfs_distance(core, 0, 2).hops == 1
@@ -276,7 +278,7 @@ def test_components_memory_beyond_the_ball(instance_1e5):
     # over the whole core peaks near 1.71x, and a core-length int64 gather
     # such as ball.adist[attr_of] alone adds 1.0x.
     inc, u_max = instance_1e5
-    core = TraversalCore(inc)
+    core = core_of(inc)
     distances_from(core, u_max)
     comp, peak = traced_peak(lambda: components(core, u_max))
     assert comp.labels[u_max] == comp.giant
@@ -290,7 +292,7 @@ def test_fresh_ball_memory(instance_1e5):
     # and the copy it returns only run-sized temporaries and the levels'
     # ids exist.  Walking a whole level at once peaked at 2.30x.
     inc, u_max = instance_1e5
-    core = TraversalCore(inc)
+    core = core_of(inc)
     dist, peak = traced_peak(lambda: distances_from(core, u_max))
     assert dist[u_max] == 0
     assert peak <= 1.2 * 8 * core.attr_vertices.shape[0]  # 1.08x measured
@@ -306,7 +308,7 @@ def test_packed_keys_past_2_31_match_scipy(instance_1e5):
 
     inc, u_max = instance_1e5
     n = inc.n
-    core = TraversalCore(inc)
+    core = core_of(inc)
     assert n * core.num_attrs > 2**34
     checks = load_perfbench("checks")
     graph = checks.star_graph(inc)
@@ -330,6 +332,23 @@ def test_packed_keys_past_2_31_match_scipy(instance_1e5):
             assert b in neighbors(core, a)
 
 
+def test_traversal_core_needs_a_core_only_instance(tmp_path):
+    # a full instance, as generate, read_graph and from_sets give it, is
+    # refused with a pointer to keep_core; its core-only form is built
+    n = 200
+    params = ModelParams(n=n, m=default_attribute_count(n), alpha=0.8, c0=1.0)
+    generated, _ = generate(params, trial_rng(3, n, 0))
+    path = tmp_path / "g.rig"
+    write_graph(path, generated.m, generated.set_indptr, generated.set_attrs,
+                params.alpha, params.c0, seed=3)
+    for inc in (generated, read_graph(path)[0], path_graph(5)):
+        assert not inc.core_only
+        with pytest.raises(ValueError, match="keep_core"):
+            TraversalCore(inc)
+        inc.keep_core()
+        assert TraversalCore(inc).n == inc.n
+
+
 def test_int32_core_guard(monkeypatch):
     # ids and offsets of the core must stay below 2**31 to fit in int32;
     # TraversalCore passes its vertex, attribute and entry counts
@@ -339,5 +358,5 @@ def test_int32_core_guard(monkeypatch):
             graphops._check_int32(*counts)
     calls = []
     monkeypatch.setattr(graphops, "_check_int32", lambda *counts: calls.append(counts))
-    TraversalCore(path_graph(5))
+    core_of(path_graph(5))
     assert calls == [(5, 4, 8)]

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cores import core_of
 from oracles import (adjacency_matrix, certificate_walk, hub_climb_reference,
                      ladder_level_reference, pair_hops_python, shares_attribute)
 from rigkit.graphgen import BipartiteIncidence, generate
-from rigkit.graphops import TraversalCore, bfs_distance
+from rigkit.graphops import bfs_distance
 from rigkit.hubnav import (
     STAGES,
     LadderError,
@@ -178,7 +179,7 @@ def climb_toy():
     inc = BipartiteIncidence.from_sets(4, 4, [[1], [3], [0, 1], [0]])
     w = toy_weights([100.0, 1.0, 25.0, 12.0])
     dec = decompose(w, toy_ladder())
-    return inc, TraversalCore(inc), dec
+    return inc, core_of(inc), dec
 
 
 def test_hub_climb_full_ladder_walk():
@@ -209,7 +210,7 @@ def test_hub_climb_start_outside_top_layer():
 def test_hub_climb_dead_end_returns_none():
     # same shape, but vertex 2 now sits below rung 1, and 3 has no other
     # neighbor at level 1 and no edge to the apex
-    core = TraversalCore(BipartiteIncidence.from_sets(4, 4, [[1], [3], [0, 1], [0]]))
+    core = core_of(BipartiteIncidence.from_sets(4, 4, [[1], [3], [0, 1], [0]]))
     w = toy_weights([100.0, 1.0, 15.0, 12.0])
     dec = decompose(w, toy_ladder())
     assert hub_climb(core, dec, 3) is None
@@ -218,7 +219,7 @@ def test_hub_climb_dead_end_returns_none():
 def test_hub_climb_tie_break_smallest_index():
     # vertices 1 and 2 tie at tz 25; both are adjacent to 3 and to the apex,
     # so either choice would complete the climb: ties must go to index 1
-    core = TraversalCore(BipartiteIncidence.from_sets(4, 4, [[1], [0, 1, 3], [0, 1], [0]]))
+    core = core_of(BipartiteIncidence.from_sets(4, 4, [[1], [0, 1, 3], [0, 1], [0]]))
     w = toy_weights([100.0, 25.0, 25.0, 12.0])
     dec = decompose(w, toy_ladder())
     path = hub_climb(core, dec, 3)
@@ -232,7 +233,7 @@ def test_hub_climb_tie_break_smallest_index():
 def test_hub_climb_apex_shortcut():
     # the apex qualifies as a next hop whenever adjacent, even from the top
     # layer, so a 1-hop finish beats walking the rungs
-    core = TraversalCore(BipartiteIncidence.from_sets(3, 3, [[0], [2], [0, 2]]))
+    core = core_of(BipartiteIncidence.from_sets(3, 3, [[0], [2], [0, 2]]))
     w = toy_weights([100.0, 1.0, 12.0])
     dec = decompose(w, toy_ladder())
     path = hub_climb(core, dec, 2)
@@ -251,7 +252,7 @@ def test_escape_bfs_modes():
     inc2 = BipartiteIncidence.from_sets(3, 3, [[0, 1], [1], [2]])
     w2 = toy_weights([12.0, 1.0, 1.0])
     dec2 = decompose(w2, toy_ladder())
-    esc2 = escape_bfs(TraversalCore(inc2), dec2, 1)
+    esc2 = escape_bfs(core_of(inc2), dec2, 1)
     assert esc2 == [1, 0]
     assert [dec2.k_star - dec2.level[v] for v in esc2] == [-1, 0]
 
@@ -274,7 +275,7 @@ def test_escape_bfs_distance_is_minimal(small_instances):
     th = thresholds(params.n, params.alpha, params.c0, floor=2.0)
     dec = decompose(w, th)
     targets, _ = dec.escape_targets()
-    core = TraversalCore(inc)
+    core = core_of(inc)
     rng = trial_rng(13, 0, 0)
     for v in rng.choice(params.n, size=15, replace=False):
         esc = escape_bfs(core, dec, int(v))
@@ -325,7 +326,7 @@ def test_certificate_sound_on_random_instances(small_instances):
         dec = decompose(w, th)
         assert dec.k_star >= 1  # the floor of 2 gives a real ladder at n = 60
         adj = adjacency_matrix(inc)
-        core = TraversalCore(inc)
+        core = core_of(inc)
         indptr, ids = inc.set_indptr, inc.set_attrs
         rng = trial_rng(17, 0, 0)
         for _ in range(10):
@@ -372,7 +373,7 @@ def test_degenerate_mode_climb():
     # empty ladder, nonempty hub core: escape goes to V0, climb is a single
     # adjacency test against the apex
     th = LayerThresholds(t0=5.0, t=())
-    core = TraversalCore(BipartiteIncidence.from_sets(3, 3, [[0], [0, 1], [1]]))
+    core = core_of(BipartiteIncidence.from_sets(3, 3, [[0], [0, 1], [1]]))
     w = toy_weights([10.0, 7.0, 1.0])
     dec = decompose(w, th)
     targets, degenerate = dec.escape_targets()
@@ -435,7 +436,7 @@ def test_hub_climb_matches_rung_floor_reference(small_instances):
     climbs = 0
     for params, inc, w in small_instances:
         adj = adjacency_matrix(inc)
-        core = TraversalCore(inc)
+        core = core_of(inc)
         for floor in (2.0, 5.0, 20.0):
             th = thresholds(params.n, params.alpha, params.c0, floor=floor)
             dec = decompose(w, th)

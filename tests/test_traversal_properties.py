@@ -17,6 +17,7 @@ from rigkit.graphops import (UNREACHED, TraversalCore, _descent_levels,
                              distances_from, nearest_of, nearest_routes, neighbors,
                              unique_edges)
 
+from cores import core_of, core_only
 from oracles import (adjacency_matrix, all_pairs_hops, balanced_pair_reference,
                      component_labels_bfs, first_by_reference, nearest_route_reference,
                      pair_hops_python, shares_attribute, target_ball_reference,
@@ -54,7 +55,7 @@ def masks_clear(core):
 @given(incidences())
 def test_pair_hops_match_floyd_warshall(inc):
     fw = all_pairs_hops(adjacency_matrix(inc))
-    core = TraversalCore(inc)
+    core = core_of(inc)
     for u in range(inc.n):
         for v in range(inc.n):
             res = bfs_distance(core, u, v)
@@ -71,7 +72,7 @@ def test_pair_hops_match_floyd_warshall(inc):
 @given(incidences())
 def test_distances_from_match_python_bfs(inc):
     adj = adjacency_matrix(inc)
-    core = TraversalCore(inc)
+    core = core_of(inc)
     for s in range(inc.n):
         assert np.array_equal(distances_from(core, s), pair_hops_python(adj, s))
     assert masks_clear(core)
@@ -88,7 +89,7 @@ def test_component_labels_match_queue_bfs(each_block, inc, data):
     root = data.draw(st.integers(0, inc.n - 1))
 
     def check():
-        core = TraversalCore(inc)
+        core = core_of(inc)
         comp = components(core, root)
         assert np.array_equal(comp.labels, expect)
         assert np.array_equal(comp.sizes, np.bincount(expect))
@@ -107,7 +108,7 @@ def test_nearest_of_takes_smallest_target_at_min_distance(inc, data):
     targets = data.draw(st.lists(st.integers(0, inc.n - 1), min_size=1, max_size=5))
     dist = pair_hops_python(adjacency_matrix(inc), source)
     reach = [t for t in targets if dist[t] != UNREACHED]
-    core = TraversalCore(inc)
+    core = core_of(inc)
     res = nearest_of(core, source, np.array(targets))
     if not reach:
         assert res.hops is None and res.path is None
@@ -125,7 +126,7 @@ def test_nearest_of_route_matches_python_bfs(inc, data):
     # the documented tie-breaks, hop for hop: smallest-id attribute, then
     # smallest-id owner; every single target, so that routes reach ties
     drawn = data.draw(st.lists(st.integers(0, inc.n - 1), min_size=1, max_size=5))
-    core = TraversalCore(inc)
+    core = core_of(inc)
     for source in range(inc.n):
         for targets in [[t] for t in range(inc.n)] + [drawn]:
             res = nearest_of(core, source, np.array(targets))
@@ -141,7 +142,7 @@ def ball_sources(draw):
 
 
 def complete_ball(inc, sources):
-    core = TraversalCore(inc)
+    core = core_of(inc)
     ball = core.ball_around(np.array(sources, dtype=np.int64))
     while ball.frontier.size:
         ball.expand(core)
@@ -236,7 +237,7 @@ def test_warm_ball_routes_match_python_bfs(inc, data):
     hub = data.draw(vertex)
     orders = [range(n), range(n - 1, -1, -1), data.draw(st.permutations(range(n)))]
     hub_hops = pair_hops_python(adjacency_matrix(inc), hub).tolist()
-    core = TraversalCore(inc)
+    core = core_of(inc)
     routes = {}
     for targets in (first, second, [hub], first):
         for order in orders:
@@ -253,7 +254,7 @@ def test_warm_ball_routes_match_python_bfs(inc, data):
 
 def test_warm_ball_edge_cases():
     # a path 0-1-2-3-4 whose end 0 holds three attributes, and an edge 5-6
-    core = TraversalCore(BipartiteIncidence.from_sets(
+    core = core_of(BipartiteIncidence.from_sets(
         7, 12, [[0, 8, 9, 10], [0, 1, 8, 9, 10], [1, 2], [2, 3], [3], [11], [11]]))
     targets = np.array([0])
     # the forward side (one entry a level) runs dry while the ball, four
@@ -299,7 +300,7 @@ def test_nearest_routes_match_python_bfs(inc, data):
     warm = data.draw(st.lists(vertex, max_size=3))
     grow = data.draw(st.integers(0, 3))
     want = {v: nearest_route_reference(inc, v, targets) for v in range(n)}
-    core = TraversalCore(inc)
+    core = core_of(inc)
     orders = [sources, sources[::-1], data.draw(st.permutations(sources))]
     for order in orders:
         ball = core.ball_around(np.array(targets))
@@ -321,7 +322,7 @@ def test_nearest_routes_match_python_bfs(inc, data):
 
 def test_kept_routes_are_the_callers_copies():
     # the path 0-1-2-3-4 and the edge 5-6 of test_warm_ball_edge_cases
-    core = TraversalCore(BipartiteIncidence.from_sets(
+    core = core_of(BipartiteIncidence.from_sets(
         7, 12, [[0, 8, 9, 10], [0, 1, 8, 9, 10], [1, 2], [2, 3], [3], [11], [11]]))
     first = nearest_routes(core, [4, 4, 2, 6], np.array([0]))
     assert [r.path for r in first] == [[4, 3, 2, 1, 0]] * 2 + [[2, 1, 0], None]
@@ -338,7 +339,7 @@ def test_kept_routes_are_the_callers_copies():
 @PROPS
 @given(incidences())
 def test_traversal_core_matches_reference(inc):
-    core = TraversalCore(inc)
+    core = core_of(inc)
     want = traversal_core_reference(inc)
     assert core.num_attrs == want["num_attrs"]
     for name in ("attr_indptr", "attr_vertices", "set_indptr", "set_attrs"):
@@ -349,19 +350,22 @@ def test_traversal_core_matches_reference(inc):
 
 
 def assert_core_matches_two_sorts(each_block, inc):
-    """TraversalCore(inc) has the two-sort formula's arrays under every
-    block size, and leaves inc as it was."""
-    ids, indptr, keys = inc.set_attrs, inc.set_indptr.copy(), inc.keys.copy()
+    """The core of inc's core-only form has the two-sort formula's arrays
+    on the full inc under every block size, and TraversalCore leaves that
+    core-only instance as it was."""
+    ids, indptr = inc.set_attrs, inc.set_indptr
     want = traversal_core_two_sorts(indptr, ids)
 
     def check():
-        core = TraversalCore(inc)
+        shrunk = core_only(inc)
+        keys, counts = shrunk.keys.copy(), shrunk.set_indptr.copy()
+        core = TraversalCore(shrunk)
         assert core.num_attrs == want["num_attrs"]
         for name in ("attr_indptr", "attr_vertices", "set_indptr", "set_attrs"):
             assert np.array_equal(getattr(core, name), want[name]), name
         assert np.array_equal(core.set_sizes, np.diff(want["set_indptr"]))
+        assert np.array_equal(shrunk.keys, keys) and np.array_equal(shrunk.set_indptr, counts)
     each_block(check)
-    assert np.array_equal(inc.keys, keys) and np.array_equal(inc.set_indptr, indptr)
 
 
 @PROPS
@@ -407,7 +411,7 @@ def test_nearest_routes_on_wide_id_pools(inc, data):
     targets = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
     sources = list(range(n)) * 2
     want = [nearest_route_reference(inc, v, targets) for v in sources]
-    core = TraversalCore(inc)
+    core = core_of(inc)
     room = max(n * core.num_attrs, 1)
     route_batch, first_by = graphops._route_batch, graphops._first_by
     for per_chunk in (1, 2, None):
@@ -438,7 +442,7 @@ def test_candidate_keys_keep_every_shared_entry():
     # attribute 5 is shared; 7, its near neighbour, and 2**39 are private;
     # the core keeps attribute 5 alone
     inc = BipartiteIncidence.from_sets(3, 2**40, [[5, 7], [5], [2**39]])
-    core = TraversalCore(inc)
+    core = core_of(inc)
     assert core.num_attrs == 1 and core.attr_vertices.tolist() == [0, 1]
 
 
@@ -472,7 +476,7 @@ def test_first_by_matches_dict_reference(case):
 @given(incidences())
 def test_neighbors_edges_degrees_match_adjacency(inc):
     adj = adjacency_matrix(inc)
-    core = TraversalCore(inc)
+    core = core_of(inc)
     for u in range(inc.n):
         assert neighbors(core, u).tolist() == np.flatnonzero(adj[u]).tolist()
     edges = unique_edges(core)
@@ -528,7 +532,7 @@ def query_plans(draw):
 @given(query_plans())
 def test_interleaved_queries_leave_no_trace(plan):
     graphs, queries = plan
-    cores = [TraversalCore(inc) for inc in graphs]
+    cores = [core_of(inc) for inc in graphs]
     for which, query in queries:
         core = cores[which]
         try:
@@ -536,7 +540,7 @@ def test_interleaved_queries_leave_no_trace(plan):
         except ValueError:
             # a rejected query must be rejected on a fresh core too
             with pytest.raises(ValueError):
-                ask(TraversalCore(graphs[which]), query)
+                ask(core_of(graphs[which]), query)
         else:
-            assert got == ask(TraversalCore(graphs[which]), query)
+            assert got == ask(core_of(graphs[which]), query)
         assert masks_clear(core)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from rigkit.graphgen import BipartiteIncidence, generate
-from rigkit.graphops import TraversalCore
 from rigkit.model import ModelParams, TailLaw, iterated_log, trial_rng
 from rigkit.verify import (
     BoundReport,
@@ -21,6 +20,7 @@ from rigkit.verify import (
     wilson_interval,
 )
 
+from cores import core_of
 from oracles import (conditional_overlap_exact, hyper_pmf_exact,
                      intersection_reports_reference, no_overlap_exact)
 
@@ -483,14 +483,14 @@ def test_sandwich_constant_untruncated_identity():
 
 def test_degree_tail_empty_graph():
     inc = BipartiteIncidence.from_sets(4, 10, [[], [], [], []])
-    rep = degree_tail_report(TraversalCore(inc))
+    rep = degree_tail_report(core_of(inc))
     assert rep["slope"] is None
     assert rep["survival"] == [0.0]
 
 
 def test_degree_tail_survival_is_valid(medium_instance):
     params, inc, w = medium_instance
-    rep = degree_tail_report(TraversalCore(inc))
+    rep = degree_tail_report(core_of(inc))
     survival = np.asarray(rep["survival"])
     assert np.all(survival >= 0) and np.all(survival <= 1)
     assert np.all(np.diff(survival) <= 1e-12)  # nonincreasing
