@@ -16,10 +16,11 @@ the same smallest-id parent choices, and traces the same paths, as it would
 on the full incidence.  A full instance, as generate and read_graph give
 it, raises ValueError.  graphgen._shared_entries only reads the keys, into
 a copy.  The core is held in int32, and each int64 temporary of the build
-is freed as soon as its int32 result exists, so beside the core-only keys
-the build peaks near 2.4x their bytes, 0.28x those of the full keys at
-n = 1e5.  Every packed key is formed in int64: numpy keeps an int32 array
-times a Python int in int32, and wraps on overflow.
+is freed as soon as its int32 result exists: at n = 1e5 the build alone
+peaks at 2.37x the bytes of the core-only keys, 0.28x those of the full
+keys (test_graphgen's test_instance_build_memory).  Every packed key is
+formed in int64: numpy keeps an int32 array times a Python int in int32,
+and wraps on overflow.
 
 Component labels start from a root: its component is the completed target
 ball of {root} (below), the ball that distances_from(root) then copies.
