@@ -12,11 +12,11 @@ import importlib.resources
 import json
 import os
 
-# numpy's bundled OpenBLAS starts its worker threads at import, and they
-# spin for about 80 ms before it sleeps: long enough to take the spare CPU
-# from the first large sort (graphgen._sort).  rigkit's only BLAS call is a
-# small np.polyfit, so one BLAS thread is enough.  A value the user set wins,
-# and once numpy is loaded this has no effect.
+# numpy's bundled OpenBLAS starts its worker threads at import: on 2 vCPUs
+# a fresh `import rigkit.cli` took 0.148 s with one BLAS thread and 0.216 s
+# with two.  rigkit's only BLAS call is a small np.polyfit, so one BLAS
+# thread is enough.  A value the user set wins, and once numpy is loaded
+# this has no effect.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .graphgen import BipartiteIncidence, generate

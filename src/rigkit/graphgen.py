@@ -26,29 +26,24 @@ instance, and Trial.from_file a graph file's once its weights are taken
 from the full sizes.  One rule tells a shared entry (_shared_run): its
 attribute is that of a neighbouring key.
 
-This module alone sizes work to the machine.  Every pass over an
-incidence-length array walks it _RUN (2**15) entries at a time, and _cpus()
-counts the CPUs this process may run on: every whole-array sort (_sort)
-splits over them, and harness caps its pool workers by them.
+Every pass over an incidence-length array walks it _RUN (2**15) entries
+at a time, and every whole-array sort is numpy's, in place.
 
 sample_incidence takes each vertex's draws in vertex order, a run at a
-time, packs them as attr * n + vertex, sorts the whole array in place once,
-on every CPU (_sort), and compacts away the repeats, which tell each
-vertex's shortfall.  Each top-up round (_top_up) draws the shortfalls into
-the tail, a run at a time, short vertices in ascending order, and checks
-only those draws against the keys held, so a round costs its shortfall; one
-merge at the end (_merge) sorts the whole array again.  Every temporary is
-run-sized or round-sized, so sampling peaks near 1.05x the keys' bytes, and
-keep_core then moves the shared entries to the front of the keys and
-shrinks them in place, with nothing of the core's size beside them.
-from_flat checks a file's ids run by run too, so reading one peaks near
-1.06x its ids' bytes.
+time, packs them as attr * n + vertex, sorts the whole array in place once
+and compacts away the repeats, which tell each vertex's shortfall.  Each
+top-up round (_top_up) draws the shortfalls into the tail, a run at a
+time, short vertices in ascending order, and checks only those draws
+against the keys held, so a round costs its shortfall; one merge at the end
+(_merge) sorts the whole array again.  Every temporary is run-sized or
+round-sized, so sampling peaks near 1.05x the keys' bytes, and keep_core
+then moves the shared entries to the front of the keys and shrinks them in
+place, with nothing of the core's size beside them.  from_flat checks a
+file's ids run by run too, so reading one peaks near 1.06x its ids' bytes.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 from typing import Optional
 
 import numpy as np
@@ -75,16 +70,6 @@ PACK_LIMIT = 2**62
 # while a pass works on it, and the pass's temporaries are a run long.
 _RUN = 1 << 15
 
-# Shortest part of an array that _sort splits between two threads; shorter
-# parts sort on the thread that holds them.  On 2 CPUs (x86-64, AVX-512) two
-# threads sort random int64 keys in 0.78x one thread's time at 1e5 keys,
-# 0.89x at 5e4 and 1.2x at 2.5e4.
-_SPLIT = 1 << 17
-
-# How many processes share the CPUs this process may run on: more than one
-# only in a worker of a process pool (_share_cpus).
-_SHARERS = 1
-
 
 def pack_error(n: int, m: int) -> Optional[str]:
     """Why n vertices over an m-pool cannot be packed into int64 keys, or
@@ -106,63 +91,6 @@ def _set_indptr(n: int, m: int, sizes: np.ndarray) -> np.ndarray:
     set_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(sizes, out=set_indptr[1:])
     return set_indptr
-
-
-def _share_cpus(processes: int) -> None:
-    """Process-pool initializer: this worker and processes - 1 siblings
-    share the CPUs, so its sorts take only its share of them."""
-    global _SHARERS
-    _SHARERS = processes
-
-
-def _cpus() -> int:
-    """How many CPUs this process's sorts and pool workers may use: its
-    share of the CPUs it may run on."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, cpus // _SHARERS)
-
-
-def _sort(keys: np.ndarray) -> None:
-    """Sort a 1-d integer array in place on every CPU the process may use
-    (in a pool worker, on its share of them).
-
-    An array of at least _SPLIT entries is partitioned at its median, so
-    every key below it comes first, and its two halves are sorted at once,
-    the upper half on a thread of its own; each half splits again while
-    CPUs and length remain.  Sorted integers have one order, so the result
-    is keys.sort()'s.  An exception raised on any thread reaches the caller
-    after every thread has joined.
-    """
-    _sort_part(keys, _cpus())
-
-
-def _sort_part(part: np.ndarray, cpus: int) -> None:
-    """_sort on the given number of CPUs: this thread and cpus - 1 more."""
-    if cpus < 2 or part.shape[0] < _SPLIT:
-        part.sort()
-        return
-    mid = part.shape[0] // 2
-    part.partition(mid)  # one kth: numpy partitions at a kth list far slower
-    half = cpus // 2
-    errors = []
-
-    def upper():
-        try:
-            _sort_part(part[mid:], cpus - half)
-        except BaseException as exc:  # handed to the thread that joins
-            errors.append(exc)
-
-    thread = threading.Thread(target=upper)
-    thread.start()
-    try:
-        _sort_part(part[:mid], half)
-    finally:
-        thread.join()
-    if errors:
-        raise errors[0]
 
 
 def concat_ranges(indptr: np.ndarray, data: np.ndarray, items: np.ndarray):
@@ -193,13 +121,13 @@ def _attr_major(ids: np.ndarray, n: int, indptr: np.ndarray) -> np.ndarray:
 
     The caller owns ids and gives them up: they are returned as the keys.
     Each run of _RUN entries takes its owners from one np.repeat, and the
-    whole array is then sorted in place once, on every CPU (_sort).
+    whole array is then sorted in place once.
     """
     for start in range(0, ids.shape[0], _RUN):
         block = ids[start:start + _RUN]
         block *= n
         block += _owners(indptr, start, start + block.shape[0])
-    _sort(ids)
+    ids.sort()
     return ids
 
 
@@ -208,8 +136,8 @@ def _vertex_major(keys: np.ndarray, n: int, m: int, indptr: np.ndarray) -> np.nd
 
     The caller owns keys and gives them up: they are returned as the ids.
     They are packed into vertex * m + attr _RUN entries at a time, sorted in
-    place once, on every CPU (_sort), and unpacked against the owners, so
-    that only run-sized temporaries exist beside them.
+    place once and unpacked against the owners, so that only run-sized
+    temporaries exist beside them.
     """
     ids = keys
     scratch = np.empty((2, min(_RUN, ids.shape[0])), dtype=np.int64)
@@ -222,7 +150,7 @@ def _vertex_major(keys: np.ndarray, n: int, m: int, indptr: np.ndarray) -> np.nd
         np.subtract(block, verts, out=verts)
         np.multiply(verts, m, out=block)
         block += attrs
-    _sort(ids)
+    ids.sort()
     for start in range(0, ids.shape[0], _RUN):
         out = ids[start:start + _RUN]
         firsts = _owners(indptr, start, start + out.shape[0])
@@ -443,23 +371,22 @@ class BipartiteIncidence:
 
 def _merge(keys: np.ndarray) -> None:
     """Sort in place keys that are a few sorted runs back to back: timsort
-    finds the runs and merges them, in about a tenth of _sort's time on a
-    long sorted run with a short one behind it."""
+    finds the runs and merges them, in about a tenth of a full sort's time
+    on a long sorted run with a short one behind it."""
     keys.sort(kind="stable")
 
 
 def _sorted_unique(keys: np.ndarray, repeats=None) -> np.ndarray:
     """Sorted distinct values of a 1-d array, as np.unique returns them.
 
-    Sorts keys in place, on every CPU (_sort), so callers pass an array they
-    own and no longer need, then moves each entry that differs from its
-    predecessor to the front of keys, _RUN entries at a time, and returns a
-    view of that front.  Nothing of the input's length is allocated, and for
-    large integer arrays this is far cheaper than numpy's hash-based
-    np.unique.  When repeats is a list, each block's dropped entries are
-    appended to it.
+    Sorts keys in place, so callers pass an array they own and no longer
+    need, then moves each entry that differs from its predecessor to the
+    front of keys, _RUN entries at a time, and returns a view of that front.
+    Nothing of the input's length is allocated, and for large integer arrays
+    this is far cheaper than numpy's hash-based np.unique.  When repeats is
+    a list, each block's dropped entries are appended to it.
     """
-    _sort(keys)
+    keys.sort()
     size = 0
     for start in range(0, keys.shape[0], _RUN):
         block = keys[start:start + _RUN]

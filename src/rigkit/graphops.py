@@ -86,8 +86,8 @@ from typing import Optional
 import numpy as np
 
 from . import graphgen
-from .graphgen import (PACK_LIMIT, BipartiteIncidence, _shared_entries, _sort,
-                       _sorted_unique, concat_ranges)
+from .graphgen import (PACK_LIMIT, BipartiteIncidence, _shared_entries, _sorted_unique,
+                       concat_ranges)
 
 __all__ = [
     "ComponentLabeling",
@@ -178,7 +178,7 @@ class TraversalCore:
         ids -= 1
         keys += ids
         del ids
-        _sort(keys)
+        keys.sort()
         self.set_indptr = _row_pointer(keys, n, self.num_attrs)
         keys %= self.num_attrs
         self.set_attrs = keys.astype(np.int32)

@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from . import graphgen, storage
-from .graphgen import _cpus, _occupied_attrs, _share_cpus, _vertex_major, pack_error
+from .graphgen import _occupied_attrs, _vertex_major, pack_error
 # perfbench hooks this name
 from .graphgen import generate
 from .graphops import (UNREACHED, TraversalCore, bfs_distance, components, distances_from,
@@ -610,6 +610,15 @@ def _quantiles(values) -> Optional[dict]:
             "max": float(arr[-1])}
 
 
+def _cpus() -> int:
+    """How many CPUs this process may run on: its affinity mask, or every
+    CPU where the platform has no affinity call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """The full ladder: trials per n, aggregated per n and overall."""
     tasks = [(cfg, n, t) for n in cfg.n_values
@@ -619,11 +628,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     workers = min(cfg.threads, len(tasks), _cpus())
     if workers > 1:
         # concurrent.futures loads its process pool, and multiprocessing
-        # with it, on first access: a serial run never imports them.  Each
-        # worker sorts on its share of the CPUs, not on every CPU.
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers, initializer=_share_cpus,
-                initargs=(workers,)) as pool:
+        # with it, on first access: a serial run never imports them
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(_experiment_cell, tasks))
     else:
         cells = [_experiment_cell(t) for t in tasks]

@@ -1,8 +1,8 @@
 import os
 import sys
 
-# as rigkit/__init__.py does, before numpy loads: OpenBLAS's idle worker
-# threads would otherwise spin beside the sort tests
+# as rigkit/__init__.py does, before numpy loads: starting OpenBLAS's
+# worker threads makes every import of numpy slower
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
@@ -19,19 +19,15 @@ from rigkit.model import ModelParams, trial_rng
 @pytest.fixture(scope="session")
 def each_block():
     """Run a check as is, then with graphgen's passes walking runs 1, 5 and
-    16 entries long, and graphgen._sort splitting parts of 2, 3 and 5
-    entries or more over 3 CPUs, so that small inputs cross many run
-    boundaries, runs of several vertices and top-up rounds, and every
-    whole-array sort splits into a 2-thread and a 1-thread part.  The
-    target ball of graphops reads graphgen._RUN at each expand, so its
-    levels are walked in slices of the same lengths."""
+    16 entries long (graphgen._RUN), so that small inputs cross many run
+    boundaries, runs of several vertices and top-up rounds.  The target
+    ball of graphops reads graphgen._RUN at each expand, so its levels are
+    walked in slices of the same lengths."""
     def run(check):
         check()
-        for run_size, split in ((1, 2), (5, 3), (16, 5)):
+        for run_size in (1, 5, 16):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(graphgen, "_RUN", run_size)
-                mp.setattr(graphgen, "_SPLIT", split)
-                mp.setattr(graphgen, "_cpus", lambda: 3)
                 check()
     return run
 

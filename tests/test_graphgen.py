@@ -1,5 +1,4 @@
 import hashlib
-import threading
 import tracemalloc
 from itertools import combinations
 
@@ -12,7 +11,6 @@ from rigkit import graphgen
 from rigkit.graphgen import (
     PACK_LIMIT,
     BipartiteIncidence,
-    _sort,
     _sorted_unique,
     concat_ranges,
     generate,
@@ -170,60 +168,6 @@ def test_sorted_unique_matches_np_unique(each_block, values):
 
 
 @st.composite
-def sort_inputs(draw):
-    # numpy's partition sorts a part of up to 256 int64 entries whole, so
-    # the split of a part that long is never seen: lengths up to 1200 let
-    # both levels of each_block's 2 + 1 split sort their halves themselves
-    length = draw(st.integers(0, 3) | st.integers(0, 1200))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    span = draw(st.sampled_from([1, 2, 5, None]))  # equal, repeats, distinct
-    if span is None:
-        keys = rng.integers(-2**63, 2**63 - 1, size=length, endpoint=True)
-    else:
-        keys = rng.integers(0, span, size=length)
-    order = draw(st.sampled_from(["shuffled", "sorted", "reversed"]))
-    if order != "shuffled":
-        keys.sort()
-    return keys[::-1].copy() if order == "reversed" else keys
-
-
-@PROPS
-@given(sort_inputs())
-@example(np.array([], dtype=np.int64))
-@example(np.array([5]))
-@example(np.array([9, 4]))
-@example(np.array([2, 7, 1]))
-@example(np.full(601, 3))  # all equal
-@example(np.repeat([2, 4, 4, 4, 6], 121))  # repeats of the median both sides
-@example(np.arange(701))  # sorted
-@example(np.arange(702, 0, -1))  # reversed
-def test_sort_matches_np_sort(each_block, values):
-    want = np.sort(values)
-
-    def check():
-        keys = values.astype(np.int64)
-        _sort(keys)
-        assert np.array_equal(keys, want)
-    each_block(check)
-
-
-def test_sort_raises_what_a_worker_thread_raised(monkeypatch):
-    monkeypatch.setattr(graphgen, "_SPLIT", 2)
-    monkeypatch.setattr(graphgen, "_cpus", lambda: 2)
-    sort_part = graphgen._sort_part
-
-    def failing_on_workers(part, cpus):
-        if threading.current_thread() is not threading.main_thread():
-            raise MemoryError("worker thread")
-        sort_part(part, cpus)
-    monkeypatch.setattr(graphgen, "_sort_part", failing_on_workers)
-    before = threading.active_count()
-    with pytest.raises(MemoryError, match="worker thread"):
-        _sort(np.arange(10, dtype=np.int64)[::-1].copy())
-    assert threading.active_count() == before  # joined before raising
-
-
-@st.composite
 def size_plans(draw):
     # tiny pools with sizes up to m need several top-up rounds; in a large
     # pool no draw repeats and nothing is topped up
@@ -280,9 +224,9 @@ def test_sample_incidence_matches_reference(each_block, plan, seed):
 def test_top_up_rounds_cost_their_shortfall(monkeypatch):
     # sets of the whole pool or nearly so need hundreds of top-up rounds,
     # and each round works on its own draws: however many rounds run, the
-    # whole buffer is compacted once (_sorted_unique) and sorted at most
-    # twice, once after the first draws and once to merge the topped-up
-    # keys into them (_sort or _merge)
+    # whole buffer is sorted at most twice, once after the first draws
+    # (in _sorted_unique, which compacts it) and once to merge the
+    # topped-up keys into them (_merge)
     m = 300
     sizes = np.array([300, 290, 150, 40, 0, 300, 5] * 3)
     total = int(sizes.sum())
@@ -294,7 +238,7 @@ def test_top_up_rounds_cost_their_shortfall(monkeypatch):
                 whole.append(name)
             return fn(keys, *args, **kwargs)
         return call
-    for name in ("_sort", "_merge", "_sorted_unique"):
+    for name in ("_merge", "_sorted_unique"):
         monkeypatch.setattr(graphgen, name, counting(name, getattr(graphgen, name)))
 
     class Stream:
@@ -310,7 +254,7 @@ def test_top_up_rounds_cost_their_shortfall(monkeypatch):
     indptr, attrs = sample_incidence_reference(m, sizes, ref_rng)
     assert draws[0] == total and len(draws) > 300  # one first draw, then the rounds
     assert whole.count("_sorted_unique") == 1
-    assert whole.count("_sort") + whole.count("_merge") <= 2
+    assert whole.count("_merge") <= 1
     assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
     assert np.array_equal(inc.set_indptr, indptr)
     assert np.array_equal(inc.set_attrs, attrs)

@@ -761,13 +761,11 @@ def test_run_experiment_threads_match(tmp_path):
 def test_run_experiment_caps_workers(tmp_path, monkeypatch):
     # a pool starts all of its workers at once, so it gets no more than
     # there are cells or CPUs this process may run on (its affinity mask,
-    # which graphgen._cpus reads); a stub pool maps serially and starts
-    # none.  Each worker's sorts get its share of the CPUs.
+    # which harness._cpus reads); a stub pool maps serially and starts none
     started = []
 
     class Pool:
-        def __init__(self, max_workers, initializer, initargs):
-            assert initializer is graphgen._share_cpus and initargs == (max_workers,)
+        def __init__(self, max_workers):
             started.append(max_workers)
 
         def __enter__(self):
@@ -799,17 +797,13 @@ def test_run_experiment_caps_workers(tmp_path, monkeypatch):
     assert started == [2, 2]
 
 
-def test_pool_workers_sort_on_their_share_of_the_cpus(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3, 4})
-    assert graphgen._cpus() == 5
-    for sharers, cpus in ((2, 2), (5, 1), (8, 1)):
-        monkeypatch.setattr(graphgen, "_SHARERS", sharers)
-        assert graphgen._cpus() == cpus
-    monkeypatch.undo()
-    with concurrent.futures.ProcessPoolExecutor(
-            max_workers=1, initializer=graphgen._share_cpus, initargs=(64,)) as pool:
-        assert pool.submit(graphgen._cpus).result(timeout=60) == 1
-    assert graphgen._SHARERS == 1  # the initializer ran in the worker only
+def test_cpus_falls_back_to_the_cpu_count(monkeypatch):
+    # a platform without an affinity call counts every CPU, and at least one
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert harness._cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert harness._cpus() == 1
 
 
 def test_experiment_cell_seeded_golden(tmp_path):
