@@ -2,7 +2,7 @@
 
 Usage, from the root of a rigkit source tree:
 
-    python3 scripts/same_output_sweep.py ROOT [--src DIR]
+    python3 scripts/same_output_sweep.py ROOT [--src DIR] [--manifest check|write]
 
 Runs 209 CLI commands, one fresh interpreter each, with the rigkit package
 in DIR (default: this tree's src/):
@@ -69,18 +69,39 @@ and compare the roots:
     python3 scripts/same_output_sweep.py /tmp/sweep-a --src /path/to/a/src
     python3 scripts/same_output_sweep.py /tmp/sweep-b --src /path/to/b/src
     diff -r /tmp/sweep-a /tmp/sweep-b
+
+tests/golden/sweep.sha256 holds the SHA-256 of every output, one
+"digest  path" line each (sha256sum's layout, relative to ROOT), under a
+header naming the Python and numpy versions that made it.  --manifest check
+compares every output of the sweep with it, names each path whose digest
+differs or that is missing on either side, and exits 1 if any does;
+--manifest write rewrites it from the sweep.  An intended output change
+rewrites the manifest, so its diff names the files that moved.
+tests/test_same_output.py runs the commands of n <= 2000 (TIER1_N)
+in-process through rigkit.cli.main and checks their outputs against the
+same manifest; the larger ones are checked here.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
+from typing import NamedTuple
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 TREE = os.path.dirname(HERE)
+MANIFEST = os.path.join(TREE, "tests", "golden", "sweep.sha256")
+# the commands whose instances have at most this many vertices run in Tier-1
+TIER1_N = 2000
+BOUNDS_CONFIG = "bounds_config.json"
+# the vertex count of perfbench/bounds_config.json's largest instance: its
+# mass suite keeps the default mass_n
+BOUNDS_N = 100000
 NS = (300, 2000, 20000)
 SEEDS = (1, 5, 9)
 FORMATS = ("json", "csv")
@@ -112,8 +133,17 @@ ISOLATED_APEX = {"format": "rig-json", "version": 1, "n": 8, "m": 20, "alpha": 0
                  "sets": [[0], [0, 1], [1], [10, 11, 12, 13, 14, 15], [2], [2], [3], []]}
 
 
-def commands(bounds_config: str) -> list:
-    """(output directory, CLI arguments) of every command, in run order."""
+class Command(NamedTuple):
+    """One CLI command: its output directory, its arguments without --out,
+    and the vertex count of the largest instance it samples or reads."""
+
+    out: str
+    args: list
+    n: int
+
+
+def commands() -> list:
+    """Every Command, in run order."""
     cmds = []
     for n in NS:
         for seed in SEEDS:
@@ -121,81 +151,148 @@ def commands(bounds_config: str) -> list:
             common = ["-n", str(n), "--seed", str(seed)]
             for fmt in FORMATS:
                 for sub in SINGLE:
-                    cmds.append((f"{sub}/{cell}-{fmt}", [sub, *common, "--format", fmt]))
-                cmds.append((f"experiment/{cell}-{fmt}",
-                             ["experiment", *common, "--trials", "2", "--format", fmt]))
+                    cmds.append(Command(f"{sub}/{cell}-{fmt}", [sub, *common, "--format", fmt],
+                                        n))
+                cmds.append(Command(f"experiment/{cell}-{fmt}",
+                                    ["experiment", *common, "--trials", "2", "--format", fmt],
+                                    n))
             for graph_format in ("binary", "json"):
-                cmds.append((f"generate/{cell}-{graph_format}",
-                             ["generate", *common, "--trials", "1",
-                              "--graph-format", graph_format]))
+                cmds.append(Command(f"generate/{cell}-{graph_format}",
+                                    ["generate", *common, "--trials", "1",
+                                     "--graph-format", graph_format], n))
             for graph, kind in ((f"generate/{cell}-binary/graph_n{n}_t0.rig", "graph"),
                                 (f"generate/{cell}-json/graph_n{n}_t0.json", "jsongraph")):
                 for sub in SINGLE:
-                    cmds.append((f"{sub}-{kind}/{cell}",
-                                 [sub, "--graph", graph, "--seed", str(seed)]))
+                    cmds.append(Command(f"{sub}-{kind}/{cell}",
+                                        [sub, "--graph", graph, "--seed", str(seed)], n))
     for seed in SEEDS:
         cell = f"n2000-m2000-s{seed}"
-        cmds.append((f"generate/{cell}",
-                     ["generate", "-n", "2000", "--m", "2000", "--seed", str(seed),
-                      "--trials", "1", "--graph-format", "binary"]))
-        cmds.append((f"analyze-graph/{cell}",
-                     ["analyze", "--graph", f"generate/{cell}/graph_n2000_t0.rig",
-                      "--seed", str(seed)]))
-        cmds.append((f"analyze/{cell}",
-                     ["analyze", "-n", "2000", "--m", "2000", "--seed", str(seed)]))
-        cmds.append((f"experiment/n300-m300-s{seed}",
-                     ["experiment", "-n", "300", "--m", "300", "--seed", str(seed),
-                      "--trials", "2"]))
-    cmds.append(("hubpath/n100-c100-s1",
-                 ["hubpath", "-n", "100", "--c0", "100", "--seed", "1"]))
+        cmds.append(Command(f"generate/{cell}",
+                            ["generate", "-n", "2000", "--m", "2000", "--seed", str(seed),
+                             "--trials", "1", "--graph-format", "binary"], 2000))
+        cmds.append(Command(f"analyze-graph/{cell}",
+                            ["analyze", "--graph", f"generate/{cell}/graph_n2000_t0.rig",
+                             "--seed", str(seed)], 2000))
+        cmds.append(Command(f"analyze/{cell}",
+                            ["analyze", "-n", "2000", "--m", "2000", "--seed", str(seed)],
+                            2000))
+        cmds.append(Command(f"experiment/n300-m300-s{seed}",
+                            ["experiment", "-n", "300", "--m", "300", "--seed", str(seed),
+                             "--trials", "2"], 300))
+    cmds.append(Command("hubpath/n100-c100-s1",
+                        ["hubpath", "-n", "100", "--c0", "100", "--seed", "1"], 100))
     for seed in LADDER_SEEDS:
         for fmt in FORMATS:
-            cmds.append((f"hubpath/n100000-s{seed}-{fmt}",
-                         ["hubpath", "-n", "100000", "--seed", str(seed),
-                          "--pairs", "400", "--format", fmt]))
+            cmds.append(Command(f"hubpath/n100000-s{seed}-{fmt}",
+                                ["hubpath", "-n", "100000", "--seed", str(seed),
+                                 "--pairs", "400", "--format", fmt], 100000))
     hub_file = "generate/n100000-s1-binary"
-    cmds.append((hub_file, ["generate", "-n", "100000", "--seed", "1", "--trials", "1",
-                            "--graph-format", "binary"]))
+    cmds.append(Command(hub_file, ["generate", "-n", "100000", "--seed", "1", "--trials", "1",
+                                   "--graph-format", "binary"], 100000))
     for seed in HUB_FILE_SEEDS:
-        cmds.append((f"hubpath-graph/n100000-s{seed}",
-                     ["hubpath", "--graph", f"{hub_file}/graph_n100000_t0.rig",
-                      "--seed", str(seed), "--pairs", "400"]))
-    cmds.append(("distances-graph/n100000-s2",
-                 ["distances", "--graph", f"{hub_file}/graph_n100000_t0.rig",
-                  "--seed", "2", "--pairs", "50"]))
-    cmds.append(("hubpath/n100000-s85",
-                 ["hubpath", "-n", "100000", "--seed", "85", "--pairs", "400"]))
+        cmds.append(Command(f"hubpath-graph/n100000-s{seed}",
+                            ["hubpath", "--graph", f"{hub_file}/graph_n100000_t0.rig",
+                             "--seed", str(seed), "--pairs", "400"], 100000))
+    cmds.append(Command("distances-graph/n100000-s2",
+                        ["distances", "--graph", f"{hub_file}/graph_n100000_t0.rig",
+                         "--seed", "2", "--pairs", "50"], 100000))
+    cmds.append(Command("hubpath/n100000-s85",
+                        ["hubpath", "-n", "100000", "--seed", "85", "--pairs", "400"], 100000))
     for seed in RUNGS_SEEDS:
         for fmt in FORMATS:
-            cmds.append((f"hubpath/n300000-a0.9-s{seed}-{fmt}",
-                         ["hubpath", "-n", "300000", "--alpha", "0.9", "--seed",
-                          str(seed), "--pairs", "200", "--format", fmt]))
-        cmds.append((f"analyze/n300000-a0.9-s{seed}",
-                     ["analyze", "-n", "300000", "--alpha", "0.9", "--seed", str(seed)]))
+            cmds.append(Command(f"hubpath/n300000-a0.9-s{seed}-{fmt}",
+                                ["hubpath", "-n", "300000", "--alpha", "0.9", "--seed",
+                                 str(seed), "--pairs", "200", "--format", fmt], 300000))
+        cmds.append(Command(f"analyze/n300000-a0.9-s{seed}",
+                            ["analyze", "-n", "300000", "--alpha", "0.9", "--seed", str(seed)],
+                            300000))
     for alpha in LONG_ALPHAS:
         common = ["-n", "20000", "--seed", "1", "--alpha", alpha]
-        cmds.append((f"analyze/n20000-a{alpha}-s1", ["analyze", *common]))
+        cmds.append(Command(f"analyze/n20000-a{alpha}-s1", ["analyze", *common], 20000))
         for fmt in FORMATS:
-            cmds.append((f"hubpath/n20000-a{alpha}-s1-{fmt}",
-                         ["hubpath", *common, "--format", fmt]))
+            cmds.append(Command(f"hubpath/n20000-a{alpha}-s1-{fmt}",
+                                ["hubpath", *common, "--format", fmt], 20000))
     for sub in ("analyze", "hubpath"):
-        cmds.append((f"{sub}-graph/isolated-apex",
-                     [sub, "--graph", "isolated-apex.json", "--seed", "1"]))
+        cmds.append(Command(f"{sub}-graph/isolated-apex",
+                            [sub, "--graph", "isolated-apex.json", "--seed", "1"],
+                            ISOLATED_APEX["n"]))
     ladder = [arg for n in NS for arg in ("-n", str(n))]
     for fmt in FORMATS:
-        cmds.append((f"ladder/{fmt}",
-                     ["experiment", *ladder, "--seed", "1", "--trials", "2",
-                      "--format", fmt]))
+        cmds.append(Command(f"ladder/{fmt}",
+                            ["experiment", *ladder, "--seed", "1", "--trials", "2",
+                             "--format", fmt], max(NS)))
     for fmt in FORMATS:
-        cmds.append((f"verify/{fmt}",
-                     ["verify-lemmas", "--config", bounds_config, "--seed", "1",
-                      "--format", fmt]))
-    for name in SMALL_CHANGES:
+        cmds.append(Command(f"verify/{fmt}",
+                            ["verify-lemmas", "--config", BOUNDS_CONFIG, "--seed", "1",
+                             "--format", fmt], BOUNDS_N))
+    for name, changes in SMALL_CHANGES.items():
+        config = {**SMALL_VERIFY, **changes}
         for fmt in FORMATS:
-            cmds.append((f"verify-{name}/{fmt}",
-                         ["verify-lemmas", "--config", f"verify-{name}.json",
-                          "--seed", "1", "--format", fmt]))
+            cmds.append(Command(f"verify-{name}/{fmt}",
+                                ["verify-lemmas", "--config", f"verify-{name}.json",
+                                 "--seed", "1", "--format", fmt],
+                                max(*config["n_values"], config["mass_n"])))
     return cmds
+
+
+def write_inputs(root: str) -> None:
+    """Write the files that the commands read into root, so that their
+    paths inside root are relative: perfbench's bounds config, the small
+    verify-lemmas configs and the isolated-apex graph."""
+    with open(os.path.join(TREE, "perfbench", "bounds_config.json")) as fh:
+        config = fh.read()
+    with open(os.path.join(root, BOUNDS_CONFIG), "w") as fh:
+        fh.write(config)
+    for name, changes in SMALL_CHANGES.items():
+        with open(os.path.join(root, f"verify-{name}.json"), "w") as fh:
+            json.dump({**SMALL_VERIFY, **changes}, fh)
+    with open(os.path.join(root, "isolated-apex.json"), "w") as fh:
+        json.dump(ISOLATED_APEX, fh)
+
+
+def versions() -> str:
+    """The manifest's header line: the Python and numpy versions."""
+    import numpy
+
+    return f"# python {platform.python_version()}, numpy {numpy.__version__}"
+
+
+def output_digests(root: str, outs) -> dict:
+    """The SHA-256 of every file under root/out, for each out in outs,
+    keyed by its path relative to root."""
+    digests = {}
+    for out in outs:
+        for folder, dirs, files in os.walk(os.path.join(root, out)):
+            dirs.sort()
+            for name in sorted(files):
+                path = os.path.join(folder, name)
+                with open(path, "rb") as fh:
+                    digest = hashlib.sha256(fh.read()).hexdigest()
+                digests[os.path.relpath(path, root).replace(os.sep, "/")] = digest
+    return digests
+
+
+def read_manifest(path: str = MANIFEST):
+    """(header line, {path: digest}) of a manifest."""
+    digests = {}
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n")
+        for line in fh:
+            digest, name = line.rstrip("\n").split("  ", 1)
+            digests[name] = digest
+    return header, digests
+
+
+def write_manifest(digests: dict, path: str = MANIFEST) -> None:
+    with open(path, "w") as fh:
+        fh.write(versions() + "\n")
+        for name in sorted(digests):
+            fh.write(f"{digests[name]}  {name}\n")
+
+
+def differing(want: dict, got: dict) -> list:
+    """The paths whose digests differ, or that only one side holds."""
+    return sorted(p for p in want.keys() | got.keys() if want.get(p) != got.get(p))
 
 
 def main(argv=None) -> int:
@@ -203,26 +300,20 @@ def main(argv=None) -> int:
     parser.add_argument("root", help="directory for every output (created)")
     parser.add_argument("--src", default=os.path.join(TREE, "src"),
                         help="directory holding the rigkit package")
+    parser.add_argument("--manifest", choices=("check", "write"),
+                        help="after the sweep, check every output against "
+                             "tests/golden/sweep.sha256, or rewrite it")
     args = parser.parse_args(argv)
     src = os.path.abspath(args.src)
     if not os.path.isdir(os.path.join(src, "rigkit")):
         parser.error(f"no rigkit package under {src}")
     os.makedirs(args.root, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=src)
-    # the config is copied in, so that its path inside ROOT is relative too
-    with open(os.path.join(TREE, "perfbench", "bounds_config.json")) as fh:
-        config = fh.read()
-    with open(os.path.join(args.root, "bounds_config.json"), "w") as fh:
-        fh.write(config)
-    for name, changes in SMALL_CHANGES.items():
-        with open(os.path.join(args.root, f"verify-{name}.json"), "w") as fh:
-            json.dump({**SMALL_VERIFY, **changes}, fh)
-    with open(os.path.join(args.root, "isolated-apex.json"), "w") as fh:
-        json.dump(ISOLATED_APEX, fh)
-    cmds = commands("bounds_config.json")
+    write_inputs(args.root)
+    cmds = commands()
     with open(os.path.join(args.root, "log.txt"), "w") as log:
-        for i, (out, cli_args) in enumerate(cmds, start=1):
-            argv_ = [*cli_args, "--out", out]
+        for i, cmd in enumerate(cmds, start=1):
+            argv_ = [*cmd.args, "--out", cmd.out]
             proc = subprocess.run([sys.executable, "-m", "rigkit.cli", *argv_],
                                   cwd=args.root, env=env, capture_output=True,
                                   text=True)
@@ -230,7 +321,20 @@ def main(argv=None) -> int:
                       f"{proc.stdout}{proc.stderr}\n")
             print(f"[{i}/{len(cmds)}] exit {proc.returncode}: rigkit {' '.join(argv_)}",
                   flush=True)
-    return 0
+    if args.manifest is None:
+        return 0
+    got = output_digests(args.root, [cmd.out for cmd in cmds])
+    if args.manifest == "write":
+        write_manifest(got)
+        print(f"wrote {len(got)} digests to {MANIFEST}")
+        return 0
+    header, want = read_manifest()
+    differ = differing(want, got)
+    for path in differ:
+        print(f"differs: {path}")
+    print(f"{len(differ)} of {len(want.keys() | got.keys())} outputs differ from "
+          f"{MANIFEST} ({header[2:]}; this run {versions()[2:]})")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

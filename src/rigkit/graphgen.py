@@ -39,7 +39,8 @@ against the keys held, so a round costs its shortfall; one merge at the end
 round-sized, so sampling peaks near 1.05x the keys' bytes, and keep_core
 then moves the shared entries to the front of the keys and shrinks them in
 place, with nothing of the core's size beside them.  from_flat checks a
-file's ids run by run too, so reading one peaks near 1.06x its ids' bytes.
+file's ids in the walk that packs them, run by run too, so reading one
+peaks near 1.06x its ids' bytes.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ PACK_LIMIT = 2**62
 
 # Entries per run of every pass that walks an incidence-length array: the
 # sampler's draws and top-up draws, the compaction of _sorted_unique, the
-# order check of from_flat, the packing of keys to and from the
+# order check and packing of from_flat, the packing of keys to and from the
 # vertex-major view, and the neighbour compares of _occupied_attrs,
 # _shared_entries and _keep_shared.  A run stays in cache
 # while a pass works on it, and the pass's temporaries are a run long.
@@ -117,16 +118,37 @@ def _owners(indptr: np.ndarray, start: int, stop: int) -> np.ndarray:
 
 
 def _attr_major(ids: np.ndarray, n: int, indptr: np.ndarray) -> np.ndarray:
-    """Pack vertex-major ids, in place, into sorted attr * n + vertex keys.
+    """Check vertex-major ids and pack them, in place, into sorted
+    attr * n + vertex keys.
 
-    The caller owns ids and gives them up: they are returned as the keys.
-    Each run of _RUN entries takes its owners from one np.repeat, and the
-    whole array is then sorted in place once.
+    The caller owns ids and gives them up: they are returned as the keys,
+    and on a fault the runs before it are packed already.  Each run of _RUN
+    entries is checked before it is packed: every list must strictly
+    increase, which rules out repeats too, and a run's first id is compared
+    with the last original id of the run before.  The first fault raises
+    ValueError naming its vertex and its two ids.  Each run takes its owners
+    from one np.repeat, and the whole array is then sorted in place once.
     """
+    last = None
     for start in range(0, ids.shape[0], _RUN):
         block = ids[start:start + _RUN]
+        stop = start + block.shape[0]
+        # rises[j] compares block[j] with the id before it; a new list may
+        # start low
+        rises = np.empty(block.shape[0], dtype=bool)
+        rises[0] = last is None or block[0] > last
+        np.greater(block[1:], block[:-1], out=rises[1:])
+        lo, hi = np.searchsorted(indptr, [start, stop])
+        rises[indptr[lo:hi] - start] = True
+        owners = _owners(indptr, start, stop)
+        if not rises.all():
+            j = int(np.argmin(rises))
+            before = block[j - 1] if j else last
+            raise ValueError(f"vertex {owners[j]} lists attribute {block[j]} after "
+                             f"{before}; each list must be strictly increasing")
+        last = block[-1]
         block *= n
-        block += _owners(indptr, start, start + block.shape[0])
+        block += owners
     ids.sort()
     return ids
 
@@ -278,11 +300,11 @@ class BipartiteIncidence:
 
         flat holds the lists back to back in vertex order; sizes gives each
         length.  Each list must be strictly increasing, which rules out
-        repeats too; this is checked _RUN entries at a time, so the check's
-        masks are run-sized, and the first fault names its vertex and its
-        two ids.  Once checked, flat is packed in place into the keys
-        (_attr_major): the caller gives it up, and an int64 flat is returned
-        as the keys.  The instance is full.
+        repeats too.  flat is checked and packed in place into the keys in
+        one walk (_attr_major), _RUN entries at a time, so the check's masks
+        are run-sized, and the first fault names its vertex and its two
+        ids.  The caller gives flat up, and an int64 flat is returned as the
+        keys.  The instance is full.
         """
         n = int(n)
         m = int(m)
@@ -295,19 +317,6 @@ class BipartiteIncidence:
             raise ValueError("sizes do not add up to the flat list length")
         if flat.size and (flat.min() < 0 or flat.max() >= m):
             raise ValueError("attribute ids must lie in [0, m)")
-
-        for start in range(1, flat.shape[0], _RUN):
-            stop = min(start + _RUN, flat.shape[0])
-            # rises[j] compares flat[start + j] with the id before it; a new
-            # list may start low
-            rises = flat[start:stop] > flat[start - 1:stop - 1]
-            lo, hi = np.searchsorted(set_indptr, [start, stop])
-            rises[set_indptr[lo:hi] - start] = True
-            if not rises.all():
-                i = start + int(np.argmin(rises))
-                v = int(np.searchsorted(set_indptr, i, side="right")) - 1
-                raise ValueError(f"vertex {v} lists attribute {flat[i]} after "
-                                 f"{flat[i - 1]}; each list must be strictly increasing")
         return cls(n, m, set_indptr, _attr_major(flat, n, set_indptr))
 
     @classmethod

@@ -5,11 +5,16 @@ of the graph file when one is given.  The stream for trial t at size n is
 SeedSequence(seed, spawn_key=(n, t)), so cells are independent and
 replayable in isolation.  Each instance is one Trial, built by
 Trial.generated, whose stream is consumed for weights and subsets, or by
-Trial.from_file, whose stream starts fresh at the file's n.  Either stream
-then gives the sampled pairs, then the sampled hub vertices: run_distances
-and run_hubpath draw them, and an experiment cell is the summary of those
-two reports.  Reports are written with sorted keys and no timestamps, which
-makes reruns byte-identical.
+Trial.from_file, whose stream starts fresh at the file's n, and whose
+realized weights are made from the file's full sizes only after its
+instance is shrunk to its shared entries and its core is built.  Either
+stream then gives the sampled pairs, then the sampled hub vertices:
+run_distances and run_hubpath draw them, and an experiment cell is the
+summary of those two reports.  Reports are written with sorted keys and no
+timestamps, which makes reruns byte-identical.  An experiment with more
+than one worker imports concurrent.futures, and multiprocessing with it,
+when it starts its process pool; no other run, and no import of this
+module, loads them.
 verify_bounds.json is rendered directly from the bound reports as they
 stream from the suites, one report at a time and none kept, in the layout of
 json.dump(sort_keys=True, indent=2), with NaN in lhs, rhs and slack written
@@ -18,7 +23,6 @@ as null; every other JSON report goes through json.dump.
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import csv
 import json
@@ -309,16 +313,18 @@ class Trial:
         and seed.  Its weights are the realized ones, size / sqrt(m/n) of
         the full sizes, and it draws from trial_rng(cfg.seed, file n,
         trial): the config's seed, not the file's.  The incidence read is
-        full; once the weights are taken it is shrunk in place to its shared
+        full; its sizes are taken, and it is shrunk in place to its shared
         entries (keep_core), as a generated one is, so the full keys are
-        gone before the core is built from those."""
+        gone before the core is built from those.  The float weights are
+        made from the sizes only once the core is built and the keys are
+        freed, so they never sit beside the full keys."""
         inc, params, seed = storage.read_graph(path)
-        weights = realized_weights(params, inc.sizes())
+        sizes = inc.sizes()
         inc.keep_core()
         core = TraversalCore(inc)
         del inc
         return cls(trial, params, seed, trial_rng(cfg.seed, params.n, trial), core,
-                   weights, cfg.hub_floor)
+                   realized_weights(params, sizes), cfg.hub_floor)
 
     def header(self, kind: str) -> dict:
         """The instance fields that open every single-trial report."""
@@ -627,8 +633,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     # the CPUs this process may run on
     workers = min(cfg.threads, len(tasks), _cpus())
     if workers > 1:
-        # concurrent.futures loads its process pool, and multiprocessing
-        # with it, on first access: a serial run never imports them
+        # imported here, so that a serial run, and every import of this
+        # module, loads neither concurrent.futures nor multiprocessing
+        import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(_experiment_cell, tasks))
     else:

@@ -11,6 +11,11 @@ with 0 < alpha < 1.  Under this law the tail constants collapse to
 c1 = c2 = c0^(1+alpha), the mean is c0*(1+alpha)/alpha, and the second
 moment is infinite, which is the regime where vertex-to-vertex distances
 live on the ln(ln(n)) scale.
+
+TailLaw.quantile is the one statement of the law that the sampler and the
+bound suites call; it raises p to the power and scales it in one new array.
+sample_tilde_weights forms its uniforms on (0, 1] in the array they are
+drawn into, and the sizes are rounded and capped in one float temporary.
 """
 
 from __future__ import annotations
@@ -94,12 +99,14 @@ class TailLaw:
         """Inverse survival: the t with survival(t) = p, for p in (0, 1].
 
         quantile(1) = c0, and quantile(U) for uniform U on (0, 1] samples
-        the law.
+        the law.  The power and the scaling by c0 are done in one new array,
+        so p is left as it is and no second temporary of its length is made.
         """
         arr = np.asarray(p, dtype=float)
         if np.any(arr <= 0.0) or np.any(arr > 1.0):
             raise ValueError("p must lie in (0, 1]")
-        out = self.c0 * arr ** (-1.0 / (1.0 + self.alpha))
+        out = arr ** (-1.0 / (1.0 + self.alpha))
+        out *= self.c0
         return float(out) if out.ndim == 0 else out
 
     def interval_mean(self, lo: float, hi: float) -> float:
@@ -170,20 +177,28 @@ def trial_rng(seed: int, n: int, trial: int) -> np.random.Generator:
 
 
 def _sizes_from_tilde(params: ModelParams, tilde_z: np.ndarray) -> np.ndarray:
-    """Round-half-up tilde_z * sqrt(m/n) and cap at m."""
-    raw = np.floor(tilde_z * params.size_scale + 0.5)
-    return np.minimum(raw, float(params.m)).astype(np.int64)
+    """Round-half-up tilde_z * sqrt(m/n) and cap at m, in one float
+    temporary beside tilde_z and the sizes."""
+    raw = tilde_z * params.size_scale
+    raw += 0.5
+    np.floor(raw, out=raw)
+    np.minimum(raw, float(params.m), out=raw)
+    return raw.astype(np.int64)
 
 
 def sample_tilde_weights(params: ModelParams, rng: np.random.Generator) -> VertexWeights:
     """Draw n weights from the Pareto tail law and derive set sizes.
 
     Uses inversion on U = 1 - rng.random(), uniform on (0, 1], so the draw
-    is exactly quantile(U) and never hits the p = 0 pole.
+    is exactly quantile(U) and never hits the p = 0 pole.  U is formed in
+    the uniform draws' own array and freed once quantile has read it, so
+    the draw peaks at three n-length arrays: the weights, the sizes and the
+    rounding's one temporary.
     """
-    u = 1.0 - rng.random(params.n)
+    u = rng.random(params.n)
+    np.subtract(1.0, u, out=u)
     tilde_z = params.law().quantile(u)
-    tilde_z = np.atleast_1d(np.asarray(tilde_z, dtype=float))
+    del u
     return VertexWeights(tilde_z=tilde_z, sizes=_sizes_from_tilde(params, tilde_z))
 
 

@@ -35,6 +35,23 @@ def sample_subset(m: int, z: int, rng: np.random.Generator) -> np.ndarray:
     return got
 
 
+def quantile_reference(alpha: float, c0: float, p):
+    """Reference inverse survival of the Pareto law: c0 * p^(-1/(1+alpha)),
+    as the formula reads, each operation in a new array."""
+    return c0 * np.asarray(p, dtype=float) ** (-1.0 / (1.0 + alpha))
+
+
+def tilde_weights_reference(n: int, m: int, alpha: float, c0: float,
+                            rng: np.random.Generator):
+    """Reference weight draw: (tilde_z, sizes) of n vertices.  tilde_z is
+    the quantile of U = 1 - rng.random(n), uniform on (0, 1], and each size
+    min(m, floor(tilde_z * sqrt(m/n) + 0.5)), each operation in a new
+    array."""
+    tilde_z = quantile_reference(alpha, c0, 1.0 - rng.random(n))
+    raw = np.floor(tilde_z * math.sqrt(m / n) + 0.5)
+    return tilde_z, np.minimum(raw, float(m)).astype(np.int64)
+
+
 def sample_incidence_reference(m: int, sizes, rng: np.random.Generator):
     """Reference batch sampler: (set_indptr, set_attrs) of every vertex's
     uniform subset, drawing from rng exactly as rigkit's sampler does.

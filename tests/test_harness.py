@@ -16,7 +16,8 @@ from rigkit import cli, graphgen, harness, report_schema
 from rigkit.graphgen import BipartiteIncidence
 from rigkit.graphops import UNREACHED, TraversalCore, distances_from
 from rigkit.harness import ConfigError, ExperimentConfig
-from rigkit.model import ModelParams, default_attribute_count, iterated_log, trial_rng
+from rigkit.model import (ModelParams, default_attribute_count, iterated_log, realized_weights,
+                          trial_rng)
 from rigkit.storage import file_checksum, read_graph, write_graph
 
 from oracles import (adjacency_matrix, component_labels_bfs, pair_hops_python,
@@ -394,6 +395,33 @@ def test_generated_instance_is_core_only_1e5():
     assert core.num_attrs == want["num_attrs"]
     for name in ("attr_indptr", "attr_vertices", "set_indptr", "set_attrs"):
         assert np.array_equal(getattr(core, name), want[name]), name
+
+
+def test_file_trial_weights_its_full_sizes_after_the_shrink_1e5(tmp_path):
+    # Trial.from_file takes the full sizes of the instance it reads, and
+    # makes their float weights only once the instance is shrunk to its
+    # shared entries and the core is built, so the traced peak of the
+    # whole constructor is the reader's, against the ids' bytes.  With the
+    # weights made before the shrink it was 1.086x.
+    n = 100_000
+    params = ModelParams(n=n, m=default_attribute_count(n), alpha=0.8, c0=1.0)
+    inc, _ = graphgen.generate(params, trial_rng(1, n, 0))
+    path = str(tmp_path / "g.rig")
+    write_graph(path, inc.m, inc.set_indptr, inc.set_attrs, params.alpha, params.c0, seed=1)
+    size, sizes = inc.keys.nbytes, inc.sizes()
+    del inc
+    cfg = cfg_with(tmp_path, n_values=[n])
+    tracemalloc.start()
+    try:
+        t = harness.Trial.from_file(cfg, path, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.07 * size  # 1.061x measured
+    want = realized_weights(params, sizes)
+    assert t.weights.sizes.dtype == np.int64 and t.weights.tilde_z.dtype == np.float64
+    assert t.weights.sizes.tobytes() == want.sizes.tobytes()
+    assert t.weights.tilde_z.tobytes() == want.tilde_z.tobytes()
 
 
 # the apex, vertex 3, holds only attributes of its own: it is isolated, and

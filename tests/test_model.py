@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from rigkit.model import (
     sample_tilde_weights,
     trial_rng,
 )
+
+from oracles import quantile_reference, tilde_weights_reference
 
 
 def test_iterated_log_guard():
@@ -134,6 +137,56 @@ def test_sample_weights_shape_and_floor():
     assert np.all(w.tilde_z >= 1.5)
     assert np.all(w.sizes >= 0) and np.all(w.sizes <= 20000)
     assert w.sizes.dtype == np.int64
+
+
+@pytest.mark.parametrize("n", [1, 7, 300, 100_000])
+def test_sample_weights_match_reference_bytes(n):
+    # the uniforms, the power, the scaling and the rounding are done in
+    # place, and give the bytes of the formulas written out one new array
+    # at a time; the generator is left where the reference leaves it
+    for alpha in (0.3, 0.8, 0.95):
+        for c0 in (1.0, 2.5, 1000.0):
+            params = ModelParams(n=n, m=default_attribute_count(n), alpha=alpha, c0=c0)
+            rng, ref_rng = trial_rng(3, n, 1), trial_rng(3, n, 1)
+            got = sample_tilde_weights(params, rng)
+            tilde_z, sizes = tilde_weights_reference(n, params.m, alpha, c0, ref_rng)
+            assert got.tilde_z.dtype == np.float64 and got.sizes.dtype == np.int64
+            assert got.tilde_z.tobytes() == tilde_z.tobytes(), (alpha, c0)
+            assert got.sizes.tobytes() == sizes.tobytes(), (alpha, c0)
+            assert rng.random() == ref_rng.random()
+
+
+def test_sample_weights_memory():
+    # traced peak, in n-length float64 arrays: the weights and the sizes,
+    # with the one float temporary of the rounding beside them; forming
+    # 1 - u, the power and the scaling in new arrays, with u held through
+    # the rounding, peaked at 5
+    n = 100_000
+    params = ModelParams(n=n, m=default_attribute_count(n), alpha=0.8, c0=1.0)
+    rng = trial_rng(1, n, 0)
+    tracemalloc.start()
+    try:
+        sample_tilde_weights(params, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.05 * 8 * n  # 3.0 measured
+
+
+def test_quantile_matches_reference_bytes():
+    # scalars come back as floats, arrays as new arrays, and p is left as
+    # it is
+    p = np.concatenate([[1e-300, 1e-12, 0.5, 1.0], trial_rng(5, 0, 0).random(1000) + 1e-9])
+    for alpha, c0 in ((0.3, 1.0), (0.8, 2.5), (0.95, 1000.0), (0.5, 2)):
+        law = TailLaw(alpha=alpha, c0=c0)
+        kept = p.copy()
+        got = law.quantile(p)
+        assert got.tobytes() == quantile_reference(alpha, c0, p).tobytes()
+        assert p.tobytes() == kept.tobytes()
+        for x in (1.0, 0.25, 1e-300, np.float64(0.75), np.array(0.125)):
+            value = law.quantile(x)
+            assert type(value) is float
+            assert value == float(quantile_reference(alpha, c0, x))
 
 
 def test_sampling_determinism():
