@@ -79,7 +79,8 @@ differs or that is missing on either side, and exits 1 if any does;
 rewrites the manifest, so its diff names the files that moved.
 tests/test_same_output.py runs the commands of n <= 2000 (TIER1_N)
 in-process through rigkit.cli.main and checks their outputs against the
-same manifest; the larger ones are checked here.
+same manifest; its long-marked test does the same for the larger ones
+(`pytest -m long`, deselected by default).
 """
 
 from __future__ import annotations
@@ -96,7 +97,8 @@ from typing import NamedTuple
 HERE = os.path.dirname(os.path.abspath(__file__))
 TREE = os.path.dirname(HERE)
 MANIFEST = os.path.join(TREE, "tests", "golden", "sweep.sha256")
-# the commands whose instances have at most this many vertices run in Tier-1
+# the commands whose instances have at most this many vertices run in the
+# default test run; the larger ones, in the long-marked test
 TIER1_N = 2000
 BOUNDS_CONFIG = "bounds_config.json"
 # the vertex count of perfbench/bounds_config.json's largest instance: its

@@ -1,12 +1,13 @@
 """Sampling and layout of the bipartite vertex-attribute incidence.
 
-An instance is held in one layout: its set sizes and the sorted keys
+An instance is held in one layout: its row pointer and the sorted keys
 attr * n + vertex of its entries.  The sampler draws the keys, from_flat
 packs checked vertex-major ids into them in place (both graph readers and
-from_sets build through it), and graphops.TraversalCore reads its core
-straight off a core-only instance's keys (_shared_entries).  The
-vertex-major view, each vertex's attribute ids strictly increasing and back
-to back in vertex order, is the layout of graph files; each read of
+from_sets build through it; the binary reader hands it a row pointer that
+holds the file's size words, _from_row_sizes), and graphops.TraversalCore
+reads its core straight off a core-only instance's keys (_shared_entries).
+The vertex-major view, each vertex's attribute ids strictly increasing and
+back to back in vertex order, is the layout of graph files; each read of
 set_attrs derives it from a copy of the keys, with one sort, and nothing
 keeps it.  The attribute pool can be enormous (the default m-rule gives
 m ~ n ln^2 n ln ln n), so nothing here ever allocates an array of length m.
@@ -22,9 +23,10 @@ core-only instance has the full one's traversal core, its components and
 its distances; at n = 1e5 it keeps 12% of the entries.  One method makes
 it, in place (keep_core), and a traversal core is built only from its
 output (_shared_entries): harness's Trial.generated shrinks the sampler's
-instance, and Trial.from_file a graph file's once its weights are taken
-from the full sizes.  One rule tells a shared entry (_shared_run): its
-attribute is that of a neighbouring key.
+instance, and Trial.from_file a graph file's, whose full row pointer
+keep_core leaves as it is, so the full sizes are taken from it once the
+core is built.  One rule tells a shared entry (_shared_run): its attribute
+is that of a neighbouring key.
 
 Every pass over an incidence-length array walks it _RUN (2**15) entries
 at a time, and every whole-array sort is numpy's, in place.
@@ -38,9 +40,11 @@ against the keys held, so a round costs its shortfall; one merge at the end
 (_merge) sorts the whole array again.  Every temporary is run-sized or
 round-sized, so sampling peaks near 1.05x the keys' bytes, and keep_core
 then moves the shared entries to the front of the keys and shrinks them in
-place, with nothing of the core's size beside them.  from_flat checks a
-file's ids in the walk that packs them, run by run too, so reading one
-peaks near 1.06x its ids' bytes.
+place, with nothing of the core's size beside them, and counts each
+vertex's kept entries only after the shrink.  from_flat checks a file's
+ids, their range and their order, in the walk that packs them, run by run
+too, so reading one holds only the ids, their row pointer and run-sized
+temporaries, and peaks near 1.04x its ids' bytes.
 """
 
 from __future__ import annotations
@@ -65,9 +69,9 @@ PACK_LIMIT = 2**62
 
 # Entries per run of every pass that walks an incidence-length array: the
 # sampler's draws and top-up draws, the compaction of _sorted_unique, the
-# order check and packing of from_flat, the packing of keys to and from the
-# vertex-major view, and the neighbour compares of _occupied_attrs,
-# _shared_entries and _keep_shared.  A run stays in cache
+# range and order checks and packing of from_flat, the packing of keys to
+# and from the vertex-major view, and the neighbour compares of
+# _occupied_attrs, _shared_entries and _keep_shared.  A run stays in cache
 # while a pass works on it, and the pass's temporaries are a run long.
 _RUN = 1 << 15
 
@@ -80,18 +84,19 @@ def pack_error(n: int, m: int) -> Optional[str]:
     return None
 
 
-def _set_indptr(n: int, m: int, sizes: np.ndarray) -> np.ndarray:
-    """The row pointer of n int64 set sizes over an m-pool.  Raises
-    ValueError unless n * m packs (pack_error) and every size lies in
-    [0, m], which keeps the running sums below n * m."""
+def _set_indptr(n: int, m: int, set_indptr: np.ndarray) -> None:
+    """Sum n int64 set sizes over an m-pool, held in set_indptr[1:] of an
+    (n + 1,)-array, in place into their row pointer.  Raises ValueError
+    unless n * m packs (pack_error) and every size lies in [0, m], which
+    keeps the running sums below n * m."""
     error = pack_error(n, m)
     if error is not None:
         raise ValueError(error)
+    sizes = set_indptr[1:]
     if np.any(sizes < 0) or np.any(sizes > m):
         raise ValueError("set sizes must lie in [0, m]")
-    set_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(sizes, out=set_indptr[1:])
-    return set_indptr
+    set_indptr[0] = 0
+    np.cumsum(sizes, out=sizes)
 
 
 def concat_ranges(indptr: np.ndarray, data: np.ndarray, items: np.ndarray):
@@ -117,22 +122,26 @@ def _owners(indptr: np.ndarray, start: int, stop: int) -> np.ndarray:
     return np.repeat(np.arange(first, last + 1, dtype=np.int64), np.diff(bounds))
 
 
-def _attr_major(ids: np.ndarray, n: int, indptr: np.ndarray) -> np.ndarray:
+def _attr_major(ids: np.ndarray, n: int, m: int, indptr: np.ndarray) -> np.ndarray:
     """Check vertex-major ids and pack them, in place, into sorted
     attr * n + vertex keys.
 
     The caller owns ids and gives them up: they are returned as the keys,
     and on a fault the runs before it are packed already.  Each run of _RUN
-    entries is checked before it is packed: every list must strictly
-    increase, which rules out repeats too, and a run's first id is compared
-    with the last original id of the run before.  The first fault raises
-    ValueError naming its vertex and its two ids.  Each run takes its owners
-    from one np.repeat, and the whole array is then sorted in place once.
+    entries is checked before it is packed: every id must lie in [0, m),
+    by the run's min and max, and every list must strictly increase, which
+    rules out repeats too, a run's first id compared with the last original
+    id of the run before.  A range fault raises ValueError; the first order
+    fault raises ValueError naming its vertex and its two ids.  Each run
+    takes its owners from one np.repeat, and the whole array is then sorted
+    in place once.
     """
     last = None
     for start in range(0, ids.shape[0], _RUN):
         block = ids[start:start + _RUN]
         stop = start + block.shape[0]
+        if block.min() < 0 or block.max() >= m:
+            raise ValueError("attribute ids must lie in [0, m)")
         # rises[j] compares block[j] with the id before it; a new list may
         # start low
         rises = np.empty(block.shape[0], dtype=bool)
@@ -235,21 +244,20 @@ def _shared_entries(inc: "BipartiteIncidence"):
     return core, starts
 
 
-def _keep_shared(keys: np.ndarray, n: int, counts: np.ndarray) -> int:
+def _keep_shared(keys: np.ndarray, n: int) -> int:
     """Move the shared entries (_shared_run) of sorted attr * n + vertex
-    keys, which the caller owns, to the front of keys, in order, add each
-    vertex's count of them to the n int64 counts, and return their count.
+    keys, which the caller owns, to the front of keys, in order, and return
+    their count.
 
-    Each run of _RUN entries is marked and counted before anything is
-    written, and the kept entries never pass the run being read, so the
-    neighbour that the next run reads is still in place.
+    Each run of _RUN entries is marked before anything is written, and the
+    kept entries never pass the run being read, so the neighbour that the
+    next run reads is still in place.
     """
     size = 0
     for start in range(0, keys.shape[0], _RUN):
         stop = min(start + _RUN, keys.shape[0])
         # np.compress: a boolean index of a run takes about 2.5x as long
         kept = np.compress(_shared_run(keys, start, stop, n), keys[start:stop])
-        np.add.at(counts, kept % n, 1)
         keys[size:size + kept.shape[0]] = kept
         size += kept.shape[0]
     return size
@@ -263,7 +271,8 @@ class BipartiteIncidence:
     n, m : int
         Vertex count and attribute pool size; n * m < PACK_LIMIT.
     set_indptr : (n+1,) int64
-        Row pointer for per-vertex attribute lists.
+        Row pointer for per-vertex attribute lists.  keep_core replaces it
+        with a new one and leaves the full one as it is.
     keys : int64
         Every entry as attr * n + vertex, sorted: what sample_incidence draws
         and from_flat packs.  Nothing else of the entries is held.  In a
@@ -299,25 +308,35 @@ class BipartiteIncidence:
         """Build from concatenated per-vertex attribute lists.
 
         flat holds the lists back to back in vertex order; sizes gives each
-        length.  Each list must be strictly increasing, which rules out
-        repeats too.  flat is checked and packed in place into the keys in
-        one walk (_attr_major), _RUN entries at a time, so the check's masks
-        are run-sized, and the first fault names its vertex and its two
-        ids.  The caller gives flat up, and an int64 flat is returned as the
-        keys.  The instance is full.
+        length, and is left as it is: its row pointer is a new array
+        (_from_row_sizes takes a caller's).  Each list must be strictly
+        increasing, which rules out repeats too, and every id must lie in
+        [0, m).  flat is checked and packed in place into the keys in one
+        walk (_attr_major), _RUN entries at a time, so the checks' masks
+        are run-sized, and the first order fault names its vertex and its
+        two ids.  The caller gives flat up, and an int64 flat is returned
+        as the keys.  The instance is full.
         """
+        sizes = np.asarray(sizes, dtype=np.int64)
+        if sizes.shape != (int(n),):
+            raise ValueError("sizes must have length n")
+        return cls._from_row_sizes(n, m, np.concatenate(([0], sizes)), flat)
+
+    @classmethod
+    def _from_row_sizes(cls, n: int, m: int, set_indptr: np.ndarray,
+                        flat: np.ndarray) -> "BipartiteIncidence":
+        """from_flat, with the n sizes given in set_indptr[1:] of an int64
+        (n + 1,)-array that the caller gives up: it is checked and summed
+        in place into the instance's row pointer (_set_indptr), so a graph
+        reader that reads its size words straight into it holds no other
+        n-length array."""
         n = int(n)
         m = int(m)
-        sizes = np.asarray(sizes, dtype=np.int64)
+        _set_indptr(n, m, set_indptr)
         flat = np.asarray(flat, dtype=np.int64)
-        if sizes.shape != (n,):
-            raise ValueError("sizes must have length n")
-        set_indptr = _set_indptr(n, m, sizes)
         if set_indptr[-1] != flat.shape[0]:
             raise ValueError("sizes do not add up to the flat list length")
-        if flat.size and (flat.min() < 0 or flat.max() >= m):
-            raise ValueError("attribute ids must lie in [0, m)")
-        return cls(n, m, set_indptr, _attr_major(flat, n, set_indptr))
+        return cls(n, m, set_indptr, _attr_major(flat, n, m, set_indptr))
 
     @classmethod
     def from_sets(cls, n: int, m: int, sets) -> "BipartiteIncidence":
@@ -335,23 +354,26 @@ class BipartiteIncidence:
         The shared entries, those of attributes with two or more holders,
         are moved to the front of the keys, run by run (_keep_shared), and
         the keys are shrunk to them in place (ndarray.resize), so nothing of
-        the core's size is made beside them.  The walk counts each vertex's
-        kept entries into set_indptr, which is then summed in place: no
-        array of length n is made either.  The instance gives up its keys
-        and its set_indptr, and any other holder of them finds them
-        overwritten.  numpy refuses the resize while another reference to
-        the keys or a view of them exists, or when they are a view
-        themselves, and a trace or profile function holds a reference
-        during the call: the kept front is then copied out instead.
+        the core's size is made beside the full keys.  Only then are each
+        vertex's kept entries counted, by one np.bincount over the shrunk
+        keys, into a new set_indptr.  The instance gives up its keys, and
+        any other holder of them finds them overwritten; the full row
+        pointer is left as it is, so a holder of it still reads the full
+        sizes.  numpy refuses the resize while another reference to the
+        keys or a view of them exists, or when they are a view themselves,
+        and a trace or profile function holds a reference during the call:
+        the kept front is then copied out instead.
         """
-        counts = self.set_indptr
-        counts[:] = 0
-        size = _keep_shared(self.keys, self.n, counts[1:])
+        n = self.n
+        size = _keep_shared(self.keys, n)
         try:
             self.keys.resize(size)
         except ValueError:  # the keys are shared or not their own
             self.keys = self.keys[:size].copy()
-        np.cumsum(counts, out=counts)
+        # bin v + 1 counts vertex v's kept entries; their running sum is the row pointer
+        set_indptr = np.bincount(self.keys % n + 1, minlength=n + 1)
+        np.cumsum(set_indptr, out=set_indptr)
+        self.set_indptr = set_indptr
         self.core_only = True
 
     # -- accessors ---------------------------------------------------------
@@ -486,7 +508,8 @@ def sample_incidence(m: int, sizes: np.ndarray, rng: np.random.Generator) -> "Bi
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     n = sizes.shape[0]
-    set_indptr = _set_indptr(n, int(m), sizes)
+    set_indptr = np.concatenate(([0], sizes))
+    _set_indptr(n, int(m), set_indptr)
     total = int(set_indptr[-1])
     buf = np.empty(total, dtype=np.int64)
     for start in range(0, total, _RUN):

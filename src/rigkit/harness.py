@@ -6,8 +6,9 @@ SeedSequence(seed, spawn_key=(n, t)), so cells are independent and
 replayable in isolation.  Each instance is one Trial, built by
 Trial.generated, whose stream is consumed for weights and subsets, or by
 Trial.from_file, whose stream starts fresh at the file's n, and whose
-realized weights are made from the file's full sizes only after its
-instance is shrunk to its shared entries and its core is built.  Either
+realized weights are made from the file's full sizes, read off the full row
+pointer that the shrink leaves as it is, only after its instance is shrunk
+to its shared entries and its core is built.  Either
 stream then gives the sampled pairs, then the sampled hub vertices:
 run_distances and run_hubpath draw them, and an experiment cell is the
 summary of those two reports.  Reports are written with sorted keys and no
@@ -313,16 +314,19 @@ class Trial:
         and seed.  Its weights are the realized ones, size / sqrt(m/n) of
         the full sizes, and it draws from trial_rng(cfg.seed, file n,
         trial): the config's seed, not the file's.  The incidence read is
-        full; its sizes are taken, and it is shrunk in place to its shared
-        entries (keep_core), as a generated one is, so the full keys are
-        gone before the core is built from those.  The float weights are
-        made from the sizes only once the core is built and the keys are
-        freed, so they never sit beside the full keys."""
+        full; it is shrunk in place to its shared entries (keep_core), as a
+        generated one is, so the full keys are gone before the core is
+        built from those.  keep_core gives the instance a new row pointer
+        and leaves the full one as it is: the full sizes are taken from it,
+        and their float weights made, only once the core is built, so
+        neither sits beside the full keys."""
         inc, params, seed = storage.read_graph(path)
-        sizes = inc.sizes()
+        full_indptr = inc.set_indptr
         inc.keep_core()
         core = TraversalCore(inc)
         del inc
+        sizes = np.diff(full_indptr)
+        del full_indptr
         return cls(trial, params, seed, trial_rng(cfg.seed, params.n, trial), core,
                    realized_weights(params, sizes), cfg.hub_floor)
 

@@ -16,18 +16,22 @@ vertex-major view:
         then every vertex's attribute ids back to back, strictly increasing
         within each vertex.
 
-The reader checks the header and the size words against the file length
-(from fstat) before it allocates anything, reads each block straight into
-its final array without a per-vertex loop or a copy of the file's bytes,
-and leaves the order check to BipartiteIncidence.from_flat; every failure
-is a GraphFormatError, version 1 included.  from_flat then packs the checked
-ids in place into the sorted attr * n + vertex keys that every instance is
-held in (graphgen), so a binary file reads back with the one array of its
-ids, beside its size words, taken as int64 without a copy once checked,
-and the row pointer.  The instance read is full; a Trial shrinks it to its
-shared entries (graphgen's keep_core).  The writers take the file's own
-layout, a row pointer and the vertex-major ids (an incidence's set_indptr
-and set_attrs), and write those arrays as they are.
+The reader checks the header against the file length (from fstat) before
+it allocates anything, and reads each block straight into its final array
+without a per-vertex loop or a copy of the file's bytes: the size words
+into the tail of the instance's row pointer, where they are checked against
+the file length and then summed in place, and the ids into the array that
+becomes the keys.  The range and order checks of the ids are left to
+BipartiteIncidence.from_flat's pack walk; every failure is a
+GraphFormatError, version 1 included.  from_flat packs the checked ids in
+place into the sorted attr * n + vertex keys that every instance is held in
+(graphgen), so a binary file reads back with the one array of its ids and
+its row pointer, and no other array of the ids' or the vertices' length.
+The instance read is full; a Trial shrinks it to its shared entries
+(graphgen's keep_core).  The writers take the file's own layout, a row
+pointer and the vertex-major ids (an incidence's set_indptr and set_attrs),
+and write those arrays as they are.  hashlib, which loads OpenSSL, is
+imported only by file_checksum, so a graph read does not load it.
 
 A JSON mirror ({"format": "rig-json", "version": 1, ...}) covers small
 graphs where a readable artifact matters more than compactness.  Its reader
@@ -45,7 +49,6 @@ in-memory instance that wrote it.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import os
@@ -134,7 +137,11 @@ def _read_binary(path):
             raise GraphFormatError(
                 f"{path}: header claims {n} vertices but the body holds {words} words")
 
-        sizes = _read_words(path, fh, n, "<u8")
+        # the size words go straight into the row pointer's tail, where
+        # _from_row_sizes sums them in place; they are checked as u64 words
+        set_indptr = np.empty(n + 1, dtype="<i8")
+        _read_into(path, fh, set_indptr[1:])
+        sizes = set_indptr[1:].view("<u8")
         num_ids = words - n
         # Clipping each size at num_ids + 1 keeps the running totals exact up
         # to the first vertex whose list would run past the end of the body.
@@ -148,26 +155,26 @@ def _read_binary(path):
                 f"{left} words are left")
         if ends[-1] != num_ids:
             raise GraphFormatError(f"{path}: {num_ids - int(ends[-1])} trailing words")
-        del ends, over
         # every size is now at most num_ids < 2**61, so its u64 word reads
-        # the same as an i8 word, and from_flat takes the sizes uncopied
-        sizes = sizes.view("<i8")
+        # the same as an int64 word
+        del ends, over, sizes
         # Read as signed words: an id of 2**63 or more comes out negative
-        # and fails from_flat's range check, as its int64 cast would.
-        ids = _read_words(path, fh, num_ids, "<i8")
+        # and fails the range check of the pack walk, as its int64 cast would.
+        ids = np.empty(num_ids, dtype="<i8")
+        _read_into(path, fh, ids)
     try:
-        # ids is this reader's own buffer: from_flat packs it into the keys
-        return BipartiteIncidence.from_flat(n, m, sizes, ids), params, seed
+        # both arrays are this reader's own: the row pointer is summed in
+        # place, and the ids are packed in place into the keys
+        return (BipartiteIncidence._from_row_sizes(n, m, set_indptr, ids), params,
+                seed)
     except ValueError as exc:
         raise GraphFormatError(f"{path}: {exc}") from exc
 
 
-def _read_words(path, fh, count, dtype):
-    """The next count little-endian words of fh, read into a new array."""
-    out = np.empty(count, dtype=dtype)
+def _read_into(path, fh, out):
+    """Fill out with the next little-endian words of fh."""
     if fh.readinto(out) != out.nbytes:
         raise GraphFormatError(f"{path}: file ended early")
-    return out
 
 
 def _checked_params(path, n, m, alpha, c0) -> ModelParams:
@@ -246,6 +253,10 @@ def _read_json(path):
 
 def file_checksum(path) -> str:
     """sha256 hex digest of a file's bytes."""
+    # imported here: hashlib loads OpenSSL, several MB of resident memory
+    # that no graph read needs
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):

@@ -88,6 +88,19 @@ def test_cli_import_leaves_out_process_pool():
     assert _modules_after("import rigkit.cli", "concurrent") == "[]"
 
 
+def test_cli_import_and_graph_read_leave_out_hashlib(tmp_path):
+    # hashlib loads OpenSSL, several MB of resident memory, so storage
+    # imports it only to checksum a file: a graph file trial reaches its
+    # peak, the binary read, without it
+    inc = BipartiteIncidence.from_sets(3, 50, [[1, 7], [7], []])
+    path = str(tmp_path / "g.rig")
+    write_graph(path, inc.m, inc.set_indptr, inc.set_attrs, 0.5, 1.0, seed=0)
+    read = f"import rigkit.cli; from rigkit import storage; storage.read_graph({path!r})"
+    for code in ("import rigkit.cli", read):
+        assert _modules_after(code, "hashlib") == "[]"
+        assert _modules_after(code, "_hashlib") == "[]"
+
+
 def test_verify_lemmas_runs_without_scipy(tmp_path):
     # the bound suites compute every hypergeometric law in rigkit.verify
     # itself, by a ratio recursion, so not even verify-lemmas loads scipy
@@ -282,9 +295,11 @@ def crafted_graph(tmp_path, offset, fmt, value):
     (16, "<Q", 2**61, "must stay below 2**62"),
     (56, "<Q", 2, "vertex 1 claims 2 attributes but only 1 words are left"),
     (56, "<Q", 0, "1 trailing words"),
+    (56, "<Q", 2**63, "vertex 1 claims 9223372036854775808 attributes but only 1 words"),
+    (64, "<Q", 2**64 - 1, "vertex 2 claims 18446744073709551615 attributes but only 0"),
 ], ids=["size_word_2p63_plus_5", "header_n_2p40", "alpha_1.5", "ids_unsorted",
         "id_repeated", "version_1", "n_times_m_2p62", "sizes_sum_over",
-        "sizes_sum_under"])
+        "sizes_sum_under", "size_word_2p63_mid", "size_word_2p64_minus_1_last"])
 def test_hostile_graph_file(tmp_path, capsys, offset, fmt, value, message):
     bad = crafted_graph(tmp_path, offset, fmt, value)
     path = write_config(tmp_path)

@@ -493,7 +493,7 @@ def test_sorted_unique_counts_occupied_attributes(each_block, inc):
     held = set(inc.set_attrs.tolist())
 
     def check():
-        keys = _attr_major(inc.set_attrs, inc.n, inc.set_indptr)
+        keys = _attr_major(inc.set_attrs, inc.n, inc.m, inc.set_indptr)
         assert _occupied_attrs(keys, inc.n) == len(held)
     each_block(check)
 
