@@ -5,7 +5,8 @@ attr * n + vertex of its entries.  The sampler draws the keys, from_flat
 packs checked vertex-major ids into them in place (both graph readers and
 from_sets build through it; the binary reader hands it a row pointer that
 holds the file's size words, _from_row_sizes), and graphops.TraversalCore
-reads its core straight off a core-only instance's keys (_shared_entries).
+reads its core straight off a core-only instance's keys (_shared_entries)
+and row pointer.
 The vertex-major view, each vertex's attribute ids strictly increasing and
 back to back in vertex order, is the layout of graph files; each read of
 set_attrs derives it from a copy of the keys, with one sort, and nothing
@@ -272,7 +273,9 @@ class BipartiteIncidence:
         Vertex count and attribute pool size; n * m < PACK_LIMIT.
     set_indptr : (n+1,) int64
         Row pointer for per-vertex attribute lists.  keep_core replaces it
-        with a new one and leaves the full one as it is.
+        with a new one and leaves the full one as it is; a core-only
+        instance's row pointer is its traversal core's, which
+        graphops.TraversalCore copies.
     keys : int64
         Every entry as attr * n + vertex, sorted: what sample_incidence draws
         and from_flat packs.  Nothing else of the entries is held.  In a
@@ -356,7 +359,8 @@ class BipartiteIncidence:
         the keys are shrunk to them in place (ndarray.resize), so nothing of
         the core's size is made beside the full keys.  Only then are each
         vertex's kept entries counted, by one np.bincount over the shrunk
-        keys, into a new set_indptr.  The instance gives up its keys, and
+        keys, into a new set_indptr, which is also the row pointer of the
+        traversal core built from it.  The instance gives up its keys, and
         any other holder of them finds them overwritten; the full row
         pointer is left as it is, so a holder of it still reads the full
         sizes.  numpy refuses the resize while another reference to the

@@ -10,17 +10,19 @@ incidence entries (474k of 4.04M) and 6% of the occupied attributes (232k of
 only from a core-only instance (graphgen's keep_core): from its shared
 entries, held as sorted keys attribute * n + vertex, whose runs of equal
 attributes are the core's attribute side, and from one packed sort of
-vertex * num_attrs + core id for the vertex side; core attributes are
-numbered in increasing order of original id.  A one-sided search thus makes
-the same smallest-id parent choices, and traces the same paths, as it would
-on the full incidence.  A full instance, as generate and read_graph give
-it, raises ValueError.  graphgen._shared_entries only reads the keys, into
-a copy.  The core is held in int32, and each int64 temporary of the build
-is freed as soon as its int32 result exists: at n = 1e5 the build alone
-peaks at 2.37x the bytes of the core-only keys, 0.28x those of the full
-keys (test_graphgen's test_instance_build_memory).  Every packed key is
-formed in int64: numpy keeps an int32 array times a Python int in int32,
-and wraps on overflow.
+vertex * num_attrs + core id for the vertex side, whose row pointer is the
+instance's own (keep_core counted each vertex's shared entries into it);
+core attributes are numbered in increasing order of original id.  A
+one-sided search thus makes the same smallest-id parent choices, and traces
+the same paths, as it would on the full incidence.  A full instance, as
+generate and read_graph give it, raises ValueError.
+graphgen._shared_entries only reads the keys, into a copy, and the row
+pointer is read into an int32 copy.  The core is held in int32, and each
+int64 temporary of the build is freed as soon as its int32 result exists:
+at n = 1e5 the build alone peaks at 2.37x the bytes of the core-only keys,
+0.28x those of the full keys (test_graphgen's test_instance_build_memory).
+Every packed key is formed in int64: numpy keeps an int32 array times a
+Python int in int32, and wraps on overflow.
 
 Component labels start from a root: its component is the completed target
 ball of {root} (below), the ball that distances_from(root) then copies.
@@ -138,21 +140,23 @@ class TraversalCore:
     queries.  ball is the target ball of the last source set that
     nearest_routes, distances_from or components asked about (it has no
     sources before the first).  The incidence is read once, here: only its
-    n, whether it is core-only and its keys, which are left as they were
-    and not kept; its vertex-major ids are not derived.  It must be
-    core-only (graphgen's keep_core), and a full one raises ValueError.
+    n, whether it is core-only, its keys and its row pointer, which are
+    left as they were and not kept; its vertex-major ids are not derived.
+    It must be core-only (graphgen's keep_core), and a full one raises
+    ValueError.
 
     Both sides come from packed int64 keys: the incidence's attribute * n +
     vertex, sorted, then vertex * num_attrs + core id.  Attribute ids are
     below m and num_attrs <= m, so every key stays below n * m < PACK_LIMIT.
-    The four CSR arrays are int32 (set_sizes is int64): a core whose n,
-    attribute count or entry count reaches 2**31 raises ValueError
-    (_check_int32).  The build frees each int64 temporary once its int32
-    result exists: the int64 holders from _shared_entries are packed into
-    the vertex-major keys in place, the core ids are an in-place cumulative
-    sum over int32 flags, and set_indptr is counted from the sorted keys
-    run by run (_row_pointer), so no int64 array of the core's length
-    outlives its use or is made beside them.
+    The row pointer of the vertex side is the incidence's, whose counts
+    keep_core took over the same shared entries: set_indptr is its int32
+    copy and set_sizes its np.diff.  The four CSR arrays are int32
+    (set_sizes is int64): a core whose n, attribute count or entry count
+    reaches 2**31 raises ValueError (_check_int32).  The build frees each
+    int64 temporary once its int32 result exists: the int64 holders from
+    _shared_entries are packed into the vertex-major keys in place and the
+    core ids are an in-place cumulative sum over int32 flags, so no int64
+    array of the core's length outlives its use or is made beside them.
     """
 
     def __init__(self, inc: BipartiteIncidence):
@@ -179,11 +183,11 @@ class TraversalCore:
         keys += ids
         del ids
         keys.sort()
-        self.set_indptr = _row_pointer(keys, n, self.num_attrs)
         keys %= self.num_attrs
         self.set_attrs = keys.astype(np.int32)
         del keys
-        self.set_sizes = np.diff(self.set_indptr).astype(np.int64)
+        self.set_indptr = inc.set_indptr.astype(np.int32)
+        self.set_sizes = np.diff(inc.set_indptr)
         self.visited = (np.zeros(n, dtype=bool), np.zeros(n, dtype=bool))
         self.seen = (np.zeros(self.num_attrs, dtype=bool),
                      np.zeros(self.num_attrs, dtype=bool))
@@ -198,24 +202,6 @@ class TraversalCore:
     def entries(self, verts: np.ndarray) -> int:
         """Core incidence entries held by the given vertices."""
         return int(self.set_sizes[verts].sum())
-
-
-def _row_pointer(keys: np.ndarray, n: int, num_attrs: int) -> np.ndarray:
-    """The int32 row pointer of n vertices' sorted vertex * num_attrs + id
-    keys.  The keys are counted graphgen._RUN at a time: a run's vertices
-    span a range from its first, which one np.bincount counts, so each
-    temporary spans one run's keys or its vertex range, the ranges add up
-    to at most n plus the number of runs, and no search per vertex
-    boundary is made."""
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    for start in range(0, keys.shape[0], graphgen._RUN):
-        verts = keys[start:start + graphgen._RUN] // num_attrs
-        first = int(verts[0])
-        verts -= first
-        counts = np.bincount(verts)
-        indptr[first + 1:first + 1 + counts.shape[0]] += counts
-    np.cumsum(indptr, out=indptr)
-    return indptr
 
 
 def _check_int32(n: int, num_attrs: int, entries: int) -> None:

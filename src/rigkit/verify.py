@@ -174,21 +174,12 @@ def wilson_interval(successes: int, trials: int):
 # json's spellings of the floats that float.__repr__ writes as nan and inf,
 # in a report's own numbers, which write NaN, "not evaluated", as null
 _JSON_NUMBER = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
-_PLAIN = frozenset({str, int, float, bool, type(None)})
 # a report's verdict by status; every status not listed was not adjudicated
 _SATISFIED = {"pass": True, "vacuous": True, "fail": False}
 
 
 def _json_number(x: float) -> str:
-    """A report's lhs, rhs or slack as json writes it, NaN as null.
-
-    0.0 and 1.0, about a fifth of an intersection grid's numbers, are
-    spelled without float.__repr__; -0.0 equals 0.0 and is not one of them.
-    """
-    if x == 1.0:
-        return "1.0"
-    if x == 0.0 and math.copysign(1.0, x) > 0.0:
-        return "0.0"
+    """A report's lhs, rhs or slack as json writes it, NaN as null."""
     text = float.__repr__(x)
     return _JSON_NUMBER.get(text, text)
 
@@ -253,10 +244,9 @@ class BoundReport:
         self.lhs = float(self.lhs)
         self.rhs = float(self.rhs)
         params = dict(self.params)
-        if not _PLAIN.issuperset(map(type, params.values())):
-            for key, value in params.items():
-                if isinstance(value, np.generic):
-                    params[key] = value.item()
+        for key, value in params.items():
+            if isinstance(value, np.generic):
+                params[key] = value.item()
         self.params = params
 
     @property
@@ -278,8 +268,8 @@ class BoundReport:
         while its params still hold those very value objects; any other
         report spells its params here.  The numbers go through
         _json_number, and slack reuses rhs's text when lhs is 0.0.  The
-        encoded bound_id, note and status, and the satisfied a status
-        implies, are cached, since a grid's reports share a few of each.
+        encoded status, and the satisfied it implies, are cached, since a
+        grid's reports share a few of them.
         """
         layout = self._layout
         if layout is None or not layout.holds(self.params):
@@ -289,8 +279,8 @@ class BoundReport:
         lhs_text, rhs_text = _json_number(lhs), _json_number(rhs)
         # rhs - 0.0 is rhs, bit for bit
         slack = rhs_text if lhs_text == "0.0" else _json_number(rhs - lhs)
-        return layout.template % (_json_text(self.bound_id), lhs_text,
-                                  _json_text(self.note), *layout.texts, rhs_text,
+        return layout.template % (encode_basestring_ascii(self.bound_id), lhs_text,
+                                  encode_basestring_ascii(self.note), *layout.texts, rhs_text,
                                   satisfied, slack, status)
 
 
@@ -351,11 +341,6 @@ class _Layout:
         3, 3.0 and True are equal and are spelled apart."""
         return tuple(params) == self.order and all(
             map(operator.is_, params.values(), self.values))
-
-
-@functools.lru_cache(maxsize=4096)
-def _json_text(text: str) -> str:
-    return encode_basestring_ascii(text)
 
 
 @functools.lru_cache(maxsize=256)

@@ -334,7 +334,9 @@ def test_packed_keys_past_2_31_match_scipy(instance_1e5):
 
 def test_traversal_core_needs_a_core_only_instance(tmp_path):
     # a full instance, as generate, read_graph and from_sets give it, is
-    # refused with a pointer to keep_core; its core-only form is built
+    # refused with a pointer to keep_core; its core-only form is built, and
+    # the build reads its keys and row pointer without changing them or
+    # keeping any memory of them
     n = 200
     params = ModelParams(n=n, m=default_attribute_count(n), alpha=0.8, c0=1.0)
     generated, _ = generate(params, trial_rng(3, n, 0))
@@ -346,7 +348,17 @@ def test_traversal_core_needs_a_core_only_instance(tmp_path):
         with pytest.raises(ValueError, match="keep_core"):
             TraversalCore(inc)
         inc.keep_core()
-        assert TraversalCore(inc).n == inc.n
+        keys, set_indptr = inc.keys.copy(), inc.set_indptr.copy()
+        core = TraversalCore(inc)
+        assert core.n == inc.n
+        np.testing.assert_array_equal(inc.keys, keys)
+        np.testing.assert_array_equal(inc.set_indptr, set_indptr)
+        arrays = [a for holder in (vars(core), vars(core.ball))
+                  for value in holder.values()
+                  for a in (value if isinstance(value, tuple) else (value,))
+                  if isinstance(a, np.ndarray)]
+        for held in (inc.keys, inc.set_indptr):
+            assert not any(np.shares_memory(held, a) for a in arrays)
 
 
 def test_int32_core_guard(monkeypatch):
